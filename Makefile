@@ -152,6 +152,7 @@ profile-smoke: build
 	dune exec bin/trace_report.exe -- /tmp/ron_profile_trace.jsonl \
 	  --folded /tmp/ron_profile_folded.txt
 	grep -q '"construct.basic"' /tmp/ron_profile_smoke.json
+	grep -q 'construct.structure/zetas' /tmp/ron_profile_smoke.json
 	grep -q '"query.routes"' /tmp/ron_profile_smoke.json
 
 clean:

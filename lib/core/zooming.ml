@@ -23,12 +23,13 @@ let decode_walk ~translate enc =
   let j = ref 0 in
   while !continue && !j < Array.length enc.rest do
     if !Ron_obs.Probe.on then Ron_obs.Probe.zoom_decode_step ();
-    match translate !j ~x:!m ~y:enc.rest.(!j) with
-    | None -> continue := false
-    | Some next ->
+    let next = translate !j ~x:!m ~y:enc.rest.(!j) in
+    if next < 0 then continue := false
+    else begin
       acc := next :: !acc;
       m := next;
       incr j
+    end
   done;
   Array.of_list (List.rev !acc)
 

@@ -184,12 +184,12 @@ type export = {
   x_label_first : int array;
   x_label_rest : int array array;
   x_enums : int array array array;
-  x_zetas : (int * int * int) array array array;
+  x_z_off : Structure.ints;
+  x_z_x : Structure.ints;
+  x_z_y : Structure.ints;
+  x_z_z : Structure.ints;
   x_table : (int * int * float) array array;
 }
-
-let compare_xy (x1, y1, _) (x2, y2, _) =
-  if x1 <> x2 then Int.compare x1 x2 else Int.compare y1 y2
 
 let compare_w (w1, _, _) (w2, _, _) = Int.compare w1 w2
 
@@ -209,15 +209,11 @@ let export t =
     x_label_rest = Array.map (fun enc -> Array.copy enc.Zooming.rest) st.Structure.labels;
     x_enums =
       Array.init n (fun u ->
-          Array.init scales (fun j -> Ron_core.Enumeration.nodes st.Structure.enums.(u).(j)));
-    x_zetas =
-      Array.init n (fun u ->
-          Array.map
-            (fun z ->
-              let e = Array.of_list (Ron_core.Translation.entries z) in
-              Array.sort compare_xy e;
-              e)
-            st.Structure.zetas.(u));
+          Array.map (fun r -> r.Rings.members) (Rings.rings_of st.Structure.rings u));
+    x_z_off = st.Structure.z_off;
+    x_z_x = st.Structure.z_x;
+    x_z_y = st.Structure.z_y;
+    x_z_z = st.Structure.z_z;
     x_table =
       Array.init n (fun u ->
           let entries =

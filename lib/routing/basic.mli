@@ -84,9 +84,11 @@ val substrate : t -> Ron_metric.Indexed.t
 (** {2 Export}
 
     Flat, string-free state extraction for the off-heap snapshot layer
-    ([ron_serve]): everything the step function reads, as plain arrays.
-    Arrays may share structure with the live value — treat them as borrowed
-    and read-only. *)
+    ([ron_serve]): everything the step function reads, as flat arrays.
+    The translation functions are handed over as the four off-heap columns
+    [Structure.build] laid them out in, with no per-entry work. Arrays
+    share structure with the live value: treat them as borrowed and
+    read-only. *)
 
 type export = {
   x_n : int;
@@ -96,8 +98,14 @@ type export = {
   x_label_first : int array;
   x_label_rest : int array array;  (** per node, [scales - 1] entries *)
   x_enums : int array array array;  (** ring enumeration order, per (u, j) *)
-  x_zetas : (int * int * int) array array array;
-      (** translation triples of [(u, j)], sorted by [(x, y)] *)
+  x_z_off : Structure.ints;
+      (** [n * (scales - 1) + 1]: CSR offsets of the translation segments,
+          [(u, j)] at [u * (scales - 1) + j] *)
+  x_z_x : Structure.ints;
+  x_z_y : Structure.ints;
+  x_z_z : Structure.ints;
+      (** the triples [(x, y, z)] of every segment, sorted by [(x, y)]
+          within it *)
   x_table : (int * int * float) array array;
       (** per node, sorted by neighbor: (intermediate, next hop, hop cost) *)
 }

@@ -448,6 +448,8 @@ let dls_of_secs (isecs : ints array) (fsecs : floats array) i0 f0 =
     z_z = isecs.(i0 + 7);
   }
 
+(* The translation columns are adopted as they are: Basic builds them in
+   this section layout. *)
 let freeze_basic (e : Ron_routing.Basic.export) =
   let open Ron_routing.Basic in
   let n = e.x_n and scales = e.x_scales in
@@ -456,11 +458,6 @@ let freeze_basic (e : Ron_routing.Basic.export) =
     (fun u per_u -> Array.iteri (fun j a -> enum_segs.((u * scales) + j) <- a) per_u)
     e.x_enums;
   let enum_off, enum_node = flat_ints enum_segs in
-  let zsegs = Array.make (n * (scales - 1)) [||] in
-  Array.iteri
-    (fun u per_u -> Array.iteri (fun j z -> zsegs.((u * (scales - 1)) + j) <- z) per_u)
-    e.x_zetas;
-  let z_off, z_x, z_y, z_z = flat_triples zsegs in
   let t_off, t_w, t_next, t_cost = flat_table e.x_table in
   {
     Image.scheme = tag_basic;
@@ -472,10 +469,10 @@ let freeze_basic (e : Ron_routing.Basic.export) =
         Image.ints_of_array (Array.concat (Array.to_list e.x_label_rest));
         enum_off;
         enum_node;
-        z_off;
-        z_x;
-        z_y;
-        z_z;
+        e.x_z_off;
+        e.x_z_x;
+        e.x_z_y;
+        e.x_z_z;
         t_off;
         t_w;
         t_next;

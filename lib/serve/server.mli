@@ -59,6 +59,11 @@ val freeze_two_mode_t : Ron_routing.Two_mode.export -> t
 val freeze_meridian_t : Ron_smallworld.Meridian.export -> t
 val freeze_landmark_t : Ron_labeling.Landmark.export -> t
 
+val flat_triples : (int * int * int) array array -> ints * ints * ints * ints
+(** [(off, xs, ys, zs)]: per-segment [(x, y, z)] triple arrays flattened
+    into CSR offsets plus three parallel columns — the layout of the
+    snapshot's translation-table sections. *)
+
 val of_image : Image.t -> (t, string) result
 (** Wrap an image's sections — zero-copy — into a server, validating the
     scheme tag and per-scheme section counts. *)

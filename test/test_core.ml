@@ -225,13 +225,13 @@ let test_zooming_encode_decode () =
   check_int "first" 0 enc.Zooming.first;
   check_bool "rest" (enc.Zooming.rest = [| 2; 3 |]);
   (* Translation: m_{j+1} = m_j * 10 + y. *)
-  let translate _j ~x ~y = Some ((x * 10) + y) in
+  let translate _j ~x ~y = (x * 10) + y in
   let m = Zooming.decode_walk ~translate enc in
   check_bool "walk" (m = [| 0; 2; 23 |])
 
 let test_zooming_walk_stops_at_null () =
   let enc = { Zooming.first = 1; rest = [| 5; 6; 7 |] } in
-  let translate j ~x ~y = if j < 2 then Some (x + y) else None in
+  let translate j ~x ~y = if j < 2 then x + y else -1 in
   let m = Zooming.decode_walk ~translate enc in
   check_bool "stops at null" (m = [| 1; 6; 12 |])
 
@@ -273,9 +273,9 @@ let test_zooming_on_grid_via_rings () =
       let e = enum fu (j + 1) in
       if y < Enumeration.size e then Some (Enumeration.node e y) else None
     in
-    match w_opt with
-    | None -> None
-    | Some w -> Enumeration.index (enum u (j + 1)) w
+    match Option.bind w_opt (Enumeration.index (enum u (j + 1))) with
+    | None -> -1
+    | Some i -> i
   in
   (* Ring 0 is the same set for every node, but enumeration order may differ;
      align the first index to u's enumeration (canonical share). *)

@@ -384,7 +384,74 @@ let test_compactness_contrast () =
   let ft_table = (Full_table.table_bits ft).(0) in
   check_bool "labels are sub-table-sized" (b_label < ft_table)
 
+(* Building the scheme is not a query: it must not count as ring probes. *)
+let test_basic_build_reads_no_ring_probes () =
+  let module Probe = Ron_obs.Probe in
+  let module Counter = Ron_obs.Counter in
+  let was_on = !Probe.on in
+  Probe.on := true;
+  Fun.protect
+    ~finally:(fun () -> Probe.on := was_on)
+    (fun () ->
+      let probes = Counter.value Probe.ring_probes in
+      let scanned = Counter.value Probe.ring_members_scanned in
+      ignore (Basic.build (Lazy.force grid) ~delta:0.25);
+      check_int "rings.probes" probes (Counter.value Probe.ring_probes);
+      check_int "rings.members_scanned" scanned (Counter.value Probe.ring_members_scanned))
+
 (* --------------------------------------------------------------- QCheck *)
+
+module Structure = Ron_routing.Structure
+module Pool = Ron_util.Pool
+
+let structure_at ~jobs idx ~delta =
+  Pool.set_default_jobs (Some jobs);
+  Fun.protect
+    ~finally:(fun () -> Pool.set_default_jobs None)
+    (fun () -> Structure.build idx ~delta)
+
+let columns (st : Structure.t) =
+  Zeta_oracle.of_columns st.Structure.z_off st.Structure.z_x st.Structure.z_y st.Structure.z_z
+
+(* The flat translation columns against the hash-join reference: equal
+   segment by segment, equal at 1 and 2 domains, and decoding the same
+   zooming prefixes for random (u, t). *)
+let zetas_match_oracle idx ~delta ~seed =
+  let st = structure_at ~jobs:1 idx ~delta in
+  let st2 = structure_at ~jobs:2 idx ~delta in
+  let oracle = Zeta_oracle.build st.Structure.rings ~scales:st.Structure.scales in
+  let n = Indexed.size idx in
+  let rng = Rng.create seed in
+  let decodes_agree = ref true in
+  for _ = 1 to 40 do
+    let u = Rng.int rng n and t = Rng.int rng n in
+    let label = st.Structure.labels.(t) in
+    let m = Zeta_oracle.decode oracle u label in
+    if Structure.decode st u label <> m || Structure.decode st2 u label <> m then
+      decodes_agree := false
+  done;
+  columns st = Zeta_oracle.segments oracle && columns st2 = columns st && !decodes_agree
+
+let deltas = [| 0.25; 0.125 |]
+
+let prop_zetas_graphs =
+  QCheck.Test.make ~name:"flat zetas = hash-join oracle on random grids and geometric graphs"
+    ~count:10
+    QCheck.(triple bool (int_range 3 8) (pair (int_range 10 50) (int_range 0 1)))
+    (fun (is_grid, side, (n, d)) ->
+      let g =
+        if is_grid then Graph_gen.grid side (side + (n mod 3))
+        else Graph_gen.random_geometric (Rng.create (n * 13)) ~n ~radius:0.3
+      in
+      let idx = Indexed.create (Sp_metric.metric (Sp_metric.create g)) in
+      zetas_match_oracle idx ~delta:deltas.(d) ~seed:(side + n))
+
+let prop_zetas_clouds =
+  QCheck.Test.make ~name:"flat zetas = hash-join oracle on random clouds" ~count:10
+    QCheck.(triple (int_range 10 50) (int_range 1 3) (int_range 0 1))
+    (fun (n, dim, d) ->
+      let idx = Indexed.create (Generators.random_cloud (Rng.create (n + (7 * dim))) ~n ~dim) in
+      zetas_match_oracle idx ~delta:deltas.(d) ~seed:n)
 
 let prop_basic_random_geometric =
   QCheck.Test.make ~name:"Thm 2.1 delivers with bounded stretch on random geometric graphs"
@@ -453,6 +520,8 @@ let () =
           Alcotest.test_case "bit accounting" `Quick test_basic_bits_positive;
           Alcotest.test_case "delta validation" `Quick test_basic_delta_validation;
           Alcotest.test_case "labels compact" `Quick test_basic_labels_compact;
+          Alcotest.test_case "build reads no ring probes" `Quick
+            test_basic_build_reads_no_ring_probes;
         ] );
       ( "labelled-thm41",
         [
@@ -479,5 +548,11 @@ let () =
           Alcotest.test_case "bits linear" `Quick test_full_table_bits_linear;
           Alcotest.test_case "compactness contrast" `Quick test_compactness_contrast;
         ] );
-      ("properties", [ qt prop_basic_random_geometric; qt prop_on_metric_random_clouds ]);
+      ( "properties",
+        [
+          qt prop_basic_random_geometric;
+          qt prop_on_metric_random_clouds;
+          qt prop_zetas_graphs;
+          qt prop_zetas_clouds;
+        ] );
     ]

@@ -31,6 +31,27 @@ let case scheme = if scheme = "labelled" then (scheme, 49, 60) else (scheme, 100
 let workload_for t ~queries =
   Loop.prepare t ~seed:11 ~queries ~zipf_s:1.1 ~route_frac:0.6 ~dist_frac:0.3
 
+(* ---------------------------------------- basic image vs join oracle *)
+
+(* The Basic image freezes the translation columns (int sections 6-9) as
+   Structure built them; flattening the hash-join oracle's sorted triples
+   through [flat_triples] must give the same sections. *)
+let test_basic_image_matches_oracle () =
+  let s =
+    match Fixture.build_live ~scheme:"basic" ~n:100 ~seed:5 with
+    | Fixture.L_basic s -> s
+    | _ -> assert false
+  in
+  let img = Server.freeze_basic (Ron_routing.Basic.export s) in
+  let oracle =
+    Zeta_oracle.build (Ron_routing.Basic.rings_collection s) ~scales:(Ron_routing.Basic.scales s)
+  in
+  let z_off, z_x, z_y, z_z = Server.flat_triples (Zeta_oracle.segments oracle) in
+  List.iteri
+    (fun k sec ->
+      check_bool (Printf.sprintf "int section %d" (6 + k)) (sec = img.Image.isecs.(6 + k)))
+    [ z_off; z_x; z_y; z_z ]
+
 (* ------------------------------------------- frozen vs live, per query *)
 
 (* The reference result for query [i], computed through the live scheme's
@@ -191,6 +212,9 @@ let () =
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_matches_live s)));
       ("snapshot round-trip",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_roundtrip s)));
+      ("basic image",
+       [ Alcotest.test_case "zeta sections match the join oracle" `Quick
+           test_basic_image_matches_oracle ]);
       ("corruption",
        [
          Alcotest.test_case "checksum flip rejected" `Quick test_corrupt_rejected;
