@@ -105,21 +105,30 @@ telemetry-smoke: build
 # Zipf-skewed batch workload from it twice — once warm (built in-process,
 # saving the snapshot) and once cold (reloaded from the file) — and assert
 # the two runs produced byte-identical results (same workload digest).
-# RON_JOBS=4 on the cold run doubles as a jobs-invariance check.
+# RON_JOBS=4 on the cold run doubles as a jobs-invariance check. The DLS
+# snapshots (labelled, two_mode) and the landmark snapshot run the same
+# check, so the columns those schemes build in place round-trip through
+# save and load too; the DLS schemes serve fewer queries, at fixed sizes,
+# because their per-query cost is far higher.
 SERVE_SMOKE_N ?= 100
 SERVE_SMOKE_QUERIES ?= 20000
 serve-smoke: build
-	dune exec bin/ron_cli.exe -- serve --scheme basic -n $(SERVE_SMOKE_N) \
-	  --queries $(SERVE_SMOKE_QUERIES) --snapshot /tmp/ron_serve_smoke.snap \
-	  | tee /tmp/ron_serve_smoke_warm.txt
-	RON_JOBS=4 dune exec bin/ron_cli.exe -- serve --load /tmp/ron_serve_smoke.snap \
-	  --queries $(SERVE_SMOKE_QUERIES) \
-	  | tee /tmp/ron_serve_smoke_cold.txt
-	@warm=$$(grep -o 'digest=[0-9a-f]*' /tmp/ron_serve_smoke_warm.txt); \
-	cold=$$(grep -o 'digest=[0-9a-f]*' /tmp/ron_serve_smoke_cold.txt); \
-	if [ "$$warm" != "$$cold" ]; then \
-	  echo "serve-smoke: warm/cold digests differ ($$warm vs $$cold)"; exit 1; \
-	else echo "serve-smoke: warm/cold digests match ($$warm)"; fi
+	@set -e; \
+	for spec in "basic $(SERVE_SMOKE_N) $(SERVE_SMOKE_QUERIES) ron_serve_smoke" \
+	            "labelled 49 2000 ron_serve_smoke_labelled" \
+	            "two_mode 64 2000 ron_serve_smoke_two_mode" \
+	            "landmark $(SERVE_SMOKE_N) $(SERVE_SMOKE_QUERIES) ron_serve_smoke_landmark"; do \
+	  set -- $$spec; \
+	  dune exec bin/ron_cli.exe -- serve --scheme $$1 -n $$2 --queries $$3 \
+	    --snapshot /tmp/$$4.snap | tee /tmp/$$4_warm.txt; \
+	  RON_JOBS=4 dune exec bin/ron_cli.exe -- serve --load /tmp/$$4.snap --queries $$3 \
+	    | tee /tmp/$$4_cold.txt; \
+	  warm=$$(grep -o 'digest=[0-9a-f]*' /tmp/$$4_warm.txt); \
+	  cold=$$(grep -o 'digest=[0-9a-f]*' /tmp/$$4_cold.txt); \
+	  if [ -z "$$warm" ] || [ "$$warm" != "$$cold" ]; then \
+	    echo "serve-smoke: $$1 warm/cold digests differ ($$warm vs $$cold)"; exit 1; \
+	  else echo "serve-smoke: $$1 warm/cold digests match ($$warm)"; fi; \
+	done
 
 # SLO smoke: serve a batch with the burn-rate monitor, flight recorder,
 # and Prometheus exposition all on; validate the exposition file, render

@@ -450,11 +450,20 @@ module Oracle = struct
   (* Cap the per-domain cache near 64 MB of rows, floor of two so a
      ping-pong between two sources (the symmetric-dist pattern) still
      hits. [RON_ORACLE_ROWS] overrides. *)
+  let rows_of_env = function
+    | None -> None
+    | Some s -> (
+      match String.trim s with
+      | "" -> None
+      | t -> (
+        match int_of_string_opt t with
+        | Some k when k >= 1 -> Some k
+        | _ -> invalid_arg (Printf.sprintf "bad RON_ORACLE_ROWS %S (expected an integer >= 1)" s)))
+
   let default_capacity n =
-    match Sys.getenv_opt "RON_ORACLE_ROWS" with
-    | Some s when (match int_of_string_opt s with Some k -> k > 0 | None -> false) ->
-      int_of_string s
-    | _ -> max 2 (min 32 (4_194_304 / max n 1))
+    match rows_of_env (Sys.getenv_opt "RON_ORACLE_ROWS") with
+    | Some k -> k
+    | None -> max 2 (min 32 (4_194_304 / max n 1))
 
   let create ?capacity g =
     let n = Graph.size g in

@@ -63,6 +63,12 @@ module Oracle : sig
   (** Default capacity keeps the per-domain cache near 64 MB (at least 2
       rows, at most 32); [RON_ORACLE_ROWS] overrides. *)
 
+  val rows_of_env : string option -> int option
+  (** The capacity a [RON_ORACLE_ROWS] value asks for: [None] when absent
+      or empty. Raises [Invalid_argument] naming the variable and the value
+      on anything but an integer [>= 1] — {!create} does, when it reads a
+      malformed [RON_ORACLE_ROWS]. *)
+
   val size : t -> int
   val capacity : t -> int
 

@@ -2,20 +2,38 @@ module Indexed = Ron_metric.Indexed
 module Net = Ron_metric.Net
 module Bits = Ron_util.Bits
 module Qfloat = Ron_util.Qfloat
-module Enumeration = Ron_core.Enumeration
-module Translation = Ron_core.Translation
 module Pool = Ron_util.Pool
 module Probe = Ron_obs.Probe
+module Profile = Ron_obs.Profile
+module A1 = Bigarray.Array1
 
-type label = {
-  id : int;
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
+
+let ints_create n : ints = A1.create Bigarray.int Bigarray.c_layout n
+let floats_create n : floats = A1.create Bigarray.float64 Bigarray.c_layout n
+let[@inline always] ig (a : ints) i = A1.unsafe_get a i
+let[@inline always] fg (a : floats) i = A1.unsafe_get a i
+
+(* Every label of a scheme lives in one set of columns, row [u] for node
+   [u]: the layout of the Labelled/Two_mode snapshot's DLS sections. *)
+type cols = {
+  rows : int;
+  levels : int;
   prefix_len : int;
-  dists : float array; (* quantized distance to the k-th host-enumerated beacon *)
-  zetas : Translation.t array; (* zetas.(i) translates scale-i pointers *)
-  zoom_first : int; (* phi_u(f_u0), an index into the canonical prefix *)
-  zoom_rest : int array; (* zoom_rest.(i) = psi_(f_ui)(f_(u,i+1)) *)
-  bits : int;
+  max_virt : int;
+  d_off : ints;
+  d_val : floats;
+  hosts : ints;
+  zoom_first : ints;
+  zoom_rest : ints;
+  z_off : ints;
+  z_x : ints;
+  z_y : ints;
+  z_z : ints;
 }
+
+type label = { c : cols; row : int; id : int }
 
 type wire_codec = {
   wc_n : int;
@@ -28,10 +46,11 @@ type wire_codec = {
 
 type t = {
   tri : Triangulation.t;
+  cols : cols;
   labels : label array;
+  bits : int array;
   virtuals : int array array; (* T_u sorted, for tests *)
   zooms : int array array;
-  host_order : int array array; (* host_order.(u).(k) = node at phi_u index k *)
   wire : wire_codec;
 }
 
@@ -40,9 +59,13 @@ let label t u = t.labels.(u)
 let label_of_id l = l.id
 let virtual_neighbors t u = Array.copy t.virtuals.(u)
 let zooming_sequence t u = Array.copy t.zooms.(u)
-let label_bits t = Array.map (fun l -> l.bits) t.labels
-let max_label_bits t = Array.fold_left (fun acc l -> max acc l.bits) 0 t.labels
-let host_beacons t u = Array.copy t.host_order.(u)
+let label_bits t = Array.copy t.bits
+let max_label_bits t = Array.fold_left max 0 t.bits
+let export t = t.cols
+
+let host_beacons t u =
+  let s = ig t.cols.d_off u in
+  Array.init (ig t.cols.d_off (u + 1) - s) (fun k -> ig t.cols.hosts (s + k))
 
 (* Deduplicate a list of node ids into a sorted array. Node ids are < n, so
    a per-domain mark array beats a fresh Hashtbl per call: the build calls
@@ -78,13 +101,71 @@ let sorted_distinct n lst =
   Ron_util.Fsort.sort_ints a;
   a
 
+(* Per-domain dense marks for the zeta join: [pos.(w)] is [w]'s index in
+   the current node's host enumeration, [here.(v)] is set while [v] is in
+   the scale set being joined. Both are cleared after use, so they are
+   all -1 / '\000' between joins. *)
+type marks = { mutable pos : int array; mutable here : Bytes.t }
+
+let marks_key : marks Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { pos = [||]; here = Bytes.empty })
+
+let marks n =
+  let m = Domain.DLS.get marks_key in
+  if Array.length m.pos < n then begin
+    m.pos <- Array.make n (-1);
+    m.here <- Bytes.make n '\000'
+  end;
+  m
+
+let set_pos m hosts = Array.iteri (fun k w -> m.pos.(w) <- k) hosts
+let clear_pos m hosts = Array.iter (fun w -> m.pos.(w) <- -1) hosts
+
+(* Where the join writes: the triple columns. The count pass passes
+   [counting] and writes nothing. *)
+type zcols = { zx : ints; zy : ints; zz : ints }
+
+let counting = { zx = ints_create 0; zy = ints_create 0; zz = ints_create 0 }
+
+(* The Figure 2 join of zeta_ui: for each host index [x] of [u] whose node
+   [v] is in the scale-i set, and each [w] of the scale-(i+1) set in node
+   order that is virtual at [v] (index [y] in psi_v), emit [(x, y, z)] with
+   [z] the host index of [w]. The triples come out sorted by [(x, y)]:
+   [x] ascends by construction, and psi_v is sorted by node id. Without
+   [fill] this only counts; with it, it writes from cursor [c]. Returns the
+   advanced cursor. *)
+let join m ~fill cols ~hosts ~here ~next ~psi_inv c =
+  Array.iter (fun v -> Bytes.unsafe_set m.here v '\001') here;
+  let c = ref c in
+  for x = 0 to Array.length hosts - 1 do
+    let v = hosts.(x) in
+    if Bytes.unsafe_get m.here v = '\001' then begin
+      let piv = psi_inv.(v) in
+      Array.iter
+        (fun w ->
+          let y = piv.(w) in
+          if y >= 0 then begin
+            if fill then begin
+              cols.zx.{!c} <- x;
+              cols.zy.{!c} <- y;
+              cols.zz.{!c} <- m.pos.(w)
+            end;
+            incr c
+          end)
+        next
+    end
+  done;
+  Array.iter (fun v -> Bytes.unsafe_set m.here v '\000') here;
+  !c
+
 let build ?(z_divisor = 64.0) tri =
-  Ron_obs.Profile.phase "construct.dls" @@ fun () ->
+  Profile.phase "construct.dls" @@ fun () ->
   let idx = Triangulation.idx tri in
   let delta = Triangulation.delta tri in
   let hier = Triangulation.hierarchy tri in
   let n = Indexed.size idx in
   let li = Triangulation.levels tri in
+  let levels = li - 1 in
   let jmax = Net.Hierarchy.jmax hier in
   (* --- Z-rings: Z_uj = B_u(2^j) ∩ G_l, l = log2(2^j * delta / z_divisor). *)
   let z_level j =
@@ -104,7 +185,7 @@ let build ?(z_divisor = 64.0) tri =
      hierarchy, triangulation, and earlier passes' finished arrays, so each
      runs as a parallel fan-out over nodes ([Pool.init]/[Pool.map] are
      barriers, keeping the passes ordered). *)
-  let z_sets = Ron_obs.Profile.phase "z_rings" @@ fun () -> Pool.init n z_of in
+  let z_sets = Profile.phase "z_rings" @@ fun () -> Pool.init n z_of in
   (* --- X_u across scales. *)
   let x_all u =
     let acc = ref [] in
@@ -113,30 +194,30 @@ let build ?(z_divisor = 64.0) tri =
     done;
     !acc
   in
-  (* --- Virtual neighbors T_u and enumerations psi_u. *)
+  (* --- Virtual neighbors T_u; psi_u enumerates T_u in node order. *)
   let virtuals =
-    Ron_obs.Profile.phase "virtuals" @@ fun () ->
+    Profile.phase "virtuals" @@ fun () ->
     Pool.init n (fun u ->
         let xs = x_all u in
         let via_x = List.concat_map (fun v -> z_sets.(v)) (sorted_distinct n xs |> Array.to_list) in
         sorted_distinct n (List.concat [ xs; z_sets.(u); via_x ]))
   in
-  let psi = Pool.map Enumeration.of_array virtuals in
-  (* Dense inverse of every psi: [psi_inv.(v).(w)] is [Enumeration.index
-     psi.(v) w] with [-1] for absent. The zeta join below probes psi
-     |S_i| * |S_(i+1)| times per node per scale; an array read there instead
-     of a Hashtbl probe is the difference between minutes and seconds. The
-     n^2 ints are within the Indexed-backed schemes' existing memory class
-     (the metric itself is already materialized at n^2 floats). *)
+  (* Dense inverse of every psi: [psi_inv.(v).(w)] is [w]'s index in T_v,
+     or -1. The zeta join probes it |S_i| * |S_(i+1)| times per node per
+     scale; an array read there is the difference between minutes and
+     seconds. The n^2 ints are within the Indexed-backed schemes' existing
+     memory class (the metric itself is already materialized at n^2
+     floats). *)
   let psi_inv =
     Pool.init n (fun v ->
         let inv = Array.make n (-1) in
-        Array.iteri (fun k w -> inv.(w) <- k) (Enumeration.nodes psi.(v));
+        Array.iteri (fun k w -> inv.(w) <- k) virtuals.(v);
         inv)
   in
   let max_virtual = Array.fold_left (fun acc a -> max acc (Array.length a)) 1 virtuals in
-  (* --- Host neighbor sets per scale and host enumerations phi_u with the
-     canonical scale-0 prefix. *)
+  (* --- Host neighbor sets per scale and host enumerations phi_u: the
+     canonical scale-0 prefix, then u's other scale-set nodes in node
+     order. *)
   let scale_set u i =
     sorted_distinct n
       (List.concat
@@ -146,22 +227,24 @@ let build ?(z_divisor = 64.0) tri =
          ])
   in
   let scale_sets =
-    Ron_obs.Profile.phase "hosts" @@ fun () ->
+    Profile.phase "hosts" @@ fun () ->
     Pool.init n (fun u -> Array.init li (fun i -> scale_set u i))
   in
-  let prefix_nodes = scale_sets.(0).(0) in
   (* Scale-0 sets coincide for every node by construction; the prefix is
      canonical. *)
-  let prefix = Enumeration.of_array prefix_nodes in
-  let prefix_len = Enumeration.size prefix in
+  let prefix = scale_sets.(0).(0) in
+  let prefix_len = Array.length prefix in
+  let prefix_pos = Array.make n (-1) in
+  Array.iteri (fun k v -> prefix_pos.(v) <- k) prefix;
   let phi =
     Pool.init n (fun u ->
         let rest =
           sorted_distinct n (List.concat_map Array.to_list (Array.to_list scale_sets.(u)))
         in
-        Enumeration.with_prefix ~prefix rest)
+        let fresh = List.filter (fun v -> prefix_pos.(v) < 0) (Array.to_list rest) in
+        Array.append prefix (Array.of_list fresh))
   in
-  let max_host = Array.fold_left (fun acc e -> max acc (Enumeration.size e)) 1 (Array.map Fun.id phi) in
+  let max_host = Array.fold_left (fun acc e -> max acc (Array.length e)) 1 phi in
   (* --- Zooming sequences: f_ui = nearest node of G_(log2 (r_ui/4)). *)
   let zoom_of u =
     Array.init li (fun i ->
@@ -171,160 +254,343 @@ let build ?(z_divisor = 64.0) tri =
         in
         fst (Net.Hierarchy.nearest hier level u))
   in
-  let zooms = Ron_obs.Profile.phase "zooms" @@ fun () -> Pool.init n zoom_of in
-  (* --- Translation maps zeta_ui. [phi_inv_u] is the dense inverse of
-     phi.(u), built once per node by the labels pass; probing it and
-     [psi_inv] turns the scale-set join into pure array reads while adding
-     exactly the same entries in the same order as the enumeration-backed
-     lookups did. *)
-  let zetas_of u phi_inv_u =
-    Array.init (li - 1) (fun i ->
-        let this_scale = scale_sets.(u).(i) in
-        let next_scale = scale_sets.(u).(i + 1) in
-        (* Count pass: joined pairs are distinct (x per v, y per w), so the
-           count is the exact entry total — the table allocates once, with
-           no doubling or rehash garbage. *)
-        let hits = ref 0 in
-        Array.iter
-          (fun v ->
-            let piv = psi_inv.(v) in
-            Array.iter (fun w -> if piv.(w) >= 0 then incr hits) next_scale)
-          this_scale;
-        let z = Translation.create ~size_hint:!hits () in
-        Array.iter
-          (fun v ->
-            let x = phi_inv_u.(v) in
-            if x < 0 then failwith "Dls.build: scale-set node outside phi";
-            let piv = psi_inv.(v) in
-            Array.iter
-              (fun w ->
-                let y = piv.(w) in
-                if y >= 0 then begin
-                  let zz = phi_inv_u.(w) in
-                  if zz < 0 then failwith "Dls.build: scale-set node outside phi";
-                  Translation.add z ~x ~y ~z:zz
-                end)
-              next_scale)
-          this_scale;
-        z)
+  let zooms = Profile.phase "zooms" @@ fun () -> Pool.init n zoom_of in
+  (* --- Translation maps zeta_ui, written straight into one CSR over all
+     n * levels segments, segment (u, i) at u * levels + i: a count pass,
+     then a fill pass. Nodes own disjoint ranges, so both fan out per
+     node. *)
+  let z_off, zc =
+    Profile.phase "zetas" @@ fun () ->
+    let counts = Array.make (n * levels) 0 in
+    Pool.parallel_for n (fun u ->
+        let m = marks n in
+        set_pos m phi.(u);
+        for i = 0 to levels - 1 do
+          counts.((u * levels) + i) <-
+            join m ~fill:false counting ~hosts:phi.(u) ~here:scale_sets.(u).(i)
+              ~next:scale_sets.(u).(i + 1) ~psi_inv 0
+        done;
+        clear_pos m phi.(u));
+    let z_off = ints_create ((n * levels) + 1) in
+    z_off.{0} <- 0;
+    Array.iteri (fun s k -> z_off.{s + 1} <- z_off.{s} + k) counts;
+    let total = z_off.{n * levels} in
+    let zc = { zx = ints_create total; zy = ints_create total; zz = ints_create total } in
+    Pool.parallel_for n (fun u ->
+        let m = marks n in
+        set_pos m phi.(u);
+        for i = 0 to levels - 1 do
+          let s = (u * levels) + i in
+          let c =
+            join m ~fill:true zc ~hosts:phi.(u) ~here:scale_sets.(u).(i)
+              ~next:scale_sets.(u).(i + 1) ~psi_inv z_off.{s}
+          in
+          assert (c = z_off.{s + 1})
+        done;
+        clear_pos m phi.(u));
+    (z_off, zc)
   in
-  (* --- Quantized distances. *)
+  (* --- Quantized host distances, zoom labels and bit counts. *)
   let codec =
     Qfloat.codec_for ~delta ~aspect_ratio:(Float.max 2.0 (Indexed.aspect_ratio idx))
   in
-  let labels =
-    Ron_obs.Profile.phase "labels" @@ fun () ->
+  let host_bits = Bits.index_bits max_host in
+  let virt_bits = Bits.index_bits max_virtual in
+  let d_off = ints_create (n + 1) in
+  d_off.{0} <- 0;
+  Array.iteri (fun u e -> d_off.{u + 1} <- d_off.{u} + Array.length e) phi;
+  let d_val = floats_create d_off.{n} and hosts = ints_create d_off.{n} in
+  let zoom_first = ints_create n and zoom_rest = ints_create (n * levels) in
+  let bits =
+    Profile.phase "labels" @@ fun () ->
     Pool.init n (fun u ->
         let e = phi.(u) in
-        let k = Enumeration.size e in
-        let dists =
-          Array.init k (fun idx_k -> Qfloat.quantize codec (Indexed.dist idx u (Enumeration.node e idx_k)))
-        in
-        let phi_inv_u = Array.make n (-1) in
-        Array.iteri (fun k w -> phi_inv_u.(w) <- k) (Enumeration.nodes e);
-        let zetas = zetas_of u phi_inv_u in
+        let k = Array.length e in
+        Array.iteri
+          (fun i w ->
+            d_val.{d_off.{u} + i} <- Qfloat.quantize codec (Indexed.dist idx u w);
+            hosts.{d_off.{u} + i} <- w)
+          e;
         let f = zooms.(u) in
-        let zoom_first =
-          match Enumeration.index prefix f.(0) with
-          | Some i -> i
-          | None -> failwith "Dls.build: f_u0 outside the canonical prefix"
-        in
-        let zoom_rest =
-          Array.init (li - 1) (fun i ->
-              let y = psi_inv.(f.(i)).(f.(i + 1)) in
-              if y >= 0 then y
-              else failwith "Dls.build: Claim 3.5(c) violated: f_(u,i+1) not virtual at f_ui")
-        in
-        let host_bits = Bits.index_bits max_host in
-        let virt_bits = Bits.index_bits max_virtual in
-        let zeta_bits =
-          Array.fold_left
-            (fun acc z ->
-              acc + Translation.bits_sparse z ~x_bits:host_bits ~y_bits:virt_bits ~z_bits:host_bits)
-            0 zetas
-        in
-        let bits =
-          Bits.index_bits n (* global id *)
-          + (k * Qfloat.bits codec) (* distance array *)
-          + zeta_bits
-          + host_bits (* zoom_first *)
-          + ((li - 1) * virt_bits) (* zoom_rest *)
-        in
+        (match prefix_pos.(f.(0)) with
+        | -1 -> failwith "Dls.build: f_u0 outside the canonical prefix"
+        | i -> zoom_first.{u} <- i);
+        for i = 0 to levels - 1 do
+          match psi_inv.(f.(i)).(f.(i + 1)) with
+          | -1 -> failwith "Dls.build: Claim 3.5(c) violated: f_(u,i+1) not virtual at f_ui"
+          | y -> zoom_rest.{(u * levels) + i} <- y
+        done;
+        let entries = z_off.{(u + 1) * levels} - z_off.{u * levels} in
         if !Probe.on then Probe.label_node ();
-        { id = u; prefix_len; dists; zetas; zoom_first; zoom_rest; bits })
+        Bits.index_bits n (* global id *)
+        + (k * Qfloat.bits codec) (* distance array *)
+        + (entries * (host_bits + virt_bits + host_bits)) (* sparse translation triples *)
+        + host_bits (* zoom_first *)
+        + (levels * virt_bits) (* zoom_rest *))
   in
-  let host_order = Array.init n (fun u -> Enumeration.nodes phi.(u)) in
+  (* The decoder's scratch bound: 1 + the largest stored virtual index. *)
+  let max_virt = ref 1 in
+  List.iter
+    (fun (ys : ints) ->
+      for i = 0 to A1.dim ys - 1 do
+        max_virt := max !max_virt (ys.{i} + 1)
+      done)
+    [ zc.zy; zoom_rest ];
+  let cols =
+    {
+      rows = n;
+      levels;
+      prefix_len;
+      max_virt = !max_virt;
+      d_off;
+      d_val;
+      hosts;
+      zoom_first;
+      zoom_rest;
+      z_off;
+      z_x = zc.zx;
+      z_y = zc.zy;
+      z_z = zc.zz;
+    }
+  in
   let wire =
     {
       wc_n = n;
       wc_li = li;
       wc_prefix_len = prefix_len;
-      wc_host_bits = Bits.index_bits max_host;
-      wc_virt_bits = Bits.index_bits max_virtual;
+      wc_host_bits = host_bits;
+      wc_virt_bits = virt_bits;
       wc_qcodec = codec;
     }
   in
-  { tri; labels; virtuals; zooms; host_order; wire }
+  {
+    tri;
+    cols;
+    labels = Array.init n (fun u -> { c = cols; row = u; id = u });
+    bits;
+    virtuals;
+    zooms;
+    wire;
+  }
 
 (* ------------------------------------------------------------- Decoding *)
 
-(* Walk [src]'s zooming sequence through the translation maps of both labels
-   simultaneously. [a] tracks the current element's index in [la]'s host
-   enumeration, [b] in [lb]'s. At each level we (1) record the element itself
-   as a common beacon, (2) join the two maps' (element, .) entry lists on the
-   virtual index to find more common beacons, then (3) step to the next
-   element. [emit ia ib] receives host-index pairs (la-index, lb-index). *)
-let walk_candidates ~src ~la ~lb ~emit =
-  let levels = Array.length la.zetas in
-  let a = ref src.zoom_first and b = ref src.zoom_first in
-  (try
-     for j = 0 to levels - 1 do
-       emit !a !b;
-       (* Join on virtual indices. *)
-       let right = Hashtbl.create 16 in
-       List.iter (fun (y, z) -> Hashtbl.replace right y z) (Translation.entries_with_x lb.zetas.(j) ~x:!b);
-       List.iter
-         (fun (y, z_a) ->
-           match Hashtbl.find_opt right y with
-           | Some z_b -> emit z_a z_b
-           | None -> ())
-         (Translation.entries_with_x la.zetas.(j) ~x:!a);
-       (* Step down the zooming sequence. *)
-       let y = src.zoom_rest.(j) in
-       match (Translation.find la.zetas.(j) ~x:!a ~y, Translation.find lb.zetas.(j) ~x:!b ~y) with
-       | Some a', Some b' ->
-         a := a';
-         b := b'
-       | _ -> raise Exit
-     done;
-     emit !a !b
-   with Exit -> ())
+(* The label-only decoder, shared by the live schemes and the frozen
+   server. It allocates nothing in steady state: every loop is a top-level
+   tail-recursive function over few arguments (the per-scan constants sit
+   in int fields of the scratch), floats flow only through the scratch's
+   [acc] array, and the column types are annotated so the reads compile
+   inline. *)
 
-let candidates l_u l_v =
-  if l_u.prefix_len <> l_v.prefix_len then failwith "Dls.candidates: labels from different schemes";
-  let acc = ref [] in
-  let emit iu iv =
-    if iu < Array.length l_u.dists && iv < Array.length l_v.dists then
-      acc := (iu, iv, l_u.dists.(iu), l_v.dists.(iv)) :: !acc
-  in
-  (* Canonical prefix: index k names the same node in both labels. *)
-  for k = 0 to l_u.prefix_len - 1 do
-    emit k k
-  done;
-  (* Zoom in on v, reading indices in both labels. *)
-  walk_candidates ~src:l_v ~la:l_u ~lb:l_v ~emit:(fun a b -> emit a b);
-  (* Symmetrically zoom in on u. *)
-  walk_candidates ~src:l_u ~la:l_v ~lb:l_u ~emit:(fun a b -> emit b a);
-  !acc
+type scratch = {
+  mutable right_gen : int array; (* join: generation stamp per virtual index *)
+  mutable right_val : int array;
+  mutable gen : int;
+  acc : float array;
+  mutable best_w : int;
+  mutable collect : bool;
+  mutable cand_len : int;
+  mutable cand_w : int array;
+  mutable cand_d : float array;
+  (* The scan in progress: rows, host-list starts and lengths, exclusion. *)
+  mutable u : int;
+  mutable v : int;
+  mutable du0 : int;
+  mutable dv0 : int;
+  mutable ku : int;
+  mutable kv : int;
+  mutable exclude : int;
+}
+
+let new_scratch () =
+  {
+    right_gen = [||];
+    right_val = [||];
+    gen = 0;
+    acc = Array.make 2 0.0;
+    best_w = -1;
+    collect = false;
+    cand_len = 0;
+    cand_w = [||];
+    cand_d = [||];
+    u = 0;
+    v = 0;
+    du0 = 0;
+    dv0 = 0;
+    ku = 0;
+    kv = 0;
+    exclude = -1;
+  }
+
+let scratch_key : scratch Domain.DLS.key = Domain.DLS.new_key new_scratch
+let scratch () = Domain.DLS.get scratch_key
+
+let reserve sc c =
+  if Array.length sc.right_gen < c.max_virt then begin
+    sc.right_gen <- Array.make c.max_virt 0;
+    sc.right_val <- Array.make c.max_virt 0;
+    sc.gen <- 0
+  end
+
+(* Record one candidate beacon for the ranked alternates (live fault path
+   only; grows the buffers). *)
+let push sc w (dv : floats) i =
+  if sc.cand_len = Array.length sc.cand_w then begin
+    let cap = max 16 (2 * sc.cand_len) in
+    let w' = Array.make cap 0 and d' = Array.make cap 0.0 in
+    Array.blit sc.cand_w 0 w' 0 sc.cand_len;
+    Array.blit sc.cand_d 0 d' 0 sc.cand_len;
+    sc.cand_w <- w';
+    sc.cand_d <- d'
+  end;
+  sc.cand_w.(sc.cand_len) <- w;
+  sc.cand_d.(sc.cand_len) <- fg dv i;
+  sc.cand_len <- sc.cand_len + 1
+
+(* First index in [s, e) with zx.(i) >= x (entries sorted by (x, y)). *)
+let rec z_lower (zx : ints) s e x =
+  if s >= e then s
+  else begin
+    let mid = (s + e) / 2 in
+    if ig zx mid < x then z_lower zx (mid + 1) e x else z_lower zx s mid x
+  end
+
+(* Exact (x, y) lookup in [s, e): the z value, or -1. *)
+let rec z_find (zx : ints) (zy : ints) (zz : ints) s e x y =
+  if s >= e then -1
+  else begin
+    let mid = (s + e) / 2 in
+    let mx = ig zx mid in
+    if mx < x || (mx = x && ig zy mid < y) then z_find zx zy zz (mid + 1) e x y
+    else if mx = x && ig zy mid = y then ig zz mid
+    else z_find zx zy zz s mid x y
+  end
+
+(* One candidate: host index [iu] in u's label, [iv] in v's. Folds
+   [du + dv] into acc.(0); with an exclusion, also folds the lex-min
+   (dv, host) beacon other than it into (best_w, acc.(1)) — Two_mode's M1
+   choice — and, when collecting, records it. Indices past a label's host
+   list are no beacon of it and are skipped. Both folds are
+   order-independent, so the walk order does not matter. *)
+let[@inline] emit cu cv sc iu iv =
+  if iu < sc.ku && iv < sc.kv then begin
+    let du = fg cu.d_val (sc.du0 + iu) and dv = fg cv.d_val (sc.dv0 + iv) in
+    let s = du +. dv in
+    if s < sc.acc.(0) then sc.acc.(0) <- s;
+    if sc.exclude >= 0 then begin
+      let w = ig cu.hosts (sc.du0 + iu) in
+      if w <> sc.exclude then begin
+        if dv < sc.acc.(1) || (dv = sc.acc.(1) && w < sc.best_w) then begin
+          sc.best_w <- w;
+          sc.acc.(1) <- dv
+        end;
+        if sc.collect then push sc w cv.d_val (sc.dv0 + iv)
+      end
+    end
+  end
+
+(* Stamp lb's (x = b) run of level-j entries into the y -> z scratch map. *)
+let rec fill (cb : cols) sc gen i eb b =
+  if i < eb && ig cb.z_x i = b then begin
+    let y = ig cb.z_y i in
+    sc.right_gen.(y) <- gen;
+    sc.right_val.(y) <- ig cb.z_z i;
+    fill cb sc gen (i + 1) eb b
+  end
+
+(* Join la's (x = a) run of [ca] against the stamped map, emitting each
+   match. *)
+let rec join_run cu cv (ca : cols) sc flip gen i ea a =
+  if i < ea && ig ca.z_x i = a then begin
+    let y = ig ca.z_y i in
+    if sc.right_gen.(y) = gen then begin
+      let za = ig ca.z_z i and zb = sc.right_val.(y) in
+      if flip then emit cu cv sc zb za else emit cu cv sc za zb
+    end;
+    join_run cu cv ca sc flip gen (i + 1) ea a
+  end
+
+(* The Claim 2.2 walk of lb's zooming sequence through both labels'
+   translation maps: emit the current pair (a, b) — a in la's host
+   enumeration, b in lb's — join the two labels' level-j entry runs on the
+   virtual index, then step both sides through lb's zoom label. The walk
+   stops silently on a failed step; the final emit fires only when every
+   level stepped. Each step charges two translation lookups. la is u's
+   label and lb v's, or the reverse when [flip]; emitted pairs are always
+   in (u, v) order. *)
+let rec level cu cv sc flip j a b =
+  if flip then emit cu cv sc b a else emit cu cv sc a b;
+  let ca = if flip then cv else cu and cb = if flip then cu else cv in
+  let ra = if flip then sc.v else sc.u and rb = if flip then sc.u else sc.v in
+  let levels = cb.levels in
+  if j < levels then begin
+    sc.gen <- sc.gen + 1;
+    let gen = sc.gen in
+    let sb = ig cb.z_off ((rb * levels) + j) and eb = ig cb.z_off ((rb * levels) + j + 1) in
+    fill cb sc gen (z_lower cb.z_x sb eb b) eb b;
+    let sa = ig ca.z_off ((ra * levels) + j) and ea = ig ca.z_off ((ra * levels) + j + 1) in
+    join_run cu cv ca sc flip gen (z_lower ca.z_x sa ea a) ea a;
+    if !Probe.on then begin
+      Probe.translation_lookup ();
+      Probe.translation_lookup ()
+    end;
+    let y = ig cb.zoom_rest ((rb * levels) + j) in
+    let a' = z_find ca.z_x ca.z_y ca.z_z sa ea a y in
+    if a' >= 0 then begin
+      let b' = z_find cb.z_x cb.z_y cb.z_z sb eb b y in
+      if b' >= 0 then level cu cv sc flip (j + 1) a' b'
+    end
+  end
+
+(* Canonical prefix: index k names the same node in both labels. *)
+let rec prefix cu cv sc k kmax =
+  if k < kmax then begin
+    emit cu cv sc k k;
+    prefix cu cv sc (k + 1) kmax
+  end
+
+let scan_gen cu u cv v sc ~exclude ~collect =
+  if cu.prefix_len <> cv.prefix_len || cu.levels <> cv.levels then
+    failwith "Dls: labels from different schemes";
+  if exclude >= 0 && A1.dim cu.hosts = 0 then invalid_arg "Dls.scan: u's label has no hosts";
+  if Array.length sc.right_gen < max cu.max_virt cv.max_virt then begin
+    reserve sc cu;
+    reserve sc cv
+  end;
+  sc.acc.(0) <- infinity;
+  sc.acc.(1) <- infinity;
+  sc.best_w <- -1;
+  sc.collect <- collect;
+  sc.cand_len <- 0;
+  sc.u <- u;
+  sc.v <- v;
+  sc.exclude <- exclude;
+  sc.du0 <- ig cu.d_off u;
+  sc.dv0 <- ig cv.d_off v;
+  sc.ku <- ig cu.d_off (u + 1) - sc.du0;
+  sc.kv <- ig cv.d_off (v + 1) - sc.dv0;
+  prefix cu cv sc 0 cu.prefix_len;
+  (* Zoom in on v, reading indices in both labels; then symmetrically
+     zoom in on u. *)
+  let zv = ig cv.zoom_first v and zu = ig cu.zoom_first u in
+  level cu cv sc false 0 zv zv;
+  level cu cv sc true 0 zu zu
+
+let scan cu u cv v sc ~exclude = scan_gen cu u cv v sc ~exclude ~collect:false
+
+let scan_labels l_u l_v sc ~exclude ~collect =
+  scan_gen l_u.c l_u.row l_v.c l_v.row sc ~exclude ~collect
+
+let results sc = sc.acc
+let best_beacon sc = sc.best_w
+let candidates sc = List.init sc.cand_len (fun i -> (sc.cand_d.(i), sc.cand_w.(i)))
 
 let estimate l_u l_v =
   if l_u.id = l_v.id then 0.0
   else begin
-    let best =
-      List.fold_left
-        (fun acc (_, _, du, dv) -> Float.min acc (du +. dv))
-        infinity (candidates l_u l_v)
-    in
+    let sc = scratch () in
+    scan_gen l_u.c l_u.row l_v.c l_v.row sc ~exclude:(-1) ~collect:false;
+    let best = sc.acc.(0) in
     if Float.is_finite best then best
     else failwith "Dls.estimate: no common beacon identified (Theorem 3.4 violated)"
   end
@@ -335,111 +601,79 @@ module Bitio = Ron_util.Bitio
 
 let wire_codec t = t.wire
 
+(* A label's triples are stored sorted by (x, y), which is the wire
+   order. *)
 let serialize wc l =
+  let c = l.c and r = l.row in
   let w = Bitio.Writer.create () in
   let host v = Bitio.Writer.bits w v ~width:wc.wc_host_bits in
   let virt v = Bitio.Writer.bits w v ~width:wc.wc_virt_bits in
   Bitio.Writer.bits w l.id ~width:(Bits.index_bits wc.wc_n);
-  let k = Array.length l.dists in
+  let d0 = ig c.d_off r in
+  let k = ig c.d_off (r + 1) - d0 in
   Bitio.Writer.bits w k ~width:(wc.wc_host_bits + 1);
-  Array.iter (fun d -> Qfloat.write wc.wc_qcodec w d) l.dists;
-  Array.iter
-    (fun zeta ->
-      let entries = Translation.entries zeta in
-      Bitio.Writer.bits w (List.length entries)
-        ~width:(wc.wc_host_bits + wc.wc_virt_bits + 1);
-      List.iter
-        (fun (x, y, z) ->
-          host x;
-          virt y;
-          host z)
-        (List.sort
-           (fun (a1, b1, c1) (a2, b2, c2) ->
-             if a1 <> a2 then Int.compare a1 a2
-             else if b1 <> b2 then Int.compare b1 b2
-             else Int.compare c1 c2)
-           entries))
-    l.zetas;
-  host l.zoom_first;
-  Array.iter virt l.zoom_rest;
+  for i = 0 to k - 1 do
+    Qfloat.write wc.wc_qcodec w (fg c.d_val (d0 + i))
+  done;
+  for j = 0 to c.levels - 1 do
+    let s = ig c.z_off ((r * c.levels) + j) and e = ig c.z_off ((r * c.levels) + j + 1) in
+    Bitio.Writer.bits w (e - s) ~width:(wc.wc_host_bits + wc.wc_virt_bits + 1);
+    for i = s to e - 1 do
+      host (ig c.z_x i);
+      virt (ig c.z_y i);
+      host (ig c.z_z i)
+    done
+  done;
+  host (ig c.zoom_first r);
+  for j = 0 to c.levels - 1 do
+    virt (ig c.zoom_rest ((r * c.levels) + j))
+  done;
   (Bitio.Writer.to_bytes w, Bitio.Writer.length w)
 
+(* A deserialized label is a one-row column set. Its hosts column is
+   empty: host node ids are the owner's local knowledge, not label
+   content. *)
 let deserialize wc bytes =
   let r = Bitio.Reader.of_bytes bytes in
   let host () = Bitio.Reader.bits r ~width:wc.wc_host_bits in
   let virt () = Bitio.Reader.bits r ~width:wc.wc_virt_bits in
   let id = Bitio.Reader.bits r ~width:(Bits.index_bits wc.wc_n) in
   let k = Bitio.Reader.bits r ~width:(wc.wc_host_bits + 1) in
-  let dists = Array.init k (fun _ -> Qfloat.read wc.wc_qcodec r) in
-  let zetas =
-    Array.init (wc.wc_li - 1) (fun _ ->
-        let zeta = Translation.create () in
-        let count = Bitio.Reader.bits r ~width:(wc.wc_host_bits + wc.wc_virt_bits + 1) in
-        for _ = 1 to count do
-          let x = host () in
-          let y = virt () in
-          let z = host () in
-          Translation.add zeta ~x ~y ~z
-        done;
-        zeta)
-  in
+  let d_val = Array.init k (fun _ -> Qfloat.read wc.wc_qcodec r) in
+  let levels = wc.wc_li - 1 in
+  let z_off = Array.make (levels + 1) 0 in
+  let triples = ref [] in
+  for j = 0 to levels - 1 do
+    let count = Bitio.Reader.bits r ~width:(wc.wc_host_bits + wc.wc_virt_bits + 1) in
+    for _ = 1 to count do
+      let x = host () in
+      let y = virt () in
+      let z = host () in
+      triples := (x, y, z) :: !triples
+    done;
+    z_off.(j + 1) <- z_off.(j) + count
+  done;
   let zoom_first = host () in
-  let zoom_rest = Array.init (wc.wc_li - 1) (fun _ -> virt ()) in
-  {
-    id;
-    prefix_len = wc.wc_prefix_len;
-    dists;
-    zetas;
-    zoom_first;
-    zoom_rest;
-    bits = 8 * Bytes.length bytes;
-  }
-
-(* ----------------------------------------------------------------- Export *)
-
-type export = {
-  x_n : int;
-  x_levels : int;
-  x_prefix_len : int;
-  x_max_virt : int;
-  x_dists : float array array;
-  x_zoom_first : int array;
-  x_zoom_rest : int array array;
-  x_zetas : (int * int * int) array array array;
-  x_hosts : int array array;
-}
-
-let compare_xy (x1, y1, _) (x2, y2, _) =
-  if x1 <> x2 then Int.compare x1 x2 else Int.compare y1 y2
-
-let export t =
-  let n = Array.length t.labels in
-  let levels = if n = 0 then 0 else Array.length t.labels.(0).zetas in
-  let max_virt = ref 1 in
-  let zetas =
-    Array.map
-      (fun l ->
-        Array.map
-          (fun z ->
-            let e = Array.of_list (Translation.entries z) in
-            Array.iter (fun (_, y, _) -> if y + 1 > !max_virt then max_virt := y + 1) e;
-            Array.sort compare_xy e;
-            e)
-          l.zetas)
-      t.labels
+  let zoom_rest = Array.init levels (fun _ -> virt ()) in
+  let triples = Array.of_list (List.rev !triples) in
+  let ints a = A1.of_array Bigarray.int Bigarray.c_layout a in
+  let z_y = Array.map (fun (_, y, _) -> y) triples in
+  let max_virt = Array.fold_left (fun m y -> max m (y + 1)) 1 (Array.append z_y zoom_rest) in
+  let c =
+    {
+      rows = 1;
+      levels;
+      prefix_len = wc.wc_prefix_len;
+      max_virt;
+      d_off = ints [| 0; k |];
+      d_val = A1.of_array Bigarray.float64 Bigarray.c_layout d_val;
+      hosts = ints [||];
+      zoom_first = ints [| zoom_first |];
+      zoom_rest = ints zoom_rest;
+      z_off = ints z_off;
+      z_x = ints (Array.map (fun (x, _, _) -> x) triples);
+      z_y = ints z_y;
+      z_z = ints (Array.map (fun (_, _, z) -> z) triples);
+    }
   in
-  Array.iter
-    (fun l ->
-      Array.iter (fun y -> if y + 1 > !max_virt then max_virt := y + 1) l.zoom_rest)
-    t.labels;
-  {
-    x_n = n;
-    x_levels = levels;
-    x_prefix_len = (if n = 0 then 0 else t.labels.(0).prefix_len);
-    x_max_virt = !max_virt;
-    x_dists = Array.map (fun l -> l.dists) t.labels;
-    x_zoom_first = Array.map (fun l -> l.zoom_first) t.labels;
-    x_zoom_rest = Array.map (fun l -> l.zoom_rest) t.labels;
-    x_zetas = zetas;
-    x_hosts = t.host_order;
-  }
+  { c; row = 0; id }

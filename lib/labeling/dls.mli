@@ -12,23 +12,56 @@
     pointers (Claim 3.5).
 
     {b Decoding uses only the two labels}: [estimate] never touches the
-    metric. It walks both zooming sequences through both labels' translation
-    maps (the Claim 2.2 walk), joining the maps' [(f, .)] entries on the
-    shared virtual indices to identify common beacons, and returns the best
-    [D+] upper bound. The proof guarantees a common beacon within
-    [delta * d] of one endpoint is identified, so
-    [estimate <= (1 + 2 delta)(1 + delta/8) d] and [estimate >= d]. *)
+    metric. It walks both zooming sequences through both labels'
+    translation maps (the Claim 2.2 walk), joining the maps' [(f, .)]
+    entries on the shared virtual indices to identify common beacons, and
+    returns the best [D+] upper bound. The proof guarantees a common beacon
+    within [delta * d] of one endpoint is identified, so
+    [estimate <= (1 + 2 delta)(1 + delta/8) d] and [estimate >= d].
+
+    All labels of a scheme live in one set of flat columns ({!cols}), the
+    layout of the Labelled/Two_mode snapshot sections; a label is a row of
+    them. One decoder ({!scan}) serves the live schemes and the frozen
+    server alike. *)
+
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type cols = {
+  rows : int;
+  levels : int;  (** translation maps per label ([levels - 1] of the scheme) *)
+  prefix_len : int;  (** the canonical scale-0 prefix of every host enumeration *)
+  max_virt : int;  (** scratch bound: 1 + the largest virtual index *)
+  d_off : ints;  (** [rows + 1]: CSR over per-row host distances and hosts *)
+  d_val : floats;  (** quantized distance to each host-enumerated beacon *)
+  hosts : ints;
+      (** node ids parallel to [d_val] (host enumeration order); empty for
+          a deserialized label and in the Labelled snapshot *)
+  zoom_first : ints;  (** [rows]: phi_u(f_u0), an index into the prefix *)
+  zoom_rest : ints;  (** [rows * levels]: psi_(f_ui)(f_(u,i+1)) *)
+  z_off : ints;  (** [rows * levels + 1]: CSR over translation segments *)
+  z_x : ints;
+  z_y : ints;
+  z_z : ints;
+      (** [(x, y, z)] triples of zeta_(u,i) in segment [u * levels + i],
+          sorted by [(x, y)] *)
+}
+(** Labels in columns. Arrays may be shared with a live scheme or mapped
+    from a snapshot — treat them as read-only. *)
 
 type t
 (** A built scheme (the centralized constructor's view). *)
 
 type label
-(** A self-contained node label. *)
+(** A self-contained node label: a row of some {!cols}. *)
 
 val build : ?z_divisor:float -> Triangulation.t -> t
 (** Build on top of a Theorem 3.2 triangulation (which fixes [delta], the
     packings and the net hierarchy). [z_divisor] (default 64, the paper's
-    constant) sets the Z-ring net spacing [2^j delta / z_divisor]. *)
+    constant) sets the Z-ring net spacing [2^j delta / z_divisor]. The
+    translation maps are written straight into the columns, sorted, by a
+    count pass and a fill pass; the columns are identical at every job
+    count. *)
 
 val triangulation : t -> Triangulation.t
 
@@ -37,17 +70,8 @@ val label_of_id : label -> int
 (** The node's global identifier (kept in the label as in the paper; used
     only for the [u = v] short-circuit, never for decoding). *)
 
-val candidates : label -> label -> (int * int * float * float) list
-(** [candidates l_u l_v]: the common beacons the label-only decoder can
-    identify, as tuples [(i_u, i_v, d_u, d_v)] of the beacon's host index
-    and quantized distance in each label. [estimate] is the minimum of
-    [d_u + d_v] over this list. Empty only for labels from different
-    schemes. Exposed for the Theorem 4.2 routing scheme, whose mode M1
-    jumps to the identified beacon closest to the target. *)
-
 val host_beacons : t -> int -> int array
-(** [host_beacons t u]: node ids in [u]'s host-enumeration order, so that a
-    candidate's [i_u] can be resolved to an address by node [u] (local
+(** [host_beacons t u]: node ids in [u]'s host-enumeration order (local
     knowledge: these are [u]'s own neighbors). *)
 
 val estimate : label -> label -> float
@@ -61,6 +85,49 @@ val virtual_neighbors : t -> int -> int array
 
 val zooming_sequence : t -> int -> int array
 (** [f_ui] for [i = 0 .. levels-1], for tests. *)
+
+(** {2 Decoder}
+
+    The zero-allocation candidate scan behind {!estimate}. Results land in
+    a caller-owned scratch. *)
+
+type scratch
+(** The decoder's working state and result registers. *)
+
+val new_scratch : unit -> scratch
+
+val scratch : unit -> scratch
+(** This domain's scratch, shared by the live callers of {!scan_labels}
+    and {!estimate}. *)
+
+val reserve : scratch -> cols -> unit
+(** Grow the scratch to the columns' bounds. {!scan} calls it; calling it
+    ahead keeps a query loop's first query from allocating. *)
+
+val scan : cols -> int -> cols -> int -> scratch -> exclude:int -> unit
+(** [scan cu u cv v sc ~exclude]: the candidate scan for row [u] of [cu]
+    against row [v] of [cv] (Theorem 3.4's decoder); allocation-free once
+    the scratch is reserved. [exclude >= 0] also selects [best_w] and needs
+    [cu]'s hosts column — Two_mode's mode-M1 choice. Each zoom step
+    charges two translation lookups to the probes. Raises [Failure] on
+    columns from different schemes. *)
+
+val scan_labels : label -> label -> scratch -> exclude:int -> collect:bool -> unit
+(** {!scan} on two labels; with [collect], also records every candidate
+    beacon other than [exclude] — Two_mode's ranked M1 alternates. *)
+
+val results : scratch -> float array
+(** After a scan: [.(0)] is the min of [d_u + d_v] over the identified
+    common beacons (infinity if none); with [exclude >= 0], [.(1)] is the
+    [d_v] of {!best_beacon}. *)
+
+val best_beacon : scratch -> int
+(** After a scan with [exclude >= 0]: the identified beacon other than
+    [exclude] that is lex-min by ([d_v], id), or [-1]. *)
+
+val candidates : scratch -> (float * int) list
+(** After a [collect] scan: every identified beacon other than
+    [exclude], with multiplicity, as [(d_v, id)]. *)
 
 (** {2 Wire format}
 
@@ -78,8 +145,9 @@ val serialize : wire_codec -> label -> Bytes.t * int
 (** [(bytes, bits)]: the encoded label and its exact bit length. *)
 
 val deserialize : wire_codec -> Bytes.t -> label
-(** Raises [Invalid_argument] on truncated or corrupt input that walks off
-    the end of the bitstring. *)
+(** A one-row column set that decodes against built labels. Raises
+    [Invalid_argument] on truncated or corrupt input that walks off the end
+    of the bitstring. *)
 
 val label_bits : t -> int array
 (** Exact per-label storage: quantized distances, sparse translation
@@ -87,23 +155,8 @@ val label_bits : t -> int array
 
 val max_label_bits : t -> int
 
-(** {2 Export}
+(** {2 Export} *)
 
-    Flat, string-free state extraction for the off-heap snapshot layer
-    ([ron_serve]). Arrays may share structure with the live value — treat
-    them as borrowed and read-only. *)
-
-type export = {
-  x_n : int;
-  x_levels : int;  (** translation maps per label ([levels - 1]) *)
-  x_prefix_len : int;
-  x_max_virt : int;  (** scratch bound: 1 + the largest virtual index *)
-  x_dists : float array array;  (** quantized host distances, per node *)
-  x_zoom_first : int array;
-  x_zoom_rest : int array array;
-  x_zetas : (int * int * int) array array array;
-      (** [(x, y, z)] triples of [zetas.(u).(j)], sorted by [(x, y)] *)
-  x_hosts : int array array;  (** host enumeration order, per node *)
-}
-
-val export : t -> export
+val export : t -> cols
+(** The scheme's columns, handed to the snapshot layer ([ron_serve])
+    without a copy. *)

@@ -14,18 +14,29 @@ module Sp_metric = Ron_graph.Sp_metric
    local exactness). Total state is k rows + sum of ball sizes — no O(n^2)
    structure anywhere, unlike the Indexed-backed schemes. *)
 
-type t = {
+module A1 = Bigarray.Array1
+
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
+
+let ints_create n : ints = A1.create Bigarray.int Bigarray.c_layout n
+let floats_create n : floats = A1.create Bigarray.float64 Bigarray.c_layout n
+let[@inline always] ig (a : ints) i = A1.unsafe_get a i
+let[@inline always] fg (a : floats) i = A1.unsafe_get a i
+
+(* The landmark snapshot's layout, built once and served as is. *)
+type cols = {
   n : int;
-  beacons : int array;
-  rows : float array array; (* rows.(i).(v): dist from beacons.(i) to v *)
-  col : int array; (* col.(v): beacon index of v, or -1 *)
-  ball_off : int array; (* CSR over per-node local balls *)
-  ball_node : int array; (* node ids, ascending within each ball *)
-  ball_dist : float array;
-  local_radius : float;
-  qbits : int;
-  id_bits : int;
+  k : int;
+  beacons : ints; (* sorted beacon ids *)
+  col : ints; (* col.{v}: beacon index of v, or -1 *)
+  rows : floats; (* rows.{i * n + v}: dist from beacons.{i} to v *)
+  ball_off : ints; (* CSR over per-node local balls *)
+  ball_node : ints; (* node ids, ascending within each ball *)
+  ball_dist : floats;
 }
+
+type t = { c : cols; local_radius : float; qbits : int; id_bits : int }
 
 (* Sort a ball's (node, dist) parallel arrays by node id — insertion sort:
    balls are small by construction, and the sort is deterministic. *)
@@ -53,8 +64,9 @@ let build ?jobs sp rng ~k ~local_radius =
   Rng.shuffle rng perm;
   let beacons = Array.sub perm 0 k in
   Ron_util.Fsort.sort_ints beacons;
-  let col = Array.make n (-1) in
-  Array.iteri (fun i b -> col.(b) <- i) beacons;
+  let col = ints_create n in
+  A1.fill col (-1);
+  Array.iteri (fun i b -> col.{b} <- i) beacons;
   let rows =
     Profile.phase "beacon_rows" @@ fun () ->
     Pool.init ?jobs k (fun i -> Sp_metric.distances_from sp beacons.(i))
@@ -73,17 +85,19 @@ let build ?jobs sp rng ~k ~local_radius =
         (nodes, dists))
   in
   Profile.phase "labels" @@ fun () ->
-  let ball_off = Array.make (n + 1) 0 in
+  let ball_off = ints_create (n + 1) in
+  ball_off.{0} <- 0;
   for u = 0 to n - 1 do
-    ball_off.(u + 1) <- ball_off.(u) + Array.length (fst balls.(u))
+    ball_off.{u + 1} <- ball_off.{u} + Array.length (fst balls.(u))
   done;
-  let total = ball_off.(n) in
-  let ball_node = Array.make (max total 1) 0 in
-  let ball_dist = Array.make (max total 1) 0.0 in
+  let total = ball_off.{n} in
+  let ball_node = ints_create (max total 1) and ball_dist = floats_create (max total 1) in
+  A1.fill ball_node 0;
+  A1.fill ball_dist 0.0;
   for u = 0 to n - 1 do
     let nodes, dists = balls.(u) in
-    Array.blit nodes 0 ball_node ball_off.(u) (Array.length nodes);
-    Array.blit dists 0 ball_dist ball_off.(u) (Array.length dists);
+    Array.iteri (fun i v -> ball_node.{ball_off.{u} + i} <- v) nodes;
+    Array.iteri (fun i d -> ball_dist.{ball_off.{u} + i} <- d) dists;
     if !Probe.on then Probe.label_node ();
     if !Ron_obs.Telemetry.active then Ron_obs.Telemetry.tick ()
   done;
@@ -102,100 +116,112 @@ let build ?jobs sp rng ~k ~local_radius =
     rows;
   let aspect = if Float.is_finite !min_d && !min_d > 0.0 then !max_d /. !min_d else 2.0 in
   let codec = Qfloat.codec_for ~delta:0.25 ~aspect_ratio:(Float.max 2.0 aspect) in
+  let flat = floats_create (k * n) in
+  Array.iteri (fun i row -> Array.iteri (fun v d -> flat.{(i * n) + v} <- d) row) rows;
+  let bs = ints_create k in
+  Array.iteri (fun i b -> bs.{i} <- b) beacons;
   {
-    n;
-    beacons;
-    rows;
-    col;
-    ball_off;
-    ball_node;
-    ball_dist;
+    c = { n; k; beacons = bs; col; rows = flat; ball_off; ball_node; ball_dist };
     local_radius;
     qbits = Qfloat.bits codec;
     id_bits = Bits.index_bits n;
   }
 
-let order t = Array.length t.beacons
-let beacons t = Array.copy t.beacons
-let size t = t.n
+let order t = t.c.k
+let beacons t = Array.init t.c.k (fun i -> ig t.c.beacons i)
+let size t = t.c.n
 let local_radius t = t.local_radius
-let ball_size t u = t.ball_off.(u + 1) - t.ball_off.(u)
+let ball_size t u = ig t.c.ball_off (u + 1) - ig t.c.ball_off u
 
 (* Fresh copy of [u]'s ball membership (ascending node ids, [u] included):
    the reference list the churn layer's table overlay repairs. *)
 let ball_members t u =
-  Array.sub t.ball_node t.ball_off.(u) (ball_size t u)
+  let s = ig t.c.ball_off u in
+  Array.init (ball_size t u) (fun i -> ig t.c.ball_node (s + i))
 
-(* Binary search [v] in [u]'s ball; the exact stored distance, or nan. *)
-let ball_find t u v =
-  let lo = ref t.ball_off.(u) and hi = ref (t.ball_off.(u + 1) - 1) in
-  let found = ref Float.nan in
-  while Float.is_nan !found && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = t.ball_node.(mid) in
-    if x = v then found := t.ball_dist.(mid)
-    else if x < v then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
+(* ------------------------------------------------------------ Estimates *)
 
-let estimate t u v =
-  if u = v then (0.0, 0.0)
+(* The landmark sandwich, shared by the live scheme and the frozen server.
+   It allocates nothing: the loops are top-level tail-recursive functions
+   over ints, the bounds flow only through the caller's float array, and
+   the column types are annotated so the reads compile inline. *)
+
+(* Index of [v] in the sorted ball run [s, e), or -1 (index-returning so
+   the recursion stays float-free). *)
+let rec ball_idx (nodes : ints) s e v =
+  if s >= e then -1
   else begin
-    let d = ball_find t u v in
-    if not (Float.is_nan d) then (d, d)
-    else if t.col.(v) >= 0 then begin
-      (* [v] is a beacon: its row holds the exact distance. *)
-      if !Probe.on then Probe.table_touch ();
-      let d = t.rows.(t.col.(v)).(u) in
-      (d, d)
-    end
-    else if t.col.(u) >= 0 then begin
-      if !Probe.on then Probe.table_touch ();
-      let d = t.rows.(t.col.(u)).(v) in
-      (d, d)
+    let mid = (s + e) / 2 in
+    let x = ig nodes mid in
+    if x < v then ball_idx nodes (mid + 1) e v
+    else if x = v then mid
+    else ball_idx nodes s mid v
+  end
+
+let rec sandwich c (out : float array) at u v i =
+  if i < c.k then begin
+    let da = fg c.rows ((i * c.n) + u) and db = fg c.rows ((i * c.n) + v) in
+    let diff = Float.abs (da -. db) in
+    if diff > out.(at) then out.(at) <- diff;
+    if da +. db < out.(at + 1) then out.(at + 1) <- da +. db;
+    sandwich c out at u v (i + 1)
+  end
+
+(* Exact on self, exact inside the ball, exact when either endpoint is a
+   beacon (one row read), else the triangle bounds over all k rows. The
+   bounds land in [out.(at)] (lo) and [out.(at + 1)] (hi). *)
+let bounds c (out : float array) ~at u v =
+  if u = v then begin
+    out.(at) <- 0.0;
+    out.(at + 1) <- 0.0
+  end
+  else begin
+    let bi = ball_idx c.ball_node (ig c.ball_off u) (ig c.ball_off (u + 1)) v in
+    if bi >= 0 then begin
+      let d = fg c.ball_dist bi in
+      out.(at) <- d;
+      out.(at + 1) <- d
     end
     else begin
-      let lo = ref 0.0 and hi = ref infinity in
-      for i = 0 to Array.length t.beacons - 1 do
+      let cv = ig c.col v in
+      if cv >= 0 then begin
         if !Probe.on then Probe.table_touch ();
-        let row = t.rows.(i) in
-        let da = row.(u) and db = row.(v) in
-        let diff = Float.abs (da -. db) in
-        if diff > !lo then lo := diff;
-        if da +. db < !hi then hi := da +. db
-      done;
-      (!lo, !hi)
+        let d = fg c.rows ((cv * c.n) + u) in
+        out.(at) <- d;
+        out.(at + 1) <- d
+      end
+      else begin
+        let cu = ig c.col u in
+        if cu >= 0 then begin
+          if !Probe.on then Probe.table_touch ();
+          let d = fg c.rows ((cu * c.n) + v) in
+          out.(at) <- d;
+          out.(at + 1) <- d
+        end
+        else begin
+          if !Probe.on then
+            for _ = 1 to c.k do
+              Probe.table_touch ()
+            done;
+          out.(at) <- 0.0;
+          out.(at + 1) <- infinity;
+          sandwich c out at u v 0
+        end
+      end
     end
   end
 
+let estimate t u v =
+  let out = Array.make 2 0.0 in
+  bounds t.c out ~at:0 u v;
+  (out.(0), out.(1))
+
 let label_bits t =
-  Array.init t.n (fun u ->
+  Array.init t.c.n (fun u ->
       (* Per-node label: k quantized beacon distances, plus the local ball
          as (id, quantized distance) pairs, plus the node's own id. *)
       t.id_bits
-      + (Array.length t.beacons * t.qbits)
+      + (t.c.k * t.qbits)
       + (ball_size t u * (t.id_bits + t.qbits)))
 
-(* ----------------------------------------------------------------- Export *)
-
-type export = {
-  x_n : int;
-  x_beacons : int array;
-  x_rows : float array array;
-  x_col : int array;
-  x_ball_off : int array;
-  x_ball_node : int array;
-  x_ball_dist : float array;
-}
-
-let export t =
-  {
-    x_n = t.n;
-    x_beacons = t.beacons;
-    x_rows = t.rows;
-    x_col = t.col;
-    x_ball_off = t.ball_off;
-    x_ball_node = t.ball_node;
-    x_ball_dist = t.ball_dist;
-  }
+let export t = t.c

@@ -13,6 +13,23 @@
     Construction is parallel over beacons and over balls, and bit-identical
     at every [RON_JOBS]. *)
 
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type cols = {
+  n : int;
+  k : int;
+  beacons : ints;  (** sorted beacon ids *)
+  col : ints;  (** [col.{v}]: beacon index of [v], or [-1] *)
+  rows : floats;  (** [rows.{i * n + v}]: beacon [i] to [v], row-major *)
+  ball_off : ints;  (** [n + 1]: CSR over per-node local balls *)
+  ball_node : ints;  (** node ids, ascending within each ball *)
+  ball_dist : floats;
+}
+(** The scheme's state in the landmark snapshot's layout. Arrays may be
+    shared with a live scheme or mapped from a snapshot — treat them as
+    read-only. *)
+
 type t
 
 val build :
@@ -40,25 +57,19 @@ val estimate : t -> int -> int -> float * float
 (** [(lo, hi)] distance bounds; [lo = hi] exactly when the pair resolves
     exactly (same node, in-ball, or a beacon endpoint). *)
 
+val bounds : cols -> float array -> at:int -> int -> int -> unit
+(** [bounds c out ~at u v]: {!estimate}'s bounds, written to [out.(at)]
+    (lo) and [out.(at + 1)] (hi) without allocating — the one estimator,
+    shared by the live scheme and the frozen server. Each beacon row read
+    charges a table touch to the probes. *)
+
 val label_bits : t -> int array
 (** Per-node storage: own id + [k] quantized beacon distances + the ball as
     (id, quantized distance) pairs — quantization via {!Ron_util.Qfloat}
     with the paper's [delta = 1/4] codec. *)
 
-(** {2 Export}
+(** {2 Export} *)
 
-    Flat state extraction for the off-heap snapshot layer ([ron_serve]).
-    Arrays may share structure with the live value — treat them as borrowed
-    and read-only. *)
-
-type export = {
-  x_n : int;
-  x_beacons : int array;  (** sorted beacon ids *)
-  x_rows : float array array;  (** [x_rows.(i).(v)]: beacon [i] to [v] *)
-  x_col : int array;  (** beacon index of [v], or [-1] *)
-  x_ball_off : int array;  (** CSR over per-node local balls *)
-  x_ball_node : int array;
-  x_ball_dist : float array;
-}
-
-val export : t -> export
+val export : t -> cols
+(** The scheme's columns, handed to the snapshot layer ([ron_serve])
+    without a copy. *)

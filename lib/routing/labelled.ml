@@ -156,6 +156,7 @@ let route_wrapped (w : Scheme.wrapper) t ~src ~dst =
     ~max_hops:(max 64 (8 * n)) ()
 
 let route t ~src ~dst = route_wrapped Scheme.identity_wrapper t ~src ~dst
+let estimate t u v = Dls.estimate (Dls.label t.dls u) (Dls.label t.dls v)
 
 let table_bits t =
   let g = Sp_metric.graph t.sp in
@@ -181,7 +182,7 @@ type export = {
   x_header_bits : int array;
   x_nbrs : int array array;
   x_table : (int * int * float) array array;
-  x_dls : Dls.export;
+  x_dls : Dls.cols;
 }
 
 let compare_w (w1, _, _) (w2, _, _) = Int.compare w1 w2

@@ -27,6 +27,10 @@ val build : Ron_graph.Sp_metric.t -> delta:float -> t
 
 val route : t -> src:int -> dst:int -> Scheme.result
 
+val estimate : t -> int -> int -> float
+(** The labeled distance estimate [D(L_u, L_v)] — the dist query the
+    frozen server answers for this scheme. *)
+
 val route_wrapped : Scheme.wrapper -> t -> src:int -> dst:int -> Scheme.result
 (** Like {!route}, but with the step function passed through the wrapper
     (e.g. the fault injector). The ranked alternates are the node's
@@ -59,7 +63,7 @@ type export = {
   x_nbrs : int array array;  (** sorted distinct neighbor ids, per node *)
   x_table : (int * int * float) array array;
       (** per node, sorted by neighbor: (neighbor, next hop, hop cost) *)
-  x_dls : Ron_labeling.Dls.export;
+  x_dls : Ron_labeling.Dls.cols;
 }
 
 val export : t -> export

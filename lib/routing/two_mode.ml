@@ -153,25 +153,16 @@ let step t u (h : header) : header Scheme.action =
     in
     match h.mode with
     | M1 -> begin
-      let lu = Dls.label t.dls u in
-      let cands = Dls.candidates lu h.lt in
-      let d_est =
-        List.fold_left (fun acc (_, _, du, dv) -> Float.min acc (du +. dv)) infinity cands
-      in
+      (* The decoder's estimate and its best identified beacon by
+         proximity to the target, excluding u. *)
+      let sc = Dls.scratch () in
+      Dls.scan_labels (Dls.label t.dls u) h.lt sc ~exclude:u ~collect:false;
+      let acc = Dls.results sc in
+      let d_est = acc.(0) in
       if not (Float.is_finite d_est) then
         failwith "Two_mode.step: no common beacon identified (Theorem 3.4 violated)";
-      let beacons = Dls.host_beacons t.dls u in
-      (* Best identified beacon by proximity to the target, excluding u. *)
-      let best = ref (-1) and best_dv = ref infinity in
-      List.iter
-        (fun (iu, _, _, dv) ->
-          let w = beacons.(iu) in
-          if w <> u && (dv < !best_dv || (dv = !best_dv && w < !best)) then begin
-            best := w;
-            best_dv := dv
-          end)
-        cands;
-      if !best >= 0 && !best_dv <= d_est *. t.m1_threshold then Forward (!best, h)
+      let best = Dls.best_beacon sc in
+      if best >= 0 && acc.(1) <= d_est *. t.m1_threshold then Forward (best, h)
       else begin
         (* Lemma B.5 territory: switch to mode M2. *)
         t.m2_switches <- t.m2_switches + 1;
@@ -224,18 +215,13 @@ let alternates t u (h : header) =
     in
     match h.mode with
     | M1 ->
-      let lu = Dls.label t.dls u in
-      let cands = Dls.candidates lu h.lt in
-      let beacons = Dls.host_beacons t.dls u in
+      let sc = Dls.scratch () in
+      Dls.scan_labels (Dls.label t.dls u) h.lt sc ~exclude:u ~collect:true;
       let ranked =
         List.sort
           (fun (dv1, w1) (dv2, w2) ->
             match Float.compare dv1 dv2 with 0 -> compare w1 w2 | c -> c)
-          (List.filter_map
-             (fun (iu, _, _, dv) ->
-               let w = beacons.(iu) in
-               if w = u then None else Some (dv, w))
-             cands)
+          (Dls.candidates sc)
       in
       let rec take k = function
         | [] -> []
@@ -271,6 +257,7 @@ let route_wrapped (w : Scheme.wrapper) t ~src ~dst =
     ~max_hops:(max 64 (8 * t.li)) ()
 
 let route t ~src ~dst = route_wrapped Scheme.identity_wrapper t ~src ~dst
+let estimate t u v = Dls.estimate (Dls.label t.dls u) (Dls.label t.dls v)
 
 let table_bits_m1 t =
   let n = Indexed.size t.idx in
@@ -326,7 +313,7 @@ type export = {
   x_dir_boundaries : int array array;
   x_owned : int array array array;
   x_dist : float array;
-  x_dls : Dls.export;
+  x_dls : Dls.cols;
 }
 
 let export t =

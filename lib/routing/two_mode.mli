@@ -36,6 +36,10 @@ val build : ?m1_threshold:float -> Ron_metric.Indexed.t -> delta:float -> t
 
 val route : t -> src:int -> dst:int -> Scheme.result
 
+val estimate : t -> int -> int -> float
+(** The label-only estimate of [d(u,v)] that mode M1 decodes — the dist
+    query the frozen server answers for this scheme. *)
+
 val route_wrapped : Scheme.wrapper -> t -> src:int -> dst:int -> Scheme.result
 (** Like {!route}, but with the step function passed through the wrapper
     (e.g. the fault injector). Alternates per mode: other identified
@@ -80,7 +84,7 @@ type export = {
   x_dir_boundaries : int array array;  (** parallel to [x_dir_members] *)
   x_owned : int array array array;  (** [i].[u]: sorted owned target ids *)
   x_dist : float array;  (** the [n * n] metric, row-major *)
-  x_dls : Ron_labeling.Dls.export;
+  x_dls : Ron_labeling.Dls.cols;
 }
 
 val export : t -> export

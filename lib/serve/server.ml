@@ -2,10 +2,12 @@
 
    [freeze_*] packs a constructed scheme's exported state into an
    {!Image.t} (Bigarray sections, int-indexed, string-free); [of_image]
-   wraps the sections — zero-copy — into per-scheme flat views whose query
-   functions replicate the live step functions and [Scheme.simulate]'s
-   Brent loop operation for operation, so frozen results are byte-identical
-   to the live scheme's.
+   wraps the sections — zero-copy — into per-scheme flat views. Distance
+   estimates call the schemes' own estimators ([Dls.scan],
+   [Landmark.bounds]) on the mapped columns; the route and locate loops
+   replicate the live step functions and [Scheme.simulate]'s Brent loop
+   operation for operation, so frozen results are byte-identical to the
+   live scheme's.
 
    The hot path allocates nothing in steady state. The discipline, for the
    non-flambda middle end: every loop is a top-level tail-recursive
@@ -36,19 +38,16 @@ let code_cycled = 3
    everything else is ints. Grown only by [prepare_scratch], so
    steady-state queries never allocate.
 
-   fbuf slots: 0 dls min / meridian d; 1 dls best_dv / meridian best_d;
-   2 route length; 3 lo; 4 hi; 5 neighbor-selection best_d; 6 score
-   result; 7 switch-scale threshold. *)
+   fbuf slots: 0 meridian d; 1 meridian best_d; 2 route length; 3 lo;
+   4 hi; 5 neighbor-selection best_d; 6 score result; 7 switch-scale
+   threshold. The DLS decoder keeps its own state and results in [dls]. *)
 type scratch = {
   mutable m : int array; (* decoded zooming sequence (Basic) *)
-  mutable right_gen : int array; (* DLS join: generation stamp per virtual *)
-  mutable right_val : int array;
-  mutable gen : int;
+  dls : Ron_labeling.Dls.scratch;
   mutable memo_d : float array; (* Labelled per-route score memo *)
   mutable memo_gen : int array;
   mutable mgen : int;
   fbuf : float array;
-  mutable best_w : int; (* dls_scan beacon register *)
   mutable sel_w : int; (* neighbor-selection register *)
   mutable r_outcome : int;
   mutable r_hops : int;
@@ -69,14 +68,11 @@ let scratch_key : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         m = [||];
-        right_gen = [||];
-        right_val = [||];
-        gen = 0;
+        dls = Ron_labeling.Dls.new_scratch ();
         memo_d = [||];
         memo_gen = [||];
         mgen = 0;
         fbuf = Array.make 8 0.0;
-        best_w = -1;
         sel_w = -1;
         r_outcome = 0;
         r_hops = 0;
@@ -87,45 +83,16 @@ let scratch_key : scratch Domain.DLS.key =
         log_hops = false;
       })
 
-let ensure sc ~decode ~virt ~nodes =
+let ensure sc ~decode ~nodes =
   if Array.length sc.m < decode then sc.m <- Array.make decode 0;
-  if Array.length sc.right_gen < virt then begin
-    sc.right_gen <- Array.make virt 0;
-    sc.right_val <- Array.make virt 0;
-    sc.gen <- 0
-  end;
   if Array.length sc.memo_d < nodes then begin
     sc.memo_d <- Array.make nodes 0.0;
     sc.memo_gen <- Array.make nodes 0;
     sc.mgen <- 0
   end
 
-(* ------------------------------------------------------------ frozen DLS *)
-
-type fdls = {
-  dn : int;
-  dlevels : int;
-  dprefix : int;
-  dmax_virt : int;
-  d_off : ints; (* n+1: CSR over per-node host distances (and hosts) *)
-  d_val : floats;
-  zoom_first : ints; (* n *)
-  zoom_rest : ints; (* n * dlevels *)
-  z_off : ints; (* n * dlevels + 1 *)
-  z_x : ints;
-  z_y : ints;
-  z_z : ints;
-}
-
-(* First index in [s, e) with zx.(i) >= x (entries sorted by (x, y)). *)
-let rec z_lower (zx : ints) s e x =
-  if s >= e then s
-  else begin
-    let mid = (s + e) / 2 in
-    if ig zx mid < x then z_lower zx (mid + 1) e x else z_lower zx s mid x
-  end
-
-(* Exact (x, y) lookup in [s, e): the z value, or -1. *)
+(* Exact (x, y) lookup in [s, e) of Basic's translation columns (sorted
+   by (x, y)): the z value, or -1. *)
 let rec z_find (zx : ints) (zy : ints) (zz : ints) s e x y =
   if s >= e then -1
   else begin
@@ -135,97 +102,6 @@ let rec z_find (zx : ints) (zy : ints) (zz : ints) s e x y =
     else if mx = x && ig zy mid = y then ig zz mid
     else z_find zx zy zz s mid x y
   end
-
-(* One candidate pair (iu, iv): fold (du + dv) into fbuf.(0); when
-   [exclude >= 0], also track the lex-min (dv, host) beacon excluding that
-   node — the Two_mode M1 selection. Mirrors [Dls.candidates]'s emit
-   guard; both folds are order-independent, so scan order need not match
-   the live candidate list order. *)
-let[@inline] dls_emit fd (hosts : ints) sc ~exclude du0 dv0 ku kv iu iv =
-  if iu < ku && iv < kv then begin
-    let du = fg fd.d_val (du0 + iu) and dv = fg fd.d_val (dv0 + iv) in
-    let s = du +. dv in
-    if s < sc.fbuf.(0) then sc.fbuf.(0) <- s;
-    if exclude >= 0 then begin
-      let w = ig hosts (du0 + iu) in
-      if w <> exclude && (dv < sc.fbuf.(1) || (dv = sc.fbuf.(1) && w < sc.best_w)) then begin
-        sc.best_w <- w;
-        sc.fbuf.(1) <- dv
-      end
-    end
-  end
-
-(* Stamp lb's (x = b) run of level-j entries into the y -> z scratch map
-   (replacing the live walk's per-level Hashtbl). *)
-let rec dls_fill fd sc gen i eb b =
-  if i < eb && ig fd.z_x i = b then begin
-    let y = ig fd.z_y i in
-    sc.right_gen.(y) <- gen;
-    sc.right_val.(y) <- ig fd.z_z i;
-    dls_fill fd sc gen (i + 1) eb b
-  end
-
-(* Join la's (x = a) run against the stamped map, emitting each match. *)
-let rec dls_join fd hosts sc ~exclude du0 dv0 ku kv flip gen i ea a =
-  if i < ea && ig fd.z_x i = a then begin
-    let y = ig fd.z_y i in
-    if sc.right_gen.(y) = gen then begin
-      let za = ig fd.z_z i and zb = sc.right_val.(y) in
-      if flip then dls_emit fd hosts sc ~exclude du0 dv0 ku kv zb za
-      else dls_emit fd hosts sc ~exclude du0 dv0 ku kv za zb
-    end;
-    dls_join fd hosts sc ~exclude du0 dv0 ku kv flip gen (i + 1) ea a
-  end
-
-(* The zoom walk of [Dls.walk_candidates] over the flat layout: emit the
-   current (a, b) pair, join the two labels' level-j entry runs, then step
-   both sides through the source's zoom label; the walk stops silently on
-   a failed step, and the final emit fires only when every level stepped
-   (j = levels is emit-only). [la]/[lb] are node ids; [flip] swaps the
-   emitted pair — the live code's second, symmetric walk. *)
-let rec dls_level fd hosts sc ~exclude du0 dv0 ku kv src la lb flip j a b =
-  if flip then dls_emit fd hosts sc ~exclude du0 dv0 ku kv b a
-  else dls_emit fd hosts sc ~exclude du0 dv0 ku kv a b;
-  let levels = fd.dlevels in
-  if j < levels then begin
-    sc.gen <- sc.gen + 1;
-    let gen = sc.gen in
-    let sb = ig fd.z_off ((lb * levels) + j) and eb = ig fd.z_off ((lb * levels) + j + 1) in
-    dls_fill fd sc gen (z_lower fd.z_x sb eb b) eb b;
-    let sa = ig fd.z_off ((la * levels) + j) and ea = ig fd.z_off ((la * levels) + j + 1) in
-    dls_join fd hosts sc ~exclude du0 dv0 ku kv flip gen (z_lower fd.z_x sa ea a) ea a;
-    let y = ig fd.zoom_rest ((src * levels) + j) in
-    let a' = z_find fd.z_x fd.z_y fd.z_z sa ea a y in
-    if a' >= 0 then begin
-      let b' = z_find fd.z_x fd.z_y fd.z_z sb eb b y in
-      if b' >= 0 then
-        dls_level fd hosts sc ~exclude du0 dv0 ku kv src la lb flip (j + 1) a' b'
-    end
-  end
-
-let rec dls_prefix fd hosts sc ~exclude du0 dv0 ku kv k kmax =
-  if k < kmax then begin
-    dls_emit fd hosts sc ~exclude du0 dv0 ku kv k k;
-    dls_prefix fd hosts sc ~exclude du0 dv0 ku kv (k + 1) kmax
-  end
-
-(* Candidate scan for the pair (u, v): after the call, fbuf.(0) holds
-   min (du + dv) over common beacons (infinity if none) and — when
-   [exclude >= 0] — best_w / fbuf.(1) hold the lex-min (dv, host) beacon.
-   Matches folding [Dls.candidates]: the candidate multisets agree and
-   both folds are order-independent (min / lex-min). *)
-let dls_scan fd hosts sc ~u ~v ~exclude =
-  sc.fbuf.(0) <- infinity;
-  if exclude >= 0 then begin
-    sc.fbuf.(1) <- infinity;
-    sc.best_w <- -1
-  end;
-  let du0 = ig fd.d_off u and dv0 = ig fd.d_off v in
-  let ku = ig fd.d_off (u + 1) - du0 and kv = ig fd.d_off (v + 1) - dv0 in
-  dls_prefix fd hosts sc ~exclude du0 dv0 ku kv 0 fd.dprefix;
-  let zv = ig fd.zoom_first v and zu = ig fd.zoom_first u in
-  dls_level fd hosts sc ~exclude du0 dv0 ku kv v u v false 0 zv zv;
-  dls_level fd hosts sc ~exclude du0 dv0 ku kv u v u true 0 zu zu
 
 (* ---------------------------------------------------------- frozen views *)
 
@@ -258,7 +134,7 @@ type flab = {
   lt_w : ints;
   lt_next : ints;
   lt_cost : floats;
-  ldls : fdls;
+  ldls : Ron_labeling.Dls.cols; (* no hosts column *)
 }
 
 type ftm = {
@@ -276,8 +152,7 @@ type ftm = {
   town_tgt : ints;
   tr_level : floats; (* n * li *)
   tdmat : floats; (* n * n *)
-  thosts : ints; (* parallel to the DLS d_val *)
-  tdls : fdls;
+  tdls : Ron_labeling.Dls.cols;
 }
 
 type fmer = {
@@ -289,22 +164,12 @@ type fmer = {
   mdmat : floats; (* n * n *)
 }
 
-type flm = {
-  gn : int;
-  gk : int;
-  gcol : ints;
-  grows : floats; (* k * n row-major *)
-  gball_off : ints;
-  gball_node : ints;
-  gball_dist : floats;
-}
-
 type view =
   | Basic of fbasic
   | Labelled of flab
   | Two_mode of ftm
   | Meridian of fmer
-  | Landmark of flm
+  | Landmark of Ron_labeling.Landmark.cols
 
 type t = { img : Image.t; view : view }
 
@@ -334,7 +199,7 @@ let size t =
   | Labelled l -> l.ln
   | Two_mode m -> m.tn
   | Meridian m -> m.mn
-  | Landmark g -> g.gn
+  | Landmark g -> g.Ron_labeling.Landmark.n
 
 (* Source population for workloads: Meridian walks must start at members. *)
 let sources t = match t.view with Meridian m -> Some m.mmembers | _ -> None
@@ -343,10 +208,14 @@ let sources t = match t.view with Meridian m -> Some m.mmembers | _ -> None
    domain before the audited loop so steady-state queries never grow it). *)
 let prepare_scratch t sc =
   match t.view with
-  | Basic b -> ensure sc ~decode:(b.bscales + 1) ~virt:1 ~nodes:1
-  | Labelled l -> ensure sc ~decode:1 ~virt:l.ldls.dmax_virt ~nodes:l.ldls.dn
-  | Two_mode m -> ensure sc ~decode:1 ~virt:m.tdls.dmax_virt ~nodes:1
-  | Meridian _ | Landmark _ -> ensure sc ~decode:1 ~virt:1 ~nodes:1
+  | Basic b -> ensure sc ~decode:(b.bscales + 1) ~nodes:1
+  | Labelled l ->
+    ensure sc ~decode:1 ~nodes:l.ln;
+    Ron_labeling.Dls.reserve sc.dls l.ldls
+  | Two_mode m ->
+    ensure sc ~decode:1 ~nodes:1;
+    Ron_labeling.Dls.reserve sc.dls m.tdls
+  | Meridian _ | Landmark _ -> ensure sc ~decode:1 ~nodes:1
 
 let scratch_for t =
   let sc = Domain.DLS.get scratch_key in
@@ -371,25 +240,6 @@ let flat_ints (arrs : int array array) =
     arrs;
   (Image.ints_of_array off, data)
 
-(* Flatten per-cell (x, y, z) triple arrays into a CSR offset array plus
-   three parallel columns. *)
-let flat_triples (segs : (int * int * int) array array) =
-  let off = csr_off (Array.map Array.length segs) in
-  let total = off.(Array.length segs) in
-  let xs = Image.ints_create total
-  and ys = Image.ints_create total
-  and zs = Image.ints_create total in
-  Array.iteri
-    (fun s seg ->
-      Array.iteri
-        (fun k (x, y, z) ->
-          A1.unsafe_set xs (off.(s) + k) x;
-          A1.unsafe_set ys (off.(s) + k) y;
-          A1.unsafe_set zs (off.(s) + k) z)
-        seg)
-    segs;
-  (Image.ints_of_array off, xs, ys, zs)
-
 (* Flatten per-node (w, next, cost) routing tables. *)
 let flat_table (table : (int * int * float) array array) =
   let off = csr_off (Array.map Array.length table) in
@@ -408,45 +258,45 @@ let flat_table (table : (int * int * float) array array) =
   (Image.ints_of_array off, ws, nexts, costs)
 
 (* DLS pack: 8 int sections + 1 float section, appended in order:
-   meta, d_off, zoom_first, zoom_rest, z_off, z_x, z_y, z_z | d_val. *)
-let dls_isecs (e : Ron_labeling.Dls.export) =
+   meta, d_off, zoom_first, zoom_rest, z_off, z_x, z_y, z_z | d_val. The
+   columns are adopted as they are: Dls builds them in this layout. *)
+let dls_isecs (c : Ron_labeling.Dls.cols) =
   let open Ron_labeling.Dls in
-  let n = e.x_n and levels = e.x_levels in
-  let segs = Array.make (n * levels) [||] in
-  Array.iteri
-    (fun u per_u -> Array.iteri (fun j z -> segs.((u * levels) + j) <- z) per_u)
-    e.x_zetas;
-  let z_off, z_x, z_y, z_z = flat_triples segs in
   [
-    Image.ints_of_array [| e.x_n; e.x_levels; e.x_prefix_len; e.x_max_virt |];
-    Image.ints_of_array (csr_off (Array.map Array.length e.x_dists));
-    Image.ints_of_array e.x_zoom_first;
-    Image.ints_of_array (Array.concat (Array.to_list e.x_zoom_rest));
-    z_off;
-    z_x;
-    z_y;
-    z_z;
+    Image.ints_of_array [| c.rows; c.levels; c.prefix_len; c.max_virt |];
+    c.d_off;
+    c.zoom_first;
+    c.zoom_rest;
+    c.z_off;
+    c.z_x;
+    c.z_y;
+    c.z_z;
   ]
 
-let dls_fsecs (e : Ron_labeling.Dls.export) =
-  [ Image.floats_of_array (Array.concat (Array.to_list e.Ron_labeling.Dls.x_dists)) ]
+let no_hosts : ints = Image.ints_create 0
 
-let dls_of_secs (isecs : ints array) (fsecs : floats array) i0 f0 =
+let dls_of_secs what (isecs : ints array) (fsecs : floats array) i0 f0 ~hosts =
   let meta = isecs.(i0) in
-  {
-    dn = ig meta 0;
-    dlevels = ig meta 1;
-    dprefix = ig meta 2;
-    dmax_virt = ig meta 3;
-    d_off = isecs.(i0 + 1);
-    d_val = fsecs.(f0);
-    zoom_first = isecs.(i0 + 2);
-    zoom_rest = isecs.(i0 + 3);
-    z_off = isecs.(i0 + 4);
-    z_x = isecs.(i0 + 5);
-    z_y = isecs.(i0 + 6);
-    z_z = isecs.(i0 + 7);
-  }
+  if A1.dim meta <> 4 then
+    Error
+      (Printf.sprintf "%s image: DLS meta section has %d entries, expected 4" what (A1.dim meta))
+  else
+    Ok
+      {
+        Ron_labeling.Dls.rows = ig meta 0;
+        levels = ig meta 1;
+        prefix_len = ig meta 2;
+        max_virt = ig meta 3;
+        d_off = isecs.(i0 + 1);
+        d_val = fsecs.(f0);
+        hosts;
+        zoom_first = isecs.(i0 + 2);
+        zoom_rest = isecs.(i0 + 3);
+        z_off = isecs.(i0 + 4);
+        z_x = isecs.(i0 + 5);
+        z_y = isecs.(i0 + 6);
+        z_z = isecs.(i0 + 7);
+      }
 
 (* The translation columns are adopted as they are: Basic builds them in
    this section layout. *)
@@ -498,7 +348,7 @@ let freeze_labelled (e : Ron_routing.Labelled.export) =
            t_next;
          ]
         @ dls_isecs e.x_dls);
-    fsecs = Array.of_list (t_cost :: dls_fsecs e.x_dls);
+    fsecs = [| t_cost; e.x_dls.Ron_labeling.Dls.d_val |];
   }
 
 let freeze_two_mode (e : Ron_routing.Two_mode.export) =
@@ -524,18 +374,16 @@ let freeze_two_mode (e : Ron_routing.Two_mode.export) =
            dir_bnd;
            own_off;
            own_tgt;
-           Image.ints_of_array
-             (Array.concat (Array.to_list e.x_dls.Ron_labeling.Dls.x_hosts));
+           e.x_dls.Ron_labeling.Dls.hosts;
          ]
         @ dls_isecs e.x_dls);
     fsecs =
-      Array.of_list
-        ([
-           Image.floats_of_array [| e.x_m1_threshold |];
-           Image.floats_of_array (Array.concat (Array.to_list e.x_r_level));
-           Image.floats_of_array e.x_dist;
-         ]
-        @ dls_fsecs e.x_dls);
+      [|
+        Image.floats_of_array [| e.x_m1_threshold |];
+        Image.floats_of_array (Array.concat (Array.to_list e.x_r_level));
+        Image.floats_of_array e.x_dist;
+        e.x_dls.Ron_labeling.Dls.d_val;
+      |];
   }
 
 let freeze_meridian (e : Ron_smallworld.Meridian.export) =
@@ -558,160 +406,137 @@ let freeze_meridian (e : Ron_smallworld.Meridian.export) =
     fsecs = [| Image.floats_of_array e.x_dist |];
   }
 
-let freeze_landmark (e : Ron_labeling.Landmark.export) =
+(* The landmark columns are adopted as they are. *)
+let freeze_landmark (c : Ron_labeling.Landmark.cols) =
   let open Ron_labeling.Landmark in
-  let k = Array.length e.x_beacons in
-  let rows = Image.floats_create (k * e.x_n) in
-  Array.iteri
-    (fun i row -> Array.iteri (fun v d -> A1.unsafe_set rows ((i * e.x_n) + v) d) row)
-    e.x_rows;
   {
     Image.scheme = tag_landmark;
-    isecs =
-      [|
-        Image.ints_of_array [| e.x_n; k |];
-        Image.ints_of_array e.x_beacons;
-        Image.ints_of_array e.x_col;
-        Image.ints_of_array e.x_ball_off;
-        Image.ints_of_array e.x_ball_node;
-      |];
-    fsecs = [| rows; Image.floats_of_array e.x_ball_dist |];
+    isecs = [| Image.ints_of_array [| c.n; c.k |]; c.beacons; c.col; c.ball_off; c.ball_node |];
+    fsecs = [| c.rows; c.ball_dist |];
   }
 
 (* --------------------------------------------------------------- viewing *)
 
+let ( let* ) = Result.bind
+
+(* Every section count and meta length is checked before any meta read;
+   the offsets and node ids inside the sections are trusted. *)
 let of_image (img : Image.t) =
+  let i = img.Image.isecs and f = img.Image.fsecs in
   let need ni nf what =
-    if Array.length img.Image.isecs <> ni || Array.length img.Image.fsecs <> nf then
+    if Array.length i <> ni || Array.length f <> nf then
       Error
-        (Printf.sprintf "%s image: expected %d int / %d float sections, got %d / %d" what
-           ni nf
-           (Array.length img.Image.isecs)
-           (Array.length img.Image.fsecs))
+        (Printf.sprintf "%s image: expected %d int / %d float sections, got %d / %d" what ni nf
+           (Array.length i) (Array.length f))
     else Ok ()
   in
-  let i = img.Image.isecs and f = img.Image.fsecs in
+  let meta what len =
+    let dim = A1.dim i.(0) in
+    if dim <> len then
+      Error (Printf.sprintf "%s image: meta section has %d entries, expected %d" what dim len)
+    else Ok i.(0)
+  in
+  let view v = Ok { img; view = v } in
   match img.Image.scheme with
-  | 1 -> (
-    match need 13 1 "basic" with
-    | Error e -> Error e
-    | Ok () ->
-      let meta = i.(0) in
-      Ok
-        {
-          img;
-          view =
-            Basic
-              {
-                bn = ig meta 0;
-                bscales = ig meta 1;
-                bmax_hops = ig meta 2;
-                bhb = i.(1);
-                blabel_first = i.(2);
-                blabel_rest = i.(3);
-                benum_off = i.(4);
-                benum_node = i.(5);
-                bz_off = i.(6);
-                bz_x = i.(7);
-                bz_y = i.(8);
-                bz_z = i.(9);
-                bt_off = i.(10);
-                bt_w = i.(11);
-                bt_next = i.(12);
-                bt_cost = f.(0);
-              };
-        })
-  | 2 -> (
-    match need 15 2 "labelled" with
-    | Error e -> Error e
-    | Ok () ->
-      let meta = i.(0) in
-      Ok
-        {
-          img;
-          view =
-            Labelled
-              {
-                ln = ig meta 0;
-                lmax_hops = ig meta 1;
-                lhb = i.(1);
-                lnbr_off = i.(2);
-                lnbr = i.(3);
-                lt_off = i.(4);
-                lt_w = i.(5);
-                lt_next = i.(6);
-                lt_cost = f.(0);
-                ldls = dls_of_secs i f 7 1;
-              };
-        })
-  | 3 -> (
-    match need 17 4 "two_mode" with
-    | Error e -> Error e
-    | Ok () ->
-      let meta = i.(0) in
-      Ok
-        {
-          img;
-          view =
-            Two_mode
-              {
-                tn = ig meta 0;
-                tli = ig meta 1;
-                tmax_hops = ig meta 2;
-                thb = ig meta 3;
-                tm1_threshold = fg f.(0) 0;
-                thub_ptr = i.(1);
-                thub_g = i.(2);
-                tdir_off = i.(3);
-                tdir_mem = i.(4);
-                tdir_bnd = i.(5);
-                town_off = i.(6);
-                town_tgt = i.(7);
-                thosts = i.(8);
-                tr_level = f.(1);
-                tdmat = f.(2);
-                tdls = dls_of_secs i f 9 3;
-              };
-        })
-  | 4 -> (
-    match need 4 1 "meridian" with
-    | Error e -> Error e
-    | Ok () ->
-      let meta = i.(0) in
-      Ok
-        {
-          img;
-          view =
-            Meridian
-              {
-                mn = ig meta 0;
-                mscales = ig meta 1;
-                mmembers = i.(1);
-                mr_off = i.(2);
-                mr_node = i.(3);
-                mdmat = f.(0);
-              };
-        })
-  | 5 -> (
-    match need 5 2 "landmark" with
-    | Error e -> Error e
-    | Ok () ->
-      let meta = i.(0) in
-      Ok
-        {
-          img;
-          view =
-            Landmark
-              {
-                gn = ig meta 0;
-                gk = ig meta 1;
-                gcol = i.(2);
-                grows = f.(0);
-                gball_off = i.(3);
-                gball_node = i.(4);
-                gball_dist = f.(1);
-              };
-        })
+  | 1 ->
+    let* () = need 13 1 "basic" in
+    let* meta = meta "basic" 3 in
+    view
+      (Basic
+         {
+           bn = ig meta 0;
+           bscales = ig meta 1;
+           bmax_hops = ig meta 2;
+           bhb = i.(1);
+           blabel_first = i.(2);
+           blabel_rest = i.(3);
+           benum_off = i.(4);
+           benum_node = i.(5);
+           bz_off = i.(6);
+           bz_x = i.(7);
+           bz_y = i.(8);
+           bz_z = i.(9);
+           bt_off = i.(10);
+           bt_w = i.(11);
+           bt_next = i.(12);
+           bt_cost = f.(0);
+         })
+  | 2 ->
+    let* () = need 15 2 "labelled" in
+    let* meta = meta "labelled" 2 in
+    let* ldls = dls_of_secs "labelled" i f 7 1 ~hosts:no_hosts in
+    view
+      (Labelled
+         {
+           ln = ig meta 0;
+           lmax_hops = ig meta 1;
+           lhb = i.(1);
+           lnbr_off = i.(2);
+           lnbr = i.(3);
+           lt_off = i.(4);
+           lt_w = i.(5);
+           lt_next = i.(6);
+           lt_cost = f.(0);
+           ldls;
+         })
+  | 3 ->
+    let* () = need 17 4 "two_mode" in
+    let* meta = meta "two_mode" 4 in
+    let* () =
+      if A1.dim f.(0) <> 1 then
+        Error
+          (Printf.sprintf "two_mode image: threshold section has %d entries, expected 1"
+             (A1.dim f.(0)))
+      else Ok ()
+    in
+    let* tdls = dls_of_secs "two_mode" i f 9 3 ~hosts:i.(8) in
+    view
+      (Two_mode
+         {
+           tn = ig meta 0;
+           tli = ig meta 1;
+           tmax_hops = ig meta 2;
+           thb = ig meta 3;
+           tm1_threshold = fg f.(0) 0;
+           thub_ptr = i.(1);
+           thub_g = i.(2);
+           tdir_off = i.(3);
+           tdir_mem = i.(4);
+           tdir_bnd = i.(5);
+           town_off = i.(6);
+           town_tgt = i.(7);
+           tr_level = f.(1);
+           tdmat = f.(2);
+           tdls;
+         })
+  | 4 ->
+    let* () = need 4 1 "meridian" in
+    let* meta = meta "meridian" 2 in
+    view
+      (Meridian
+         {
+           mn = ig meta 0;
+           mscales = ig meta 1;
+           mmembers = i.(1);
+           mr_off = i.(2);
+           mr_node = i.(3);
+           mdmat = f.(0);
+         })
+  | 5 ->
+    let* () = need 5 2 "landmark" in
+    let* meta = meta "landmark" 2 in
+    view
+      (Landmark
+         {
+           Ron_labeling.Landmark.n = ig meta 0;
+           k = ig meta 1;
+           beacons = i.(1);
+           col = i.(2);
+           rows = f.(0);
+           ball_off = i.(3);
+           ball_node = i.(4);
+           ball_dist = f.(1);
+         })
   | tag -> Error (Printf.sprintf "unknown scheme tag %d" tag)
 
 let exn_of_result = function
@@ -820,8 +645,6 @@ let basic_route fb sc ~src ~dst =
 
 (* --------------------------------------------------------- Labelled route *)
 
-let dummy_hosts : ints = Image.ints_create 0
-
 (* score(v) = labeled estimate v -> dst, memoized per route; result in
    fbuf.(6). [Dls.estimate] short-circuits identical labels to 0; the
    finiteness test is [d -. d = 0.0], i.e. Float.is_finite inlined. *)
@@ -829,8 +652,8 @@ let lab_score fl sc ~dst v =
   if v = dst then sc.fbuf.(6) <- 0.0
   else if sc.memo_gen.(v) = sc.mgen then sc.fbuf.(6) <- sc.memo_d.(v)
   else begin
-    dls_scan fl.ldls dummy_hosts sc ~u:v ~v:dst ~exclude:(-1);
-    let d = sc.fbuf.(0) in
+    Ron_labeling.Dls.scan fl.ldls v fl.ldls dst sc.dls ~exclude:(-1);
+    let d = (Ron_labeling.Dls.results sc.dls).(0) in
     if not (d -. d = 0.0) then
       failwith "Serve.labelled: no common beacon identified (Theorem 3.4 violated)";
     sc.memo_d.(v) <- d;
@@ -968,12 +791,14 @@ let rec tm_switch fm sc ~u i best =
 let tm_step fm sc ~u ~dst ~mode =
   if u = dst then 0
   else if mode = 0 then begin
-    dls_scan fm.tdls fm.thosts sc ~u ~v:dst ~exclude:u;
-    let d_est = sc.fbuf.(0) in
+    Ron_labeling.Dls.scan fm.tdls u fm.tdls dst sc.dls ~exclude:u;
+    let acc = Ron_labeling.Dls.results sc.dls in
+    let d_est = acc.(0) in
     if not (d_est -. d_est = 0.0) then
       failwith "Serve.two_mode: no common beacon identified (Theorem 3.4 violated)";
-    if sc.best_w >= 0 && sc.fbuf.(1) <= d_est *. fm.tm1_threshold then begin
-      sc.r_next <- sc.best_w;
+    let best = Ron_labeling.Dls.best_beacon sc.dls in
+    if best >= 0 && acc.(1) <= d_est *. fm.tm1_threshold then begin
+      sc.r_next <- best;
       sc.r_aux <- 0;
       1
     end
@@ -1022,8 +847,8 @@ let dls_estimate fd sc ~src ~dst ~what =
     sc.fbuf.(4) <- 0.0
   end
   else begin
-    dls_scan fd dummy_hosts sc ~u:src ~v:dst ~exclude:(-1);
-    let d = sc.fbuf.(0) in
+    Ron_labeling.Dls.scan fd src fd dst sc.dls ~exclude:(-1);
+    let d = (Ron_labeling.Dls.results sc.dls).(0) in
     if not (d -. d = 0.0) then
       if what = 0 then
         failwith "Serve.labelled: no common beacon identified (Theorem 3.4 violated)"
@@ -1086,67 +911,6 @@ let mer_locate fm sc ~start ~target =
   sc.fbuf.(0) <- fg fm.mdmat ((start * fm.mn) + target);
   mer_go fm sc ~target start 0
 
-(* -------------------------------------------------------- Landmark bounds *)
-
-(* Index of [v] in the sorted ball run [s, e), or -1 (index-returning so
-   the recursion stays float-free). *)
-let rec lm_ball_idx (nodes : ints) s e v =
-  if s >= e then -1
-  else begin
-    let mid = (s + e) / 2 in
-    let x = ig nodes mid in
-    if x < v then lm_ball_idx nodes (mid + 1) e v
-    else if x = v then mid
-    else lm_ball_idx nodes s mid v
-  end
-
-let rec lm_beacons g sc ~u ~v i =
-  if i < g.gk then begin
-    let da = fg g.grows ((i * g.gn) + u) and db = fg g.grows ((i * g.gn) + v) in
-    let diff = Float.abs (da -. db) in
-    if diff > sc.fbuf.(3) then sc.fbuf.(3) <- diff;
-    if da +. db < sc.fbuf.(4) then sc.fbuf.(4) <- da +. db;
-    lm_beacons g sc ~u ~v (i + 1)
-  end
-
-(* [Landmark.estimate]'s exact branch order: exact on self, exact inside
-   the beacon ball, exact when either endpoint is a beacon, else the
-   triangle bounds over all beacons. *)
-let lm_estimate g sc ~u ~v =
-  if u = v then begin
-    sc.fbuf.(3) <- 0.0;
-    sc.fbuf.(4) <- 0.0
-  end
-  else begin
-    let bi = lm_ball_idx g.gball_node (ig g.gball_off u) (ig g.gball_off (u + 1)) v in
-    if bi >= 0 then begin
-      let d = fg g.gball_dist bi in
-      sc.fbuf.(3) <- d;
-      sc.fbuf.(4) <- d
-    end
-    else begin
-      let cv = ig g.gcol v in
-      if cv >= 0 then begin
-        let d = fg g.grows ((cv * g.gn) + u) in
-        sc.fbuf.(3) <- d;
-        sc.fbuf.(4) <- d
-      end
-      else begin
-        let cu = ig g.gcol u in
-        if cu >= 0 then begin
-          let d = fg g.grows ((cu * g.gn) + v) in
-          sc.fbuf.(3) <- d;
-          sc.fbuf.(4) <- d
-        end
-        else begin
-          sc.fbuf.(3) <- 0.0;
-          sc.fbuf.(4) <- infinity;
-          lm_beacons g sc ~u ~v 0
-        end
-      end
-    end
-  end
-
 (* ----------------------------------------------------------- dispatching *)
 
 (* Query kinds (workload side): 0 route, 1 dist, 2 locate. Each scheme
@@ -1179,4 +943,4 @@ let query t sc ~kind ~src ~dst =
   | Two_mode m ->
     if kind = 1 then dls_estimate m.tdls sc ~src ~dst ~what:1 else tm_route m sc ~src ~dst
   | Meridian m -> mer_locate m sc ~start:src ~target:dst
-  | Landmark g -> lm_estimate g sc ~u:src ~v:dst
+  | Landmark g -> Ron_labeling.Landmark.bounds g sc.fbuf ~at:3 src dst

@@ -1,10 +1,11 @@
 (** Frozen, off-heap query servers.
 
     A constructed scheme is exported, packed into an {!Image.t} (Bigarray
-    sections, int-indexed, string-free), and served through flat views
-    whose query loops replicate the live step functions and
-    [Scheme.simulate]'s Brent cycle detection operation for operation —
-    frozen results are byte-identical to the live scheme's. The hot path
+    sections, int-indexed, string-free), and served through flat views.
+    Distance estimates run the schemes' own estimators on the mapped
+    columns; the route and locate loops replicate the live step functions
+    and [Scheme.simulate]'s Brent cycle detection operation for operation
+    — frozen results are byte-identical to the live scheme's. The hot path
     is zero-allocation in steady state: all per-query mutable state lives
     in a preallocated per-domain {!scratch}, results land in its
     registers, and no hot function passes or returns a float. *)
@@ -16,17 +17,15 @@ type floats = Image.floats
 
 (** Per-domain query state. Query results are read from the [r_*]
     registers and [fbuf] slots documented at {!query}; the remaining
-    fields are internal working storage. *)
+    fields, [dls] (the DLS decoder's own scratch) included, are internal
+    working storage. *)
 type scratch = {
   mutable m : int array;
-  mutable right_gen : int array;
-  mutable right_val : int array;
-  mutable gen : int;
+  dls : Ron_labeling.Dls.scratch;
   mutable memo_d : float array;
   mutable memo_gen : int array;
   mutable mgen : int;
   fbuf : float array;
-  mutable best_w : int;
   mutable sel_w : int;
   mutable r_outcome : int;
   mutable r_hops : int;
@@ -51,22 +50,18 @@ val freeze_basic : Ron_routing.Basic.export -> Image.t
 val freeze_labelled : Ron_routing.Labelled.export -> Image.t
 val freeze_two_mode : Ron_routing.Two_mode.export -> Image.t
 val freeze_meridian : Ron_smallworld.Meridian.export -> Image.t
-val freeze_landmark : Ron_labeling.Landmark.export -> Image.t
+val freeze_landmark : Ron_labeling.Landmark.cols -> Image.t
 
 val freeze_basic_t : Ron_routing.Basic.export -> t
 val freeze_labelled_t : Ron_routing.Labelled.export -> t
 val freeze_two_mode_t : Ron_routing.Two_mode.export -> t
 val freeze_meridian_t : Ron_smallworld.Meridian.export -> t
-val freeze_landmark_t : Ron_labeling.Landmark.export -> t
-
-val flat_triples : (int * int * int) array array -> ints * ints * ints * ints
-(** [(off, xs, ys, zs)]: per-segment [(x, y, z)] triple arrays flattened
-    into CSR offsets plus three parallel columns — the layout of the
-    snapshot's translation-table sections. *)
+val freeze_landmark_t : Ron_labeling.Landmark.cols -> t
 
 val of_image : Image.t -> (t, string) result
 (** Wrap an image's sections — zero-copy — into a server, validating the
-    scheme tag and per-scheme section counts. *)
+    scheme tag, the per-scheme section counts and the length of every meta
+    section before reading it; [Error] names the scheme. *)
 
 val load : string -> (t, string) result
 (** [Image.load] followed by {!of_image}. *)

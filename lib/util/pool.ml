@@ -10,14 +10,18 @@
    degrades to a plain sequential [for], so RON_JOBS=1 reproduces the
    pre-parallel behaviour exactly. *)
 
-let env_jobs =
-  lazy
-    (match Sys.getenv_opt "RON_JOBS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
+(* Absent or empty keeps the default; anything else must be a job count. *)
+let jobs_of_env = function
+  | None -> None
+  | Some s -> (
+    match String.trim s with
+    | "" -> None
+    | t -> (
+      match int_of_string_opt t with
       | Some j when j >= 1 -> Some j
-      | _ -> None)
-    | None -> None)
+      | _ -> invalid_arg (Printf.sprintf "bad RON_JOBS %S (expected an integer >= 1)" s)))
+
+let env_jobs = lazy (jobs_of_env (Sys.getenv_opt "RON_JOBS"))
 
 (* Process-wide override (the CLI's --jobs flag); wins over RON_JOBS. *)
 let default_override = ref None

@@ -16,6 +16,12 @@ val jobs : unit -> int
 (** The default job count (the {!set_default_jobs} override, else
     [RON_JOBS], else the hardware recommendation). *)
 
+val jobs_of_env : string option -> int option
+(** The job count a [RON_JOBS] value asks for: [None] when absent or
+    empty. Raises [Invalid_argument] naming the variable and the value on
+    anything but an integer [>= 1] — {!jobs} does, the first time it reads
+    a malformed [RON_JOBS]. *)
+
 val set_default_jobs : int option -> unit
 (** Process-wide override of the default job count — what the CLI's
     [--jobs N] flag sets. [Some j] requires [j >= 1]; [None] restores the

@@ -1,13 +1,10 @@
-(* Tests for ron_core: rings of neighbors, enumerations, translation
-   functions, zooming sequences. *)
+(* Tests for ron_core: rings of neighbors and zooming sequences. *)
 
 module Rng = Ron_util.Rng
 module Indexed = Ron_metric.Indexed
 module Generators = Ron_metric.Generators
 module Net = Ron_metric.Net
 module Measure = Ron_metric.Measure
-module Enumeration = Ron_core.Enumeration
-module Translation = Ron_core.Translation
 module Rings = Ron_core.Rings
 module Zooming = Ron_core.Zooming
 
@@ -16,61 +13,6 @@ let check_int = Alcotest.(check int)
 
 let grid = lazy (Indexed.create (Generators.grid2d 8 8))
 let hier = lazy (Net.Hierarchy.create (Lazy.force grid))
-
-(* ---------------------------------------------------------- Enumeration *)
-
-let test_enum_roundtrip () =
-  let e = Enumeration.of_array [| 10; 3; 7 |] in
-  check_int "size" 3 (Enumeration.size e);
-  check_int "node 0" 10 (Enumeration.node e 0);
-  check_int "index of 7" 2 (Enumeration.index_exn e 7);
-  check_bool "mem" (Enumeration.mem e 3);
-  check_bool "not mem" (not (Enumeration.mem e 4));
-  check_bool "missing index" (Enumeration.index e 99 = None)
-
-let test_enum_duplicates_rejected () =
-  Alcotest.check_raises "duplicate" (Invalid_argument "Enumeration.of_array: duplicate node")
-    (fun () -> ignore (Enumeration.of_array [| 1; 2; 1 |]))
-
-let test_enum_with_prefix () =
-  let prefix = Enumeration.of_array [| 5; 6 |] in
-  let e = Enumeration.with_prefix ~prefix [| 6; 9; 5; 2 |] in
-  check_int "prefix first" 5 (Enumeration.node e 0);
-  check_int "prefix second" 6 (Enumeration.node e 1);
-  check_int "fresh after prefix" 9 (Enumeration.node e 2);
-  check_int "size deduplicated" 4 (Enumeration.size e)
-
-let test_enum_index_bits () =
-  check_int "1 entry still costs a bit" 1 (Enumeration.index_bits (Enumeration.of_array [| 4 |]));
-  check_int "5 entries" 3 (Enumeration.index_bits (Enumeration.of_array [| 0; 1; 2; 3; 4 |]))
-
-(* ---------------------------------------------------------- Translation *)
-
-let test_translation_basic () =
-  let t = Translation.create () in
-  Translation.add t ~x:1 ~y:2 ~z:3;
-  Translation.add t ~x:1 ~y:4 ~z:5;
-  check_bool "find hit" (Translation.find t ~x:1 ~y:2 = Some 3);
-  check_bool "find miss" (Translation.find t ~x:9 ~y:9 = None);
-  check_int "entry count" 2 (Translation.entry_count t);
-  check_int "entries_with_x" 2 (List.length (Translation.entries_with_x t ~x:1));
-  check_int "entries_with_x miss" 0 (List.length (Translation.entries_with_x t ~x:2))
-
-let test_translation_conflict () =
-  let t = Translation.create () in
-  Translation.add t ~x:0 ~y:0 ~z:1;
-  (* Same binding is idempotent. *)
-  Translation.add t ~x:0 ~y:0 ~z:1;
-  check_int "idempotent" 1 (Translation.entry_count t);
-  Alcotest.check_raises "conflict" (Invalid_argument "Translation.add: conflicting entry")
-    (fun () -> Translation.add t ~x:0 ~y:0 ~z:2)
-
-let test_translation_bits () =
-  let t = Translation.create () in
-  Translation.add t ~x:0 ~y:1 ~z:2;
-  Translation.add t ~x:3 ~y:4 ~z:5;
-  check_int "sparse bits" (2 * (3 + 4 + 5)) (Translation.bits_sparse t ~x_bits:3 ~y_bits:4 ~z_bits:5);
-  check_int "dense bits" (7 * 11 * 5) (Translation.bits_dense ~x_card:7 ~y_card:11 ~z_bits:5)
 
 (* ---------------------------------------------------------------- Rings *)
 
@@ -247,6 +189,31 @@ let test_zooming_bits () =
   let enc = { Zooming.first = 0; rest = [| 1; 2; 3 |] } in
   check_int "bits" 20 (Zooming.bits enc ~index_bits:5)
 
+(* ---------------------------------------------------------- Enumeration *)
+
+(* A ring's host enumeration is its member order: a member's index is its
+   position, and a node outside the ring has none. *)
+let test_enum_roundtrip () =
+  let idx = Lazy.force grid and h = Lazy.force hier in
+  let big_l = Indexed.log2_aspect_ratio idx in
+  let radius_of j = 4.0 *. Indexed.diameter idx /. (0.25 *. Float.of_int (1 lsl j)) in
+  let scales = big_l + 1 in
+  let rings = Rings.net_rings idx h ~scales ~radius_of ~level_of:(fun j -> big_l - j) in
+  for u = 0 to Indexed.size idx - 1 do
+    for j = 0 to scales - 1 do
+      let members = (Rings.ring rings u j).Rings.members in
+      Array.iteri
+        (fun x v ->
+          check_int (Printf.sprintf "index of member %d" x) x (Rings.find_member rings u j v))
+        members;
+      let inside = Array.make (Indexed.size idx) false in
+      Array.iter (fun v -> inside.(v) <- true) members;
+      Array.iteri
+        (fun v b -> if not b then check_int "non-member" (-1) (Rings.find_member rings u j v))
+        inside
+    done
+  done
+
 (* Integration: encode a real zooming sequence on the grid using the
    hierarchy, mimicking Theorem 2.1 (f_tj = nearest net point of G_(L-j)),
    and decode it from the rings through real translation tables. *)
@@ -258,53 +225,38 @@ let test_zooming_on_grid_via_rings () =
   let level_of j = big_l - j in
   let radius_of j = 4.0 *. aspect /. (delta *. Float.of_int (1 lsl j)) in
   let rings = Rings.net_rings idx h ~scales:(big_l + 1) ~radius_of ~level_of in
-  let enum u j = Enumeration.of_array (Rings.ring rings u j).Rings.members in
+  (* A ring's host enumeration is its member order: index = position. *)
+  let node u j x = (Rings.ring rings u j).Rings.members.(x) in
+  let index u j v = match Rings.find_member rings u j v with -1 -> None | i -> Some i in
   let t = 37 in
   let f = Array.init (big_l + 1) (fun j -> fst (Net.Hierarchy.nearest h (level_of j) t)) in
   (* Claim 2.3 instance: f_(t,j+1) is in ring j+1 of f_tj. *)
-  let enum_of_prev j next = Enumeration.index (enum f.(j) (j + 1)) next in
-  let first_index = Enumeration.index_exn (enum t 0) f.(0) in
+  let enum_of_prev j next = index f.(j) (j + 1) next in
+  let first_index = Option.get (index t 0 f.(0)) in
   let enc = Zooming.encode ~sequence:f ~enum_of_prev ~first_index in
   (* Decode at a far-away node u: build u's translation tables on the fly. *)
   let u = 0 in
   let translate j ~x ~y =
-    let fu = Enumeration.node (enum u j) x in
+    let fu = node u j x in
     let w_opt =
-      let e = enum fu (j + 1) in
-      if y < Enumeration.size e then Some (Enumeration.node e y) else None
+      let ring = (Rings.ring rings fu (j + 1)).Rings.members in
+      if y < Array.length ring then Some ring.(y) else None
     in
-    match Option.bind w_opt (Enumeration.index (enum u (j + 1))) with
-    | None -> -1
-    | Some i -> i
+    match Option.bind w_opt (index u (j + 1)) with None -> -1 | Some i -> i
   in
   (* Ring 0 is the same set for every node, but enumeration order may differ;
      align the first index to u's enumeration (canonical share). *)
-  let enc = { enc with Zooming.first = Enumeration.index_exn (enum u 0) f.(0) } in
+  let enc = { enc with Zooming.first = Option.get (index u 0 f.(0)) } in
   let m = Zooming.decode_walk ~translate enc in
   (* The walk recovers a prefix of the zooming sequence in u's coordinates. *)
   check_bool "prefix nonempty" (Array.length m >= 1);
   Array.iteri
-    (fun j mj ->
-      check_int (Printf.sprintf "element %d recovered" j) f.(j)
-        (Enumeration.node (enum u j) mj))
+    (fun j mj -> check_int (Printf.sprintf "element %d recovered" j) f.(j) (node u j mj))
     m
 
 let () =
   Alcotest.run "ron_core"
     [
-      ( "enumeration",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_enum_roundtrip;
-          Alcotest.test_case "duplicates rejected" `Quick test_enum_duplicates_rejected;
-          Alcotest.test_case "with prefix" `Quick test_enum_with_prefix;
-          Alcotest.test_case "index bits" `Quick test_enum_index_bits;
-        ] );
-      ( "translation",
-        [
-          Alcotest.test_case "basic" `Quick test_translation_basic;
-          Alcotest.test_case "conflicts" `Quick test_translation_conflict;
-          Alcotest.test_case "bit accounting" `Quick test_translation_bits;
-        ] );
       ( "rings",
         [
           Alcotest.test_case "thm 2.1 shape" `Quick test_net_rings_thm21_shape;
@@ -316,6 +268,7 @@ let () =
           Alcotest.test_case "accounting" `Quick test_rings_accounting;
           Alcotest.test_case "neighbors canonical order" `Quick test_rings_neighbors_canonical;
         ] );
+      ("enumeration", [ Alcotest.test_case "roundtrip" `Quick test_enum_roundtrip ]);
       ( "zooming",
         [
           Alcotest.test_case "encode/decode" `Quick test_zooming_encode_decode;

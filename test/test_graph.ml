@@ -478,6 +478,32 @@ let prop_first_hop_progress =
       done;
       !ok)
 
+(* RON_ORACLE_ROWS: absent or empty keeps the default cache; a malformed
+   value fails with an error naming the variable and the value, also when
+   [Oracle.create] reads it from the environment. *)
+let test_oracle_rows_env () =
+  let module O = Dijkstra.Oracle in
+  check_bool "absent" (O.rows_of_env None = None);
+  check_bool "empty" (O.rows_of_env (Some "") = None);
+  check_bool "8" (O.rows_of_env (Some "8") = Some 8);
+  let bad v =
+    Invalid_argument (Printf.sprintf "bad RON_ORACLE_ROWS %S (expected an integer >= 1)" v)
+  in
+  List.iter
+    (fun v -> Alcotest.check_raises v (bad v) (fun () -> ignore (O.rows_of_env (Some v))))
+    [ "0"; "-1"; "many" ];
+  let g = Graph_gen.grid 4 4 in
+  let saved = Option.value (Sys.getenv_opt "RON_ORACLE_ROWS") ~default:"" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "RON_ORACLE_ROWS" saved)
+    (fun () ->
+      Unix.putenv "RON_ORACLE_ROWS" "0";
+      Alcotest.check_raises "create reads the variable" (bad "0") (fun () -> ignore (O.create g));
+      Unix.putenv "RON_ORACLE_ROWS" "";
+      check_int "empty keeps the default"
+        (max 2 (min 32 (4_194_304 / 16)))
+        (O.capacity (O.create g)))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ron_graph"
@@ -504,6 +530,7 @@ let () =
         [
           Alcotest.test_case "oracle = all_pairs, bit for bit (LRU evicting)" `Quick
             test_oracle_matches_all_pairs;
+          Alcotest.test_case "RON_ORACLE_ROWS values validated" `Quick test_oracle_rows_env;
           Alcotest.test_case "run_bounded = run on the ball" `Quick test_run_bounded_matches_run;
           Alcotest.test_case "eager/on-demand modes bit-identical" `Quick
             test_sp_metric_modes_bit_identical;

@@ -279,6 +279,96 @@ let test_dls_aspect_ratio_scaling () =
     (Printf.sprintf "sub-linear growth in log Delta (%d -> %d)" b_small b_big)
     (float_of_int b_big < 1.9 *. float_of_int b_small)
 
+(* ---------------------------------------------------------- Enumeration *)
+
+(* Every host enumeration starts with the canonical prefix — the scale-0
+   beacon set, shared by all nodes — followed by the node's other
+   scale-set nodes in ascending order, each node listed once. *)
+let test_host_enumeration_prefix () =
+  let tri = Lazy.force tri_grid and dls = Lazy.force dls_grid in
+  let scale_set u i =
+    List.sort_uniq compare
+      (Array.to_list (Triangulation.x_neighbors tri u i)
+      @ Array.to_list (Triangulation.y_neighbors tri u i))
+  in
+  let prefix = Array.of_list (scale_set 0 0) in
+  let p = Array.length prefix in
+  check_int "prefix length" p (Dls.export dls).Dls.prefix_len;
+  for u = 0 to Indexed.size (Lazy.force grid) - 1 do
+    let h = Dls.host_beacons dls u in
+    check_bool "prefix first" (Array.sub h 0 p = prefix);
+    let rest = Array.to_list (Array.sub h p (Array.length h - p)) in
+    check_bool "rest ascending" (List.sort_uniq compare rest = rest);
+    check_bool "rest outside the prefix" (List.for_all (fun v -> not (Array.mem v prefix)) rest);
+    let levels = List.init (Triangulation.levels tri) Fun.id in
+    let all = List.sort_uniq compare (List.concat_map (scale_set u) levels) in
+    check_bool "every scale-set node once" (List.sort compare (Array.to_list h) = all)
+  done
+
+(* ---------------------------------------------------- DLS vs the oracle *)
+
+module Pool = Ron_util.Pool
+
+let dls_at ~jobs tri =
+  Pool.set_default_jobs (Some jobs);
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs None) (fun () -> Dls.build tri)
+
+(* A random cloud or grid and a delta in {1/4, 1/8}. *)
+let gen_instance =
+  QCheck.(
+    map
+      (fun (is_grid, size, (seed, d)) ->
+        let m =
+          if is_grid then Generators.grid2d (3 + (size mod 4)) (3 + (seed mod 4))
+          else Generators.random_cloud (Rng.create seed) ~n:(12 + size) ~dim:(1 + (seed mod 2))
+        in
+        Triangulation.build (Indexed.create m) ~delta:(if d = 0 then 0.25 else 0.125))
+      (triple bool (int_range 0 28) (pair (int_range 1 1000) (int_range 0 1))))
+
+let row_of (off : Dls.ints) (col : (_, _, _) Bigarray.Array1.t) u =
+  Array.init (off.{u + 1} - off.{u}) (fun k -> col.{off.{u} + k})
+
+let prop_dls_columns_match_oracle =
+  QCheck.Test.make ~name:"flat columns = hash-join oracle, segment by segment" ~count:6
+    gen_instance (fun tri ->
+      let dls = Dls.build tri in
+      let oracle = Dls_oracle.build tri dls in
+      let c = Dls.export dls in
+      let n = Indexed.size (Triangulation.idx tri) in
+      Zeta_oracle.of_columns c.z_off c.z_x c.z_y c.z_z = Dls_oracle.segments oracle
+      && List.for_all
+           (fun u ->
+             let l = oracle.Dls_oracle.labels.(u) in
+             Dls.host_beacons dls u = oracle.Dls_oracle.hosts.(u)
+             && row_of c.d_off c.d_val u = l.Dls_oracle.dists
+             && c.zoom_first.{u} = l.Dls_oracle.zoom_first
+             && Array.init c.levels (fun i -> c.zoom_rest.{(u * c.levels) + i})
+                = l.Dls_oracle.zoom_rest)
+           (List.init n Fun.id))
+
+let prop_dls_estimate_matches_oracle =
+  QCheck.Test.make ~name:"estimate = oracle decoder, built and wire labels" ~count:6
+    QCheck.(pair gen_instance (int_range 1 1000))
+    (fun (tri, seed) ->
+      let dls = Dls.build tri in
+      let oracle = Dls_oracle.build tri dls in
+      let wc = Dls.wire_codec dls in
+      let wire u = Dls.deserialize wc (fst (Dls.serialize wc (Dls.label dls u))) in
+      let n = Indexed.size (Triangulation.idx tri) in
+      let rng = Rng.create seed in
+      List.for_all
+        (fun _ ->
+          let u = Rng.int rng n and v = Rng.int rng n in
+          let d = Dls_oracle.estimate oracle u v in
+          Float.equal (Dls.estimate (Dls.label dls u) (Dls.label dls v)) d
+          && Float.equal (Dls.estimate (wire u) (Dls.label dls v)) d
+          && Float.equal (Dls.estimate (Dls.label dls u) (wire v)) d)
+        (List.init 40 Fun.id))
+
+let prop_dls_columns_jobs_invariant =
+  QCheck.Test.make ~name:"columns identical at 1 and 2 domains" ~count:4 gen_instance
+    (fun tri -> Dls.export (dls_at ~jobs:1 tri) = Dls.export (dls_at ~jobs:2 tri))
+
 let () =
   Alcotest.run "ron_labeling"
     [
@@ -325,4 +415,12 @@ let () =
           Alcotest.test_case "cross-scheme failure injection" `Quick test_dls_cross_scheme_rejected;
           Alcotest.test_case "log log Delta scaling" `Slow test_dls_aspect_ratio_scaling;
         ] );
+      ("enumeration", [ Alcotest.test_case "with prefix" `Quick test_host_enumeration_prefix ]);
+      ( "dls-oracle",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_dls_columns_match_oracle;
+            prop_dls_estimate_matches_oracle;
+            prop_dls_columns_jobs_invariant;
+          ] );
     ]

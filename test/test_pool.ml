@@ -175,6 +175,21 @@ let test_observer_fires_once_per_top_level_batch () =
   check_bool "one record per top-level nonempty batch"
     (List.rev !batches = [ (2, 6); (1, 4); (2, 4) ])
 
+(* RON_JOBS: absent or empty keeps the default; a malformed value fails
+   with an error naming the variable and the value. *)
+let test_jobs_env_validated () =
+  check_bool "absent" (Pool.jobs_of_env None = None);
+  check_bool "empty" (Pool.jobs_of_env (Some "") = None);
+  check_bool "blank" (Pool.jobs_of_env (Some " ") = None);
+  check_bool "4" (Pool.jobs_of_env (Some "4") = Some 4);
+  check_bool "padded" (Pool.jobs_of_env (Some " 2 ") = Some 2);
+  List.iter
+    (fun v ->
+      Alcotest.check_raises v
+        (Invalid_argument (Printf.sprintf "bad RON_JOBS %S (expected an integer >= 1)" v))
+        (fun () -> ignore (Pool.jobs_of_env (Some v))))
+    [ "four"; "0"; "-2"; "3x" ]
+
 let test_sort_ints () =
   let a = [| 5; -1; 3; 3; 0; 42; -7 |] in
   Fsort.sort_ints a;
@@ -194,6 +209,7 @@ let () =
           Alcotest.test_case "earliest chunk's exception wins" `Quick test_exception_first_chunk_wins;
           Alcotest.test_case "nested regions run sequentially" `Quick test_nested_parallel_for_is_sequential;
           Alcotest.test_case "jobs() sane" `Quick test_jobs_env_default;
+          Alcotest.test_case "RON_JOBS values validated" `Quick test_jobs_env_validated;
           Alcotest.test_case "inside_chunk is jobs-invariant" `Quick test_inside_chunk_flag;
           Alcotest.test_case "observer fires once per top-level batch" `Quick
             test_observer_fires_once_per_top_level_batch;

@@ -432,6 +432,24 @@ let zetas_match_oracle idx ~delta ~seed =
   done;
   columns st = Zeta_oracle.segments oracle && columns st2 = columns st && !decodes_agree
 
+(* Sparse translation-table bits: three ring indices per stored triple,
+   counted against the hash-join oracle's triples, and never more than
+   the dense table's (scales-1) * K^2 entries. *)
+let test_translation_bits () =
+  let st = Structure.build (Indexed.create (Sp_metric.metric (Lazy.force grid))) ~delta:0.25 in
+  let oracle = Zeta_oracle.build st.Structure.rings ~scales:st.Structure.scales in
+  let segs = Zeta_oracle.segments oracle in
+  let sm1 = st.Structure.scales - 1 in
+  for u = 0 to Indexed.size st.Structure.idx - 1 do
+    let triples = ref 0 in
+    for j = 0 to sm1 - 1 do
+      triples := !triples + Array.length segs.((u * sm1) + j)
+    done;
+    check_int "sparse bits" (3 * st.Structure.ring_index_bits * !triples)
+      (Structure.zeta_bits_sparse st u);
+    check_bool "sparse <= dense" (Structure.zeta_bits_sparse st u <= Structure.zeta_bits_dense st)
+  done
+
 let deltas = [| 0.25; 0.125 |]
 
 let prop_zetas_graphs =
@@ -509,6 +527,7 @@ let () =
           Alcotest.test_case "stretch requires delivery" `Quick test_stretch_requires_delivery;
           Alcotest.test_case "stretch at zero distance" `Quick test_stretch_zero_distance;
         ] );
+      ("translation", [ Alcotest.test_case "bit accounting" `Quick test_translation_bits ]);
       ( "basic-thm21",
         [
           Alcotest.test_case "all pairs on grid" `Quick test_basic_grid;

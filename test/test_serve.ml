@@ -1,4 +1,4 @@
-(* Tests for the ron_serve library: frozen snapshots must route
+(* Tests for the ron_serve library: frozen snapshots must answer
    byte-identically to the live schemes they were frozen from, survive a
    save/load round-trip unchanged at every job count, and reject corrupted
    images. *)
@@ -34,8 +34,8 @@ let workload_for t ~queries =
 (* ---------------------------------------- basic image vs join oracle *)
 
 (* The Basic image freezes the translation columns (int sections 6-9) as
-   Structure built them; flattening the hash-join oracle's sorted triples
-   through [flat_triples] must give the same sections. *)
+   Structure built them; read back per segment, they must equal the
+   hash-join oracle's sorted triples. *)
 let test_basic_image_matches_oracle () =
   let s =
     match Fixture.build_live ~scheme:"basic" ~n:100 ~seed:5 with
@@ -46,56 +46,83 @@ let test_basic_image_matches_oracle () =
   let oracle =
     Zeta_oracle.build (Ron_routing.Basic.rings_collection s) ~scales:(Ron_routing.Basic.scales s)
   in
-  let z_off, z_x, z_y, z_z = Server.flat_triples (Zeta_oracle.segments oracle) in
-  List.iteri
-    (fun k sec ->
-      check_bool (Printf.sprintf "int section %d" (6 + k)) (sec = img.Image.isecs.(6 + k)))
-    [ z_off; z_x; z_y; z_z ]
+  let sec k = img.Image.isecs.(6 + k) in
+  check_bool "int sections 6-9"
+    (Zeta_oracle.of_columns (sec 0) (sec 1) (sec 2) (sec 3) = Zeta_oracle.segments oracle)
 
 (* ------------------------------------------- frozen vs live, per query *)
 
 (* The reference result for query [i], computed through the live scheme's
-   own public API. Labelled/two_mode dist queries have no public live
-   estimator; those are covered by the round-trip and jobs invariance
-   checks instead. *)
-let check_against_live live t work res i =
+   own public API: [Some error] on the first field that differs. *)
+let live_mismatch live t work res i =
   let kind = Loop.kind_of work i and src = Loop.src_of work i and dst = Loop.dst_of work i in
-  let tag = Printf.sprintf "%s q%d (%d->%d)" (Server.scheme_name t) i src dst in
   let module A1 = Bigarray.Array1 in
-  let route_matches (r : Scheme.result) =
-    check_int (tag ^ " outcome") (outcome_code r.Scheme.outcome) (A1.get res.Loop.ra i);
-    check_int (tag ^ " hops") r.Scheme.hops (A1.get res.Loop.rb i);
-    check_bool (tag ^ " length") (Float.equal r.Scheme.length (A1.get res.Loop.rx i));
-    check_int (tag ^ " header bits") r.Scheme.max_header_bits
-      (int_of_float (A1.get res.Loop.ry i))
+  let fail what =
+    Some (Printf.sprintf "%s q%d (%d->%d) %s" (Server.scheme_name t) i src dst what)
   in
+  let first checks = List.find_map (fun (what, ok) -> if ok then None else fail what) checks in
+  let route (r : Scheme.result) =
+    first
+      [
+        ("outcome", outcome_code r.Scheme.outcome = A1.get res.Loop.ra i);
+        ("hops", r.Scheme.hops = A1.get res.Loop.rb i);
+        ("length", Float.equal r.Scheme.length (A1.get res.Loop.rx i));
+        ("header bits", r.Scheme.max_header_bits = int_of_float (A1.get res.Loop.ry i));
+      ]
+  in
+  let dist (lo, hi) =
+    first
+      [
+        ("lo", Float.equal lo (A1.get res.Loop.rx i));
+        ("hi", Float.equal hi (A1.get res.Loop.ry i));
+      ]
+  in
+  let point d = dist (d, d) in
   match (live, kind) with
-  | (Fixture.L_basic s, 0) -> route_matches (Ron_routing.Basic.route s ~src ~dst)
-  | (Fixture.L_labelled s, 0) -> route_matches (Ron_routing.Labelled.route s ~src ~dst)
-  | (Fixture.L_two_mode s, 0) -> route_matches (Ron_routing.Two_mode.route s ~src ~dst)
+  | (Fixture.L_basic s, 0) -> route (Ron_routing.Basic.route s ~src ~dst)
+  | (Fixture.L_labelled s, 0) -> route (Ron_routing.Labelled.route s ~src ~dst)
+  | (Fixture.L_labelled s, 1) -> point (Ron_routing.Labelled.estimate s src dst)
+  | (Fixture.L_two_mode s, 0) -> route (Ron_routing.Two_mode.route s ~src ~dst)
+  | (Fixture.L_two_mode s, 1) -> point (Ron_routing.Two_mode.estimate s src dst)
   | (Fixture.L_meridian s, 2) ->
     let r = Ron_smallworld.Meridian.closest s ~start:src ~target:dst in
-    check_int (tag ^ " found") r.Ron_smallworld.Meridian.found (A1.get res.Loop.ra i);
-    check_int (tag ^ " hops") r.Ron_smallworld.Meridian.hops (A1.get res.Loop.rb i);
-    check_int (tag ^ " measurements") r.Ron_smallworld.Meridian.measurements
-      (int_of_float (A1.get res.Loop.rx i))
-  | (Fixture.L_landmark s, 1) ->
-    let (lo, hi) = Ron_labeling.Landmark.estimate s src dst in
-    check_bool (tag ^ " lo") (Float.equal lo (A1.get res.Loop.rx i));
-    check_bool (tag ^ " hi") (Float.equal hi (A1.get res.Loop.ry i))
-  | ((Fixture.L_labelled _ | Fixture.L_two_mode _), 1) -> ()
-  | _ -> Alcotest.failf "%s: unexpected effective kind %d" tag kind
+    first
+      [
+        ("found", r.Ron_smallworld.Meridian.found = A1.get res.Loop.ra i);
+        ("hops", r.Ron_smallworld.Meridian.hops = A1.get res.Loop.rb i);
+        ( "measurements",
+          r.Ron_smallworld.Meridian.measurements = int_of_float (A1.get res.Loop.rx i) );
+      ]
+  | (Fixture.L_landmark s, 1) -> dist (Ron_labeling.Landmark.estimate s src dst)
+  | _ -> fail (Printf.sprintf "unexpected effective kind %d" kind)
 
-let test_matches_live scheme () =
-  let (scheme, n, queries) = case scheme in
-  let live = Fixture.build_live ~scheme ~n ~seed:5 in
-  let t = Fixture.freeze live in
-  let work = workload_for t ~queries in
-  let res = Loop.results_create queries in
-  Loop.run ~jobs:1 t work res;
-  for i = 0 to queries - 1 do
-    check_against_live live t work res i
-  done
+(* Differential harness: for a random instance size and seed, every frozen
+   answer equals the live scheme's. Sizes stay small enough for the
+   per-query cost of the label-based schemes. *)
+let size_range = function
+  | "labelled" -> (16, 49)
+  | "two_mode" -> (20, 64)
+  | _ -> (16, 100)
+
+let prop_matches_live scheme =
+  let lo, hi = size_range scheme in
+  QCheck.Test.make ~name:scheme ~count:4
+    QCheck.(pair (int_range lo hi) (int_range 1 1000))
+    (fun (n, seed) ->
+      let live = Fixture.build_live ~scheme ~n ~seed in
+      let t = Fixture.freeze live in
+      let queries = if scheme = "labelled" then 60 else 200 in
+      let work = Loop.prepare t ~seed ~queries ~zipf_s:1.1 ~route_frac:0.6 ~dist_frac:0.3 in
+      let res = Loop.results_create queries in
+      Loop.run ~jobs:1 t work res;
+      let rec go i =
+        i >= queries
+        ||
+        match live_mismatch live t work res i with
+        | None -> go (i + 1)
+        | Some e -> QCheck.Test.fail_report e
+      in
+      go 0)
 
 (* --------------------------------------- round-trip and jobs invariance *)
 
@@ -158,6 +185,32 @@ let test_truncated_rejected () =
   | Error _ -> ());
   Sys.remove file
 
+(* ------------------------------------------------- meta-section checks *)
+
+(* An image whose meta section is empty still passes the checksums when
+   saved, so [of_image] must check each meta length before reading it. *)
+let test_empty_meta_rejected scheme () =
+  let (scheme, n, _) = case scheme in
+  let img = Server.image (Fixture.build ~scheme ~n ~seed:5) in
+  let emptied secs k empty = Array.mapi (fun j s -> if j = k then empty else s) secs in
+  let with_isec k = { img with Image.isecs = emptied img.Image.isecs k (Image.ints_create 0) } in
+  let rejected what img =
+    match Server.of_image img with
+    | Ok _ -> Alcotest.failf "%s: %s accepted" scheme what
+    | Error e ->
+      check_bool (Printf.sprintf "%s error names the scheme: %s" what e) (contains e scheme)
+  in
+  rejected "empty meta section" (with_isec 0);
+  (match scheme with
+  | "labelled" -> rejected "empty DLS meta section" (with_isec 7)
+  | "two_mode" ->
+    rejected "empty DLS meta section" (with_isec 9);
+    rejected "empty threshold section"
+      { img with Image.fsecs = emptied img.Image.fsecs 0 (Image.floats_create 0) }
+  | _ -> ());
+  (* The untouched image still loads. *)
+  check_bool (scheme ^ " intact image loads") (Result.is_ok (Server.of_image img))
+
 (* ------------------------------------------------------------ GC audit *)
 
 let test_zero_alloc scheme () =
@@ -209,7 +262,7 @@ let () =
   Alcotest.run "ron_serve"
     [
       ("frozen matches live",
-       per_scheme (fun s -> Alcotest.test_case s `Quick (test_matches_live s)));
+       per_scheme (fun s -> QCheck_alcotest.to_alcotest (prop_matches_live s)));
       ("snapshot round-trip",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_roundtrip s)));
       ("basic image",
@@ -220,6 +273,8 @@ let () =
          Alcotest.test_case "checksum flip rejected" `Quick test_corrupt_rejected;
          Alcotest.test_case "truncation rejected" `Quick test_truncated_rejected;
        ]);
+      ("meta sections",
+       per_scheme (fun s -> Alcotest.test_case s `Quick (test_empty_meta_rejected s)));
       ("zero allocation",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_zero_alloc s)));
       ("observed serving",

@@ -2,61 +2,56 @@
    hash-based join the library used before it built them flat. Each ring
    gets a hashed host enumeration; for every f in ring j of u and every w
    in ring j+1 of u, w's index in f's ring j+1 is probed and each hit is
-   stored in a [Translation] table; the export then sorts each table's
-   triples by (x, y). Tests hold the flat columns of [Structure] and the
-   Basic snapshot to it. *)
+   stored in a hashed (x, y) -> z table; the export then sorts each
+   table's triples by (x, y). Tests hold the flat columns of [Structure]
+   and the Basic snapshot to it. *)
 
 module Rings = Ron_core.Rings
-module Enumeration = Ron_core.Enumeration
-module Translation = Ron_core.Translation
 module Zooming = Ron_core.Zooming
 
-type t = { enums : Enumeration.t array array; zetas : Translation.t array array }
+(* A node list's enumeration: node -> index. *)
+let index_of nodes =
+  let h = Hashtbl.create (Array.length nodes) in
+  Array.iteri (fun i v -> Hashtbl.replace h v i) nodes;
+  h
+
+type t = { zetas : (int * int, int) Hashtbl.t array array }
 
 let build rings ~scales =
   let n = Rings.size rings in
   let members u j = (Rings.rings_of rings u).(j).Rings.members in
-  let enums =
-    Array.init n (fun u -> Array.init scales (fun j -> Enumeration.of_array (members u j)))
-  in
+  let enums = Array.init n (fun u -> Array.init scales (fun j -> index_of (members u j))) in
   let zetas =
     Array.init n (fun u ->
         Array.init (scales - 1) (fun j ->
-            let z = Translation.create () in
+            let z = Hashtbl.create 64 in
             Array.iter
               (fun f ->
-                let x = Enumeration.index_exn enums.(u).(j) f in
+                let x = Hashtbl.find enums.(u).(j) f in
                 Array.iter
                   (fun w ->
-                    match Enumeration.index enums.(f).(j + 1) w with
+                    match Hashtbl.find_opt enums.(f).(j + 1) w with
                     | None -> ()
-                    | Some y ->
-                      Translation.add z ~x ~y ~z:(Enumeration.index_exn enums.(u).(j + 1) w))
+                    | Some y -> Hashtbl.replace z (x, y) (Hashtbl.find enums.(u).(j + 1) w))
                   (members u (j + 1)))
               (members u j);
             z))
   in
-  { enums; zetas }
+  { zetas }
 
-let compare_xy (x1, y1, _) (x2, y2, _) =
-  if x1 <> x2 then Int.compare x1 x2 else Int.compare y1 y2
+let sorted_triples z =
+  let e = Array.of_list (Hashtbl.fold (fun (x, y) z acc -> (x, y, z) :: acc) z []) in
+  Array.sort compare e;
+  e
 
 (* Every segment's triples sorted by (x, y), segment (u, j) at
    [u * (scales - 1) + j]. *)
-let segments t =
-  Array.concat
-    (Array.to_list
-       (Array.map
-          (Array.map (fun z ->
-               let e = Array.of_list (Translation.entries z) in
-               Array.sort compare_xy e;
-               e))
-          t.zetas))
+let segments t = Array.concat (Array.to_list (Array.map (Array.map sorted_triples) t.zetas))
 
 let decode t u label =
   Zooming.decode_walk
     ~translate:(fun j ~x ~y ->
-      match Translation.find t.zetas.(u).(j) ~x ~y with Some z -> z | None -> -1)
+      match Hashtbl.find_opt t.zetas.(u).(j) (x, y) with Some z -> z | None -> -1)
     label
 
 (* The flat columns [(off, xs, ys, zs)] as per-segment triple arrays. *)
