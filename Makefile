@@ -109,7 +109,8 @@ telemetry-smoke: build
 # snapshots (labelled, two_mode) and the landmark snapshot run the same
 # check, so the columns those schemes build in place round-trip through
 # save and load too; the DLS schemes serve fewer queries, at fixed sizes,
-# because their per-query cost is far higher.
+# because their per-query cost is far higher. Last, a truncated copy of the
+# basic snapshot must be refused with the loader's message and exit 1.
 SERVE_SMOKE_N ?= 100
 SERVE_SMOKE_QUERIES ?= 20000
 serve-smoke: build
@@ -128,7 +129,16 @@ serve-smoke: build
 	  if [ -z "$$warm" ] || [ "$$warm" != "$$cold" ]; then \
 	    echo "serve-smoke: $$1 warm/cold digests differ ($$warm vs $$cold)"; exit 1; \
 	  else echo "serve-smoke: $$1 warm/cold digests match ($$warm)"; fi; \
-	done
+	done; \
+	head -c 4096 /tmp/ron_serve_smoke.snap > /tmp/ron_serve_smoke_truncated.snap; \
+	status=0; \
+	dune exec bin/ron_cli.exe -- serve --load /tmp/ron_serve_smoke_truncated.snap --queries 10 \
+	  2> /tmp/ron_serve_smoke_truncated.txt || status=$$?; \
+	if [ $$status -ne 1 ] || \
+	   ! grep -q 'cannot load snapshot .*truncated' /tmp/ron_serve_smoke_truncated.txt; then \
+	  echo "serve-smoke: truncated snapshot gave exit $$status, expected 1 and the loader's message"; \
+	  cat /tmp/ron_serve_smoke_truncated.txt; exit 1; \
+	else echo "serve-smoke: truncated snapshot rejected with exit 1"; fi
 
 # SLO smoke: serve a batch with the burn-rate monitor, flight recorder,
 # and Prometheus exposition all on; validate the exposition file, render

@@ -906,17 +906,22 @@ let run_serve trace metrics profile telemetry telemetry_interval expo jobs schem
     prerr_endline e;
     2
   | Ok (slo_mon, flight_rec) ->
-  let t =
+  let loaded =
     match load with
     | Some file ->
-      (match Server.load file with
-      | Ok t -> t
-      | Error e -> failwith (Printf.sprintf "cannot load snapshot %s: %s" file e))
+      Result.map_error (Printf.sprintf "cannot load snapshot %s: %s" file) (Server.load file)
     | None ->
       let t = Ron_serve.Fixture.build ~scheme ~n ~seed in
       (match snapshot with Some file -> Server.save t file | None -> ());
-      t
+      Ok t
   in
+  (* A snapshot the loader rejects is bad input, not a crash: its message
+     and exit 1. *)
+  match loaded with
+  | Error e ->
+    prerr_endline e;
+    1
+  | Ok t ->
   let nodes = Server.size t in
   Printf.printf "serve scheme=%s nodes=%d snapshot=%d bytes (%.1f bytes/node)\n"
     (Server.scheme_name t) nodes (Server.byte_size t)

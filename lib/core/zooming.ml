@@ -16,21 +16,4 @@ let encode ~sequence ~enum_of_prev ~first_index =
   in
   { first = first_index; rest }
 
-let decode_walk ~translate enc =
-  let acc = ref [ enc.first ] in
-  let m = ref enc.first in
-  let continue = ref true in
-  let j = ref 0 in
-  while !continue && !j < Array.length enc.rest do
-    if !Ron_obs.Probe.on then Ron_obs.Probe.zoom_decode_step ();
-    let next = translate !j ~x:!m ~y:enc.rest.(!j) in
-    if next < 0 then continue := false
-    else begin
-      acc := next :: !acc;
-      m := next;
-      incr j
-    end
-  done;
-  Array.of_list (List.rev !acc)
-
 let bits enc ~index_bits = (1 + Array.length enc.rest) * index_bits

@@ -28,15 +28,5 @@ val encode :
     construction promised it would be — that means the structure violates
     Claim 2.3 / Claim 3.5 and must not be shipped. *)
 
-val decode_walk :
-  translate:(int -> x:int -> y:int -> int) ->
-  encoded ->
-  int array
-(** [decode_walk ~translate enc] is the Claim 2.2 walk: [m_0 = enc.first];
-    [m_(j+1) = translate j ~x:m_j ~y:enc.rest.(j)]; the walk stops at the
-    first null, which [translate] signals with a negative value. Returns
-    the array of recovered local indices [m_0 .. m_jmax] ([jmax] = the
-    paper's [j_ut] when used for routing). *)
-
 val bits : encoded -> index_bits:int -> int
 (** Storage cost: one index per element. *)

@@ -3,227 +3,177 @@ module Sp_metric = Ron_graph.Sp_metric
 module Graph = Ron_graph.Graph
 module Bits = Ron_util.Bits
 module Rings = Ron_core.Rings
-module Zooming = Ron_core.Zooming
-module Pool = Ron_util.Pool
-module Probe = Ron_obs.Probe
+module A1 = Bigarray.Array1
 
-type t = {
-  sp : Sp_metric.t;
-  st : Structure.t;
-  first_hop : (int, int) Hashtbl.t array; (* per node: neighbor -> out-edge index *)
-}
+type cols = { st : Structure.cols; table : First_hop.t; max_hops : int; header_bits : int }
 
-type header = { label : Zooming.encoded; target : int; level : int option }
+type t = { sp : Sp_metric.t; structure : Structure.t; cols : cols }
 
-let scales t = t.st.Structure.scales
+(* A packet header: the target, the level of the intermediate target being
+   chased (-1: none yet), and the label. A fresh packet's label is the
+   target's row of the scheme's columns, left implicit ([wire] empty); a
+   label read off the wire is carried as [| first; rest... |]. Plain ints,
+   so the simulator's cycle check compares headers cheaply. *)
+type header = { target : int; level : int; wire : int array }
 
-let ring t u j = Array.copy (Rings.ring t.st.Structure.rings u j).Rings.members
+let scales t = t.cols.st.Structure.scales
 
-let zooming t u = Array.copy t.st.Structure.zoomings.(u)
+let zooming t u = Array.copy t.structure.Structure.zoomings.(u)
 
-let max_ring_size t = Rings.max_ring_size t.st.Structure.rings
+let max_ring_size t = Rings.max_ring_size t.structure.Structure.rings
 
 (* Structural accessors for the churn layer: the live ring collection and
    the metric substrate it was built over, so incremental ring repair can
    explore each ring's own ball. Borrowed — callers must repair a copy. *)
-let rings_collection t = t.st.Structure.rings
-let substrate t = t.st.Structure.idx
+let rings_collection t = t.structure.Structure.rings
+let substrate t = t.structure.Structure.idx
+
+let hop_budget n = max 64 (8 * n)
 
 let build sp ~delta =
   Ron_obs.Profile.phase "construct.basic" @@ fun () ->
   let idx = Indexed.create (Sp_metric.metric sp) in
-  let st = Structure.build idx ~delta in
+  let structure = Structure.build idx ~delta in
   let n = Indexed.size idx in
-  (* Per-node fan-out: each table reads only shared immutable state (the
-     apsp and u's own cached neighbor slot), so nodes build in parallel. *)
-  let first_hop =
+  let table =
     Ron_obs.Profile.phase "tables" @@ fun () ->
-    Pool.init n (fun u ->
-        let tbl = Hashtbl.create 64 in
-        Array.iter
-          (fun v ->
-            if v <> u && not (Hashtbl.mem tbl v) then
-              Hashtbl.replace tbl v (Sp_metric.first_hop_index sp u v))
-          (Rings.neighbors st.Structure.rings u);
-        if !Probe.on then Probe.table_node ();
-        tbl)
+    First_hop.build sp n (Rings.neighbors structure.Structure.rings)
   in
-  { sp; st; first_hop }
+  let cols =
+    {
+      st = structure.Structure.cols;
+      table;
+      max_hops = hop_budget n;
+      header_bits = Structure.header_bits structure;
+    }
+  in
+  { sp; structure; cols }
 
-let initial_header t dst = { label = t.st.Structure.labels.(dst); target = dst; level = None }
+let export t = t.cols
 
-let step t u (h : header) : header Scheme.action =
+let initial_header _ dst = { target = dst; level = -1; wire = [||] }
+
+(* ---------------------------------------------------------------- The hop *)
+
+let target_level c l row m u level =
+  let jut = Structure.decode c.st u l row m in
+  if level < 0 then jut
+  else if level > jut then failwith "Basic: Claim 2.4(b) violated (j > j_ut)"
+  else if Structure.member c.st u level m.(level) = u then jut (* reached: re-zoom *)
+  else level
+
+let hop_entry c u m j =
+  let w = Structure.member c.st u j m.(j) in
+  if w = u then failwith "Basic: intermediate target equals current node (invariant broken)";
+  let e = First_hop.find c.table u w in
+  if e < 0 then failwith "Basic: no first-hop pointer to intermediate target";
+  e
+
+(* [l]/[row] locate the packet's label; [m] is the route's decode buffer. *)
+let step c l row m u (h : header) : header Scheme.action =
   if u = h.target then Deliver
   else begin
-    let m = Structure.decode t.st u h.label in
-    let jut = Array.length m - 1 in
-    let forward_to j =
-      let w = Structure.intermediate_of t.st u m j in
-      if w = u then
-        failwith "Basic.step: intermediate target equals current node (invariant broken)"
-      else begin
-        match Hashtbl.find_opt t.first_hop.(u) w with
-        | None -> failwith "Basic.step: no first-hop pointer to intermediate target"
-        | Some k -> Scheme.Forward (Graph.hop (Sp_metric.graph t.sp) u k, { h with level = Some j })
-      end
-    in
-    match h.level with
-    | None -> forward_to jut
-    | Some j ->
-      if j > jut then failwith "Basic.step: Claim 2.4(b) violated (j > j_ut)";
-      let w = Structure.intermediate_of t.st u m j in
-      if w = u then forward_to jut (* u is the intermediate target: re-zoom *)
-      else forward_to j
+    let j = target_level c l row m u h.level in
+    let e = hop_entry c u m j in
+    Forward (c.table.First_hop.t_next.{e}, { h with level = j })
   end
 
 (* Ranked fallback forwards: first hops toward the intermediate targets at
    every other level, coarsest first — the same links the routing table
    already pays for, just aimed at a different member of the zooming
    sequence. Used only by the fault layer when the primary hop is dead. *)
-let alternates t u (h : header) =
+let alternates c l row m u (h : header) =
   if u = h.target then []
   else begin
-    let m = Structure.decode t.st u h.label in
-    let jut = Array.length m - 1 in
-    let seen = Hashtbl.create 8 in
+    let jut = Structure.decode c.st u l row m in
     let acc = ref [] in
     for j = 0 to jut do
-      let w = Structure.intermediate_of t.st u m j in
-      if w <> u then
-        match Hashtbl.find_opt t.first_hop.(u) w with
-        | None -> ()
-        | Some k ->
-          let next = Graph.hop (Sp_metric.graph t.sp) u k in
-          if next <> u && not (Hashtbl.mem seen next) then begin
-            Hashtbl.replace seen next ();
-            acc := (next, { h with level = Some j }) :: !acc
-          end
+      let w = Structure.member c.st u j m.(j) in
+      let e = if w <> u then First_hop.find c.table u w else -1 in
+      if e >= 0 then begin
+        let next = c.table.First_hop.t_next.{e} in
+        if next <> u && not (List.exists (fun (v, _) -> v = next) !acc) then
+          acc := (next, { h with level = j }) :: !acc
+      end
     done;
     !acc (* built 0..jut with prepends, so coarsest (jut) comes first *)
   end
 
-let route_wrapped (w : Scheme.wrapper) t ~src ~dst =
-  let n = Indexed.size t.st.Structure.idx in
-  let hb = Structure.label_bits t.st dst + Bits.index_bits (scales t + 1) in
+let ints_of a = A1.of_array Bigarray.int Bigarray.c_layout a
+
+(* The label set and row a header's label is read from: the scheme's own
+   columns, or a one-row set holding the wire label. *)
+let labels t h =
+  let st = t.cols.st in
+  if Array.length h.wire = 0 then (st, h.target)
+  else
+    ( {
+        st with
+        Structure.label_first = ints_of [| h.wire.(0) |];
+        label_rest = ints_of (Array.sub h.wire 1 (st.Structure.scales - 1));
+      },
+      0 )
+
+let simulate (w : Scheme.wrapper) t ~src h =
+  let c = t.cols in
+  let l, row = labels t h in
+  (* Per route: experiments route in parallel. *)
+  let m = Array.make c.st.Structure.scales 0 in
   Scheme.simulate ~detect_cycles:w.Scheme.detect_cycles
     ~dist:(fun a b -> Sp_metric.dist t.sp a b)
-    ~step:(w.Scheme.wrap (step t) ~alternates:(alternates t))
-    ~header_bits:(fun _ -> hb)
-    ~src ~header:(initial_header t dst)
-    ~max_hops:(max 64 (8 * n)) ()
+    ~step:(w.Scheme.wrap (step c l row m) ~alternates:(alternates c l row m))
+    ~header_bits:(fun _ -> c.header_bits)
+    ~src ~header:h ~max_hops:c.max_hops ()
 
+let route_wrapped w t ~src ~dst = simulate w t ~src (initial_header t dst)
 let route t ~src ~dst = route_wrapped Scheme.identity_wrapper t ~src ~dst
+let route_header t ~src h = simulate Scheme.identity_wrapper t ~src h
 
-let table_bits t =
-  let n = Indexed.size t.st.Structure.idx in
-  let g = Sp_metric.graph t.sp in
-  let fh_bits = Bits.index_bits (max 2 (Graph.max_out_degree g)) in
+(* -------------------------------------------------------------- Accounting *)
+
+(* Translation bits [zeta u], first-hop pointers ([ceil(log2 Dout)] bits
+   each) and the node's global id. *)
+let table_bits_with t zeta =
+  let n = t.cols.st.Structure.n in
+  let fh_bits = Bits.index_bits (max 2 (Graph.max_out_degree (Sp_metric.graph t.sp))) in
   Array.init n (fun u ->
-      Structure.zeta_bits_sparse t.st u
-      + (Hashtbl.length t.first_hop.(u) * fh_bits)
-      + Bits.index_bits n)
+      zeta u + (First_hop.entries t.cols.table u * fh_bits) + Bits.index_bits n)
+
+let table_bits t = table_bits_with t (Structure.zeta_bits_sparse t.structure)
 
 let table_bits_dense t =
-  let n = Indexed.size t.st.Structure.idx in
-  let g = Sp_metric.graph t.sp in
-  let fh_bits = Bits.index_bits (max 2 (Graph.max_out_degree g)) in
-  let dense = Structure.zeta_bits_dense t.st in
-  Array.init n (fun u ->
-      dense + (Hashtbl.length t.first_hop.(u) * fh_bits) + Bits.index_bits n)
+  let dense = Structure.zeta_bits_dense t.structure in
+  table_bits_with t (fun _ -> dense)
 
-let label_bits t =
-  Array.init (Indexed.size t.st.Structure.idx) (fun u -> Structure.label_bits t.st u)
+let label_bits t = Array.make t.cols.st.Structure.n (Structure.label_bits t.structure)
 
-let header_bits t = Structure.header_bits t.st
+let header_bits t = t.cols.header_bits
 
 (* ----------------------------------------------------------- Wire format *)
 
 module Bitio = Ron_util.Bitio
 
 let serialize_label t dst =
-  let n = Indexed.size t.st.Structure.idx in
-  let enc = t.st.Structure.labels.(dst) in
+  let c = t.cols.st and width = t.structure.Structure.ring_index_bits in
   let w = Bitio.Writer.create () in
-  Bitio.Writer.bits w dst ~width:(Bits.index_bits n);
-  Bitio.Writer.bits w enc.Zooming.first ~width:t.st.Structure.ring_index_bits;
-  Array.iter
-    (fun y -> Bitio.Writer.bits w y ~width:t.st.Structure.ring_index_bits)
-    enc.Zooming.rest;
+  Bitio.Writer.bits w dst ~width:(Bits.index_bits c.Structure.n);
+  Bitio.Writer.bits w c.Structure.label_first.{dst} ~width;
+  let sm1 = c.Structure.scales - 1 in
+  for j = 0 to sm1 - 1 do
+    Bitio.Writer.bits w c.Structure.label_rest.{(dst * sm1) + j} ~width
+  done;
   (Bitio.Writer.to_bytes w, Bitio.Writer.length w)
 
 let deserialize_label t bytes =
-  let n = Indexed.size t.st.Structure.idx in
+  let c = t.cols.st and width = t.structure.Structure.ring_index_bits in
   let r = Bitio.Reader.of_bytes bytes in
-  let target = Bitio.Reader.bits r ~width:(Bits.index_bits n) in
-  let first = Bitio.Reader.bits r ~width:t.st.Structure.ring_index_bits in
-  let rest =
-    Array.init (t.st.Structure.scales - 1) (fun _ ->
-        Bitio.Reader.bits r ~width:t.st.Structure.ring_index_bits)
-  in
-  { label = { Zooming.first; rest }; target; level = None }
-
-let route_header t ~src header =
-  let n = Indexed.size t.st.Structure.idx in
-  let hb =
-    Structure.label_bits t.st header.target + Bits.index_bits (t.st.Structure.scales + 1)
-  in
-  Scheme.simulate
-    ~dist:(fun a b -> Sp_metric.dist t.sp a b)
-    ~step:(step t)
-    ~header_bits:(fun _ -> hb)
-    ~src ~header
-    ~max_hops:(max 64 (8 * n)) ()
-
-(* ----------------------------------------------------------------- Export *)
-
-type export = {
-  x_n : int;
-  x_scales : int;
-  x_max_hops : int;
-  x_header_bits : int array;
-  x_label_first : int array;
-  x_label_rest : int array array;
-  x_enums : int array array array;
-  x_z_off : Structure.ints;
-  x_z_x : Structure.ints;
-  x_z_y : Structure.ints;
-  x_z_z : Structure.ints;
-  x_table : (int * int * float) array array;
-}
-
-let compare_w (w1, _, _) (w2, _, _) = Int.compare w1 w2
-
-let export t =
-  let st = t.st in
-  let n = Indexed.size st.Structure.idx in
-  let g = Sp_metric.graph t.sp in
-  let scales = st.Structure.scales in
-  {
-    x_n = n;
-    x_scales = scales;
-    x_max_hops = max 64 (8 * n);
-    x_header_bits =
-      Array.init n (fun dst ->
-          Structure.label_bits st dst + Bits.index_bits (scales + 1));
-    x_label_first = Array.map (fun enc -> enc.Zooming.first) st.Structure.labels;
-    x_label_rest = Array.map (fun enc -> Array.copy enc.Zooming.rest) st.Structure.labels;
-    x_enums =
-      Array.init n (fun u ->
-          Array.map (fun r -> r.Rings.members) (Rings.rings_of st.Structure.rings u));
-    x_z_off = st.Structure.z_off;
-    x_z_x = st.Structure.z_x;
-    x_z_y = st.Structure.z_y;
-    x_z_z = st.Structure.z_z;
-    x_table =
-      Array.init n (fun u ->
-          let entries =
-            Hashtbl.fold
-              (fun w k acc ->
-                let next = Graph.hop g u k in
-                (w, next, Sp_metric.dist t.sp u next) :: acc)
-              t.first_hop.(u) []
-          in
-          let a = Array.of_list entries in
-          Array.sort compare_w a;
-          a);
-  }
+  let target = Bitio.Reader.bits r ~width:(Bits.index_bits c.Structure.n) in
+  if target >= c.Structure.n then invalid_arg "Basic.deserialize_label: target is not a node id";
+  let first = Bitio.Reader.bits r ~width in
+  if first >= Structure.first_bound c then
+    invalid_arg "Basic.deserialize_label: first index is outside ring 0";
+  let wire = Array.make c.Structure.scales first in
+  for j = 1 to c.Structure.scales - 1 do
+    wire.(j) <- Bitio.Reader.bits r ~width
+  done;
+  { target; level = -1; wire }

@@ -43,7 +43,10 @@ val serialize_label : t -> int -> Bytes.t * int
 
 val deserialize_label : t -> Bytes.t -> header
 (** Rebuild a fresh-packet header from a serialized label. Routing from it
-    is identical to routing from [initial_header]. *)
+    is identical to routing from [initial_header]. Raises
+    [Invalid_argument] naming the field when the target is not a node id
+    or the first index is outside ring 0, and on input that walks off the
+    end of the bitstring. *)
 
 val route_header : t -> src:int -> header -> Scheme.result
 
@@ -67,9 +70,6 @@ val label_bits : t -> int array
 val header_bits : t -> int
 (** Maximum packet-header size: label bits plus the intermediate level. *)
 
-val ring : t -> int -> int -> int array
-(** [ring t u j]: the members of [Y_uj] (for tests). *)
-
 val zooming : t -> int -> int array
 (** [zooming t u]: the sequence [f_uj] (for tests). *)
 
@@ -81,33 +81,36 @@ val substrate : t -> Ron_metric.Indexed.t
 (** The indexed metric the rings were built over (for bounded-radius
     repair exploration). Borrowed. *)
 
-(** {2 Export}
+(** {2 Columns}
 
-    Flat, string-free state extraction for the off-heap snapshot layer
-    ([ron_serve]): everything the step function reads, as flat arrays.
-    The translation functions are handed over as the four off-heap columns
-    [Structure.build] laid them out in, with no per-entry work. Arrays
-    share structure with the live value: treat them as borrowed and
-    read-only. *)
+    The scheme's routing state, in the Basic snapshot's layout: the flat
+    structure ({!Structure.cols}), the first-hop table, and two constants.
+    The snapshot layer maps these columns to and from image sections; the
+    frozen server routes through {!target_level} and {!hop_entry}, the same
+    per-hop pieces the live step uses. *)
 
-type export = {
-  x_n : int;
-  x_scales : int;
-  x_max_hops : int;  (** the routing budget [route] uses *)
-  x_header_bits : int array;  (** per destination *)
-  x_label_first : int array;
-  x_label_rest : int array array;  (** per node, [scales - 1] entries *)
-  x_enums : int array array array;  (** ring enumeration order, per (u, j) *)
-  x_z_off : Structure.ints;
-      (** [n * (scales - 1) + 1]: CSR offsets of the translation segments,
-          [(u, j)] at [u * (scales - 1) + j] *)
-  x_z_x : Structure.ints;
-  x_z_y : Structure.ints;
-  x_z_z : Structure.ints;
-      (** the triples [(x, y, z)] of every segment, sorted by [(x, y)]
-          within it *)
-  x_table : (int * int * float) array array;
-      (** per node, sorted by neighbor: (intermediate, next hop, hop cost) *)
+type cols = {
+  st : Structure.cols;
+  table : First_hop.t;  (** per node, an entry for every distinct ring member *)
+  max_hops : int;  (** the routing budget [route] uses *)
+  header_bits : int;  (** the same for every destination *)
 }
 
-val export : t -> export
+val hop_budget : int -> int
+(** The routing budget for [n] nodes: [max 64 (8 n)]. *)
+
+val target_level : cols -> Structure.cols -> int -> int array -> int -> int -> int
+(** [target_level c l row m u level]: Claim 2.4's choice at node [u], which
+    is not the target: decode the label in row [row] of [l] into [m] and
+    return the level whose intermediate target the packet chases — [level]
+    ([-1] when none is set yet), or [j_ut] when none is set or [u] is the
+    level-[level] target itself. Allocation-free; raises [Failure] if
+    [level > j_ut]. *)
+
+val hop_entry : cols -> int -> int array -> int -> int
+(** [hop_entry c u m j]: [u]'s first-hop entry toward the level-[j]
+    intermediate target named by [m.(j)]. Raises [Failure] if that target
+    is [u] or has no entry. *)
+
+val export : t -> cols
+(** The scheme's columns, handed over without a copy. *)

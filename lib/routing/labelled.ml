@@ -6,7 +6,6 @@ module Bits = Ron_util.Bits
 module Triangulation = Ron_labeling.Triangulation
 module Dls = Ron_labeling.Dls
 module Pool = Ron_util.Pool
-module Probe = Ron_obs.Probe
 
 (* Internal delta for the black-box DLS: (1+2d)(1+d/8) <= 3/2 holds for
    d = 0.22. *)
@@ -18,7 +17,7 @@ type t = {
   delta : float;
   dls : Dls.t;
   nbrs : int array array; (* per node: sorted distinct neighbor ids *)
-  first_hop : (int, int) Hashtbl.t array;
+  table : First_hop.t;
   dls_bits : int array;
 }
 
@@ -52,17 +51,8 @@ let build sp ~delta =
         Ron_util.Fsort.sort_ints a;
         a)
   in
-  let first_hop =
-    Ron_obs.Profile.phase "tables" @@ fun () ->
-    Pool.init n (fun u ->
-        let tbl = Hashtbl.create 32 in
-        Array.iter
-          (fun v -> if v <> u then Hashtbl.replace tbl v (Sp_metric.first_hop_index sp u v))
-          nbrs.(u);
-        if !Probe.on then Probe.table_node ();
-        tbl)
-  in
-  { sp; idx; delta; dls; nbrs; first_hop; dls_bits = Dls.label_bits dls }
+  let table = Ron_obs.Profile.phase "tables" @@ fun () -> First_hop.build sp n (Array.get nbrs) in
+  { sp; idx; delta; dls; nbrs; table; dls_bits = Dls.label_bits dls }
 
 type header = { target : int; intermediate : int }
 
@@ -70,9 +60,9 @@ let step t ~score u (h : header) : header Scheme.action =
   if u = h.target then Deliver
   else begin
     let forward_to v h' =
-      match Hashtbl.find_opt t.first_hop.(u) v with
-      | Some k -> Scheme.Forward (Graph.hop (Sp_metric.graph t.sp) u k, h')
-      | None -> failwith "Labelled.step: intermediate target is not a neighbor"
+      match First_hop.find t.table u v with
+      | -1 -> failwith "Labelled.step: intermediate target is not a neighbor"
+      | e -> Scheme.Forward (t.table.First_hop.t_next.{e}, h')
     in
     if h.intermediate = u then begin
       (* Select a new intermediate target: the neighbor minimizing the
@@ -116,10 +106,10 @@ let alternates t ~score u (h : header) =
       | [] -> []
       | _ when k = 0 -> []
       | (_, v) :: rest -> (
-        match Hashtbl.find_opt t.first_hop.(u) v with
-        | None -> take k rest
-        | Some i ->
-          let next = Graph.hop (Sp_metric.graph t.sp) u i in
+        match First_hop.find t.table u v with
+        | -1 -> take k rest
+        | e ->
+          let next = t.table.First_hop.t_next.{e} in
           if next = u || Hashtbl.mem seen next then take k rest
           else begin
             Hashtbl.replace seen next ();
@@ -181,31 +171,17 @@ type export = {
   x_max_hops : int;
   x_header_bits : int array;
   x_nbrs : int array array;
-  x_table : (int * int * float) array array;
+  x_table : First_hop.t;
   x_dls : Dls.cols;
 }
 
-let compare_w (w1, _, _) (w2, _, _) = Int.compare w1 w2
-
 let export t =
   let n = Indexed.size t.idx in
-  let g = Sp_metric.graph t.sp in
   {
     x_n = n;
     x_max_hops = max 64 (8 * n);
     x_header_bits = Array.map (fun b -> b + Bits.index_bits n) t.dls_bits;
     x_nbrs = t.nbrs;
-    x_table =
-      Array.init n (fun u ->
-          let entries =
-            Hashtbl.fold
-              (fun w k acc ->
-                let next = Graph.hop g u k in
-                (w, next, Sp_metric.dist t.sp u next) :: acc)
-              t.first_hop.(u) []
-          in
-          let a = Array.of_list entries in
-          Array.sort compare_w a;
-          a);
+    x_table = t.table;
     x_dls = Dls.export t.dls;
   }

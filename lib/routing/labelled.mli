@@ -61,8 +61,7 @@ type export = {
   x_max_hops : int;
   x_header_bits : int array;  (** per destination *)
   x_nbrs : int array array;  (** sorted distinct neighbor ids, per node *)
-  x_table : (int * int * float) array array;
-      (** per node, sorted by neighbor: (neighbor, next hop, hop cost) *)
+  x_table : First_hop.t;  (** an entry for every neighbor *)
   x_dls : Ron_labeling.Dls.cols;
 }
 

@@ -1,38 +1,35 @@
 module Indexed = Ron_metric.Indexed
 module Bits = Ron_util.Bits
 module Rings = Ron_core.Rings
-module Zooming = Ron_core.Zooming
 
 type t = { st : Structure.t }
 
-type header = { label : Zooming.encoded; target : int }
-
 let build idx ~delta = { st = Structure.build idx ~delta }
 
-let scales t = t.st.Structure.scales
+let scales t = t.st.Structure.cols.Structure.scales
 let max_ring_size t = Rings.max_ring_size t.st.Structure.rings
 
 (* Each step jumps straight to the best intermediate target: the overlay
-   link to f_(t, j_ut). *)
-let step t u (h : header) : header Scheme.action =
-  if u = h.target then Deliver
+   link to f_(t, j_ut). The header is the target; [m] is the route's
+   decode buffer. *)
+let step t m u target : int Scheme.action =
+  if u = target then Deliver
   else begin
-    let m = Structure.decode t.st u h.label in
-    let jut = Array.length m - 1 in
-    let w = Structure.intermediate_of t.st u m jut in
+    let c = t.st.Structure.cols in
+    let jut = Structure.decode c u c target m in
+    let w = Structure.member c u jut m.(jut) in
     if w = u then failwith "On_metric.step: intermediate target equals current node"
-    else Forward (w, h)
+    else Forward (w, target)
   end
 
 let route t ~src ~dst =
-  let hb = Structure.label_bits t.st dst in
+  let hb = Structure.label_bits t.st in
   Scheme.simulate
     ~dist:(fun a b -> Indexed.dist t.st.Structure.idx a b)
-    ~step:(step t)
+    ~step:(step t (Array.make (scales t) 0))
     ~header_bits:(fun _ -> hb)
-    ~src
-    ~header:{ label = t.st.Structure.labels.(dst); target = dst }
-    ~max_hops:(max 64 (4 * t.st.Structure.scales)) ()
+    ~src ~header:dst
+    ~max_hops:(max 64 (4 * scales t)) ()
 
 let out_degree t = Rings.max_out_degree t.st.Structure.rings
 
@@ -48,10 +45,6 @@ let table_bits t =
   let n = Indexed.size t.st.Structure.idx in
   Array.init n (fun u -> Structure.zeta_bits_sparse t.st u + Bits.index_bits n)
 
-let label_bits t =
-  Array.init (Indexed.size t.st.Structure.idx) (fun u -> Structure.label_bits t.st u)
+let label_bits t = Array.make (Indexed.size t.st.Structure.idx) (Structure.label_bits t.st)
 
-let header_bits t =
-  let n = Indexed.size t.st.Structure.idx in
-  Array.fold_left (fun acc u -> max acc (Structure.label_bits t.st u)) 0
-    (Array.init n Fun.id)
+let header_bits t = Structure.label_bits t.st

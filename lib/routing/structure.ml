@@ -10,20 +10,23 @@ module A1 = Bigarray.Array1
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
 
-type t = {
-  idx : Indexed.t;
-  delta : float;
+type cols = {
+  n : int;
   scales : int;
-  nets : int array array;
-  rings : Rings.t;
-  ring_off : int array;
-  z_off : ints;
-  z_run : int array;
-  z_x : ints;
+  ring_off : ints;
+  ring_node : ints;
+  z_run : ints;
   z_y : ints;
   z_z : ints;
+  label_first : ints;
+  label_rest : ints;
+}
+
+type t = {
+  idx : Indexed.t;
+  rings : Rings.t;
+  cols : cols;
   zoomings : int array array;
-  labels : Zooming.encoded array;
   ring_index_bits : int;
 }
 
@@ -57,33 +60,32 @@ let mark_ring mark ring =
 
 let ints_create n : ints = A1.create Bigarray.int Bigarray.c_layout n
 
-(* Where the join writes: the x-run starts and the triple columns. The
-   count pass passes [counting] and writes nothing. *)
-type cols = { run : int array; zx : ints; zy : ints; zz : ints }
+(* Where the join writes: the row starts and the (y, z) columns. The count
+   pass passes [counting] and writes nothing. *)
+type sink = { run : ints; zy : ints; zz : ints }
 
-let counting = { run = [||]; zx = ints_create 0; zy = ints_create 0; zz = ints_create 0 }
+let counting = { run = ints_create 0; zy = ints_create 0; zz = ints_create 0 }
 
 (* The Figure 2 join of zeta_uj: mark u's ring [j+1]; then for each member
    [f = ring_j(u).(x)] in order, and each [w = ring_(j+1)(f).(y)] in order
-   that is marked at [z], emit the triple [(x, y, z)]. The triples come out
-   sorted by [(x, y)], with no hashing and no sort. Without [fill] this
-   only counts; with it, it writes the triples from cursor [c] and each
-   x's run start at [run.(base + x)]. Returns the advanced cursor. *)
-let join rings mark ~fill cols ~base u j c =
+   that is marked at [z], emit [(y, z)] into row [x]. Rows come out in x
+   order and sorted by y, with no hashing and no sort. Without [fill] this
+   only counts; with it, it writes from cursor [c], and row [x] starts at
+   [run.{base + x}]. Returns the advanced cursor. *)
+let join rings mark ~fill sink ~base u j c =
   let next_u = members rings u (j + 1) in
   mark_ring mark next_u;
   let ring = members rings u j in
   let c = ref c in
   for x = 0 to Array.length ring - 1 do
-    if fill then cols.run.(base + x) <- !c;
+    if fill then sink.run.{base + x} <- !c;
     let next = members rings ring.(x) (j + 1) in
     for y = 0 to Array.length next - 1 do
       let z = mark.(next.(y)) in
       if z >= 0 then begin
         if fill then begin
-          cols.zx.{!c} <- x;
-          cols.zy.{!c} <- y;
-          cols.zz.{!c} <- z
+          sink.zy.{!c} <- y;
+          sink.zz.{!c} <- z
         end;
         incr c
       end
@@ -92,50 +94,49 @@ let join rings mark ~fill cols ~base u j c =
   unmark_ring mark next_u;
   !c
 
-(* Two passes over the join: the first counts each segment's triples, the
-   second writes them into one CSR over all [n * (scales - 1)] segments,
-   segment [(u, j)] at [u * (scales - 1) + j]. Nodes own disjoint ranges,
-   so both passes fan out per node. The columns are Bigarrays, so the
-   snapshot layer adopts them without a copy. *)
-let build_zetas rings ~scales n =
+(* The rings flat, then two passes over the join: the first counts each
+   node's entries, the second writes every node's rows from its offset.
+   Nodes own disjoint ranges, so both passes fan out per node. The
+   columns are Bigarrays, so the snapshot layer adopts them without a
+   copy. *)
+let build_flat rings ~scales n =
   let sm1 = scales - 1 in
-  let ring_off = Array.make ((n * scales) + 1) 0 in
+  let ring_off = ints_create ((n * scales) + 1) in
+  ring_off.{0} <- 0;
   for r = 0 to (n * scales) - 1 do
-    ring_off.(r + 1) <- ring_off.(r) + Array.length (members rings (r / scales) (r mod scales))
+    ring_off.{r + 1} <- ring_off.{r} + Array.length (members rings (r / scales) (r mod scales))
   done;
-  let counts = Array.make (n * sm1) 0 in
+  let positions = ring_off.{n * scales} in
+  let ring_node = ints_create positions in
+  let counts = Array.make n 0 in
   Pool.parallel_for n (fun u ->
       let mark = marks n in
       (* Rings 1 .. scales-1 are checked as the joins mark them. *)
       mark_ring mark (members rings u 0);
       unmark_ring mark (members rings u 0);
       for j = 0 to sm1 - 1 do
-        counts.((u * sm1) + j) <- join rings mark ~fill:false counting ~base:0 u j 0
+        counts.(u) <- join rings mark ~fill:false counting ~base:0 u j counts.(u)
       done);
-  let z_off = ints_create ((n * sm1) + 1) in
-  z_off.{0} <- 0;
-  Array.iteri (fun s k -> z_off.{s + 1} <- z_off.{s} + k) counts;
-  let total = z_off.{n * sm1} in
-  let cols =
-    {
-      run = Array.make (ring_off.(n * scales) + 1) total;
-      zx = ints_create total;
-      zy = ints_create total;
-      zz = ints_create total;
-    }
+  let node_off = Array.make (n + 1) 0 in
+  Array.iteri (fun u k -> node_off.(u + 1) <- node_off.(u) + k) counts;
+  let total = node_off.(n) in
+  let sink =
+    { run = ints_create (positions + 1); zy = ints_create total; zz = ints_create total }
   in
+  sink.run.{positions} <- total;
   Pool.parallel_for n (fun u ->
       let mark = marks n in
-      for j = 0 to sm1 - 1 do
-        let s = (u * sm1) + j in
-        let c = join rings mark ~fill:true cols ~base:ring_off.((u * scales) + j) u j z_off.{s} in
-        assert (c = z_off.{s + 1})
+      let c = ref node_off.(u) in
+      for j = 0 to scales - 1 do
+        let base = ring_off.{(u * scales) + j} in
+        Array.iteri (fun x w -> ring_node.{base + x} <- w) (members rings u j);
+        if j < sm1 then c := join rings mark ~fill:true sink ~base u j !c
+        else
+          (* The last ring has no zeta: its rows are empty, at u's end. *)
+          A1.fill (A1.sub sink.run base (ring_off.{(u * scales) + j + 1} - base)) !c
       done;
-      (* The last ring has no segment: its x-runs are empty, at u's end. *)
-      let last = (u * scales) + sm1 in
-      Array.fill cols.run ring_off.(last) (ring_off.(last + 1) - ring_off.(last))
-        z_off.{(u + 1) * sm1});
-  (ring_off, z_off, cols)
+      assert (!c = node_off.(u + 1)));
+  (ring_off, ring_node, sink)
 
 let build idx ~delta =
   if not (delta > 0.0 && delta <= 0.25) then
@@ -174,84 +175,106 @@ let build idx ~delta =
     Profile.phase "zoomings" @@ fun () ->
     Pool.init n (fun t_ -> Array.init scales (fun j -> fst (Indexed.nearest_of idx t_ nets.(j))))
   in
-  let ring_off, z_off, cols = Profile.phase "zetas" @@ fun () -> build_zetas rings ~scales n in
-  let labels =
-    Profile.phase "labels" @@ fun () ->
-    Pool.init n (fun t_ ->
-        let sequence = zoomings.(t_) in
-        (* A ring member's host-enumeration index is its position. *)
-        let first_index = Rings.find_member rings t_ 0 sequence.(0) in
-        if first_index < 0 then invalid_arg "Structure.build: f_t0 is not in t's ring 0";
-        let enc =
-          Zooming.encode ~sequence
-            ~enum_of_prev:(fun j next ->
-              match Rings.find_member rings sequence.(j) (j + 1) next with
-              | -1 -> None
-              | i -> Some i)
-            ~first_index
-        in
-        if !Probe.on then Probe.label_node ();
-        enc)
-  in
+  let ring_off, ring_node, sink = Profile.phase "zetas" @@ fun () -> build_flat rings ~scales n in
+  let sm1 = scales - 1 in
+  let label_first = ints_create n and label_rest = ints_create (n * sm1) in
+  Profile.phase "labels" (fun () ->
+      Pool.parallel_for n (fun t_ ->
+          let sequence = zoomings.(t_) in
+          (* A ring member's host-enumeration index is its position. *)
+          let first_index = Rings.find_member rings t_ 0 sequence.(0) in
+          if first_index < 0 then invalid_arg "Structure.build: f_t0 is not in t's ring 0";
+          let enc =
+            Zooming.encode ~sequence
+              ~enum_of_prev:(fun j next ->
+                match Rings.find_member rings sequence.(j) (j + 1) next with
+                | -1 -> None
+                | i -> Some i)
+              ~first_index
+          in
+          label_first.{t_} <- enc.Zooming.first;
+          Array.iteri (fun j y -> label_rest.{(t_ * sm1) + j} <- y) enc.Zooming.rest;
+          if !Probe.on then Probe.label_node ()));
   let ring_index_bits = Bits.index_bits (max 2 (Rings.max_ring_size rings)) in
   {
     idx;
-    delta;
-    scales;
-    nets;
     rings;
-    ring_off;
-    z_off;
-    z_run = cols.run;
-    z_x = cols.zx;
-    z_y = cols.zy;
-    z_z = cols.zz;
+    cols =
+      {
+        n;
+        scales;
+        ring_off;
+        ring_node;
+        z_run = sink.run;
+        z_y = sink.zy;
+        z_z = sink.zz;
+        label_first;
+        label_rest;
+      };
     zoomings;
-    labels;
     ring_index_bits;
   }
 
-(* [y]'s z within the x-run [lo, hi) of z_y (sorted), or -1. The column
-   types are annotated so the reads compile inline, not as calls to the
-   generic Bigarray accessor. *)
+(* The query kernels read unchecked: built columns are consistent by
+   construction, and the snapshot layer validates mapped ones before it
+   serves them. The column types are annotated so the reads compile
+   inline, not as calls to the generic Bigarray accessor. *)
+let[@inline] ig (a : ints) i = A1.unsafe_get a i
+
+(* [y]'s z within the row [lo, hi) of z_y (sorted), or -1. *)
 let rec run_find (zy : ints) (zz : ints) y lo hi =
   if lo >= hi then -1
   else begin
     let mid = (lo + hi) / 2 in
-    let v = zy.{mid} in
+    let v = ig zy mid in
     if v < y then run_find zy zz y (mid + 1) hi
     else if v > y then run_find zy zz y lo mid
-    else zz.{mid}
+    else ig zz mid
   end
 
-let translate t u j ~x ~y =
-  if !Probe.on then Probe.translation_lookup ();
-  let r = (u * t.scales) + j in
-  let p = t.ring_off.(r) + x in
-  if p >= t.ring_off.(r + 1) then -1
-  else run_find t.z_y t.z_z y t.z_run.(p) t.z_run.(p + 1)
+(* Claim 2.2's walk: m_(j+1) = zeta_uj(m_j, rest_j), stopping at the first
+   null. *)
+let rec walk (c : cols) u (l : cols) row (m : int array) sm1 j =
+  if j >= sm1 then j
+  else begin
+    if !Probe.on then begin
+      Probe.zoom_decode_step ();
+      Probe.translation_lookup ()
+    end;
+    let p = ig c.ring_off ((u * c.scales) + j) + m.(j) in
+    let y = ig l.label_rest ((row * sm1) + j) in
+    let z = run_find c.z_y c.z_z y (ig c.z_run p) (ig c.z_run (p + 1)) in
+    if z < 0 then j
+    else begin
+      m.(j + 1) <- z;
+      walk c u l row m sm1 (j + 1)
+    end
+  end
 
-let decode t u label = Zooming.decode_walk ~translate:(translate t u) label
+let decode (c : cols) u (l : cols) row m =
+  m.(0) <- ig l.label_first row;
+  walk c u l row m (c.scales - 1) 0
 
-let intermediate_of t u m j = (members t.rings u j).(m.(j))
+let member (c : cols) u j x = ig c.ring_node (ig c.ring_off ((u * c.scales) + j) + x)
 
+let first_bound (c : cols) =
+  let b = ref max_int in
+  for u = 0 to c.n - 1 do
+    b := min !b (c.ring_off.{(u * c.scales) + 1} - c.ring_off.{u * c.scales})
+  done;
+  !b
+
+(* A node's rows are contiguous, so its entries span from the start of
+   its first row to the start of the next node's. *)
 let zeta_bits_sparse t u =
-  let sm1 = t.scales - 1 in
-  (t.z_off.{(u + 1) * sm1} - t.z_off.{u * sm1}) * 3 * t.ring_index_bits
+  let c = t.cols in
+  (c.z_run.{c.ring_off.{(u + 1) * c.scales}} - c.z_run.{c.ring_off.{u * c.scales}})
+  * 3 * t.ring_index_bits
 
 let zeta_bits_dense t =
   let k = max 2 (Rings.max_ring_size t.rings) in
-  (t.scales - 1) * k * k * t.ring_index_bits
+  (t.cols.scales - 1) * k * k * t.ring_index_bits
 
-let label_bits t u =
-  Zooming.bits t.labels.(u) ~index_bits:t.ring_index_bits + Bits.index_bits (Indexed.size t.idx)
+let label_bits t = (t.cols.scales * t.ring_index_bits) + Bits.index_bits t.cols.n
 
-let header_bits t =
-  let n = Indexed.size t.idx in
-  Array.fold_left
-    (fun acc enc ->
-      max acc
-        (Zooming.bits enc ~index_bits:t.ring_index_bits
-        + Bits.index_bits n
-        + Bits.index_bits (t.scales + 1)))
-    0 t.labels
+let header_bits t = label_bits t + Bits.index_bits (t.cols.scales + 1)

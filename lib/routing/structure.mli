@@ -1,62 +1,78 @@
 (** Internal: the Theorem 2.1 ring/zooming/translation structure, shared by
     the graph scheme ({!Basic}) and the metric scheme ({!On_metric}).
 
-    Holds, for a metric of aspect ratio [Delta] and a given [delta]: the
-    nested nets [G_j] ([Delta/2^j]-nets), the rings
+    Builds, for a metric of aspect ratio [Delta] and a given [delta], the
+    nested nets [G_j] ([Delta/2^j]-nets), and holds the rings
     [Y_uj = B_u(4 Delta/(delta 2^j)) ∩ G_j], the translation functions
     [zeta_uj], the zooming sequences [f_tj] and their encoded routing
     labels. A ring's member array is its host enumeration: a member's
     index is its position.
 
-    The translation functions are stored flat, already in the layout the
-    Basic snapshot serves: one CSR over the [n * (scales - 1)] segments
-    [(u, j)], segment [u * (scales - 1) + j], holding [zeta_uj]'s triples
-    [(x, y, z)] sorted by [(x, y)], in off-heap columns the snapshot layer
-    adopts as they are. *)
+    Rings, translation functions and labels are stored flat ({!cols}),
+    already in the layout the Basic snapshot serves: off-heap columns the
+    snapshot layer adopts as they are. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+type cols = {
+  n : int;
+  scales : int;
+  ring_off : ints;
+      (** [n * scales + 1]: CSR offsets over the rings, ring [(u, j)] at
+          [u * scales + j] *)
+  ring_node : ints;  (** the members of every ring, in enumeration order *)
+  z_run : ints;
+      (** [ring_off.{n * scales} + 1]: zeta_uj as rows, one per position
+          [x] of ring [(u, j)]: row [p = ring_off.{u * scales + j} + x]
+          spans [[z_run.{p}, z_run.{p + 1})] of [z_y]/[z_z]. The rows of
+          a node's last ring are empty. *)
+  z_y : ints;  (** sorted within a row *)
+  z_z : ints;  (** [zeta_uj(x, y)], a position in ring [(u, j + 1)] *)
+  label_first : ints;  (** [n]: the index of [f_t0] in ring 0 *)
+  label_rest : ints;
+      (** [n * (scales - 1)]: [f_(t,j+1)]'s index in ring [j + 1] of
+          [f_tj], at [t * (scales - 1) + j] *)
+}
+(** The flat structure. Arrays may be shared with a live scheme or mapped
+    from a snapshot — treat them as read-only. *)
+
 type t = {
   idx : Ron_metric.Indexed.t;
-  delta : float;
-  scales : int;
-  nets : int array array;
   rings : Ron_core.Rings.t;
-  ring_off : int array;
-      (** [n * scales + 1]: CSR offsets over the ring sizes, ring [(u, j)]
-          at [u * scales + j] *)
-  z_off : ints;  (** [n * (scales - 1) + 1]: segment offsets into the columns *)
-  z_run : int array;
-      (** [ring_off.(n * scales) + 1]: [z_run.(ring_off.(u * scales + j) + x)]
-          is where the triples of zeta_uj with first coordinate [x] start;
-          the next entry is where they end *)
-  z_x : ints;
-  z_y : ints;
-  z_z : ints;
+  cols : cols;
   zoomings : int array array;
-  labels : Ron_core.Zooming.encoded array;
   ring_index_bits : int;
 }
 
 val build : Ron_metric.Indexed.t -> delta:float -> t
 (** [delta] in (0, 1/4]. *)
 
-val decode : t -> int -> Ron_core.Zooming.encoded -> int array
-(** Claim 2.2 at node [u]: local indices [m_0 .. m_jut] of the encoded
-    zooming sequence. *)
+val decode : cols -> int -> cols -> int -> int array -> int
+(** [decode c u l row m]: Claim 2.2 at node [u] of [c] for the label in
+    row [row] of [l]'s label columns ([l] is [c], or a label set of the
+    same [scales]). Writes the local indices [m_0 .. m_jut] to
+    [m.(0) .. m.(jut)] and returns [j_ut]; [m] needs [scales] slots.
+    Allocation-free. Each step charges one zoom decode step and one
+    translation lookup to the probes. The reads are unchecked: a label's
+    first index must be below every node's ring-0 size ({!first_bound}). *)
 
-val intermediate_of : t -> int -> int array -> int -> int
-(** [intermediate_of t u m j]: the node [f_tj] named by local index
-    [m.(j)] in [u]'s ring [j]. *)
+val member : cols -> int -> int -> int -> int
+(** [member c u j x]: the node at position [x] of ring [(u, j)]
+    (unchecked). *)
+
+val first_bound : cols -> int
+(** The smallest ring-0 size: every label's first index must be below it. *)
 
 val zeta_bits_sparse : t -> int -> int
-(** Total sparse translation-table bits of node [u]. *)
+(** Total sparse translation-table bits of node [u]: three ring indices
+    per [(x, y, z)] entry. *)
 
 val zeta_bits_dense : t -> int
 (** Dense per-node accounting: [(scales-1) * K^2 * ceil(log2 K)]. *)
 
-val label_bits : t -> int -> int
-(** Encoded zooming sequence plus the global id. *)
+val label_bits : t -> int
+(** Encoded zooming sequence plus the global id: every label has [scales]
+    indices, so all labels have this size. *)
 
 val header_bits : t -> int
-(** Max label bits plus the intermediate-level field. *)
+(** Label bits plus the intermediate-level field. *)

@@ -2,12 +2,15 @@
 
    [freeze_*] packs a constructed scheme's exported state into an
    {!Image.t} (Bigarray sections, int-indexed, string-free); [of_image]
-   wraps the sections — zero-copy — into per-scheme flat views. Distance
-   estimates call the schemes' own estimators ([Dls.scan],
-   [Landmark.bounds]) on the mapped columns; the route and locate loops
-   replicate the live step functions and [Scheme.simulate]'s Brent loop
-   operation for operation, so frozen results are byte-identical to the
-   live scheme's.
+   wraps the sections — zero-copy — into per-scheme flat views, and checks
+   a Basic view's structure before serving it. Distance estimates call the
+   schemes' own estimators ([Dls.scan], [Landmark.bounds]) on the mapped
+   columns. The route and locate loops replicate [Scheme.simulate]'s Brent
+   loop; each Basic hop is the live scheme's own ([Basic.target_level],
+   [Basic.hop_entry]), Labelled hops use the shared first-hop lookup
+   ([First_hop.find]), and the rest of the Labelled, Two_mode and Meridian
+   steps replicate the live ones operation for operation, so frozen
+   results are byte-identical to the live scheme's.
 
    The hot path allocates nothing in steady state. The discipline, for the
    non-flambda middle end: every loop is a top-level tail-recursive
@@ -19,6 +22,9 @@
    minor-words audit in the bench. *)
 
 module A1 = Bigarray.Array1
+module Basic = Ron_routing.Basic
+module Structure = Ron_routing.Structure
+module First_hop = Ron_routing.First_hop
 
 type ints = Image.ints
 type floats = Image.floats
@@ -91,38 +97,7 @@ let ensure sc ~decode ~nodes =
     sc.mgen <- 0
   end
 
-(* Exact (x, y) lookup in [s, e) of Basic's translation columns (sorted
-   by (x, y)): the z value, or -1. *)
-let rec z_find (zx : ints) (zy : ints) (zz : ints) s e x y =
-  if s >= e then -1
-  else begin
-    let mid = (s + e) / 2 in
-    let mx = ig zx mid in
-    if mx < x || (mx = x && ig zy mid < y) then z_find zx zy zz (mid + 1) e x y
-    else if mx = x && ig zy mid = y then ig zz mid
-    else z_find zx zy zz s mid x y
-  end
-
 (* ---------------------------------------------------------- frozen views *)
-
-type fbasic = {
-  bn : int;
-  bscales : int;
-  bmax_hops : int;
-  bhb : ints;
-  blabel_first : ints;
-  blabel_rest : ints; (* n * (scales - 1) *)
-  benum_off : ints; (* n * scales + 1 *)
-  benum_node : ints;
-  bz_off : ints; (* n * (scales - 1) + 1 *)
-  bz_x : ints;
-  bz_y : ints;
-  bz_z : ints;
-  bt_off : ints; (* n + 1 *)
-  bt_w : ints;
-  bt_next : ints;
-  bt_cost : floats;
-}
 
 type flab = {
   ln : int;
@@ -130,10 +105,7 @@ type flab = {
   lhb : ints;
   lnbr_off : ints;
   lnbr : ints;
-  lt_off : ints;
-  lt_w : ints;
-  lt_next : ints;
-  lt_cost : floats;
+  ltable : Ron_routing.First_hop.t;
   ldls : Ron_labeling.Dls.cols; (* no hosts column *)
 }
 
@@ -165,7 +137,7 @@ type fmer = {
 }
 
 type view =
-  | Basic of fbasic
+  | Basic of Basic.cols
   | Labelled of flab
   | Two_mode of ftm
   | Meridian of fmer
@@ -195,7 +167,7 @@ let scheme_name t =
 
 let size t =
   match t.view with
-  | Basic b -> b.bn
+  | Basic b -> b.Basic.st.Structure.n
   | Labelled l -> l.ln
   | Two_mode m -> m.tn
   | Meridian m -> m.mn
@@ -208,7 +180,7 @@ let sources t = match t.view with Meridian m -> Some m.mmembers | _ -> None
    domain before the audited loop so steady-state queries never grow it). *)
 let prepare_scratch t sc =
   match t.view with
-  | Basic b -> ensure sc ~decode:(b.bscales + 1) ~nodes:1
+  | Basic b -> ensure sc ~decode:b.Basic.st.Structure.scales ~nodes:1
   | Labelled l ->
     ensure sc ~decode:1 ~nodes:l.ln;
     Ron_labeling.Dls.reserve sc.dls l.ldls
@@ -239,23 +211,6 @@ let flat_ints (arrs : int array array) =
     (fun i a -> Array.iteri (fun k v -> A1.unsafe_set data (off.(i) + k) v) a)
     arrs;
   (Image.ints_of_array off, data)
-
-(* Flatten per-node (w, next, cost) routing tables. *)
-let flat_table (table : (int * int * float) array array) =
-  let off = csr_off (Array.map Array.length table) in
-  let total = off.(Array.length table) in
-  let ws = Image.ints_create total and nexts = Image.ints_create total in
-  let costs = Image.floats_create total in
-  Array.iteri
-    (fun u tbl ->
-      Array.iteri
-        (fun k (w, next, c) ->
-          A1.unsafe_set ws (off.(u) + k) w;
-          A1.unsafe_set nexts (off.(u) + k) next;
-          A1.unsafe_set costs (off.(u) + k) c)
-        tbl)
-    table;
-  (Image.ints_of_array off, ws, nexts, costs)
 
 (* DLS pack: 8 int sections + 1 float section, appended in order:
    meta, d_off, zoom_first, zoom_rest, z_off, z_x, z_y, z_z | d_val. The
@@ -298,42 +253,36 @@ let dls_of_secs what (isecs : ints array) (fsecs : floats array) i0 f0 ~hosts =
         z_z = isecs.(i0 + 7);
       }
 
-(* The translation columns are adopted as they are: Basic builds them in
-   this section layout. *)
-let freeze_basic (e : Ron_routing.Basic.export) =
-  let open Ron_routing.Basic in
-  let n = e.x_n and scales = e.x_scales in
-  let enum_segs = Array.make (n * scales) [||] in
-  Array.iteri
-    (fun u per_u -> Array.iteri (fun j a -> enum_segs.((u * scales) + j) <- a) per_u)
-    e.x_enums;
-  let enum_off, enum_node = flat_ints enum_segs in
-  let t_off, t_w, t_next, t_cost = flat_table e.x_table in
+(* Basic pack: 11 int sections + 1 float section, in order: meta (n,
+   scales, max_hops, header bits), label_first, label_rest, ring_off,
+   ring_node, z_run, z_y, z_z, t_off, t_w, t_next | t_cost. The columns are
+   adopted as they are: Basic builds them in this layout. *)
+let freeze_basic (c : Basic.cols) =
+  let s = c.Basic.st and tb = c.Basic.table in
+  let open Structure in
   {
     Image.scheme = tag_basic;
     isecs =
       [|
-        Image.ints_of_array [| n; scales; e.x_max_hops |];
-        Image.ints_of_array e.x_header_bits;
-        Image.ints_of_array e.x_label_first;
-        Image.ints_of_array (Array.concat (Array.to_list e.x_label_rest));
-        enum_off;
-        enum_node;
-        e.x_z_off;
-        e.x_z_x;
-        e.x_z_y;
-        e.x_z_z;
-        t_off;
-        t_w;
-        t_next;
+        Image.ints_of_array [| s.n; s.scales; c.max_hops; c.header_bits |];
+        s.label_first;
+        s.label_rest;
+        s.ring_off;
+        s.ring_node;
+        s.z_run;
+        s.z_y;
+        s.z_z;
+        tb.First_hop.t_off;
+        tb.t_w;
+        tb.t_next;
       |];
-    fsecs = [| t_cost |];
+    fsecs = [| tb.t_cost |];
   }
 
 let freeze_labelled (e : Ron_routing.Labelled.export) =
   let open Ron_routing.Labelled in
   let nbr_off, nbr = flat_ints e.x_nbrs in
-  let t_off, t_w, t_next, t_cost = flat_table e.x_table in
+  let tb = e.x_table in
   {
     Image.scheme = tag_labelled;
     isecs =
@@ -343,12 +292,12 @@ let freeze_labelled (e : Ron_routing.Labelled.export) =
            Image.ints_of_array e.x_header_bits;
            nbr_off;
            nbr;
-           t_off;
-           t_w;
-           t_next;
+           tb.First_hop.t_off;
+           tb.t_w;
+           tb.t_next;
          ]
         @ dls_isecs e.x_dls);
-    fsecs = [| t_cost; e.x_dls.Ron_labeling.Dls.d_val |];
+    fsecs = [| tb.t_cost; e.x_dls.Ron_labeling.Dls.d_val |];
   }
 
 let freeze_two_mode (e : Ron_routing.Two_mode.export) =
@@ -419,8 +368,98 @@ let freeze_landmark (c : Ron_labeling.Landmark.cols) =
 
 let ( let* ) = Result.bind
 
-(* Every section count and meta length is checked before any meta read;
-   the offsets and node ids inside the sections are trusted. *)
+(* First index in [i, hi) failing [ok], or -1. *)
+let rec find_bad ok i hi = if i >= hi then -1 else if ok i then find_bad ok (i + 1) hi else i
+
+(* The Basic view's structural check, O(size), run before it serves. After
+   it, every unchecked read of the route loop ([Structure.decode],
+   [Structure.member], [First_hop.find] and the entry reads) is in bounds:
+   lengths agree with the meta section, offsets run from 0 to their
+   column's end, ids are nodes, each z of zeta_uj is a position in ring
+   [(u, j + 1)], and each label's first index is in every ring 0. *)
+let check_basic (c : Basic.cols) =
+  let s = c.Basic.st and tb = c.Basic.table and dim = A1.dim in
+  let n = s.Structure.n and scales = s.Structure.scales in
+  let rest = dim s.Structure.label_rest in
+  let bad sec fmt =
+    Printf.ksprintf (fun m -> Error (Printf.sprintf "basic image: %s: %s" sec m)) fmt
+  in
+  let all check l = List.fold_left (fun r x -> Result.bind r (fun () -> check x)) (Ok ()) l in
+  let length (sec, got, want) =
+    if got = want then Ok () else bad sec "%d entries, expected %d" got want
+  in
+  let offsets (sec, (off : ints), last) =
+    let k = dim off - 1 in
+    if off.{0} = 0 && off.{k} = last && find_bad (fun i -> off.{i} <= off.{i + 1}) 0 k < 0
+    then Ok ()
+    else bad sec "offsets do not rise from 0 to %d" last
+  in
+  let in_range sec (a : ints) hi =
+    match find_bad (fun i -> a.{i} >= 0 && a.{i} < hi) 0 (dim a) with
+    | -1 -> Ok ()
+    | i -> bad sec "entry %d is %d, outside [0, %d)" i a.{i} hi
+  in
+  (* Ring r = (u, j)'s rows span [z_run.{ring_off.{r}}, z_run.{ring_off.{r+1}}),
+     and their z are positions in ring r + 1. *)
+  let rec zetas r =
+    if r >= n * scales then Ok ()
+    else if r mod scales = scales - 1 then zetas (r + 1)
+    else begin
+      let size = s.ring_off.{r + 2} - s.ring_off.{r + 1} in
+      let ok e = s.z_z.{e} >= 0 && s.z_z.{e} < size in
+      match find_bad ok s.z_run.{s.ring_off.{r}} s.z_run.{s.ring_off.{r + 1}} with
+      | -1 -> zetas (r + 1)
+      | e ->
+        bad "z_z" "entry %d is %d, outside ring %d of node %d" e s.z_z.{e}
+          ((r mod scales) + 1) (r / scales)
+    end
+  in
+  let* () =
+    if n >= 1 && scales >= 1 && c.max_hops >= 0 && c.max_hops <= Basic.hop_budget n then Ok ()
+    else
+      bad "meta" "n %d, scales %d, max_hops %d (budget %d)" n scales c.max_hops
+        (Basic.hop_budget n)
+  in
+  let* () =
+    all length
+      [
+        ("label_first", dim s.label_first, n);
+        ("ring_off", dim s.ring_off, rest + n + 1);
+        ("z_run", dim s.z_run, dim s.ring_node + 1);
+        ("z_z", dim s.z_z, dim s.z_y);
+        ("t_off", dim tb.First_hop.t_off, n + 1);
+        ("t_next", dim tb.t_next, dim tb.t_w);
+        ("t_cost", dim tb.t_cost, dim tb.t_w);
+      ]
+  in
+  (* n * (scales - 1), compared without overflow. *)
+  let* () =
+    if rest mod n = 0 && rest / n = scales - 1 then Ok ()
+    else bad "label_rest" "%d entries, expected %d * %d" rest n (scales - 1)
+  in
+  let* () =
+    all offsets
+      [
+        ("ring_off", s.ring_off, dim s.ring_node);
+        ("z_run", s.z_run, dim s.z_y);
+        ("t_off", tb.t_off, dim tb.t_w);
+      ]
+  in
+  let* () =
+    all
+      (fun (sec, a) -> in_range sec a n)
+      [ ("ring_node", s.ring_node); ("t_w", tb.t_w); ("t_next", tb.t_next) ]
+  in
+  let* () = zetas 0 in
+  let* () = in_range "label_first" s.label_first (Structure.first_bound s) in
+  let cost_ok e = Float.is_finite tb.t_cost.{e} && tb.t_cost.{e} >= 0.0 in
+  match find_bad cost_ok 0 (dim tb.t_cost) with
+  | -1 -> Ok ()
+  | e -> bad "t_cost" "entry %d is %g, not a finite cost >= 0" e tb.t_cost.{e}
+
+(* Every section count and meta length is checked before any meta read.
+   The Basic view is checked structurally as well; the other views' offsets
+   and node ids are trusted. *)
 let of_image (img : Image.t) =
   let i = img.Image.isecs and f = img.Image.fsecs in
   let need ni nf what =
@@ -439,28 +478,29 @@ let of_image (img : Image.t) =
   let view v = Ok { img; view = v } in
   match img.Image.scheme with
   | 1 ->
-    let* () = need 13 1 "basic" in
-    let* meta = meta "basic" 3 in
-    view
-      (Basic
-         {
-           bn = ig meta 0;
-           bscales = ig meta 1;
-           bmax_hops = ig meta 2;
-           bhb = i.(1);
-           blabel_first = i.(2);
-           blabel_rest = i.(3);
-           benum_off = i.(4);
-           benum_node = i.(5);
-           bz_off = i.(6);
-           bz_x = i.(7);
-           bz_y = i.(8);
-           bz_z = i.(9);
-           bt_off = i.(10);
-           bt_w = i.(11);
-           bt_next = i.(12);
-           bt_cost = f.(0);
-         })
+    let* () = need 11 1 "basic" in
+    let* meta = meta "basic" 4 in
+    let c =
+      {
+        Basic.st =
+          {
+            Structure.n = ig meta 0;
+            scales = ig meta 1;
+            label_first = i.(1);
+            label_rest = i.(2);
+            ring_off = i.(3);
+            ring_node = i.(4);
+            z_run = i.(5);
+            z_y = i.(6);
+            z_z = i.(7);
+          };
+        table = { First_hop.t_off = i.(8); t_w = i.(9); t_next = i.(10); t_cost = f.(0) };
+        max_hops = ig meta 2;
+        header_bits = ig meta 3;
+      }
+    in
+    let* () = check_basic c in
+    view (Basic c)
   | 2 ->
     let* () = need 15 2 "labelled" in
     let* meta = meta "labelled" 2 in
@@ -473,10 +513,7 @@ let of_image (img : Image.t) =
            lhb = i.(1);
            lnbr_off = i.(2);
            lnbr = i.(3);
-           lt_off = i.(4);
-           lt_w = i.(5);
-           lt_next = i.(6);
-           lt_cost = f.(0);
+           ltable = { First_hop.t_off = i.(4); t_w = i.(5); t_next = i.(6); t_cost = f.(0) };
            ldls;
          })
   | 3 ->
@@ -554,17 +591,6 @@ let load file =
 
 (* ------------------------------------------------------------ Basic route *)
 
-(* Index of [w] in the sorted CSR run [s, e) of [tw], or -1. *)
-let rec tbl_find (tw : ints) s e w =
-  if s >= e then -1
-  else begin
-    let mid = (s + e) / 2 in
-    let mw = ig tw mid in
-    if mw < w then tbl_find tw (mid + 1) e w
-    else if mw = w then mid
-    else tbl_find tw s mid w
-  end
-
 (* Append a visited node to the hop trace; counting continues past the
    buffer so the recorder can tell a truncated trace from a full one. *)
 let[@inline] log_hop sc node =
@@ -578,31 +604,10 @@ let[@inline] finish sc code hops aux =
   sc.r_hops <- hops;
   sc.r_aux <- aux
 
-(* Walk dst's zooming label through u's translation maps level by level,
-   exactly like [Zooming.decode_walk]; fills sc.m and returns jut, the
-   last valid index. *)
-let rec basic_walk fb sc ~u ~dst sm1 j mm =
-  if j >= sm1 then j
-  else begin
-    let y = ig fb.blabel_rest ((dst * sm1) + j) in
-    let s = ig fb.bz_off ((u * sm1) + j) and e = ig fb.bz_off ((u * sm1) + j + 1) in
-    let z = z_find fb.bz_x fb.bz_y fb.bz_z s e mm y in
-    if z < 0 then j
-    else begin
-      sc.m.(j + 1) <- z;
-      basic_walk fb sc ~u ~dst sm1 (j + 1) z
-    end
-  end
-
-let basic_decode fb sc ~u ~dst =
-  let first = ig fb.blabel_first dst in
-  sc.m.(0) <- first;
-  basic_walk fb sc ~u ~dst (fb.bscales - 1) 0 first
-
 (* [Scheme.simulate]'s Brent loop with the Basic header state reduced to
    its varying [level] field (-1 = None): per hop, cycle check first, then
    checkpoint refresh at power-of-two hop counts, then the step. *)
-let rec basic_go fb sc ~dst ~hb node level saved_node saved_level power hops =
+let rec basic_go (b : Basic.cols) sc ~dst ~hb node level saved_node saved_level power hops =
   if hops > 0 && node = saved_node && level = saved_level then
     finish sc code_cycled hops hb
   else begin
@@ -612,36 +617,22 @@ let rec basic_go fb sc ~dst ~hb node level saved_node saved_level power hops =
     let power = if refresh then 2 * power else power in
     if node = dst then finish sc code_delivered hops hb
     else begin
-      let jut = basic_decode fb sc ~u:node ~dst in
-      let j =
-        if level = -1 then jut
-        else if level > jut then failwith "Serve.basic: Claim 2.4(b) violated (j > j_ut)"
-        else begin
-          let w =
-            ig fb.benum_node (ig fb.benum_off ((node * fb.bscales) + level) + sc.m.(level))
-          in
-          if w = node then jut (* node is the intermediate target: re-zoom *) else level
-        end
-      in
-      let w = ig fb.benum_node (ig fb.benum_off ((node * fb.bscales) + j) + sc.m.(j)) in
-      if w = node then
-        failwith "Serve.basic: intermediate target equals current node (invariant broken)";
-      let e = tbl_find fb.bt_w (ig fb.bt_off node) (ig fb.bt_off (node + 1)) w in
-      if e < 0 then failwith "Serve.basic: no first-hop pointer to intermediate target";
-      let next = ig fb.bt_next e in
+      let j = Basic.target_level b b.Basic.st dst sc.m node level in
+      let e = Basic.hop_entry b node sc.m j in
+      let next = ig b.Basic.table.First_hop.t_next e in
       if next = node then finish sc code_self_forward hops hb
-      else if hops >= fb.bmax_hops then finish sc code_truncated hops hb
+      else if hops >= b.Basic.max_hops then finish sc code_truncated hops hb
       else begin
-        sc.fbuf.(2) <- sc.fbuf.(2) +. fg fb.bt_cost e;
+        sc.fbuf.(2) <- sc.fbuf.(2) +. fg b.Basic.table.First_hop.t_cost e;
         log_hop sc next;
-        basic_go fb sc ~dst ~hb next j saved_node saved_level power (hops + 1)
+        basic_go b sc ~dst ~hb next j saved_node saved_level power (hops + 1)
       end
     end
   end
 
-let basic_route fb sc ~src ~dst =
+let basic_route (b : Basic.cols) sc ~src ~dst =
   sc.fbuf.(2) <- 0.0;
-  basic_go fb sc ~dst ~hb:(ig fb.bhb dst) src (-1) src (-1) 1 0
+  basic_go b sc ~dst ~hb:b.Basic.header_bits src (-1) src (-1) 1 0
 
 (* --------------------------------------------------------- Labelled route *)
 
@@ -697,13 +688,13 @@ let rec lab_go fl sc ~dst ~hb node inter saved_node saved_inter power hops =
         end
         else inter
       in
-      let e = tbl_find fl.lt_w (ig fl.lt_off node) (ig fl.lt_off (node + 1)) target in
+      let e = First_hop.find fl.ltable node target in
       if e < 0 then failwith "Serve.labelled: intermediate target is not a neighbor";
-      let next = ig fl.lt_next e in
+      let next = ig fl.ltable.First_hop.t_next e in
       if next = node then finish sc code_self_forward hops hb
       else if hops >= fl.lmax_hops then finish sc code_truncated hops hb
       else begin
-        sc.fbuf.(2) <- sc.fbuf.(2) +. fg fl.lt_cost e;
+        sc.fbuf.(2) <- sc.fbuf.(2) +. fg fl.ltable.First_hop.t_cost e;
         log_hop sc next;
         lab_go fl sc ~dst ~hb next target saved_node saved_inter power (hops + 1)
       end

@@ -3,9 +3,10 @@
     A constructed scheme is exported, packed into an {!Image.t} (Bigarray
     sections, int-indexed, string-free), and served through flat views.
     Distance estimates run the schemes' own estimators on the mapped
-    columns; the route and locate loops replicate the live step functions
-    and [Scheme.simulate]'s Brent cycle detection operation for operation
-    — frozen results are byte-identical to the live scheme's. The hot path
+    columns, and Basic routes take the live scheme's own hops; the route
+    and locate loops replicate [Scheme.simulate]'s Brent cycle detection
+    and the rest of the live step functions operation for operation —
+    frozen results are byte-identical to the live scheme's. The hot path
     is zero-allocation in steady state: all per-query mutable state lives
     in a preallocated per-domain {!scratch}, results land in its
     registers, and no hot function passes or returns a float. *)
@@ -46,13 +47,13 @@ type scratch = {
 
 type t
 
-val freeze_basic : Ron_routing.Basic.export -> Image.t
+val freeze_basic : Ron_routing.Basic.cols -> Image.t
 val freeze_labelled : Ron_routing.Labelled.export -> Image.t
 val freeze_two_mode : Ron_routing.Two_mode.export -> Image.t
 val freeze_meridian : Ron_smallworld.Meridian.export -> Image.t
 val freeze_landmark : Ron_labeling.Landmark.cols -> Image.t
 
-val freeze_basic_t : Ron_routing.Basic.export -> t
+val freeze_basic_t : Ron_routing.Basic.cols -> t
 val freeze_labelled_t : Ron_routing.Labelled.export -> t
 val freeze_two_mode_t : Ron_routing.Two_mode.export -> t
 val freeze_meridian_t : Ron_smallworld.Meridian.export -> t
@@ -61,7 +62,11 @@ val freeze_landmark_t : Ron_labeling.Landmark.cols -> t
 val of_image : Image.t -> (t, string) result
 (** Wrap an image's sections — zero-copy — into a server, validating the
     scheme tag, the per-scheme section counts and the length of every meta
-    section before reading it; [Error] names the scheme. *)
+    section before reading it; [Error] names the scheme. A Basic image is
+    also checked in O(size) — section lengths against the meta section,
+    offsets, node ids, ζ positions, label first indices, finite costs and
+    the hop budget — so that its unchecked reads stay in bounds; its
+    [Error] also names the section. *)
 
 val load : string -> (t, string) result
 (** [Image.load] followed by {!of_image}. *)

@@ -168,13 +168,13 @@ let test_zooming_encode_decode () =
   check_bool "rest" (enc.Zooming.rest = [| 2; 3 |]);
   (* Translation: m_{j+1} = m_j * 10 + y. *)
   let translate _j ~x ~y = (x * 10) + y in
-  let m = Zooming.decode_walk ~translate enc in
+  let m = Zeta_oracle.decode_walk ~translate enc in
   check_bool "walk" (m = [| 0; 2; 23 |])
 
 let test_zooming_walk_stops_at_null () =
   let enc = { Zooming.first = 1; rest = [| 5; 6; 7 |] } in
   let translate j ~x ~y = if j < 2 then x + y else -1 in
-  let m = Zooming.decode_walk ~translate enc in
+  let m = Zeta_oracle.decode_walk ~translate enc in
   check_bool "stops at null" (m = [| 1; 6; 12 |])
 
 let test_zooming_encode_rejects_gap () =
@@ -247,7 +247,7 @@ let test_zooming_on_grid_via_rings () =
   (* Ring 0 is the same set for every node, but enumeration order may differ;
      align the first index to u's enumeration (canonical share). *)
   let enc = { enc with Zooming.first = Option.get (index u 0 f.(0)) } in
-  let m = Zooming.decode_walk ~translate enc in
+  let m = Zeta_oracle.decode_walk ~translate enc in
   (* The walk recovers a prefix of the zooming sequence in u's coordinates. *)
   check_bool "prefix nonempty" (Array.length m >= 1);
   Array.iteri

@@ -403,6 +403,8 @@ let test_basic_build_reads_no_ring_probes () =
 
 module Structure = Ron_routing.Structure
 module Pool = Ron_util.Pool
+module Probe = Ron_obs.Probe
+module Counter = Ron_obs.Counter
 
 let structure_at ~jobs idx ~delta =
   Pool.set_default_jobs (Some jobs);
@@ -410,36 +412,51 @@ let structure_at ~jobs idx ~delta =
     ~finally:(fun () -> Pool.set_default_jobs None)
     (fun () -> Structure.build idx ~delta)
 
-let columns (st : Structure.t) =
-  Zeta_oracle.of_columns st.Structure.z_off st.Structure.z_x st.Structure.z_y st.Structure.z_z
-
-(* The flat translation columns against the hash-join reference: equal
-   segment by segment, equal at 1 and 2 domains, and decoding the same
-   zooming prefixes for random (u, t). *)
+(* The flat rows against the hash-join reference: equal segment by
+   segment, all columns equal at 1 and 2 domains, and [Structure.decode]
+   recovering the same zooming prefixes as the oracle's walk (over the hash
+   tables and over the rows) for random (u, t), charging the probes one
+   zoom step and one translation lookup per step of the walk. *)
 let zetas_match_oracle idx ~delta ~seed =
   let st = structure_at ~jobs:1 idx ~delta in
   let st2 = structure_at ~jobs:2 idx ~delta in
-  let oracle = Zeta_oracle.build st.Structure.rings ~scales:st.Structure.scales in
+  let c = st.Structure.cols and c2 = st2.Structure.cols in
+  let scales = c.Structure.scales in
+  let oracle = Zeta_oracle.build st.Structure.rings ~scales in
   let n = Indexed.size idx in
   let rng = Rng.create seed in
+  let m = Array.make scales (-1) in
+  let decode c u t = Array.sub m 0 (Structure.decode c u c t m + 1) in
   let decodes_agree = ref true in
   for _ = 1 to 40 do
     let u = Rng.int rng n and t = Rng.int rng n in
-    let label = st.Structure.labels.(t) in
-    let m = Zeta_oracle.decode oracle u label in
-    if Structure.decode st u label <> m || Structure.decode st2 u label <> m then
-      decodes_agree := false
+    let label = Zeta_oracle.label_of c t in
+    let want = Zeta_oracle.decode oracle u label in
+    let steps0 = Counter.value Probe.zoom_decode_steps in
+    let lookups0 = Counter.value Probe.translation_lookups in
+    let was_on = !Probe.on in
+    Probe.on := true;
+    let got = Fun.protect ~finally:(fun () -> Probe.on := was_on) (fun () -> decode c u t) in
+    let walk_steps = min (Array.length want) (scales - 1) in
+    if
+      got <> want
+      || decode c2 u t <> want
+      || Zeta_oracle.decode_rows c u label <> want
+      || Counter.value Probe.zoom_decode_steps - steps0 <> walk_steps
+      || Counter.value Probe.translation_lookups - lookups0 <> walk_steps
+    then decodes_agree := false
   done;
-  columns st = Zeta_oracle.segments oracle && columns st2 = columns st && !decodes_agree
+  Zeta_oracle.of_rows c = Zeta_oracle.segments oracle && c2 = c && !decodes_agree
 
 (* Sparse translation-table bits: three ring indices per stored triple,
    counted against the hash-join oracle's triples, and never more than
    the dense table's (scales-1) * K^2 entries. *)
 let test_translation_bits () =
   let st = Structure.build (Indexed.create (Sp_metric.metric (Lazy.force grid))) ~delta:0.25 in
-  let oracle = Zeta_oracle.build st.Structure.rings ~scales:st.Structure.scales in
+  let scales = st.Structure.cols.Structure.scales in
+  let oracle = Zeta_oracle.build st.Structure.rings ~scales in
   let segs = Zeta_oracle.segments oracle in
-  let sm1 = st.Structure.scales - 1 in
+  let sm1 = scales - 1 in
   for u = 0 to Indexed.size st.Structure.idx - 1 do
     let triples = ref 0 in
     for j = 0 to sm1 - 1 do

@@ -33,22 +33,182 @@ let workload_for t ~queries =
 
 (* ---------------------------------------- basic image vs join oracle *)
 
-(* The Basic image freezes the translation columns (int sections 6-9) as
-   Structure built them; read back per segment, they must equal the
-   hash-join oracle's sorted triples. *)
+module A1 = Bigarray.Array1
+module Basic = Ron_routing.Basic
+module Structure = Ron_routing.Structure
+module Rings = Ron_core.Rings
+
+(* The Basic image's structure sections, read back as columns. *)
+let basic_cols (img : Image.t) =
+  let sec k = img.Image.isecs.(k) in
+  {
+    Structure.n = A1.get (sec 0) 0;
+    scales = A1.get (sec 0) 1;
+    label_first = sec 1;
+    label_rest = sec 2;
+    ring_off = sec 3;
+    ring_node = sec 4;
+    z_run = sec 5;
+    z_y = sec 6;
+    z_z = sec 7;
+  }
+
+(* The Basic image freezes the rows of every zeta as Structure built them
+   (int sections 5-7 over the ring offsets, section 3); read back per
+   segment, they must equal the hash-join oracle's sorted triples. The
+   ring sections must list the rings' members, and every label must decode
+   at every node as the oracle's walk decodes it. *)
 let test_basic_image_matches_oracle () =
   let s =
     match Fixture.build_live ~scheme:"basic" ~n:100 ~seed:5 with
     | Fixture.L_basic s -> s
     | _ -> assert false
   in
-  let img = Server.freeze_basic (Ron_routing.Basic.export s) in
-  let oracle =
-    Zeta_oracle.build (Ron_routing.Basic.rings_collection s) ~scales:(Ron_routing.Basic.scales s)
-  in
-  let sec k = img.Image.isecs.(6 + k) in
-  check_bool "int sections 6-9"
-    (Zeta_oracle.of_columns (sec 0) (sec 1) (sec 2) (sec 3) = Zeta_oracle.segments oracle)
+  let img = Server.freeze_basic (Basic.export s) in
+  let rings = Basic.rings_collection s in
+  let oracle = Zeta_oracle.build rings ~scales:(Basic.scales s) in
+  let c = basic_cols img in
+  check_bool "int sections 3, 5-7" (Zeta_oracle.of_rows c = Zeta_oracle.segments oracle);
+  let scales = c.Structure.scales in
+  let m = Array.make scales 0 in
+  for u = 0 to c.Structure.n - 1 do
+    for j = 0 to scales - 1 do
+      let r = (u * scales) + j in
+      let lo = A1.get c.Structure.ring_off r in
+      check_bool "int sections 3-4"
+        (Array.init (A1.get c.Structure.ring_off (r + 1) - lo) (fun x ->
+             A1.get c.Structure.ring_node (lo + x))
+        = (Rings.rings_of rings u).(j).Rings.members)
+    done;
+    for t = 0 to c.Structure.n - 1 do
+      let jut = Structure.decode c u c t m in
+      check_bool "int sections 1-2 decode"
+        (Array.sub m 0 (jut + 1) = Zeta_oracle.decode oracle u (Zeta_oracle.label_of c t))
+    done
+  done
+
+(* ------------------------------------------------ basic image validation *)
+
+(* A crafted Basic image passes the checksums once saved, so [of_image]
+   checks its structure: each mutation below must load as an [Error] that
+   names the scheme and the section. Sections are shared with the live
+   scheme, so each mutation works on a copy. *)
+let basic_image = lazy (Server.image (Fixture.build ~scheme:"basic" ~n:64 ~seed:5))
+
+let copy_ints (a : Image.ints) =
+  let b = Image.ints_create (A1.dim a) in
+  A1.blit a b;
+  b
+
+let with_isec k f =
+  let img = Lazy.force basic_image in
+  let a = copy_ints img.Image.isecs.(k) in
+  f a;
+  { img with Image.isecs = Array.mapi (fun j s -> if j = k then a else s) img.Image.isecs }
+
+let expect_rejected section img =
+  match Server.of_image img with
+  | Ok _ -> Alcotest.failf "basic image with a bad %s accepted" section
+  | Error e ->
+    check_bool
+      (Printf.sprintf "error names basic and %s: %s" section e)
+      (contains e "basic" && contains e section)
+
+(* Sections: 0 meta (n, scales, max_hops, header bits), 1 label_first,
+   2 label_rest, 3 ring_off, 4 ring_node, 5 z_run, 6 z_y, 7 z_z, 8 t_off,
+   9 t_w, 10 t_next; float 0 t_cost. *)
+let basic_mutations =
+  let ring_size (off : Image.ints) r = A1.get off (r + 1) - A1.get off r in
+  [
+    ( "intact image loads",
+      fun () ->
+        let img = Lazy.force basic_image in
+        check_bool "of_image" (Result.is_ok (Server.of_image img));
+        let file = Filename.temp_file "ron_serve_test" ".snap" in
+        Image.save img file;
+        let loaded = Server.load file in
+        Sys.remove file;
+        check_bool "saved and loaded" (Result.is_ok loaded) );
+    ( "meta n disagrees with section lengths",
+      fun () ->
+        expect_rejected "label_first" (with_isec 0 (fun a -> A1.set a 0 (A1.get a 0 + 1))) );
+    ( "meta scales disagrees with section lengths",
+      fun () ->
+        expect_rejected "label_rest" (with_isec 0 (fun a -> A1.set a 1 (A1.get a 1 + 1))) );
+    ( "max_hops unbounded",
+      fun () -> expect_rejected "max_hops" (with_isec 0 (fun a -> A1.set a 2 max_int)) );
+    ( "ring_off not monotone",
+      fun () ->
+        expect_rejected "ring_off" (with_isec 3 (fun a -> A1.set a 5 (A1.get a 6 + 1))) );
+    ( "z_run entries after the first out of range",
+      fun () ->
+        expect_rejected "z_run"
+          (with_isec 5 (fun a -> A1.fill (A1.sub a 1 (A1.dim a - 1)) (1 lsl 40))) );
+    ( "t_off not ending at the table",
+      fun () ->
+        expect_rejected "t_off" (with_isec 8 (fun a -> A1.set a (A1.dim a - 1) (1 lsl 40))) );
+    ( "ring member not a node",
+      fun () ->
+        let n = A1.get (Lazy.force basic_image).Image.isecs.(0) 0 in
+        expect_rejected "ring_node" (with_isec 4 (fun a -> A1.set a 0 n)) );
+    ( "table target not a node",
+      fun () -> expect_rejected "t_w" (with_isec 9 (fun a -> A1.set a 0 (-1))) );
+    ( "every next hop 2^40, saved with valid checksums",
+      fun () ->
+        let img = with_isec 10 (fun a -> A1.fill a (1 lsl 40)) in
+        let file = Filename.temp_file "ron_serve_test" ".snap" in
+        Image.save img file;
+        let loaded = Server.load file in
+        Sys.remove file;
+        match loaded with
+        | Ok _ -> Alcotest.fail "basic image with bad t_next loaded"
+        | Error e ->
+          check_bool ("error names basic and t_next: " ^ e)
+            (contains e "basic" && contains e "t_next") );
+    ( "z outside the next ring",
+      fun () ->
+        (* Entry 0 belongs to the first ring r with rows; its z indexes
+           ring r + 1, so that ring's size is the first bad value. *)
+        let img = Lazy.force basic_image in
+        let off = img.Image.isecs.(3) and run = img.Image.isecs.(5) in
+        let rec first_ring r =
+          if A1.get run (A1.get off (r + 1)) > 0 then r else first_ring (r + 1)
+        in
+        let size = ring_size off (first_ring 0 + 1) in
+        expect_rejected "z_z" (with_isec 7 (fun a -> A1.set a 0 size)) );
+    ( "label first index outside ring 0",
+      fun () ->
+        let img = Lazy.force basic_image in
+        let size = ring_size img.Image.isecs.(3) 0 in
+        expect_rejected "label_first" (with_isec 1 (fun a -> A1.set a 0 size)) );
+    ( "non-finite and negative costs",
+      fun () ->
+        List.iter
+          (fun bad ->
+            let img = Lazy.force basic_image in
+            let c = Image.floats_create (A1.dim img.Image.fsecs.(0)) in
+            A1.blit img.Image.fsecs.(0) c;
+            A1.set c 0 bad;
+            expect_rejected "t_cost" { img with Image.fsecs = [| c |] })
+          [ nan; infinity; -1.0 ] );
+    ( "parent layout rejected",
+      fun () ->
+        (* The previous layout: a 3-entry meta, a per-destination header
+           bits section, and z_off/z_x columns before z_y/z_z. *)
+        let img = Lazy.force basic_image in
+        let i = img.Image.isecs in
+        let n = A1.get i.(0) 0 in
+        let old =
+          [|
+            Image.ints_of_array [| n; A1.get i.(0) 1; A1.get i.(0) 2 |];
+            Image.ints_of_array (Array.make n (A1.get i.(0) 3));
+            i.(1); i.(2); i.(3); i.(4);
+            Image.ints_create 0; Image.ints_create 0;
+            i.(6); i.(7); i.(8); i.(9); i.(10);
+          |]
+        in
+        expect_rejected "basic" { img with Image.isecs = old } );
+  ]
 
 (* ------------------------------------------- frozen vs live, per query *)
 
@@ -104,12 +264,12 @@ let size_range = function
   | "two_mode" -> (20, 64)
   | _ -> (16, 100)
 
-let prop_matches_live scheme =
-  let lo, hi = size_range scheme in
-  QCheck.Test.make ~name:scheme ~count:4
+let prop_matches_live ?(name = "") ?size ?(build = Fixture.build_live) scheme =
+  let lo, hi = Option.value size ~default:(size_range scheme) in
+  QCheck.Test.make ~name:(scheme ^ name) ~count:4
     QCheck.(pair (int_range lo hi) (int_range 1 1000))
     (fun (n, seed) ->
-      let live = Fixture.build_live ~scheme ~n ~seed in
+      let live = build ~scheme ~n ~seed in
       let t = Fixture.freeze live in
       let queries = if scheme = "labelled" then 60 else 200 in
       let work = Loop.prepare t ~seed ~queries ~zipf_s:1.1 ~route_frac:0.6 ~dist_frac:0.3 in
@@ -123,6 +283,22 @@ let prop_matches_live scheme =
         | Some e -> QCheck.Test.fail_report e
       in
       go 0)
+
+(* Basic beyond the fixture's grids, where every node's rings look alike:
+   random geometric graphs, and the exponential-line graph, which has the
+   most scales. *)
+let basic_on graph ~scheme:_ ~n ~seed =
+  Fixture.L_basic (Basic.build (Ron_graph.Sp_metric.create (graph ~n ~seed)) ~delta:0.25)
+
+let basic_families =
+  [
+    prop_matches_live "basic" ~name:" on random geometric graphs"
+      ~build:
+        (basic_on (fun ~n ~seed ->
+             Ron_graph.Graph_gen.random_geometric (Ron_util.Rng.create seed) ~n ~radius:0.3));
+    prop_matches_live "basic" ~name:" on the exponential line" ~size:(8, 40)
+      ~build:(basic_on (fun ~n ~seed:_ -> Ron_graph.Graph_gen.exponential_line_graph n));
+  ]
 
 (* --------------------------------------- round-trip and jobs invariance *)
 
@@ -262,12 +438,15 @@ let () =
   Alcotest.run "ron_serve"
     [
       ("frozen matches live",
-       per_scheme (fun s -> QCheck_alcotest.to_alcotest (prop_matches_live s)));
+       List.map QCheck_alcotest.to_alcotest
+         (List.map (fun s -> prop_matches_live s) Fixture.names @ basic_families));
       ("snapshot round-trip",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_roundtrip s)));
       ("basic image",
        [ Alcotest.test_case "zeta sections match the join oracle" `Quick
            test_basic_image_matches_oracle ]);
+      ("basic validation",
+       List.map (fun (name, f) -> Alcotest.test_case name `Quick f) basic_mutations);
       ("corruption",
        [
          Alcotest.test_case "checksum flip rejected" `Quick test_corrupt_rejected;

@@ -170,6 +170,28 @@ let test_basic_label_wire_matches_accounting () =
     check_int "wire = accounting" acc.(dst) bits
   done
 
+(* A label whose fields are out of range is rejected at deserialization,
+   naming the field, before any routing reads it: on the 8x8 grid an
+   all-ones label names a node (63) but no ring-0 position; on the 6x6 grid
+   its 6-bit target (63) names no node. *)
+let test_basic_label_out_of_range_rejected () =
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  let rejects side field =
+    let b = Basic.build (Sp_metric.create (Graph_gen.grid side side)) ~delta:0.25 in
+    let (bytes, _) = Basic.serialize_label b 0 in
+    match Basic.deserialize_label b (Bytes.make (Bytes.length bytes) '\xff') with
+    | _ -> Alcotest.failf "%dx%d all-ones label accepted" side side
+    | exception Invalid_argument msg ->
+      check_bool (Printf.sprintf "%dx%d error names the %s: %s" side side field msg)
+        (contains msg field)
+  in
+  rejects 8 "first index";
+  rejects 6 "target"
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ron_wire"
@@ -194,5 +216,7 @@ let () =
         [
           Alcotest.test_case "routes from wire labels" `Slow test_basic_label_roundtrip_routes;
           Alcotest.test_case "wire = accounting" `Quick test_basic_label_wire_matches_accounting;
+          Alcotest.test_case "out-of-range label rejected" `Quick
+            test_basic_label_out_of_range_rejected;
         ] );
     ]

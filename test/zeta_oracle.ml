@@ -1,10 +1,11 @@
-(* Reference implementation of the Theorem 2.1 translation functions: the
-   hash-based join the library used before it built them flat. Each ring
-   gets a hashed host enumeration; for every f in ring j of u and every w
-   in ring j+1 of u, w's index in f's ring j+1 is probed and each hit is
+(* Reference implementation of the Theorem 2.1 translation functions and
+   of their decoder: the hash-based join the library used before it built
+   them flat, and the Claim 2.2 walk it decoded labels with. Each ring gets
+   a hashed host enumeration; for every f in ring j of u and every w in
+   ring j+1 of u, w's index in f's ring j+1 is probed and each hit is
    stored in a hashed (x, y) -> z table; the export then sorts each
-   table's triples by (x, y). Tests hold the flat columns of [Structure]
-   and the Basic snapshot to it. *)
+   table's triples by (x, y). Tests hold the flat rows of [Structure], the
+   Basic snapshot and [Structure.decode] to it. *)
 
 module Rings = Ron_core.Rings
 module Zooming = Ron_core.Zooming
@@ -48,11 +49,75 @@ let sorted_triples z =
    [u * (scales - 1) + j]. *)
 let segments t = Array.concat (Array.to_list (Array.map (Array.map sorted_triples) t.zetas))
 
+(* The Claim 2.2 walk: [m_0 = enc.first]; [m_(j+1) = translate j ~x:m_j
+   ~y:enc.rest.(j)]; the walk stops at the first null, which [translate]
+   signals with a negative value. Returns [m_0 .. m_jmax]. *)
+let decode_walk ~translate (enc : Zooming.encoded) =
+  let acc = ref [ enc.Zooming.first ] in
+  let m = ref enc.Zooming.first in
+  let continue = ref true in
+  let j = ref 0 in
+  while !continue && !j < Array.length enc.Zooming.rest do
+    let next = translate !j ~x:!m ~y:enc.Zooming.rest.(!j) in
+    if next < 0 then continue := false
+    else begin
+      acc := next :: !acc;
+      m := next;
+      incr j
+    end
+  done;
+  Array.of_list (List.rev !acc)
+
 let decode t u label =
-  Zooming.decode_walk
+  decode_walk
     ~translate:(fun j ~x ~y ->
       match Hashtbl.find_opt t.zetas.(u).(j) (x, y) with Some z -> z | None -> -1)
     label
+
+module Structure = Ron_routing.Structure
+
+(* Row [t] of a label set, as the encoded label the walk reads. *)
+let label_of (c : Structure.cols) t =
+  let sm1 = c.Structure.scales - 1 in
+  {
+    Zooming.first = c.Structure.label_first.{t};
+    rest = Array.init sm1 (fun j -> c.Structure.label_rest.{(t * sm1) + j});
+  }
+
+(* The walk over the flat rows, with checked reads and a linear scan:
+   zeta_uj(x, y) is the z of y in row x of ring (u, j), or -1. *)
+let decode_rows (c : Structure.cols) u label =
+  decode_walk
+    ~translate:(fun j ~x ~y ->
+      let r = (u * c.Structure.scales) + j in
+      let p = c.Structure.ring_off.{r} + x in
+      if p >= c.Structure.ring_off.{r + 1} then -1
+      else begin
+        let z = ref (-1) in
+        for e = c.Structure.z_run.{p} to c.Structure.z_run.{p + 1} - 1 do
+          if c.Structure.z_y.{e} = y then z := c.Structure.z_z.{e}
+        done;
+        !z
+      end)
+    label
+
+(* The rows of [c] as per-segment (x, y, z) triples, segment (u, j) at
+   [u * (scales - 1) + j], in row order. *)
+let of_rows (c : Structure.cols) =
+  let scales = c.Structure.scales in
+  Array.init
+    (c.Structure.n * (scales - 1))
+    (fun s ->
+      let r = ((s / (scales - 1)) * scales) + (s mod (scales - 1)) in
+      let lo = c.Structure.ring_off.{r} in
+      Array.concat
+        (List.init (c.Structure.ring_off.{r + 1} - lo) (fun x ->
+             let p = lo + x in
+             Array.init
+               (c.Structure.z_run.{p + 1} - c.Structure.z_run.{p})
+               (fun k ->
+                 let e = c.Structure.z_run.{p} + k in
+                 (x, c.Structure.z_y.{e}, c.Structure.z_z.{e})))))
 
 (* The flat columns [(off, xs, ys, zs)] as per-segment triple arrays. *)
 let of_columns (off : (int, _, _) Bigarray.Array1.t) xs ys zs =
