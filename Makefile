@@ -105,12 +105,12 @@ telemetry-smoke: build
 # Zipf-skewed batch workload from it twice — once warm (built in-process,
 # saving the snapshot) and once cold (reloaded from the file) — and assert
 # the two runs produced byte-identical results (same workload digest).
-# RON_JOBS=4 on the cold run doubles as a jobs-invariance check. The DLS
-# snapshots (labelled, two_mode) and the landmark snapshot run the same
-# check, so the columns those schemes build in place round-trip through
-# save and load too; the DLS schemes serve fewer queries, at fixed sizes,
-# because their per-query cost is far higher. Last, a truncated copy of the
-# basic snapshot must be refused with the loader's message and exit 1.
+# RON_JOBS=4 on the cold run doubles as a jobs-invariance check. Every
+# scheme's snapshot runs the check, so the columns each scheme builds
+# round-trip through save and load; the DLS schemes (labelled, two_mode)
+# serve fewer queries, at fixed sizes, because their per-query cost is far
+# higher. Last, a truncated copy of the basic, labelled and two_mode
+# snapshots must each be refused with the loader's message and exit 1.
 SERVE_SMOKE_N ?= 100
 SERVE_SMOKE_QUERIES ?= 20000
 serve-smoke: build
@@ -118,6 +118,7 @@ serve-smoke: build
 	for spec in "basic $(SERVE_SMOKE_N) $(SERVE_SMOKE_QUERIES) ron_serve_smoke" \
 	            "labelled 49 2000 ron_serve_smoke_labelled" \
 	            "two_mode 64 2000 ron_serve_smoke_two_mode" \
+	            "meridian $(SERVE_SMOKE_N) $(SERVE_SMOKE_QUERIES) ron_serve_smoke_meridian" \
 	            "landmark $(SERVE_SMOKE_N) $(SERVE_SMOKE_QUERIES) ron_serve_smoke_landmark"; do \
 	  set -- $$spec; \
 	  dune exec bin/ron_cli.exe -- serve --scheme $$1 -n $$2 --queries $$3 \
@@ -130,15 +131,17 @@ serve-smoke: build
 	    echo "serve-smoke: $$1 warm/cold digests differ ($$warm vs $$cold)"; exit 1; \
 	  else echo "serve-smoke: $$1 warm/cold digests match ($$warm)"; fi; \
 	done; \
-	head -c 4096 /tmp/ron_serve_smoke.snap > /tmp/ron_serve_smoke_truncated.snap; \
-	status=0; \
-	dune exec bin/ron_cli.exe -- serve --load /tmp/ron_serve_smoke_truncated.snap --queries 10 \
-	  2> /tmp/ron_serve_smoke_truncated.txt || status=$$?; \
-	if [ $$status -ne 1 ] || \
-	   ! grep -q 'cannot load snapshot .*truncated' /tmp/ron_serve_smoke_truncated.txt; then \
-	  echo "serve-smoke: truncated snapshot gave exit $$status, expected 1 and the loader's message"; \
-	  cat /tmp/ron_serve_smoke_truncated.txt; exit 1; \
-	else echo "serve-smoke: truncated snapshot rejected with exit 1"; fi
+	for snap in ron_serve_smoke ron_serve_smoke_labelled ron_serve_smoke_two_mode; do \
+	  head -c 4096 /tmp/$$snap.snap > /tmp/$${snap}_truncated.snap; \
+	  status=0; \
+	  dune exec bin/ron_cli.exe -- serve --load /tmp/$${snap}_truncated.snap --queries 10 \
+	    2> /tmp/$${snap}_truncated.txt || status=$$?; \
+	  if [ $$status -ne 1 ] || \
+	     ! grep -q 'cannot load snapshot .*truncated' /tmp/$${snap}_truncated.txt; then \
+	    echo "serve-smoke: truncated $$snap gave exit $$status, expected 1 and the loader's message"; \
+	    cat /tmp/$${snap}_truncated.txt; exit 1; \
+	  else echo "serve-smoke: truncated $$snap rejected with exit 1"; fi; \
+	done
 
 # SLO smoke: serve a batch with the burn-rate monitor, flight recorder,
 # and Prometheus exposition all on; validate the exposition file, render

@@ -496,8 +496,7 @@ let table3 () =
   let n = Indexed.size idx in
   let pairs = Exp_common.sample_pairs (Rng.create 303) ~n ~count:600 in
   let q =
-    (* Two_mode.route counts mode switches in shared state: sequential. *)
-    Exp_common.collect_routes ~parallel:false
+    Exp_common.collect_routes
       ~route:(fun u v -> Ron_routing.Two_mode.route tm ~src:u ~dst:v)
       ~dist:(fun u v -> Indexed.dist idx u v)
       pairs

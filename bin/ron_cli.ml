@@ -286,9 +286,9 @@ let run_route trace metrics profile telemetry telemetry_interval expo jobs famil
   set_jobs jobs;
   with_obs trace metrics profile telemetry telemetry_interval expo @@ fun () ->
   let rng = Rng.create seed in
-  let report ?parallel name route dist max_table header n =
+  let report name route dist max_table header n =
     let prs = Ron_experiments.Exp_common.sample_pairs (Rng.create (seed + 2)) ~n ~count:pairs in
-    let q = Ron_experiments.Exp_common.collect_routes ?parallel ~route ~dist prs in
+    let q = Ron_experiments.Exp_common.collect_routes ~route ~dist prs in
     Printf.printf "%s: table<=%d bits, header<=%d bits\n  %s\n  %s\n" name max_table header
       (Ron_experiments.Exp_common.pp_quality q)
       (Ron_experiments.Exp_common.pp_observed q)
@@ -308,8 +308,7 @@ let run_route trace metrics profile telemetry telemetry_interval expo jobs famil
       end
       else begin
         let s = Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125) in
-        (* Two_mode.route counts mode switches in shared state: sequential. *)
-        report ~parallel:false "Thm 4.2 two-mode"
+        report "Thm 4.2 two-mode"
           (fun u v -> Ron_routing.Two_mode.route s ~src:u ~dst:v)
           (fun u v -> Indexed.dist idx u v)
           (Array.fold_left max 0 (Ron_routing.Two_mode.table_bits_m1 s))
@@ -384,7 +383,7 @@ let run_fault trace metrics profile telemetry telemetry_interval expo jobs famil
   let module Fault = Ron_fault.Fault in
   let module C = Ron_experiments.Exp_common in
   let rng = Rng.create seed in
-  let report ?parallel name route_wrapped dist nn =
+  let report name route_wrapped dist nn =
     let fault = Fault.make ~seed:fseed ~crash_fraction:crash ~drop_rate:drop
         ~dead_link_fraction:dead ~n:nn ()
     in
@@ -406,7 +405,7 @@ let run_fault trace metrics profile telemetry telemetry_interval expo jobs famil
       ]
     in
     let q =
-      C.collect_routes_keyed ?parallel
+      C.collect_routes_keyed
         ~route:(fun ~query u v -> route_wrapped (Fault.wrapper fault ~query) u v)
         ~dist prs
     in
@@ -437,8 +436,7 @@ let run_fault trace metrics profile telemetry telemetry_interval expo jobs famil
       let idx = Indexed.create (make_metric family n seed) in
       let nn = Indexed.size idx in
       let s = Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125) in
-      (* Two_mode.route counts mode switches in shared state: sequential. *)
-      report ~parallel:false "Thm 4.2 two-mode"
+      report "Thm 4.2 two-mode"
         (fun w u v -> Ron_routing.Two_mode.route_wrapped w s ~src:u ~dst:v)
         (fun u v -> Indexed.dist idx u v)
         nn
@@ -523,7 +521,7 @@ let run_churn trace metrics profile telemetry telemetry_interval expo jobs famil
     2
   | Ok (slo_mon, flight_rec) ->
   let rng = Rng.create seed in
-  let report ?parallel name ~tag ~make_repair route_wrapped dist nn =
+  let report name ~tag ~make_repair route_wrapped dist nn =
     let sched =
       Churn.Schedule.make ~seed:cseed ~n:nn ~slots ~join_rate:jrate ~leave_rate:lrate ()
     in
@@ -568,7 +566,7 @@ let run_churn trace metrics profile telemetry telemetry_interval expo jobs famil
       ]
     in
     let q =
-      C.collect_routes_keyed ?parallel
+      C.collect_routes_keyed
         ~route:(fun ~query u v -> route_wrapped (wrapper_for query) u v)
         ~dist prs
     in
@@ -629,18 +627,9 @@ let run_churn trace metrics profile telemetry telemetry_interval expo jobs famil
       let nn = Indexed.size idx in
       let s = Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125) in
       let x = Ron_routing.Two_mode.export s in
-      let rows =
-        Array.init nn (fun u ->
-            let dirs = ref [] in
-            for i = Array.length x.Ron_routing.Two_mode.x_hub_g - 1 downto 0 do
-              let g = x.Ron_routing.Two_mode.x_hub_g.(i).(u) in
-              if g >= 0 then
-                dirs := x.Ron_routing.Two_mode.x_dir_members.(g) :: !dirs
-            done;
-            Array.concat (x.Ron_routing.Two_mode.x_hub_ptr.(u) :: !dirs))
-      in
-      let scales = Array.length x.Ron_routing.Two_mode.x_hub_g in
-      report ~parallel:false "Thm 4.2 two-mode" ~tag:3
+      let rows = Array.init nn (Ron_routing.Two_mode.overlay_row x) in
+      let scales = x.Ron_routing.Two_mode.li in
+      report "Thm 4.2 two-mode" ~tag:3
         ~make_repair:(fun st ->
           let ov = Churn.Overlay.create st rows ~relabel_cost:(fun _ -> scales) in
           ( (fun v -> Churn.Overlay.leave ov v),

@@ -81,7 +81,7 @@ let sweep_header () =
    the repair structure's residual stale-reference count — the invariant
    the incremental repair maintains at 0. *)
 let sweep_row ?(label = None) ?(extra = fun ~query:_ -> Scheme.identity_wrapper)
-    ~rate ~make_repair ~route_wrapped ~dist ~parallel pairs base_stretch =
+    ~rate ~make_repair ~route_wrapped ~dist pairs base_stretch =
   let sched, st, on_leave, on_join, backlog, stale_after = make_repair rate in
   let summary = apply_probed sched st ~on_leave ~on_join ?backlog () in
   let events = summary.Churn.Driver.joins + summary.Churn.Driver.leaves in
@@ -94,7 +94,7 @@ let sweep_row ?(label = None) ?(extra = fun ~query:_ -> Scheme.identity_wrapper)
   in
   let q, cc =
     with_churn_counts (fun () ->
-        C.collect_routes_keyed ~parallel ~route ~dist live_pairs)
+        C.collect_routes_keyed ~route ~dist live_pairs)
   in
   if Float.is_nan !base_stretch then base_stretch := q.C.stretch_mean;
   let nq = max 1 q.C.queries in
@@ -147,7 +147,7 @@ let run () =
     (fun rate ->
       sweep_row ~rate ~make_repair
         ~route_wrapped:(fun w ~src ~dst -> Basic.route_wrapped w b ~src ~dst)
-        ~dist ~parallel:true pairs base)
+        ~dist pairs base)
     rates;
   (* One composed row: churn at 0.05 plus per-hop message drops — the two
      wrappers stack through Scheme.compose, drops outermost. *)
@@ -155,7 +155,7 @@ let run () =
   sweep_row ~label:(Some "+drop") ~extra:(fun ~query -> Fault.wrapper fdrop ~query)
     ~rate:0.05 ~make_repair
     ~route_wrapped:(fun w ~src ~dst -> Basic.route_wrapped w b ~src ~dst)
-    ~dist ~parallel:true pairs base;
+    ~dist pairs base;
   C.note "Leaves are repaired in place: each ring that lost a member refills with";
   C.note "the nearest live node inside the ring's own ball (never a rebuild).";
 
@@ -181,7 +181,7 @@ let run () =
     (fun rate ->
       sweep_row ~rate ~make_repair
         ~route_wrapped:(fun w ~src ~dst -> Labelled.route_wrapped w l ~src ~dst)
-        ~dist ~parallel:true pairs base)
+        ~dist pairs base)
     rates;
   C.note "A departed neighbor is substituted from the referrer's own pristine row;";
   C.note "a rejoin re-derives its label and is re-adopted at its old positions.";
@@ -198,19 +198,9 @@ let run () =
   let n8 = Indexed.size idx8 in
   let tm = Two_mode.build idx8 ~delta:0.125 in
   let x = Two_mode.export tm in
-  (* Per-node row: the node's covering-ball hub pointers, then the member
-     lists of every global directory hubbed at it — churn repairs the
-     node's slice of the shared directory structure. *)
-  let tmrows =
-    Array.init n8 (fun u ->
-        let dirs = ref [] in
-        for i = Array.length x.Two_mode.x_hub_g - 1 downto 0 do
-          let g = x.Two_mode.x_hub_g.(i).(u) in
-          if g >= 0 then dirs := x.Two_mode.x_dir_members.(g) :: !dirs
-        done;
-        Array.concat (x.Two_mode.x_hub_ptr.(u) :: !dirs))
-  in
-  let scales8 = Array.length x.Two_mode.x_hub_g in
+  (* Churn repairs each node's slice of the shared directory structure. *)
+  let tmrows = Array.init n8 (Two_mode.overlay_row x) in
+  let scales8 = x.Two_mode.li in
   let pairs8 = C.sample_pairs (Rng.split rng) ~n:n8 ~count:300 in
   let make_repair rate =
     let sched = schedule_for ~n:n8 rate in
@@ -229,7 +219,7 @@ let run () =
       sweep_row ~rate ~make_repair
         ~route_wrapped:(fun w ~src ~dst -> Two_mode.route_wrapped w tm ~src ~dst)
         ~dist:(fun u v -> Indexed.dist idx8 u v)
-        ~parallel:false pairs8 base)
+        pairs8 base)
     rates;
   C.note "Directory entries are repaired at their hub node; any live member of a";
   C.note "scale-i directory can stand in for a departed one.";

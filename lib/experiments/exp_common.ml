@@ -52,12 +52,11 @@ type route_quality = {
   zoom_steps_mean : float;
 }
 
-let collect_routes_keyed ?(parallel = true) ~route ~dist pairs =
+let collect_routes_keyed ~route ~dist pairs =
   (* The route evaluations are independent, so they run in parallel; the
      aggregation below folds the per-pair results in index order, making the
      output bit-identical to a sequential run (float sums are not
-     reassociated). Pass ~parallel:false for schemes whose [route] mutates
-     shared state (e.g. Two_mode's mode-switch counters).
+     reassociated).
 
      Observability is forced on for the duration so the cost columns report
      what the queries actually did (ring lookups, distance evaluations,
@@ -80,7 +79,7 @@ let collect_routes_keyed ?(parallel = true) ~route ~dist pairs =
       ~finally:(fun () -> Ron_obs.Probe.on := was_on)
       (fun () ->
         Ron_obs.Profile.phase "query.routes" (fun () ->
-            if parallel then Ron_util.Pool.init np eval else Array.init np eval))
+            Ron_util.Pool.init np eval))
   in
   let queries = ref 0 and truncated = ref 0 and self_forwards = ref 0 in
   let cycled = ref 0 and dropped = ref 0 in
@@ -127,8 +126,8 @@ let collect_routes_keyed ?(parallel = true) ~route ~dist pairs =
     zoom_steps_mean = float_of_int !zsum /. float_of_int nq;
   }
 
-let collect_routes ?parallel ~route ~dist pairs =
-  collect_routes_keyed ?parallel ~route:(fun ~query:_ u v -> route u v) ~dist pairs
+let collect_routes ~route ~dist pairs =
+  collect_routes_keyed ~route:(fun ~query:_ u v -> route u v) ~dist pairs
 
 let pp_quality q =
   Printf.sprintf "stretch max %.3f mean %.3f | hops max %d mean %.1f | fails %d/%d" q.stretch_max

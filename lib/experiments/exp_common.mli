@@ -43,16 +43,14 @@ type route_quality = {
 }
 
 val collect_routes :
-  ?parallel:bool ->
   route:(int -> int -> Ron_routing.Scheme.result) ->
   dist:(int -> int -> float) ->
   (int * int) list ->
   route_quality
-(** Evaluate each pair's route and aggregate. With [parallel] (the default)
-    the route calls are spread over domains and the aggregation folds in
-    list order, so the result is bit-identical to a sequential run; [route]
-    must then be pure. Pass [~parallel:false] for schemes whose route
-    mutates shared state.
+(** Evaluate each pair's route and aggregate. The route calls are spread
+    over domains and the aggregation folds in list order, so the result is
+    bit-identical to a sequential run; [route] must be safe to call from
+    any domain.
 
     Observability ({!Ron_obs.Probe.on}) is forced on while the routes run
     (and restored after): each pair is charged to a ledger entry keyed by
@@ -60,7 +58,6 @@ val collect_routes :
     [zoom_steps_mean], [hops_*]) come from those observed entries. *)
 
 val collect_routes_keyed :
-  ?parallel:bool ->
   route:(query:int -> int -> int -> Ron_routing.Scheme.result) ->
   dist:(int -> int -> float) ->
   (int * int) list ->

@@ -57,14 +57,14 @@ let sweep_header () =
       C.cell ~w:9 "retry/q"; C.cell ~w:9 "faults";
     ]
 
-let sweep_rows ~n ~route_wrapped ~dist ~parallel pairs =
+let sweep_rows ~n ~route_wrapped ~dist pairs =
   let base_stretch = ref nan in
   List.iter
     (fun rate ->
       let f = fault_for ~n rate in
       let pairs = live_pairs f pairs in
       let route ~query u v = route_wrapped (Fault.wrapper f ~query) ~src:u ~dst:v in
-      let (q, fc) = with_fault_counts (fun () -> C.collect_routes_keyed ~parallel ~route ~dist pairs) in
+      let (q, fc) = with_fault_counts (fun () -> C.collect_routes_keyed ~route ~dist pairs) in
       if Float.is_nan !base_stretch then base_stretch := q.C.stretch_mean;
       let nq = max 1 q.C.queries in
       let delivered = q.C.queries - q.C.failures in
@@ -97,7 +97,7 @@ let run () =
   C.subsection "Thm 2.1 (Basic) on grid10x10: crashed nodes + message drop + dead links";
   let b = Basic.build sp ~delta:0.25 in
   sweep_header ();
-  sweep_rows ~n ~parallel:true
+  sweep_rows ~n
     ~route_wrapped:(fun w ~src ~dst -> Basic.route_wrapped w b ~src ~dst)
     ~dist pairs;
   C.note "Detours re-aim the packet at another zooming level's intermediate";
@@ -106,7 +106,7 @@ let run () =
   C.subsection "Thm 4.1 (Labelled) on grid10x10: same fault axis";
   let l = Labelled.build sp ~delta:0.25 in
   sweep_header ();
-  sweep_rows ~n ~parallel:true
+  sweep_rows ~n
     ~route_wrapped:(fun w ~src ~dst -> Labelled.route_wrapped w l ~src ~dst)
     ~dist pairs;
   C.note "Fallbacks are the next-best neighbors by labeled estimate, so a dead";
@@ -118,7 +118,7 @@ let run () =
   let tm = Two_mode.build idx8 ~delta:0.125 in
   let pairs8 = C.sample_pairs (Rng.split rng) ~n:n8 ~count:300 in
   sweep_header ();
-  sweep_rows ~n:n8 ~parallel:false
+  sweep_rows ~n:n8
     ~route_wrapped:(fun w ~src ~dst -> Two_mode.route_wrapped w tm ~src ~dst)
     ~dist:(fun u v -> Indexed.dist idx8 u v)
     pairs8;

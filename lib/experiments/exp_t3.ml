@@ -25,9 +25,8 @@ let run () =
       let tm = Two_mode.build idx ~delta:0.125 in
       Two_mode.reset_counters tm;
       let pairs = C.sample_pairs (Rng.split rng) ~n ~count:600 in
-      (* Two_mode.route counts mode switches in shared state: sequential. *)
       let q =
-        C.collect_routes ~parallel:false
+        C.collect_routes
           ~route:(fun u v -> Two_mode.route tm ~src:u ~dst:v)
           ~dist:(fun u v -> Indexed.dist idx u v)
           pairs
@@ -100,7 +99,7 @@ let run () =
       Two_mode.reset_counters tm;
       let pairs = C.sample_pairs (Rng.split rng) ~n ~count:600 in
       let q =
-        C.collect_routes ~parallel:false
+        C.collect_routes
           ~route:(fun u v -> Two_mode.route tm ~src:u ~dst:v)
           ~dist:(fun u v -> Indexed.dist idx u v)
           pairs

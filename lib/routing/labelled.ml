@@ -6,22 +6,50 @@ module Bits = Ron_util.Bits
 module Triangulation = Ron_labeling.Triangulation
 module Dls = Ron_labeling.Dls
 module Pool = Ron_util.Pool
+module A1 = Bigarray.Array1
+
+type ints = First_hop.ints
 
 (* Internal delta for the black-box DLS: (1+2d)(1+d/8) <= 3/2 holds for
    d = 0.22. *)
 let dls_delta = 0.22
 
-type t = {
-  sp : Sp_metric.t;
-  idx : Indexed.t;
-  delta : float;
-  dls : Dls.t;
-  nbrs : int array array; (* per node: sorted distinct neighbor ids *)
+type cols = {
+  n : int;
+  max_hops : int;
+  header_bits : ints;
   table : First_hop.t;
-  dls_bits : int array;
+  dls : Dls.cols;
 }
 
-let neighbors t u = Array.copy t.nbrs.(u)
+type t = { sp : Sp_metric.t; dls : Dls.t; cols : cols; dls_bits : int array }
+
+let hop_budget n = max 64 (8 * n)
+let export t = t.cols
+
+(* v joins F(u) at the first scale j whose ball reaches it, if it is a
+   point of F_j there: the nets are nested and the radii grow with j, so
+   that is the only scale to ask, and no set needs deduplicating. *)
+let targets idx tri ~delta =
+  let hier = Triangulation.hierarchy tri in
+  let jmax = Net.Hierarchy.jmax hier in
+  let n = Indexed.size idx in
+  let sets =
+    Pool.init n (fun u ->
+        let acc = ref [] in
+        for j = 0 to jmax do
+          let inner = if j = 0 then -1.0 else Bits.pow2 (j + 1) /. delta in
+          Indexed.ball_iter idx u (Bits.pow2 (j + 2) /. delta) (fun v d ->
+              if v <> u && d > inner && Net.Hierarchy.mem hier j v then acc := v :: !acc)
+        done;
+        let a = Array.of_list !acc in
+        Ron_util.Fsort.sort_ints a;
+        a)
+  in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun u a -> off.(u + 1) <- off.(u) + Array.length a) sets;
+  let ints a : ints = A1.of_array Bigarray.int Bigarray.c_layout a in
+  (ints off, ints (Array.concat (Array.to_list sets)))
 
 let build sp ~delta =
   if not (delta > 0.0 && delta < 2.0 /. 3.0) then
@@ -32,156 +60,156 @@ let build sp ~delta =
   let n = Indexed.size idx in
   let tri = Triangulation.build idx ~delta:dls_delta in
   let dls = Dls.build tri in
-  (* F_j = 2^j-nets (the hierarchy's levels); F_j(u) = B_u(2^(j+2)/delta). *)
-  let hier = Triangulation.hierarchy tri in
-  let jmax = Net.Hierarchy.jmax hier in
-  (* Both per-node passes read only immutable state (the index, the
-     hierarchy, and — for the second — the finished [nbrs]), so each is a
-     parallel fan-out over nodes. *)
-  let nbrs =
-    Ron_obs.Profile.phase "neighbors" @@ fun () ->
-    Pool.init n (fun u ->
-        let tbl = Hashtbl.create 32 in
-        for j = 0 to jmax do
-          let r = Ron_util.Bits.pow2 (j + 2) /. delta in
-          Indexed.ball_iter idx u r (fun v _ ->
-              if Net.Hierarchy.mem hier j v then Hashtbl.replace tbl v ())
-        done;
-        let a = Array.of_list (Hashtbl.fold (fun v () acc -> v :: acc) tbl []) in
-        Ron_util.Fsort.sort_ints a;
-        a)
+  let off, ids = Ron_obs.Profile.phase "neighbors" @@ fun () -> targets idx tri ~delta in
+  let table =
+    Ron_obs.Profile.phase "tables" @@ fun () ->
+    First_hop.build sp n (fun u -> Array.init (off.{u + 1} - off.{u}) (fun k -> ids.{off.{u} + k}))
   in
-  let table = Ron_obs.Profile.phase "tables" @@ fun () -> First_hop.build sp n (Array.get nbrs) in
-  { sp; idx; delta; dls; nbrs; table; dls_bits = Dls.label_bits dls }
+  let dls_bits = Dls.label_bits dls in
+  let header_bits =
+    A1.of_array Bigarray.int Bigarray.c_layout
+      (Array.map (fun b -> b + Bits.index_bits n) dls_bits)
+  in
+  let cols = { n; max_hops = hop_budget n; header_bits; table; dls = Dls.export dls } in
+  { sp; dls; cols; dls_bits }
+
+(* ------------------------------------------------------------ Selection *)
+
+type memo = { mutable est : float array; mutable stamp : int array; mutable gen : int }
+
+let memo () = { est = [||]; stamp = [||]; gen = 0 }
+
+let reserve m n =
+  if Array.length m.est < n then begin
+    m.est <- Array.make n 0.0;
+    m.stamp <- Array.make n (-1);
+    m.gen <- 0
+  end
+
+let fresh m = m.gen <- m.gen + 1
+
+(* Make m.est.(v) the labeled estimate v -> dst, scanning only on a memo
+   miss ([Dls.estimate] short-circuits identical labels to 0). The
+   finiteness test is [Float.is_finite] inlined, so no float is boxed. *)
+let score d sc m ~dst v =
+  if m.stamp.(v) <> m.gen then begin
+    if v = dst then m.est.(v) <- 0.0
+    else begin
+      Dls.scan d v d dst sc ~exclude:(-1);
+      let e = (Dls.results sc).(0) in
+      if not (e -. e = 0.0) then
+        failwith "Labelled: no common beacon identified (Theorem 3.4 violated)";
+      m.est.(v) <- e
+    end;
+    m.stamp.(v) <- m.gen
+  end
+
+let rec select_from d sc m (ids : ints) ~dst i e best =
+  if i >= e then best
+  else begin
+    let v = A1.unsafe_get ids i in
+    score d sc m ~dst v;
+    let better =
+      best < 0 || m.est.(v) < m.est.(best) || (m.est.(v) = m.est.(best) && v < best)
+    in
+    select_from d sc m ids ~dst (i + 1) e (if better then v else best)
+  end
+
+let select d sc m ids ~dst s e = select_from d sc m ids ~dst s e (-1)
+
+let hop c sc m ~dst u inter =
+  let tb = c.table in
+  let w =
+    if inter = u then
+      select c.dls sc m tb.First_hop.t_w ~dst (A1.unsafe_get tb.t_off u)
+        (A1.unsafe_get tb.t_off (u + 1))
+    else inter
+  in
+  if w < 0 then failwith "Labelled: no neighbors";
+  let e = First_hop.find tb u w in
+  if e < 0 then failwith "Labelled: intermediate target is not a neighbor";
+  e
+
+(* ---------------------------------------------------------- Live routes *)
 
 type header = { target : int; intermediate : int }
 
-let step t ~score u (h : header) : header Scheme.action =
+let step c sc m u (h : header) : header Scheme.action =
   if u = h.target then Deliver
   else begin
-    let forward_to v h' =
-      match First_hop.find t.table u v with
-      | -1 -> failwith "Labelled.step: intermediate target is not a neighbor"
-      | e -> Scheme.Forward (t.table.First_hop.t_next.{e}, h')
-    in
-    if h.intermediate = u then begin
-      (* Select a new intermediate target: the neighbor minimizing the
-         labeled distance estimate to the target. *)
-      let best = ref (-1) and best_d = ref infinity in
-      Array.iter
-        (fun v ->
-          if v <> u then begin
-            let d = score v in
-            if d < !best_d || (d = !best_d && v < !best) then begin
-              best := v;
-              best_d := d
-            end
-          end)
-        t.nbrs.(u);
-      if !best < 0 then failwith "Labelled.step: no neighbors";
-      forward_to !best { h with intermediate = !best }
-    end
-    else forward_to h.intermediate h
+    let e = hop c sc m ~dst:h.target u h.intermediate in
+    let h = if h.intermediate = u then { h with intermediate = c.table.First_hop.t_w.{e} } else h in
+    Forward (c.table.First_hop.t_next.{e}, h)
   end
 
 (* Ranked fallback forwards: the node's neighbors ordered by their labeled
    distance estimate to the target (the same score the primary selection
    uses), each re-aimed as the new intermediate target. Capped — the fault
    layer only ever needs the first few live ones. *)
-let alternates t ~score u (h : header) =
+let alternates c sc m u (h : header) =
   if u = h.target then []
   else begin
-    let scored = ref [] in
-    Array.iter
-      (fun v -> if v <> u then scored := (score v, v) :: !scored)
-      t.nbrs.(u);
+    let tb = c.table in
+    let s = tb.First_hop.t_off.{u} in
     let ranked =
-      List.sort
-        (fun (d1, v1) (d2, v2) ->
-          match Float.compare d1 d2 with 0 -> compare v1 v2 | c -> c)
-        !scored
+      List.sort compare
+        (List.init (tb.t_off.{u + 1} - s) (fun k ->
+             let v = tb.t_w.{s + k} in
+             score c.dls sc m ~dst:h.target v;
+             (m.est.(v), v, s + k)))
     in
-    let seen = Hashtbl.create 8 in
-    let rec take k = function
+    let rec take k seen = function
       | [] -> []
       | _ when k = 0 -> []
-      | (_, v) :: rest -> (
-        match First_hop.find t.table u v with
-        | -1 -> take k rest
-        | e ->
-          let next = t.table.First_hop.t_next.{e} in
-          if next = u || Hashtbl.mem seen next then take k rest
-          else begin
-            Hashtbl.replace seen next ();
-            (next, { h with intermediate = v }) :: take (k - 1) rest
-          end)
+      | (_, v, e) :: rest ->
+        let next = tb.t_next.{e} in
+        if next = u || List.mem next seen then take k seen rest
+        else (next, { h with intermediate = v }) :: take (k - 1) (next :: seen) rest
     in
-    take 4 ranked
+    take 4 [] ranked
   end
 
 let route_wrapped (w : Scheme.wrapper) t ~src ~dst =
-  let n = Indexed.size t.idx in
-  let hdr_bits _ = t.dls_bits.(dst) + Bits.index_bits n in
-  (* Per-route memo of the labeled estimate v -> dst. The target never
-     changes within a route, but intermediate re-selection re-scores a
-     node's whole neighbor set, and fault detours re-select at every
-     blocked hop — without the memo a long detour walk pays |nbrs| label
-     decodes per revisited node instead of one array read. *)
-  let lt = Dls.label t.dls dst in
-  let memo = Array.make n nan in
-  let score v =
-    let s = memo.(v) in
-    if Float.is_nan s then begin
-      let s = Dls.estimate (Dls.label t.dls v) lt in
-      memo.(v) <- s;
-      s
-    end
-    else s
-  in
+  let c = t.cols in
+  (* Per route: the target never changes within a route, but intermediate
+     re-selection re-scores a node's whole neighbor set, and fault detours
+     re-select at every blocked hop — without the memo a long detour walk
+     pays |nbrs| label decodes per revisited node instead of one read. *)
+  let m = memo () and sc = Dls.scratch () in
+  reserve m c.n;
   Scheme.simulate ~detect_cycles:w.Scheme.detect_cycles
     ~dist:(fun a b -> Sp_metric.dist t.sp a b)
-    ~step:(w.Scheme.wrap (step t ~score) ~alternates:(alternates t ~score))
-    ~header_bits:hdr_bits ~src
+    ~step:(w.Scheme.wrap (step c sc m) ~alternates:(alternates c sc m))
+    ~header_bits:(fun _ -> c.header_bits.{dst})
+    ~src
     ~header:{ target = dst; intermediate = src }
-    ~max_hops:(max 64 (8 * n)) ()
+    ~max_hops:c.max_hops ()
 
 let route t ~src ~dst = route_wrapped Scheme.identity_wrapper t ~src ~dst
 let estimate t u v = Dls.estimate (Dls.label t.dls u) (Dls.label t.dls v)
 
+(* -------------------------------------------------------------- Accounting *)
+
+let neighbors t u =
+  let tb = t.cols.table in
+  let s = tb.First_hop.t_off.{u} in
+  let a =
+    Array.init (First_hop.entries tb u + 1) (fun k -> if k = 0 then u else tb.t_w.{s + k - 1})
+  in
+  Ron_util.Fsort.sort_ints a;
+  a
+
 let table_bits t =
   let g = Sp_metric.graph t.sp in
-  let n = Indexed.size t.idx in
+  let n = t.cols.n in
   let fh_bits = Bits.index_bits (max 2 (Graph.max_out_degree g)) in
   Array.init n (fun u ->
-      Array.fold_left (fun acc v -> acc + t.dls_bits.(v) + fh_bits) 0 t.nbrs.(u)
+      Array.fold_left (fun acc v -> acc + t.dls_bits.(v) + fh_bits) 0 (neighbors t u)
       + Bits.index_bits n)
 
 let label_bits t = Array.copy t.dls_bits
 
-let header_bits t =
-  let n = Indexed.size t.idx in
-  Array.fold_left max 0 t.dls_bits + Bits.index_bits n
+let header_bits t = Array.fold_left max 0 t.dls_bits + Bits.index_bits t.cols.n
 
-let out_degree t = Array.fold_left (fun acc a -> max acc (Array.length a)) 0 t.nbrs
-
-(* ----------------------------------------------------------------- Export *)
-
-type export = {
-  x_n : int;
-  x_max_hops : int;
-  x_header_bits : int array;
-  x_nbrs : int array array;
-  x_table : First_hop.t;
-  x_dls : Dls.cols;
-}
-
-let export t =
-  let n = Indexed.size t.idx in
-  {
-    x_n = n;
-    x_max_hops = max 64 (8 * n);
-    x_header_bits = Array.map (fun b -> b + Bits.index_bits n) t.dls_bits;
-    x_nbrs = t.nbrs;
-    x_table = t.table;
-    x_dls = Dls.export t.dls;
-  }
+let out_degree t =
+  Array.fold_left max 0 (Array.init t.cols.n (fun u -> Array.length (neighbors t u)))

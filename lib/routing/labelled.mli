@@ -49,20 +49,63 @@ val out_degree : t -> int
 (** Max number of neighbors (the overlay degree). *)
 
 val neighbors : t -> int -> int array
+(** [F(u)], sorted: [u] itself and its first-hop targets. [F_0] holds
+    every node of the normalized metric, so [u] is its own neighbor. *)
 
-(** {2 Export}
+val targets :
+  Ron_metric.Indexed.t ->
+  Ron_labeling.Triangulation.t ->
+  delta:float ->
+  First_hop.ints * First_hop.ints
+(** [F(u) \ {u}] for every node, [F(u) = ∪_j B_u(2^(j+2)/delta) ∩ F_j]
+    over the triangulation's net hierarchy, as CSR columns: offsets
+    ([n + 1]) and each node's sorted ids. {!Labelled_m} shares it. *)
 
-    Flat state extraction for the off-heap snapshot layer ([ron_serve]).
-    Arrays may share structure with the live value — treat them as borrowed
-    and read-only. *)
+(** {2 Columns}
 
-type export = {
-  x_n : int;
-  x_max_hops : int;
-  x_header_bits : int array;  (** per destination *)
-  x_nbrs : int array array;  (** sorted distinct neighbor ids, per node *)
-  x_table : First_hop.t;  (** an entry for every neighbor *)
-  x_dls : Ron_labeling.Dls.cols;
+    The scheme's routing state, in the Labelled snapshot's layout. The
+    snapshot layer maps these columns to and from image sections; the
+    frozen server routes through {!hop}, the hop the live step takes. *)
+
+type ints = First_hop.ints
+
+type cols = {
+  n : int;
+  max_hops : int;  (** the routing budget [route] uses *)
+  header_bits : ints;  (** per target: its label plus an intermediate id *)
+  table : First_hop.t;  (** an entry for every neighbor but the node itself *)
+  dls : Ron_labeling.Dls.cols;  (** the hosts column is not read *)
 }
 
-val export : t -> export
+val hop_budget : int -> int
+(** The routing budget for [n] nodes: [max 64 (8 n)]. *)
+
+val export : t -> cols
+(** The scheme's columns, handed over without a copy. *)
+
+type memo
+(** Labeled estimates to one target, kept until the next {!fresh}. *)
+
+val memo : unit -> memo
+
+val reserve : memo -> int -> unit
+(** Grow the memo to [n] nodes; call before the first {!select}. *)
+
+val fresh : memo -> unit
+(** Forget every estimate: call when the target changes (per route). *)
+
+val select :
+  Ron_labeling.Dls.cols -> Ron_labeling.Dls.scratch -> memo -> ints -> dst:int -> int -> int -> int
+(** [select dls sc m ids ~dst s e]: Theorem 4.1's choice among the
+    candidates [ids.{s} .. ids.{e-1}] — the argmin by (labeled estimate to
+    [dst], id), or [-1] if there are none. Each estimate is a {!Dls.scan}
+    of the columns, memoized in [m]. Allocation-free once the memo and the
+    scratch are reserved; raises [Failure] if a scan identifies no common
+    beacon. *)
+
+val hop : cols -> Ron_labeling.Dls.scratch -> memo -> dst:int -> int -> int -> int
+(** [hop c sc m ~dst u inter]: the first-hop entry of [u] (not [dst]) for
+    the intermediate target — [inter], or a fresh {!select} over [u]'s
+    first-hop targets when [u] has reached it. The entry's [t_w] is the
+    new intermediate target. Raises [Failure] when [u] has no neighbor or
+    [inter] is not one. *)

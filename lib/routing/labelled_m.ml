@@ -1,14 +1,13 @@
 module Indexed = Ron_metric.Indexed
-module Net = Ron_metric.Net
 module Bits = Ron_util.Bits
 module Triangulation = Ron_labeling.Triangulation
 module Dls = Ron_labeling.Dls
 
 type t = {
   idx : Indexed.t;
-  delta : float;
   dls : Dls.t;
-  nbrs : int array array;
+  nbr_off : Labelled.ints; (* n + 1: CSR over F(u) \ {u} *)
+  nbr : Labelled.ints;
   dls_bits : int array;
 }
 
@@ -17,65 +16,51 @@ let build idx ~delta =
     invalid_arg "Labelled_m.build: delta must be in (0, 2/3)";
   if Indexed.size idx >= 2 && Indexed.min_distance idx < 1.0 then
     invalid_arg "Labelled_m.build: metric must be normalized";
-  let n = Indexed.size idx in
   let tri = Triangulation.build idx ~delta:Labelled.dls_delta in
   let dls = Dls.build tri in
-  let hier = Triangulation.hierarchy tri in
-  let jmax = Net.Hierarchy.jmax hier in
-  let nbrs =
-    Array.init n (fun u ->
-        let tbl = Hashtbl.create 32 in
-        for j = 0 to jmax do
-          let r = Bits.pow2 (j + 2) /. delta in
-          Indexed.ball_iter idx u r (fun v _ ->
-              if Net.Hierarchy.mem hier j v then Hashtbl.replace tbl v ())
-        done;
-        let a = Array.of_list (Hashtbl.fold (fun v () acc -> v :: acc) tbl []) in
-        Ron_util.Fsort.sort_ints a;
-        a)
-  in
-  { idx; delta; dls; nbrs; dls_bits = Dls.label_bits dls }
+  let nbr_off, nbr = Labelled.targets idx tri ~delta in
+  { idx; dls; nbr_off; nbr; dls_bits = Dls.label_bits dls }
 
-let step t u target : int Scheme.action =
+(* Every step re-scores the node's neighbors: a fresh memo generation per
+   step, so each hop pays its own label decodes. *)
+let step t sc m u target : int Scheme.action =
   if u = target then Deliver
   else begin
-    let lt = Dls.label t.dls target in
-    let best = ref (-1) and best_d = ref infinity in
-    Array.iter
-      (fun v ->
-        if v <> u then begin
-          let d = Dls.estimate (Dls.label t.dls v) lt in
-          if d < !best_d || (d = !best_d && v < !best) then begin
-            best := v;
-            best_d := d
-          end
-        end)
-      t.nbrs.(u);
-    if !best < 0 then failwith "Labelled_m.step: no neighbors";
-    Forward (!best, target)
+    Labelled.fresh m;
+    let best =
+      Labelled.select (Dls.export t.dls) sc m t.nbr ~dst:target t.nbr_off.{u} t.nbr_off.{u + 1}
+    in
+    if best < 0 then failwith "Labelled_m.step: no neighbors";
+    Forward (best, target)
   end
 
 let route t ~src ~dst =
   let n = Indexed.size t.idx in
   let hb = t.dls_bits.(dst) + Bits.index_bits n in
+  let m = Labelled.memo () in
+  Labelled.reserve m n;
   Scheme.simulate
     ~dist:(fun a b -> Indexed.dist t.idx a b)
-    ~step:(step t)
+    ~step:(step t (Dls.scratch ()) m)
     ~header_bits:(fun _ -> hb)
     ~src ~header:dst
     ~max_hops:(max 64 (4 * n)) ()
 
-let out_degree t = Array.fold_left (fun acc a -> max acc (Array.length a)) 0 t.nbrs
+(* |F(u)|: the run plus [u] itself. *)
+let degrees t = Array.init (Indexed.size t.idx) (fun u -> t.nbr_off.{u + 1} - t.nbr_off.{u} + 1)
+let out_degree t = Array.fold_left max 0 (degrees t)
 
 let mean_out_degree t =
-  let n = Array.length t.nbrs in
-  float_of_int (Array.fold_left (fun acc a -> acc + Array.length a) 0 t.nbrs)
-  /. float_of_int (max 1 n)
+  float_of_int (Array.fold_left ( + ) 0 (degrees t)) /. float_of_int (max 1 (Indexed.size t.idx))
 
 let table_bits t =
   let n = Indexed.size t.idx in
   Array.init n (fun u ->
-      Array.fold_left (fun acc v -> acc + t.dls_bits.(v)) 0 t.nbrs.(u) + Bits.index_bits n)
+      let acc = ref (t.dls_bits.(u) + Bits.index_bits n) in
+      for e = t.nbr_off.{u} to t.nbr_off.{u + 1} - 1 do
+        acc := !acc + t.dls_bits.(t.nbr.{e})
+      done;
+      !acc)
 
 let label_bits t = Array.copy t.dls_bits
 

@@ -5,33 +5,66 @@ module Triangulation = Ron_labeling.Triangulation
 module Dls = Ron_labeling.Dls
 module Pool = Ron_util.Pool
 module Probe = Ron_obs.Probe
+module A1 = Bigarray.Array1
 
-(* One M2 directory: a packing ball whose members collectively own direct
-   links to every node of the enclosing ball B'. *)
-type directory = {
-  hub : int;
-  members : int array; (* sorted ids of the packing ball B *)
-  boundaries : int array; (* boundaries.(k): smallest target id owned by members.(k);
-                             boundaries.(0) = 0; ids below boundaries.(k+1) belong to k *)
-  owned : int array array; (* owned.(k): sorted ids of B' assigned to members.(k) *)
-}
+type ints = Dls.ints
+type floats = Dls.floats
 
-type t = {
-  idx : Indexed.t;
-  delta : float;
-  m1_threshold : float;
-  dls : Dls.t;
+let[@inline always] ig (a : ints) i = A1.unsafe_get a i
+let[@inline always] fg (a : floats) i = A1.unsafe_get a i
+
+type cols = {
+  n : int;
   li : int;
-  dirs : directory array array; (* dirs.(i): all scale-i directories, i in 1..li-1 *)
-  hub_dir : (int, int) Hashtbl.t array; (* hub_dir.(i): hub id -> index into dirs.(i) *)
-  member_dir : int array array; (* member_dir.(i).(u) = directory index containing u, or -1 *)
-  hub_ptr : int array array; (* hub_ptr.(u).(i) = hub of u's covering ball at scale i *)
-  owned_lookup : (int, unit) Hashtbl.t array array; (* owned_lookup.(i).(u): u's owned targets *)
-  mutable m2_switches : int;
+  max_hops : int;
+  header_bits : int;
+  m1_threshold : float;
+  hub_ptr : ints;
+  hub_g : ints;
+  dir_off : ints;
+  dir_mem : ints;
+  dir_bnd : ints;
+  own_off : ints;
+  own_tgt : ints;
+  r_level : floats;
+  dist : floats;
+  dls : Dls.cols;
 }
 
-let mode2_switches t = t.m2_switches
-let reset_counters t = t.m2_switches <- 0
+(* [levels] is the hierarchy's own level count, which the accounting and
+   the header charge; [cols.li] is [max 1 levels]. Switches are counted
+   atomically, so routes may run on any number of domains. *)
+type t = { idx : Indexed.t; dls : Dls.t; levels : int; cols : cols; switches : int Atomic.t }
+
+let mode2_switches t = Atomic.get t.switches
+let reset_counters t = Atomic.set t.switches 0
+let hop_budget li = max 64 (8 * li)
+let export t = t.cols
+
+let ints_of_array = A1.of_array Bigarray.int Bigarray.c_layout
+
+let csr rows =
+  let off = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun i r -> off.(i + 1) <- off.(i) + Array.length r) rows;
+  (ints_of_array off, ints_of_array (Array.concat (Array.to_list rows)))
+
+(* One M2 directory of scale [i]: the packing ball's hub, its members
+   (sorted), and their shares of B' = B_(hub, r_(i-1)) — equal runs of its
+   sorted ids, member k owning from boundary k up to the next. *)
+let directory idx ~n i (b : Packing.ball) =
+  let members = Array.copy b.Packing.members in
+  Ron_util.Fsort.sort_ints members;
+  let hub = b.Packing.center in
+  let big = Indexed.ball idx hub (Indexed.r_level idx hub (i - 1)) in
+  Ron_util.Fsort.sort_ints big;
+  let k = Array.length members and total = Array.length big in
+  let chunk = max 1 ((total + k - 1) / k) in
+  let owned m =
+    let lo = min total (m * chunk) in
+    Array.sub big lo (min total ((m + 1) * chunk) - lo)
+  in
+  let boundary m = if m = 0 then 0 else if m * chunk < total then big.(m * chunk) else n in
+  (hub, members, Array.init k boundary, Array.init k owned)
 
 let build ?(m1_threshold = 1.0 /. 3.0) idx ~delta =
   if not (delta > 0.0 && delta <= 0.125) then
@@ -42,324 +75,297 @@ let build ?(m1_threshold = 1.0 /. 3.0) idx ~delta =
   let n = Indexed.size idx in
   let tri = Triangulation.build idx ~delta in
   let dls = Dls.build tri in
-  let li = Triangulation.levels tri in
-  let dirs = Array.make (max 1 li) [||] in
-  let hub_dir = Array.init (max 1 li) (fun _ -> Hashtbl.create 16) in
-  let member_dir = Array.init (max 1 li) (fun _ -> Array.make n (-1)) in
-  let owned_lookup = Array.init (max 1 li) (fun _ -> Array.init n (fun _ -> Hashtbl.create 1)) in
-  (Ron_obs.Profile.phase "directories" @@ fun () ->
-  for i = 1 to li - 1 do
-    let packing = Triangulation.packing tri i in
-    let make_directory b =
-      let hub = b.Packing.center in
-      let members = Array.copy b.Packing.members in
-      Ron_util.Fsort.sort_ints members;
-      let big_radius = Indexed.r_level idx hub (i - 1) in
-      let big = Indexed.ball idx hub big_radius in
-      Ron_util.Fsort.sort_ints big;
-      let k = Array.length members in
-      let total = Array.length big in
-      let chunk = max 1 ((total + k - 1) / k) in
-      let owned =
-        Array.init k (fun m ->
-            let lo = m * chunk in
-            let hi = min total ((m + 1) * chunk) in
-            if lo >= total then [||] else Array.sub big lo (hi - lo))
-      in
-      let boundaries =
-        Array.init k (fun m -> if m = 0 then 0 else if m * chunk < total then big.(m * chunk) else n)
-      in
-      { hub; members; boundaries; owned }
-    in
+  let levels = Triangulation.levels tri in
+  let li = max 1 levels in
+  let dir_off, dir_mem, dir_bnd, hub_g, own_off, own_tgt =
+    Ron_obs.Profile.phase "directories" @@ fun () ->
     (* Directories are independent (pure ball queries on the immutable
-       index); build them in parallel. The registration pass below writes
-       the shared lookup tables and stays serial. *)
-    let ds = Pool.map make_directory (Packing.balls packing) in
-    dirs.(i) <- ds;
+       index); build them in parallel, then number them scale by scale. *)
+    let dirs =
+      Array.init li (fun i ->
+          if i = 0 then [||]
+          else Pool.map (directory idx ~n i) (Packing.balls (Triangulation.packing tri i)))
+    in
+    let all = Array.concat (Array.to_list dirs) in
+    let dir_off, dir_mem = csr (Array.map (fun (_, members, _, _) -> members) all) in
+    let _, dir_bnd = csr (Array.map (fun (_, _, boundaries, _) -> boundaries) all) in
+    let hub_g = Array.make (li * n) (-1) and owned = Array.make (li * n) [||] in
+    let g = ref 0 in
     Array.iteri
-      (fun di d ->
-        Hashtbl.replace hub_dir.(i) d.hub di;
-        Array.iteri
-          (fun m v ->
-            member_dir.(i).(v) <- di;
-            Array.iter (fun tgt -> Hashtbl.replace owned_lookup.(i).(v) tgt ()) d.owned.(m))
-          d.members)
-      ds
-  done);
+      (fun i ds ->
+        Array.iter
+          (fun (hub, members, _, shares) ->
+            hub_g.((i * n) + hub) <- !g;
+            (* Packing balls are disjoint: a node owns one share per scale. *)
+            Array.iteri (fun k v -> owned.((i * n) + v) <- shares.(k)) members;
+            incr g)
+          ds)
+      dirs;
+    let own_off, own_tgt = csr owned in
+    (dir_off, dir_mem, dir_bnd, ints_of_array hub_g, own_off, own_tgt)
+  in
   let hub_ptr =
     Ron_obs.Profile.phase "hub_ptrs" @@ fun () ->
     Pool.init n (fun u ->
         let ptr =
-          Array.init (max 1 li) (fun i ->
+          Array.init li (fun i ->
               if i = 0 then u
               else (Packing.covering_ball (Triangulation.packing tri i) idx u).Packing.center)
         in
         if !Probe.on then Probe.table_node ();
         ptr)
   in
-  { idx; delta; m1_threshold; dls; li; dirs; hub_dir; member_dir; hub_ptr; owned_lookup; m2_switches = 0 }
-
-type mode = M1 | M2_hub of int | M2_owner of int
-
-type header = { lt : Dls.label; target : int; mode : mode }
-
-(* Scale for the M2 switch, from the label-only estimate d~ of d(u,t):
-   the deepest i >= 1 whose previous-scale radius still dominates (4/3) d~
-   (Lemma B.5's upper condition, conservatively with the overestimate). *)
-let switch_scale t u d_est =
-  let rec go i best =
-    if i > t.li - 1 then best
-    else if Indexed.r_level t.idx u (i - 1) >= 4.0 /. 3.0 *. d_est then go (i + 1) i
-    else best
+  let floats_init k f = A1.init Bigarray.float64 Bigarray.c_layout k f in
+  let cols =
+    {
+      n;
+      li;
+      max_hops = hop_budget levels;
+      header_bits =
+        Array.fold_left max 0 (Dls.label_bits dls)
+        + Bits.index_bits n (* target id *)
+        + 2 (* mode tag *)
+        + Bits.index_bits (levels + 1);
+      m1_threshold;
+      hub_ptr = ints_of_array (Array.concat (Array.to_list hub_ptr));
+      hub_g;
+      dir_off;
+      dir_mem;
+      dir_bnd;
+      own_off;
+      own_tgt;
+      r_level = floats_init (n * li) (fun k -> Indexed.r_level idx (k / li) (k mod li));
+      dist = floats_init (n * n) (fun k -> Indexed.dist idx (k / n) (k mod n));
+      dls = Dls.export dls;
+    }
   in
-  go 1 1
+  { idx; dls; levels; cols; switches = Atomic.make 0 }
 
-let owner_of dir target =
-  (* Largest k with boundaries.(k) <= target. *)
-  let k = Array.length dir.boundaries in
-  let rec search lo hi =
-    if lo >= hi then lo - 1
-    else begin
-      let mid = (lo + hi) / 2 in
-      if dir.boundaries.(mid) <= target then search (mid + 1) hi else search lo mid
-    end
-  in
-  let m = max 0 (search 0 k) in
-  dir.members.(m)
+(* ---------------------------------------------------------------- The hop *)
 
-let step t u (h : header) : header Scheme.action =
-  if u = h.target then Deliver
+type regs = { mutable next : int; mutable mode : int }
+
+let[@inline] forward r next mode code =
+  r.next <- next;
+  r.mode <- mode;
+  code
+
+(* Largest k in [lo, hi) with dir_bnd.{s + k} <= target, or lo - 1. *)
+let rec bnd_search c s lo hi target =
+  if lo >= hi then lo - 1
   else begin
-    (* Resolve the hub of u's covering ball at scale [i]. When u is its own
-       hub (or its own owner) the lookup continues locally — the packet only
-       leaves through an actual link, never to itself. Scale 1's directory
-       spans the whole node set, so the recursion terminates. *)
-    let rec resolve_scale i : header Scheme.action =
-      if i < 1 then failwith "Two_mode.step: ran out of directory scales";
-      let hub = t.hub_ptr.(u).(i) in
-      if hub <> u then Forward (hub, { h with mode = M2_hub i })
-      else at_hub i
-    and at_hub i =
-      match Hashtbl.find_opt t.hub_dir.(i) u with
-      | None -> failwith "Two_mode.step: hub pointer does not name a hub"
-      | Some di ->
-        let owner = owner_of t.dirs.(i).(di) h.target in
-        if owner <> u then Forward (owner, { h with mode = M2_owner i })
-        else as_owner i
-    and as_owner i =
-      if Hashtbl.mem t.owned_lookup.(i).(u) h.target then Forward (h.target, { h with mode = M1 })
-      else if i <= 1 then failwith "Two_mode.step: scale-1 directory must cover all targets"
-      else resolve_scale (i - 1)
-    in
-    match h.mode with
-    | M1 -> begin
-      (* The decoder's estimate and its best identified beacon by
-         proximity to the target, excluding u. *)
-      let sc = Dls.scratch () in
-      Dls.scan_labels (Dls.label t.dls u) h.lt sc ~exclude:u ~collect:false;
-      let acc = Dls.results sc in
-      let d_est = acc.(0) in
-      if not (Float.is_finite d_est) then
-        failwith "Two_mode.step: no common beacon identified (Theorem 3.4 violated)";
-      let best = Dls.best_beacon sc in
-      if best >= 0 && acc.(1) <= d_est *. t.m1_threshold then Forward (best, h)
-      else begin
-        (* Lemma B.5 territory: switch to mode M2. *)
-        t.m2_switches <- t.m2_switches + 1;
-        resolve_scale (switch_scale t u d_est)
-      end
-    end
-    | M2_hub i -> at_hub i
-    | M2_owner i -> as_owner i
+    let mid = (lo + hi) / 2 in
+    if ig c.dir_bnd (s + mid) <= target then bnd_search c s (mid + 1) hi target
+    else bnd_search c s lo mid target
   end
 
-let header_bits t =
-  let n = Indexed.size t.idx in
-  Array.fold_left max 0 (Dls.label_bits t.dls)
-  + Bits.index_bits n (* target id *)
-  + 2 (* mode tag *)
-  + Bits.index_bits (t.li + 1)
+(* The member of directory [g] whose share holds [target]. *)
+let owner c g target =
+  let s = ig c.dir_off g in
+  ig c.dir_mem (s + max 0 (bnd_search c s 0 (ig c.dir_off (g + 1) - s) target))
+
+let rec owned_find (tgt : ints) s e target =
+  if s >= e then false
+  else begin
+    let mid = (s + e) / 2 in
+    let v = ig tgt mid in
+    if v < target then owned_find tgt (mid + 1) e target
+    else v = target || owned_find tgt s mid target
+  end
+
+let owns c i u target =
+  let k = (i * c.n) + u in
+  owned_find c.own_tgt (ig c.own_off k) (ig c.own_off (k + 1)) target
+
+(* The M2 resolution at [u] for scale [i]: leave for the hub of u's
+   covering ball, at the hub for the target's owner, at the owner for the
+   target. When [u] plays the next role itself the lookup continues
+   locally — the packet only leaves through an actual link. Scale 1's
+   directory spans the whole node set, so the recursion terminates. *)
+let rec resolve c r ~dst ~code u i =
+  if i < 1 || i >= c.li then failwith "Two_mode: ran out of directory scales";
+  let hub = ig c.hub_ptr ((u * c.li) + i) in
+  if hub <> u then forward r hub (2 * i) code else at_hub c r ~dst ~code u i
+
+and at_hub c r ~dst ~code u i =
+  let g = ig c.hub_g ((i * c.n) + u) in
+  if g < 0 then failwith "Two_mode: hub pointer does not name a hub";
+  let owner = owner c g dst in
+  if owner <> u then forward r owner ((2 * i) + 1) code else as_owner c r ~dst ~code u i
+
+and as_owner c r ~dst ~code u i =
+  if owns c i u dst then forward r dst 0 code
+  else if i <= 1 then failwith "Two_mode: scale-1 directory must cover all targets"
+  else resolve c r ~dst ~code u (i - 1)
+
+(* Scale for the M2 switch, from the label-only estimate d~ = acc.(0) of
+   d(u,t): the deepest i >= 1 whose previous-scale radius still dominates
+   (4/3) d~ (Lemma B.5's upper condition, conservatively with the
+   overestimate). *)
+let rec switch_scale c (acc : float array) u i best =
+  if i > c.li - 1 then best
+  else if fg c.r_level ((u * c.li) + i - 1) >= 4.0 /. 3.0 *. acc.(0) then
+    switch_scale c acc u (i + 1) i
+  else best
+
+let hop (c : cols) sc r ~dst u mode =
+  if u = dst then 0
+  else if mode = 0 then begin
+    (* The decoder's estimate and its best identified beacon by proximity
+       to the target, excluding u. *)
+    Dls.scan c.dls u c.dls dst sc ~exclude:u;
+    let acc = Dls.results sc in
+    let d_est = acc.(0) in
+    if not (d_est -. d_est = 0.0) then
+      failwith "Two_mode: no common beacon identified (Theorem 3.4 violated)";
+    let best = Dls.best_beacon sc in
+    if best >= 0 && acc.(1) <= d_est *. c.m1_threshold then forward r best 0 1
+    else (* Lemma B.5 territory: switch to mode M2. *)
+      resolve c r ~dst ~code:2 u (switch_scale c acc u 1 1)
+  end
+  else if mode land 1 = 0 then at_hub c r ~dst ~code:1 u (mode / 2)
+  else as_owner c r ~dst ~code:1 u (mode / 2)
+
+(* ---------------------------------------------------------- Live routes *)
+
+type header = { target : int; mode : int }
+
+(* Only an M1 beacon jump leaves the header as it was: every M2 hop
+   changes the mode, and a switch rewrites it even when it ends in M1. *)
+let step t sc r u (h : header) : header Scheme.action =
+  match hop t.cols sc r ~dst:h.target u h.mode with
+  | 0 -> Deliver
+  | code ->
+    if code = 2 then Atomic.incr t.switches;
+    Forward (r.next, if code = 1 && r.mode = h.mode then h else { h with mode = r.mode })
 
 (* Ranked fallback forwards for the fault layer. Every alternate uses a
    link the node's M1/M2 tables already hold:
    - in M1, the other identified beacons (ranked by proximity to the
      target, the primary selection's own score);
-   - at a hub (M2_hub i), the other members of the scale-i directory sent
-     as provisional owners — safe for i >= 2 because a non-owner falls
-     through [as_owner] to [resolve_scale (i-1)]; at scale 1 only the true
-     owner may receive [M2_owner 1] (anyone else would violate the
-     directory invariant), so there is no in-directory alternate;
-   - as an owner (M2_owner i), the coarser hub pointers below the scale the
-     primary resolution would use. *)
-let alternates t u (h : header) =
+   - at a scale-i hub, the other members of its directory sent as
+     provisional owners — safe for i >= 2 because a non-owner falls
+     through [as_owner] to [resolve (i-1)]; at scale 1 only the true owner
+     may be sent as an owner (anyone else would violate the directory
+     invariant), so there is no in-directory alternate;
+   - as an owner, the coarser hub pointers below the scale the primary
+     resolution would use. *)
+let alternates t sc u (h : header) =
   if u = h.target then []
   else begin
+    let c = t.cols in
     let hub_chain below =
       let acc = ref [] in
-      for i = 1 to min below (t.li - 1) do
-        let hub = t.hub_ptr.(u).(i) in
-        if hub <> u then acc := (hub, { h with mode = M2_hub i }) :: !acc
+      for i = 1 to min below (c.li - 1) do
+        let hub = ig c.hub_ptr ((u * c.li) + i) in
+        if hub <> u then acc := (hub, { h with mode = 2 * i }) :: !acc
       done;
       !acc (* built 1..below with prepends, so coarser scales come first *)
     in
     let dedupe l =
-      let seen = Hashtbl.create 8 in
-      List.filter
-        (fun (next, _) ->
-          if next = u || Hashtbl.mem seen next then false
-          else begin
-            Hashtbl.replace seen next ();
-            true
-          end)
-        l
+      List.rev
+        (List.fold_left
+           (fun acc (next, h') ->
+             if next = u || List.mem_assoc next acc then acc else (next, h') :: acc)
+           [] l)
     in
-    match h.mode with
-    | M1 ->
-      let sc = Dls.scratch () in
-      Dls.scan_labels (Dls.label t.dls u) h.lt sc ~exclude:u ~collect:true;
-      let ranked =
-        List.sort
-          (fun (dv1, w1) (dv2, w2) ->
-            match Float.compare dv1 dv2 with 0 -> compare w1 w2 | c -> c)
-          (Dls.candidates sc)
-      in
-      let rec take k = function
-        | [] -> []
-        | _ when k = 0 -> []
-        | (_, w) :: rest -> (w, h) :: take (k - 1) rest
-      in
-      dedupe (take 4 ranked @ hub_chain (t.li - 1))
-    | M2_hub i -> (
-      match Hashtbl.find_opt t.hub_dir.(i) u with
-      | None -> dedupe (hub_chain (i - 1))
-      | Some di ->
-        let dir = t.dirs.(i).(di) in
-        let owner = owner_of dir h.target in
+    let i = h.mode / 2 in
+    if h.mode = 0 then begin
+      Dls.scan_labels (Dls.label t.dls u) (Dls.label t.dls h.target) sc ~exclude:u ~collect:true;
+      let ranked = List.sort compare (Dls.candidates sc) in
+      let best4 = List.filteri (fun k _ -> k < 4) ranked in
+      dedupe (List.map (fun (_, w) -> (w, h)) best4 @ hub_chain (c.li - 1))
+    end
+    else if h.mode land 1 = 1 then dedupe (hub_chain (i - 1))
+    else
+      match ig c.hub_g ((i * c.n) + u) with
+      | -1 -> dedupe (hub_chain (i - 1))
+      | g ->
+        let owner = owner c g h.target in
+        let s = ig c.dir_off g in
         let members =
-          if i >= 2 then
+          if i < 2 then []
+          else
             List.filter_map
-              (fun v -> if v = owner then None else Some (v, { h with mode = M2_owner i }))
-              (Array.to_list dir.members)
-          else []
+              (fun k ->
+                let v = ig c.dir_mem (s + k) in
+                if v = owner then None else Some (v, { h with mode = (2 * i) + 1 }))
+              (List.init (ig c.dir_off (g + 1) - s) Fun.id)
         in
-        dedupe (members @ hub_chain (i - 1)))
-    | M2_owner i -> dedupe (hub_chain (i - 1))
+        dedupe (members @ hub_chain (i - 1))
   end
 
 let route_wrapped (w : Scheme.wrapper) t ~src ~dst =
-  let hb = header_bits t in
+  let c = t.cols in
+  let sc = Dls.scratch () and r = { next = 0; mode = 0 } in
   Scheme.simulate ~detect_cycles:w.Scheme.detect_cycles
     ~dist:(fun a b -> Indexed.dist t.idx a b)
-    ~step:(w.Scheme.wrap (step t) ~alternates:(alternates t))
-    ~header_bits:(fun _ -> hb)
+    ~step:(w.Scheme.wrap (step t sc r) ~alternates:(alternates t sc))
+    ~header_bits:(fun _ -> c.header_bits)
     ~src
-    ~header:{ lt = Dls.label t.dls dst; target = dst; mode = M1 }
-    ~max_hops:(max 64 (8 * t.li)) ()
+    ~header:{ target = dst; mode = 0 }
+    ~max_hops:c.max_hops ()
 
 let route t ~src ~dst = route_wrapped Scheme.identity_wrapper t ~src ~dst
 let estimate t u v = Dls.estimate (Dls.label t.dls u) (Dls.label t.dls v)
 
+(* -------------------------------------------------------------- Accounting *)
+
+let header_bits t = t.cols.header_bits
+
 let table_bits_m1 t =
-  let n = Indexed.size t.idx in
+  let n = t.cols.n in
   let id_bits = Bits.index_bits n in
   let lb = Dls.label_bits t.dls in
   Array.init n (fun u -> lb.(u) + (Array.length (Dls.host_beacons t.dls u) * id_bits))
 
+let dir_size c g = ig c.dir_off (g + 1) - ig c.dir_off g
+let owned_count c i u = ig c.own_off ((i * c.n) + u + 1) - ig c.own_off ((i * c.n) + u)
+
 let table_bits_m2 t =
-  let n = Indexed.size t.idx in
-  let id_bits = Bits.index_bits n in
-  Array.init n (fun u ->
-      let acc = ref ((t.li - 1) * id_bits) (* hub pointers *) in
-      for i = 1 to t.li - 1 do
-        (match Hashtbl.find_opt t.hub_dir.(i) u with
-        | Some di ->
-          let d = t.dirs.(i).(di) in
-          acc := !acc + (Array.length d.boundaries * id_bits) (* range directory *)
-                 + (Array.length d.members * id_bits) (* links to members *)
-        | None -> ());
-        acc := !acc + (Hashtbl.length t.owned_lookup.(i).(u) * id_bits) (* owned routes *)
+  let c = t.cols in
+  let id_bits = Bits.index_bits c.n in
+  Array.init c.n (fun u ->
+      let acc = ref ((t.levels - 1) * id_bits) (* hub pointers *) in
+      for i = 1 to t.levels - 1 do
+        (match ig c.hub_g ((i * c.n) + u) with
+        | -1 -> ()
+        | g -> acc := !acc + (2 * dir_size c g * id_bits) (* range directory + member links *));
+        acc := !acc + (owned_count c i u * id_bits) (* owned routes *)
       done;
       !acc)
 
 let out_degree t =
-  let n = Indexed.size t.idx in
-  let best = ref 0 in
-  for u = 0 to n - 1 do
-    let links = Hashtbl.create 64 in
-    Array.iter (fun v -> if v <> u then Hashtbl.replace links v ()) (Dls.host_beacons t.dls u);
-    for i = 1 to t.li - 1 do
-      if t.hub_ptr.(u).(i) <> u then Hashtbl.replace links t.hub_ptr.(u).(i) ();
-      (match Hashtbl.find_opt t.hub_dir.(i) u with
-      | Some di -> Array.iter (fun v -> if v <> u then Hashtbl.replace links v ()) t.dirs.(i).(di).members
-      | None -> ());
-      Hashtbl.iter (fun v () -> if v <> u then Hashtbl.replace links v ()) t.owned_lookup.(i).(u)
+  let c = t.cols in
+  (* stamp.(v) = u once v is counted among u's links. *)
+  let stamp = Array.make c.n (-1) and best = ref 0 in
+  for u = 0 to c.n - 1 do
+    let links = ref 0 in
+    let link v =
+      if v <> u && stamp.(v) <> u then begin
+        stamp.(v) <- u;
+        incr links
+      end
+    in
+    let run off ids k =
+      for e = ig off k to ig off (k + 1) - 1 do
+        link (ig ids e)
+      done
+    in
+    Array.iter link (Dls.host_beacons t.dls u);
+    for i = 1 to t.levels - 1 do
+      link (ig c.hub_ptr ((u * c.li) + i));
+      (match ig c.hub_g ((i * c.n) + u) with -1 -> () | g -> run c.dir_off c.dir_mem g);
+      run c.own_off c.own_tgt ((i * c.n) + u)
     done;
-    best := max !best (Hashtbl.length links)
+    best := max !best !links
   done;
   !best
 
-(* ----------------------------------------------------------------- Export *)
-
-type export = {
-  x_n : int;
-  x_li : int;
-  x_max_hops : int;
-  x_header_bits : int;
-  x_m1_threshold : float;
-  x_r_level : float array array;
-  x_hub_ptr : int array array;
-  x_hub_g : int array array;
-  x_dir_members : int array array;
-  x_dir_boundaries : int array array;
-  x_owned : int array array array;
-  x_dist : float array;
-  x_dls : Dls.cols;
-}
-
-let export t =
-  let n = Indexed.size t.idx in
-  let li = max 1 t.li in
-  let gcount = Array.fold_left (fun acc ds -> acc + Array.length ds) 0 t.dirs in
-  let dir_members = Array.make (max 1 gcount) [||] in
-  let dir_boundaries = Array.make (max 1 gcount) [||] in
-  let hub_g = Array.init li (fun _ -> Array.make n (-1)) in
-  let g = ref 0 in
-  Array.iteri
-    (fun i ds ->
-      Array.iter
-        (fun d ->
-          dir_members.(!g) <- d.members;
-          dir_boundaries.(!g) <- d.boundaries;
-          hub_g.(i).(d.hub) <- !g;
-          incr g)
-        ds)
-    t.dirs;
-  let dist = Array.make (n * n) 0.0 in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      dist.((u * n) + v) <- Indexed.dist t.idx u v
-    done
-  done;
-  {
-    x_n = n;
-    x_li = li;
-    x_max_hops = max 64 (8 * t.li);
-    x_header_bits = header_bits t;
-    x_m1_threshold = t.m1_threshold;
-    x_r_level = Array.init n (fun u -> Array.init li (fun i -> Indexed.r_level t.idx u i));
-    x_hub_ptr = t.hub_ptr;
-    x_hub_g = hub_g;
-    x_dir_members = Array.sub dir_members 0 gcount;
-    x_dir_boundaries = Array.sub dir_boundaries 0 gcount;
-    x_owned =
-      Array.init li (fun i ->
-          Array.init n (fun u ->
-              let a =
-                Array.of_list
-                  (Hashtbl.fold (fun k () acc -> k :: acc) t.owned_lookup.(i).(u) [])
-              in
-              Ron_util.Fsort.sort_ints a;
-              a));
-    x_dist = dist;
-    x_dls = Dls.export t.dls;
-  }
+let overlay_row c u =
+  let hubbed i =
+    match ig c.hub_g ((i * c.n) + u) with
+    | -1 -> [||]
+    | g -> Array.init (dir_size c g) (fun k -> ig c.dir_mem (ig c.dir_off g + k))
+  in
+  Array.concat (Array.init c.li (fun i -> ig c.hub_ptr ((u * c.li) + i)) :: List.init c.li hubbed)

@@ -46,10 +46,12 @@ val route_wrapped : Scheme.wrapper -> t -> src:int -> dst:int -> Scheme.result
     beacons in M1; the scale-i directory's other members (provisional
     owners, scales >= 2 only) and coarser hub pointers at a hub; coarser
     hub pointers as an owner. All are links the M1/M2 tables already pay
-    for. [route] is [route_wrapped Scheme.identity_wrapper]. *)
+    for. [route] is [route_wrapped Scheme.identity_wrapper]. Routes may
+    run on several domains at once. *)
 
 val mode2_switches : t -> int
-(** Number of M1 -> M2 switches since construction (diagnostics). *)
+(** Number of M1 -> M2 switches since construction or the last
+    {!reset_counters} (diagnostics), over every domain's routes. *)
 
 val reset_counters : t -> unit
 
@@ -64,27 +66,63 @@ val table_bits_m2 : t -> int array
 val header_bits : t -> int
 val out_degree : t -> int
 
-(** {2 Export}
+(** {2 Columns}
 
-    Flat state extraction for the off-heap snapshot layer ([ron_serve]).
-    Arrays may share structure with the live value — treat them as borrowed
-    and read-only. *)
+    The scheme's routing state, in the Two_mode snapshot's layout.
+    Directory [g] (numbered scale by scale, ball by ball) is a packing
+    ball whose members collectively own the enclosing ball [B']: member
+    [dir_mem.{k}] owns the target ids from [dir_bnd.{k}] up to the next
+    boundary. The snapshot layer maps these columns to and from image
+    sections; the frozen server routes through {!hop}, the hop the live
+    step takes. *)
 
-type export = {
-  x_n : int;
-  x_li : int;  (** scale count ([max 1] of the hierarchy's levels) *)
-  x_max_hops : int;
-  x_header_bits : int;  (** constant across routes *)
-  x_m1_threshold : float;
-  x_r_level : float array array;  (** [r_level idx u i], per node, [x_li] each *)
-  x_hub_ptr : int array array;  (** covering-ball hubs, per node per scale *)
-  x_hub_g : int array array;
-      (** per scale, per node: global directory index hubbed there, or [-1] *)
-  x_dir_members : int array array;  (** per global directory, sorted *)
-  x_dir_boundaries : int array array;  (** parallel to [x_dir_members] *)
-  x_owned : int array array array;  (** [i].[u]: sorted owned target ids *)
-  x_dist : float array;  (** the [n * n] metric, row-major *)
-  x_dls : Ron_labeling.Dls.cols;
+type ints = Ron_labeling.Dls.ints
+type floats = Ron_labeling.Dls.floats
+
+type cols = {
+  n : int;
+  li : int;  (** scale count ([max 1] of the hierarchy's levels) *)
+  max_hops : int;  (** the routing budget [route] uses *)
+  header_bits : int;  (** the same for every destination *)
+  m1_threshold : float;
+  hub_ptr : ints;  (** [n * li], at [u * li + i]: the hub of [u]'s covering ball *)
+  hub_g : ints;  (** [li * n], at [i * n + u]: the directory hubbed at [u], or [-1] *)
+  dir_off : ints;  (** directories + 1: CSR over [dir_mem] and [dir_bnd] *)
+  dir_mem : ints;  (** each directory's members, sorted *)
+  dir_bnd : ints;  (** each member's smallest owned target id *)
+  own_off : ints;  (** [li * n + 1]: CSR over [own_tgt], segment [i * n + u] *)
+  own_tgt : ints;  (** the targets [u] owns at scale [i], sorted *)
+  r_level : floats;  (** [n * li], at [u * li + i]: [r_level idx u i] *)
+  dist : floats;  (** the [n * n] metric, row-major *)
+  dls : Ron_labeling.Dls.cols;
 }
 
-val export : t -> export
+val hop_budget : int -> int
+(** The routing budget for [li] scales: [max 64 (8 li)]. *)
+
+val export : t -> cols
+(** The scheme's columns, handed over without a copy. *)
+
+val overlay_row : cols -> int -> int array
+(** [u]'s slice of the M2 structure for overlay repair: its hub pointers
+    at every scale, then the members of every directory hubbed at [u],
+    scale by scale. *)
+
+(** {2 The hop}
+
+    A packet's mode is an int: [0] for M1, [2i] for "at the scale-[i]
+    hub", [2i + 1] for "at the scale-[i] owner" ([i >= 1]). *)
+
+type regs = { mutable next : int; mutable mode : int }
+(** Where {!hop} writes a forward: the next node and the packet's mode
+    there. *)
+
+val hop : cols -> Ron_labeling.Dls.scratch -> regs -> dst:int -> int -> int -> int
+(** [hop c sc r ~dst u mode]: one step of the scheme at [u] — the M1
+    beacon jump, the switch to M2 at Lemma B.5's scale, or the next M2
+    resolution step. Returns 0 when [u] is [dst]; otherwise writes the
+    forward into [r] and returns 2 if [u] switched from M1 to M2, else 1.
+    Reads only [u]'s columns and [dst]'s label; allocation-free once the
+    scratch is reserved. Raises [Failure] when Theorem 3.4's decoder
+    identifies no common beacon or the directories do not resolve
+    [dst]. *)

@@ -1,16 +1,16 @@
 (* Frozen, off-heap query servers.
 
-   [freeze_*] packs a constructed scheme's exported state into an
+   [freeze_*] maps a constructed scheme's columns to the sections of an
    {!Image.t} (Bigarray sections, int-indexed, string-free); [of_image]
-   wraps the sections — zero-copy — into per-scheme flat views, and checks
-   a Basic view's structure before serving it. Distance estimates call the
-   schemes' own estimators ([Dls.scan], [Landmark.bounds]) on the mapped
-   columns. The route and locate loops replicate [Scheme.simulate]'s Brent
-   loop; each Basic hop is the live scheme's own ([Basic.target_level],
-   [Basic.hop_entry]), Labelled hops use the shared first-hop lookup
-   ([First_hop.find]), and the rest of the Labelled, Two_mode and Meridian
-   steps replicate the live ones operation for operation, so frozen
-   results are byte-identical to the live scheme's.
+   maps the sections back — zero-copy — to the same columns, and first
+   checks each view's structure so that the unchecked reads of its query
+   path stay in bounds. Queries run the schemes' own code on the mapped
+   columns: the estimators ([Dls.scan], [Landmark.bounds]) and the Basic,
+   Labelled and Two_mode hops ([Basic.target_level]/[Basic.hop_entry],
+   [Labelled.hop], [Two_mode.hop]), driven by one copy of
+   [Scheme.simulate]'s Brent loop, so frozen results are byte-identical to
+   the live scheme's. Meridian's locate is the one query replayed here
+   ([mer_go] follows [Meridian.closest]).
 
    The hot path allocates nothing in steady state. The discipline, for the
    non-flambda middle end: every loop is a top-level tail-recursive
@@ -25,6 +25,9 @@ module A1 = Bigarray.Array1
 module Basic = Ron_routing.Basic
 module Structure = Ron_routing.Structure
 module First_hop = Ron_routing.First_hop
+module Labelled = Ron_routing.Labelled
+module Two_mode = Ron_routing.Two_mode
+module Dls = Ron_labeling.Dls
 
 type ints = Image.ints
 type floats = Image.floats
@@ -45,19 +48,18 @@ let code_cycled = 3
    steady-state queries never allocate.
 
    fbuf slots: 0 meridian d; 1 meridian best_d; 2 route length; 3 lo;
-   4 hi; 5 neighbor-selection best_d; 6 score result; 7 switch-scale
-   threshold. The DLS decoder keeps its own state and results in [dls]. *)
+   4 hi; 5 the route hop's link cost. The DLS decoder keeps its own state
+   and results in [dls]. *)
 type scratch = {
   mutable m : int array; (* decoded zooming sequence (Basic) *)
-  dls : Ron_labeling.Dls.scratch;
-  mutable memo_d : float array; (* Labelled per-route score memo *)
-  mutable memo_gen : int array;
-  mutable mgen : int;
+  dls : Dls.scratch;
+  memo : Labelled.memo; (* Labelled per-route estimates *)
+  regs : Two_mode.regs; (* Two_mode's hop output *)
   fbuf : float array;
-  mutable sel_w : int; (* neighbor-selection register *)
+  mutable sel_w : int; (* Meridian's best member; the route hop's next state *)
   mutable r_outcome : int;
   mutable r_hops : int;
-  mutable r_next : int; (* found member (locate) *)
+  mutable r_next : int; (* found member (locate); the route hop's next node *)
   mutable r_aux : int; (* header bits (route) / measurements (locate) *)
   (* Per-hop trace capture for the flight recorder: visited nodes land in
      [hop_log] while [log_hops] is set (the observed loop arms it for the
@@ -74,11 +76,10 @@ let scratch_key : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         m = [||];
-        dls = Ron_labeling.Dls.new_scratch ();
-        memo_d = [||];
-        memo_gen = [||];
-        mgen = 0;
-        fbuf = Array.make 8 0.0;
+        dls = Dls.new_scratch ();
+        memo = Labelled.memo ();
+        regs = { Two_mode.next = 0; mode = 0 };
+        fbuf = Array.make 6 0.0;
         sel_w = -1;
         r_outcome = 0;
         r_hops = 0;
@@ -89,43 +90,7 @@ let scratch_key : scratch Domain.DLS.key =
         log_hops = false;
       })
 
-let ensure sc ~decode ~nodes =
-  if Array.length sc.m < decode then sc.m <- Array.make decode 0;
-  if Array.length sc.memo_d < nodes then begin
-    sc.memo_d <- Array.make nodes 0.0;
-    sc.memo_gen <- Array.make nodes 0;
-    sc.mgen <- 0
-  end
-
 (* ---------------------------------------------------------- frozen views *)
-
-type flab = {
-  ln : int;
-  lmax_hops : int;
-  lhb : ints;
-  lnbr_off : ints;
-  lnbr : ints;
-  ltable : Ron_routing.First_hop.t;
-  ldls : Ron_labeling.Dls.cols; (* no hosts column *)
-}
-
-type ftm = {
-  tn : int;
-  tli : int;
-  tmax_hops : int;
-  thb : int;
-  tm1_threshold : float;
-  thub_ptr : ints; (* n * li *)
-  thub_g : ints; (* li * n; -1 where the node is no hub *)
-  tdir_off : ints; (* dirs + 1 *)
-  tdir_mem : ints;
-  tdir_bnd : ints;
-  town_off : ints; (* li * n + 1 *)
-  town_tgt : ints;
-  tr_level : floats; (* n * li *)
-  tdmat : floats; (* n * n *)
-  tdls : Ron_labeling.Dls.cols;
-}
 
 type fmer = {
   mn : int;
@@ -138,8 +103,8 @@ type fmer = {
 
 type view =
   | Basic of Basic.cols
-  | Labelled of flab
-  | Two_mode of ftm
+  | Labelled of Labelled.cols
+  | Two_mode of Two_mode.cols
   | Meridian of fmer
   | Landmark of Ron_labeling.Landmark.cols
 
@@ -168,8 +133,8 @@ let scheme_name t =
 let size t =
   match t.view with
   | Basic b -> b.Basic.st.Structure.n
-  | Labelled l -> l.ln
-  | Two_mode m -> m.tn
+  | Labelled l -> l.Labelled.n
+  | Two_mode m -> m.Two_mode.n
   | Meridian m -> m.mn
   | Landmark g -> g.Ron_labeling.Landmark.n
 
@@ -180,14 +145,14 @@ let sources t = match t.view with Meridian m -> Some m.mmembers | _ -> None
    domain before the audited loop so steady-state queries never grow it). *)
 let prepare_scratch t sc =
   match t.view with
-  | Basic b -> ensure sc ~decode:b.Basic.st.Structure.scales ~nodes:1
+  | Basic b ->
+    let scales = b.Basic.st.Structure.scales in
+    if Array.length sc.m < scales then sc.m <- Array.make scales 0
   | Labelled l ->
-    ensure sc ~decode:1 ~nodes:l.ln;
-    Ron_labeling.Dls.reserve sc.dls l.ldls
-  | Two_mode m ->
-    ensure sc ~decode:1 ~nodes:1;
-    Ron_labeling.Dls.reserve sc.dls m.tdls
-  | Meridian _ | Landmark _ -> ensure sc ~decode:1 ~nodes:1
+    Labelled.reserve sc.memo l.Labelled.n;
+    Dls.reserve sc.dls l.dls
+  | Two_mode m -> Dls.reserve sc.dls m.Two_mode.dls
+  | Meridian _ | Landmark _ -> ()
 
 let scratch_for t =
   let sc = Domain.DLS.get scratch_key in
@@ -196,27 +161,21 @@ let scratch_for t =
 
 (* ------------------------------------------------------------- freezing *)
 
-let csr_off lens =
-  let n = Array.length lens in
-  let off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + lens.(i)
-  done;
-  off
-
 let flat_ints (arrs : int array array) =
-  let off = csr_off (Array.map Array.length arrs) in
-  let data = Image.ints_create off.(Array.length arrs) in
+  let n = Array.length arrs in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun i a -> off.(i + 1) <- off.(i) + Array.length a) arrs;
+  let data = Image.ints_create off.(n) in
   Array.iteri
     (fun i a -> Array.iteri (fun k v -> A1.unsafe_set data (off.(i) + k) v) a)
     arrs;
   (Image.ints_of_array off, data)
 
-(* DLS pack: 8 int sections + 1 float section, appended in order:
-   meta, d_off, zoom_first, zoom_rest, z_off, z_x, z_y, z_z | d_val. The
-   columns are adopted as they are: Dls builds them in this layout. *)
-let dls_isecs (c : Ron_labeling.Dls.cols) =
-  let open Ron_labeling.Dls in
+(* The columns below are adopted as they are: each scheme builds them in
+   its image's layout. The DLS pack is 8 int sections (meta, d_off,
+   zoom_first, zoom_rest, z_off, z_x, z_y, z_z) and the d_val float
+   section; only the Two_mode image carries the hosts column. *)
+let dls_isecs (c : Dls.cols) =
   [
     Image.ints_of_array [| c.rows; c.levels; c.prefix_len; c.max_virt |];
     c.d_off;
@@ -238,7 +197,7 @@ let dls_of_secs what (isecs : ints array) (fsecs : floats array) i0 f0 ~hosts =
   else
     Ok
       {
-        Ron_labeling.Dls.rows = ig meta 0;
+        Dls.rows = ig meta 0;
         levels = ig meta 1;
         prefix_len = ig meta 2;
         max_virt = ig meta 3;
@@ -253,18 +212,16 @@ let dls_of_secs what (isecs : ints array) (fsecs : floats array) i0 f0 ~hosts =
         z_z = isecs.(i0 + 7);
       }
 
-(* Basic pack: 11 int sections + 1 float section, in order: meta (n,
-   scales, max_hops, header bits), label_first, label_rest, ring_off,
-   ring_node, z_run, z_y, z_z, t_off, t_w, t_next | t_cost. The columns are
-   adopted as they are: Basic builds them in this layout. *)
+(* Basic: 11 int sections + 1 float section — meta (n, scales, max_hops,
+   header bits), label_first, label_rest, ring_off, ring_node, z_run, z_y,
+   z_z, t_off, t_w, t_next | t_cost. *)
 let freeze_basic (c : Basic.cols) =
   let s = c.Basic.st and tb = c.Basic.table in
-  let open Structure in
   {
     Image.scheme = tag_basic;
     isecs =
       [|
-        Image.ints_of_array [| s.n; s.scales; c.max_hops; c.header_bits |];
+        Image.ints_of_array [| s.Structure.n; s.scales; c.max_hops; c.header_bits |];
         s.label_first;
         s.label_rest;
         s.ring_off;
@@ -279,60 +236,40 @@ let freeze_basic (c : Basic.cols) =
     fsecs = [| tb.t_cost |];
   }
 
-let freeze_labelled (e : Ron_routing.Labelled.export) =
-  let open Ron_routing.Labelled in
-  let nbr_off, nbr = flat_ints e.x_nbrs in
-  let tb = e.x_table in
+(* Labelled: 13 int sections + 2 float sections — meta (n, max_hops),
+   header bits, t_off, t_w, t_next, the DLS pack | t_cost, d_val. *)
+let freeze_labelled (c : Labelled.cols) =
+  let tb = c.Labelled.table in
   {
     Image.scheme = tag_labelled;
     isecs =
       Array.of_list
-        ([
-           Image.ints_of_array [| e.x_n; e.x_max_hops |];
-           Image.ints_of_array e.x_header_bits;
-           nbr_off;
-           nbr;
-           tb.First_hop.t_off;
-           tb.t_w;
-           tb.t_next;
-         ]
-        @ dls_isecs e.x_dls);
-    fsecs = [| tb.t_cost; e.x_dls.Ron_labeling.Dls.d_val |];
+        (Image.ints_of_array [| c.n; c.max_hops |]
+        :: c.header_bits :: tb.First_hop.t_off :: tb.t_w :: tb.t_next :: dls_isecs c.dls);
+    fsecs = [| tb.t_cost; c.dls.Dls.d_val |];
   }
 
-let freeze_two_mode (e : Ron_routing.Two_mode.export) =
-  let open Ron_routing.Two_mode in
-  let n = e.x_n and li = e.x_li in
-  let dir_off, dir_mem = flat_ints e.x_dir_members in
-  let _, dir_bnd = flat_ints e.x_dir_boundaries in
-  let own_segs = Array.make (li * n) [||] in
-  Array.iteri
-    (fun i per_u -> Array.iteri (fun u a -> own_segs.((i * n) + u) <- a) per_u)
-    e.x_owned;
-  let own_off, own_tgt = flat_ints own_segs in
+(* Two_mode: 17 int sections + 4 float sections — meta (n, li, max_hops,
+   header bits), hub_ptr, hub_g, dir_off, dir_mem, dir_bnd, own_off,
+   own_tgt, hosts, the DLS pack | threshold, r_level, dist, d_val. *)
+let freeze_two_mode (c : Two_mode.cols) =
   {
     Image.scheme = tag_two_mode;
     isecs =
       Array.of_list
         ([
-           Image.ints_of_array [| n; li; e.x_max_hops; e.x_header_bits |];
-           Image.ints_of_array (Array.concat (Array.to_list e.x_hub_ptr));
-           Image.ints_of_array (Array.concat (Array.to_list e.x_hub_g));
-           dir_off;
-           dir_mem;
-           dir_bnd;
-           own_off;
-           own_tgt;
-           e.x_dls.Ron_labeling.Dls.hosts;
+           Image.ints_of_array [| c.Two_mode.n; c.li; c.max_hops; c.header_bits |];
+           c.hub_ptr;
+           c.hub_g;
+           c.dir_off;
+           c.dir_mem;
+           c.dir_bnd;
+           c.own_off;
+           c.own_tgt;
+           c.dls.Dls.hosts;
          ]
-        @ dls_isecs e.x_dls);
-    fsecs =
-      [|
-        Image.floats_of_array [| e.x_m1_threshold |];
-        Image.floats_of_array (Array.concat (Array.to_list e.x_r_level));
-        Image.floats_of_array e.x_dist;
-        e.x_dls.Ron_labeling.Dls.d_val;
-      |];
+        @ dls_isecs c.dls);
+    fsecs = [| Image.floats_of_array [| c.m1_threshold |]; c.r_level; c.dist; c.dls.Dls.d_val |];
   }
 
 let freeze_meridian (e : Ron_smallworld.Meridian.export) =
@@ -355,7 +292,6 @@ let freeze_meridian (e : Ron_smallworld.Meridian.export) =
     fsecs = [| Image.floats_of_array e.x_dist |];
   }
 
-(* The landmark columns are adopted as they are. *)
 let freeze_landmark (c : Ron_labeling.Landmark.cols) =
   let open Ron_labeling.Landmark in
   {
@@ -364,41 +300,70 @@ let freeze_landmark (c : Ron_labeling.Landmark.cols) =
     fsecs = [| c.rows; c.ball_dist |];
   }
 
-(* --------------------------------------------------------------- viewing *)
+(* ------------------------------------------------------------ validation *)
+
+(* Structural checks, O(size), run before a view serves. [what] names the
+   scheme in the error and [sec] the section. *)
 
 let ( let* ) = Result.bind
+
+let bad what sec fmt =
+  Printf.ksprintf (fun m -> Error (Printf.sprintf "%s image: %s: %s" what sec m)) fmt
+
+let all check l = List.fold_left (fun r x -> Result.bind r (fun () -> check x)) (Ok ()) l
 
 (* First index in [i, hi) failing [ok], or -1. *)
 let rec find_bad ok i hi = if i >= hi then -1 else if ok i then find_bad ok (i + 1) hi else i
 
-(* The Basic view's structural check, O(size), run before it serves. After
-   it, every unchecked read of the route loop ([Structure.decode],
-   [Structure.member], [First_hop.find] and the entry reads) is in bounds:
-   lengths agree with the meta section, offsets run from 0 to their
-   column's end, ids are nodes, each z of zeta_uj is a position in ring
-   [(u, j + 1)], and each label's first index is in every ring 0. *)
+let length what (sec, got, want) =
+  if got = want then Ok () else bad what sec "%d entries, expected %d" got want
+
+(* [got = a * b] for [a >= 1], compared without overflow. *)
+let length_product what (sec, got, a, b) =
+  if got mod a = 0 && got / a = b then Ok ()
+  else bad what sec "%d entries, expected %d * %d" got a b
+
+(* [off] rises from 0 to [last]; with [strict], every run is non-empty. *)
+let offsets ?(strict = false) what (sec, (off : ints), last) =
+  let k = A1.dim off - 1 in
+  let rises i = if strict then off.{i} < off.{i + 1} else off.{i} <= off.{i + 1} in
+  if k >= 0 && off.{0} = 0 && off.{k} = last && find_bad rises 0 k < 0 then Ok ()
+  else bad what sec "offsets do not rise from 0 to %d" last
+
+let in_range what (sec, (a : ints), lo, hi) =
+  match find_bad (fun i -> a.{i} >= lo && a.{i} < hi) 0 (A1.dim a) with
+  | -1 -> Ok ()
+  | i -> bad what sec "entry %d is %d, outside [%d, %d)" i a.{i} lo hi
+
+let non_negative what (sec, (a : floats)) =
+  match find_bad (fun i -> Float.is_finite a.{i} && a.{i} >= 0.0) 0 (A1.dim a) with
+  | -1 -> Ok ()
+  | i -> bad what sec "entry %d is %g, not finite and >= 0" i a.{i}
+
+(* A first-hop table over [n] nodes: [First_hop.find] and the entry reads
+   stay in bounds, and every next hop and cost is usable. *)
+let check_table what ~n (tb : First_hop.t) =
+  let dim = A1.dim in
+  let* () =
+    all (length what)
+      [
+        ("t_off", dim tb.First_hop.t_off, n + 1);
+        ("t_next", dim tb.t_next, dim tb.t_w);
+        ("t_cost", dim tb.t_cost, dim tb.t_w);
+      ]
+  in
+  let* () = offsets what ("t_off", tb.t_off, dim tb.t_w) in
+  let* () = all (in_range what) [ ("t_w", tb.t_w, 0, n); ("t_next", tb.t_next, 0, n) ] in
+  non_negative what ("t_cost", tb.t_cost)
+
+(* The Basic view: after it, [Structure.decode], [Structure.member] and
+   the table reads are in bounds — lengths agree with the meta section,
+   offsets run from 0 to their column's end, ids are nodes, each z of
+   zeta_uj is a position in ring [(u, j + 1)], and each label's first index
+   is in every ring 0. *)
 let check_basic (c : Basic.cols) =
-  let s = c.Basic.st and tb = c.Basic.table and dim = A1.dim in
+  let what = "basic" and s = c.Basic.st and dim = A1.dim in
   let n = s.Structure.n and scales = s.Structure.scales in
-  let rest = dim s.Structure.label_rest in
-  let bad sec fmt =
-    Printf.ksprintf (fun m -> Error (Printf.sprintf "basic image: %s: %s" sec m)) fmt
-  in
-  let all check l = List.fold_left (fun r x -> Result.bind r (fun () -> check x)) (Ok ()) l in
-  let length (sec, got, want) =
-    if got = want then Ok () else bad sec "%d entries, expected %d" got want
-  in
-  let offsets (sec, (off : ints), last) =
-    let k = dim off - 1 in
-    if off.{0} = 0 && off.{k} = last && find_bad (fun i -> off.{i} <= off.{i + 1}) 0 k < 0
-    then Ok ()
-    else bad sec "offsets do not rise from 0 to %d" last
-  in
-  let in_range sec (a : ints) hi =
-    match find_bad (fun i -> a.{i} >= 0 && a.{i} < hi) 0 (dim a) with
-    | -1 -> Ok ()
-    | i -> bad sec "entry %d is %d, outside [0, %d)" i a.{i} hi
-  in
   (* Ring r = (u, j)'s rows span [z_run.{ring_off.{r}}, z_run.{ring_off.{r+1}}),
      and their z are positions in ring r + 1. *)
   let rec zetas r =
@@ -410,56 +375,146 @@ let check_basic (c : Basic.cols) =
       match find_bad ok s.z_run.{s.ring_off.{r}} s.z_run.{s.ring_off.{r + 1}} with
       | -1 -> zetas (r + 1)
       | e ->
-        bad "z_z" "entry %d is %d, outside ring %d of node %d" e s.z_z.{e}
+        bad what "z_z" "entry %d is %d, outside ring %d of node %d" e s.z_z.{e}
           ((r mod scales) + 1) (r / scales)
     end
   in
   let* () =
     if n >= 1 && scales >= 1 && c.max_hops >= 0 && c.max_hops <= Basic.hop_budget n then Ok ()
     else
-      bad "meta" "n %d, scales %d, max_hops %d (budget %d)" n scales c.max_hops
+      bad what "meta" "n %d, scales %d, max_hops %d (budget %d)" n scales c.max_hops
         (Basic.hop_budget n)
   in
   let* () =
-    all length
+    all (length what)
       [
         ("label_first", dim s.label_first, n);
-        ("ring_off", dim s.ring_off, rest + n + 1);
+        ("ring_off", dim s.ring_off, dim s.label_rest + n + 1);
         ("z_run", dim s.z_run, dim s.ring_node + 1);
         ("z_z", dim s.z_z, dim s.z_y);
-        ("t_off", dim tb.First_hop.t_off, n + 1);
-        ("t_next", dim tb.t_next, dim tb.t_w);
-        ("t_cost", dim tb.t_cost, dim tb.t_w);
       ]
   in
-  (* n * (scales - 1), compared without overflow. *)
+  let* () = length_product what ("label_rest", dim s.label_rest, n, scales - 1) in
   let* () =
-    if rest mod n = 0 && rest / n = scales - 1 then Ok ()
-    else bad "label_rest" "%d entries, expected %d * %d" rest n (scales - 1)
+    all (offsets what) [ ("ring_off", s.ring_off, dim s.ring_node); ("z_run", s.z_run, dim s.z_y) ]
   in
-  let* () =
-    all offsets
-      [
-        ("ring_off", s.ring_off, dim s.ring_node);
-        ("z_run", s.z_run, dim s.z_y);
-        ("t_off", tb.t_off, dim tb.t_w);
-      ]
-  in
-  let* () =
-    all
-      (fun (sec, a) -> in_range sec a n)
-      [ ("ring_node", s.ring_node); ("t_w", tb.t_w); ("t_next", tb.t_next) ]
-  in
+  let* () = in_range what ("ring_node", s.ring_node, 0, n) in
   let* () = zetas 0 in
-  let* () = in_range "label_first" s.label_first (Structure.first_bound s) in
-  let cost_ok e = Float.is_finite tb.t_cost.{e} && tb.t_cost.{e} >= 0.0 in
-  match find_bad cost_ok 0 (dim tb.t_cost) with
-  | -1 -> Ok ()
-  | e -> bad "t_cost" "entry %d is %g, not a finite cost >= 0" e tb.t_cost.{e}
+  let* () = in_range what ("label_first", s.label_first, 0, Structure.first_bound s) in
+  check_table what ~n c.Basic.table
 
-(* Every section count and meta length is checked before any meta read.
-   The Basic view is checked structurally as well; the other views' offsets
-   and node ids are trusted. *)
+(* The DLS columns of a labelled or two_mode view over [n] nodes ([hosts]:
+   the image carries the hosts column). After it, every read [Dls.scan]
+   makes unchecked is in bounds and its loops are bounded by the data: the
+   offsets rise to their columns' ends, every row holds the prefix,
+   zoom_first indexes it, zoom_rest and z_y are virtual indices below
+   max_virt (the scratch bound, at most n), and each z of row u's
+   translation maps is one of u's host indices. *)
+let check_dls what ~n ~hosts (d : Dls.cols) =
+  let dim = A1.dim in
+  let* () =
+    if d.Dls.rows = n && d.levels >= 0 && d.prefix_len >= 0 && d.max_virt >= 1 && d.max_virt <= n
+    then Ok ()
+    else
+      bad what "dls_meta" "rows %d, levels %d, prefix %d, max_virt %d for %d nodes" d.rows d.levels
+        d.prefix_len d.max_virt n
+  in
+  let* () =
+    all (length what)
+      ([
+         ("d_off", dim d.d_off, n + 1);
+         ("zoom_first", dim d.zoom_first, n);
+         ("z_y", dim d.z_y, dim d.z_x);
+         ("z_z", dim d.z_z, dim d.z_x);
+       ]
+      @ if hosts then [ ("hosts", dim d.hosts, dim d.d_val) ] else [])
+  in
+  let* () =
+    all (length_product what)
+      [ ("zoom_rest", dim d.zoom_rest, n, d.levels); ("z_off", dim d.z_off - 1, n, d.levels) ]
+  in
+  let* () = all (offsets what) [ ("d_off", d.d_off, dim d.d_val); ("z_off", d.z_off, dim d.z_x) ] in
+  let* () =
+    all (in_range what)
+      ([
+         ("zoom_first", d.zoom_first, 0, d.prefix_len);
+         ("zoom_rest", d.zoom_rest, 0, d.max_virt);
+         ("z_y", d.z_y, 0, d.max_virt);
+       ]
+      @ if hosts then [ ("hosts", d.hosts, 0, n) ] else [])
+  in
+  let* () = non_negative what ("d_val", d.d_val) in
+  let rec rows u =
+    if u >= n then Ok ()
+    else begin
+      let k = d.d_off.{u + 1} - d.d_off.{u} in
+      let ok e = d.z_z.{e} >= 0 && d.z_z.{e} < k in
+      if k < d.prefix_len then
+        bad what "dls_meta" "prefix of %d hosts, node %d has %d" d.prefix_len u k
+      else
+        match find_bad ok d.z_off.{u * d.levels} d.z_off.{(u + 1) * d.levels} with
+        | -1 -> rows (u + 1)
+        | e -> bad what "z_z" "entry %d is %d, outside node %d's %d hosts" e d.z_z.{e} u k
+    end
+  in
+  rows 0
+
+let check_labelled (c : Labelled.cols) =
+  let what = "labelled" and n = c.Labelled.n in
+  let* () =
+    if n >= 1 && c.max_hops >= 0 && c.max_hops <= Labelled.hop_budget n then Ok ()
+    else bad what "meta" "n %d, max_hops %d (budget %d)" n c.max_hops (Labelled.hop_budget n)
+  in
+  let* () = length what ("header_bits", A1.dim c.header_bits, n) in
+  let* () = check_table what ~n c.table in
+  check_dls what ~n ~hosts:false c.dls
+
+(* After it, [Two_mode.hop] reads in bounds: hub pointers and directory
+   members are nodes, [hub_g] names a directory or none, every directory
+   has a member, and the per-(scale, node) columns have their lengths. *)
+let check_two_mode (c : Two_mode.cols) =
+  let what = "two_mode" and dim = A1.dim in
+  let n = c.Two_mode.n and li = c.li in
+  let* () =
+    if n >= 1 && li >= 1 && c.max_hops >= 0 && c.max_hops <= Two_mode.hop_budget li then Ok ()
+    else
+      bad what "meta" "n %d, li %d, max_hops %d (budget %d)" n li c.max_hops
+        (Two_mode.hop_budget li)
+  in
+  let* () =
+    if c.m1_threshold > 0.0 && c.m1_threshold < 0.5 then Ok ()
+    else bad what "threshold" "%g, outside (0, 1/2)" c.m1_threshold
+  in
+  let* () =
+    all (length_product what)
+      [
+        ("hub_ptr", dim c.hub_ptr, n, li);
+        ("hub_g", dim c.hub_g, li, n);
+        ("own_off", dim c.own_off - 1, li, n);
+        ("r_level", dim c.r_level, n, li);
+        ("dist", dim c.dist, n, n);
+      ]
+  in
+  let* () = length what ("dir_bnd", dim c.dir_bnd, dim c.dir_mem) in
+  let* () = offsets ~strict:true what ("dir_off", c.dir_off, dim c.dir_mem) in
+  let* () = offsets what ("own_off", c.own_off, dim c.own_tgt) in
+  let* () =
+    all (in_range what)
+      [
+        ("hub_ptr", c.hub_ptr, 0, n);
+        ("hub_g", c.hub_g, -1, dim c.dir_off - 1);
+        ("dir_mem", c.dir_mem, 0, n);
+        ("own_tgt", c.own_tgt, 0, n);
+      ]
+  in
+  let* () = all (non_negative what) [ ("r_level", c.r_level); ("dist", c.dist) ] in
+  check_dls what ~n ~hosts:true c.dls
+
+(* --------------------------------------------------------------- viewing *)
+
+(* Every section count and meta length is checked before any meta read;
+   the Basic, Labelled and Two_mode views are then checked structurally.
+   The Meridian and Landmark views' offsets and ids are trusted. *)
 let of_image (img : Image.t) =
   let i = img.Image.isecs and f = img.Image.fsecs in
   let need ni nf what =
@@ -502,20 +557,20 @@ let of_image (img : Image.t) =
     let* () = check_basic c in
     view (Basic c)
   | 2 ->
-    let* () = need 15 2 "labelled" in
+    let* () = need 13 2 "labelled" in
     let* meta = meta "labelled" 2 in
-    let* ldls = dls_of_secs "labelled" i f 7 1 ~hosts:no_hosts in
-    view
-      (Labelled
-         {
-           ln = ig meta 0;
-           lmax_hops = ig meta 1;
-           lhb = i.(1);
-           lnbr_off = i.(2);
-           lnbr = i.(3);
-           ltable = { First_hop.t_off = i.(4); t_w = i.(5); t_next = i.(6); t_cost = f.(0) };
-           ldls;
-         })
+    let* dls = dls_of_secs "labelled" i f 5 1 ~hosts:no_hosts in
+    let c =
+      {
+        Labelled.n = ig meta 0;
+        max_hops = ig meta 1;
+        header_bits = i.(1);
+        table = { First_hop.t_off = i.(2); t_w = i.(3); t_next = i.(4); t_cost = f.(0) };
+        dls;
+      }
+    in
+    let* () = check_labelled c in
+    view (Labelled c)
   | 3 ->
     let* () = need 17 4 "two_mode" in
     let* meta = meta "two_mode" 4 in
@@ -526,26 +581,28 @@ let of_image (img : Image.t) =
              (A1.dim f.(0)))
       else Ok ()
     in
-    let* tdls = dls_of_secs "two_mode" i f 9 3 ~hosts:i.(8) in
-    view
-      (Two_mode
-         {
-           tn = ig meta 0;
-           tli = ig meta 1;
-           tmax_hops = ig meta 2;
-           thb = ig meta 3;
-           tm1_threshold = fg f.(0) 0;
-           thub_ptr = i.(1);
-           thub_g = i.(2);
-           tdir_off = i.(3);
-           tdir_mem = i.(4);
-           tdir_bnd = i.(5);
-           town_off = i.(6);
-           town_tgt = i.(7);
-           tr_level = f.(1);
-           tdmat = f.(2);
-           tdls;
-         })
+    let* dls = dls_of_secs "two_mode" i f 9 3 ~hosts:i.(8) in
+    let c =
+      {
+        Two_mode.n = ig meta 0;
+        li = ig meta 1;
+        max_hops = ig meta 2;
+        header_bits = ig meta 3;
+        m1_threshold = fg f.(0) 0;
+        hub_ptr = i.(1);
+        hub_g = i.(2);
+        dir_off = i.(3);
+        dir_mem = i.(4);
+        dir_bnd = i.(5);
+        own_off = i.(6);
+        own_tgt = i.(7);
+        r_level = f.(1);
+        dist = f.(2);
+        dls;
+      }
+    in
+    let* () = check_two_mode c in
+    view (Two_mode c)
   | 4 ->
     let* () = need 4 1 "meridian" in
     let* meta = meta "meridian" 2 in
@@ -589,7 +646,7 @@ let freeze_landmark_t e = exn_of_result (of_image (freeze_landmark e))
 let load file =
   match Image.load file with Error e -> Error e | Ok img -> of_image img
 
-(* ------------------------------------------------------------ Basic route *)
+(* ---------------------------------------------------------------- routes *)
 
 (* Append a visited node to the hop trace; counting continues past the
    buffer so the recorder can tell a truncated trace from a full one. *)
@@ -599,253 +656,77 @@ let[@inline] log_hop sc node =
     sc.hop_len <- sc.hop_len + 1
   end
 
-let[@inline] finish sc code hops aux =
+let[@inline] finish sc code hops =
   sc.r_outcome <- code;
-  sc.r_hops <- hops;
-  sc.r_aux <- aux
+  sc.r_hops <- hops
 
-(* [Scheme.simulate]'s Brent loop with the Basic header state reduced to
-   its varying [level] field (-1 = None): per hop, cycle check first, then
-   checkpoint refresh at power-of-two hop counts, then the step. *)
-let rec basic_go (b : Basic.cols) sc ~dst ~hb node level saved_node saved_level power hops =
-  if hops > 0 && node = saved_node && level = saved_level then
-    finish sc code_cycled hops hb
+let[@inline] table_hop (tb : First_hop.t) sc e state =
+  sc.r_next <- ig tb.First_hop.t_next e;
+  sc.sel_w <- state;
+  sc.fbuf.(5) <- fg tb.t_cost e
+
+(* One hop of the view's scheme at [node], which is not [dst]: the next
+   node into r_next, the packet's next state into sel_w and the link's
+   cost into fbuf.(5). The state is the one int a header varies in — the
+   chased level for Basic (-1: none yet), the intermediate target for
+   Labelled, the mode for Two_mode. *)
+let hop view sc ~dst node state =
+  match view with
+  | Basic b ->
+    let j = Basic.target_level b b.Basic.st dst sc.m node state in
+    table_hop b.Basic.table sc (Basic.hop_entry b node sc.m j) j
+  | Labelled l ->
+    let e = Labelled.hop l sc.dls sc.memo ~dst node state in
+    table_hop l.Labelled.table sc e (ig l.table.First_hop.t_w e)
+  | Two_mode m ->
+    ignore (Two_mode.hop m sc.dls sc.regs ~dst node state : int);
+    sc.r_next <- sc.regs.Two_mode.next;
+    sc.sel_w <- sc.regs.mode;
+    sc.fbuf.(5) <- fg m.Two_mode.dist ((node * m.n) + sc.r_next)
+  | Meridian _ | Landmark _ -> invalid_arg "Server: this scheme serves no route"
+
+(* [Scheme.simulate]'s Brent loop over (node, state): per hop, cycle check
+   first, then checkpoint refresh at power-of-two hop counts, then the
+   step. *)
+let rec route_go view sc ~dst ~max_hops node state saved_node saved_state power hops =
+  if hops > 0 && node = saved_node && state = saved_state then finish sc code_cycled hops
   else begin
     let refresh = hops = power in
     let saved_node = if refresh then node else saved_node in
-    let saved_level = if refresh then level else saved_level in
+    let saved_state = if refresh then state else saved_state in
     let power = if refresh then 2 * power else power in
-    if node = dst then finish sc code_delivered hops hb
+    if node = dst then finish sc code_delivered hops
     else begin
-      let j = Basic.target_level b b.Basic.st dst sc.m node level in
-      let e = Basic.hop_entry b node sc.m j in
-      let next = ig b.Basic.table.First_hop.t_next e in
-      if next = node then finish sc code_self_forward hops hb
-      else if hops >= b.Basic.max_hops then finish sc code_truncated hops hb
+      hop view sc ~dst node state;
+      let next = sc.r_next in
+      if next = node then finish sc code_self_forward hops
+      else if hops >= max_hops then finish sc code_truncated hops
       else begin
-        sc.fbuf.(2) <- sc.fbuf.(2) +. fg b.Basic.table.First_hop.t_cost e;
+        sc.fbuf.(2) <- sc.fbuf.(2) +. sc.fbuf.(5);
         log_hop sc next;
-        basic_go b sc ~dst ~hb next j saved_node saved_level power (hops + 1)
+        route_go view sc ~dst ~max_hops next sc.sel_w saved_node saved_state power (hops + 1)
       end
     end
   end
 
-let basic_route (b : Basic.cols) sc ~src ~dst =
-  sc.fbuf.(2) <- 0.0;
-  basic_go b sc ~dst ~hb:b.Basic.header_bits src (-1) src (-1) 1 0
-
-(* --------------------------------------------------------- Labelled route *)
-
-(* score(v) = labeled estimate v -> dst, memoized per route; result in
-   fbuf.(6). [Dls.estimate] short-circuits identical labels to 0; the
-   finiteness test is [d -. d = 0.0], i.e. Float.is_finite inlined. *)
-let lab_score fl sc ~dst v =
-  if v = dst then sc.fbuf.(6) <- 0.0
-  else if sc.memo_gen.(v) = sc.mgen then sc.fbuf.(6) <- sc.memo_d.(v)
-  else begin
-    Ron_labeling.Dls.scan fl.ldls v fl.ldls dst sc.dls ~exclude:(-1);
-    let d = (Ron_labeling.Dls.results sc.dls).(0) in
-    if not (d -. d = 0.0) then
-      failwith "Serve.labelled: no common beacon identified (Theorem 3.4 violated)";
-    sc.memo_d.(v) <- d;
-    sc.memo_gen.(v) <- sc.mgen;
-    sc.fbuf.(6) <- d
-  end
-
-(* Select the neighbor of [u] minimizing (score, id) into sel_w/fbuf.(5). *)
-let rec lab_select fl sc ~dst e e1 u =
-  if e < e1 then begin
-    let v = ig fl.lnbr e in
-    if v <> u then begin
-      lab_score fl sc ~dst v;
-      let d = sc.fbuf.(6) in
-      if d < sc.fbuf.(5) || (d = sc.fbuf.(5) && v < sc.sel_w) then begin
-        sc.sel_w <- v;
-        sc.fbuf.(5) <- d
-      end
-    end;
-    lab_select fl sc ~dst (e + 1) e1 u
-  end
-
-let rec lab_go fl sc ~dst ~hb node inter saved_node saved_inter power hops =
-  if hops > 0 && node = saved_node && inter = saved_inter then
-    finish sc code_cycled hops hb
-  else begin
-    let refresh = hops = power in
-    let saved_node = if refresh then node else saved_node in
-    let saved_inter = if refresh then inter else saved_inter in
-    let power = if refresh then 2 * power else power in
-    if node = dst then finish sc code_delivered hops hb
-    else begin
-      let target =
-        if inter = node then begin
-          (* Re-select the intermediate target among node's neighbors. *)
-          sc.fbuf.(5) <- infinity;
-          sc.sel_w <- -1;
-          lab_select fl sc ~dst (ig fl.lnbr_off node) (ig fl.lnbr_off (node + 1)) node;
-          if sc.sel_w < 0 then failwith "Serve.labelled: no neighbors";
-          sc.sel_w
-        end
-        else inter
-      in
-      let e = First_hop.find fl.ltable node target in
-      if e < 0 then failwith "Serve.labelled: intermediate target is not a neighbor";
-      let next = ig fl.ltable.First_hop.t_next e in
-      if next = node then finish sc code_self_forward hops hb
-      else if hops >= fl.lmax_hops then finish sc code_truncated hops hb
-      else begin
-        sc.fbuf.(2) <- sc.fbuf.(2) +. fg fl.ltable.First_hop.t_cost e;
-        log_hop sc next;
-        lab_go fl sc ~dst ~hb next target saved_node saved_inter power (hops + 1)
-      end
-    end
-  end
-
-let lab_route fl sc ~src ~dst =
-  sc.fbuf.(2) <- 0.0;
-  sc.mgen <- sc.mgen + 1;
-  lab_go fl sc ~dst ~hb:(ig fl.lhb dst) src src src src 1 0
-
-(* --------------------------------------------------------- Two_mode route *)
-
-(* Mode encoding: 0 = M1, 2i = M2_hub i, 2i+1 = M2_owner i (i >= 1). *)
-
-let rec tm_owned_find (tgt : ints) s e target =
-  if s >= e then false
-  else begin
-    let mid = (s + e) / 2 in
-    let mv = ig tgt mid in
-    if mv < target then tm_owned_find tgt (mid + 1) e target
-    else if mv = target then true
-    else tm_owned_find tgt s mid target
-  end
-
-(* Largest index with boundaries <= target in the directory run at [s]. *)
-let rec tm_dir_search fm s lo hi target =
-  if lo >= hi then lo - 1
-  else begin
-    let mid = (lo + hi) / 2 in
-    if ig fm.tdir_bnd (s + mid) <= target then tm_dir_search fm s (mid + 1) hi target
-    else tm_dir_search fm s lo mid target
-  end
-
-(* [Two_mode.owner_of] over the flat directory [g]. *)
-let tm_owner_of fm g target =
-  let s = ig fm.tdir_off g and e = ig fm.tdir_off (g + 1) in
-  let m = max 0 (tm_dir_search fm s 0 (e - s) target) in
-  ig fm.tdir_mem (s + m)
-
-(* The M2 resolution chain of [Two_mode.step] at node [u]: each function
-   either writes (r_next, r_aux = next mode) and returns 1 (Forward) or
-   recurses locally — the packet only leaves through an actual link. *)
-let rec tm_resolve fm sc ~u ~dst i =
-  if i < 1 then failwith "Serve.two_mode: ran out of directory scales";
-  let hub = ig fm.thub_ptr ((u * fm.tli) + i) in
-  if hub <> u then begin
-    sc.r_next <- hub;
-    sc.r_aux <- 2 * i;
-    1
-  end
-  else tm_at_hub fm sc ~u ~dst i
-
-and tm_at_hub fm sc ~u ~dst i =
-  let g = ig fm.thub_g ((i * fm.tn) + u) in
-  if g < 0 then failwith "Serve.two_mode: hub pointer does not name a hub";
-  let owner = tm_owner_of fm g dst in
-  if owner <> u then begin
-    sc.r_next <- owner;
-    sc.r_aux <- (2 * i) + 1;
-    1
-  end
-  else tm_as_owner fm sc ~u ~dst i
-
-and tm_as_owner fm sc ~u ~dst i =
-  let s = ig fm.town_off ((i * fm.tn) + u) and e = ig fm.town_off ((i * fm.tn) + u + 1) in
-  if tm_owned_find fm.town_tgt s e dst then begin
-    sc.r_next <- dst;
-    sc.r_aux <- 0;
-    1
-  end
-  else if i <= 1 then failwith "Serve.two_mode: scale-1 directory must cover all targets"
-  else tm_resolve fm sc ~u ~dst (i - 1)
-
-(* [Two_mode.switch_scale]: deepest i >= 1 whose previous-scale radius
-   still dominates the (4/3) d~ threshold in fbuf.(7). *)
-let rec tm_switch fm sc ~u i best =
-  if i > fm.tli - 1 then best
-  else if fg fm.tr_level ((u * fm.tli) + i - 1) >= sc.fbuf.(7) then
-    tm_switch fm sc ~u (i + 1) i
-  else best
-
-(* One [Two_mode.step] at [u]: 0 = Deliver, 1 = Forward via (r_next,
-   r_aux = mode). *)
-let tm_step fm sc ~u ~dst ~mode =
-  if u = dst then 0
-  else if mode = 0 then begin
-    Ron_labeling.Dls.scan fm.tdls u fm.tdls dst sc.dls ~exclude:u;
-    let acc = Ron_labeling.Dls.results sc.dls in
-    let d_est = acc.(0) in
-    if not (d_est -. d_est = 0.0) then
-      failwith "Serve.two_mode: no common beacon identified (Theorem 3.4 violated)";
-    let best = Ron_labeling.Dls.best_beacon sc.dls in
-    if best >= 0 && acc.(1) <= d_est *. fm.tm1_threshold then begin
-      sc.r_next <- best;
-      sc.r_aux <- 0;
-      1
-    end
-    else begin
-      sc.fbuf.(7) <- 4.0 /. 3.0 *. d_est;
-      tm_resolve fm sc ~u ~dst (tm_switch fm sc ~u 1 1)
-    end
-  end
-  else if mode land 1 = 0 then tm_at_hub fm sc ~u ~dst (mode / 2)
-  else tm_as_owner fm sc ~u ~dst (mode / 2)
-
-let rec tm_go fm sc ~dst node mode saved_node saved_mode power hops =
-  if hops > 0 && node = saved_node && mode = saved_mode then
-    finish sc code_cycled hops fm.thb
-  else begin
-    let refresh = hops = power in
-    let saved_node = if refresh then node else saved_node in
-    let saved_mode = if refresh then mode else saved_mode in
-    let power = if refresh then 2 * power else power in
-    if tm_step fm sc ~u:node ~dst ~mode = 0 then finish sc code_delivered hops fm.thb
-    else begin
-      let next = sc.r_next and mode' = sc.r_aux in
-      if next = node then finish sc code_self_forward hops fm.thb
-      else if hops >= fm.tmax_hops then finish sc code_truncated hops fm.thb
-      else begin
-        sc.fbuf.(2) <- sc.fbuf.(2) +. fg fm.tdmat ((node * fm.tn) + next);
-        log_hop sc next;
-        tm_go fm sc ~dst next mode' saved_node saved_mode power (hops + 1)
-      end
-    end
-  end
-
-let tm_route fm sc ~src ~dst =
-  sc.fbuf.(2) <- 0.0;
-  tm_go fm sc ~dst src 0 src 0 1 0
+(* A route from [src] in the scheme's initial state; r_aux = header bits. *)
+let route view sc ~src ~dst ~header_bits ~max_hops state =
+  sc.r_aux <- header_bits;
+  route_go view sc ~dst ~max_hops src state src state 1 0
 
 (* ------------------------------------------------- labeled dist estimates *)
 
 (* The DLS estimate both label-based schemes expose as their distance
    query; [Dls.estimate] short-circuits identical labels to 0. Result in
-   fbuf.(3) = fbuf.(4) (a point estimate, not an interval). [what] only
-   selects the failure message. *)
-let dls_estimate fd sc ~src ~dst ~what =
-  if src = dst then begin
-    sc.fbuf.(3) <- 0.0;
-    sc.fbuf.(4) <- 0.0
-  end
-  else begin
-    Ron_labeling.Dls.scan fd src fd dst sc.dls ~exclude:(-1);
-    let d = (Ron_labeling.Dls.results sc.dls).(0) in
-    if not (d -. d = 0.0) then
-      if what = 0 then
-        failwith "Serve.labelled: no common beacon identified (Theorem 3.4 violated)"
-      else failwith "Serve.two_mode: no common beacon identified (Theorem 3.4 violated)";
-    sc.fbuf.(3) <- d;
-    sc.fbuf.(4) <- d
+   fbuf.(3) = fbuf.(4) (a point estimate, not an interval). *)
+let dls_estimate d sc ~src ~dst =
+  if src <> dst then begin
+    Dls.scan d src d dst sc.dls ~exclude:(-1);
+    let e = (Dls.results sc.dls).(0) in
+    if not (e -. e = 0.0) then
+      failwith "Server: no common beacon identified (Theorem 3.4 violated)";
+    sc.fbuf.(3) <- e;
+    sc.fbuf.(4) <- e
   end
 
 (* -------------------------------------------------------- Meridian locate *)
@@ -928,10 +809,16 @@ let query t sc ~kind ~src ~dst =
   sc.fbuf.(3) <- 0.0;
   sc.fbuf.(4) <- 0.0;
   match t.view with
-  | Basic b -> basic_route b sc ~src ~dst
+  | Basic b ->
+    route t.view sc ~src ~dst ~header_bits:b.Basic.header_bits ~max_hops:b.max_hops (-1)
   | Labelled l ->
-    if kind = 1 then dls_estimate l.ldls sc ~src ~dst ~what:0 else lab_route l sc ~src ~dst
+    if kind = 1 then dls_estimate l.Labelled.dls sc ~src ~dst
+    else begin
+      Labelled.fresh sc.memo;
+      route t.view sc ~src ~dst ~header_bits:(ig l.header_bits dst) ~max_hops:l.max_hops src
+    end
   | Two_mode m ->
-    if kind = 1 then dls_estimate m.tdls sc ~src ~dst ~what:1 else tm_route m sc ~src ~dst
+    if kind = 1 then dls_estimate m.Two_mode.dls sc ~src ~dst
+    else route t.view sc ~src ~dst ~header_bits:m.header_bits ~max_hops:m.max_hops 0
   | Meridian m -> mer_locate m sc ~start:src ~target:dst
   | Landmark g -> Ron_labeling.Landmark.bounds g sc.fbuf ~at:3 src dst

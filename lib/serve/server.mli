@@ -1,15 +1,15 @@
 (** Frozen, off-heap query servers.
 
-    A constructed scheme is exported, packed into an {!Image.t} (Bigarray
-    sections, int-indexed, string-free), and served through flat views.
-    Distance estimates run the schemes' own estimators on the mapped
-    columns, and Basic routes take the live scheme's own hops; the route
-    and locate loops replicate [Scheme.simulate]'s Brent cycle detection
-    and the rest of the live step functions operation for operation —
-    frozen results are byte-identical to the live scheme's. The hot path
-    is zero-allocation in steady state: all per-query mutable state lives
-    in a preallocated per-domain {!scratch}, results land in its
-    registers, and no hot function passes or returns a float. *)
+    A constructed scheme's columns are mapped to the sections of an
+    {!Image.t} (Bigarray sections, int-indexed, string-free) and served
+    from the same columns mapped back. Queries run the schemes' own code
+    on them: the estimators, and the Basic, Labelled and Two_mode hops
+    inside one copy of [Scheme.simulate]'s Brent cycle detection; only
+    Meridian's locate is replayed here — frozen results are
+    byte-identical to the live scheme's. The hot path is zero-allocation
+    in steady state: all per-query mutable state lives in a preallocated
+    per-domain {!scratch}, results land in its registers, and no hot
+    function passes or returns a float. *)
 
 type ints = Image.ints
 type floats = Image.floats
@@ -18,14 +18,14 @@ type floats = Image.floats
 
 (** Per-domain query state. Query results are read from the [r_*]
     registers and [fbuf] slots documented at {!query}; the remaining
-    fields, [dls] (the DLS decoder's own scratch) included, are internal
-    working storage. *)
+    fields — [dls] (the DLS decoder's own scratch), [memo] (Labelled's
+    per-route estimates) and [regs] (Two_mode's hop output) included — are
+    internal working storage. *)
 type scratch = {
   mutable m : int array;
   dls : Ron_labeling.Dls.scratch;
-  mutable memo_d : float array;
-  mutable memo_gen : int array;
-  mutable mgen : int;
+  memo : Ron_routing.Labelled.memo;
+  regs : Ron_routing.Two_mode.regs;
   fbuf : float array;
   mutable sel_w : int;
   mutable r_outcome : int;
@@ -48,25 +48,26 @@ type scratch = {
 type t
 
 val freeze_basic : Ron_routing.Basic.cols -> Image.t
-val freeze_labelled : Ron_routing.Labelled.export -> Image.t
-val freeze_two_mode : Ron_routing.Two_mode.export -> Image.t
+val freeze_labelled : Ron_routing.Labelled.cols -> Image.t
+val freeze_two_mode : Ron_routing.Two_mode.cols -> Image.t
 val freeze_meridian : Ron_smallworld.Meridian.export -> Image.t
 val freeze_landmark : Ron_labeling.Landmark.cols -> Image.t
 
 val freeze_basic_t : Ron_routing.Basic.cols -> t
-val freeze_labelled_t : Ron_routing.Labelled.export -> t
-val freeze_two_mode_t : Ron_routing.Two_mode.export -> t
+val freeze_labelled_t : Ron_routing.Labelled.cols -> t
+val freeze_two_mode_t : Ron_routing.Two_mode.cols -> t
 val freeze_meridian_t : Ron_smallworld.Meridian.export -> t
 val freeze_landmark_t : Ron_labeling.Landmark.cols -> t
 
 val of_image : Image.t -> (t, string) result
 (** Wrap an image's sections — zero-copy — into a server, validating the
     scheme tag, the per-scheme section counts and the length of every meta
-    section before reading it; [Error] names the scheme. A Basic image is
-    also checked in O(size) — section lengths against the meta section,
-    offsets, node ids, ζ positions, label first indices, finite costs and
-    the hop budget — so that its unchecked reads stay in bounds; its
-    [Error] also names the section. *)
+    section before reading it; [Error] names the scheme. Basic, Labelled
+    and Two_mode images are also checked in O(size) — section lengths
+    against the meta section, offsets, node ids, ζ and DLS indices,
+    directory ids, finite non-negative distances and costs, the M1
+    threshold and the hop budget — so that their unchecked reads stay in
+    bounds; their [Error] also names the section. *)
 
 val load : string -> (t, string) result
 (** [Image.load] followed by {!of_image}. *)

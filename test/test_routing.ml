@@ -527,6 +527,137 @@ let prop_on_metric_random_clouds =
       done;
       !ok)
 
+(* Thm 4.1's neighbor sets and selection against their definitions, on
+   grids and random geometric graphs: [neighbors u] is F(u) =
+   U_j B_u(2^(j+2)/delta) ∩ F_j computed ball by ball over the same net
+   hierarchy — which holds u, since F_0 is every node — and is u plus u's
+   first-hop targets; [select] over those targets is the brute-force
+   argmin by (Labelled.estimate, id). *)
+module Net = Ron_metric.Net
+module Triangulation = Ron_labeling.Triangulation
+module First_hop = Ron_routing.First_hop
+
+let labelled_matches_definition sp ~delta ~seed =
+  let t = Labelled.build sp ~delta in
+  let idx = Indexed.create (Ron_metric.Metric.normalize (Sp_metric.metric sp)) in
+  let hier = Triangulation.hierarchy (Triangulation.build idx ~delta:Labelled.dls_delta) in
+  let n = Indexed.size idx in
+  let f_of u =
+    let seen = Hashtbl.create 16 in
+    for j = 0 to Net.Hierarchy.jmax hier do
+      Indexed.ball_iter idx u (Ron_util.Bits.pow2 (j + 2) /. delta) (fun v _ ->
+          if Net.Hierarchy.mem hier j v then Hashtbl.replace seen v ())
+    done;
+    List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) seen [])
+  in
+  let c = Labelled.export t in
+  let tb = c.Labelled.table in
+  let targets u =
+    List.init (First_hop.entries tb u) (fun k -> tb.First_hop.t_w.{tb.t_off.{u} + k})
+  in
+  let sets_ok =
+    List.for_all
+      (fun u ->
+        let f = f_of u in
+        List.mem u f
+        && Array.to_list (Labelled.neighbors t u) = f
+        && List.sort compare (u :: targets u) = f)
+      (List.init n Fun.id)
+  in
+  let m = Labelled.memo () and sc = Ron_labeling.Dls.new_scratch () in
+  Labelled.reserve m n;
+  let rng = Rng.create seed in
+  let select_ok =
+    List.for_all
+      (fun _ ->
+        let u = Rng.int rng n and dst = Rng.int rng n in
+        let brute =
+          List.fold_left
+            (fun best v ->
+              let key = (Labelled.estimate t v dst, v) in
+              match best with Some (k, _) when compare k key <= 0 -> best | _ -> Some (key, v))
+            None
+            (List.filter (fun v -> v <> u) (Array.to_list (Labelled.neighbors t u)))
+        in
+        Labelled.fresh m;
+        let got = Labelled.select c.dls sc m tb.t_w ~dst tb.t_off.{u} tb.t_off.{u + 1} in
+        got = match brute with Some (_, v) -> v | None -> -1)
+      (List.init 40 Fun.id)
+  in
+  sets_ok && select_ok
+
+let prop_labelled_definition =
+  QCheck.Test.make ~name:"Thm 4.1 neighbor sets and selection = their definitions" ~count:6
+    QCheck.(pair bool (int_range 16 40))
+    (fun (is_grid, n) ->
+      let g =
+        if is_grid then Graph_gen.grid (3 + (n mod 4)) (n / 8)
+        else Graph_gen.random_geometric (Rng.create (n * 11)) ~n ~radius:0.3
+      in
+      labelled_matches_definition (Sp_metric.create g) ~delta:0.25 ~seed:n)
+
+(* Two_mode against the Hashtbl oracle it replaced: the columns equal the
+   oracle's flattened directories, and every route agrees on outcome,
+   hops, length, path and header bits, with the same M1 -> M2 switch
+   count and the same header rewrites and translation lookups charged to
+   the probes — built and routed at 1 and at 2 domains. *)
+let rows (off : Two_mode.ints) (data : Two_mode.ints) =
+  Array.init (Bigarray.Array1.dim off - 1) (fun i ->
+      Array.init (off.{i + 1} - off.{i}) (fun k -> data.{off.{i} + k}))
+
+let probed f =
+  let counters = [ Probe.route_header_rewrites; Probe.translation_lookups ] in
+  let before = List.map Counter.value counters in
+  let was_on = !Probe.on in
+  Probe.on := true;
+  let r = Fun.protect ~finally:(fun () -> Probe.on := was_on) f in
+  (r, List.map2 (fun c v -> Counter.value c - v) counters before)
+
+let two_mode_matches_oracle ?m1_threshold idx =
+  let oracle = Two_mode_oracle.build ?m1_threshold idx ~delta:0.125 in
+  let flat = Two_mode_oracle.flatten oracle in
+  let n = Indexed.size idx in
+  let route_all ?jobs route =
+    probed (fun () -> Pool.init ?jobs (n * n) (fun k -> route ~src:(k / n) ~dst:(k mod n)))
+  in
+  (* The oracle counts its switches in a plain field: one domain. *)
+  let want = route_all ~jobs:1 (Two_mode_oracle.route oracle) in
+  let to_array a = Array.init (Bigarray.Array1.dim a) (Bigarray.Array1.get a) in
+  List.for_all
+    (fun jobs ->
+      Pool.set_default_jobs (Some jobs);
+      Fun.protect
+        ~finally:(fun () -> Pool.set_default_jobs None)
+        (fun () ->
+          let tm = Two_mode.build ?m1_threshold idx ~delta:0.125 in
+          let c = Two_mode.export tm in
+          let got = route_all (Two_mode.route tm) in
+          to_array c.Two_mode.hub_ptr = flat.Two_mode_oracle.f_hub_ptr
+          && to_array c.hub_g = flat.f_hub_g
+          && rows c.dir_off c.dir_mem = flat.f_dir_members
+          && rows c.dir_off c.dir_bnd = flat.f_dir_boundaries
+          && rows c.own_off c.own_tgt = flat.f_owned
+          && got = want
+          && Two_mode.mode2_switches tm = oracle.Two_mode_oracle.switches))
+    [ 1; 2 ]
+
+let prop_two_mode_clouds =
+  QCheck.Test.make ~name:"Two_mode = Hashtbl oracle on random clouds" ~count:4
+    QCheck.(pair (int_range 20 50) (int_range 1 1000))
+    (fun (n, seed) ->
+      let cloud = Generators.random_cloud (Rng.create seed) ~n ~dim:2 in
+      two_mode_matches_oracle (Indexed.create cloud))
+
+let prop_two_mode_forced_m2 =
+  QCheck.Test.make ~name:"Two_mode = Hashtbl oracle forced into M2" ~count:4
+    QCheck.(pair (int_range 4 10) (int_range 1 1000))
+    (fun (clusters, seed) ->
+      let idx =
+        Indexed.create
+          (Generators.exponential_clusters (Rng.create seed) ~clusters ~per_cluster:6 ~base:64.0)
+      in
+      two_mode_matches_oracle ~m1_threshold:0.01 idx)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ron_routing"
@@ -590,5 +721,8 @@ let () =
           qt prop_on_metric_random_clouds;
           qt prop_zetas_graphs;
           qt prop_zetas_clouds;
+          qt prop_labelled_definition;
+          qt prop_two_mode_clouds;
+          qt prop_two_mode_forced_m2;
         ] );
     ]

@@ -100,19 +100,50 @@ let copy_ints (a : Image.ints) =
   A1.blit a b;
   b
 
-let with_isec k f =
-  let img = Lazy.force basic_image in
+let mutate_isec img k f =
   let a = copy_ints img.Image.isecs.(k) in
   f a;
   { img with Image.isecs = Array.mapi (fun j s -> if j = k then a else s) img.Image.isecs }
 
-let expect_rejected section img =
+let mutate_fsec img k f =
+  let a = Image.floats_create (A1.dim img.Image.fsecs.(k)) in
+  A1.blit img.Image.fsecs.(k) a;
+  f a;
+  { img with Image.fsecs = Array.mapi (fun j s -> if j = k then a else s) img.Image.fsecs }
+
+let with_isec k f = mutate_isec (Lazy.force basic_image) k f
+
+let expect_rejected ?(scheme = "basic") section img =
   match Server.of_image img with
-  | Ok _ -> Alcotest.failf "basic image with a bad %s accepted" section
+  | Ok _ -> Alcotest.failf "%s image with a bad %s accepted" scheme section
   | Error e ->
     check_bool
-      (Printf.sprintf "error names basic and %s: %s" section e)
-      (contains e "basic" && contains e section)
+      (Printf.sprintf "error names %s and %s: %s" scheme section e)
+      (contains e scheme && contains e section)
+
+(* An intact image loads, also after a save. *)
+let intact scheme img () =
+  let img = Lazy.force img in
+  check_bool (scheme ^ " of_image") (Result.is_ok (Server.of_image img));
+  let file = Filename.temp_file "ron_serve_test" ".snap" in
+  Image.save img file;
+  let loaded = Server.load file in
+  Sys.remove file;
+  check_bool (scheme ^ " saved and loaded") (Result.is_ok loaded)
+
+(* The image survives a save: its checksums are valid, so [Server.load]
+   must still refuse it, naming the scheme and the section. *)
+let expect_load_rejected scheme section img =
+  let file = Filename.temp_file "ron_serve_test" ".snap" in
+  Image.save img file;
+  let loaded = Server.load file in
+  Sys.remove file;
+  match loaded with
+  | Ok _ -> Alcotest.failf "%s image with bad %s loaded" scheme section
+  | Error e ->
+    check_bool
+      (Printf.sprintf "error names %s and %s: %s" scheme section e)
+      (contains e scheme && contains e section)
 
 (* Sections: 0 meta (n, scales, max_hops, header bits), 1 label_first,
    2 label_rest, 3 ring_off, 4 ring_node, 5 z_run, 6 z_y, 7 z_z, 8 t_off,
@@ -120,15 +151,7 @@ let expect_rejected section img =
 let basic_mutations =
   let ring_size (off : Image.ints) r = A1.get off (r + 1) - A1.get off r in
   [
-    ( "intact image loads",
-      fun () ->
-        let img = Lazy.force basic_image in
-        check_bool "of_image" (Result.is_ok (Server.of_image img));
-        let file = Filename.temp_file "ron_serve_test" ".snap" in
-        Image.save img file;
-        let loaded = Server.load file in
-        Sys.remove file;
-        check_bool "saved and loaded" (Result.is_ok loaded) );
+    ("intact image loads", intact "basic" basic_image);
     ( "meta n disagrees with section lengths",
       fun () ->
         expect_rejected "label_first" (with_isec 0 (fun a -> A1.set a 0 (A1.get a 0 + 1))) );
@@ -155,16 +178,7 @@ let basic_mutations =
       fun () -> expect_rejected "t_w" (with_isec 9 (fun a -> A1.set a 0 (-1))) );
     ( "every next hop 2^40, saved with valid checksums",
       fun () ->
-        let img = with_isec 10 (fun a -> A1.fill a (1 lsl 40)) in
-        let file = Filename.temp_file "ron_serve_test" ".snap" in
-        Image.save img file;
-        let loaded = Server.load file in
-        Sys.remove file;
-        match loaded with
-        | Ok _ -> Alcotest.fail "basic image with bad t_next loaded"
-        | Error e ->
-          check_bool ("error names basic and t_next: " ^ e)
-            (contains e "basic" && contains e "t_next") );
+        expect_load_rejected "basic" "t_next" (with_isec 10 (fun a -> A1.fill a (1 lsl 40))) );
     ( "z outside the next ring",
       fun () ->
         (* Entry 0 belongs to the first ring r with rows; its z indexes
@@ -209,6 +223,102 @@ let basic_mutations =
         in
         expect_rejected "basic" { img with Image.isecs = old } );
   ]
+
+(* ------------------------------------ labelled and two_mode validation *)
+
+(* The same for the two DLS-backed views: one mutation per section the
+   validator bounds, each loading as an [Error] naming the scheme and the
+   section. The 2^40 cases crashed the server before the views were
+   validated. *)
+let labelled_image = lazy (Server.image (Fixture.build ~scheme:"labelled" ~n:49 ~seed:5))
+let two_mode_image = lazy (Server.image (Fixture.build ~scheme:"two_mode" ~n:64 ~seed:5))
+let big = 1 lsl 40
+let meta img k = A1.get img.Image.isecs.(0) k
+
+(* Int section [k] without its first entry. *)
+let shortened k img =
+  let cut j s = if j = k then A1.sub s 1 (A1.dim s - 1) else s in
+  { img with Image.isecs = Array.mapi cut img.Image.isecs }
+
+(* Set entry [i] of int (or float) section [k]. *)
+let set_i k i v img = mutate_isec img k (fun a -> A1.set a i v)
+let set_f k i v img = mutate_fsec img k (fun a -> A1.set a i v)
+
+let rejects scheme img cases =
+  List.map
+    (fun (name, section, m) ->
+      (name, fun () -> expect_rejected ~scheme section (m (Lazy.force img))))
+    cases
+
+(* Mutations of the DLS sections, shared by both views: the DLS meta
+   section is int section [d], d_val float section [dv]. *)
+let dls_cases ~d ~dv =
+  let dls_meta img k = A1.get img.Image.isecs.(d) k in
+  [
+    ("DLS max_virt above n", "dls_meta", fun img -> set_i d 3 (meta img 0 + 1) img);
+    ("DLS prefix longer than a label", "dls_meta", set_i d 2 big);
+    ("d_off past d_val", "d_off", set_i (d + 1) 1 big);
+    ( "zoom_first outside the prefix", "zoom_first",
+      fun img -> set_i (d + 2) 0 (dls_meta img 2) img );
+    ("zoom_rest not a virtual index", "zoom_rest", fun img -> set_i (d + 3) 0 (dls_meta img 3) img);
+    ("z_off not monotone", "z_off", set_i (d + 4) 1 big);
+    ("z_y negative", "z_y", set_i (d + 6) 0 (-1));
+    ("z_z 2^40", "z_z", set_i (d + 7) 0 big);
+    ("d_val not finite", "d_val", set_f dv 0 nan);
+  ]
+
+(* Labelled sections: 0 meta (n, max_hops), 1 header bits, 2 t_off,
+   3 t_w, 4 t_next, 5-12 the DLS pack; float 0 t_cost, 1 d_val. *)
+let labelled_mutations =
+  let img = labelled_image in
+  [
+    ("intact image loads", intact "labelled" img);
+    ( "every next hop 2^40, saved with valid checksums",
+      fun () ->
+        expect_load_rejected "labelled" "t_next"
+          (mutate_isec (Lazy.force img) 4 (fun a -> A1.fill a big)) );
+  ]
+  @ rejects "labelled" img
+      ([
+         ("max_hops unbounded", "meta", set_i 0 1 max_int);
+         ("header bits not per node", "header_bits", shortened 1);
+         ("t_off not ending at the table", "t_off", fun img ->
+             set_i 2 (A1.dim img.Image.isecs.(2) - 1) big img);
+         ("table target not a node", "t_w", fun img -> set_i 3 0 (meta img 0) img);
+         ("negative cost", "t_cost", set_f 0 0 (-1.0));
+       ]
+      @ dls_cases ~d:5 ~dv:1)
+
+(* Two_mode sections: 0 meta (n, li, max_hops, header bits), 1 hub_ptr,
+   2 hub_g, 3 dir_off, 4 dir_mem, 5 dir_bnd, 6 own_off, 7 own_tgt,
+   8 hosts, 9-16 the DLS pack; float 0 threshold, 1 r_level, 2 dist,
+   3 d_val. *)
+let two_mode_mutations =
+  let img = two_mode_image in
+  [
+    ("intact image loads", intact "two_mode" img);
+    ( "every host 2^40, saved with valid checksums",
+      fun () ->
+        expect_load_rejected "two_mode" "hosts"
+          (mutate_isec (Lazy.force img) 8 (fun a -> A1.fill a big)) );
+  ]
+  @ rejects "two_mode" img
+      ([
+         ("max_hops unbounded", "meta", set_i 0 2 max_int);
+         ("hub pointer not a node", "hub_ptr", fun img -> set_i 1 0 (meta img 0) img);
+         ("hub_g names no directory", "hub_g", fun img ->
+             set_i 2 0 (A1.dim img.Image.isecs.(3) - 1) img);
+         ("empty directory", "dir_off", set_i 3 1 0);
+         ("directory member not a node", "dir_mem", set_i 4 0 (-1));
+         ("boundaries not per member", "dir_bnd", shortened 5);
+         ("owned offsets past the targets", "own_off", fun img ->
+             set_i 6 (A1.dim img.Image.isecs.(6) - 1) big img);
+         ("owned target not a node", "own_tgt", fun img -> set_i 7 0 (meta img 0) img);
+         ("threshold 1/2", "threshold", set_f 0 0 0.5);
+         ("r_level not finite", "r_level", set_f 1 0 infinity);
+         ("negative distance", "dist", set_f 2 1 (-1.0));
+       ]
+      @ dls_cases ~d:9 ~dv:3)
 
 (* ------------------------------------------- frozen vs live, per query *)
 
@@ -300,6 +410,33 @@ let basic_families =
       ~build:(basic_on (fun ~n ~seed:_ -> Ron_graph.Graph_gen.exponential_line_graph n));
   ]
 
+(* Two_mode where M2 carries most routes: exponential clusters with a
+   strict M1 threshold, so the frozen M2 resolution is compared hop for
+   hop with the live one (the fixture's clouds route in single M1 hops). *)
+let two_mode_forced_m2 ~scheme:_ ~n:_ ~seed =
+  Fixture.L_two_mode
+    (Ron_routing.Two_mode.build ~m1_threshold:0.01
+       (Ron_metric.Indexed.create
+          (Ron_metric.Generators.exponential_clusters (Ron_util.Rng.create seed) ~clusters:10
+             ~per_cluster:6 ~base:64.0))
+       ~delta:0.125)
+
+let two_mode_families =
+  [ prop_matches_live "two_mode" ~name:" forced into M2" ~build:two_mode_forced_m2 ]
+
+(* The forced-M2 instance really switches on the queries it serves. *)
+let test_forced_m2_switches () =
+  match two_mode_forced_m2 ~scheme:"two_mode" ~n:0 ~seed:9 with
+  | Fixture.L_two_mode s as live ->
+    let t = Fixture.freeze live in
+    let work = workload_for t ~queries:200 in
+    for i = 0 to Loop.queries work - 1 do
+      if Loop.kind_of work i = 0 then
+        ignore (Ron_routing.Two_mode.route s ~src:(Loop.src_of work i) ~dst:(Loop.dst_of work i))
+    done;
+    check_bool "M1 -> M2 switches" (Ron_routing.Two_mode.mode2_switches s > 0)
+  | _ -> assert false
+
 (* --------------------------------------- round-trip and jobs invariance *)
 
 let test_roundtrip scheme () =
@@ -378,7 +515,7 @@ let test_empty_meta_rejected scheme () =
   in
   rejected "empty meta section" (with_isec 0);
   (match scheme with
-  | "labelled" -> rejected "empty DLS meta section" (with_isec 7)
+  | "labelled" -> rejected "empty DLS meta section" (with_isec 5)
   | "two_mode" ->
     rejected "empty DLS meta section" (with_isec 9);
     rejected "empty threshold section"
@@ -439,7 +576,9 @@ let () =
     [
       ("frozen matches live",
        List.map QCheck_alcotest.to_alcotest
-         (List.map (fun s -> prop_matches_live s) Fixture.names @ basic_families));
+         (List.map (fun s -> prop_matches_live s) Fixture.names @ basic_families
+          @ two_mode_families)
+       @ [ Alcotest.test_case "forced M2 switches" `Quick test_forced_m2_switches ]);
       ("snapshot round-trip",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_roundtrip s)));
       ("basic image",
@@ -447,6 +586,10 @@ let () =
            test_basic_image_matches_oracle ]);
       ("basic validation",
        List.map (fun (name, f) -> Alcotest.test_case name `Quick f) basic_mutations);
+      ("labelled validation",
+       List.map (fun (name, f) -> Alcotest.test_case name `Quick f) labelled_mutations);
+      ("two_mode validation",
+       List.map (fun (name, f) -> Alcotest.test_case name `Quick f) two_mode_mutations);
       ("corruption",
        [
          Alcotest.test_case "checksum flip rejected" `Quick test_corrupt_rejected;
