@@ -109,8 +109,9 @@ telemetry-smoke: build
 # scheme's snapshot runs the check, so the columns each scheme builds
 # round-trip through save and load; the DLS schemes (labelled, two_mode)
 # serve fewer queries, at fixed sizes, because their per-query cost is far
-# higher. Last, a truncated copy of the basic, labelled and two_mode
-# snapshots must each be refused with the loader's message and exit 1.
+# higher. Last, a truncated copy of each of the five snapshots, and a copy
+# of the basic one whose version word reads 1, must each be refused with
+# the loader's message and exit 1.
 SERVE_SMOKE_N ?= 100
 SERVE_SMOKE_QUERIES ?= 20000
 serve-smoke: build
@@ -131,7 +132,8 @@ serve-smoke: build
 	    echo "serve-smoke: $$1 warm/cold digests differ ($$warm vs $$cold)"; exit 1; \
 	  else echo "serve-smoke: $$1 warm/cold digests match ($$warm)"; fi; \
 	done; \
-	for snap in ron_serve_smoke ron_serve_smoke_labelled ron_serve_smoke_two_mode; do \
+	for snap in ron_serve_smoke ron_serve_smoke_labelled ron_serve_smoke_two_mode \
+	            ron_serve_smoke_meridian ron_serve_smoke_landmark; do \
 	  head -c 4096 /tmp/$$snap.snap > /tmp/$${snap}_truncated.snap; \
 	  status=0; \
 	  dune exec bin/ron_cli.exe -- serve --load /tmp/$${snap}_truncated.snap --queries 10 \
@@ -141,7 +143,17 @@ serve-smoke: build
 	    echo "serve-smoke: truncated $$snap gave exit $$status, expected 1 and the loader's message"; \
 	    cat /tmp/$${snap}_truncated.txt; exit 1; \
 	  else echo "serve-smoke: truncated $$snap rejected with exit 1"; fi; \
-	done
+	done; \
+	cp /tmp/ron_serve_smoke.snap /tmp/ron_serve_smoke_v1.snap; \
+	printf '\001' | dd of=/tmp/ron_serve_smoke_v1.snap bs=1 seek=8 conv=notrunc 2> /dev/null; \
+	status=0; \
+	dune exec bin/ron_cli.exe -- serve --load /tmp/ron_serve_smoke_v1.snap --queries 10 \
+	  2> /tmp/ron_serve_smoke_v1.txt || status=$$?; \
+	if [ $$status -ne 1 ] || \
+	   ! grep -q 'cannot load snapshot .*unsupported snapshot version 1' /tmp/ron_serve_smoke_v1.txt; then \
+	  echo "serve-smoke: version-1 snapshot gave exit $$status, expected 1 and the loader's message"; \
+	  cat /tmp/ron_serve_smoke_v1.txt; exit 1; \
+	else echo "serve-smoke: version-1 snapshot rejected with exit 1"; fi
 
 # SLO smoke: serve a batch with the burn-rate monitor, flight recorder,
 # and Prometheus exposition all on; validate the exposition file, render

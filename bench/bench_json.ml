@@ -283,6 +283,19 @@ let scale_section n =
 
 (* ----------------------------------------------------- serving hot path *)
 
+(* The mean table bits a route-table scheme accounts per node (Tables 1
+   and 3; M1 + M2 for Two_mode), beside which its entry reports the bits
+   its snapshot serves. *)
+let table_bits_per_node (live : Ron_serve.Fixture.live) =
+  let mean a = float_of_int (Array.fold_left ( + ) 0 a) /. float_of_int (max 1 (Array.length a)) in
+  match live with
+  | Ron_serve.Fixture.L_basic s -> Some (mean (Ron_routing.Basic.table_bits s))
+  | L_labelled s -> Some (mean (Ron_routing.Labelled.table_bits s))
+  | L_two_mode s ->
+    let module T = Ron_routing.Two_mode in
+    Some (mean (Array.map2 ( + ) (T.table_bits_m1 s) (T.table_bits_m2 s)))
+  | L_meridian _ | L_landmark _ -> None
+
 (* The frozen-snapshot serving loop: freeze each scheme, round-trip it
    through a snapshot file, and serve a seeded Zipf-skewed mixed workload.
    Entries are keyed by scheme name (an Obj, not a List — five schemes
@@ -295,7 +308,9 @@ let scale_section n =
 let serve_scheme_entry ~scheme ~n ~queries =
   let module Server = Ron_serve.Server in
   let module Loop = Ron_serve.Loop in
-  let (t, t_freeze) = time (fun () -> Ron_serve.Fixture.build ~scheme ~n ~seed:5) in
+  let (live, t_build) = time (fun () -> Ron_serve.Fixture.build_live ~scheme ~n ~seed:5) in
+  let table_bits = table_bits_per_node live in
+  let (t, t_freeze) = time (fun () -> Ron_serve.Fixture.freeze live) in
   let nodes = Server.size t in
   let file = Filename.temp_file "ron_serve" ".snap" in
   Server.save t file;
@@ -325,14 +340,27 @@ let serve_scheme_entry ~scheme ~n ~queries =
   Loop.measure_latency ~limit:(min queries 5_000) t work res hist;
   let q p = Ron_obs.Histogram.Bucketed.quantile hist p in
   let words = Loop.minor_words_per_query t work res in
+  let bytes_per_node = float_of_int bytes /. float_of_int (max 1 nodes) in
+  let accounted =
+    match table_bits with
+    | Some bits ->
+      [
+        ("table_bits_per_node", Float bits);
+        ("served_over_accounted", Float (8.0 *. bytes_per_node /. bits));
+      ]
+    | None -> []
+  in
   ( Server.scheme_name t,
     Obj
-      [
+      ([
         ("n", Int nodes);
         ("queries", Int queries);
         ("snapshot_bytes", Int bytes);
-        ("snapshot_bytes_per_node", Float (float_of_int bytes /. float_of_int (max 1 nodes)));
-        ("freeze_s", Float t_freeze);
+        ("snapshot_bytes_per_node", Float bytes_per_node);
+      ]
+      @ accounted
+      @ [
+        ("freeze_s", Float (t_build +. t_freeze));
         ("snapshot_load_s", Float t_load);
         ("cold_run_s", Float t_cold);
         ("qps", Float qps);
@@ -344,7 +372,7 @@ let serve_scheme_entry ~scheme ~n ~queries =
         ("jobs_invariant", Bool (d1 = d4));
         ("minor_words_per_query", Float words);
         ("alloc_within_budget", Bool (words <= 8.0));
-      ] )
+      ]) )
 
 let serve_section () =
   Obj

@@ -9,6 +9,7 @@ module Profile = Ron_obs.Profile
 module A1 = Bigarray.Array1
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
+type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) A1.t
 
 type cols = {
   n : int;
@@ -16,8 +17,8 @@ type cols = {
   ring_off : ints;
   ring_node : ints;
   z_run : ints;
-  z_y : ints;
-  z_z : ints;
+  z_y : u16s;
+  z_z : u16s;
   label_first : ints;
   label_rest : ints;
 }
@@ -59,12 +60,17 @@ let mark_ring mark ring =
     ring
 
 let ints_create n : ints = A1.create Bigarray.int Bigarray.c_layout n
+let u16s_create n : u16s = A1.create Bigarray.int16_unsigned Bigarray.c_layout n
+
+(* A ring position is stored in 16 bits: the largest ring a zeta column
+   can index. *)
+let max_ring = 0xffff
 
 (* Where the join writes: the row starts and the (y, z) columns. The count
    pass passes [counting] and writes nothing. *)
-type sink = { run : ints; zy : ints; zz : ints }
+type sink = { run : ints; zy : u16s; zz : u16s }
 
-let counting = { run = ints_create 0; zy = ints_create 0; zz = ints_create 0 }
+let counting = { run = ints_create 0; zy = u16s_create 0; zz = u16s_create 0 }
 
 (* The Figure 2 join of zeta_uj: mark u's ring [j+1]; then for each member
    [f = ring_j(u).(x)] in order, and each [w = ring_(j+1)(f).(y)] in order
@@ -104,7 +110,14 @@ let build_flat rings ~scales n =
   let ring_off = ints_create ((n * scales) + 1) in
   ring_off.{0} <- 0;
   for r = 0 to (n * scales) - 1 do
-    ring_off.{r + 1} <- ring_off.{r} + Array.length (members rings (r / scales) (r mod scales))
+    let size = Array.length (members rings (r / scales) (r mod scales)) in
+    if size > max_ring then
+      invalid_arg
+        (Printf.sprintf
+           "Structure.build: node %d's ring at scale %d has %d members, more than the %d a \
+            16-bit position indexes"
+           (r / scales) (r mod scales) size max_ring);
+    ring_off.{r + 1} <- ring_off.{r} + size
   done;
   let positions = ring_off.{n * scales} in
   let ring_node = ints_create positions in
@@ -121,7 +134,7 @@ let build_flat rings ~scales n =
   Array.iteri (fun u k -> node_off.(u + 1) <- node_off.(u) + k) counts;
   let total = node_off.(n) in
   let sink =
-    { run = ints_create (positions + 1); zy = ints_create total; zz = ints_create total }
+    { run = ints_create (positions + 1); zy = u16s_create total; zz = u16s_create total }
   in
   sink.run.{positions} <- total;
   Pool.parallel_for n (fun u ->
@@ -220,16 +233,17 @@ let build idx ~delta =
    serves them. The column types are annotated so the reads compile
    inline, not as calls to the generic Bigarray accessor. *)
 let[@inline] ig (a : ints) i = A1.unsafe_get a i
+let[@inline] ug (a : u16s) i = A1.unsafe_get a i
 
 (* [y]'s z within the row [lo, hi) of z_y (sorted), or -1. *)
-let rec run_find (zy : ints) (zz : ints) y lo hi =
+let rec run_find (zy : u16s) (zz : u16s) y lo hi =
   if lo >= hi then -1
   else begin
     let mid = (lo + hi) / 2 in
-    let v = ig zy mid in
+    let v = ug zy mid in
     if v < y then run_find zy zz y (mid + 1) hi
     else if v > y then run_find zy zz y lo mid
-    else ig zz mid
+    else ug zz mid
   end
 
 (* Claim 2.2's walk: m_(j+1) = zeta_uj(m_j, rest_j), stopping at the first

@@ -10,9 +10,12 @@
 
     Rings, translation functions and labels are stored flat ({!cols}),
     already in the layout the Basic snapshot serves: off-heap columns the
-    snapshot layer adopts as they are. *)
+    snapshot layer adopts as they are. A zeta entry is a pair of ring
+    positions, so its columns hold 16 bits per position: {!build} refuses
+    a ring of more than 65,535 members. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type cols = {
   n : int;
@@ -26,8 +29,8 @@ type cols = {
           [x] of ring [(u, j)]: row [p = ring_off.{u * scales + j} + x]
           spans [[z_run.{p}, z_run.{p + 1})] of [z_y]/[z_z]. The rows of
           a node's last ring are empty. *)
-  z_y : ints;  (** sorted within a row *)
-  z_z : ints;  (** [zeta_uj(x, y)], a position in ring [(u, j + 1)] *)
+  z_y : u16s;  (** a position in ring [(f, j + 1)], sorted within a row *)
+  z_z : u16s;  (** [zeta_uj(x, y)], a position in ring [(u, j + 1)] *)
   label_first : ints;  (** [n]: the index of [f_t0] in ring 0 *)
   label_rest : ints;
       (** [n * (scales - 1)]: [f_(t,j+1)]'s index in ring [j + 1] of
@@ -45,7 +48,8 @@ type t = {
 }
 
 val build : Ron_metric.Indexed.t -> delta:float -> t
-(** [delta] in (0, 1/4]. *)
+(** [delta] in (0, 1/4]. Raises [Invalid_argument] naming the node, the
+    scale and the size of a ring of more than 65,535 members. *)
 
 val decode : cols -> int -> cols -> int -> int array -> int
 (** [decode c u l row m]: Claim 2.2 at node [u] of [c] for the label in

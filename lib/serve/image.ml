@@ -1,30 +1,37 @@
-(* Off-heap snapshot images: a frozen scheme is a tag plus two ordered
-   lists of Bigarray sections (native ints and float64s), saved to disk in
-   a versioned, checksummed, mmap-friendly layout.
+(* Off-heap snapshot images: a frozen scheme is a tag plus three ordered
+   lists of Bigarray sections (native ints, float64s and uint16s), saved
+   to disk in a versioned, checksummed, mmap-friendly layout.
 
-   File layout (everything 8-byte aligned, little-endian int64 header):
+   File layout (every section 8-byte aligned, little-endian int64 header):
 
-     magic "RONSRV01"                                   8 bytes
-     version | scheme tag | word_size | #isecs | #fsecs 5 x int64
-     per int section:   length | FNV-1a checksum        2 x int64 each
-     per float section: length | FNV-1a checksum        2 x int64 each
-     int section payloads, in order                     8 bytes/elt
-     float section payloads, in order                   8 bytes/elt
+     magic "RONSRV01"                                            8 bytes
+     version 2 | scheme tag | word_size | #isecs | #fsecs | #usecs 6 x int64
+     per int section:    length | FNV-1a checksum                2 x int64 each
+     per float section:  length | FNV-1a checksum                2 x int64 each
+     per uint16 section: length | FNV-1a checksum                2 x int64 each
+     int section payloads, in order                              8 bytes/elt
+     float section payloads, in order                            8 bytes/elt
+     uint16 section payloads, in order          2 bytes/elt, each zero-padded
+                                                to a multiple of 8 bytes
 
-   Sections are mapped with [Unix.map_file] (private mapping) on load, so
-   a snapshot larger than RAM still serves; the checksum pass touches each
-   word once and rejects torn or corrupted files before any query runs. *)
+   Lengths count elements. Sections are mapped with [Unix.map_file]
+   (private mapping) on load, so a snapshot larger than RAM still serves;
+   the checksum pass touches each word once and rejects torn or corrupted
+   files before any query runs. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type t = { scheme : int; isecs : ints array; fsecs : floats array }
+type t = { scheme : int; isecs : ints array; fsecs : floats array; usecs : u16s array }
 
 let magic = "RONSRV01"
-let version = 1
+let version = 2
+let header_words = 6
 
 let ints_create n : ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 let floats_create n : floats = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+let u16s_create n : u16s = Bigarray.Array1.create Bigarray.int16_unsigned Bigarray.c_layout n
 
 let ints_of_array a =
   let b = ints_create (Array.length a) in
@@ -58,17 +65,40 @@ let checksum_floats (a : floats) =
   done;
   !h
 
+(* Element [i] of a uint16 section of length [n], 0 past its end. *)
+let[@inline] u16_at (a : u16s) n i = if i < n then Bigarray.Array1.unsafe_get a i else 0
+
+(* The payload's little-endian words, padding included: four elements
+   per word, the last word zero-filled. *)
+let checksum_u16s (a : u16s) =
+  let n = Bigarray.Array1.dim a in
+  let h = ref fnv_offset in
+  let i = ref 0 in
+  while !i < n do
+    let k = !i in
+    let low = u16_at a n k lor (u16_at a n (k + 1) lsl 16) lor (u16_at a n (k + 2) lsl 32) in
+    let high = Int64.shift_left (Int64.of_int (u16_at a n (k + 3))) 48 in
+    h := Int64.mul (Int64.logxor !h (Int64.logor (Int64.of_int low) high)) fnv_prime;
+    i := k + 4
+  done;
+  !h
+
 (* -- sizes --------------------------------------------------------------- *)
 
 let header_bytes t =
-  (* magic + 5 header words + (len, checksum) per section *)
-  8 + (8 * 5) + (16 * (Array.length t.isecs + Array.length t.fsecs))
+  (* magic + header words + (len, checksum) per section *)
+  8 + (8 * header_words)
+  + (16 * (Array.length t.isecs + Array.length t.fsecs + Array.length t.usecs))
 
-let payload_words t =
-  Array.fold_left (fun acc s -> acc + Bigarray.Array1.dim s) 0 t.isecs
-  + Array.fold_left (fun acc s -> acc + Bigarray.Array1.dim s) 0 t.fsecs
+(* A uint16 payload's bytes, padded so the next section starts aligned. *)
+let u16_bytes n = 8 * ((n + 3) / 4)
 
-let byte_size t = header_bytes t + (8 * payload_words t)
+let payload_bytes t =
+  let words secs = Array.fold_left (fun acc s -> acc + Bigarray.Array1.dim s) 0 secs in
+  (8 * (words t.isecs + words t.fsecs))
+  + Array.fold_left (fun acc s -> acc + u16_bytes (Bigarray.Array1.dim s)) 0 t.usecs
+
+let byte_size t = header_bytes t + payload_bytes t
 
 (* -- save ---------------------------------------------------------------- *)
 
@@ -86,62 +116,51 @@ let bytes_get_i64 buf off =
 
 let write_all fd buf = ignore (Unix.write fd buf 0 (Bytes.length buf))
 
-let map_ints fd ~pos n : ints =
+let map fd kind ~pos ~shared n =
   Bigarray.array1_of_genarray
-    (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.int Bigarray.c_layout true [| n |])
-
-let map_floats fd ~pos n : floats =
-  Bigarray.array1_of_genarray
-    (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.float64 Bigarray.c_layout true [| n |])
+    (Unix.map_file fd ~pos:(Int64.of_int pos) kind Bigarray.c_layout shared [| n |])
 
 let save t file =
   let hb = header_bytes t in
   let buf = Bytes.create hb in
   Bytes.blit_string magic 0 buf 0 8;
-  bytes_set_i64 buf 8 (Int64.of_int version);
-  bytes_set_i64 buf 16 (Int64.of_int t.scheme);
-  bytes_set_i64 buf 24 (Int64.of_int Sys.word_size);
-  bytes_set_i64 buf 32 (Int64.of_int (Array.length t.isecs));
-  bytes_set_i64 buf 40 (Int64.of_int (Array.length t.fsecs));
-  let off = ref 48 in
-  Array.iter
-    (fun s ->
-      bytes_set_i64 buf !off (Int64.of_int (Bigarray.Array1.dim s));
-      bytes_set_i64 buf (!off + 8) (checksum_ints s);
-      off := !off + 16)
-    t.isecs;
-  Array.iter
-    (fun s ->
-      bytes_set_i64 buf !off (Int64.of_int (Bigarray.Array1.dim s));
-      bytes_set_i64 buf (!off + 8) (checksum_floats s);
-      off := !off + 16)
-    t.fsecs;
+  List.iteri
+    (fun k v -> bytes_set_i64 buf (8 + (8 * k)) (Int64.of_int v))
+    [
+      version;
+      t.scheme;
+      Sys.word_size;
+      Array.length t.isecs;
+      Array.length t.fsecs;
+      Array.length t.usecs;
+    ];
+  let off = ref (8 + (8 * header_words)) in
+  let entry dim sum =
+    bytes_set_i64 buf !off (Int64.of_int dim);
+    bytes_set_i64 buf (!off + 8) sum;
+    off := !off + 16
+  in
+  let dim = Bigarray.Array1.dim in
+  Array.iter (fun s -> entry (dim s) (checksum_ints s)) t.isecs;
+  Array.iter (fun s -> entry (dim s) (checksum_floats s)) t.fsecs;
+  Array.iter (fun s -> entry (dim s) (checksum_u16s s)) t.usecs;
   let fd = Unix.openfile file [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       write_all fd buf;
-      (* Mapping past the current end grows the file; blit each section
-         straight into its mapped window. *)
+      (* The file takes its full size first, so padding reads as zeros;
+         each section is then blitted straight into its mapped window. *)
+      Unix.ftruncate fd (byte_size t);
       let pos = ref hb in
-      Array.iter
-        (fun s ->
-          let n = Bigarray.Array1.dim s in
-          if n > 0 then begin
-            let dst = map_ints fd ~pos:!pos n in
-            Bigarray.Array1.blit s dst
-          end;
-          pos := !pos + (8 * n))
-        t.isecs;
-      Array.iter
-        (fun s ->
-          let n = Bigarray.Array1.dim s in
-          if n > 0 then begin
-            let dst = map_floats fd ~pos:!pos n in
-            Bigarray.Array1.blit s dst
-          end;
-          pos := !pos + (8 * n))
-        t.fsecs)
+      let blit kind bytes s =
+        let n = Bigarray.Array1.dim s in
+        if n > 0 then Bigarray.Array1.blit s (map fd kind ~pos:!pos ~shared:true n);
+        pos := !pos + bytes n
+      in
+      Array.iter (blit Bigarray.int (fun n -> 8 * n)) t.isecs;
+      Array.iter (blit Bigarray.float64 (fun n -> 8 * n)) t.fsecs;
+      Array.iter (blit Bigarray.int16_unsigned u16_bytes) t.usecs)
 
 (* -- load ---------------------------------------------------------------- *)
 
@@ -157,18 +176,6 @@ let read_exactly fd n =
    with Exit -> ());
   if !got = n then Some buf else None
 
-let map_ints_ro fd ~pos n : ints =
-  if n = 0 then ints_create 0
-  else
-    Bigarray.array1_of_genarray
-      (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.int Bigarray.c_layout false [| n |])
-
-let map_floats_ro fd ~pos n : floats =
-  if n = 0 then floats_create 0
-  else
-    Bigarray.array1_of_genarray
-      (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.float64 Bigarray.c_layout false [| n |])
-
 let load file =
   match Unix.openfile file [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error (e, _, _) ->
@@ -177,55 +184,76 @@ let load file =
     Fun.protect
       ~finally:(fun () -> Unix.close fd)
       (fun () ->
-        match read_exactly fd 48 with
+        (* Magic and version first: the version fixes the header's size. *)
+        let hb = 8 + (8 * header_words) in
+        match read_exactly fd 16 with
         | None -> Error (Printf.sprintf "%s: truncated header" file)
-        | Some hdr ->
-          if Bytes.sub_string hdr 0 8 <> magic then
-            Error (Printf.sprintf "%s: bad magic (not a snapshot)" file)
-          else if bytes_get_i64 hdr 8 <> Int64.of_int version then
-            Error
-              (Printf.sprintf "%s: unsupported snapshot version %Ld" file (bytes_get_i64 hdr 8))
-          else if bytes_get_i64 hdr 24 <> Int64.of_int Sys.word_size then
-            Error
-              (Printf.sprintf "%s: word size mismatch (snapshot %Ld, host %d)" file
-                 (bytes_get_i64 hdr 24) Sys.word_size)
-          else begin
-            let scheme = Int64.to_int (bytes_get_i64 hdr 16) in
-            let n_isecs = Int64.to_int (bytes_get_i64 hdr 32) in
-            let n_fsecs = Int64.to_int (bytes_get_i64 hdr 40) in
-            if n_isecs < 0 || n_fsecs < 0 || n_isecs + n_fsecs > 4096 then
+        | Some head when Bytes.sub_string head 0 8 <> magic ->
+          Error (Printf.sprintf "%s: bad magic (not a snapshot)" file)
+        | Some head when bytes_get_i64 head 8 <> Int64.of_int version ->
+          Error
+            (Printf.sprintf "%s: unsupported snapshot version %Ld" file (bytes_get_i64 head 8))
+        | Some _ -> (
+          match read_exactly fd (hb - 16) with
+          | None -> Error (Printf.sprintf "%s: truncated header" file)
+          | Some hdr -> (
+            (* The header words after the version. *)
+            let field k = Int64.to_int (bytes_get_i64 hdr (8 * k)) in
+            let scheme = field 0 and word_size = field 1 in
+            let ni = field 2 and nf = field 3 and nu = field 4 in
+            let count = ni + nf + nu in
+            if word_size <> Sys.word_size then
+              Error
+                (Printf.sprintf "%s: word size mismatch (snapshot %d, host %d)" file word_size
+                   Sys.word_size)
+            else if List.exists (fun c -> c < 0 || c > 4096) [ ni; nf; nu; count ] then
               Error (Printf.sprintf "%s: implausible section counts" file)
             else
-              match read_exactly fd (16 * (n_isecs + n_fsecs)) with
+              match read_exactly fd (16 * count) with
               | None -> Error (Printf.sprintf "%s: truncated section table" file)
               | Some tbl -> (
-                let lens = Array.init (n_isecs + n_fsecs) (fun i -> Int64.to_int (bytes_get_i64 tbl (16 * i))) in
-                let sums = Array.init (n_isecs + n_fsecs) (fun i -> bytes_get_i64 tbl ((16 * i) + 8)) in
+                let lens = Array.init count (fun k -> Int64.to_int (bytes_get_i64 tbl (16 * k))) in
+                let sums = Array.init count (fun k -> bytes_get_i64 tbl ((16 * k) + 8)) in
+                let bytes k = if k < ni + nf then 8 * lens.(k) else u16_bytes lens.(k) in
+                (* Every element takes at least a byte, so lengths up to the
+                   file's size keep the payload's byte count from
+                   overflowing, and no mapping reaches past the file. *)
+                let file_bytes = (Unix.fstat fd).Unix.st_size in
+                let ends () =
+                  hb + (16 * count) + Array.fold_left ( + ) 0 (Array.init count bytes)
+                in
                 if Array.exists (fun l -> l < 0) lens then
                   Error (Printf.sprintf "%s: negative section length" file)
+                else if Array.exists (fun l -> l > file_bytes) lens || ends () > file_bytes then
+                  Error (Printf.sprintf "%s: truncated payload (%d bytes)" file file_bytes)
                 else
                   try
-                    let pos = ref (48 + (16 * (n_isecs + n_fsecs))) in
+                    let pos = ref (hb + (16 * count)) in
+                    (* Section [k] of the table, the [i]th of its kind. *)
+                    let section kind create checksum what k i =
+                      let n = lens.(k) in
+                      let s = if n = 0 then create 0 else map fd kind ~pos:!pos ~shared:false n in
+                      pos := !pos + bytes k;
+                      if checksum s <> sums.(k) then
+                        failwith (Printf.sprintf "%s section %d checksum mismatch" what i);
+                      s
+                    in
                     let isecs =
-                      Array.init n_isecs (fun i ->
-                          let s = map_ints_ro fd ~pos:!pos lens.(i) in
-                          pos := !pos + (8 * lens.(i));
-                          if checksum_ints s <> sums.(i) then
-                            failwith (Printf.sprintf "int section %d checksum mismatch" i);
-                          s)
+                      Array.init ni (fun i ->
+                          section Bigarray.int ints_create checksum_ints "int" i i)
                     in
                     let fsecs =
-                      Array.init n_fsecs (fun i ->
-                          let s = map_floats_ro fd ~pos:!pos lens.(n_isecs + i) in
-                          pos := !pos + (8 * lens.(n_isecs + i));
-                          if checksum_floats s <> sums.(n_isecs + i) then
-                            failwith (Printf.sprintf "float section %d checksum mismatch" i);
-                          s)
+                      Array.init nf (fun i ->
+                          section Bigarray.float64 floats_create checksum_floats "float" (ni + i) i)
                     in
-                    Ok { scheme; isecs; fsecs }
+                    let usecs =
+                      Array.init nu (fun i ->
+                          section Bigarray.int16_unsigned u16s_create checksum_u16s "uint16"
+                            (ni + nf + i) i)
+                    in
+                    Ok { scheme; isecs; fsecs; usecs }
                   with
                   | Failure msg -> Error (Printf.sprintf "%s: %s" file msg)
                   | Unix.Unix_error (e, _, _) ->
                     Error (Printf.sprintf "%s: truncated payload (%s)" file (Unix.error_message e))
-                  | Sys_error msg -> Error (Printf.sprintf "%s: %s" file msg))
-          end)
+                  | Sys_error msg -> Error (Printf.sprintf "%s: %s" file msg)))))

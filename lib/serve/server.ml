@@ -31,6 +31,7 @@ module Dls = Ron_labeling.Dls
 
 type ints = Image.ints
 type floats = Image.floats
+type u16s = Image.u16s
 
 let[@inline always] ig (a : ints) i = A1.unsafe_get a i
 let[@inline always] fg (a : floats) i = A1.unsafe_get a i
@@ -212,9 +213,9 @@ let dls_of_secs what (isecs : ints array) (fsecs : floats array) i0 f0 ~hosts =
         z_z = isecs.(i0 + 7);
       }
 
-(* Basic: 11 int sections + 1 float section — meta (n, scales, max_hops,
-   header bits), label_first, label_rest, ring_off, ring_node, z_run, z_y,
-   z_z, t_off, t_w, t_next | t_cost. *)
+(* Basic: 9 int sections + 1 float section + 2 uint16 sections — meta
+   (n, scales, max_hops, header bits), label_first, label_rest, ring_off,
+   ring_node, z_run, t_off, t_w, t_next | t_cost | z_y, z_z. *)
 let freeze_basic (c : Basic.cols) =
   let s = c.Basic.st and tb = c.Basic.table in
   {
@@ -227,13 +228,12 @@ let freeze_basic (c : Basic.cols) =
         s.ring_off;
         s.ring_node;
         s.z_run;
-        s.z_y;
-        s.z_z;
         tb.First_hop.t_off;
         tb.t_w;
         tb.t_next;
       |];
     fsecs = [| tb.t_cost |];
+    usecs = [| s.z_y; s.z_z |];
   }
 
 (* Labelled: 13 int sections + 2 float sections — meta (n, max_hops),
@@ -247,6 +247,7 @@ let freeze_labelled (c : Labelled.cols) =
         (Image.ints_of_array [| c.n; c.max_hops |]
         :: c.header_bits :: tb.First_hop.t_off :: tb.t_w :: tb.t_next :: dls_isecs c.dls);
     fsecs = [| tb.t_cost; c.dls.Dls.d_val |];
+    usecs = [||];
   }
 
 (* Two_mode: 17 int sections + 4 float sections — meta (n, li, max_hops,
@@ -270,6 +271,7 @@ let freeze_two_mode (c : Two_mode.cols) =
          ]
         @ dls_isecs c.dls);
     fsecs = [| Image.floats_of_array [| c.m1_threshold |]; c.r_level; c.dist; c.dls.Dls.d_val |];
+    usecs = [||];
   }
 
 let freeze_meridian (e : Ron_smallworld.Meridian.export) =
@@ -290,6 +292,7 @@ let freeze_meridian (e : Ron_smallworld.Meridian.export) =
         r_node;
       |];
     fsecs = [| Image.floats_of_array e.x_dist |];
+    usecs = [||];
   }
 
 let freeze_landmark (c : Ron_labeling.Landmark.cols) =
@@ -298,6 +301,7 @@ let freeze_landmark (c : Ron_labeling.Landmark.cols) =
     Image.scheme = tag_landmark;
     isecs = [| Image.ints_of_array [| c.n; c.k |]; c.beacons; c.col; c.ball_off; c.ball_node |];
     fsecs = [| c.rows; c.ball_dist |];
+    usecs = [||];
   }
 
 (* ------------------------------------------------------------ validation *)
@@ -366,16 +370,17 @@ let check_basic (c : Basic.cols) =
   let n = s.Structure.n and scales = s.Structure.scales in
   (* Ring r = (u, j)'s rows span [z_run.{ring_off.{r}}, z_run.{ring_off.{r+1}}),
      and their z are positions in ring r + 1. *)
+  let z_z : u16s = s.z_z in
   let rec zetas r =
     if r >= n * scales then Ok ()
     else if r mod scales = scales - 1 then zetas (r + 1)
     else begin
       let size = s.ring_off.{r + 2} - s.ring_off.{r + 1} in
-      let ok e = s.z_z.{e} >= 0 && s.z_z.{e} < size in
+      let ok e = z_z.{e} < size in
       match find_bad ok s.z_run.{s.ring_off.{r}} s.z_run.{s.ring_off.{r + 1}} with
       | -1 -> zetas (r + 1)
       | e ->
-        bad what "z_z" "entry %d is %d, outside ring %d of node %d" e s.z_z.{e}
+        bad what "z_z" "entry %d is %d, outside ring %d of node %d" e z_z.{e}
           ((r mod scales) + 1) (r / scales)
     end
   in
@@ -510,18 +515,61 @@ let check_two_mode (c : Two_mode.cols) =
   let* () = all (non_negative what) [ ("r_level", c.r_level); ("dist", c.dist) ] in
   check_dls what ~n ~hosts:true c.dls
 
+(* After it, [mer_locate] reads in bounds: members and ring entries are
+   nodes, each node's per-scale ring offsets rise to the ring column's end,
+   and the distance matrix is n x n. *)
+let check_meridian (m : fmer) =
+  let what = "meridian" and n = m.mn and scales = m.mscales and dim = A1.dim in
+  let* () =
+    if n >= 1 && scales >= 1 then Ok () else bad what "meta" "n %d, scales %d" n scales
+  in
+  let* () =
+    if dim m.mmembers >= 1 then Ok () else bad what "mmembers" "no member to start from"
+  in
+  let* () = length_product what ("mr_off", dim m.mr_off - 1, n, scales) in
+  let* () = length_product what ("mdmat", dim m.mdmat, n, n) in
+  let* () = offsets what ("mr_off", m.mr_off, dim m.mr_node) in
+  let* () = all (in_range what) [ ("mmembers", m.mmembers, 0, n); ("mr_node", m.mr_node, 0, n) ] in
+  non_negative what ("mdmat", m.mdmat)
+
+(* After it, [Landmark.bounds] reads in bounds: beacons are nodes, [col]
+   names a beacon or none, the rows are k x n, and each node's ball runs
+   over its node and distance columns. *)
+let check_landmark (g : Ron_labeling.Landmark.cols) =
+  let open Ron_labeling.Landmark in
+  let what = "landmark" and n = g.n and k = g.k and dim = A1.dim in
+  let* () =
+    if n >= 1 && k >= 1 && k <= n then Ok () else bad what "meta" "n %d, k %d" n k
+  in
+  let* () =
+    all (length what)
+      [
+        ("beacons", dim g.beacons, k);
+        ("col", dim g.col, n);
+        ("ball_off", dim g.ball_off, n + 1);
+        ("ball_dist", dim g.ball_dist, dim g.ball_node);
+      ]
+  in
+  let* () = length_product what ("rows", dim g.rows, k, n) in
+  let* () = offsets what ("ball_off", g.ball_off, dim g.ball_node) in
+  let* () =
+    all (in_range what)
+      [ ("beacons", g.beacons, 0, n); ("col", g.col, -1, k); ("ball_node", g.ball_node, 0, n) ]
+  in
+  all (non_negative what) [ ("rows", g.rows); ("ball_dist", g.ball_dist) ]
+
 (* --------------------------------------------------------------- viewing *)
 
 (* Every section count and meta length is checked before any meta read;
-   the Basic, Labelled and Two_mode views are then checked structurally.
-   The Meridian and Landmark views' offsets and ids are trusted. *)
+   each view is then checked structurally before it serves. *)
 let of_image (img : Image.t) =
-  let i = img.Image.isecs and f = img.Image.fsecs in
-  let need ni nf what =
-    if Array.length i <> ni || Array.length f <> nf then
+  let i = img.Image.isecs and f = img.Image.fsecs and u = img.Image.usecs in
+  let need ni nf nu what =
+    if Array.length i <> ni || Array.length f <> nf || Array.length u <> nu then
       Error
-        (Printf.sprintf "%s image: expected %d int / %d float sections, got %d / %d" what ni nf
-           (Array.length i) (Array.length f))
+        (Printf.sprintf
+           "%s image: expected %d int / %d float / %d uint16 sections, got %d / %d / %d" what ni
+           nf nu (Array.length i) (Array.length f) (Array.length u))
     else Ok ()
   in
   let meta what len =
@@ -533,7 +581,7 @@ let of_image (img : Image.t) =
   let view v = Ok { img; view = v } in
   match img.Image.scheme with
   | 1 ->
-    let* () = need 11 1 "basic" in
+    let* () = need 9 1 2 "basic" in
     let* meta = meta "basic" 4 in
     let c =
       {
@@ -546,10 +594,10 @@ let of_image (img : Image.t) =
             ring_off = i.(3);
             ring_node = i.(4);
             z_run = i.(5);
-            z_y = i.(6);
-            z_z = i.(7);
+            z_y = u.(0);
+            z_z = u.(1);
           };
-        table = { First_hop.t_off = i.(8); t_w = i.(9); t_next = i.(10); t_cost = f.(0) };
+        table = { First_hop.t_off = i.(6); t_w = i.(7); t_next = i.(8); t_cost = f.(0) };
         max_hops = ig meta 2;
         header_bits = ig meta 3;
       }
@@ -557,7 +605,7 @@ let of_image (img : Image.t) =
     let* () = check_basic c in
     view (Basic c)
   | 2 ->
-    let* () = need 13 2 "labelled" in
+    let* () = need 13 2 0 "labelled" in
     let* meta = meta "labelled" 2 in
     let* dls = dls_of_secs "labelled" i f 5 1 ~hosts:no_hosts in
     let c =
@@ -572,7 +620,7 @@ let of_image (img : Image.t) =
     let* () = check_labelled c in
     view (Labelled c)
   | 3 ->
-    let* () = need 17 4 "two_mode" in
+    let* () = need 17 4 0 "two_mode" in
     let* meta = meta "two_mode" 4 in
     let* () =
       if A1.dim f.(0) <> 1 then
@@ -604,33 +652,37 @@ let of_image (img : Image.t) =
     let* () = check_two_mode c in
     view (Two_mode c)
   | 4 ->
-    let* () = need 4 1 "meridian" in
+    let* () = need 4 1 0 "meridian" in
     let* meta = meta "meridian" 2 in
-    view
-      (Meridian
-         {
-           mn = ig meta 0;
-           mscales = ig meta 1;
-           mmembers = i.(1);
-           mr_off = i.(2);
-           mr_node = i.(3);
-           mdmat = f.(0);
-         })
+    let m =
+      {
+        mn = ig meta 0;
+        mscales = ig meta 1;
+        mmembers = i.(1);
+        mr_off = i.(2);
+        mr_node = i.(3);
+        mdmat = f.(0);
+      }
+    in
+    let* () = check_meridian m in
+    view (Meridian m)
   | 5 ->
-    let* () = need 5 2 "landmark" in
+    let* () = need 5 2 0 "landmark" in
     let* meta = meta "landmark" 2 in
-    view
-      (Landmark
-         {
-           Ron_labeling.Landmark.n = ig meta 0;
-           k = ig meta 1;
-           beacons = i.(1);
-           col = i.(2);
-           rows = f.(0);
-           ball_off = i.(3);
-           ball_node = i.(4);
-           ball_dist = f.(1);
-         })
+    let g =
+      {
+        Ron_labeling.Landmark.n = ig meta 0;
+        k = ig meta 1;
+        beacons = i.(1);
+        col = i.(2);
+        rows = f.(0);
+        ball_off = i.(3);
+        ball_node = i.(4);
+        ball_dist = f.(1);
+      }
+    in
+    let* () = check_landmark g in
+    view (Landmark g)
   | tag -> Error (Printf.sprintf "unknown scheme tag %d" tag)
 
 let exn_of_result = function

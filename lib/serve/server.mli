@@ -61,13 +61,13 @@ val freeze_landmark_t : Ron_labeling.Landmark.cols -> t
 
 val of_image : Image.t -> (t, string) result
 (** Wrap an image's sections — zero-copy — into a server, validating the
-    scheme tag, the per-scheme section counts and the length of every meta
-    section before reading it; [Error] names the scheme. Basic, Labelled
-    and Two_mode images are also checked in O(size) — section lengths
+    scheme tag, the per-scheme counts of int, float and uint16 sections
+    and the length of every meta section before reading it; [Error] names
+    the scheme. Every image is also checked in O(size) — section lengths
     against the meta section, offsets, node ids, ζ and DLS indices,
-    directory ids, finite non-negative distances and costs, the M1
-    threshold and the hop budget — so that their unchecked reads stay in
-    bounds; their [Error] also names the section. *)
+    directory and beacon ids, finite non-negative distances and costs,
+    the M1 threshold and the hop budget — so that its unchecked reads
+    stay in bounds; the [Error] also names the section. *)
 
 val load : string -> (t, string) result
 (** [Image.load] followed by {!of_image}. *)

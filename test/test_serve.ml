@@ -49,15 +49,16 @@ let basic_cols (img : Image.t) =
     ring_off = sec 3;
     ring_node = sec 4;
     z_run = sec 5;
-    z_y = sec 6;
-    z_z = sec 7;
+    z_y = img.Image.usecs.(0);
+    z_z = img.Image.usecs.(1);
   }
 
 (* The Basic image freezes the rows of every zeta as Structure built them
-   (int sections 5-7 over the ring offsets, section 3); read back per
-   segment, they must equal the hash-join oracle's sorted triples. The
-   ring sections must list the rings' members, and every label must decode
-   at every node as the oracle's walk decodes it. *)
+   (int section 5 and the uint16 sections over the ring offsets, int
+   section 3); read back per segment, they must equal the hash-join
+   oracle's sorted triples. The ring sections must list the rings'
+   members, and every label must decode at every node as the oracle's
+   walk decodes it. *)
 let test_basic_image_matches_oracle () =
   let s =
     match Fixture.build_live ~scheme:"basic" ~n:100 ~seed:5 with
@@ -68,7 +69,8 @@ let test_basic_image_matches_oracle () =
   let rings = Basic.rings_collection s in
   let oracle = Zeta_oracle.build rings ~scales:(Basic.scales s) in
   let c = basic_cols img in
-  check_bool "int sections 3, 5-7" (Zeta_oracle.of_rows c = Zeta_oracle.segments oracle);
+  check_bool "int sections 3, 5 and the uint16 sections"
+    (Zeta_oracle.of_rows c = Zeta_oracle.segments oracle);
   let scales = c.Structure.scales in
   let m = Array.make scales 0 in
   for u = 0 to c.Structure.n - 1 do
@@ -111,6 +113,12 @@ let mutate_fsec img k f =
   f a;
   { img with Image.fsecs = Array.mapi (fun j s -> if j = k then a else s) img.Image.fsecs }
 
+let mutate_usec img k f =
+  let a = Image.u16s_create (A1.dim img.Image.usecs.(k)) in
+  A1.blit img.Image.usecs.(k) a;
+  f a;
+  { img with Image.usecs = Array.mapi (fun j s -> if j = k then a else s) img.Image.usecs }
+
 let with_isec k f = mutate_isec (Lazy.force basic_image) k f
 
 let expect_rejected ?(scheme = "basic") section img =
@@ -146,8 +154,8 @@ let expect_load_rejected scheme section img =
       (contains e scheme && contains e section)
 
 (* Sections: 0 meta (n, scales, max_hops, header bits), 1 label_first,
-   2 label_rest, 3 ring_off, 4 ring_node, 5 z_run, 6 z_y, 7 z_z, 8 t_off,
-   9 t_w, 10 t_next; float 0 t_cost. *)
+   2 label_rest, 3 ring_off, 4 ring_node, 5 z_run, 6 t_off, 7 t_w,
+   8 t_next; float 0 t_cost; uint16 0 z_y, 1 z_z. *)
 let basic_mutations =
   let ring_size (off : Image.ints) r = A1.get off (r + 1) - A1.get off r in
   [
@@ -169,16 +177,16 @@ let basic_mutations =
           (with_isec 5 (fun a -> A1.fill (A1.sub a 1 (A1.dim a - 1)) (1 lsl 40))) );
     ( "t_off not ending at the table",
       fun () ->
-        expect_rejected "t_off" (with_isec 8 (fun a -> A1.set a (A1.dim a - 1) (1 lsl 40))) );
+        expect_rejected "t_off" (with_isec 6 (fun a -> A1.set a (A1.dim a - 1) (1 lsl 40))) );
     ( "ring member not a node",
       fun () ->
         let n = A1.get (Lazy.force basic_image).Image.isecs.(0) 0 in
         expect_rejected "ring_node" (with_isec 4 (fun a -> A1.set a 0 n)) );
     ( "table target not a node",
-      fun () -> expect_rejected "t_w" (with_isec 9 (fun a -> A1.set a 0 (-1))) );
+      fun () -> expect_rejected "t_w" (with_isec 7 (fun a -> A1.set a 0 (-1))) );
     ( "every next hop 2^40, saved with valid checksums",
       fun () ->
-        expect_load_rejected "basic" "t_next" (with_isec 10 (fun a -> A1.fill a (1 lsl 40))) );
+        expect_load_rejected "basic" "t_next" (with_isec 8 (fun a -> A1.fill a (1 lsl 40))) );
     ( "z outside the next ring",
       fun () ->
         (* Entry 0 belongs to the first ring r with rows; its z indexes
@@ -189,7 +197,7 @@ let basic_mutations =
           if A1.get run (A1.get off (r + 1)) > 0 then r else first_ring (r + 1)
         in
         let size = ring_size off (first_ring 0 + 1) in
-        expect_rejected "z_z" (with_isec 7 (fun a -> A1.set a 0 size)) );
+        expect_rejected "z_z" (mutate_usec img 1 (fun a -> A1.set a 0 size)) );
     ( "label first index outside ring 0",
       fun () ->
         let img = Lazy.force basic_image in
@@ -207,21 +215,29 @@ let basic_mutations =
           [ nan; infinity; -1.0 ] );
     ( "parent layout rejected",
       fun () ->
-        (* The previous layout: a 3-entry meta, a per-destination header
-           bits section, and z_off/z_x columns before z_y/z_z. *)
+        (* Two earlier layouts, both with int z_y/z_z sections: 11 int
+           sections, and before them a 3-entry meta, a per-destination
+           header bits section, and z_off/z_x columns before z_y/z_z. *)
         let img = Lazy.force basic_image in
-        let i = img.Image.isecs in
+        let i = img.Image.isecs and u = img.Image.usecs in
         let n = A1.get i.(0) 0 in
-        let old =
+        let widened (a : Image.u16s) = Image.ints_of_array (Array.init (A1.dim a) (A1.get a)) in
+        let int_zetas =
+          [| i.(0); i.(1); i.(2); i.(3); i.(4); i.(5);
+             widened u.(0); widened u.(1); i.(6); i.(7); i.(8) |]
+        in
+        let older =
           [|
             Image.ints_of_array [| n; A1.get i.(0) 1; A1.get i.(0) 2 |];
             Image.ints_of_array (Array.make n (A1.get i.(0) 3));
             i.(1); i.(2); i.(3); i.(4);
             Image.ints_create 0; Image.ints_create 0;
-            i.(6); i.(7); i.(8); i.(9); i.(10);
+            widened u.(0); widened u.(1); i.(6); i.(7); i.(8);
           |]
         in
-        expect_rejected "basic" { img with Image.isecs = old } );
+        List.iter
+          (fun isecs -> expect_rejected "basic" { img with Image.isecs; usecs = [||] })
+          [ int_zetas; older ] );
   ]
 
 (* ------------------------------------ labelled and two_mode validation *)
@@ -319,6 +335,73 @@ let two_mode_mutations =
          ("negative distance", "dist", set_f 2 1 (-1.0));
        ]
       @ dls_cases ~d:9 ~dv:3)
+
+(* ------------------------------------ meridian and landmark validation *)
+
+(* The two views without a route: one mutation per section, each loading
+   as an [Error] naming the scheme and the section. The 2^40 cases made
+   the server crash before these views were validated. *)
+let meridian_image = lazy (Server.image (Fixture.build ~scheme:"meridian" ~n:100 ~seed:5))
+let landmark_image = lazy (Server.image (Fixture.build ~scheme:"landmark" ~n:100 ~seed:5))
+
+(* Float section [k] without its first entry. *)
+let shortened_f k img =
+  let cut j s = if j = k then A1.sub s 1 (A1.dim s - 1) else s in
+  { img with Image.fsecs = Array.mapi cut img.Image.fsecs }
+
+let last img k = A1.dim img.Image.isecs.(k) - 1
+
+(* Meridian sections: 0 meta (n, scales), 1 mmembers, 2 mr_off,
+   3 mr_node; float 0 mdmat. *)
+let meridian_mutations =
+  let img = meridian_image in
+  [
+    ("intact image loads", intact "meridian" img);
+    ( "every ring entry 2^40, saved with valid checksums",
+      fun () ->
+        expect_load_rejected "meridian" "mr_node"
+          (mutate_isec (Lazy.force img) 3 (fun a -> A1.fill a big)) );
+  ]
+  @ rejects "meridian" img
+      [
+        ("no scales", "meta", set_i 0 1 0);
+        ("member not a node", "mmembers", fun img -> set_i 1 0 (meta img 0) img);
+        ("no members", "mmembers", fun img ->
+            let cut j s = if j = 1 then A1.sub s 0 0 else s in
+            { img with Image.isecs = Array.mapi cut img.Image.isecs });
+        ("ring offsets not per (node, scale)", "mr_off", shortened 2);
+        ("ring offsets past the ring column", "mr_off", fun img -> set_i 2 (last img 2) big img);
+        ("ring entry not a node", "mr_node", set_i 3 0 (-1));
+        ("distances not n x n", "mdmat", shortened_f 0);
+        ("negative distance", "mdmat", set_f 0 1 (-1.0));
+      ]
+
+(* Landmark sections: 0 meta (n, k), 1 beacons, 2 col, 3 ball_off,
+   4 ball_node; float 0 rows, 1 ball_dist. *)
+let landmark_mutations =
+  let img = landmark_image in
+  [
+    ("intact image loads", intact "landmark" img);
+    ( "every col entry 2^40, saved with valid checksums",
+      fun () ->
+        expect_load_rejected "landmark" "col"
+          (mutate_isec (Lazy.force img) 2 (fun a -> A1.fill a big)) );
+  ]
+  @ rejects "landmark" img
+      [
+        ("more beacons than nodes", "meta", fun img -> set_i 0 1 (meta img 0 + 1) img);
+        ("beacons not k long", "beacons", shortened 1);
+        ("beacon not a node", "beacons", fun img -> set_i 1 0 (meta img 0) img);
+        ("col not per node", "col", shortened 2);
+        ("col below -1", "col", set_i 2 0 (-2));
+        ("col names no beacon", "col", fun img -> set_i 2 0 (meta img 1) img);
+        ("ball offsets past the ball column", "ball_off", fun img -> set_i 3 (last img 3) big img);
+        ("ball member not a node", "ball_node", fun img -> set_i 4 0 (meta img 0) img);
+        ("rows not k x n", "rows", shortened_f 0);
+        ("row entry not finite", "rows", set_f 0 0 nan);
+        ("ball distances not per member", "ball_dist", shortened_f 1);
+        ("negative ball distance", "ball_dist", set_f 1 0 (-1.0));
+      ]
 
 (* ------------------------------------------- frozen vs live, per query *)
 
@@ -498,6 +581,170 @@ let test_truncated_rejected () =
   | Error _ -> ());
   Sys.remove file
 
+(* ------------------------------------------------------ uint16 sections *)
+
+(* Unsigned little-endian value of the [width] bytes at [off]. *)
+let le (s : string) off width =
+  let v = ref 0L in
+  for k = width - 1 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[off + k]))
+  done;
+  !v
+
+(* The file's layout re-derived from its bytes: a 56-byte header and 16
+   bytes per section, then each section's elements little-endian at an
+   8-byte-aligned offset, any padding zero, and nothing after the last
+   section. Each table entry holds the section's length and the FNV-1a
+   hash of its payload's 64-bit words, padding included. *)
+let layout_ok file (img : Image.t) =
+  let s = In_channel.with_open_bin file In_channel.input_all in
+  let count = Array.length img.Image.isecs + Array.length img.fsecs + Array.length img.usecs in
+  let pos = ref (56 + (16 * count)) in
+  let ok = ref true in
+  let entry = ref 0 in
+  let section ~width ~bytes n elt =
+    let table = 56 + (16 * !entry) in
+    ok := !ok && !pos mod 8 = 0 && !pos + bytes <= String.length s;
+    ok := !ok && le s table 8 = Int64.of_int n;
+    if !ok then begin
+      for e = 0 to n - 1 do
+        ok := !ok && le s (!pos + (e * width)) width = elt e
+      done;
+      for b = n * width to bytes - 1 do
+        ok := !ok && s.[!pos + b] = '\000'
+      done;
+      let h = ref 0xcbf29ce484222325L in
+      for w = 0 to (bytes / 8) - 1 do
+        h := Int64.mul (Int64.logxor !h (le s (!pos + (8 * w)) 8)) 0x100000001b3L
+      done;
+      ok := !ok && le s (table + 8) 8 = !h
+    end;
+    incr entry;
+    pos := !pos + bytes
+  in
+  Array.iter
+    (fun a -> section ~width:8 ~bytes:(8 * A1.dim a) (A1.dim a) (fun e -> Int64.of_int a.{e}))
+    img.isecs;
+  Array.iter
+    (fun a ->
+      section ~width:8 ~bytes:(8 * A1.dim a) (A1.dim a) (fun e -> Int64.bits_of_float a.{e}))
+    img.fsecs;
+  Array.iter
+    (fun a ->
+      section ~width:2 ~bytes:(8 * ((A1.dim a + 3) / 4)) (A1.dim a) (fun e -> Int64.of_int a.{e}))
+    img.usecs;
+  !ok && !pos = String.length s
+
+let same_sections (a : Image.t) (b : Image.t) =
+  let same eq x y =
+    let same_sec s t =
+      A1.dim s = A1.dim t && List.for_all (fun e -> eq s.{e} t.{e}) (List.init (A1.dim s) Fun.id)
+    in
+    Array.length x = Array.length y && Array.for_all2 same_sec x y
+  in
+  a.Image.scheme = b.Image.scheme
+  && same Int.equal a.isecs b.isecs
+  && same (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a.fsecs b.fsecs
+  && same Int.equal a.usecs b.usecs
+
+(* Random images mixing the three kinds; uint16 sections take odd
+   lengths (1 included) or none. *)
+let arb_image =
+  let open QCheck.Gen in
+  let secs len elt = list_size (int_range 0 3) (list_size len elt) in
+  let u16_len = oneof [ return 0; map (fun k -> (2 * k) + 1) (int_range 0 8) ] in
+  let gen =
+    map3
+      (fun is fs us ->
+        {
+          Image.scheme = 1;
+          isecs = Array.of_list (List.map (fun l -> Image.ints_of_array (Array.of_list l)) is);
+          fsecs = Array.of_list (List.map (fun l -> Image.floats_of_array (Array.of_list l)) fs);
+          usecs =
+            Array.of_list
+              (List.map
+                 (fun l ->
+                   let a = Image.u16s_create (List.length l) in
+                   List.iteri (A1.set a) l;
+                   a)
+                 us);
+        })
+      (secs (int_range 0 9) int) (secs (int_range 0 9) float) (secs u16_len (int_range 0 0xffff))
+  in
+  let print (img : Image.t) =
+    let dims secs = String.concat "," (List.map (fun s -> string_of_int (A1.dim s)) secs) in
+    Printf.sprintf "int [%s] float [%s] uint16 [%s]"
+      (dims (Array.to_list img.Image.isecs)) (dims (Array.to_list img.fsecs))
+      (dims (Array.to_list img.usecs))
+  in
+  QCheck.make ~print gen
+
+let prop_image_roundtrip =
+  QCheck.Test.make ~name:"mixed sections round-trip" ~count:200 arb_image (fun img ->
+      let file = Filename.temp_file "ron_serve_test" ".snap" in
+      Image.save img file;
+      let size = (Unix.stat file).Unix.st_size in
+      let layout = layout_ok file img in
+      let loaded = Image.load file in
+      Sys.remove file;
+      match loaded with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok back -> size = Image.byte_size img && layout && same_sections img back)
+
+(* A saved basic snapshot and the offset of its first uint16 payload
+   (z_y): header, section table, then the int and float payloads. *)
+let basic_snapshot () =
+  let img = Lazy.force basic_image in
+  let file = Filename.temp_file "ron_serve_test" ".snap" in
+  Image.save img file;
+  let words secs = Array.fold_left (fun acc s -> acc + A1.dim s) 0 secs in
+  let count = Array.length img.Image.isecs + Array.length img.fsecs + Array.length img.usecs in
+  (file, 56 + (16 * count) + (8 * (words img.isecs + words img.fsecs)), A1.dim img.usecs.(0))
+
+let load_error file =
+  let r = Server.load file in
+  Sys.remove file;
+  match r with Ok _ -> Alcotest.fail "damaged snapshot accepted" | Error e -> e
+
+let patch_byte file off f =
+  let fd = Unix.openfile file [ Unix.O_RDWR ] 0 in
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (Char.chr (f (Char.code (Bytes.get b 0))));
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1);
+  Unix.close fd
+
+let test_u16_flip_rejected () =
+  let file, z_y, n = basic_snapshot () in
+  patch_byte file (z_y + n) (fun c -> c lxor 0x01);
+  let e = load_error file in
+  check_bool ("names the uint16 checksum: " ^ e) (contains e "uint16 section 0 checksum")
+
+let test_u16_truncated_rejected () =
+  let file, z_y, n = basic_snapshot () in
+  Unix.truncate file (z_y + n + 1);
+  let e = load_error file in
+  check_bool ("names the truncation: " ^ e) (contains e "truncated")
+
+(* A table entry claiming more elements than the file holds: 2^61 int
+   elements would overflow the payload's byte count. *)
+let test_oversized_length_rejected () =
+  let file, _, _ = basic_snapshot () in
+  let fd = Unix.openfile file [ Unix.O_RDWR ] 0 in
+  ignore (Unix.lseek fd 56 Unix.SEEK_SET);
+  ignore (Unix.write fd (Bytes.init 8 (fun k -> if k = 7 then '\x20' else '\000')) 0 8);
+  Unix.close fd;
+  let e = load_error file in
+  check_bool ("names the truncation: " ^ e) (contains e "truncated")
+
+let test_version_1_rejected () =
+  let file, _, _ = basic_snapshot () in
+  patch_byte file 8 (fun _ -> 1);
+  let e = load_error file in
+  check_bool ("names version 1: " ^ e) (contains e "unsupported snapshot version 1")
+
 (* ------------------------------------------------- meta-section checks *)
 
 (* An image whose meta section is empty still passes the checksums when
@@ -590,10 +837,22 @@ let () =
        List.map (fun (name, f) -> Alcotest.test_case name `Quick f) labelled_mutations);
       ("two_mode validation",
        List.map (fun (name, f) -> Alcotest.test_case name `Quick f) two_mode_mutations);
+      ("meridian validation",
+       List.map (fun (name, f) -> Alcotest.test_case name `Quick f) meridian_mutations);
+      ("landmark validation",
+       List.map (fun (name, f) -> Alcotest.test_case name `Quick f) landmark_mutations);
       ("corruption",
        [
          Alcotest.test_case "checksum flip rejected" `Quick test_corrupt_rejected;
          Alcotest.test_case "truncation rejected" `Quick test_truncated_rejected;
+       ]);
+      ("uint16 sections",
+       [
+         QCheck_alcotest.to_alcotest prop_image_roundtrip;
+         Alcotest.test_case "flipped payload byte rejected" `Quick test_u16_flip_rejected;
+         Alcotest.test_case "truncated payload rejected" `Quick test_u16_truncated_rejected;
+         Alcotest.test_case "oversized length rejected" `Quick test_oversized_length_rejected;
+         Alcotest.test_case "version 1 rejected" `Quick test_version_1_rejected;
        ]);
       ("meta sections",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_empty_meta_rejected s)));
