@@ -102,16 +102,17 @@ telemetry-smoke: build
 	grep -q '"gauge:oracle.rows_cached"' /tmp/ron_telemetry_smoke_report.json
 
 # Serving smoke: freeze a scheme into an off-heap snapshot, serve a seeded
-# Zipf-skewed batch workload from it twice — once warm (built in-process,
-# saving the snapshot) and once cold (reloaded from the file) — and assert
-# the two runs produced byte-identical results (same workload digest).
-# RON_JOBS=4 on the cold run doubles as a jobs-invariance check. Every
-# scheme's snapshot runs the check, so the columns each scheme builds
-# round-trip through save and load; the DLS schemes (labelled, two_mode)
-# serve fewer queries, at fixed sizes, because their per-query cost is far
-# higher. Last, a truncated copy of each of the five snapshots, and a copy
-# of the basic one whose version word reads 1, must each be refused with
-# the loader's message and exit 1.
+# Zipf-skewed batch workload from it twice — once warm (built in-process
+# at RON_JOBS=1, saving the snapshot) and once cold (reloaded from the
+# file) — and assert the two runs produced byte-identical results (same
+# workload digest). RON_JOBS=4 on the cold run doubles as a jobs-invariance
+# check, and the warm snapshot saved again at RON_JOBS=4 must equal the
+# first byte for byte (cmp). Every scheme's snapshot runs the check, so the
+# columns each scheme builds round-trip through save and load; the DLS
+# schemes (labelled, two_mode) serve fewer queries, at fixed sizes, because
+# their per-query cost is far higher. Last, a truncated copy of each of the
+# five snapshots, and a copy of the basic one whose version word reads 1,
+# must each be refused with the loader's message and exit 1.
 SERVE_SMOKE_N ?= 100
 SERVE_SMOKE_QUERIES ?= 20000
 serve-smoke: build
@@ -122,8 +123,13 @@ serve-smoke: build
 	            "meridian $(SERVE_SMOKE_N) $(SERVE_SMOKE_QUERIES) ron_serve_smoke_meridian" \
 	            "landmark $(SERVE_SMOKE_N) $(SERVE_SMOKE_QUERIES) ron_serve_smoke_landmark"; do \
 	  set -- $$spec; \
-	  dune exec bin/ron_cli.exe -- serve --scheme $$1 -n $$2 --queries $$3 \
+	  RON_JOBS=1 dune exec bin/ron_cli.exe -- serve --scheme $$1 -n $$2 --queries $$3 \
 	    --snapshot /tmp/$$4.snap | tee /tmp/$$4_warm.txt; \
+	  RON_JOBS=4 dune exec bin/ron_cli.exe -- serve --scheme $$1 -n $$2 --queries 10 \
+	    --snapshot /tmp/$${4}_j4.snap > /dev/null; \
+	  if ! cmp /tmp/$$4.snap /tmp/$${4}_j4.snap; then \
+	    echo "serve-smoke: $$1 snapshots saved at RON_JOBS=1 and 4 differ"; exit 1; \
+	  else echo "serve-smoke: $$1 snapshots saved at RON_JOBS=1 and 4 are equal"; fi; \
 	  RON_JOBS=4 dune exec bin/ron_cli.exe -- serve --load /tmp/$$4.snap --queries $$3 \
 	    | tee /tmp/$$4_cold.txt; \
 	  warm=$$(grep -o 'digest=[0-9a-f]*' /tmp/$$4_warm.txt); \

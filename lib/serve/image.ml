@@ -45,43 +45,74 @@ let floats_of_array a =
 
 (* -- checksums: FNV-1a over the 64-bit words of a section ---------------- *)
 
+(* A section is a run of little-endian 64-bit words: an int or float per
+   word, or for uint16 four elements per word with the last word
+   zero-filled. [stream] pushes them through a bounded buffer a
+   buffer-full at a time and folds each into the section's FNV-1a hash: a
+   save writes each full buffer out, a checksum drops it. *)
+
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let checksum_ints (a : ints) =
-  let h = ref fnv_offset in
-  for i = 0 to Bigarray.Array1.dim a - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Bigarray.Array1.unsafe_get a i))) fnv_prime
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* Word [w] encoded at byte [off] of [buf], and folded into the hash [h]. *)
+let[@inline] emit buf off w h =
+  set64u buf off (if Sys.big_endian then bswap64 w else w);
+  Int64.mul (Int64.logxor h w) fnv_prime
+
+(* The per-kind loops: words [i, e) into [buf] from byte [pos]. *)
+let fill_ints (a : ints) buf pos i e h =
+  let h = ref h in
+  for k = i to e - 1 do
+    h := emit buf (pos + (8 * (k - i))) (Int64.of_int (Bigarray.Array1.unsafe_get a k)) !h
   done;
   !h
 
-let checksum_floats (a : floats) =
-  let h = ref fnv_offset in
-  for i = 0 to Bigarray.Array1.dim a - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.bits_of_float (Bigarray.Array1.unsafe_get a i)))
-        fnv_prime
+let fill_floats (a : floats) buf pos i e h =
+  let h = ref h in
+  for k = i to e - 1 do
+    h := emit buf (pos + (8 * (k - i))) (Int64.bits_of_float (Bigarray.Array1.unsafe_get a k)) !h
   done;
   !h
 
 (* Element [i] of a uint16 section of length [n], 0 past its end. *)
 let[@inline] u16_at (a : u16s) n i = if i < n then Bigarray.Array1.unsafe_get a i else 0
 
-(* The payload's little-endian words, padding included: four elements
-   per word, the last word zero-filled. *)
-let checksum_u16s (a : u16s) =
-  let n = Bigarray.Array1.dim a in
-  let h = ref fnv_offset in
-  let i = ref 0 in
-  while !i < n do
-    let k = !i in
-    let low = u16_at a n k lor (u16_at a n (k + 1) lsl 16) lor (u16_at a n (k + 2) lsl 32) in
-    let high = Int64.shift_left (Int64.of_int (u16_at a n (k + 3))) 48 in
-    h := Int64.mul (Int64.logxor !h (Int64.logor (Int64.of_int low) high)) fnv_prime;
-    i := k + 4
+let fill_u16s (a : u16s) buf pos i e h =
+  let n = Bigarray.Array1.dim a and h = ref h in
+  for k = i to e - 1 do
+    let j = 4 * k in
+    let low = u16_at a n j lor (u16_at a n (j + 1) lsl 16) lor (u16_at a n (j + 2) lsl 32) in
+    let high = Int64.shift_left (Int64.of_int (u16_at a n (j + 3))) 48 in
+    h := emit buf (pos + (8 * (k - i))) (Int64.logor (Int64.of_int low) high) !h
   done;
   !h
+
+let u16_words n = (n + 3) / 4
+
+(* [pos] is [buf]'s fill, shared by the sections of one save. *)
+let stream ~flush buf pos words fill =
+  let rec go i h =
+    if i >= words then h
+    else begin
+      if !pos = Bytes.length buf then begin
+        flush buf !pos;
+        pos := 0
+      end;
+      let e = min words (i + ((Bytes.length buf - !pos) / 8)) in
+      let h = fill buf !pos i e h in
+      pos := !pos + (8 * (e - i));
+      go e h
+    end
+  in
+  go 0 fnv_offset
+
+let checksum words fill = stream ~flush:(fun _ _ -> ()) (Bytes.create 4096) (ref 0) words fill
+let checksum_ints a = checksum (Bigarray.Array1.dim a) (fill_ints a)
+let checksum_floats a = checksum (Bigarray.Array1.dim a) (fill_floats a)
+let checksum_u16s a = checksum (u16_words (Bigarray.Array1.dim a)) (fill_u16s a)
 
 (* -- sizes --------------------------------------------------------------- *)
 
@@ -91,7 +122,7 @@ let header_bytes t =
   + (16 * (Array.length t.isecs + Array.length t.fsecs + Array.length t.usecs))
 
 (* A uint16 payload's bytes, padded so the next section starts aligned. *)
-let u16_bytes n = 8 * ((n + 3) / 4)
+let u16_bytes n = 8 * u16_words n
 
 let payload_bytes t =
   let words secs = Array.fold_left (fun acc s -> acc + Bigarray.Array1.dim s) 0 secs in
@@ -102,67 +133,42 @@ let byte_size t = header_bytes t + payload_bytes t
 
 (* -- save ---------------------------------------------------------------- *)
 
-let bytes_set_i64 buf off v =
-  for k = 0 to 7 do
-    Bytes.set buf (off + k) (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * k)) 0xffL)))
-  done
-
-let bytes_get_i64 buf off =
-  let v = ref 0L in
-  for k = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get buf (off + k))))
-  done;
-  !v
-
-let write_all fd buf = ignore (Unix.write fd buf 0 (Bytes.length buf))
-
-let map fd kind ~pos ~shared n =
-  Bigarray.array1_of_genarray
-    (Unix.map_file fd ~pos:(Int64.of_int pos) kind Bigarray.c_layout shared [| n |])
-
+(* Each section is encoded and hashed in one pass through a 64 KB buffer;
+   the header, which holds the hashes, is written last, at the start of
+   the file. Nothing is mapped, so a save holds no copy of the snapshot. *)
 let save t file =
-  let hb = header_bytes t in
-  let buf = Bytes.create hb in
-  Bytes.blit_string magic 0 buf 0 8;
-  List.iteri
-    (fun k v -> bytes_set_i64 buf (8 + (8 * k)) (Int64.of_int v))
-    [
-      version;
-      t.scheme;
-      Sys.word_size;
-      Array.length t.isecs;
-      Array.length t.fsecs;
-      Array.length t.usecs;
-    ];
-  let off = ref (8 + (8 * header_words)) in
-  let entry dim sum =
-    bytes_set_i64 buf !off (Int64.of_int dim);
-    bytes_set_i64 buf (!off + 8) sum;
-    off := !off + 16
-  in
-  let dim = Bigarray.Array1.dim in
-  Array.iter (fun s -> entry (dim s) (checksum_ints s)) t.isecs;
-  Array.iter (fun s -> entry (dim s) (checksum_floats s)) t.fsecs;
-  Array.iter (fun s -> entry (dim s) (checksum_u16s s)) t.usecs;
-  let fd = Unix.openfile file [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      write_all fd buf;
-      (* The file takes its full size first, so padding reads as zeros;
-         each section is then blitted straight into its mapped window. *)
-      Unix.ftruncate fd (byte_size t);
-      let pos = ref hb in
-      let blit kind bytes s =
-        let n = Bigarray.Array1.dim s in
-        if n > 0 then Bigarray.Array1.blit s (map fd kind ~pos:!pos ~shared:true n);
-        pos := !pos + bytes n
+      let head = Bytes.create (header_bytes t) and buf = Bytes.create 65536 and pos = ref 0 in
+      let flush b n = ignore (Unix.write fd b 0 n) in
+      ignore (Unix.lseek fd (Bytes.length head) Unix.SEEK_SET);
+      let word k v = Bytes.set_int64_le head (8 + (8 * k)) v in
+      let k = ref header_words in
+      let entry n words fill =
+        word !k (Int64.of_int n);
+        word (!k + 1) (stream ~flush buf pos words fill);
+        k := !k + 2
       in
-      Array.iter (blit Bigarray.int (fun n -> 8 * n)) t.isecs;
-      Array.iter (blit Bigarray.float64 (fun n -> 8 * n)) t.fsecs;
-      Array.iter (blit Bigarray.int16_unsigned u16_bytes) t.usecs)
+      let dim = Bigarray.Array1.dim in
+      Array.iter (fun a -> entry (dim a) (dim a) (fill_ints a)) t.isecs;
+      Array.iter (fun a -> entry (dim a) (dim a) (fill_floats a)) t.fsecs;
+      Array.iter (fun a -> entry (dim a) (u16_words (dim a)) (fill_u16s a)) t.usecs;
+      flush buf !pos;
+      Bytes.blit_string magic 0 head 0 8;
+      List.iteri
+        (fun k v -> word k (Int64.of_int v))
+        [ version; t.scheme; Sys.word_size; Array.length t.isecs; Array.length t.fsecs;
+          Array.length t.usecs ];
+      ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+      flush head (Bytes.length head))
 
 (* -- load ---------------------------------------------------------------- *)
+
+let map fd kind ~pos n =
+  Bigarray.array1_of_genarray
+    (Unix.map_file fd ~pos:(Int64.of_int pos) kind Bigarray.c_layout false [| n |])
 
 let read_exactly fd n =
   let buf = Bytes.create n in
@@ -190,15 +196,15 @@ let load file =
         | None -> Error (Printf.sprintf "%s: truncated header" file)
         | Some head when Bytes.sub_string head 0 8 <> magic ->
           Error (Printf.sprintf "%s: bad magic (not a snapshot)" file)
-        | Some head when bytes_get_i64 head 8 <> Int64.of_int version ->
+        | Some head when Bytes.get_int64_le head 8 <> Int64.of_int version ->
           Error
-            (Printf.sprintf "%s: unsupported snapshot version %Ld" file (bytes_get_i64 head 8))
+            (Printf.sprintf "%s: unsupported snapshot version %Ld" file (Bytes.get_int64_le head 8))
         | Some _ -> (
           match read_exactly fd (hb - 16) with
           | None -> Error (Printf.sprintf "%s: truncated header" file)
           | Some hdr -> (
             (* The header words after the version. *)
-            let field k = Int64.to_int (bytes_get_i64 hdr (8 * k)) in
+            let field k = Int64.to_int (Bytes.get_int64_le hdr (8 * k)) in
             let scheme = field 0 and word_size = field 1 in
             let ni = field 2 and nf = field 3 and nu = field 4 in
             let count = ni + nf + nu in
@@ -212,8 +218,10 @@ let load file =
               match read_exactly fd (16 * count) with
               | None -> Error (Printf.sprintf "%s: truncated section table" file)
               | Some tbl -> (
-                let lens = Array.init count (fun k -> Int64.to_int (bytes_get_i64 tbl (16 * k))) in
-                let sums = Array.init count (fun k -> bytes_get_i64 tbl ((16 * k) + 8)) in
+                let lens =
+                  Array.init count (fun k -> Int64.to_int (Bytes.get_int64_le tbl (16 * k)))
+                in
+                let sums = Array.init count (fun k -> Bytes.get_int64_le tbl ((16 * k) + 8)) in
                 let bytes k = if k < ni + nf then 8 * lens.(k) else u16_bytes lens.(k) in
                 (* Every element takes at least a byte, so lengths up to the
                    file's size keep the payload's byte count from
@@ -232,7 +240,7 @@ let load file =
                     (* Section [k] of the table, the [i]th of its kind. *)
                     let section kind create checksum what k i =
                       let n = lens.(k) in
-                      let s = if n = 0 then create 0 else map fd kind ~pos:!pos ~shared:false n in
+                      let s = if n = 0 then create 0 else map fd kind ~pos:!pos n in
                       pos := !pos + bytes k;
                       if checksum s <> sums.(k) then
                         failwith (Printf.sprintf "%s section %d checksum mismatch" what i);

@@ -29,10 +29,6 @@ val checksum_ints : ints -> int64
 
 val checksum_floats : floats -> int64
 
-val checksum_u16s : u16s -> int64
-(** FNV-1a over the padded payload's little-endian 64-bit words, four
-    elements to a word. *)
-
 val byte_size : t -> int
 (** Exact on-disk size of the image: header + section table + payloads,
     the uint16 payloads' padding included. *)
@@ -40,7 +36,10 @@ val byte_size : t -> int
 val save : t -> string -> unit
 (** [save t file] writes magic, version, scheme tag, word size, the int,
     float and uint16 section counts, per-section lengths and checksums,
-    then the raw section payloads: ints, floats, then uint16s. *)
+    then the raw section payloads: ints, floats, then uint16s. Each
+    section is encoded and hashed in one pass through a bounded buffer,
+    and the header is written last; nothing is mapped, so saving holds no
+    second copy of the snapshot. *)
 
 val load : string -> (t, string) result
 (** [load file] maps each section back (private mapping) and verifies every

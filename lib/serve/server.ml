@@ -1,16 +1,17 @@
 (* Frozen, off-heap query servers.
 
-   [freeze_*] maps a constructed scheme's columns to the sections of an
-   {!Image.t} (Bigarray sections, int-indexed, string-free); [of_image]
-   maps the sections back — zero-copy — to the same columns, and first
-   checks each view's structure so that the unchecked reads of its query
-   path stay in bounds. Queries run the schemes' own code on the mapped
-   columns: the estimators ([Dls.scan], [Landmark.bounds]) and the Basic,
-   Labelled and Two_mode hops ([Basic.target_level]/[Basic.hop_entry],
-   [Labelled.hop], [Two_mode.hop]), driven by one copy of
-   [Scheme.simulate]'s Brent loop, so frozen results are byte-identical to
-   the live scheme's. Meridian's locate is the one query replayed here
-   ([mer_go] follows [Meridian.closest]).
+   Each view's columns are declared once, as the sections of an
+   {!Image.t} (Bigarray sections, int-indexed, string-free): [freeze_*]
+   adopts the columns a scheme built, and [of_image] maps a loaded image's
+   sections back — zero-copy — and checks them against the declaration
+   first, so that the unchecked reads of its query path stay in bounds.
+   Queries run the schemes' own code on the mapped columns: the estimators
+   ([Dls.scan], [Landmark.bounds]) and the Basic, Labelled and Two_mode
+   hops ([Basic.target_level]/[Basic.hop_entry], [Labelled.hop],
+   [Two_mode.hop]), driven by one copy of [Scheme.simulate]'s Brent loop,
+   so frozen results are byte-identical to the live scheme's. Meridian's
+   locate is the one query replayed here ([mer_go] follows
+   [Meridian.closest]).
 
    The hot path allocates nothing in steady state. The discipline, for the
    non-flambda middle end: every loop is a top-level tail-recursive
@@ -28,6 +29,7 @@ module First_hop = Ron_routing.First_hop
 module Labelled = Ron_routing.Labelled
 module Two_mode = Ron_routing.Two_mode
 module Dls = Ron_labeling.Dls
+module Landmark = Ron_labeling.Landmark
 
 type ints = Image.ints
 type floats = Image.floats
@@ -107,7 +109,7 @@ type view =
   | Labelled of Labelled.cols
   | Two_mode of Two_mode.cols
   | Meridian of fmer
-  | Landmark of Ron_labeling.Landmark.cols
+  | Landmark of Landmark.cols
 
 type t = { img : Image.t; view : view }
 
@@ -115,21 +117,7 @@ let image t = t.img
 let byte_size t = Image.byte_size t.img
 let save t file = Image.save t.img file
 
-let tag_basic = 1
-let tag_labelled = 2
-let tag_two_mode = 3
-let tag_meridian = 4
-let tag_landmark = 5
-
 let scheme_tag t = t.img.Image.scheme
-
-let scheme_name t =
-  match t.view with
-  | Basic _ -> "basic"
-  | Labelled _ -> "labelled"
-  | Two_mode _ -> "two_mode"
-  | Meridian _ -> "meridian"
-  | Landmark _ -> "landmark"
 
 let size t =
   match t.view with
@@ -137,7 +125,7 @@ let size t =
   | Labelled l -> l.Labelled.n
   | Two_mode m -> m.Two_mode.n
   | Meridian m -> m.mn
-  | Landmark g -> g.Ron_labeling.Landmark.n
+  | Landmark g -> g.Landmark.n
 
 (* Source population for workloads: Meridian walks must start at members. *)
 let sources t = match t.view with Meridian m -> Some m.mmembers | _ -> None
@@ -160,543 +148,510 @@ let scratch_for t =
   prepare_scratch t sc;
   sc
 
-(* ------------------------------------------------------------- freezing *)
+(* --------------------------------------------------------------- schema *)
 
-let flat_ints (arrs : int array array) =
-  let n = Array.length arrs in
-  let off = Array.make (n + 1) 0 in
-  Array.iteri (fun i a -> off.(i + 1) <- off.(i) + Array.length a) arrs;
-  let data = Image.ints_create off.(n) in
-  Array.iteri
-    (fun i a -> Array.iteri (fun k v -> A1.unsafe_set data (off.(i) + k) v) a)
-    arrs;
-  (Image.ints_of_array off, data)
+(* Each view is declared once, below, as an ordered list of columns: a
+   name, an element kind, the cols field it holds, and its rules. [freeze]
+   reads the fields in that order. [of_image] names each section after the
+   column at its place among the sections of its kind, builds the cols
+   from the sections by name ([make]), and checks them — the view's meta
+   predicate, then every rule, O(size) — before the view serves, since
+   every hot read of it is unchecked. A meta section holds named scalars
+   ([entries]); the bounds read them by name. *)
 
-(* The columns below are adopted as they are: each scheme builds them in
-   its image's layout. The DLS pack is 8 int sections (meta, d_off,
-   zoom_first, zoom_rest, z_off, z_x, z_y, z_z) and the d_val float
-   section; only the Two_mode image carries the hosts column. *)
-let dls_isecs (c : Dls.cols) =
-  [
-    Image.ints_of_array [| c.rows; c.levels; c.prefix_len; c.max_virt |];
-    c.d_off;
-    c.zoom_first;
-    c.zoom_rest;
-    c.z_off;
-    c.z_x;
-    c.z_y;
-    c.z_z;
-  ]
+type kind = Int | Float | U16
+type expr =
+  | Const of int | Meta of string | Dim of string | Plus of expr * int | Min_size of string * expr
 
-let no_hosts : ints = Image.ints_create 0
+type rule =
+  | Length of expr
+  | Product of expr * expr * int
+  | Offsets of string * expr
+  | Range of expr * expr
+  | Finite
+  | Segments of { groups : string; every : expr; rows : string option; sizes : string; shift : int }
 
-let dls_of_secs what (isecs : ints array) (fsecs : floats array) i0 f0 ~hosts =
-  let meta = isecs.(i0) in
-  if A1.dim meta <> 4 then
-    Error
-      (Printf.sprintf "%s image: DLS meta section has %d entries, expected 4" what (A1.dim meta))
+type column = { name : string; kind : kind; entries : string list; rules : rule list }
+type sec = I of ints | F of floats | U of u16s
+
+(* An image's sections by name, and each meta entry's section and index. *)
+type env = { secs : (string, sec) Hashtbl.t; metas : (string, string * int) Hashtbl.t }
+
+type 'c decl = {
+  scheme : string;
+  tag : int;
+  columns : (column * ('c -> sec)) list;
+  make : env -> 'c;
+  meta_ok : 'c -> (unit, string * string) result;
+  wrap : 'c -> view;
+}
+
+let col kind wrap name get rules = ({ name; kind; entries = []; rules }, fun c -> wrap (get c))
+let ints name = col Int (fun a -> I a) name
+let floats name = col Float (fun a -> F a) name
+let u16s name = col U16 (fun a -> U a) name
+let meta name entries get =
+  ({ name; kind = Int; entries; rules = [] }, fun c -> I (Image.ints_of_array (get c)))
+let dim = function I a -> A1.dim a | F a -> A1.dim a | U a -> A1.dim a
+let sec e name = Hashtbl.find e.secs name
+let ints_in e name = match sec e name with I a -> a | F _ | U _ -> invalid_arg name
+let floats_in e name = match sec e name with F a -> a | I _ | U _ -> invalid_arg name
+let u16s_in e name = match sec e name with U a -> a | I _ | F _ -> invalid_arg name
+let int e m = let s, i = Hashtbl.find e.metas m in ig (ints_in e s) i
+let float e m = let s, i = Hashtbl.find e.metas m in fg (floats_in e s) i
+
+(* The smallest segment [off.{u * every}, off.{u * every + 1}) over u. *)
+let rec min_size (off : ints) every u acc =
+  if (u * every) + 1 >= A1.dim off then acc
+  else min_size off every (u + 1) (min acc (ig off ((u * every) + 1) - ig off (u * every)))
+
+let rec value e = function
+  | Const k -> k
+  | Meta m -> int e m
+  | Dim s -> dim (sec e s)
+  | Plus (x, k) -> value e x + k
+  | Min_size (s, x) -> if value e x < 1 then 0 else min_size (ints_in e s) (value e x) 0 max_int
+
+(* A bound in an error message, with the meta section it comes from. *)
+let show e = function
+  | Meta m as x -> Printf.sprintf "%d (%s %s)" (value e x) (fst (Hashtbl.find e.metas m)) m
+  | x -> string_of_int (value e x)
+
+(* -------------------------------------------------------------- checking *)
+
+(* The rules' loops over a type-annotated column: the first failing index
+   in [i, e), or -1. *)
+let rec outside_ints (a : ints) lo hi i e =
+  if i >= e then -1
+  else if (let v = ig a i in v >= lo && v < hi) then outside_ints a lo hi (i + 1) e
+  else i
+
+let rec outside_u16s (a : u16s) lo hi i e =
+  if i >= e then -1
+  else if (let v = A1.unsafe_get a i in v >= lo && v < hi) then outside_u16s a lo hi (i + 1) e
+  else i
+
+let rec not_finite (a : floats) i e =
+  if i >= e then -1
+  else if (let v = fg a i in v -. v = 0.0 && v >= 0.0) then not_finite a (i + 1) e
+  else i
+
+(* Offsets that fall, or rise by less than [step]. *)
+let rec short_rise (off : ints) step i e =
+  if i >= e then -1
+  else if (let a = ig off i and b = ig off (i + 1) in a <= b && b - a >= step) then
+    short_rise off step (i + 1) e
+  else i
+
+let outside s lo hi i e =
+  match s with
+  | I a -> outside_ints a lo hi i e
+  | U a -> outside_u16s a lo hi i e
+  | F _ -> invalid_arg "Server.outside"
+
+let entry_at s i = match s with I a -> ig a i | U a -> A1.unsafe_get a i | F _ -> 0
+
+(* The segment rule: group g's entries, [start g] to [start (g + 1)], lie
+   below the size of segment [g + shift] of [sizes]; [start g] is
+   [groups.{g * every}], read through [rows] when there is one. The
+   earlier phases have checked [groups], [rows] and [sizes] as offsets. *)
+let start (groups : ints) every rows g =
+  let p = ig groups (g * every) in
+  match rows with None -> p | Some (r : ints) -> ig r p
+
+let rec segment s groups every rows (sizes : ints) shift g count =
+  if g >= count then None
   else
-    Ok
-      {
-        Dls.rows = ig meta 0;
-        levels = ig meta 1;
-        prefix_len = ig meta 2;
-        max_virt = ig meta 3;
-        d_off = isecs.(i0 + 1);
-        d_val = fsecs.(f0);
-        hosts;
-        zoom_first = isecs.(i0 + 2);
-        zoom_rest = isecs.(i0 + 3);
-        z_off = isecs.(i0 + 4);
-        z_x = isecs.(i0 + 5);
-        z_y = isecs.(i0 + 6);
-        z_z = isecs.(i0 + 7);
-      }
+    let size = ig sizes (g + shift + 1) - ig sizes (g + shift) in
+    match outside s 0 size (start groups every rows g) (start groups every rows (g + 1)) with
+    | -1 -> segment s groups every rows sizes shift (g + 1) count
+    | i -> Some (i, g + shift, size)
 
-(* Basic: 9 int sections + 1 float section + 2 uint16 sections — meta
-   (n, scales, max_hops, header bits), label_first, label_rest, ring_off,
-   ring_node, z_run, t_off, t_w, t_next | t_cost | z_y, z_z. *)
-let freeze_basic (c : Basic.cols) =
-  let s = c.Basic.st and tb = c.Basic.table in
-  {
-    Image.scheme = tag_basic;
-    isecs =
-      [|
-        Image.ints_of_array [| s.Structure.n; s.scales; c.max_hops; c.header_bits |];
-        s.label_first;
-        s.label_rest;
-        s.ring_off;
-        s.ring_node;
-        s.z_run;
-        tb.First_hop.t_off;
-        tb.t_w;
-        tb.t_next;
-      |];
-    fsecs = [| tb.t_cost |];
-    usecs = [| s.z_y; s.z_z |];
-  }
+let check e (c : column) rule =
+  let s = sec e c.name in
+  let n = dim s in
+  let fail fmt = Printf.ksprintf (fun m -> Error (c.name, m)) fmt in
+  match (rule, s) with
+  | Length x, _ -> if n = value e x then Ok () else fail "%d entries, expected %d" n (value e x)
+  | Product (a, b, k), _ ->
+    let a = value e a and b = value e b in
+    if a >= 1 && n >= k && (n - k) mod a = 0 && (n - k) / a = b then Ok ()
+    else fail "%d entries, expected %d * %d + %d" n a b k
+  | Offsets (target, step), I off ->
+    let last = dim (sec e target) and k = value e step in
+    if n >= 1 && ig off 0 = 0 && ig off (n - 1) = last && short_rise off k 0 (n - 1) < 0 then Ok ()
+    else fail "offsets do not rise from 0 to %d in steps of at least %s" last (show e step)
+  | Range (lo, hi), (I _ | U _) -> (
+    match outside s (value e lo) (value e hi) 0 n with
+    | -1 -> Ok ()
+    | i -> fail "entry %d is %d, outside [%s, %s)" i (entry_at s i) (show e lo) (show e hi))
+  | Finite, F a -> (
+    match not_finite a 0 n with
+    | -1 -> Ok ()
+    | i -> fail "entry %d is %g, not finite and >= 0" i (fg a i))
+  | Segments g, (I _ | U _) -> (
+    let groups = ints_in e g.groups and sizes = ints_in e g.sizes and every = value e g.every in
+    let count = A1.dim sizes - 1 - g.shift in
+    if every < 0 || (count > 0 && every > (A1.dim groups - 1) / count) then
+      fail "groups of %d run past %s" every g.groups
+    else
+      match segment s groups every (Option.map (ints_in e) g.rows) sizes g.shift 0 count with
+      | None -> Ok ()
+      | Some (i, k, size) ->
+        let v = entry_at s i in
+        fail "entry %d is %d, outside segment %d of %s (%d entries)" i v k g.sizes size)
+  | (Offsets _ | Range _ | Finite | Segments _), _ -> invalid_arg ("Server: bad rule for " ^ c.name)
 
-(* Labelled: 13 int sections + 2 float sections — meta (n, max_hops),
-   header bits, t_off, t_w, t_next, the DLS pack | t_cost, d_val. *)
-let freeze_labelled (c : Labelled.cols) =
-  let tb = c.Labelled.table in
-  {
-    Image.scheme = tag_labelled;
-    isecs =
-      Array.of_list
-        (Image.ints_of_array [| c.n; c.max_hops |]
-        :: c.header_bits :: tb.First_hop.t_off :: tb.t_w :: tb.t_next :: dls_isecs c.dls);
-    fsecs = [| tb.t_cost; c.dls.Dls.d_val |];
-    usecs = [||];
-  }
+(* Lengths first, then offsets, then entries: each phase reads only what
+   the earlier ones checked. *)
+let phase = function Length _ | Product _ -> 0 | Offsets _ -> 1 | Range _ | Finite | Segments _ -> 2
 
-(* Two_mode: 17 int sections + 4 float sections — meta (n, li, max_hops,
-   header bits), hub_ptr, hub_g, dir_off, dir_mem, dir_bnd, own_off,
-   own_tgt, hosts, the DLS pack | threshold, r_level, dist, d_val. *)
-let freeze_two_mode (c : Two_mode.cols) =
-  {
-    Image.scheme = tag_two_mode;
-    isecs =
-      Array.of_list
-        ([
-           Image.ints_of_array [| c.Two_mode.n; c.li; c.max_hops; c.header_bits |];
-           c.hub_ptr;
-           c.hub_g;
-           c.dir_off;
-           c.dir_mem;
-           c.dir_bnd;
-           c.own_off;
-           c.own_tgt;
-           c.dls.Dls.hosts;
-         ]
-        @ dls_isecs c.dls);
-    fsecs = [| Image.floats_of_array [| c.m1_threshold |]; c.r_level; c.dist; c.dls.Dls.d_val |];
-    usecs = [||];
-  }
+let validate e columns =
+  let rules = List.concat_map (fun c -> List.map (fun r -> (c, r)) c.rules) columns in
+  let by_phase = List.stable_sort (fun (_, a) (_, b) -> Int.compare (phase a) (phase b)) rules in
+  List.fold_left (fun acc (c, r) -> Result.bind acc (fun () -> check e c r)) (Ok ()) by_phase
 
-let freeze_meridian (e : Ron_smallworld.Meridian.export) =
-  let open Ron_smallworld.Meridian in
-  let n = e.x_n and scales = e.x_scales in
-  let segs = Array.make (n * scales) [||] in
-  Array.iteri
-    (fun u per_u -> Array.iteri (fun i r -> segs.((u * scales) + i) <- r) per_u)
-    e.x_rings;
-  let r_off, r_node = flat_ints segs in
-  {
-    Image.scheme = tag_meridian;
-    isecs =
-      [|
-        Image.ints_of_array [| n; scales |];
-        Image.ints_of_array e.x_members;
-        r_off;
-        r_node;
-      |];
-    fsecs = [| Image.floats_of_array e.x_dist |];
-    usecs = [||];
-  }
-
-let freeze_landmark (c : Ron_labeling.Landmark.cols) =
-  let open Ron_labeling.Landmark in
-  {
-    Image.scheme = tag_landmark;
-    isecs = [| Image.ints_of_array [| c.n; c.k |]; c.beacons; c.col; c.ball_off; c.ball_node |];
-    fsecs = [| c.rows; c.ball_dist |];
-    usecs = [||];
-  }
-
-(* ------------------------------------------------------------ validation *)
-
-(* Structural checks, O(size), run before a view serves. [what] names the
-   scheme in the error and [sec] the section. *)
-
+(* [Error (section, message)] unless [ok]. *)
+let require sec ok fmt = Printf.ksprintf (fun m -> if ok then Ok () else Error (sec, m)) fmt
 let ( let* ) = Result.bind
 
-let bad what sec fmt =
-  Printf.ksprintf (fun m -> Error (Printf.sprintf "%s image: %s: %s" what sec m)) fmt
+(* ------------------------------------------------------------------ views *)
 
-let all check l = List.fold_left (fun r x -> Result.bind r (fun () -> check x)) (Ok ()) l
+let zero = Const 0
+let nodes = Meta "n"
+let offsets target = Offsets (target, zero)
+let node_id = Range (zero, nodes)
 
-(* First index in [i, hi) failing [ok], or -1. *)
-let rec find_bad ok i hi = if i >= hi then -1 else if ok i then find_bad ok (i + 1) hi else i
-
-let length what (sec, got, want) =
-  if got = want then Ok () else bad what sec "%d entries, expected %d" got want
-
-(* [got = a * b] for [a >= 1], compared without overflow. *)
-let length_product what (sec, got, a, b) =
-  if got mod a = 0 && got / a = b then Ok ()
-  else bad what sec "%d entries, expected %d * %d" got a b
-
-(* [off] rises from 0 to [last]; with [strict], every run is non-empty. *)
-let offsets ?(strict = false) what (sec, (off : ints), last) =
-  let k = A1.dim off - 1 in
-  let rises i = if strict then off.{i} < off.{i + 1} else off.{i} <= off.{i + 1} in
-  if k >= 0 && off.{0} = 0 && off.{k} = last && find_bad rises 0 k < 0 then Ok ()
-  else bad what sec "offsets do not rise from 0 to %d" last
-
-let in_range what (sec, (a : ints), lo, hi) =
-  match find_bad (fun i -> a.{i} >= lo && a.{i} < hi) 0 (A1.dim a) with
-  | -1 -> Ok ()
-  | i -> bad what sec "entry %d is %d, outside [%d, %d)" i a.{i} lo hi
-
-let non_negative what (sec, (a : floats)) =
-  match find_bad (fun i -> Float.is_finite a.{i} && a.{i} >= 0.0) 0 (A1.dim a) with
-  | -1 -> Ok ()
-  | i -> bad what sec "entry %d is %g, not finite and >= 0" i a.{i}
-
-(* A first-hop table over [n] nodes: [First_hop.find] and the entry reads
+(* A first-hop table over n nodes: [First_hop.find] and the entry reads
    stay in bounds, and every next hop and cost is usable. *)
-let check_table what ~n (tb : First_hop.t) =
-  let dim = A1.dim in
-  let* () =
-    all (length what)
+let table_pack (tb : 'c -> First_hop.t) =
+  [
+    ints "t_off" (fun c -> (tb c).First_hop.t_off) [ Length (Plus (nodes, 1)); offsets "t_w" ];
+    ints "t_w" (fun c -> (tb c).t_w) [ node_id ];
+    ints "t_next" (fun c -> (tb c).t_next) [ Length (Dim "t_w"); node_id ];
+    floats "t_cost" (fun c -> (tb c).t_cost) [ Length (Dim "t_w"); Finite ];
+  ]
+
+let table_of e =
+  let i = ints_in e in
+  { First_hop.t_off = i "t_off"; t_w = i "t_w"; t_next = i "t_next"; t_cost = floats_in e "t_cost" }
+
+(* Once a Basic view is checked, [Structure.decode], [Structure.member]
+   and the table reads are in bounds. Each z of zeta_uj, in the rows of
+   ring r = (u, j), is a position in ring r + 1 (a node's last ring has no
+   rows), and each label's first index is in every ring 0. *)
+let basic : Basic.cols decl =
+  let st (c : Basic.cols) = c.st and scales = Meta "scales" in
+  {
+    scheme = "basic";
+    tag = 1;
+    columns =
       [
-        ("t_off", dim tb.First_hop.t_off, n + 1);
-        ("t_next", dim tb.t_next, dim tb.t_w);
-        ("t_cost", dim tb.t_cost, dim tb.t_w);
+        meta "meta" [ "n"; "scales"; "max_hops"; "header_bits" ] (fun c ->
+            [| (st c).n; (st c).scales; c.max_hops; c.header_bits |]);
+        ints "label_first" (fun c -> (st c).label_first)
+          [ Length nodes; Range (zero, Min_size ("ring_off", scales)) ];
+        ints "label_rest" (fun c -> (st c).label_rest) [ Product (nodes, Plus (scales, -1), 0) ];
+        ints "ring_off" (fun c -> (st c).ring_off)
+          [ Product (nodes, scales, 1); offsets "ring_node" ];
+        ints "ring_node" (fun c -> (st c).ring_node) [ node_id ];
+        ints "z_run" (fun c -> (st c).z_run) [ Length (Plus (Dim "ring_node", 1)); offsets "z_y" ];
       ]
-  in
-  let* () = offsets what ("t_off", tb.t_off, dim tb.t_w) in
-  let* () = all (in_range what) [ ("t_w", tb.t_w, 0, n); ("t_next", tb.t_next, 0, n) ] in
-  non_negative what ("t_cost", tb.t_cost)
+      @ table_pack (fun (c : Basic.cols) -> c.table)
+      @ [
+          u16s "z_y" (fun c -> (st c).z_y) [];
+          u16s "z_z" (fun c -> (st c).z_z)
+            [
+              Length (Dim "z_y");
+              Segments
+                { groups = "ring_off"; every = Const 1; rows = Some "z_run"; sizes = "ring_off";
+                  shift = 1 };
+            ];
+        ];
+    make =
+      (fun e ->
+        let i = ints_in e and u = u16s_in e in
+        let st =
+          { Structure.n = int e "n"; scales = int e "scales"; label_first = i "label_first";
+            label_rest = i "label_rest"; ring_off = i "ring_off"; ring_node = i "ring_node";
+            z_run = i "z_run"; z_y = u "z_y"; z_z = u "z_z" }
+        in
+        let max_hops = int e "max_hops" and header_bits = int e "header_bits" in
+        { Basic.st; table = table_of e; max_hops; header_bits });
+    meta_ok =
+      (fun c ->
+        let n = (st c).n and s = (st c).scales and budget = Basic.hop_budget (st c).n in
+        require "meta" (n >= 1 && s >= 1 && c.max_hops >= 0 && c.max_hops <= budget)
+          "n %d, scales %d, max_hops %d (budget %d)" n s c.max_hops budget);
+    wrap = (fun c -> Basic c);
+  }
 
-(* The Basic view: after it, [Structure.decode], [Structure.member] and
-   the table reads are in bounds — lengths agree with the meta section,
-   offsets run from 0 to their column's end, ids are nodes, each z of
-   zeta_uj is a position in ring [(u, j + 1)], and each label's first index
-   is in every ring 0. *)
-let check_basic (c : Basic.cols) =
-  let what = "basic" and s = c.Basic.st and dim = A1.dim in
-  let n = s.Structure.n and scales = s.Structure.scales in
-  (* Ring r = (u, j)'s rows span [z_run.{ring_off.{r}}, z_run.{ring_off.{r+1}}),
-     and their z are positions in ring r + 1. *)
-  let z_z : u16s = s.z_z in
-  let rec zetas r =
-    if r >= n * scales then Ok ()
-    else if r mod scales = scales - 1 then zetas (r + 1)
-    else begin
-      let size = s.ring_off.{r + 2} - s.ring_off.{r + 1} in
-      let ok e = z_z.{e} < size in
-      match find_bad ok s.z_run.{s.ring_off.{r}} s.z_run.{s.ring_off.{r + 1}} with
-      | -1 -> zetas (r + 1)
-      | e ->
-        bad what "z_z" "entry %d is %d, outside ring %d of node %d" e z_z.{e}
-          ((r mod scales) + 1) (r / scales)
-    end
-  in
-  let* () =
-    if n >= 1 && scales >= 1 && c.max_hops >= 0 && c.max_hops <= Basic.hop_budget n then Ok ()
-    else
-      bad what "meta" "n %d, scales %d, max_hops %d (budget %d)" n scales c.max_hops
-        (Basic.hop_budget n)
-  in
-  let* () =
-    all (length what)
+(* The DLS pack both label-based views end with. Once it is checked,
+   every read [Dls.scan] makes unchecked is in bounds and its loops are
+   bounded by the data: every row holds the prefix, zoom_first indexes it,
+   zoom_rest and z_y are virtual indices below max_virt (the scratch
+   bound, at most n), and each z of row u's translation maps is one of
+   u's host indices. Only the Two_mode image serves the hosts column. *)
+let dls_pack (dls : 'c -> Dls.cols) =
+  let rows = Meta "rows" and levels = Meta "levels" and virt = Meta "max_virt" in
+  let prefix = Meta "prefix_len" in
+  [
+    meta "dls_meta" [ "rows"; "levels"; "prefix_len"; "max_virt" ] (fun c ->
+        let d = dls c in
+        [| d.Dls.rows; d.levels; d.prefix_len; d.max_virt |]);
+    ints "d_off" (fun c -> (dls c).d_off) [ Length (Plus (rows, 1)); Offsets ("d_val", prefix) ];
+    ints "zoom_first" (fun c -> (dls c).zoom_first) [ Length rows; Range (zero, prefix) ];
+    ints "zoom_rest" (fun c -> (dls c).zoom_rest) [ Product (rows, levels, 0); Range (zero, virt) ];
+    ints "z_off" (fun c -> (dls c).z_off) [ Product (rows, levels, 1); offsets "z_x" ];
+    ints "z_x" (fun c -> (dls c).z_x) [];
+    ints "z_y" (fun c -> (dls c).z_y) [ Length (Dim "z_x"); Range (zero, virt) ];
+    ints "z_z" (fun c -> (dls c).z_z)
       [
-        ("label_first", dim s.label_first, n);
-        ("ring_off", dim s.ring_off, dim s.label_rest + n + 1);
-        ("z_run", dim s.z_run, dim s.ring_node + 1);
-        ("z_z", dim s.z_z, dim s.z_y);
+        Length (Dim "z_x");
+        Segments { groups = "z_off"; every = levels; rows = None; sizes = "d_off"; shift = 0 };
+      ];
+    floats "d_val" (fun c -> (dls c).d_val) [ Finite ];
+  ]
+
+let dls_of e ~hosts =
+  let i = ints_in e in
+  { Dls.rows = int e "rows"; levels = int e "levels"; prefix_len = int e "prefix_len";
+    max_virt = int e "max_virt"; d_off = i "d_off"; d_val = floats_in e "d_val"; hosts;
+    zoom_first = i "zoom_first"; zoom_rest = i "zoom_rest"; z_off = i "z_off"; z_x = i "z_x";
+    z_y = i "z_y"; z_z = i "z_z" }
+
+let dls_ok ~n (d : Dls.cols) =
+  require "dls_meta"
+    (d.rows = n && d.levels >= 0 && d.prefix_len >= 0 && d.max_virt >= 1 && d.max_virt <= n)
+    "rows %d, levels %d, prefix %d, max_virt %d for %d nodes" d.rows d.levels d.prefix_len
+    d.max_virt n
+
+let labelled : Labelled.cols decl =
+  {
+    scheme = "labelled";
+    tag = 2;
+    columns =
+      [
+        meta "meta" [ "n"; "max_hops" ] (fun (c : Labelled.cols) -> [| c.n; c.max_hops |]);
+        ints "header_bits" (fun c -> c.Labelled.header_bits) [ Length nodes ];
       ]
-  in
-  let* () = length_product what ("label_rest", dim s.label_rest, n, scales - 1) in
-  let* () =
-    all (offsets what) [ ("ring_off", s.ring_off, dim s.ring_node); ("z_run", s.z_run, dim s.z_y) ]
-  in
-  let* () = in_range what ("ring_node", s.ring_node, 0, n) in
-  let* () = zetas 0 in
-  let* () = in_range what ("label_first", s.label_first, 0, Structure.first_bound s) in
-  check_table what ~n c.Basic.table
+      @ table_pack (fun (c : Labelled.cols) -> c.table)
+      @ dls_pack (fun (c : Labelled.cols) -> c.dls);
+    make =
+      (fun e ->
+        { Labelled.n = int e "n"; max_hops = int e "max_hops";
+          header_bits = ints_in e "header_bits"; table = table_of e;
+          dls = dls_of e ~hosts:(Image.ints_create 0) });
+    meta_ok =
+      (fun c ->
+        let budget = Labelled.hop_budget c.n in
+        let* () =
+          require "meta" (c.n >= 1 && c.max_hops >= 0 && c.max_hops <= budget)
+            "n %d, max_hops %d (budget %d)" c.n c.max_hops budget
+        in
+        dls_ok ~n:c.n c.dls);
+    wrap = (fun c -> Labelled c);
+  }
 
-(* The DLS columns of a labelled or two_mode view over [n] nodes ([hosts]:
-   the image carries the hosts column). After it, every read [Dls.scan]
-   makes unchecked is in bounds and its loops are bounded by the data: the
-   offsets rise to their columns' ends, every row holds the prefix,
-   zoom_first indexes it, zoom_rest and z_y are virtual indices below
-   max_virt (the scratch bound, at most n), and each z of row u's
-   translation maps is one of u's host indices. *)
-let check_dls what ~n ~hosts (d : Dls.cols) =
-  let dim = A1.dim in
-  let* () =
-    if d.Dls.rows = n && d.levels >= 0 && d.prefix_len >= 0 && d.max_virt >= 1 && d.max_virt <= n
-    then Ok ()
-    else
-      bad what "dls_meta" "rows %d, levels %d, prefix %d, max_virt %d for %d nodes" d.rows d.levels
-        d.prefix_len d.max_virt n
-  in
-  let* () =
-    all (length what)
-      ([
-         ("d_off", dim d.d_off, n + 1);
-         ("zoom_first", dim d.zoom_first, n);
-         ("z_y", dim d.z_y, dim d.z_x);
-         ("z_z", dim d.z_z, dim d.z_x);
-       ]
-      @ if hosts then [ ("hosts", dim d.hosts, dim d.d_val) ] else [])
-  in
-  let* () =
-    all (length_product what)
-      [ ("zoom_rest", dim d.zoom_rest, n, d.levels); ("z_off", dim d.z_off - 1, n, d.levels) ]
-  in
-  let* () = all (offsets what) [ ("d_off", d.d_off, dim d.d_val); ("z_off", d.z_off, dim d.z_x) ] in
-  let* () =
-    all (in_range what)
-      ([
-         ("zoom_first", d.zoom_first, 0, d.prefix_len);
-         ("zoom_rest", d.zoom_rest, 0, d.max_virt);
-         ("z_y", d.z_y, 0, d.max_virt);
-       ]
-      @ if hosts then [ ("hosts", d.hosts, 0, n) ] else [])
-  in
-  let* () = non_negative what ("d_val", d.d_val) in
-  let rec rows u =
-    if u >= n then Ok ()
-    else begin
-      let k = d.d_off.{u + 1} - d.d_off.{u} in
-      let ok e = d.z_z.{e} >= 0 && d.z_z.{e} < k in
-      if k < d.prefix_len then
-        bad what "dls_meta" "prefix of %d hosts, node %d has %d" d.prefix_len u k
-      else
-        match find_bad ok d.z_off.{u * d.levels} d.z_off.{(u + 1) * d.levels} with
-        | -1 -> rows (u + 1)
-        | e -> bad what "z_z" "entry %d is %d, outside node %d's %d hosts" e d.z_z.{e} u k
-    end
-  in
-  rows 0
-
-let check_labelled (c : Labelled.cols) =
-  let what = "labelled" and n = c.Labelled.n in
-  let* () =
-    if n >= 1 && c.max_hops >= 0 && c.max_hops <= Labelled.hop_budget n then Ok ()
-    else bad what "meta" "n %d, max_hops %d (budget %d)" n c.max_hops (Labelled.hop_budget n)
-  in
-  let* () = length what ("header_bits", A1.dim c.header_bits, n) in
-  let* () = check_table what ~n c.table in
-  check_dls what ~n ~hosts:false c.dls
-
-(* After it, [Two_mode.hop] reads in bounds: hub pointers and directory
+(* Once checked, [Two_mode.hop] reads in bounds: hub pointers and directory
    members are nodes, [hub_g] names a directory or none, every directory
    has a member, and the per-(scale, node) columns have their lengths. *)
-let check_two_mode (c : Two_mode.cols) =
-  let what = "two_mode" and dim = A1.dim in
-  let n = c.Two_mode.n and li = c.li in
-  let* () =
-    if n >= 1 && li >= 1 && c.max_hops >= 0 && c.max_hops <= Two_mode.hop_budget li then Ok ()
-    else
-      bad what "meta" "n %d, li %d, max_hops %d (budget %d)" n li c.max_hops
-        (Two_mode.hop_budget li)
-  in
-  let* () =
-    if c.m1_threshold > 0.0 && c.m1_threshold < 0.5 then Ok ()
-    else bad what "threshold" "%g, outside (0, 1/2)" c.m1_threshold
-  in
-  let* () =
-    all (length_product what)
+let two_mode : Two_mode.cols decl =
+  let li = Meta "li" in
+  {
+    scheme = "two_mode";
+    tag = 3;
+    columns =
       [
-        ("hub_ptr", dim c.hub_ptr, n, li);
-        ("hub_g", dim c.hub_g, li, n);
-        ("own_off", dim c.own_off - 1, li, n);
-        ("r_level", dim c.r_level, n, li);
-        ("dist", dim c.dist, n, n);
+        meta "meta" [ "n"; "li"; "max_hops"; "header_bits" ] (fun (c : Two_mode.cols) ->
+            [| c.n; c.li; c.max_hops; c.header_bits |]);
+        ( { name = "threshold"; kind = Float; entries = [ "m1_threshold" ]; rules = [] },
+          fun c -> F (Image.floats_of_array [| c.Two_mode.m1_threshold |]) );
+        ints "hub_ptr" (fun c -> c.Two_mode.hub_ptr) [ Product (nodes, li, 0); node_id ];
+        ints "hub_g" (fun c -> c.Two_mode.hub_g)
+          [ Product (li, nodes, 0); Range (Const (-1), Plus (Dim "dir_off", -1)) ];
+        ints "dir_off" (fun c -> c.Two_mode.dir_off) [ Offsets ("dir_mem", Const 1) ];
+        ints "dir_mem" (fun c -> c.Two_mode.dir_mem) [ node_id ];
+        ints "dir_bnd" (fun c -> c.Two_mode.dir_bnd) [ Length (Dim "dir_mem") ];
+        ints "own_off" (fun c -> c.Two_mode.own_off) [ Product (li, nodes, 1); offsets "own_tgt" ];
+        ints "own_tgt" (fun c -> c.Two_mode.own_tgt) [ node_id ];
+        ints "hosts" (fun c -> c.Two_mode.dls.hosts) [ Length (Dim "d_val"); node_id ];
+        floats "r_level" (fun c -> c.Two_mode.r_level) [ Product (nodes, li, 0); Finite ];
+        floats "dist" (fun c -> c.Two_mode.dist) [ Product (nodes, nodes, 0); Finite ];
       ]
-  in
-  let* () = length what ("dir_bnd", dim c.dir_bnd, dim c.dir_mem) in
-  let* () = offsets ~strict:true what ("dir_off", c.dir_off, dim c.dir_mem) in
-  let* () = offsets what ("own_off", c.own_off, dim c.own_tgt) in
-  let* () =
-    all (in_range what)
-      [
-        ("hub_ptr", c.hub_ptr, 0, n);
-        ("hub_g", c.hub_g, -1, dim c.dir_off - 1);
-        ("dir_mem", c.dir_mem, 0, n);
-        ("own_tgt", c.own_tgt, 0, n);
-      ]
-  in
-  let* () = all (non_negative what) [ ("r_level", c.r_level); ("dist", c.dist) ] in
-  check_dls what ~n ~hosts:true c.dls
+      @ dls_pack (fun (c : Two_mode.cols) -> c.dls);
+    make =
+      (fun e ->
+        let i = ints_in e and f = floats_in e in
+        { Two_mode.n = int e "n"; li = int e "li"; max_hops = int e "max_hops";
+          header_bits = int e "header_bits"; m1_threshold = float e "m1_threshold";
+          hub_ptr = i "hub_ptr"; hub_g = i "hub_g"; dir_off = i "dir_off"; dir_mem = i "dir_mem";
+          dir_bnd = i "dir_bnd"; own_off = i "own_off"; own_tgt = i "own_tgt";
+          r_level = f "r_level"; dist = f "dist"; dls = dls_of e ~hosts:(i "hosts") });
+    meta_ok =
+      (fun c ->
+        let budget = Two_mode.hop_budget c.li and t = c.m1_threshold in
+        let* () =
+          require "meta" (c.n >= 1 && c.li >= 1 && c.max_hops >= 0 && c.max_hops <= budget)
+            "n %d, li %d, max_hops %d (budget %d)" c.n c.li c.max_hops budget
+        in
+        let* () = require "threshold" (t > 0.0 && t < 0.5) "%g, outside (0, 1/2)" t in
+        dls_ok ~n:c.n c.dls);
+    wrap = (fun c -> Two_mode c);
+  }
 
-(* After it, [mer_locate] reads in bounds: members and ring entries are
+(* Once checked, [mer_locate] reads in bounds: members and ring entries are
    nodes, each node's per-scale ring offsets rise to the ring column's end,
    and the distance matrix is n x n. *)
-let check_meridian (m : fmer) =
-  let what = "meridian" and n = m.mn and scales = m.mscales and dim = A1.dim in
-  let* () =
-    if n >= 1 && scales >= 1 then Ok () else bad what "meta" "n %d, scales %d" n scales
-  in
-  let* () =
-    if dim m.mmembers >= 1 then Ok () else bad what "mmembers" "no member to start from"
-  in
-  let* () = length_product what ("mr_off", dim m.mr_off - 1, n, scales) in
-  let* () = length_product what ("mdmat", dim m.mdmat, n, n) in
-  let* () = offsets what ("mr_off", m.mr_off, dim m.mr_node) in
-  let* () = all (in_range what) [ ("mmembers", m.mmembers, 0, n); ("mr_node", m.mr_node, 0, n) ] in
-  non_negative what ("mdmat", m.mdmat)
+let meridian : fmer decl =
+  {
+    scheme = "meridian";
+    tag = 4;
+    columns =
+      [
+        meta "meta" [ "n"; "scales" ] (fun m -> [| m.mn; m.mscales |]);
+        ints "mmembers" (fun m -> m.mmembers) [ node_id ];
+        ints "mr_off" (fun m -> m.mr_off) [ Product (nodes, Meta "scales", 1); offsets "mr_node" ];
+        ints "mr_node" (fun m -> m.mr_node) [ node_id ];
+        floats "mdmat" (fun m -> m.mdmat) [ Product (nodes, nodes, 0); Finite ];
+      ];
+    make =
+      (fun e ->
+        let i = ints_in e in
+        { mn = int e "n"; mscales = int e "scales"; mmembers = i "mmembers"; mr_off = i "mr_off";
+          mr_node = i "mr_node"; mdmat = floats_in e "mdmat" });
+    meta_ok =
+      (fun m ->
+        let* () = require "meta" (m.mn >= 1 && m.mscales >= 1) "n %d, scales %d" m.mn m.mscales in
+        require "mmembers" (A1.dim m.mmembers >= 1) "no member to start from");
+    wrap = (fun m -> Meridian m);
+  }
 
-(* After it, [Landmark.bounds] reads in bounds: beacons are nodes, [col]
+(* Once checked, [Landmark.bounds] reads in bounds: beacons are nodes, [col]
    names a beacon or none, the rows are k x n, and each node's ball runs
    over its node and distance columns. *)
-let check_landmark (g : Ron_labeling.Landmark.cols) =
-  let open Ron_labeling.Landmark in
-  let what = "landmark" and n = g.n and k = g.k and dim = A1.dim in
-  let* () =
-    if n >= 1 && k >= 1 && k <= n then Ok () else bad what "meta" "n %d, k %d" n k
-  in
-  let* () =
-    all (length what)
+let landmark : Landmark.cols decl =
+  let k = Meta "k" in
+  {
+    scheme = "landmark";
+    tag = 5;
+    columns =
       [
-        ("beacons", dim g.beacons, k);
-        ("col", dim g.col, n);
-        ("ball_off", dim g.ball_off, n + 1);
-        ("ball_dist", dim g.ball_dist, dim g.ball_node);
-      ]
-  in
-  let* () = length_product what ("rows", dim g.rows, k, n) in
-  let* () = offsets what ("ball_off", g.ball_off, dim g.ball_node) in
-  let* () =
-    all (in_range what)
-      [ ("beacons", g.beacons, 0, n); ("col", g.col, -1, k); ("ball_node", g.ball_node, 0, n) ]
-  in
-  all (non_negative what) [ ("rows", g.rows); ("ball_dist", g.ball_dist) ]
+        meta "meta" [ "n"; "k" ] (fun (g : Landmark.cols) -> [| g.n; g.k |]);
+        ints "beacons" (fun g -> g.Landmark.beacons) [ Length k; node_id ];
+        ints "col" (fun g -> g.Landmark.col) [ Length nodes; Range (Const (-1), k) ];
+        floats "rows" (fun g -> g.Landmark.rows) [ Product (k, nodes, 0); Finite ];
+        ints "ball_off" (fun g -> g.Landmark.ball_off)
+          [ Length (Plus (nodes, 1)); offsets "ball_node" ];
+        ints "ball_node" (fun g -> g.Landmark.ball_node) [ node_id ];
+        floats "ball_dist" (fun g -> g.Landmark.ball_dist) [ Length (Dim "ball_node"); Finite ];
+      ];
+    make =
+      (fun e ->
+        let i = ints_in e and f = floats_in e in
+        { Landmark.n = int e "n"; k = int e "k"; beacons = i "beacons"; col = i "col";
+          rows = f "rows"; ball_off = i "ball_off"; ball_node = i "ball_node";
+          ball_dist = f "ball_dist" });
+    meta_ok = (fun g -> require "meta" (g.n >= 1 && g.k >= 1 && g.k <= g.n) "n %d, k %d" g.n g.k);
+    wrap = (fun g -> Landmark g);
+  }
 
-(* --------------------------------------------------------------- viewing *)
+type any = Any : 'c decl -> any
 
-(* Every section count and meta length is checked before any meta read;
-   each view is then checked structurally before it serves. *)
+let decls = [ Any basic; Any labelled; Any two_mode; Any meridian; Any landmark ]
+let find_decl ok = List.find_opt (fun (Any d) -> ok d.scheme d.tag) decls
+
+(* ------------------------------------------------- freezing and viewing *)
+
+(* The view of columns this process built: adopted as they are, and not
+   checked — each builder writes its columns consistent. *)
+let freeze d c =
+  let secs = List.map (fun (_, get) -> get c) d.columns in
+  let pick f = Array.of_list (List.filter_map f secs) in
+  let isecs = pick (function I a -> Some a | F _ | U _ -> None) in
+  let fsecs = pick (function F a -> Some a | I _ | U _ -> None) in
+  let usecs = pick (function U a -> Some a | I _ | F _ -> None) in
+  { img = { Image.scheme = d.tag; isecs; fsecs; usecs }; view = d.wrap c }
+
+let freeze_basic_t c = freeze basic c
+let freeze_labelled_t c = freeze labelled c
+let freeze_two_mode_t c = freeze two_mode c
+let freeze_landmark_t c = freeze landmark c
+
+(* Meridian's rings are flattened into one CSR over (node, scale). *)
+let freeze_meridian_t (e : Ron_smallworld.Meridian.export) =
+  let n = e.x_n and scales = e.x_scales in
+  let segs = Array.make (n * scales) [||] in
+  Array.iteri (fun u rs -> Array.iteri (fun i r -> segs.((u * scales) + i) <- r) rs) e.x_rings;
+  let off = Array.make ((n * scales) + 1) 0 in
+  Array.iteri (fun r a -> off.(r + 1) <- off.(r) + Array.length a) segs;
+  let mr_node = Image.ints_create off.(n * scales) in
+  Array.iteri (fun r a -> Array.iteri (fun k v -> A1.unsafe_set mr_node (off.(r) + k) v) a) segs;
+  let ints = Image.ints_of_array in
+  freeze meridian
+    { mn = n; mscales = scales; mmembers = ints e.x_members; mr_off = ints off; mr_node;
+      mdmat = Image.floats_of_array e.x_dist }
+
+(* Each section takes the name of the column at its place among the
+   sections of its kind (the counts are checked). *)
+let env_of columns (img : Image.t) =
+  let e = { secs = Hashtbl.create 32; metas = Hashtbl.create 16 } in
+  let add kind sec =
+    List.iteri
+      (fun i c ->
+        Hashtbl.replace e.secs c.name (sec i);
+        List.iteri (fun j m -> Hashtbl.replace e.metas m (c.name, j)) c.entries)
+      (List.filter (fun c -> c.kind = kind) columns)
+  in
+  add Int (fun i -> I img.isecs.(i));
+  add Float (fun i -> F img.fsecs.(i));
+  add U16 (fun i -> U img.usecs.(i));
+  e
+
+(* Section counts, then every meta section's length, are checked before
+   any meta read; then the meta predicate and the rules. *)
+let view_of d (img : Image.t) =
+  let columns = List.map fst d.columns in
+  let count k = List.length (List.filter (fun c -> c.kind = k) columns) in
+  let want = (count Int, count Float, count U16) in
+  let got = Image.(Array.length img.isecs, Array.length img.fsecs, Array.length img.usecs) in
+  let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "%s image: %s" d.scheme m)) fmt in
+  if got <> want then
+    let (ni, nf, nu), (gi, gf, gu) = (want, got) in
+    fail "expected %d int / %d float / %d uint16 sections, got %d / %d / %d" ni nf nu gi gf gu
+  else
+    let e = env_of columns img in
+    let entries c = List.length c.entries in
+    match List.find_opt (fun c -> entries c > 0 && dim (sec e c.name) <> entries c) columns with
+    | Some c ->
+      fail "%s section has %d entries, expected %d" c.name (dim (sec e c.name)) (entries c)
+    | None -> (
+      let c = d.make e in
+      match Result.bind (d.meta_ok c) (fun () -> validate e columns) with
+      | Ok () -> Ok { img; view = d.wrap c }
+      | Error (s, m) -> fail "%s: %s" s m)
+
+let by_tag tag = find_decl (fun _ t -> t = tag)
+
 let of_image (img : Image.t) =
-  let i = img.Image.isecs and f = img.Image.fsecs and u = img.Image.usecs in
-  let need ni nf nu what =
-    if Array.length i <> ni || Array.length f <> nf || Array.length u <> nu then
-      Error
-        (Printf.sprintf
-           "%s image: expected %d int / %d float / %d uint16 sections, got %d / %d / %d" what ni
-           nf nu (Array.length i) (Array.length f) (Array.length u))
-    else Ok ()
-  in
-  let meta what len =
-    let dim = A1.dim i.(0) in
-    if dim <> len then
-      Error (Printf.sprintf "%s image: meta section has %d entries, expected %d" what dim len)
-    else Ok i.(0)
-  in
-  let view v = Ok { img; view = v } in
-  match img.Image.scheme with
-  | 1 ->
-    let* () = need 9 1 2 "basic" in
-    let* meta = meta "basic" 4 in
-    let c =
-      {
-        Basic.st =
-          {
-            Structure.n = ig meta 0;
-            scales = ig meta 1;
-            label_first = i.(1);
-            label_rest = i.(2);
-            ring_off = i.(3);
-            ring_node = i.(4);
-            z_run = i.(5);
-            z_y = u.(0);
-            z_z = u.(1);
-          };
-        table = { First_hop.t_off = i.(6); t_w = i.(7); t_next = i.(8); t_cost = f.(0) };
-        max_hops = ig meta 2;
-        header_bits = ig meta 3;
-      }
-    in
-    let* () = check_basic c in
-    view (Basic c)
-  | 2 ->
-    let* () = need 13 2 0 "labelled" in
-    let* meta = meta "labelled" 2 in
-    let* dls = dls_of_secs "labelled" i f 5 1 ~hosts:no_hosts in
-    let c =
-      {
-        Labelled.n = ig meta 0;
-        max_hops = ig meta 1;
-        header_bits = i.(1);
-        table = { First_hop.t_off = i.(2); t_w = i.(3); t_next = i.(4); t_cost = f.(0) };
-        dls;
-      }
-    in
-    let* () = check_labelled c in
-    view (Labelled c)
-  | 3 ->
-    let* () = need 17 4 0 "two_mode" in
-    let* meta = meta "two_mode" 4 in
-    let* () =
-      if A1.dim f.(0) <> 1 then
-        Error
-          (Printf.sprintf "two_mode image: threshold section has %d entries, expected 1"
-             (A1.dim f.(0)))
-      else Ok ()
-    in
-    let* dls = dls_of_secs "two_mode" i f 9 3 ~hosts:i.(8) in
-    let c =
-      {
-        Two_mode.n = ig meta 0;
-        li = ig meta 1;
-        max_hops = ig meta 2;
-        header_bits = ig meta 3;
-        m1_threshold = fg f.(0) 0;
-        hub_ptr = i.(1);
-        hub_g = i.(2);
-        dir_off = i.(3);
-        dir_mem = i.(4);
-        dir_bnd = i.(5);
-        own_off = i.(6);
-        own_tgt = i.(7);
-        r_level = f.(1);
-        dist = f.(2);
-        dls;
-      }
-    in
-    let* () = check_two_mode c in
-    view (Two_mode c)
-  | 4 ->
-    let* () = need 4 1 0 "meridian" in
-    let* meta = meta "meridian" 2 in
-    let m =
-      {
-        mn = ig meta 0;
-        mscales = ig meta 1;
-        mmembers = i.(1);
-        mr_off = i.(2);
-        mr_node = i.(3);
-        mdmat = f.(0);
-      }
-    in
-    let* () = check_meridian m in
-    view (Meridian m)
-  | 5 ->
-    let* () = need 5 2 0 "landmark" in
-    let* meta = meta "landmark" 2 in
-    let g =
-      {
-        Ron_labeling.Landmark.n = ig meta 0;
-        k = ig meta 1;
-        beacons = i.(1);
-        col = i.(2);
-        rows = f.(0);
-        ball_off = i.(3);
-        ball_node = i.(4);
-        ball_dist = f.(1);
-      }
-    in
-    let* () = check_landmark g in
-    view (Landmark g)
-  | tag -> Error (Printf.sprintf "unknown scheme tag %d" tag)
+  match by_tag img.scheme with
+  | Some (Any d) -> view_of d img
+  | None -> Error (Printf.sprintf "unknown scheme tag %d" img.scheme)
 
-let exn_of_result = function
-  | Ok t -> t
-  | Error msg -> failwith ("Server.of_image: " ^ msg)
+let load file = match Image.load file with Error e -> Error e | Ok img -> of_image img
 
-let freeze_basic_t e = exn_of_result (of_image (freeze_basic e))
-let freeze_labelled_t e = exn_of_result (of_image (freeze_labelled e))
-let freeze_two_mode_t e = exn_of_result (of_image (freeze_two_mode e))
-let freeze_meridian_t e = exn_of_result (of_image (freeze_meridian e))
-let freeze_landmark_t e = exn_of_result (of_image (freeze_landmark e))
+let scheme_name t =
+  match by_tag (scheme_tag t) with Some (Any d) -> d.scheme | None -> ""
 
-let load file =
-  match Image.load file with Error e -> Error e | Ok img -> of_image img
+let schema scheme =
+  match find_decl (fun name _ -> name = scheme) with
+  | Some (Any d) -> List.map fst d.columns
+  | None -> invalid_arg ("Server.schema: " ^ scheme)
+
+let eval (img : Image.t) x =
+  match by_tag img.scheme with
+  | Some (Any d) -> value (env_of (List.map fst d.columns) img) x
+  | None -> invalid_arg "Server.eval: unknown scheme tag"
 
 (* ---------------------------------------------------------------- routes *)
 
@@ -873,4 +828,4 @@ let query t sc ~kind ~src ~dst =
     if kind = 1 then dls_estimate m.Two_mode.dls sc ~src ~dst
     else route t.view sc ~src ~dst ~header_bits:m.header_bits ~max_hops:m.max_hops 0
   | Meridian m -> mer_locate m sc ~start:src ~target:dst
-  | Landmark g -> Ron_labeling.Landmark.bounds g sc.fbuf ~at:3 src dst
+  | Landmark g -> Landmark.bounds g sc.fbuf ~at:3 src dst

@@ -47,33 +47,33 @@ type scratch = {
 
 type t
 
-val freeze_basic : Ron_routing.Basic.cols -> Image.t
-val freeze_labelled : Ron_routing.Labelled.cols -> Image.t
-val freeze_two_mode : Ron_routing.Two_mode.cols -> Image.t
-val freeze_meridian : Ron_smallworld.Meridian.export -> Image.t
-val freeze_landmark : Ron_labeling.Landmark.cols -> Image.t
-
 val freeze_basic_t : Ron_routing.Basic.cols -> t
 val freeze_labelled_t : Ron_routing.Labelled.cols -> t
 val freeze_two_mode_t : Ron_routing.Two_mode.cols -> t
 val freeze_meridian_t : Ron_smallworld.Meridian.export -> t
 val freeze_landmark_t : Ron_labeling.Landmark.cols -> t
+(** A server over the columns a scheme just built, adopted without a copy
+    (Meridian's rings are flattened first) and not checked: each builder
+    writes its columns consistent by construction. {!image} gives the
+    image to save. *)
 
 val of_image : Image.t -> (t, string) result
-(** Wrap an image's sections — zero-copy — into a server, validating the
-    scheme tag, the per-scheme counts of int, float and uint16 sections
-    and the length of every meta section before reading it; [Error] names
-    the scheme. Every image is also checked in O(size) — section lengths
-    against the meta section, offsets, node ids, ζ and DLS indices,
-    directory and beacon ids, finite non-negative distances and costs,
-    the M1 threshold and the hop budget — so that its unchecked reads
-    stay in bounds; the [Error] also names the section. *)
+(** Wrap an image's sections — zero-copy — into a server. This is the
+    trust boundary: the scheme tag, the per-scheme counts of int, float
+    and uint16 sections and the length of every meta section are checked
+    before any meta read, then the view's meta predicate (hop budget, M1
+    threshold, [k <= n], the DLS meta) and, in O(size), every rule of its
+    {!schema} — lengths, then offsets, then entries — so that its
+    unchecked reads stay in bounds and its loops end. The [Error] names
+    the scheme and the section. *)
 
 val load : string -> (t, string) result
 (** [Image.load] followed by {!of_image}. *)
 
 val save : t -> string -> unit
+
 val image : t -> Image.t
+(** The image the server reads: its sections are the view's columns. *)
 
 val byte_size : t -> int
 (** Exact on-disk size of the underlying snapshot. *)
@@ -93,7 +93,44 @@ val scratch_for : t -> scratch
     domain (per server) before the query loop; {!query} itself never grows
     the scratch. *)
 
-val prepare_scratch : t -> scratch -> unit
+(** {1 Snapshot schema}
+
+    Each scheme's view is declared once, as an ordered list of columns:
+    the [k]th section of a kind is the [k]th column of that kind. *)
+
+type kind = Int | Float | U16
+
+(** A bound: a constant, a named meta entry, a section's length, a sum,
+    or [Min_size (off, every)], the smallest segment
+    [\[off.{u * every}, off.{u * every + 1})] over u. *)
+type expr =
+  | Const of int | Meta of string | Dim of string | Plus of expr * int | Min_size of string * expr
+
+(** [Length]: exactly so many entries; [Product (a, b, c)]: [a * b + c],
+    without overflow; [Offsets (s, step)]: rise from 0 to section [s]'s
+    length, by at least [step] each; [Range]: entries in [\[lo, hi)];
+    [Finite]: entries finite and [>= 0]; [Segments]: group g's entries,
+    from [groups.{g * every}] to [groups.{(g + 1) * every}] (read through
+    [rows] when given), lie below the size of segment [g + shift] of the
+    offsets [sizes], one group per segment past [shift]. *)
+type rule =
+  | Length of expr
+  | Product of expr * expr * int
+  | Offsets of string * expr
+  | Range of expr * expr
+  | Finite
+  | Segments of { groups : string; every : expr; rows : string option; sizes : string; shift : int }
+
+(** [entries]: a meta section's named scalars, else [[]]. *)
+type column = { name : string; kind : kind; entries : string list; rules : rule list }
+
+val schema : string -> column list
+(** A scheme's columns ("basic", "labelled", "two_mode", "meridian",
+    "landmark"), in section order. *)
+
+val eval : Image.t -> expr -> int
+(** A bound's value on an image with intact section counts and meta
+    lengths. *)
 
 (** {1 Queries} *)
 

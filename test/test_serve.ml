@@ -38,38 +38,69 @@ module Basic = Ron_routing.Basic
 module Structure = Ron_routing.Structure
 module Rings = Ron_core.Rings
 
+(* ------------------------------------------------ sections by name *)
+
+(* The scheme an image's tag names ([Fixture.names] is in tag order), and
+   where each declared section sits in it: the [k]th section of a kind is
+   the [k]th column of that kind in the scheme's declaration. *)
+let scheme_of (img : Image.t) = List.nth Fixture.names (img.Image.scheme - 1)
+
+let index_in names name =
+  let rec go k = function
+    | x :: rest -> if x = name then k else go (k + 1) rest
+    | [] -> raise Not_found
+  in
+  go 0 names
+
+let schema img : Server.column list = Server.schema (scheme_of img)
+let column img name = List.find (fun (c : Server.column) -> c.name = name) (schema img)
+
+let index img name =
+  let kind = (column img name).kind in
+  let same = List.filter (fun (c : Server.column) -> c.kind = kind) (schema img) in
+  index_in (List.map (fun (c : Server.column) -> c.name) same) name
+
+let isec img name = img.Image.isecs.(index img name)
+let fsec img name = img.Image.fsecs.(index img name)
+let usec img name = img.Image.usecs.(index img name)
+
+(* A meta entry's value, and its section and index. *)
+let value img entry = Server.eval img (Server.Meta entry)
+
+let meta_entry img entry =
+  let c = List.find (fun (c : Server.column) -> List.mem entry c.entries) (schema img) in
+  (c.name, index_in c.entries entry)
+
 (* The Basic image's structure sections, read back as columns. *)
 let basic_cols (img : Image.t) =
-  let sec k = img.Image.isecs.(k) in
   {
-    Structure.n = A1.get (sec 0) 0;
-    scales = A1.get (sec 0) 1;
-    label_first = sec 1;
-    label_rest = sec 2;
-    ring_off = sec 3;
-    ring_node = sec 4;
-    z_run = sec 5;
-    z_y = img.Image.usecs.(0);
-    z_z = img.Image.usecs.(1);
+    Structure.n = value img "n";
+    scales = value img "scales";
+    label_first = isec img "label_first";
+    label_rest = isec img "label_rest";
+    ring_off = isec img "ring_off";
+    ring_node = isec img "ring_node";
+    z_run = isec img "z_run";
+    z_y = usec img "z_y";
+    z_z = usec img "z_z";
   }
 
 (* The Basic image freezes the rows of every zeta as Structure built them
-   (int section 5 and the uint16 sections over the ring offsets, int
-   section 3); read back per segment, they must equal the hash-join
-   oracle's sorted triples. The ring sections must list the rings'
-   members, and every label must decode at every node as the oracle's
-   walk decodes it. *)
+   (z_run and the uint16 z_y/z_z sections over the ring offsets, ring_off);
+   read back per segment, they must equal the hash-join oracle's sorted
+   triples. The ring sections must list the rings' members, and every
+   label must decode at every node as the oracle's walk decodes it. *)
 let test_basic_image_matches_oracle () =
   let s =
     match Fixture.build_live ~scheme:"basic" ~n:100 ~seed:5 with
     | Fixture.L_basic s -> s
     | _ -> assert false
   in
-  let img = Server.freeze_basic (Basic.export s) in
+  let img = Server.image (Server.freeze_basic_t (Basic.export s)) in
   let rings = Basic.rings_collection s in
   let oracle = Zeta_oracle.build rings ~scales:(Basic.scales s) in
   let c = basic_cols img in
-  check_bool "int sections 3, 5 and the uint16 sections"
+  check_bool "ring_off, z_run, z_y and z_z"
     (Zeta_oracle.of_rows c = Zeta_oracle.segments oracle);
   let scales = c.Structure.scales in
   let m = Array.make scales 0 in
@@ -77,14 +108,14 @@ let test_basic_image_matches_oracle () =
     for j = 0 to scales - 1 do
       let r = (u * scales) + j in
       let lo = A1.get c.Structure.ring_off r in
-      check_bool "int sections 3-4"
+      check_bool "ring_off and ring_node"
         (Array.init (A1.get c.Structure.ring_off (r + 1) - lo) (fun x ->
              A1.get c.Structure.ring_node (lo + x))
         = (Rings.rings_of rings u).(j).Rings.members)
     done;
     for t = 0 to c.Structure.n - 1 do
       let jut = Structure.decode c u c t m in
-      check_bool "int sections 1-2 decode"
+      check_bool "label_first and label_rest decode"
         (Array.sub m 0 (jut + 1) = Zeta_oracle.decode oracle u (Zeta_oracle.label_of c t))
     done
   done
@@ -102,24 +133,42 @@ let copy_ints (a : Image.ints) =
   A1.blit a b;
   b
 
-let mutate_isec img k f =
-  let a = copy_ints img.Image.isecs.(k) in
-  f a;
-  { img with Image.isecs = Array.mapi (fun j s -> if j = k then a else s) img.Image.isecs }
+let replace secs k a = Array.mapi (fun j s -> if j = k then a else s) secs
 
-let mutate_fsec img k f =
-  let a = Image.floats_create (A1.dim img.Image.fsecs.(k)) in
-  A1.blit img.Image.fsecs.(k) a;
+let mutate_isec img name f =
+  let a = copy_ints (isec img name) in
   f a;
-  { img with Image.fsecs = Array.mapi (fun j s -> if j = k then a else s) img.Image.fsecs }
+  { img with Image.isecs = replace img.Image.isecs (index img name) a }
 
-let mutate_usec img k f =
-  let a = Image.u16s_create (A1.dim img.Image.usecs.(k)) in
-  A1.blit img.Image.usecs.(k) a;
+let mutate_fsec img name f =
+  let a = Image.floats_create (A1.dim (fsec img name)) in
+  A1.blit (fsec img name) a;
   f a;
-  { img with Image.usecs = Array.mapi (fun j s -> if j = k then a else s) img.Image.usecs }
+  { img with Image.fsecs = replace img.Image.fsecs (index img name) a }
 
-let with_isec k f = mutate_isec (Lazy.force basic_image) k f
+let mutate_usec img name f =
+  let a = Image.u16s_create (A1.dim (usec img name)) in
+  A1.blit (usec img name) a;
+  f a;
+  { img with Image.usecs = replace img.Image.usecs (index img name) a }
+
+(* Section [name] replaced by [f.edit] of it, whatever its kind. *)
+type edit = { edit : 'a 'b. ('a, 'b, Bigarray.c_layout) A1.t -> ('a, 'b, Bigarray.c_layout) A1.t }
+
+let edited img name f =
+  let k = index img name in
+  let at secs = Array.mapi (fun j s -> if j = k then f.edit s else s) secs in
+  match (column img name).kind with
+  | Server.Int -> { img with Image.isecs = at img.Image.isecs }
+  | Server.Float -> { img with Image.fsecs = at img.Image.fsecs }
+  | Server.U16 -> { img with Image.usecs = at img.Image.usecs }
+
+(* Set meta entry [entry]. *)
+let set_meta entry v img =
+  let sec, i = meta_entry img entry in
+  mutate_isec img sec (fun a -> A1.set a i v)
+
+let with_isec name f = mutate_isec (Lazy.force basic_image) name f
 
 let expect_rejected ?(scheme = "basic") section img =
   match Server.of_image img with
@@ -153,86 +202,82 @@ let expect_load_rejected scheme section img =
       (Printf.sprintf "error names %s and %s: %s" scheme section e)
       (contains e scheme && contains e section)
 
-(* Sections: 0 meta (n, scales, max_hops, header bits), 1 label_first,
-   2 label_rest, 3 ring_off, 4 ring_node, 5 z_run, 6 t_off, 7 t_w,
-   8 t_next; float 0 t_cost; uint16 0 z_y, 1 z_z. *)
 let basic_mutations =
+  let basic () = Lazy.force basic_image in
   let ring_size (off : Image.ints) r = A1.get off (r + 1) - A1.get off r in
   [
     ("intact image loads", intact "basic" basic_image);
     ( "meta n disagrees with section lengths",
       fun () ->
-        expect_rejected "label_first" (with_isec 0 (fun a -> A1.set a 0 (A1.get a 0 + 1))) );
+        expect_rejected "label_first" (set_meta "n" (value (basic ()) "n" + 1) (basic ())) );
     ( "meta scales disagrees with section lengths",
       fun () ->
-        expect_rejected "label_rest" (with_isec 0 (fun a -> A1.set a 1 (A1.get a 1 + 1))) );
+        let scales = value (basic ()) "scales" in
+        expect_rejected "label_rest" (set_meta "scales" (scales + 1) (basic ())) );
     ( "max_hops unbounded",
-      fun () -> expect_rejected "max_hops" (with_isec 0 (fun a -> A1.set a 2 max_int)) );
+      fun () -> expect_rejected "max_hops" (set_meta "max_hops" max_int (basic ())) );
     ( "ring_off not monotone",
       fun () ->
-        expect_rejected "ring_off" (with_isec 3 (fun a -> A1.set a 5 (A1.get a 6 + 1))) );
+        expect_rejected "ring_off" (with_isec "ring_off" (fun a -> A1.set a 5 (A1.get a 6 + 1))) );
     ( "z_run entries after the first out of range",
       fun () ->
         expect_rejected "z_run"
-          (with_isec 5 (fun a -> A1.fill (A1.sub a 1 (A1.dim a - 1)) (1 lsl 40))) );
+          (with_isec "z_run" (fun a -> A1.fill (A1.sub a 1 (A1.dim a - 1)) (1 lsl 40))) );
     ( "t_off not ending at the table",
       fun () ->
-        expect_rejected "t_off" (with_isec 6 (fun a -> A1.set a (A1.dim a - 1) (1 lsl 40))) );
+        expect_rejected "t_off" (with_isec "t_off" (fun a -> A1.set a (A1.dim a - 1) (1 lsl 40))) );
     ( "ring member not a node",
       fun () ->
-        let n = A1.get (Lazy.force basic_image).Image.isecs.(0) 0 in
-        expect_rejected "ring_node" (with_isec 4 (fun a -> A1.set a 0 n)) );
+        let n = value (basic ()) "n" in
+        expect_rejected "ring_node" (with_isec "ring_node" (fun a -> A1.set a 0 n)) );
     ( "table target not a node",
-      fun () -> expect_rejected "t_w" (with_isec 7 (fun a -> A1.set a 0 (-1))) );
+      fun () -> expect_rejected "t_w" (with_isec "t_w" (fun a -> A1.set a 0 (-1))) );
     ( "every next hop 2^40, saved with valid checksums",
       fun () ->
-        expect_load_rejected "basic" "t_next" (with_isec 8 (fun a -> A1.fill a (1 lsl 40))) );
+        expect_load_rejected "basic" "t_next"
+          (with_isec "t_next" (fun a -> A1.fill a (1 lsl 40))) );
     ( "z outside the next ring",
       fun () ->
         (* Entry 0 belongs to the first ring r with rows; its z indexes
            ring r + 1, so that ring's size is the first bad value. *)
-        let img = Lazy.force basic_image in
-        let off = img.Image.isecs.(3) and run = img.Image.isecs.(5) in
+        let img = basic () in
+        let off = isec img "ring_off" and run = isec img "z_run" in
         let rec first_ring r =
           if A1.get run (A1.get off (r + 1)) > 0 then r else first_ring (r + 1)
         in
         let size = ring_size off (first_ring 0 + 1) in
-        expect_rejected "z_z" (mutate_usec img 1 (fun a -> A1.set a 0 size)) );
+        expect_rejected "z_z" (mutate_usec img "z_z" (fun a -> A1.set a 0 size)) );
     ( "label first index outside ring 0",
       fun () ->
-        let img = Lazy.force basic_image in
-        let size = ring_size img.Image.isecs.(3) 0 in
-        expect_rejected "label_first" (with_isec 1 (fun a -> A1.set a 0 size)) );
+        let img = basic () in
+        let size = ring_size (isec img "ring_off") 0 in
+        expect_rejected "label_first" (with_isec "label_first" (fun a -> A1.set a 0 size)) );
     ( "non-finite and negative costs",
       fun () ->
         List.iter
           (fun bad ->
-            let img = Lazy.force basic_image in
-            let c = Image.floats_create (A1.dim img.Image.fsecs.(0)) in
-            A1.blit img.Image.fsecs.(0) c;
-            A1.set c 0 bad;
-            expect_rejected "t_cost" { img with Image.fsecs = [| c |] })
+            expect_rejected "t_cost" (mutate_fsec (basic ()) "t_cost" (fun c -> A1.set c 0 bad)))
           [ nan; infinity; -1.0 ] );
     ( "parent layout rejected",
       fun () ->
         (* Two earlier layouts, both with int z_y/z_z sections: 11 int
            sections, and before them a 3-entry meta, a per-destination
            header bits section, and z_off/z_x columns before z_y/z_z. *)
-        let img = Lazy.force basic_image in
-        let i = img.Image.isecs and u = img.Image.usecs in
-        let n = A1.get i.(0) 0 in
+        let img = basic () in
+        let i = isec img and u = usec img in
+        let n = value img "n" in
         let widened (a : Image.u16s) = Image.ints_of_array (Array.init (A1.dim a) (A1.get a)) in
         let int_zetas =
-          [| i.(0); i.(1); i.(2); i.(3); i.(4); i.(5);
-             widened u.(0); widened u.(1); i.(6); i.(7); i.(8) |]
+          [| i "meta"; i "label_first"; i "label_rest"; i "ring_off"; i "ring_node"; i "z_run";
+             widened (u "z_y"); widened (u "z_z"); i "t_off"; i "t_w"; i "t_next" |]
         in
         let older =
           [|
-            Image.ints_of_array [| n; A1.get i.(0) 1; A1.get i.(0) 2 |];
-            Image.ints_of_array (Array.make n (A1.get i.(0) 3));
-            i.(1); i.(2); i.(3); i.(4);
+            Image.ints_of_array [| n; value img "scales"; value img "max_hops" |];
+            Image.ints_of_array (Array.make n (value img "header_bits"));
+            i "label_first"; i "label_rest"; i "ring_off"; i "ring_node";
             Image.ints_create 0; Image.ints_create 0;
-            widened u.(0); widened u.(1); i.(6); i.(7); i.(8);
+            widened (u "z_y"); widened (u "z_z"); i "t_off"; i "t_w"; i "t_next";
           |]
         in
         List.iter
@@ -249,16 +294,14 @@ let basic_mutations =
 let labelled_image = lazy (Server.image (Fixture.build ~scheme:"labelled" ~n:49 ~seed:5))
 let two_mode_image = lazy (Server.image (Fixture.build ~scheme:"two_mode" ~n:64 ~seed:5))
 let big = 1 lsl 40
-let meta img k = A1.get img.Image.isecs.(0) k
 
-(* Int section [k] without its first entry. *)
-let shortened k img =
-  let cut j s = if j = k then A1.sub s 1 (A1.dim s - 1) else s in
-  { img with Image.isecs = Array.mapi cut img.Image.isecs }
+(* Section [name] without its first entry. *)
+let shortened name img = edited img name { edit = (fun s -> A1.sub s 1 (A1.dim s - 1)) }
 
-(* Set entry [i] of int (or float) section [k]. *)
-let set_i k i v img = mutate_isec img k (fun a -> A1.set a i v)
-let set_f k i v img = mutate_fsec img k (fun a -> A1.set a i v)
+(* Set entry [i] of int (or float) section [name]. *)
+let set_i name i v img = mutate_isec img name (fun a -> A1.set a i v)
+let set_f name i v img = mutate_fsec img name (fun a -> A1.set a i v)
+let last img name = A1.dim (isec img name) - 1
 
 let rejects scheme img cases =
   List.map
@@ -266,25 +309,22 @@ let rejects scheme img cases =
       (name, fun () -> expect_rejected ~scheme section (m (Lazy.force img))))
     cases
 
-(* Mutations of the DLS sections, shared by both views: the DLS meta
-   section is int section [d], d_val float section [dv]. *)
-let dls_cases ~d ~dv =
-  let dls_meta img k = A1.get img.Image.isecs.(d) k in
+(* Mutations of the DLS sections, shared by both views. *)
+let dls_cases =
   [
-    ("DLS max_virt above n", "dls_meta", fun img -> set_i d 3 (meta img 0 + 1) img);
-    ("DLS prefix longer than a label", "dls_meta", set_i d 2 big);
-    ("d_off past d_val", "d_off", set_i (d + 1) 1 big);
+    ("DLS max_virt above n", "dls_meta", fun img -> set_meta "max_virt" (value img "n" + 1) img);
+    ("DLS prefix longer than a label", "dls_meta", set_meta "prefix_len" big);
+    ("d_off past d_val", "d_off", set_i "d_off" 1 big);
     ( "zoom_first outside the prefix", "zoom_first",
-      fun img -> set_i (d + 2) 0 (dls_meta img 2) img );
-    ("zoom_rest not a virtual index", "zoom_rest", fun img -> set_i (d + 3) 0 (dls_meta img 3) img);
-    ("z_off not monotone", "z_off", set_i (d + 4) 1 big);
-    ("z_y negative", "z_y", set_i (d + 6) 0 (-1));
-    ("z_z 2^40", "z_z", set_i (d + 7) 0 big);
-    ("d_val not finite", "d_val", set_f dv 0 nan);
+      fun img -> set_i "zoom_first" 0 (value img "prefix_len") img );
+    ( "zoom_rest not a virtual index", "zoom_rest",
+      fun img -> set_i "zoom_rest" 0 (value img "max_virt") img );
+    ("z_off not monotone", "z_off", set_i "z_off" 1 big);
+    ("z_y negative", "z_y", set_i "z_y" 0 (-1));
+    ("z_z 2^40", "z_z", set_i "z_z" 0 big);
+    ("d_val not finite", "d_val", set_f "d_val" 0 nan);
   ]
 
-(* Labelled sections: 0 meta (n, max_hops), 1 header bits, 2 t_off,
-   3 t_w, 4 t_next, 5-12 the DLS pack; float 0 t_cost, 1 d_val. *)
 let labelled_mutations =
   let img = labelled_image in
   [
@@ -292,23 +332,19 @@ let labelled_mutations =
     ( "every next hop 2^40, saved with valid checksums",
       fun () ->
         expect_load_rejected "labelled" "t_next"
-          (mutate_isec (Lazy.force img) 4 (fun a -> A1.fill a big)) );
+          (mutate_isec (Lazy.force img) "t_next" (fun a -> A1.fill a big)) );
   ]
   @ rejects "labelled" img
       ([
-         ("max_hops unbounded", "meta", set_i 0 1 max_int);
-         ("header bits not per node", "header_bits", shortened 1);
-         ("t_off not ending at the table", "t_off", fun img ->
-             set_i 2 (A1.dim img.Image.isecs.(2) - 1) big img);
-         ("table target not a node", "t_w", fun img -> set_i 3 0 (meta img 0) img);
-         ("negative cost", "t_cost", set_f 0 0 (-1.0));
+         ("max_hops unbounded", "meta", set_meta "max_hops" max_int);
+         ("header bits not per node", "header_bits", shortened "header_bits");
+         ( "t_off not ending at the table", "t_off",
+           fun img -> set_i "t_off" (last img "t_off") big img );
+         ("table target not a node", "t_w", fun img -> set_i "t_w" 0 (value img "n") img);
+         ("negative cost", "t_cost", set_f "t_cost" 0 (-1.0));
        ]
-      @ dls_cases ~d:5 ~dv:1)
+      @ dls_cases)
 
-(* Two_mode sections: 0 meta (n, li, max_hops, header bits), 1 hub_ptr,
-   2 hub_g, 3 dir_off, 4 dir_mem, 5 dir_bnd, 6 own_off, 7 own_tgt,
-   8 hosts, 9-16 the DLS pack; float 0 threshold, 1 r_level, 2 dist,
-   3 d_val. *)
 let two_mode_mutations =
   let img = two_mode_image in
   [
@@ -316,25 +352,24 @@ let two_mode_mutations =
     ( "every host 2^40, saved with valid checksums",
       fun () ->
         expect_load_rejected "two_mode" "hosts"
-          (mutate_isec (Lazy.force img) 8 (fun a -> A1.fill a big)) );
+          (mutate_isec (Lazy.force img) "hosts" (fun a -> A1.fill a big)) );
   ]
   @ rejects "two_mode" img
       ([
-         ("max_hops unbounded", "meta", set_i 0 2 max_int);
-         ("hub pointer not a node", "hub_ptr", fun img -> set_i 1 0 (meta img 0) img);
-         ("hub_g names no directory", "hub_g", fun img ->
-             set_i 2 0 (A1.dim img.Image.isecs.(3) - 1) img);
-         ("empty directory", "dir_off", set_i 3 1 0);
-         ("directory member not a node", "dir_mem", set_i 4 0 (-1));
-         ("boundaries not per member", "dir_bnd", shortened 5);
+         ("max_hops unbounded", "meta", set_meta "max_hops" max_int);
+         ("hub pointer not a node", "hub_ptr", fun img -> set_i "hub_ptr" 0 (value img "n") img);
+         ("hub_g names no directory", "hub_g", fun img -> set_i "hub_g" 0 (last img "dir_off") img);
+         ("empty directory", "dir_off", set_i "dir_off" 1 0);
+         ("directory member not a node", "dir_mem", set_i "dir_mem" 0 (-1));
+         ("boundaries not per member", "dir_bnd", shortened "dir_bnd");
          ("owned offsets past the targets", "own_off", fun img ->
-             set_i 6 (A1.dim img.Image.isecs.(6) - 1) big img);
-         ("owned target not a node", "own_tgt", fun img -> set_i 7 0 (meta img 0) img);
-         ("threshold 1/2", "threshold", set_f 0 0 0.5);
-         ("r_level not finite", "r_level", set_f 1 0 infinity);
-         ("negative distance", "dist", set_f 2 1 (-1.0));
+             set_i "own_off" (last img "own_off") big img);
+         ("owned target not a node", "own_tgt", fun img -> set_i "own_tgt" 0 (value img "n") img);
+         ("threshold 1/2", "threshold", set_f "threshold" 0 0.5);
+         ("r_level not finite", "r_level", set_f "r_level" 0 infinity);
+         ("negative distance", "dist", set_f "dist" 1 (-1.0));
        ]
-      @ dls_cases ~d:9 ~dv:3)
+      @ dls_cases)
 
 (* ------------------------------------ meridian and landmark validation *)
 
@@ -344,15 +379,6 @@ let two_mode_mutations =
 let meridian_image = lazy (Server.image (Fixture.build ~scheme:"meridian" ~n:100 ~seed:5))
 let landmark_image = lazy (Server.image (Fixture.build ~scheme:"landmark" ~n:100 ~seed:5))
 
-(* Float section [k] without its first entry. *)
-let shortened_f k img =
-  let cut j s = if j = k then A1.sub s 1 (A1.dim s - 1) else s in
-  { img with Image.fsecs = Array.mapi cut img.Image.fsecs }
-
-let last img k = A1.dim img.Image.isecs.(k) - 1
-
-(* Meridian sections: 0 meta (n, scales), 1 mmembers, 2 mr_off,
-   3 mr_node; float 0 mdmat. *)
 let meridian_mutations =
   let img = meridian_image in
   [
@@ -360,24 +386,22 @@ let meridian_mutations =
     ( "every ring entry 2^40, saved with valid checksums",
       fun () ->
         expect_load_rejected "meridian" "mr_node"
-          (mutate_isec (Lazy.force img) 3 (fun a -> A1.fill a big)) );
+          (mutate_isec (Lazy.force img) "mr_node" (fun a -> A1.fill a big)) );
   ]
   @ rejects "meridian" img
       [
-        ("no scales", "meta", set_i 0 1 0);
-        ("member not a node", "mmembers", fun img -> set_i 1 0 (meta img 0) img);
-        ("no members", "mmembers", fun img ->
-            let cut j s = if j = 1 then A1.sub s 0 0 else s in
-            { img with Image.isecs = Array.mapi cut img.Image.isecs });
-        ("ring offsets not per (node, scale)", "mr_off", shortened 2);
-        ("ring offsets past the ring column", "mr_off", fun img -> set_i 2 (last img 2) big img);
-        ("ring entry not a node", "mr_node", set_i 3 0 (-1));
-        ("distances not n x n", "mdmat", shortened_f 0);
-        ("negative distance", "mdmat", set_f 0 1 (-1.0));
+        ("no scales", "meta", set_meta "scales" 0);
+        ("member not a node", "mmembers", fun img -> set_i "mmembers" 0 (value img "n") img);
+        ( "no members", "mmembers",
+          fun img -> edited img "mmembers" { edit = (fun s -> A1.sub s 0 0) } );
+        ("ring offsets not per (node, scale)", "mr_off", shortened "mr_off");
+        ("ring offsets past the ring column", "mr_off", fun img ->
+            set_i "mr_off" (last img "mr_off") big img);
+        ("ring entry not a node", "mr_node", set_i "mr_node" 0 (-1));
+        ("distances not n x n", "mdmat", shortened "mdmat");
+        ("negative distance", "mdmat", set_f "mdmat" 1 (-1.0));
       ]
 
-(* Landmark sections: 0 meta (n, k), 1 beacons, 2 col, 3 ball_off,
-   4 ball_node; float 0 rows, 1 ball_dist. *)
 let landmark_mutations =
   let img = landmark_image in
   [
@@ -385,23 +409,211 @@ let landmark_mutations =
     ( "every col entry 2^40, saved with valid checksums",
       fun () ->
         expect_load_rejected "landmark" "col"
-          (mutate_isec (Lazy.force img) 2 (fun a -> A1.fill a big)) );
+          (mutate_isec (Lazy.force img) "col" (fun a -> A1.fill a big)) );
   ]
   @ rejects "landmark" img
       [
-        ("more beacons than nodes", "meta", fun img -> set_i 0 1 (meta img 0 + 1) img);
-        ("beacons not k long", "beacons", shortened 1);
-        ("beacon not a node", "beacons", fun img -> set_i 1 0 (meta img 0) img);
-        ("col not per node", "col", shortened 2);
-        ("col below -1", "col", set_i 2 0 (-2));
-        ("col names no beacon", "col", fun img -> set_i 2 0 (meta img 1) img);
-        ("ball offsets past the ball column", "ball_off", fun img -> set_i 3 (last img 3) big img);
-        ("ball member not a node", "ball_node", fun img -> set_i 4 0 (meta img 0) img);
-        ("rows not k x n", "rows", shortened_f 0);
-        ("row entry not finite", "rows", set_f 0 0 nan);
-        ("ball distances not per member", "ball_dist", shortened_f 1);
-        ("negative ball distance", "ball_dist", set_f 1 0 (-1.0));
+        ("more beacons than nodes", "meta", fun img -> set_meta "k" (value img "n" + 1) img);
+        ("beacons not k long", "beacons", shortened "beacons");
+        ("beacon not a node", "beacons", fun img -> set_i "beacons" 0 (value img "n") img);
+        ("col not per node", "col", shortened "col");
+        ("col below -1", "col", set_i "col" 0 (-2));
+        ("col names no beacon", "col", fun img -> set_i "col" 0 (value img "k") img);
+        ("ball offsets past the ball column", "ball_off", fun img ->
+            set_i "ball_off" (last img "ball_off") big img);
+        ("ball member not a node", "ball_node", fun img -> set_i "ball_node" 0 (value img "n") img);
+        ("rows not k x n", "rows", shortened "rows");
+        ("row entry not finite", "rows", set_f "rows" 0 nan);
+        ("ball distances not per member", "ball_dist", shortened "ball_dist");
+        ("negative ball distance", "ball_dist", set_f "ball_dist" 0 (-1.0));
       ]
+
+(* ------------------------------------------------ schema-driven fuzzing *)
+
+(* Mutants of the five fixtures, one section at a time, built from the
+   declared rules. Each is saved, so its checksums are valid, and loaded:
+   a mutant that breaks a rule must be refused with an [Error] naming the
+   scheme and the section; one the loader accepts must serve a short
+   workload to its end, a scheme's [Failure] included. *)
+let fixtures = [ basic_image; labelled_image; two_mode_image; meridian_image; landmark_image ]
+
+let rec mentions s = function
+  | Server.Dim x -> x = s
+  | Server.Min_size (x, e) -> x = s || mentions s e
+  | Server.Plus (e, _) -> mentions s e
+  | Server.Const _ | Server.Meta _ -> false
+
+let rule_mentions s = function
+  | Server.Length e -> mentions s e
+  | Server.Product (a, b, _) | Server.Range (a, b) -> mentions s a || mentions s b
+  | Server.Offsets (t, e) -> t = s || mentions s e
+  | Server.Finite -> false
+  | Server.Segments g -> g.groups = s || g.sizes = s || g.rows = Some s || mentions s g.every
+
+(* The sections whose rules can fail when [name] changes: itself and the
+   columns whose rules read it; every section, for a meta section. *)
+let related img name =
+  let meta = (column img name).entries <> [] in
+  List.filter_map
+    (fun (c : Server.column) ->
+      if meta || c.name = name || List.exists (rule_mentions name) c.rules then Some c.name
+      else None)
+    (schema img)
+
+let dim_of img (c : Server.column) =
+  match c.kind with
+  | Server.Int -> A1.dim (isec img c.name)
+  | Server.Float -> A1.dim (fsec img c.name)
+  | Server.U16 -> A1.dim (usec img c.name)
+
+(* The first entry of each non-empty group of a segment rule, with the
+   group's bound. *)
+let segment_firsts img = function
+  | Server.Segments g ->
+    let groups = isec img g.groups and sizes = isec img g.sizes in
+    let every = Server.eval img g.every in
+    let start k =
+      let p = A1.get groups (k * every) in
+      match g.rows with None -> p | Some r -> A1.get (isec img r) p
+    in
+    List.filter_map
+      (fun k ->
+        let size = A1.get sizes (k + g.shift + 1) - A1.get sizes (k + g.shift) in
+        if start k < start (k + 1) then Some (start k, size) else None)
+      (List.init (A1.dim sizes - 1 - g.shift) Fun.id)
+  | _ -> []
+
+(* Entry [i] of column [c] set to [v], or to [f] in a float section. *)
+let set_entry img (c : Server.column) i ?f v =
+  match c.kind with
+  | Server.Int -> set_i c.name i v img
+  | Server.Float -> set_f c.name i (Option.value f ~default:(float_of_int v)) img
+  | Server.U16 -> mutate_usec img c.name (fun a -> A1.set a i v)
+
+(* Each declared bound's first values outside it, at a random entry:
+   hi and lo - 1 for a range (a uint16 entry cannot hold -1), nan and
+   -1.0 for finite floats, a group's bound (and -1) for a segment rule. *)
+let bound_mutants rng img =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  List.concat_map
+    (fun (c : Server.column) ->
+      let n = dim_of img c in
+      let at ?f v i = (Printf.sprintf "%s entry %d" c.name i, set_entry img c i ?f v, [ c.name ]) in
+      let low lo i = if c.kind = Server.U16 && lo = 0 then [] else [ at (lo - 1) i ] in
+      List.concat_map
+        (fun r ->
+          match r with
+          | _ when n = 0 -> []
+          | Server.Range (lo, hi) ->
+            let i = Random.State.int rng n in
+            at (Server.eval img hi) i :: low (Server.eval img lo) i
+          | Server.Finite ->
+            let i = Random.State.int rng n in
+            [ at ~f:nan 0 i; at ~f:(-1.0) 0 i ]
+          | Server.Segments _ -> (
+            match segment_firsts img r with
+            | [] -> []
+            | firsts ->
+              let i, size = pick firsts in
+              at size i :: low 0 i)
+          | _ -> [])
+        c.rules)
+    (schema img)
+
+(* Every offsets column ending one past its target. *)
+let past_mutants img =
+  List.concat_map
+    (fun (c : Server.column) ->
+      List.filter_map
+        (function
+          | Server.Offsets (target, _) ->
+            let past = dim_of img (column img target) + 1 in
+            let m = set_i c.name (A1.dim (isec img c.name) - 1) past img in
+            Some (c.name ^ " past " ^ target, m, [ c.name ])
+          | _ -> None)
+        c.rules)
+    (schema img)
+
+(* Sections [a] and [b], of one kind, swapped. *)
+let swapped img a b =
+  let ia = index img a and ib = index img b in
+  let swap secs =
+    Array.mapi (fun j s -> if j = ia then secs.(ib) else if j = ib then secs.(ia) else s)
+  in
+  match (column img a).kind with
+  | Server.Int -> { img with Image.isecs = swap img.Image.isecs img.Image.isecs }
+  | Server.Float -> { img with Image.fsecs = swap img.Image.fsecs img.Image.fsecs }
+  | Server.U16 -> { img with Image.usecs = swap img.Image.usecs img.Image.usecs }
+
+(* One to three random bits of column [c] flipped. *)
+let flipped rng img (c : Server.column) =
+  let bit k = 1 lsl Random.State.int rng k in
+  let flip img =
+    let i = Random.State.int rng (dim_of img c) in
+    match c.kind with
+    | Server.Int -> mutate_isec img c.name (fun a -> A1.set a i (A1.get a i lxor bit 62))
+    | Server.U16 -> mutate_usec img c.name (fun a -> A1.set a i (A1.get a i lxor bit 16))
+    | Server.Float ->
+      mutate_fsec img c.name (fun a ->
+          let w = Int64.bits_of_float (A1.get a i) in
+          let flip = Int64.shift_left 1L (Random.State.int rng 64) in
+          A1.set a i (Int64.float_of_bits (Int64.logxor w flip)))
+  in
+  List.fold_left (fun img _ -> flip img) img (List.init (1 + Random.State.int rng 3) Fun.id)
+
+(* A mutant: its description, the image, the sections an [Error] may
+   name, and whether it breaks a rule, so must be refused. *)
+let mutant fixture kind seed =
+  let rng = Random.State.make [| seed |] in
+  let img = Lazy.force (List.nth fixtures fixture) in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let nonempty = List.filter (fun c -> dim_of img c > 0) (schema img) in
+  match kind with
+  | 0 ->
+    let what, m, names = pick (bound_mutants rng img) in
+    ("bound: " ^ what, m, names, true)
+  | 1 ->
+    let what, m, names = pick (past_mutants img) in
+    ("offsets: " ^ what, m, names, true)
+  | 2 ->
+    let c = pick nonempty in
+    ("shorter: " ^ c.name, shortened c.name img, related img c.name, false)
+  | 3 ->
+    let a = pick (schema img) in
+    let others = List.filter (fun (c : Server.column) -> c.kind = a.kind && c.name <> a.name) in
+    let others = others (schema img) in
+    let b = if others = [] then a else pick others in
+    let what = Printf.sprintf "swap: %s and %s" a.name b.name in
+    (what, swapped img a.name b.name, related img a.name @ related img b.name, false)
+  | _ ->
+    let c = pick nonempty in
+    ("flips: " ^ c.name, flipped rng img c, related img c.name, false)
+
+let serves t =
+  let work = Loop.prepare t ~seed:3 ~queries:40 ~zipf_s:1.1 ~route_frac:0.6 ~dist_frac:0.3 in
+  match Loop.run ~jobs:1 t work (Loop.results_create 40) with
+  | () -> true
+  | exception Failure _ -> true
+
+let prop_schema_fuzz =
+  let print (f, k, seed) =
+    let what, _, _, _ = mutant f k seed in
+    Printf.sprintf "%s %s" (List.nth Fixture.names f) what
+  in
+  QCheck.Test.make ~name:"mutants are refused by name or served to the end" ~count:300
+    (QCheck.make ~print QCheck.Gen.(triple (int_bound 4) (int_bound 4) (int_bound 1_000_000)))
+    (fun (f, k, seed) ->
+      let what, img, names, must = mutant f k seed in
+      let scheme = List.nth Fixture.names f in
+      let file = Filename.temp_file "ron_serve_fuzz" ".snap" in
+      Image.save img file;
+      let loaded = Server.load file in
+      Sys.remove file;
+      match loaded with
+      | Error e ->
+        (contains e scheme && List.exists (contains e) names)
+        || QCheck.Test.fail_reportf "%s: the error names no section it may: %s" what e
+      | Ok t -> (not must || QCheck.Test.fail_reportf "%s: accepted" what) && serves t)
 
 (* ------------------------------------------- frozen vs live, per query *)
 
@@ -464,6 +676,10 @@ let prop_matches_live ?(name = "") ?size ?(build = Fixture.build_live) scheme =
     (fun (n, seed) ->
       let live = build ~scheme ~n ~seed in
       let t = Fixture.freeze live in
+      (* The builder's columns meet the declaration that guards a load. *)
+      (match Server.of_image (Server.image t) with
+      | Ok _ -> ()
+      | Error e -> QCheck.Test.fail_reportf "built columns refused: %s" e);
       let queries = if scheme = "labelled" then 60 else 200 in
       let work = Loop.prepare t ~seed ~queries ~zipf_s:1.1 ~route_frac:0.6 ~dist_frac:0.3 in
       let res = Loop.results_create queries in
@@ -519,6 +735,76 @@ let test_forced_m2_switches () =
     done;
     check_bool "M1 -> M2 switches" (Ron_routing.Two_mode.mode2_switches s > 0)
   | _ -> assert false
+
+(* ---------------------------------- paper guarantees on the served path *)
+
+(* Each property freezes a scheme built on a random instance, serves a
+   seeded workload from the snapshot through [Loop], and checks every
+   answer [Loop] wrote against the exact distance. *)
+module Sp_metric = Ron_graph.Sp_metric
+
+let geometric ~n ~seed =
+  Sp_metric.create (Ron_graph.Graph_gen.random_geometric (Ron_util.Rng.create seed) ~n ~radius:0.25)
+
+let every_answer t ~seed ~route_frac ~dist_frac ok =
+  let queries = 200 in
+  let work = Loop.prepare t ~seed ~queries ~zipf_s:1.1 ~route_frac ~dist_frac in
+  let res = Loop.results_create queries in
+  Loop.run ~jobs:1 t work res;
+  List.for_all
+    (fun i -> ok (Loop.kind_of work i) (Loop.src_of work i) (Loop.dst_of work i) res i)
+    (List.init queries Fun.id)
+
+(* Thm 2.1 at delta = 1/4: every frozen Basic route on a random geometric
+   graph is delivered, with stretch at most (1 + delta) / (1 - delta) = 5/3. *)
+let prop_served_basic_stretch =
+  QCheck.Test.make ~name:"Thm 2.1: frozen Basic routes deliver within stretch 5/3" ~count:6
+    QCheck.(pair (int_range 20 60) (int_range 1 1000))
+    (fun (n, seed) ->
+      let sp = geometric ~n ~seed in
+      let t = Server.freeze_basic_t (Basic.export (Basic.build sp ~delta:0.25)) in
+      every_answer t ~seed ~route_frac:1.0 ~dist_frac:0.0 (fun kind src dst res i ->
+          kind = 0
+          && A1.get res.Loop.ra i = 0
+          && A1.get res.Loop.rx i <= (5.0 /. 3.0 *. Sp_metric.dist sp src dst) +. 1e-9))
+
+(* The landmark sandwich: every served answer brackets the distance. *)
+let prop_served_landmark_sandwich =
+  QCheck.Test.make ~name:"landmark: served bounds satisfy lo <= d <= hi" ~count:6
+    QCheck.(triple (int_range 20 80) (int_range 1 1000) (int_range 2 8))
+    (fun (n, seed, k) ->
+      let sp = geometric ~n ~seed in
+      let lm = Ron_labeling.Landmark.build sp (Ron_util.Rng.create seed) ~k ~local_radius:0.1 in
+      let t = Server.freeze_landmark_t (Ron_labeling.Landmark.export lm) in
+      every_answer t ~seed ~route_frac:0.0 ~dist_frac:1.0 (fun kind src dst res i ->
+          let d = Sp_metric.dist sp src dst in
+          kind = 1 && A1.get res.Loop.rx i <= d +. 1e-9 && d <= A1.get res.Loop.ry i +. 1e-9))
+
+(* Thm 3.4: a served labelled or two_mode distance estimate never
+   contracts. *)
+let never_contracts t dist ~seed =
+  every_answer t ~seed ~route_frac:0.0 ~dist_frac:1.0 (fun kind src dst res i ->
+      kind = 1 && A1.get res.Loop.rx i >= dist src dst -. 1e-9)
+
+let prop_served_labelled_estimate =
+  QCheck.Test.make ~name:"Thm 3.4: served labelled estimates never contract" ~count:3
+    QCheck.(pair (int_range 16 36) (int_range 1 1000))
+    (fun (n, seed) ->
+      let sp = geometric ~n ~seed in
+      let live = Ron_routing.Labelled.build sp ~delta:0.25 in
+      let t = Server.freeze_labelled_t (Ron_routing.Labelled.export live) in
+      never_contracts t (Sp_metric.dist sp) ~seed)
+
+let prop_served_two_mode_estimate =
+  QCheck.Test.make ~name:"Thm 3.4: served two_mode estimates never contract" ~count:3
+    QCheck.(pair (int_range 20 64) (int_range 1 1000))
+    (fun (n, seed) ->
+      let idx =
+        Ron_metric.(Indexed.create (Generators.random_cloud (Ron_util.Rng.create seed) ~n ~dim:2))
+      in
+      let live = Ron_routing.Two_mode.build idx ~delta:0.125 in
+      let t = Server.freeze_two_mode_t (Ron_routing.Two_mode.export live) in
+      never_contracts t (Ron_metric.Indexed.dist idx) ~seed)
 
 (* --------------------------------------- round-trip and jobs invariance *)
 
@@ -699,7 +985,7 @@ let basic_snapshot () =
   Image.save img file;
   let words secs = Array.fold_left (fun acc s -> acc + A1.dim s) 0 secs in
   let count = Array.length img.Image.isecs + Array.length img.fsecs + Array.length img.usecs in
-  (file, 56 + (16 * count) + (8 * (words img.isecs + words img.fsecs)), A1.dim img.usecs.(0))
+  (file, 56 + (16 * count) + (8 * (words img.isecs + words img.fsecs)), A1.dim (usec img "z_y"))
 
 let load_error file =
   let r = Server.load file in
@@ -752,22 +1038,19 @@ let test_version_1_rejected () =
 let test_empty_meta_rejected scheme () =
   let (scheme, n, _) = case scheme in
   let img = Server.image (Fixture.build ~scheme ~n ~seed:5) in
-  let emptied secs k empty = Array.mapi (fun j s -> if j = k then empty else s) secs in
-  let with_isec k = { img with Image.isecs = emptied img.Image.isecs k (Image.ints_create 0) } in
+  let emptied name = edited img name { edit = (fun s -> A1.sub s 0 0) } in
   let rejected what img =
     match Server.of_image img with
     | Ok _ -> Alcotest.failf "%s: %s accepted" scheme what
     | Error e ->
       check_bool (Printf.sprintf "%s error names the scheme: %s" what e) (contains e scheme)
   in
-  rejected "empty meta section" (with_isec 0);
-  (match scheme with
-  | "labelled" -> rejected "empty DLS meta section" (with_isec 5)
-  | "two_mode" ->
-    rejected "empty DLS meta section" (with_isec 9);
-    rejected "empty threshold section"
-      { img with Image.fsecs = emptied img.Image.fsecs 0 (Image.floats_create 0) }
-  | _ -> ());
+  (* Every meta section the declaration names: "meta", and the DLS meta
+     and threshold sections where the view has them. *)
+  List.iter
+    (fun (c : Server.column) ->
+      if c.entries <> [] then rejected ("empty " ^ c.name ^ " section") (emptied c.name))
+    (Server.schema scheme);
   (* The untouched image still loads. *)
   check_bool (scheme ^ " intact image loads") (Result.is_ok (Server.of_image img))
 
@@ -826,6 +1109,14 @@ let () =
          (List.map (fun s -> prop_matches_live s) Fixture.names @ basic_families
           @ two_mode_families)
        @ [ Alcotest.test_case "forced M2 switches" `Quick test_forced_m2_switches ]);
+      ("served guarantees",
+       List.map QCheck_alcotest.to_alcotest
+         [
+           prop_served_basic_stretch;
+           prop_served_landmark_sandwich;
+           prop_served_labelled_estimate;
+           prop_served_two_mode_estimate;
+         ]);
       ("snapshot round-trip",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_roundtrip s)));
       ("basic image",
@@ -841,6 +1132,7 @@ let () =
        List.map (fun (name, f) -> Alcotest.test_case name `Quick f) meridian_mutations);
       ("landmark validation",
        List.map (fun (name, f) -> Alcotest.test_case name `Quick f) landmark_mutations);
+      ("schema fuzzing", [ QCheck_alcotest.to_alcotest prop_schema_fuzz ]);
       ("corruption",
        [
          Alcotest.test_case "checksum flip rejected" `Quick test_corrupt_rejected;
