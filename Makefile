@@ -18,6 +18,7 @@ test:
 
 # Tier-1 gate plus a smoke run of the JSON perf pipeline (tiny sizes so it
 # stays fast; the committed BENCH_*.json files use the default 500,1000,2000).
+# The bench exits 1 when any boolean invariant in its report is false.
 check: build test
 	dune exec bench/main.exe -- esub --json /tmp/ron_bench_smoke.json --sizes 100,200
 

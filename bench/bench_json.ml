@@ -670,6 +670,19 @@ let timestamp () =
 
 let ns_clock () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 
+(* Every boolean of the report is an invariant of the run: equal index
+   builds and all-pairs rows, serve digests equal at every job count and
+   across the snapshot round trip, allocation within budget, flight dumps
+   and SLO verdicts equal at every job count, SLOs met. The paths of the
+   false ones. *)
+let rec false_invariants path = function
+  | Bool false -> [ path ]
+  | Obj fields -> Stdlib.List.concat_map (fun (k, v) -> false_invariants (path ^ "." ^ k) v) fields
+  | List items ->
+    Stdlib.List.concat
+      (Stdlib.List.mapi (fun i v -> false_invariants (Printf.sprintf "%s[%d]" path i) v) items)
+  | Null | Bool true | Int _ | Float _ | String _ -> []
+
 let run ?(scale_sizes = [ 10_000 ]) ?(scale_only = false) ?telemetry
     ?(telemetry_interval_ms = 500) ~file ~sizes () =
   (* Open the output first so a bad path fails before minutes of measuring. *)
@@ -762,4 +775,9 @@ let run ?(scale_sizes = [ 10_000 ]) ?(scale_only = false) ?telemetry
   Ron_obs.Profile.disable ();
   output_string oc (to_string report);
   close_out oc;
-  Printf.printf "[JSON] wrote %s\n%!" file
+  Printf.printf "[JSON] wrote %s\n%!" file;
+  match false_invariants "report" report with
+  | [] -> ()
+  | bad ->
+    Stdlib.List.iter (Printf.eprintf "[JSON] invariant false: %s\n") bad;
+    exit 1

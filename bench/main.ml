@@ -6,7 +6,9 @@
      dune exec bench/main.exe list       -- list experiment ids
      dune exec bench/main.exe -- --json BENCH.json [--sizes 500,1000,2000]
                                          -- machine-readable perf report
-                                            (combinable with experiment ids)
+                                            (combinable with experiment ids;
+                                            exits 1 if any of its boolean
+                                            invariants is false)
      dune exec bench/main.exe -- --json B.json --scale-only --scale 100000
                                          -- only the near-linear "scale"
                                             section (the CI scale smoke)

@@ -5,10 +5,12 @@ module Qfloat = Ron_util.Qfloat
 module Pool = Ron_util.Pool
 module Probe = Ron_obs.Probe
 module Profile = Ron_obs.Profile
+module Zeta = Ron_core.Zeta
 module A1 = Bigarray.Array1
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
+type u16s = Zeta.u16s
 
 let ints_create n : ints = A1.create Bigarray.int Bigarray.c_layout n
 let floats_create n : floats = A1.create Bigarray.float64 Bigarray.c_layout n
@@ -27,10 +29,9 @@ type cols = {
   hosts : ints;
   zoom_first : ints;
   zoom_rest : ints;
-  z_off : ints;
-  z_x : ints;
-  z_y : ints;
-  z_z : ints;
+  z_run : ints;
+  z_y : u16s;
+  z_z : u16s;
 }
 
 type label = { c : cols; row : int; id : int }
@@ -121,24 +122,19 @@ let marks n =
 let set_pos m hosts = Array.iteri (fun k w -> m.pos.(w) <- k) hosts
 let clear_pos m hosts = Array.iter (fun w -> m.pos.(w) <- -1) hosts
 
-(* Where the join writes: the triple columns. The count pass passes
-   [counting] and writes nothing. *)
-type zcols = { zx : ints; zy : ints; zz : ints }
-
-let counting = { zx = ints_create 0; zy = ints_create 0; zz = ints_create 0 }
-
 (* The Figure 2 join of zeta_ui: for each host index [x] of [u] whose node
    [v] is in the scale-i set, and each [w] of the scale-(i+1) set in node
-   order that is virtual at [v] (index [y] in psi_v), emit [(x, y, z)] with
-   [z] the host index of [w]. The triples come out sorted by [(x, y)]:
-   [x] ascends by construction, and psi_v is sorted by node id. Without
-   [fill] this only counts; with it, it writes from cursor [c]. Returns the
-   advanced cursor. *)
-let join m ~fill cols ~hosts ~here ~next ~psi_inv c =
+   order that is virtual at [v] (index [y] in psi_v), emit [(y, z)] into
+   row [x], with [z] the host index of [w]. Each row comes out sorted by
+   [y], since psi_v is sorted by node id. Without [fill] this only counts;
+   with it, it writes from cursor [c], and row [x] starts at
+   [run.{base + x}]. Returns the advanced cursor. *)
+let join m ~fill (sink : Zeta.sink) ~base ~hosts ~here ~next ~psi_inv c =
   Array.iter (fun v -> Bytes.unsafe_set m.here v '\001') here;
   let c = ref c in
   for x = 0 to Array.length hosts - 1 do
     let v = hosts.(x) in
+    if fill then sink.run.{base + x} <- !c;
     if Bytes.unsafe_get m.here v = '\001' then begin
       let piv = psi_inv.(v) in
       Array.iter
@@ -146,9 +142,8 @@ let join m ~fill cols ~hosts ~here ~next ~psi_inv c =
           let y = piv.(w) in
           if y >= 0 then begin
             if fill then begin
-              cols.zx.{!c} <- x;
-              cols.zy.{!c} <- y;
-              cols.zz.{!c} <- m.pos.(w)
+              sink.zy.{!c} <- y;
+              sink.zz.{!c} <- m.pos.(w)
             end;
             incr c
           end)
@@ -157,6 +152,18 @@ let join m ~fill cols ~hosts ~here ~next ~psi_inv c =
   done;
   Array.iter (fun v -> Bytes.unsafe_set m.here v '\000') here;
   !c
+
+(* Host and virtual indices are stored in 16 bits. *)
+let refuse_large what sets =
+  Array.iteri
+    (fun u e ->
+      if Array.length e > Zeta.max_members then
+        invalid_arg
+          (Printf.sprintf
+             "Dls.build: node %d's %s enumeration has %d members, more than the %d a 16-bit \
+              index holds"
+             u what (Array.length e) Zeta.max_members))
+    sets
 
 let build ?(z_divisor = 64.0) tri =
   Profile.phase "construct.dls" @@ fun () ->
@@ -214,6 +221,7 @@ let build ?(z_divisor = 64.0) tri =
         Array.iteri (fun k w -> inv.(w) <- k) virtuals.(v);
         inv)
   in
+  refuse_large "virtual" virtuals;
   let max_virtual = Array.fold_left (fun acc a -> max acc (Array.length a)) 1 virtuals in
   (* --- Host neighbor sets per scale and host enumerations phi_u: the
      canonical scale-0 prefix, then u's other scale-set nodes in node
@@ -244,6 +252,7 @@ let build ?(z_divisor = 64.0) tri =
         let fresh = List.filter (fun v -> prefix_pos.(v) < 0) (Array.to_list rest) in
         Array.append prefix (Array.of_list fresh))
   in
+  refuse_large "host" phi;
   let max_host = Array.fold_left (fun acc e -> max acc (Array.length e)) 1 phi in
   (* --- Zooming sequences: f_ui = nearest node of G_(log2 (r_ui/4)). *)
   let zoom_of u =
@@ -255,40 +264,33 @@ let build ?(z_divisor = 64.0) tri =
         fst (Net.Hierarchy.nearest hier level u))
   in
   let zooms = Profile.phase "zooms" @@ fun () -> Pool.init n zoom_of in
-  (* --- Translation maps zeta_ui, written straight into one CSR over all
-     n * levels segments, segment (u, i) at u * levels + i: a count pass,
-     then a fill pass. Nodes own disjoint ranges, so both fan out per
-     node. *)
-  let z_off, zc =
+  let d_off = ints_create (n + 1) in
+  d_off.{0} <- 0;
+  Array.iteri (fun u e -> d_off.{u + 1} <- d_off.{u} + Array.length e) phi;
+  (* --- Translation maps zeta_ui as rows, one per host index: node u's
+     rows start at levels * d_off.{u}, level i's row x is i * k_u + x
+     past that. A count pass, then a fill pass; nodes own disjoint
+     ranges, so both fan out per node. *)
+  let entries, sink =
     Profile.phase "zetas" @@ fun () ->
-    let counts = Array.make (n * levels) 0 in
-    Pool.parallel_for n (fun u ->
-        let m = marks n in
-        set_pos m phi.(u);
-        for i = 0 to levels - 1 do
-          counts.((u * levels) + i) <-
-            join m ~fill:false counting ~hosts:phi.(u) ~here:scale_sets.(u).(i)
-              ~next:scale_sets.(u).(i + 1) ~psi_inv 0
-        done;
-        clear_pos m phi.(u));
-    let z_off = ints_create ((n * levels) + 1) in
-    z_off.{0} <- 0;
-    Array.iteri (fun s k -> z_off.{s + 1} <- z_off.{s} + k) counts;
-    let total = z_off.{n * levels} in
-    let zc = { zx = ints_create total; zy = ints_create total; zz = ints_create total } in
-    Pool.parallel_for n (fun u ->
-        let m = marks n in
-        set_pos m phi.(u);
-        for i = 0 to levels - 1 do
-          let s = (u * levels) + i in
-          let c =
-            join m ~fill:true zc ~hosts:phi.(u) ~here:scale_sets.(u).(i)
-              ~next:scale_sets.(u).(i + 1) ~psi_inv z_off.{s}
-          in
-          assert (c = z_off.{s + 1})
-        done;
-        clear_pos m phi.(u));
-    (z_off, zc)
+    let counts = Array.make n 0 in
+    let pass ~fill sink c u =
+      let m = marks n in
+      set_pos m phi.(u);
+      let k = Array.length phi.(u) in
+      for i = 0 to levels - 1 do
+        c.(u) <-
+          join m ~fill sink ~base:((levels * d_off.{u}) + (i * k)) ~hosts:phi.(u)
+            ~here:scale_sets.(u).(i) ~next:scale_sets.(u).(i + 1) ~psi_inv c.(u)
+      done;
+      clear_pos m phi.(u)
+    in
+    Pool.parallel_for n (pass ~fill:false Zeta.counting counts);
+    let cursor = Array.make (n + 1) 0 in
+    Array.iteri (fun u k -> cursor.(u + 1) <- cursor.(u) + k) counts;
+    let sink = Zeta.sink ~rows:(levels * d_off.{n}) ~entries:cursor.(n) in
+    Pool.parallel_for n (pass ~fill:true sink cursor);
+    (counts, sink)
   in
   (* --- Quantized host distances, zoom labels and bit counts. *)
   let codec =
@@ -296,9 +298,6 @@ let build ?(z_divisor = 64.0) tri =
   in
   let host_bits = Bits.index_bits max_host in
   let virt_bits = Bits.index_bits max_virtual in
-  let d_off = ints_create (n + 1) in
-  d_off.{0} <- 0;
-  Array.iteri (fun u e -> d_off.{u + 1} <- d_off.{u} + Array.length e) phi;
   let d_val = floats_create d_off.{n} and hosts = ints_create d_off.{n} in
   let zoom_first = ints_create n and zoom_rest = ints_create (n * levels) in
   let bits =
@@ -320,37 +319,27 @@ let build ?(z_divisor = 64.0) tri =
           | -1 -> failwith "Dls.build: Claim 3.5(c) violated: f_(u,i+1) not virtual at f_ui"
           | y -> zoom_rest.{(u * levels) + i} <- y
         done;
-        let entries = z_off.{(u + 1) * levels} - z_off.{u * levels} in
         if !Probe.on then Probe.label_node ();
         Bits.index_bits n (* global id *)
         + (k * Qfloat.bits codec) (* distance array *)
-        + (entries * (host_bits + virt_bits + host_bits)) (* sparse translation triples *)
+        + (entries.(u) * (host_bits + virt_bits + host_bits)) (* sparse translation triples *)
         + host_bits (* zoom_first *)
         + (levels * virt_bits) (* zoom_rest *))
   in
-  (* The decoder's scratch bound: 1 + the largest stored virtual index. *)
-  let max_virt = ref 1 in
-  List.iter
-    (fun (ys : ints) ->
-      for i = 0 to A1.dim ys - 1 do
-        max_virt := max !max_virt (ys.{i} + 1)
-      done)
-    [ zc.zy; zoom_rest ];
   let cols =
     {
       rows = n;
       levels;
       prefix_len;
-      max_virt = !max_virt;
+      max_virt = max_virtual (* every virtual index is below it *);
       d_off;
       d_val;
       hosts;
       zoom_first;
       zoom_rest;
-      z_off;
-      z_x = zc.zx;
-      z_y = zc.zy;
-      z_z = zc.zz;
+      z_run = sink.run;
+      z_y = sink.zy;
+      z_z = sink.zz;
     }
   in
   let wire =
@@ -447,25 +436,6 @@ let push sc w (dv : floats) i =
   sc.cand_d.(sc.cand_len) <- fg dv i;
   sc.cand_len <- sc.cand_len + 1
 
-(* First index in [s, e) with zx.(i) >= x (entries sorted by (x, y)). *)
-let rec z_lower (zx : ints) s e x =
-  if s >= e then s
-  else begin
-    let mid = (s + e) / 2 in
-    if ig zx mid < x then z_lower zx (mid + 1) e x else z_lower zx s mid x
-  end
-
-(* Exact (x, y) lookup in [s, e): the z value, or -1. *)
-let rec z_find (zx : ints) (zy : ints) (zz : ints) s e x y =
-  if s >= e then -1
-  else begin
-    let mid = (s + e) / 2 in
-    let mx = ig zx mid in
-    if mx < x || (mx = x && ig zy mid < y) then z_find zx zy zz (mid + 1) e x y
-    else if mx = x && ig zy mid = y then ig zz mid
-    else z_find zx zy zz s mid x y
-  end
-
 (* One candidate: host index [iu] in u's label, [iv] in v's. Folds
    [du + dv] into acc.(0); with an exclusion, also folds the lex-min
    (dv, host) beacon other than it into (best_w, acc.(1)) — Two_mode's M1
@@ -489,55 +459,63 @@ let[@inline] emit cu cv sc iu iv =
     end
   end
 
-(* Stamp lb's (x = b) run of level-j entries into the y -> z scratch map. *)
-let rec fill (cb : cols) sc gen i eb b =
-  if i < eb && ig cb.z_x i = b then begin
-    let y = ig cb.z_y i in
+let[@inline] ug (a : u16s) i = A1.unsafe_get a i
+
+(* Stamp lb's row [i, eb) into the y -> z scratch map. *)
+let rec fill (cb : cols) sc gen i eb =
+  if i < eb then begin
+    let y = ug cb.z_y i in
     sc.right_gen.(y) <- gen;
-    sc.right_val.(y) <- ig cb.z_z i;
-    fill cb sc gen (i + 1) eb b
+    sc.right_val.(y) <- ug cb.z_z i;
+    fill cb sc gen (i + 1) eb
   end
 
-(* Join la's (x = a) run of [ca] against the stamped map, emitting each
+(* Join la's row [i, ea) of [ca] against the stamped map, emitting each
    match. *)
-let rec join_run cu cv (ca : cols) sc flip gen i ea a =
-  if i < ea && ig ca.z_x i = a then begin
-    let y = ig ca.z_y i in
+let rec join_row cu cv (ca : cols) sc flip gen i ea =
+  if i < ea then begin
+    let y = ug ca.z_y i in
     if sc.right_gen.(y) = gen then begin
-      let za = ig ca.z_z i and zb = sc.right_val.(y) in
+      let za = ug ca.z_z i and zb = sc.right_val.(y) in
       if flip then emit cu cv sc zb za else emit cu cv sc za zb
     end;
-    join_run cu cv ca sc flip gen (i + 1) ea a
+    join_row cu cv ca sc flip gen (i + 1) ea
   end
+
+(* Row x of a label's level-j map, for the label whose hosts start at d0
+   and number k. *)
+let[@inline] row (c : cols) d0 k j x = (c.levels * d0) + (j * k) + x
 
 (* The Claim 2.2 walk of lb's zooming sequence through both labels'
    translation maps: emit the current pair (a, b) — a in la's host
-   enumeration, b in lb's — join the two labels' level-j entry runs on the
-   virtual index, then step both sides through lb's zoom label. The walk
-   stops silently on a failed step; the final emit fires only when every
-   level stepped. Each step charges two translation lookups. la is u's
-   label and lb v's, or the reverse when [flip]; emitted pairs are always
-   in (u, v) order. *)
+   enumeration, b in lb's — join the two labels' level-j rows a and b on
+   the virtual index, then step both sides through lb's zoom label. The
+   walk stops silently on a failed step; the final emit fires only when
+   every level stepped. Each step charges two translation lookups. la is
+   u's label and lb v's, or the reverse when [flip]; emitted pairs are
+   always in (u, v) order. *)
 let rec level cu cv sc flip j a b =
   if flip then emit cu cv sc b a else emit cu cv sc a b;
   let ca = if flip then cv else cu and cb = if flip then cu else cv in
-  let ra = if flip then sc.v else sc.u and rb = if flip then sc.u else sc.v in
+  let rb = if flip then sc.u else sc.v in
   let levels = cb.levels in
   if j < levels then begin
     sc.gen <- sc.gen + 1;
     let gen = sc.gen in
-    let sb = ig cb.z_off ((rb * levels) + j) and eb = ig cb.z_off ((rb * levels) + j + 1) in
-    fill cb sc gen (z_lower cb.z_x sb eb b) eb b;
-    let sa = ig ca.z_off ((ra * levels) + j) and ea = ig ca.z_off ((ra * levels) + j + 1) in
-    join_run cu cv ca sc flip gen (z_lower ca.z_x sa ea a) ea a;
+    let pa = if flip then row ca sc.dv0 sc.kv j a else row ca sc.du0 sc.ku j a in
+    let pb = if flip then row cb sc.du0 sc.ku j b else row cb sc.dv0 sc.kv j b in
+    let sa = ig ca.z_run pa and ea = ig ca.z_run (pa + 1) in
+    let sb = ig cb.z_run pb and eb = ig cb.z_run (pb + 1) in
+    fill cb sc gen sb eb;
+    join_row cu cv ca sc flip gen sa ea;
     if !Probe.on then begin
       Probe.translation_lookup ();
       Probe.translation_lookup ()
     end;
     let y = ig cb.zoom_rest ((rb * levels) + j) in
-    let a' = z_find ca.z_x ca.z_y ca.z_z sa ea a y in
+    let a' = Zeta.find ca.z_y ca.z_z y sa ea in
     if a' >= 0 then begin
-      let b' = z_find cb.z_x cb.z_y cb.z_z sb eb b y in
+      let b' = Zeta.find cb.z_y cb.z_z y sb eb in
       if b' >= 0 then level cu cv sc flip (j + 1) a' b'
     end
   end
@@ -601,8 +579,8 @@ module Bitio = Ron_util.Bitio
 
 let wire_codec t = t.wire
 
-(* A label's triples are stored sorted by (x, y), which is the wire
-   order. *)
+(* A label's triples go out level by level, row by row, each row's
+   sorted by y: the (x, y) order. *)
 let serialize wc l =
   let c = l.c and r = l.row in
   let w = Bitio.Writer.create () in
@@ -616,12 +594,16 @@ let serialize wc l =
     Qfloat.write wc.wc_qcodec w (fg c.d_val (d0 + i))
   done;
   for j = 0 to c.levels - 1 do
-    let s = ig c.z_off ((r * c.levels) + j) and e = ig c.z_off ((r * c.levels) + j + 1) in
-    Bitio.Writer.bits w (e - s) ~width:(wc.wc_host_bits + wc.wc_virt_bits + 1);
-    for i = s to e - 1 do
-      host (ig c.z_x i);
-      virt (ig c.z_y i);
-      host (ig c.z_z i)
+    let p = row c d0 k j 0 in
+    Bitio.Writer.bits w
+      (ig c.z_run (p + k) - ig c.z_run p)
+      ~width:(wc.wc_host_bits + wc.wc_virt_bits + 1);
+    for x = 0 to k - 1 do
+      for i = ig c.z_run (p + x) to ig c.z_run (p + x + 1) - 1 do
+        host x;
+        virt (ug c.z_y i);
+        host (ug c.z_z i)
+      done
     done
   done;
   host (ig c.zoom_first r);
@@ -632,48 +614,56 @@ let serialize wc l =
 
 (* A deserialized label is a one-row column set. Its hosts column is
    empty: host node ids are the owner's local knowledge, not label
-   content. *)
+   content. Its rows are read unchecked, so every index that addresses
+   one is checked here. *)
 let deserialize wc bytes =
   let r = Bitio.Reader.of_bytes bytes in
+  let bad fmt = Printf.ksprintf (fun m -> invalid_arg ("Dls.deserialize: " ^ m)) fmt in
   let host () = Bitio.Reader.bits r ~width:wc.wc_host_bits in
   let virt () = Bitio.Reader.bits r ~width:wc.wc_virt_bits in
   let id = Bitio.Reader.bits r ~width:(Bits.index_bits wc.wc_n) in
   let k = Bitio.Reader.bits r ~width:(wc.wc_host_bits + 1) in
+  if k < wc.wc_prefix_len then bad "host count %d below the prefix %d" k wc.wc_prefix_len;
   let d_val = Array.init k (fun _ -> Qfloat.read wc.wc_qcodec r) in
   let levels = wc.wc_li - 1 in
-  let z_off = Array.make (levels + 1) 0 in
-  let triples = ref [] in
+  (* The pairs in wire order, and each row's count at its end. *)
+  let pairs = ref [] and run = Array.make ((levels * k) + 1) 0 in
   for j = 0 to levels - 1 do
     let count = Bitio.Reader.bits r ~width:(wc.wc_host_bits + wc.wc_virt_bits + 1) in
     for _ = 1 to count do
       let x = host () in
       let y = virt () in
       let z = host () in
-      triples := (x, y, z) :: !triples
-    done;
-    z_off.(j + 1) <- z_off.(j) + count
+      if x >= k then bad "level %d triple x %d at or past the host count %d" j x k;
+      if z >= k then bad "level %d triple z %d at or past the host count %d" j z k;
+      run.((j * k) + x + 1) <- run.((j * k) + x + 1) + 1;
+      pairs := (y, z) :: !pairs
+    done
   done;
   let zoom_first = host () in
+  if zoom_first >= wc.wc_prefix_len then
+    bad "zoom_first %d at or past the prefix %d" zoom_first wc.wc_prefix_len;
   let zoom_rest = Array.init levels (fun _ -> virt ()) in
-  let triples = Array.of_list (List.rev !triples) in
+  for p = 1 to levels * k do
+    run.(p) <- run.(p) + run.(p - 1)
+  done;
+  let pairs = Array.of_list (List.rev !pairs) in
   let ints a = A1.of_array Bigarray.int Bigarray.c_layout a in
-  let z_y = Array.map (fun (_, y, _) -> y) triples in
-  let max_virt = Array.fold_left (fun m y -> max m (y + 1)) 1 (Array.append z_y zoom_rest) in
+  let u16s a = A1.of_array Bigarray.int16_unsigned Bigarray.c_layout a in
   let c =
     {
       rows = 1;
       levels;
       prefix_len = wc.wc_prefix_len;
-      max_virt;
+      max_virt = 1 lsl wc.wc_virt_bits;
       d_off = ints [| 0; k |];
       d_val = A1.of_array Bigarray.float64 Bigarray.c_layout d_val;
       hosts = ints [||];
       zoom_first = ints [| zoom_first |];
       zoom_rest = ints zoom_rest;
-      z_off = ints z_off;
-      z_x = ints (Array.map (fun (x, _, _) -> x) triples);
-      z_y = ints z_y;
-      z_z = ints (Array.map (fun (_, _, z) -> z) triples);
+      z_run = ints run;
+      z_y = u16s (Array.map fst pairs);
+      z_z = u16s (Array.map snd pairs);
     }
   in
   { c; row = 0; id }

@@ -21,11 +21,13 @@
 
     All labels of a scheme live in one set of flat columns ({!cols}), the
     layout of the Labelled/Two_mode snapshot sections; a label is a row of
-    them. One decoder ({!scan}) serves the live schemes and the frozen
-    server alike. *)
+    them. The translation maps are Theorem 2.1's {!Ron_core.Zeta} rows of
+    16-bit indices. One decoder ({!scan}) serves the live schemes and the
+    frozen server alike. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type cols = {
   rows : int;
@@ -39,12 +41,13 @@ type cols = {
           a deserialized label and in the Labelled snapshot *)
   zoom_first : ints;  (** [rows]: phi_u(f_u0), an index into the prefix *)
   zoom_rest : ints;  (** [rows * levels]: psi_(f_ui)(f_(u,i+1)) *)
-  z_off : ints;  (** [rows * levels + 1]: CSR over translation segments *)
-  z_x : ints;
-  z_y : ints;
-  z_z : ints;
-      (** [(x, y, z)] triples of zeta_(u,i) in segment [u * levels + i],
-          sorted by [(x, y)] *)
+  z_run : ints;
+      (** [levels * d_off.{rows} + 1]: zeta_(u,i) as rows, one per host
+          index [x] of row [u] (k_u hosts): row
+          [p = levels * d_off.{u} + i * k_u + x] spans
+          [[z_run.{p}, z_run.{p + 1})] of [z_y]/[z_z] *)
+  z_y : u16s;  (** a virtual index, below [max_virt], sorted within a row *)
+  z_z : u16s;  (** [zeta_(u,i)(x, y)], one of [u]'s host indices *)
 }
 (** Labels in columns. Arrays may be shared with a live scheme or mapped
     from a snapshot — treat them as read-only. *)
@@ -59,9 +62,10 @@ val build : ?z_divisor:float -> Triangulation.t -> t
 (** Build on top of a Theorem 3.2 triangulation (which fixes [delta], the
     packings and the net hierarchy). [z_divisor] (default 64, the paper's
     constant) sets the Z-ring net spacing [2^j delta / z_divisor]. The
-    translation maps are written straight into the columns, sorted, by a
+    translation maps are written straight into their rows, sorted, by a
     count pass and a fill pass; the columns are identical at every job
-    count. *)
+    count. Raises [Invalid_argument] naming the node and the size of a
+    host or virtual enumeration of more than 65,535 members. *)
 
 val triangulation : t -> Triangulation.t
 
@@ -147,7 +151,9 @@ val serialize : wire_codec -> label -> Bytes.t * int
 val deserialize : wire_codec -> Bytes.t -> label
 (** A one-row column set that decodes against built labels. Raises
     [Invalid_argument] on truncated or corrupt input that walks off the end
-    of the bitstring. *)
+    of the bitstring, and, naming the field, on a host count below the
+    prefix, a [zoom_first] at or past the prefix, or a triple whose [x] or
+    [z] is at or past the host count. *)
 
 val label_bits : t -> int array
 (** Exact per-label storage: quantized distances, sparse translation

@@ -29,7 +29,10 @@ val route : t -> src:int -> dst:int -> Scheme.result
 
 val estimate : t -> int -> int -> float
 (** The labeled distance estimate [D(L_u, L_v)] — the dist query the
-    frozen server answers for this scheme. *)
+    frozen server answers for this scheme. The labels are built on the
+    normalized metric ([Metric.normalize], minimum distance 1), so the
+    estimate, like every labelled dist answer the server gives, is in that
+    metric's units, not the graph's. *)
 
 val route_wrapped : Scheme.wrapper -> t -> src:int -> dst:int -> Scheme.result
 (** Like {!route}, but with the step function passed through the wrapper

@@ -3,6 +3,7 @@ module Net = Ron_metric.Net
 module Bits = Ron_util.Bits
 module Rings = Ron_core.Rings
 module Zooming = Ron_core.Zooming
+module Zeta = Ron_core.Zeta
 module Pool = Ron_util.Pool
 module Probe = Ron_obs.Probe
 module Profile = Ron_obs.Profile
@@ -60,17 +61,6 @@ let mark_ring mark ring =
     ring
 
 let ints_create n : ints = A1.create Bigarray.int Bigarray.c_layout n
-let u16s_create n : u16s = A1.create Bigarray.int16_unsigned Bigarray.c_layout n
-
-(* A ring position is stored in 16 bits: the largest ring a zeta column
-   can index. *)
-let max_ring = 0xffff
-
-(* Where the join writes: the row starts and the (y, z) columns. The count
-   pass passes [counting] and writes nothing. *)
-type sink = { run : ints; zy : u16s; zz : u16s }
-
-let counting = { run = ints_create 0; zy = u16s_create 0; zz = u16s_create 0 }
 
 (* The Figure 2 join of zeta_uj: mark u's ring [j+1]; then for each member
    [f = ring_j(u).(x)] in order, and each [w = ring_(j+1)(f).(y)] in order
@@ -78,7 +68,7 @@ let counting = { run = ints_create 0; zy = u16s_create 0; zz = u16s_create 0 }
    order and sorted by y, with no hashing and no sort. Without [fill] this
    only counts; with it, it writes from cursor [c], and row [x] starts at
    [run.{base + x}]. Returns the advanced cursor. *)
-let join rings mark ~fill sink ~base u j c =
+let join rings mark ~fill (sink : Zeta.sink) ~base u j c =
   let next_u = members rings u (j + 1) in
   mark_ring mark next_u;
   let ring = members rings u j in
@@ -111,12 +101,12 @@ let build_flat rings ~scales n =
   ring_off.{0} <- 0;
   for r = 0 to (n * scales) - 1 do
     let size = Array.length (members rings (r / scales) (r mod scales)) in
-    if size > max_ring then
+    if size > Zeta.max_members then
       invalid_arg
         (Printf.sprintf
            "Structure.build: node %d's ring at scale %d has %d members, more than the %d a \
             16-bit position indexes"
-           (r / scales) (r mod scales) size max_ring);
+           (r / scales) (r mod scales) size Zeta.max_members);
     ring_off.{r + 1} <- ring_off.{r} + size
   done;
   let positions = ring_off.{n * scales} in
@@ -128,15 +118,12 @@ let build_flat rings ~scales n =
       mark_ring mark (members rings u 0);
       unmark_ring mark (members rings u 0);
       for j = 0 to sm1 - 1 do
-        counts.(u) <- join rings mark ~fill:false counting ~base:0 u j counts.(u)
+        counts.(u) <- join rings mark ~fill:false Zeta.counting ~base:0 u j counts.(u)
       done);
   let node_off = Array.make (n + 1) 0 in
   Array.iteri (fun u k -> node_off.(u + 1) <- node_off.(u) + k) counts;
   let total = node_off.(n) in
-  let sink =
-    { run = ints_create (positions + 1); zy = u16s_create total; zz = u16s_create total }
-  in
-  sink.run.{positions} <- total;
+  let sink = Zeta.sink ~rows:positions ~entries:total in
   Pool.parallel_for n (fun u ->
       let mark = marks n in
       let c = ref node_off.(u) in
@@ -233,18 +220,6 @@ let build idx ~delta =
    serves them. The column types are annotated so the reads compile
    inline, not as calls to the generic Bigarray accessor. *)
 let[@inline] ig (a : ints) i = A1.unsafe_get a i
-let[@inline] ug (a : u16s) i = A1.unsafe_get a i
-
-(* [y]'s z within the row [lo, hi) of z_y (sorted), or -1. *)
-let rec run_find (zy : u16s) (zz : u16s) y lo hi =
-  if lo >= hi then -1
-  else begin
-    let mid = (lo + hi) / 2 in
-    let v = ug zy mid in
-    if v < y then run_find zy zz y (mid + 1) hi
-    else if v > y then run_find zy zz y lo mid
-    else ug zz mid
-  end
 
 (* Claim 2.2's walk: m_(j+1) = zeta_uj(m_j, rest_j), stopping at the first
    null. *)
@@ -257,7 +232,7 @@ let rec walk (c : cols) u (l : cols) row (m : int array) sm1 j =
     end;
     let p = ig c.ring_off ((u * c.scales) + j) + m.(j) in
     let y = ig l.label_rest ((row * sm1) + j) in
-    let z = run_find c.z_y c.z_z y (ig c.z_run p) (ig c.z_run (p + 1)) in
+    let z = Zeta.find c.z_y c.z_z y (ig c.z_run p) (ig c.z_run (p + 1)) in
     if z < 0 then j
     else begin
       m.(j + 1) <- z;

@@ -10,9 +10,9 @@
 
     Rings, translation functions and labels are stored flat ({!cols}),
     already in the layout the Basic snapshot serves: off-heap columns the
-    snapshot layer adopts as they are. A zeta entry is a pair of ring
-    positions, so its columns hold 16 bits per position: {!build} refuses
-    a ring of more than 65,535 members. *)
+    snapshot layer adopts as they are. The zeta maps are {!Ron_core.Zeta}
+    rows, one per ring position, of ring positions in 16 bits each:
+    {!build} refuses a ring of more than 65,535 members. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t

@@ -169,7 +169,7 @@ type rule =
   | Offsets of string * expr
   | Range of expr * expr
   | Finite
-  | Segments of { groups : string; every : expr; rows : string option; sizes : string; shift : int }
+  | Segments of { groups : string; every : expr; rows : string; sizes : string; shift : int }
 
 type column = { name : string; kind : kind; entries : string list; rules : rule list }
 type sec = I of ints | F of floats | U of u16s
@@ -252,12 +252,10 @@ let outside s lo hi i e =
 let entry_at s i = match s with I a -> ig a i | U a -> A1.unsafe_get a i | F _ -> 0
 
 (* The segment rule: group g's entries, [start g] to [start (g + 1)], lie
-   below the size of segment [g + shift] of [sizes]; [start g] is
-   [groups.{g * every}], read through [rows] when there is one. The
-   earlier phases have checked [groups], [rows] and [sizes] as offsets. *)
-let start (groups : ints) every rows g =
-  let p = ig groups (g * every) in
-  match rows with None -> p | Some (r : ints) -> ig r p
+   below the size of segment [g + shift] of [sizes]; [start g] is the
+   start of row [groups.{g} * every]. The earlier phases have checked
+   [groups], [rows] and [sizes] as offsets. *)
+let start (groups : ints) every (rows : ints) g = ig rows (ig groups g * every)
 
 let rec segment s groups every rows (sizes : ints) shift g count =
   if g >= count then None
@@ -290,12 +288,13 @@ let check e (c : column) rule =
     | -1 -> Ok ()
     | i -> fail "entry %d is %g, not finite and >= 0" i (fg a i))
   | Segments g, (I _ | U _) -> (
-    let groups = ints_in e g.groups and sizes = ints_in e g.sizes and every = value e g.every in
-    let count = A1.dim sizes - 1 - g.shift in
-    if every < 0 || (count > 0 && every > (A1.dim groups - 1) / count) then
-      fail "groups of %d run past %s" every g.groups
+    let groups = ints_in e g.groups and rows = ints_in e g.rows and sizes = ints_in e g.sizes in
+    let every = value e g.every and count = A1.dim sizes - 1 - g.shift in
+    let top = if count > 0 && count < A1.dim groups then ig groups count else 0 in
+    if count >= A1.dim groups || every < 0 || (every > 0 && top > (A1.dim rows - 1) / every) then
+      fail "rows of %d per %s entry run past %s" every g.groups g.rows
     else
-      match segment s groups every (Option.map (ints_in e) g.rows) sizes g.shift 0 count with
+      match segment s groups every rows sizes g.shift 0 count with
       | None -> Ok ()
       | Some (i, k, size) ->
         let v = entry_at s i in
@@ -364,7 +363,7 @@ let basic : Basic.cols decl =
             [
               Length (Dim "z_y");
               Segments
-                { groups = "ring_off"; every = Const 1; rows = Some "z_run"; sizes = "ring_off";
+                { groups = "ring_off"; every = Const 1; rows = "z_run"; sizes = "ring_off";
                   shift = 1 };
             ];
         ];
@@ -390,8 +389,9 @@ let basic : Basic.cols decl =
    every read [Dls.scan] makes unchecked is in bounds and its loops are
    bounded by the data: every row holds the prefix, zoom_first indexes it,
    zoom_rest and z_y are virtual indices below max_virt (the scratch
-   bound, at most n), and each z of row u's translation maps is one of
-   u's host indices. Only the Two_mode image serves the hosts column. *)
+   bound, at most n), z_run has a row per (row, level, host index), and
+   each z in row u's rows is one of u's host indices, so the walk stays
+   in them. Only the Two_mode image serves the hosts column. *)
 let dls_pack (dls : 'c -> Dls.cols) =
   let rows = Meta "rows" and levels = Meta "levels" and virt = Meta "max_virt" in
   let prefix = Meta "prefix_len" in
@@ -402,23 +402,22 @@ let dls_pack (dls : 'c -> Dls.cols) =
     ints "d_off" (fun c -> (dls c).d_off) [ Length (Plus (rows, 1)); Offsets ("d_val", prefix) ];
     ints "zoom_first" (fun c -> (dls c).zoom_first) [ Length rows; Range (zero, prefix) ];
     ints "zoom_rest" (fun c -> (dls c).zoom_rest) [ Product (rows, levels, 0); Range (zero, virt) ];
-    ints "z_off" (fun c -> (dls c).z_off) [ Product (rows, levels, 1); offsets "z_x" ];
-    ints "z_x" (fun c -> (dls c).z_x) [];
-    ints "z_y" (fun c -> (dls c).z_y) [ Length (Dim "z_x"); Range (zero, virt) ];
-    ints "z_z" (fun c -> (dls c).z_z)
-      [
-        Length (Dim "z_x");
-        Segments { groups = "z_off"; every = levels; rows = None; sizes = "d_off"; shift = 0 };
-      ];
+    ints "z_run" (fun c -> (dls c).z_run) [ Product (Dim "d_val", levels, 1); offsets "z_y" ];
     floats "d_val" (fun c -> (dls c).d_val) [ Finite ];
+    u16s "z_y" (fun c -> (dls c).z_y) [ Range (zero, virt) ];
+    u16s "z_z" (fun c -> (dls c).z_z)
+      [
+        Length (Dim "z_y");
+        Segments { groups = "d_off"; every = levels; rows = "z_run"; sizes = "d_off"; shift = 0 };
+      ];
   ]
 
 let dls_of e ~hosts =
-  let i = ints_in e in
+  let i = ints_in e and u = u16s_in e in
   { Dls.rows = int e "rows"; levels = int e "levels"; prefix_len = int e "prefix_len";
     max_virt = int e "max_virt"; d_off = i "d_off"; d_val = floats_in e "d_val"; hosts;
-    zoom_first = i "zoom_first"; zoom_rest = i "zoom_rest"; z_off = i "z_off"; z_x = i "z_x";
-    z_y = i "z_y"; z_z = i "z_z" }
+    zoom_first = i "zoom_first"; zoom_rest = i "zoom_rest"; z_run = i "z_run"; z_y = u "z_y";
+    z_z = u "z_z" }
 
 let dls_ok ~n (d : Dls.cols) =
   require "dls_meta"

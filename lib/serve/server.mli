@@ -110,8 +110,8 @@ type expr =
     without overflow; [Offsets (s, step)]: rise from 0 to section [s]'s
     length, by at least [step] each; [Range]: entries in [\[lo, hi)];
     [Finite]: entries finite and [>= 0]; [Segments]: group g's entries,
-    from [groups.{g * every}] to [groups.{(g + 1) * every}] (read through
-    [rows] when given), lie below the size of segment [g + shift] of the
+    from row [groups.{g} * every] to row [groups.{g + 1} * every] of the
+    row starts [rows], lie below the size of segment [g + shift] of the
     offsets [sizes], one group per segment past [shift]. *)
 type rule =
   | Length of expr
@@ -119,7 +119,7 @@ type rule =
   | Offsets of string * expr
   | Range of expr * expr
   | Finite
-  | Segments of { groups : string; every : expr; rows : string option; sizes : string; shift : int }
+  | Segments of { groups : string; every : expr; rows : string; sizes : string; shift : int }
 
 (** [entries]: a meta section's named scalars, else [[]]. *)
 type column = { name : string; kind : kind; entries : string list; rules : rule list }

@@ -9,7 +9,8 @@
    decoder walks both zooming sequences through both labels' tables,
    joining each level's entries on the virtual index through a Hashtbl,
    and folds the candidate list. Tests hold [Dls]'s columns and estimates
-   to it. *)
+   to it. [scan_rows] is the decoder's walk over the rows themselves, with
+   checked reads. *)
 
 module Indexed = Ron_metric.Indexed
 module Qfloat = Ron_util.Qfloat
@@ -140,3 +141,66 @@ let estimate t u v =
       (fun acc (_, _, du, dv) -> Float.min acc (du +. dv))
       infinity
       (candidates t.labels.(u) t.labels.(v))
+
+(* The rows of [c] as per-segment (x, y, z) triples, segment (u, i) at
+   [u * levels + i], in row order. *)
+let of_rows (c : Dls.cols) =
+  Array.init (c.rows * c.levels) (fun s ->
+      let u = s / c.levels and i = s mod c.levels in
+      let k = c.d_off.{u + 1} - c.d_off.{u} in
+      Array.concat
+        (List.init k (fun x ->
+             let p = (c.levels * c.d_off.{u}) + (i * k) + x in
+             Array.init (c.z_run.{p + 1} - c.z_run.{p}) (fun e ->
+                 (x, c.z_y.{c.z_run.{p} + e}, c.z_z.{c.z_run.{p} + e})))))
+
+(* [Dls.scan]'s estimate for rows [u] and [v] of [c], by the same walk
+   over the rows, with checked reads. Raises [Invalid_argument] naming the
+   read where the served scan's unchecked reads lose their footing: a host
+   index outside its label's host list, which puts its row outside the
+   label's block, or a z_y at or past max_virt, the size of the scan's
+   y -> z map. *)
+let scan_rows (c : Dls.cols) u v =
+  let bad fmt = Printf.ksprintf invalid_arg fmt in
+  let k r = c.d_off.{r + 1} - c.d_off.{r} in
+  let host r what x = if x >= k r then bad "%s %d outside label %d's %d hosts" what x r (k r) in
+  (* Row x of label r's level-j map: its (y, z) pairs. *)
+  let row r j x =
+    host r "row" x;
+    let p = (c.levels * c.d_off.{r}) + (j * k r) + x in
+    List.init (c.z_run.{p + 1} - c.z_run.{p}) (fun i ->
+        let y = c.z_y.{c.z_run.{p} + i} and z = c.z_z.{c.z_run.{p} + i} in
+        if y >= c.max_virt then bad "z_y %d at or past max_virt %d" y c.max_virt;
+        host r "z_z" z;
+        (y, z))
+  in
+  (* The y -> z map of the right-hand row of a join, -1 elsewhere. *)
+  let right = Array.make c.max_virt (-1) in
+  let best = ref infinity in
+  let emit iu iv =
+    if iu < k u && iv < k v then
+      best := Float.min !best (c.d_val.{c.d_off.{u} + iu} +. c.d_val.{c.d_off.{v} + iv})
+  in
+  for i = 0 to c.prefix_len - 1 do
+    emit i i
+  done;
+  (* The walk of [src]'s zooming sequence, a in [ra]'s hosts, b in [rb]'s. *)
+  let walk ~src ~ra ~rb emit =
+    let rec go j a b =
+      emit a b;
+      if j < c.levels then begin
+        let ta = row ra j a and tb = row rb j b in
+        List.iter (fun (y, z) -> right.(y) <- z) tb;
+        List.iter (fun (y, za) -> if right.(y) >= 0 then emit za right.(y)) ta;
+        List.iter (fun (y, _) -> right.(y) <- -1) tb;
+        let y = c.zoom_rest.{(src * c.levels) + j} in
+        match (List.assoc_opt y ta, List.assoc_opt y tb) with
+        | Some a', Some b' -> go (j + 1) a' b'
+        | _ -> ()
+      end
+    in
+    go 0 c.zoom_first.{src} c.zoom_first.{src}
+  in
+  walk ~src:v ~ra:u ~rb:v emit;
+  walk ~src:u ~ra:v ~rb:u (fun a b -> emit b a);
+  !best

@@ -335,7 +335,7 @@ let prop_dls_columns_match_oracle =
       let oracle = Dls_oracle.build tri dls in
       let c = Dls.export dls in
       let n = Indexed.size (Triangulation.idx tri) in
-      Zeta_oracle.of_columns c.z_off c.z_x c.z_y c.z_z = Dls_oracle.segments oracle
+      Dls_oracle.of_rows c = Dls_oracle.segments oracle
       && List.for_all
            (fun u ->
              let l = oracle.Dls_oracle.labels.(u) in
@@ -352,6 +352,7 @@ let prop_dls_estimate_matches_oracle =
     (fun (tri, seed) ->
       let dls = Dls.build tri in
       let oracle = Dls_oracle.build tri dls in
+      let c = Dls.export dls in
       let wc = Dls.wire_codec dls in
       let wire u = Dls.deserialize wc (fst (Dls.serialize wc (Dls.label dls u))) in
       let n = Indexed.size (Triangulation.idx tri) in
@@ -361,6 +362,7 @@ let prop_dls_estimate_matches_oracle =
           let u = Rng.int rng n and v = Rng.int rng n in
           let d = Dls_oracle.estimate oracle u v in
           Float.equal (Dls.estimate (Dls.label dls u) (Dls.label dls v)) d
+          && (u = v || Float.equal (Dls_oracle.scan_rows c u v) d)
           && Float.equal (Dls.estimate (wire u) (Dls.label dls v)) d
           && Float.equal (Dls.estimate (Dls.label dls u) (wire v)) d)
         (List.init 40 Fun.id))

@@ -3,6 +3,7 @@
    materialize the paper's bit-counting claims as real bitstrings. *)
 
 module Rng = Ron_util.Rng
+module Bits = Ron_util.Bits
 module Bitio = Ron_util.Bitio
 module Qfloat = Ron_util.Qfloat
 module Indexed = Ron_metric.Indexed
@@ -142,6 +143,85 @@ let test_dls_truncated_label_rejected () =
   in
   check_bool "truncation handled loudly" ok
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* Copy [k] bits from [r] to [w]. *)
+let rec copy r w k =
+  if k > 0 then begin
+    let c = min k 30 in
+    Bitio.Writer.bits w (Bitio.Reader.bits r ~width:c) ~width:c;
+    copy r w (k - c)
+  end
+
+(* The [width]-bit field at bit [pos] of [bytes]. *)
+let field bytes ~pos ~width =
+  let r = Bitio.Reader.of_bytes bytes in
+  copy r (Bitio.Writer.create ()) pos;
+  Bitio.Reader.bits r ~width
+
+(* [bytes], [bits] long, with that field set to [v]. *)
+let rewrite bytes bits ~pos ~width v =
+  let r = Bitio.Reader.of_bytes bytes and w = Bitio.Writer.create () in
+  copy r w pos;
+  ignore (Bitio.Reader.bits r ~width);
+  Bitio.Writer.bits w v ~width;
+  copy r w (bits - pos - width);
+  Bitio.Writer.to_bytes w
+
+(* A label whose fields would address rows outside it is rejected at
+   deserialization, naming the field: a real label with its host count
+   set to 0, below the prefix, one triple's x or z set to the host count,
+   or zoom_first set to the prefix length, each value within its field.
+   The widths and positions are re-derived from the scheme: the id, the
+   host count, the distances, then per level a triple count and its
+   (x, y, z) triples, then zoom_first. *)
+let test_dls_label_out_of_range_rejected () =
+  let (idx, dls) = Lazy.force dls_fixture in
+  let wc = Dls.wire_codec dls in
+  let tri = Dls.triangulation dls in
+  let all = List.init (Indexed.size idx) Fun.id in
+  let hosts = Array.of_list (List.map (Dls.host_beacons dls) all) in
+  let k u = Array.length hosts.(u) in
+  let widest f = Bits.index_bits (List.fold_left (fun m u -> max m (f u)) 1 all) in
+  let hb = widest k and vb = widest (fun u -> Array.length (Dls.virtual_neighbors dls u)) in
+  let qb =
+    Qfloat.bits
+      (Qfloat.codec_for ~delta:(Triangulation.delta tri)
+         ~aspect_ratio:(Float.max 2.0 (Indexed.aspect_ratio idx)))
+  in
+  (* The canonical prefix starts every host list. *)
+  let rec common p =
+    if List.for_all (fun u -> p < k u && hosts.(u).(p) = hosts.(0).(p)) all then common (p + 1)
+    else p
+  in
+  let count = hb + vb + 1 and triple = (2 * hb) + vb in
+  let k_pos = Bits.index_bits (List.length all) in
+  let count_pos u = k_pos + hb + 1 + (k u * qb) in
+  let label u = fst (Dls.serialize wc (Dls.label dls u)) in
+  (* A label with a level-0 triple, whose host count fits an x field. *)
+  let u =
+    List.find (fun u -> k u < 1 lsl hb && field (label u) ~pos:(count_pos u) ~width:count > 0) all
+  in
+  let bytes, bits = Dls.serialize wc (Dls.label dls u) in
+  let rec zoom_pos j pos =
+    if j = Triangulation.levels tri - 1 then pos
+    else zoom_pos (j + 1) (pos + count + (field bytes ~pos ~width:count * triple))
+  in
+  let x_pos = count_pos u + count in
+  let rejects ~pos ~width v error =
+    match Dls.deserialize wc (rewrite bytes bits ~pos ~width v) with
+    | _ -> Alcotest.failf "label with %d for %S accepted" v error
+    | exception Invalid_argument msg ->
+      check_bool (Printf.sprintf "error says %S: %s" error msg) (contains msg error)
+  in
+  rejects ~pos:k_pos ~width:(hb + 1) 0 "host count 0 below the prefix";
+  rejects ~pos:x_pos ~width:hb (k u) "triple x";
+  rejects ~pos:(x_pos + hb + vb) ~width:hb (k u) "triple z";
+  rejects ~pos:(zoom_pos 0 (count_pos u)) ~width:hb (common 0) "zoom_first"
+
 (* ----------------------------------------------------- Basic label wire *)
 
 let test_basic_label_roundtrip_routes () =
@@ -175,11 +255,6 @@ let test_basic_label_wire_matches_accounting () =
    all-ones label names a node (63) but no ring-0 position; on the 6x6 grid
    its 6-bit target (63) names no node. *)
 let test_basic_label_out_of_range_rejected () =
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   let rejects side field =
     let b = Basic.build (Sp_metric.create (Graph_gen.grid side side)) ~delta:0.25 in
     let (bytes, _) = Basic.serialize_label b 0 in
@@ -211,6 +286,8 @@ let () =
           Alcotest.test_case "id preserved" `Quick test_dls_label_id_preserved;
           Alcotest.test_case "wire close to accounting" `Quick test_dls_wire_close_to_accounting;
           Alcotest.test_case "truncation handled" `Quick test_dls_truncated_label_rejected;
+          Alcotest.test_case "out-of-range label rejected" `Quick
+            test_dls_label_out_of_range_rejected;
         ] );
       ( "basic-wire",
         [

@@ -85,20 +85,29 @@ let label_of (c : Structure.cols) t =
   }
 
 (* The walk over the flat rows, with checked reads and a linear scan:
-   zeta_uj(x, y) is the z of y in row x of ring (u, j), or -1. *)
-let decode_rows (c : Structure.cols) u label =
+   zeta_uj(x, y) is the z of y in row x of ring (u, j), or -1. Raises
+   [Invalid_argument] naming the read where [Structure.decode]'s unchecked
+   reads lose their footing: a position outside ring (u, j), which puts
+   its row outside the ring's rows, or a z in that row outside ring
+   (u, j + 1). *)
+let decode_rows (c : Structure.cols) u (label : Zooming.encoded) =
+  let ring j = (u * c.scales) + j in
+  let size j = c.ring_off.{ring j + 1} - c.ring_off.{ring j} in
+  let check what j x =
+    if x >= size j then
+      invalid_arg (Printf.sprintf "%s %d outside ring (%d, %d) of %d members" what x u j (size j))
+  in
+  check "first index" 0 label.first;
   decode_walk
     ~translate:(fun j ~x ~y ->
-      let r = (u * c.Structure.scales) + j in
-      let p = c.Structure.ring_off.{r} + x in
-      if p >= c.Structure.ring_off.{r + 1} then -1
-      else begin
-        let z = ref (-1) in
-        for e = c.Structure.z_run.{p} to c.Structure.z_run.{p + 1} - 1 do
-          if c.Structure.z_y.{e} = y then z := c.Structure.z_z.{e}
-        done;
-        !z
-      end)
+      check "position" j x;
+      let p = c.ring_off.{ring j} + x in
+      let z = ref (-1) in
+      for e = c.z_run.{p} to c.z_run.{p + 1} - 1 do
+        check "z" (j + 1) c.z_z.{e};
+        if c.z_y.{e} = y then z := c.z_z.{e}
+      done;
+      !z)
     label
 
 (* The rows of [c] as per-segment (x, y, z) triples, segment (u, j) at
@@ -118,12 +127,3 @@ let of_rows (c : Structure.cols) =
                (fun k ->
                  let e = c.Structure.z_run.{p} + k in
                  (x, c.Structure.z_y.{e}, c.Structure.z_z.{e})))))
-
-(* The flat columns [(off, xs, ys, zs)] as per-segment triple arrays. *)
-let of_columns (off : (int, _, _) Bigarray.Array1.t) xs ys zs =
-  Array.init
-    (Bigarray.Array1.dim off - 1)
-    (fun s ->
-      Array.init (off.{s + 1} - off.{s}) (fun k ->
-          let i = off.{s} + k in
-          (xs.{i}, ys.{i}, zs.{i})))
