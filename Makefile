@@ -111,7 +111,10 @@ telemetry-smoke: build
 # first byte for byte (cmp). Every scheme's snapshot runs the check, so the
 # columns each scheme builds round-trip through save and load; the DLS
 # schemes (labelled, two_mode) serve fewer queries, at fixed sizes, because
-# their per-query cost is far higher. Last, a truncated copy of each of the
+# their per-query cost is far higher. Basic runs twice more, on the 20x20
+# grid, where the rings of the finer scales differ by node, so a hop
+# decodes to fewer levels than j_ut and its ring positions index first-hop
+# rows of different lengths. Last, a truncated copy of each of the
 # five snapshots, and a copy of the basic one whose version word reads 1,
 # must each be refused with the loader's message and exit 1.
 SERVE_SMOKE_N ?= 100
@@ -119,6 +122,7 @@ SERVE_SMOKE_QUERIES ?= 20000
 serve-smoke: build
 	@set -e; \
 	for spec in "basic $(SERVE_SMOKE_N) $(SERVE_SMOKE_QUERIES) ron_serve_smoke" \
+	            "basic 400 $(SERVE_SMOKE_QUERIES) ron_serve_smoke_basic400" \
 	            "labelled 49 2000 ron_serve_smoke_labelled" \
 	            "two_mode 64 2000 ron_serve_smoke_two_mode" \
 	            "meridian $(SERVE_SMOKE_N) $(SERVE_SMOKE_QUERIES) ron_serve_smoke_meridian" \

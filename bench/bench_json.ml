@@ -19,9 +19,9 @@ let to_string = Ron_obs.Json.to_string
 (* ---------------------------------------------------------------- timing *)
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ron_obs.Clock.now_ns () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Ron_obs.Clock.since_s t0)
 
 let time_unit f = snd (time f)
 
@@ -668,8 +668,6 @@ let timestamp () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
-let ns_clock () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 (* Every boolean of the report is an invariant of the run: equal index
    builds and all-pairs rows, serve digests equal at every job count and
    across the snapshot round trip, allocation within budget, flight dumps
@@ -696,7 +694,7 @@ let run ?(scale_sizes = [ 10_000 ]) ?(scale_only = false) ?telemetry
      report gains a "profile" section breaking construction and query time
      down per phase (bench_diff ignores it — wall-clock phase shapes are
      not regression signals). *)
-  Ron_obs.Profile.enable ~clock:ns_clock ();
+  Ron_obs.Profile.enable ~clock:Ron_obs.Clock.ns ();
   Ron_obs.Profile.reset ();
   (* The telemetry sampler (if requested) rides along too. It needs the
      probes on — which perturbs the timed sections slightly, so pass
@@ -708,7 +706,7 @@ let run ?(scale_sizes = [ 10_000 ]) ?(scale_only = false) ?telemetry
       Printf.eprintf "--telemetry-interval must be >= 1\n";
       exit 1
     end;
-    Ron_obs.Telemetry.start ~clock:ns_clock
+    Ron_obs.Telemetry.start ~clock:Ron_obs.Clock.ns
       ~interval:(Int64.of_int (telemetry_interval_ms * 1_000_000))
       (Ron_obs.Trace.channel_sink (open_out tfile));
     Ron_obs.enable ()

@@ -181,8 +181,6 @@ let set_jobs jobs =
   | Some j when j < 1 -> failwith "--jobs must be >= 1"
   | _ -> Ron_util.Pool.set_default_jobs jobs
 
-let ns_clock () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 (* Shared by every subcommand: configure the trace sink, the phase
    profiler, the telemetry sampler, the exposition writer, and/or the
    probes, run, then write the snapshot/profile/exposition and close the
@@ -210,14 +208,15 @@ let with_obs trace metrics profile telemetry telemetry_interval expo f =
     | Ok () ->
       (match trace with
       | Some file ->
-        Ron_obs.Trace.configure ~clock:ns_clock (Ron_obs.Trace.channel_sink (open_out file))
+        Ron_obs.Trace.configure ~clock:Ron_obs.Clock.ns
+          (Ron_obs.Trace.channel_sink (open_out file))
       | None -> ());
       (match profile with
-      | Some _ -> Ron_obs.Profile.enable ~clock:ns_clock ()
+      | Some _ -> Ron_obs.Profile.enable ~clock:Ron_obs.Clock.ns ()
       | None -> ());
       (match telemetry with
       | Some file ->
-        Ron_obs.Telemetry.start ~clock:ns_clock
+        Ron_obs.Telemetry.start ~clock:Ron_obs.Clock.ns
           ~interval:(Int64.of_int (telemetry_interval * 1_000_000))
           ?expo
           (Ron_obs.Trace.channel_sink (open_out file))
@@ -599,9 +598,9 @@ let run_churn trace metrics profile telemetry telemetry_interval expo jobs famil
     | _ ->
       List.iteri
         (fun i (u, v) ->
-          let t0 = Unix.gettimeofday () in
+          let t0 = Ron_obs.Clock.now_ns () in
           let r = route_wrapped (wrapper_for i) u v in
-          let lat_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+          let lat_ns = Ron_obs.Clock.now_ns () - t0 in
           (match flight_rec with
           | Some fr ->
             let outcome =
@@ -924,11 +923,11 @@ let run_serve trace metrics profile telemetry telemetry_interval expo jobs schem
   else begin
     let work = Loop.prepare t ~seed ~queries ~zipf_s:zipf ~route_frac ~dist_frac in
     let res = Loop.results_create queries in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Ron_obs.Clock.now_ns () in
     (match (slo_mon, flight_rec) with
     | None, None -> Loop.run ~batch t work res
     | _ -> Loop.run_observed ~batch ~wall:true ?flight:flight_rec ?slo:slo_mon t work res);
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Ron_obs.Clock.since_s t0 in
     let qps = float_of_int queries /. Float.max dt 1e-9 in
     Printf.printf "queries=%d batch=%d elapsed=%.3fs qps=%.0f digest=%x\n" queries batch dt qps
       (Loop.digest res);

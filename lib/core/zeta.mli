@@ -22,4 +22,5 @@ val sink : rows:int -> entries:int -> sink
 
 val find : u16s -> u16s -> int -> int -> int -> int
 (** [find zy zz y lo hi]: the [z] of [y] in the row [\[lo, hi)], or [-1].
-    A binary search with unchecked reads, allocation-free. *)
+    A binary search that finishes a range of fewer than 16 entries with a
+    forward scan; unchecked reads, allocation-free. *)

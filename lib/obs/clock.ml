@@ -1,0 +1,3 @@
+let ns = Monotonic_clock.now
+let[@inline] now_ns () = Int64.to_int (Monotonic_clock.now ())
+let since_s t0 = float_of_int (now_ns () - t0) /. 1e9

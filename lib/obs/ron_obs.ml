@@ -22,6 +22,7 @@ module Flight = Flight
 module Slo = Slo
 module Expo = Expo
 module Sparkline = Sparkline
+module Clock = Clock
 
 let enable () = Probe.on := true
 let disable () = Probe.on := false

@@ -22,6 +22,7 @@ module Flight = Flight
 module Slo = Slo
 module Expo = Expo
 module Sparkline = Sparkline
+module Clock = Clock
 
 val enable : unit -> unit
 (** Turn the probes on ([Probe.on := true]). *)

@@ -5,7 +5,13 @@ module Bits = Ron_util.Bits
 module Rings = Ron_core.Rings
 module A1 = Bigarray.Array1
 
-type cols = { st : Structure.cols; table : First_hop.t; max_hops : int; header_bits : int }
+type cols = {
+  st : Structure.cols;
+  table : First_hop.t;
+  ring_hop : Structure.u16s;
+  max_hops : int;
+  header_bits : int;
+}
 
 type t = { sp : Sp_metric.t; structure : Structure.t; cols : cols }
 
@@ -30,22 +36,39 @@ let substrate t = t.structure.Structure.idx
 
 let hop_budget n = max 64 (8 * n)
 
+(* Each ring position's member as an offset in its node's first-hop row,
+   in 16 bits: a table row is one entry per distinct ring member, so the
+   offset is the member's rank among them. A position holding the node
+   itself has no entry and is never read; it holds 0. *)
+let ring_hops (st : Structure.cols) (table : First_hop.t) =
+  let hops = A1.create Bigarray.int16_unsigned Bigarray.c_layout (A1.dim st.ring_node) in
+  Ron_util.Pool.parallel_for st.n (fun u ->
+      let row = table.t_off.{u} in
+      if table.t_off.{u + 1} - row > Ron_core.Zeta.max_members then
+        invalid_arg
+          (Printf.sprintf
+             "Basic.build: node %d's first-hop row has %d entries, more than the %d a 16-bit \
+              offset indexes"
+             u (table.t_off.{u + 1} - row) Ron_core.Zeta.max_members);
+      for p = st.ring_off.{u * st.scales} to st.ring_off.{(u + 1) * st.scales} - 1 do
+        let w = st.ring_node.{p} in
+        hops.{p} <- (if w = u then 0 else First_hop.find table u w - row)
+      done);
+  hops
+
 let build sp ~delta =
   Ron_obs.Profile.phase "construct.basic" @@ fun () ->
   let idx = Indexed.create (Sp_metric.metric sp) in
   let structure = Structure.build idx ~delta in
   let n = Indexed.size idx in
-  let table =
+  let st = structure.Structure.cols in
+  let table, ring_hop =
     Ron_obs.Profile.phase "tables" @@ fun () ->
-    First_hop.build sp n (Rings.neighbors structure.Structure.rings)
+    let table = First_hop.build sp n (Rings.neighbors structure.Structure.rings) in
+    (table, ring_hops st table)
   in
   let cols =
-    {
-      st = structure.Structure.cols;
-      table;
-      max_hops = hop_budget n;
-      header_bits = Structure.header_bits structure;
-    }
+    { st; table; ring_hop; max_hops = hop_budget n; header_bits = Structure.header_bits structure }
   in
   { sp; structure; cols }
 
@@ -55,19 +78,30 @@ let initial_header _ dst = { target = dst; level = -1; wire = [||] }
 
 (* ---------------------------------------------------------------- The hop *)
 
+(* Unchecked reads of the built or validated columns, with the column
+   types annotated so they compile inline. *)
+let[@inline] ig (a : Structure.ints) i = A1.unsafe_get a i
+let[@inline] ug (a : Structure.u16s) i = A1.unsafe_get a i
+
+(* Only m_0 .. m_level are decoded on the way to a set level's target; the
+   walk goes on to j_ut at the source and on re-zoom. *)
 let target_level c l row m u level =
-  let jut = Structure.decode c.st u l row m in
-  if level < 0 then jut
-  else if level > jut then failwith "Basic: Claim 2.4(b) violated (j > j_ut)"
-  else if Structure.member c.st u level m.(level) = u then jut (* reached: re-zoom *)
+  if level < 0 then Structure.decode c.st u l row m
+  else if Structure.decode_to c.st u l row m level < level then
+    failwith "Basic: Claim 2.4(b) violated (j > j_ut)"
+  else if Structure.member c.st u level m.(level) = u then
+    Structure.resume c.st u l row m level (* reached: re-zoom *)
   else level
 
+(* The ring position of the level-[j] target, and its first-hop entry. *)
+let[@inline] position c u j x = ig c.st.Structure.ring_off ((u * c.st.Structure.scales) + j) + x
+let[@inline] entry c u p = ig c.table.First_hop.t_off u + ug c.ring_hop p
+
 let hop_entry c u m j =
-  let w = Structure.member c.st u j m.(j) in
-  if w = u then failwith "Basic: intermediate target equals current node (invariant broken)";
-  let e = First_hop.find c.table u w in
-  if e < 0 then failwith "Basic: no first-hop pointer to intermediate target";
-  e
+  let p = position c u j m.(j) in
+  if ig c.st.Structure.ring_node p = u then
+    failwith "Basic: intermediate target equals current node (invariant broken)";
+  entry c u p
 
 (* [l]/[row] locate the packet's label; [m] is the route's decode buffer. *)
 let step c l row m u (h : header) : header Scheme.action =
@@ -88,10 +122,9 @@ let alternates c l row m u (h : header) =
     let jut = Structure.decode c.st u l row m in
     let acc = ref [] in
     for j = 0 to jut do
-      let w = Structure.member c.st u j m.(j) in
-      let e = if w <> u then First_hop.find c.table u w else -1 in
-      if e >= 0 then begin
-        let next = c.table.First_hop.t_next.{e} in
+      let p = position c u j m.(j) in
+      if ig c.st.Structure.ring_node p <> u then begin
+        let next = c.table.First_hop.t_next.{entry c u p} in
         if next <> u && not (List.exists (fun (v, _) -> v = next) !acc) then
           acc := (next, { h with level = j }) :: !acc
       end

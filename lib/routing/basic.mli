@@ -18,7 +18,9 @@
 type t
 
 val build : Ron_graph.Sp_metric.t -> delta:float -> t
-(** [delta] in (0, 1/4] as in the theorem. Deterministic. *)
+(** [delta] in (0, 1/4] as in the theorem. Deterministic. Raises
+    [Invalid_argument] naming the node and the size of a ring, or of a
+    first-hop row, of more than 65,535 members. *)
 
 type header
 
@@ -84,14 +86,19 @@ val substrate : t -> Ron_metric.Indexed.t
 (** {2 Columns}
 
     The scheme's routing state, in the Basic snapshot's layout: the flat
-    structure ({!Structure.cols}), the first-hop table, and two constants.
-    The snapshot layer maps these columns to and from image sections; the
-    frozen server routes through {!target_level} and {!hop_entry}, the same
-    per-hop pieces the live step uses. *)
+    structure ({!Structure.cols}), the first-hop table, each ring
+    position's entry in that table, and two constants. The snapshot layer
+    maps these columns to and from image sections; the frozen server
+    routes through {!target_level} and {!hop_entry}, the same per-hop
+    pieces the live step uses. *)
 
 type cols = {
   st : Structure.cols;
   table : First_hop.t;  (** per node, an entry for every distinct ring member *)
+  ring_hop : Structure.u16s;
+      (** parallel to [st.ring_node]: the member's entry in its node's
+          first-hop row, as an offset from the row's start; 0 where the
+          member is the node itself (never read) *)
   max_hops : int;  (** the routing budget [route] uses *)
   header_bits : int;  (** the same for every destination *)
 }
@@ -101,16 +108,17 @@ val hop_budget : int -> int
 
 val target_level : cols -> Structure.cols -> int -> int array -> int -> int -> int
 (** [target_level c l row m u level]: Claim 2.4's choice at node [u], which
-    is not the target: decode the label in row [row] of [l] into [m] and
-    return the level whose intermediate target the packet chases — [level]
-    ([-1] when none is set yet), or [j_ut] when none is set or [u] is the
-    level-[level] target itself. Allocation-free; raises [Failure] if
+    is not the target, for the label in row [row] of [l]: the level whose
+    intermediate target the packet chases — [level] ([-1] when none is set
+    yet), or [j_ut] when none is set or [u] is the level-[level] target
+    itself. Decodes into [m] only [m_0 .. m_level] for a set level that is
+    not reached, else [m_0 .. m_jut]. Allocation-free; raises [Failure] if
     [level > j_ut]. *)
 
 val hop_entry : cols -> int -> int array -> int -> int
 (** [hop_entry c u m j]: [u]'s first-hop entry toward the level-[j]
-    intermediate target named by [m.(j)]. Raises [Failure] if that target
-    is [u] or has no entry. *)
+    intermediate target named by [m.(j)], read from [ring_hop]. Raises
+    [Failure] if that target is [u]. *)
 
 val export : t -> cols
 (** The scheme's columns, handed over without a copy. *)

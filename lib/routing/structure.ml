@@ -221,28 +221,31 @@ let build idx ~delta =
    inline, not as calls to the generic Bigarray accessor. *)
 let[@inline] ig (a : ints) i = A1.unsafe_get a i
 
-(* Claim 2.2's walk: m_(j+1) = zeta_uj(m_j, rest_j), stopping at the first
-   null. *)
-let rec walk (c : cols) u (l : cols) row (m : int array) sm1 j =
-  if j >= sm1 then j
+(* Claim 2.2's walk: m_(j+1) = zeta_uj(m_j, rest_j), from level [j] up to
+   level [top] or the first null, whichever comes first. *)
+let rec walk (c : cols) u (l : cols) row (m : int array) top j =
+  if j >= top then j
   else begin
     if !Probe.on then begin
       Probe.zoom_decode_step ();
       Probe.translation_lookup ()
     end;
     let p = ig c.ring_off ((u * c.scales) + j) + m.(j) in
-    let y = ig l.label_rest ((row * sm1) + j) in
+    let y = ig l.label_rest ((row * (c.scales - 1)) + j) in
     let z = Zeta.find c.z_y c.z_z y (ig c.z_run p) (ig c.z_run (p + 1)) in
     if z < 0 then j
     else begin
       m.(j + 1) <- z;
-      walk c u l row m sm1 (j + 1)
+      walk c u l row m top (j + 1)
     end
   end
 
-let decode (c : cols) u (l : cols) row m =
+let decode_to (c : cols) u (l : cols) row m top =
   m.(0) <- ig l.label_first row;
-  walk c u l row m (c.scales - 1) 0
+  walk c u l row m (min top (c.scales - 1)) 0
+
+let decode c u l row m = decode_to c u l row m (c.scales - 1)
+let resume (c : cols) u l row m j = walk c u l row m (c.scales - 1) j
 
 let member (c : cols) u j x = ig c.ring_node (ig c.ring_off ((u * c.scales) + j) + x)
 

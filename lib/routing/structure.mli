@@ -60,6 +60,15 @@ val decode : cols -> int -> cols -> int -> int array -> int
     translation lookup to the probes. The reads are unchecked: a label's
     first index must be below every node's ring-0 size ({!first_bound}). *)
 
+val decode_to : cols -> int -> cols -> int -> int array -> int -> int
+(** [decode_to c u l row m top]: {!decode} stopped at level [top]: writes
+    [m_0 .. m_min(top, j_ut)] and returns [min top j_ut]. A [top] past
+    [scales - 1] stops at [j_ut]. *)
+
+val resume : cols -> int -> cols -> int -> int array -> int -> int
+(** [resume c u l row m j]: continues a decode that stopped at level [j]
+    ([m.(0) .. m.(j)] written) to [j_ut], and returns [j_ut]. *)
+
 val member : cols -> int -> int -> int -> int
 (** [member c u j x]: the node at position [x] of ring [(u, j)]
     (unchecked). *)

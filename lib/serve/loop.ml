@@ -16,6 +16,7 @@ module Gauge = Ron_obs.Gauge
 module Telemetry = Ron_obs.Telemetry
 module Flight = Ron_obs.Flight
 module Slo = Ron_obs.Slo
+module Clock = Ron_obs.Clock
 
 type ints = Image.ints
 type floats = Image.floats
@@ -128,8 +129,8 @@ let run ?(batch = default_batch) ?jobs t work res =
 
 (* ----------------------------------------------------------- observed run *)
 
-(* The latency clock for observed serving. Wall mode reads gettimeofday
-   around each query (honest nanoseconds, not replayable); logical mode
+(* The latency clock for observed serving. Wall mode reads the monotonic
+   clock around each query (honest nanoseconds, not replayable); logical mode
    charges a deterministic per-query cost — 1 for a dist lookup, else
    [hops * 256 + min aux 255] — a pure function of the query's result, so
    observed latencies (hence flight dumps and SLO verdicts) are
@@ -145,13 +146,10 @@ let[@inline] logical_cost (sc : Server.scratch) kind =
 let observed_query t sc work res ~scheme ~wall ~flight ~lat_col i =
   let want_tr = match flight with Some f -> Flight.want_trace f i | None -> false in
   sc.Server.log_hops <- want_tr;
-  let t0 = if wall then Unix.gettimeofday () else 0.0 in
+  let t0 = if wall then Clock.now_ns () else 0 in
   run_query t sc work res i;
   let kind = ig work.w_kind i in
-  let lat =
-    if wall then int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
-    else logical_cost sc kind
-  in
+  let lat = if wall then Clock.now_ns () - t0 else logical_cost sc kind in
   (match flight with
   | Some f ->
     let outcome = if kind = 0 then sc.Server.r_outcome else 0 in
@@ -230,17 +228,17 @@ let digest res =
 
 (* -------------------------------------------------- latency measurement *)
 
-(* Sequential per-query latency pass (wall-clock per query, ns) into a
-   bounded-memory bucketed histogram. Separate from the throughput run:
-   two gettimeofday calls per query would tax qps. *)
+(* Sequential per-query latency pass (monotonic clock per query, ns) into
+   a bounded-memory bucketed histogram. Separate from the throughput run:
+   two clock reads per query would tax qps. *)
 let measure_latency ?(limit = max_int) t work res hist =
   let q = min limit work.wq in
   let sc = Server.scratch_for t in
   for i = 0 to q - 1 do
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     run_query t sc work res i;
-    let t1 = Unix.gettimeofday () in
-    Ron_obs.Histogram.Bucketed.observe hist ((t1 -. t0) *. 1e9)
+    let t1 = Clock.now_ns () in
+    Ron_obs.Histogram.Bucketed.observe hist (float_of_int (t1 - t0))
   done
 
 (* ------------------------------------------------------------- GC audit *)

@@ -169,7 +169,13 @@ type rule =
   | Offsets of string * expr
   | Range of expr * expr
   | Finite
-  | Segments of { groups : string; every : expr; rows : string; sizes : string; shift : int }
+  | Segments of {
+      groups : string option;
+      every : expr;
+      rows : string;
+      sizes : string;
+      shift : int;
+    }
 
 type column = { name : string; kind : kind; entries : string list; rules : rule list }
 type sec = I of ints | F of floats | U of u16s
@@ -253,9 +259,13 @@ let entry_at s i = match s with I a -> ig a i | U a -> A1.unsafe_get a i | F _ -
 
 (* The segment rule: group g's entries, [start g] to [start (g + 1)], lie
    below the size of segment [g + shift] of [sizes]; [start g] is the
-   start of row [groups.{g} * every]. The earlier phases have checked
-   [groups], [rows] and [sizes] as offsets. *)
-let start (groups : ints) every (rows : ints) g = ig rows (ig groups g * every)
+   start of row [groups.{g} * every], or of row [g * every] without
+   [groups]. The earlier phases have checked [groups], [rows] and [sizes]
+   as offsets. *)
+let start groups every (rows : ints) g =
+  match groups with
+  | Some (a : ints) -> ig rows (ig a g * every)
+  | None -> ig rows (g * every)
 
 let rec segment s groups every rows (sizes : ints) shift g count =
   if g >= count then None
@@ -288,11 +298,17 @@ let check e (c : column) rule =
     | -1 -> Ok ()
     | i -> fail "entry %d is %g, not finite and >= 0" i (fg a i))
   | Segments g, (I _ | U _) -> (
-    let groups = ints_in e g.groups and rows = ints_in e g.rows and sizes = ints_in e g.sizes in
+    let groups = Option.map (ints_in e) g.groups in
+    let rows = ints_in e g.rows and sizes = ints_in e g.sizes in
     let every = value e g.every and count = A1.dim sizes - 1 - g.shift in
-    let top = if count > 0 && count < A1.dim groups then ig groups count else 0 in
-    if count >= A1.dim groups || every < 0 || (every > 0 && top > (A1.dim rows - 1) / every) then
-      fail "rows of %d per %s entry run past %s" every g.groups g.rows
+    let past, top =
+      match groups with
+      | Some a -> (count >= A1.dim a, if count > 0 && count < A1.dim a then ig a count else 0)
+      | None -> (false, count)
+    in
+    if past || every < 0 || (every > 0 && top > (A1.dim rows - 1) / every) then
+      fail "rows of %d per %s entry run past %s" every
+        (Option.value g.groups ~default:"group") g.rows
     else
       match segment s groups every rows sizes g.shift 0 count with
       | None -> Ok ()
@@ -338,7 +354,8 @@ let table_of e =
 (* Once a Basic view is checked, [Structure.decode], [Structure.member]
    and the table reads are in bounds. Each z of zeta_uj, in the rows of
    ring r = (u, j), is a position in ring r + 1 (a node's last ring has no
-   rows), and each label's first index is in every ring 0. *)
+   rows), each label's first index is in every ring 0, and each of node
+   u's ring positions names an entry of u's first-hop row. *)
 let basic : Basic.cols decl =
   let st (c : Basic.cols) = c.st and scales = Meta "scales" in
   {
@@ -363,8 +380,14 @@ let basic : Basic.cols decl =
             [
               Length (Dim "z_y");
               Segments
-                { groups = "ring_off"; every = Const 1; rows = "z_run"; sizes = "ring_off";
+                { groups = Some "ring_off"; every = Const 1; rows = "z_run"; sizes = "ring_off";
                   shift = 1 };
+            ];
+          u16s "ring_hop" (fun (c : Basic.cols) -> c.ring_hop)
+            [
+              Length (Dim "ring_node");
+              Segments
+                { groups = None; every = scales; rows = "ring_off"; sizes = "t_off"; shift = 0 };
             ];
         ];
     make =
@@ -376,7 +399,7 @@ let basic : Basic.cols decl =
             z_run = i "z_run"; z_y = u "z_y"; z_z = u "z_z" }
         in
         let max_hops = int e "max_hops" and header_bits = int e "header_bits" in
-        { Basic.st; table = table_of e; max_hops; header_bits });
+        { Basic.st; table = table_of e; ring_hop = u "ring_hop"; max_hops; header_bits });
     meta_ok =
       (fun c ->
         let n = (st c).n and s = (st c).scales and budget = Basic.hop_budget (st c).n in
@@ -408,7 +431,8 @@ let dls_pack (dls : 'c -> Dls.cols) =
     u16s "z_z" (fun c -> (dls c).z_z)
       [
         Length (Dim "z_y");
-        Segments { groups = "d_off"; every = levels; rows = "z_run"; sizes = "d_off"; shift = 0 };
+        Segments
+          { groups = Some "d_off"; every = levels; rows = "z_run"; sizes = "d_off"; shift = 0 };
       ];
   ]
 

@@ -111,15 +111,22 @@ type expr =
     length, by at least [step] each; [Range]: entries in [\[lo, hi)];
     [Finite]: entries finite and [>= 0]; [Segments]: group g's entries,
     from row [groups.{g} * every] to row [groups.{g + 1} * every] of the
-    row starts [rows], lie below the size of segment [g + shift] of the
-    offsets [sizes], one group per segment past [shift]. *)
+    row starts [rows] (rows [g * every] to [(g + 1) * every] without
+    [groups]), lie below the size of segment [g + shift] of the offsets
+    [sizes], one group per segment past [shift]. *)
 type rule =
   | Length of expr
   | Product of expr * expr * int
   | Offsets of string * expr
   | Range of expr * expr
   | Finite
-  | Segments of { groups : string; every : expr; rows : string; sizes : string; shift : int }
+  | Segments of {
+      groups : string option;
+      every : expr;
+      rows : string;
+      sizes : string;
+      shift : int;
+    }
 
 (** [entries]: a meta section's named scalars, else [[]]. *)
 type column = { name : string; kind : kind; entries : string list; rules : rule list }

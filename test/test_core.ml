@@ -254,6 +254,57 @@ let test_zooming_on_grid_via_rings () =
     (fun j mj -> check_int (Printf.sprintf "element %d recovered" j) f.(j) (node u j mj))
     m
 
+(* ----------------------------------------------------------------- Zeta *)
+
+module Zeta = Ron_core.Zeta
+
+let u16s a = Bigarray.Array1.of_array Bigarray.int16_unsigned Bigarray.c_layout a
+
+(* [Zeta.find] against a plain binary search, on strictly increasing
+   16-bit rows of the lengths around its scan threshold (16), for y below,
+   between, equal to and above the entries. Each row sits between pads
+   whose y is the queried y and whose z is 0xffff, a value no row holds,
+   so a read outside [lo, hi) shows as a wrong answer. *)
+let prop_zeta_find =
+  let lengths = [| 0; 1; 15; 16; 17; 200 |] in
+  QCheck.Test.make ~name:"Zeta.find = binary search around the scan threshold" ~count:60
+    QCheck.(pair (int_bound (Array.length lengths - 1)) (int_range 0 1_000_000))
+    (fun (li, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let len = lengths.(li) in
+      (* Distinct sorted values, spaced so most neighbours leave a gap. *)
+      let ys = Array.make len 0 in
+      let y = ref (Random.State.int rng 4) in
+      for i = 0 to len - 1 do
+        ys.(i) <- !y;
+        y := !y + 1 + Random.State.int rng 300
+      done;
+      let zs = Array.init len (fun _ -> Random.State.int rng 0xffff) in
+      let rec search lo hi q =
+        if lo >= hi then -1
+        else
+          let mid = (lo + hi) / 2 in
+          if ys.(mid) = q then zs.(mid) else if ys.(mid) < q then search (mid + 1) hi q
+          else search lo mid q
+      in
+      let queries =
+        [ 0; 0xffff ]
+        @ List.concat_map (fun v -> [ v - 1; v; v + 1 ]) (Array.to_list ys)
+        @ List.init 20 (fun _ -> Random.State.int rng 0x10000)
+      in
+      List.for_all
+        (fun q ->
+          q < 0 || q > 0xffff
+          ||
+          let pad = 1 + Random.State.int rng 3 in
+          let zy = u16s (Array.concat [ Array.make pad q; ys; Array.make pad q ]) in
+          let zz = u16s (Array.concat [ Array.make pad 0xffff; zs; Array.make pad 0xffff ]) in
+          let got = Zeta.find zy zz q pad (pad + len) in
+          got = search 0 len q
+          || QCheck.Test.fail_reportf "row of %d, y %d: %d, expected %d" len q got
+               (search 0 len q))
+        queries)
+
 let () =
   Alcotest.run "ron_core"
     [
@@ -277,4 +328,5 @@ let () =
           Alcotest.test_case "bit cost" `Quick test_zooming_bits;
           Alcotest.test_case "grid integration" `Quick test_zooming_on_grid_via_rings;
         ] );
+      ("zeta", [ QCheck_alcotest.to_alcotest prop_zeta_find ]);
     ]

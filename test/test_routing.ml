@@ -384,6 +384,32 @@ let test_compactness_contrast () =
   let ft_table = (Full_table.table_bits ft).(0) in
   check_bool "labels are sub-table-sized" (b_label < ft_table)
 
+(* A packet chasing a level above j_ut breaks Claim 2.4(b), and the hop
+   says so, though it decodes only up to the chased level: for every
+   (u, t), u <> t, on the 20x20 grid (where the rings of the finer scales
+   differ by node, so j_ut is often below the last scale), [target_level]
+   at level j_ut + 1 raises. *)
+let test_basic_level_above_jut () =
+  let module St = Ron_routing.Structure in
+  let c = Basic.export (Basic.build (Sp_metric.create (Graph_gen.grid 20 20)) ~delta:0.25) in
+  let st = c.Basic.st in
+  let m = Array.make st.St.scales 0 in
+  let below_top = ref 0 and silent = ref 0 in
+  for u = 0 to st.St.n - 1 do
+    for t = 0 to st.St.n - 1 do
+      if u <> t then begin
+        let jut = St.decode st u st t m in
+        if jut < st.St.scales - 1 then incr below_top;
+        match Basic.target_level c st t m u (jut + 1) with
+        | _ -> incr silent
+        | exception Failure msg ->
+          if msg <> "Basic: Claim 2.4(b) violated (j > j_ut)" then incr silent
+      end
+    done
+  done;
+  check_int "pairs without the Claim 2.4(b) failure" 0 !silent;
+  check_bool "some j_ut below the last scale" (!below_top > 0)
+
 (* Building the scheme is not a query: it must not count as ring probes. *)
 let test_basic_build_reads_no_ring_probes () =
   let module Probe = Ron_obs.Probe in
@@ -689,6 +715,8 @@ let () =
           Alcotest.test_case "labels compact" `Quick test_basic_labels_compact;
           Alcotest.test_case "build reads no ring probes" `Quick
             test_basic_build_reads_no_ring_probes;
+          Alcotest.test_case "level above j_ut raises Claim 2.4(b)" `Quick
+            test_basic_level_above_jut;
         ] );
       ( "labelled-thm41",
         [

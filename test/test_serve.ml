@@ -128,6 +128,15 @@ let test_basic_image_matches_oracle () =
    scheme, so each mutation works on a copy. *)
 let basic_image = lazy (Server.image (Fixture.build ~scheme:"basic" ~n:64 ~seed:5))
 
+(* On the 8x8 grid every ring (u, j) is the whole net G_j; on a random
+   geometric graph ring sizes, and first-hop row lengths, differ by node,
+   so a column's rows moved between nodes break the segment rules. *)
+let basic_geometric_image =
+  lazy
+    (let g = Ron_graph.Graph_gen.random_geometric (Ron_util.Rng.create 5) ~n:64 ~radius:0.3 in
+     let s = Basic.build (Ron_graph.Sp_metric.create g) ~delta:0.25 in
+     Server.image (Server.freeze_basic_t (Basic.export s)))
+
 let copy_ints (a : Image.ints) =
   let b = Image.ints_create (A1.dim a) in
   A1.blit a b;
@@ -441,7 +450,15 @@ let landmark_mutations =
    pairs, and serve a short workload to its end, a scheme's [Failure]
    included. A missing rule shows as a walk out of bounds, which the
    served walk's unchecked reads would not report. *)
-let fixtures = [ basic_image; labelled_image; two_mode_image; meridian_image; landmark_image ]
+let fixtures =
+  [
+    ("basic", basic_image);
+    ("basic on a geometric graph", basic_geometric_image);
+    ("labelled", labelled_image);
+    ("two_mode", two_mode_image);
+    ("meridian", meridian_image);
+    ("landmark", landmark_image);
+  ]
 
 let rec mentions s = function
   | Server.Dim x -> x = s
@@ -454,7 +471,7 @@ let rule_mentions s = function
   | Server.Product (a, b, _) | Server.Range (a, b) -> mentions s a || mentions s b
   | Server.Offsets (t, e) -> t = s || mentions s e
   | Server.Finite -> false
-  | Server.Segments g -> g.groups = s || g.sizes = s || g.rows = s || mentions s g.every
+  | Server.Segments g -> g.groups = Some s || g.sizes = s || g.rows = s || mentions s g.every
 
 (* The sections whose rules can fail when [name] changes: itself and the
    columns whose rules read it; every section, for a meta section. *)
@@ -472,19 +489,22 @@ let dim_of img (c : Server.column) =
   | Server.Float -> A1.dim (fsec img c.name)
   | Server.U16 -> A1.dim (usec img c.name)
 
-(* The first entry of each non-empty group of a segment rule, with the
-   group's bound. *)
-let segment_firsts img = function
+(* The entries [start, stop) of each non-empty group of a segment rule,
+   with the group's bound. *)
+let segment_runs img = function
   | Server.Segments g ->
-    let groups = isec img g.groups and rows = isec img g.rows and sizes = isec img g.sizes in
+    let rows = isec img g.rows and sizes = isec img g.sizes in
+    let group k = match g.groups with Some s -> A1.get (isec img s) k | None -> k in
     let every = Server.eval img g.every in
-    let start k = A1.get rows (A1.get groups k * every) in
+    let start k = A1.get rows (group k * every) in
     List.filter_map
       (fun k ->
         let size = A1.get sizes (k + g.shift + 1) - A1.get sizes (k + g.shift) in
-        if start k < start (k + 1) then Some (start k, size) else None)
+        if start k < start (k + 1) then Some (start k, start (k + 1), size) else None)
       (List.init (A1.dim sizes - 1 - g.shift) Fun.id)
   | _ -> []
+
+let segment_firsts img r = List.map (fun (start, _, size) -> (start, size)) (segment_runs img r)
 
 (* Entry [i] of column [c] set to [v], or to [f] in a float section. *)
 let set_entry img (c : Server.column) i ?f v =
@@ -548,6 +568,86 @@ let swapped img a b =
   | Server.Float -> { img with Image.fsecs = swap img.Image.fsecs img.Image.fsecs }
   | Server.U16 -> { img with Image.usecs = swap img.Image.usecs img.Image.usecs }
 
+(* Column [name] rotated [k] places towards the front: entry [i] takes
+   entry [i + k]'s value, so each run of a segment rule holds entries
+   written for a later one. *)
+let shifted img name k =
+  edited img name
+    {
+      edit =
+        (fun a ->
+          let n = A1.dim a in
+          let b = A1.create (A1.kind a) Bigarray.c_layout n in
+          for i = 0 to n - 1 do
+            A1.set b i (A1.get a ((i + k) mod n))
+          done;
+          b);
+    }
+
+(* The runs [(s1, e1)] and [(s2, e2)] of column [name] exchanged over the
+   shorter one's length. *)
+let rows_swapped img name (s1, e1) (s2, e2) =
+  let len = min (e1 - s1) (e2 - s2) in
+  edited img name
+    {
+      edit =
+        (fun a ->
+          let b = A1.create (A1.kind a) Bigarray.c_layout (A1.dim a) in
+          A1.blit a b;
+          A1.blit (A1.sub a s2 len) (A1.sub b s1 len);
+          A1.blit (A1.sub a s1 len) (A1.sub b s2 len);
+          b);
+    }
+
+(* The columns with a segment rule, each with its non-empty groups'
+   runs. *)
+let segmented img =
+  List.concat_map
+    (fun (c : Server.column) ->
+      List.filter_map
+        (fun r ->
+          match segment_runs img r with
+          | [] -> None
+          | runs -> Some (c, List.map (fun (s, e, _) -> (s, e)) runs))
+        c.rules)
+    (List.filter (fun c -> dim_of img c > 1) (schema img))
+
+(* The first-hop position column against its rule, where rows differ by
+   node: an entry past its row, the column shifted, and the rows of the
+   nodes with the shortest and the longest first-hop rows swapped each
+   break it; so does z_y swapped with z_z, whose y entries index the
+   rings of other nodes. On the grid fixture that swap is served. *)
+let basic_geometric_mutations =
+  let basic () = Lazy.force basic_image and geo () = Lazy.force basic_geometric_image in
+  let node_runs img = List.concat_map (segment_runs img) (column img "ring_hop").rules in
+  (* The position runs of the nodes with the shortest and the longest
+     first-hop rows. *)
+  let extreme_rows img =
+    let by_size = List.sort (fun (_, _, a) (_, _, b) -> compare a b) (node_runs img) in
+    let s1, e1, _ = List.hd by_size and s2, e2, _ = List.hd (List.rev by_size) in
+    ((s1, e1), (s2, e2))
+  in
+  [
+    ( "z_y and z_z swapped, rings that differ by node",
+      fun () -> expect_rejected "z_z" (swapped (geo ()) "z_y" "z_z") );
+    ( "ring_hop entry past its first-hop row",
+      fun () ->
+        let img = basic () in
+        let start, _, size = List.hd (node_runs img) in
+        expect_rejected "ring_hop" (mutate_usec img "ring_hop" (fun a -> A1.set a start size)) );
+    ( "ring_hop shifted, the longest first-hop row's positions onto the shortest's",
+      fun () ->
+        let img = geo () in
+        let (s1, _), (s2, _) = extreme_rows img in
+        let n = A1.dim (usec img "ring_hop") in
+        expect_rejected "ring_hop" (shifted img "ring_hop" (((s2 - s1) + n) mod n)) );
+    ( "ring_hop rows of the shortest and the longest first-hop rows swapped",
+      fun () ->
+        let img = geo () in
+        let a, b = extreme_rows img in
+        expect_rejected "ring_hop" (rows_swapped img "ring_hop" a b) );
+  ]
+
 (* One to three random bits of column [c] flipped. *)
 let flipped rng img (c : Server.column) =
   let bit k = 1 lsl Random.State.int rng k in
@@ -578,7 +678,7 @@ let by_size rng img cols =
    name, and whether it breaks a rule, so must be refused. *)
 let mutant fixture kind seed =
   let rng = Random.State.make [| seed |] in
-  let img = Lazy.force (List.nth fixtures fixture) in
+  let img = Lazy.force (snd (List.nth fixtures fixture)) in
   let pick l = List.nth l (Random.State.int rng (List.length l)) in
   let nonempty = List.filter (fun c -> dim_of img c > 0) (schema img) in
   match kind with
@@ -601,6 +701,24 @@ let mutant fixture kind seed =
   | 4 ->
     let c = pick nonempty in
     ("flips: " ^ c.name, flipped rng img c, related img c.name, false)
+  | 6 -> (
+    match segmented img with
+    | [] -> ("intact", img, [], false)
+    | cols ->
+      let c, _ = pick cols in
+      let k = 1 + Random.State.int rng (dim_of img c - 1) in
+      (Printf.sprintf "shifted by %d: %s" k c.name, shifted img c.name k, related img c.name, false))
+  | 7 -> (
+    match segmented img with
+    | [] -> ("intact", img, [], false)
+    | cols ->
+      let c, runs = pick cols in
+      let a = pick runs and b = pick runs in
+      let what = Printf.sprintf "rows swapped: %s [%d, %d) and [%d, %d)" in
+      ( what c.name (fst a) (snd a) (fst b) (snd b),
+        rows_swapped img c.name a b,
+        related img c.name,
+        false ))
   | _ ->
     let c = by_size rng img nonempty in
     ("flips, by size: " ^ c.name, flipped rng img c, related img c.name, false)
@@ -622,6 +740,21 @@ let dls_cols img =
     z_z = usec img "z_z";
   }
 
+(* The table reads of the Thm 2.1 hop at node [u] toward each target a
+   decoded zooming prefix [m] names, checked: a ring position that does
+   not hold [u] must name an entry of u's first-hop row. *)
+let hop_reads img (c : Structure.cols) u m =
+  let hops = usec img "ring_hop" and t_off = isec img "t_off" in
+  let row = A1.get t_off (u + 1) - A1.get t_off u in
+  Array.iteri
+    (fun j x ->
+      let p = A1.get c.ring_off ((u * c.scales) + j) + x in
+      if A1.get c.ring_node p <> u && A1.get hops p >= row then
+        invalid_arg
+          (Printf.sprintf "ring_hop %d at position %d, outside node %d's first-hop row of %d"
+             (A1.get hops p) p u row))
+    m
+
 (* The checked copies of the two row walks on a served image: [Some read]
    names the first read the served walk would make outside the rows it
    may address. The Thm 2.1 walk runs for every (u, t) pair, since a
@@ -633,7 +766,7 @@ let walk_error ~seed t =
     match scheme_of img with
     | "basic" ->
       let c = basic_cols img in
-      ( (fun (u, v) -> ignore (Zeta_oracle.decode_rows c u (Zeta_oracle.label_of c v))),
+      ( (fun (u, v) -> hop_reads img c u (Zeta_oracle.decode_rows c u (Zeta_oracle.label_of c v))),
         List.init (n * n) (fun p -> (p / n, p mod n)) )
     | "labelled" | "two_mode" ->
       let c = dls_cols img in
@@ -652,13 +785,15 @@ let serves t =
 let prop_schema_fuzz =
   let print (f, k, seed) =
     let what, _, _, _ = mutant f k seed in
-    Printf.sprintf "%s %s" (List.nth Fixture.names f) what
+    Printf.sprintf "%s %s" (fst (List.nth fixtures f)) what
   in
-  QCheck.Test.make ~name:"mutants are refused by name or served to the end" ~count:500
-    (QCheck.make ~print QCheck.Gen.(triple (int_bound 4) (int_bound 5) (int_bound 1_000_000)))
+  QCheck.Test.make ~name:"mutants are refused by name or served to the end" ~count:800
+    (QCheck.make ~print
+       QCheck.Gen.(
+         triple (int_bound (List.length fixtures - 1)) (int_bound 7) (int_bound 1_000_000)))
     (fun (f, k, seed) ->
       let what, img, names, must = mutant f k seed in
-      let scheme = List.nth Fixture.names f in
+      let scheme = scheme_of img in
       let file = Filename.temp_file "ron_serve_fuzz" ".snap" in
       Image.save img file;
       let loaded = Server.load file in
@@ -755,18 +890,70 @@ let prop_matches_live ?(name = "") ?size ?(build = Fixture.build_live) scheme =
 (* Basic beyond the fixture's grids, where every node's rings look alike:
    random geometric graphs, and the exponential-line graph, which has the
    most scales. *)
-let basic_on graph ~scheme:_ ~n ~seed =
-  Fixture.L_basic (Basic.build (Ron_graph.Sp_metric.create (graph ~n ~seed)) ~delta:0.25)
+let basic_graphs =
+  let module Gen = Ron_graph.Graph_gen in
+  [
+    ( " on random geometric graphs",
+      (16, 100),
+      fun ~n ~seed -> Gen.random_geometric (Ron_util.Rng.create seed) ~n ~radius:0.3 );
+    (" on the exponential line", (8, 40), fun ~n ~seed:_ -> Gen.exponential_line_graph n);
+  ]
+
+let basic_of graph ~n ~seed = Basic.build (Ron_graph.Sp_metric.create (graph ~n ~seed)) ~delta:0.25
 
 let basic_families =
-  [
-    prop_matches_live "basic" ~name:" on random geometric graphs"
-      ~build:
-        (basic_on (fun ~n ~seed ->
-             Ron_graph.Graph_gen.random_geometric (Ron_util.Rng.create seed) ~n ~radius:0.3));
-    prop_matches_live "basic" ~name:" on the exponential line" ~size:(8, 40)
-      ~build:(basic_on (fun ~n ~seed:_ -> Ron_graph.Graph_gen.exponential_line_graph n));
-  ]
+  List.map
+    (fun (name, size, graph) ->
+      prop_matches_live "basic" ~name ~size ~build:(fun ~scheme:_ ~n ~seed ->
+          Fixture.L_basic (basic_of graph ~n ~seed)))
+    basic_graphs
+
+(* Every state (node, level) a Basic route visits on its way to [dst]:
+   [Some error] at the first whose level or table entry differs from the
+   hop oracle's, which decodes to j_ut and searches the first-hop row. *)
+let hop_mismatch (c : Basic.cols) ~src ~dst =
+  let m = Array.make c.st.Structure.scales 0 and m' = Array.make c.st.Structure.scales 0 in
+  let rec go node level hops =
+    if node = dst || hops > c.max_hops then None
+    else
+      let j = Basic.target_level c c.st dst m node level in
+      let j' = Hop_oracle.target_level c c.st dst m' node level in
+      let e = Basic.hop_entry c node m j and e' = Hop_oracle.hop_entry c node m' j' in
+      if j <> j' || e <> e' then
+        Some
+          (Printf.sprintf "%d -> %d at node %d, level %d: level %d entry %d, oracle %d and %d" src
+             dst node level j e j' e')
+      else go (A1.get c.table.Ron_routing.First_hop.t_next e) j (hops + 1)
+  in
+  go src (-1) 0
+
+(* The hop against its oracle on the basic families' graphs and on the
+   20x20 grid, where the rings of the finer scales differ by node: routes
+   between seeded random pairs, compared state by state. *)
+let grid20 =
+  lazy (Basic.build (Ron_graph.Sp_metric.create (Ron_graph.Graph_gen.grid 20 20)) ~delta:0.25)
+
+let prop_hop_matches_oracle =
+  let families = List.length basic_graphs in
+  QCheck.Test.make ~name:"Thm 2.1 hop = decode to j_ut and first-hop search" ~count:9
+    QCheck.(pair (int_bound families) (int_range 1 1000))
+    (fun (f, seed) ->
+      let s =
+        if f = families then Lazy.force grid20
+        else
+          let _, (lo, hi), graph = List.nth basic_graphs f in
+          basic_of graph ~n:(lo + (seed mod (hi - lo + 1))) ~seed
+      in
+      let c = Basic.export s and rng = Random.State.make [| seed |] in
+      let n = c.st.Structure.n in
+      let rec go k =
+        k = 0
+        ||
+        match hop_mismatch c ~src:(Random.State.int rng n) ~dst:(Random.State.int rng n) with
+        | None -> go (k - 1)
+        | Some e -> QCheck.Test.fail_report e
+      in
+      go 1000)
 
 (* Two_mode where M2 carries most routes: exponential clusters with a
    strict M1 threshold, so the frozen M2 resolution is compared hop for
@@ -1174,6 +1361,7 @@ let () =
          (List.map (fun s -> prop_matches_live s) Fixture.names @ basic_families
           @ two_mode_families)
        @ [ Alcotest.test_case "forced M2 switches" `Quick test_forced_m2_switches ]);
+      ("thm21 hop", [ QCheck_alcotest.to_alcotest prop_hop_matches_oracle ]);
       ("served guarantees",
        List.map QCheck_alcotest.to_alcotest
          [
@@ -1188,7 +1376,9 @@ let () =
        [ Alcotest.test_case "zeta sections match the join oracle" `Quick
            test_basic_image_matches_oracle ]);
       ("basic validation",
-       List.map (fun (name, f) -> Alcotest.test_case name `Quick f) basic_mutations);
+       List.map
+         (fun (name, f) -> Alcotest.test_case name `Quick f)
+         (basic_mutations @ basic_geometric_mutations));
       ("labelled validation",
        List.map (fun (name, f) -> Alcotest.test_case name `Quick f) labelled_mutations);
       ("two_mode validation",
