@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-json bench-diff scale-smoke trace-smoke fault-smoke churn-smoke profile-smoke telemetry-smoke serve-smoke slo-smoke clean
+.PHONY: all build test check bench bench-json bench-diff scale-smoke trace-smoke fault-smoke churn-smoke mer-smoke profile-smoke telemetry-smoke serve-smoke slo-smoke clean
 
 # Relative slowdown tolerated by bench-diff before a timing key fails
 # (0.5 = 50% slower); override per-run: make bench-diff RON_BENCH_DIFF_THRESHOLD=1.0
@@ -83,6 +83,16 @@ churn-smoke: build
 	  | tee /tmp/ron_churn_smoke_cli.txt
 	grep -q 'repair:' /tmp/ron_churn_smoke_cli.txt
 
+# Meridian smoke: the closest-node and multi-range experiment and the
+# fault sweep (whose last section runs Meridian's walk under faults), at
+# RON_JOBS=1 and 4 — the outputs must be byte-identical. churn-smoke
+# compares the third Meridian section, ring repair under churn. Outputs
+# land in /tmp for CI to archive.
+mer-smoke: build
+	RON_JOBS=1 dune exec bench/main.exe -- mer fault > /tmp/ron_mer_smoke_j1.txt
+	RON_JOBS=4 dune exec bench/main.exe -- mer fault > /tmp/ron_mer_smoke_j4.txt
+	cmp /tmp/ron_mer_smoke_j1.txt /tmp/ron_mer_smoke_j4.txt
+
 # Telemetry smoke: the n = 10^5 scale run with the runtime sampler on,
 # then validate the snapshot series (seq/ts monotone, typed sections) and
 # render the per-series report. The JSONL lands in /tmp for CI to archive.
@@ -142,6 +152,11 @@ serve-smoke: build
 	  if [ -z "$$warm" ] || [ "$$warm" != "$$cold" ]; then \
 	    echo "serve-smoke: $$1 warm/cold digests differ ($$warm vs $$cold)"; exit 1; \
 	  else echo "serve-smoke: $$1 warm/cold digests match ($$warm)"; fi; \
+	done; \
+	for kind in route dist; do \
+	  if ! grep -q "^latency kind=$$kind p50=" /tmp/ron_serve_smoke_labelled_warm.txt; then \
+	    echo "serve-smoke: labelled's mixed workload reports no $$kind latency line"; exit 1; \
+	  else echo "serve-smoke: labelled reports its $$kind latency"; fi; \
 	done; \
 	for snap in ron_serve_smoke ron_serve_smoke_labelled ron_serve_smoke_two_mode \
 	            ron_serve_smoke_meridian ron_serve_smoke_landmark; do \

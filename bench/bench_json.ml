@@ -300,11 +300,11 @@ let table_bits_per_node (live : Ron_serve.Fixture.live) =
    through a snapshot file, and serve a seeded Zipf-skewed mixed workload.
    Entries are keyed by scheme name (an Obj, not a List — five schemes
    would collide on bench_diff's "n" list matching). qps is the
-   higher-is-better throughput key; the digest and the two booleans are
-   the deterministic regression surface (byte-identical across job counts
-   and across the snapshot round-trip); minor_words_per_query is
-   machine-noise (bench_diff ignores it) but alloc_within_budget pins the
-   zero-allocation claim. *)
+   higher-is-better throughput key, over warm passes repeated for at least
+   0.2 s; the digest and the two booleans are the deterministic
+   regression surface (byte-identical across job counts and across the
+   snapshot round-trip); minor_words_per_query is machine-noise (bench_diff
+   ignores it) but alloc_within_budget pins the zero-allocation claim. *)
 let serve_scheme_entry ~scheme ~n ~queries =
   let module Server = Ron_serve.Server in
   let module Loop = Ron_serve.Loop in
@@ -331,9 +331,14 @@ let serve_scheme_entry ~scheme ~n ~queries =
   let d1 = Loop.digest res in
   Loop.run ~jobs:4 t work res;
   let d4 = Loop.digest res in
-  (* Warm throughput, at the ambient job count. *)
-  let t_warm = time_unit (fun () -> Loop.run t work res) in
-  let qps = float_of_int queries /. Float.max t_warm 1e-9 in
+  (* Warm throughput, at the ambient job count: passes repeat until 0.2 s
+     have passed, so a pass of a few ms is not the whole sample. *)
+  let passes = ref 0 and t_warm = ref 0.0 in
+  while !t_warm < 0.2 do
+    t_warm := !t_warm +. time_unit (fun () -> Loop.run t work res);
+    incr passes
+  done;
+  let qps = float_of_int (!passes * queries) /. Float.max !t_warm 1e-9 in
   let hist =
     Ron_obs.Histogram.Bucketed.make (Printf.sprintf "serve.latency_ns.%s" scheme)
   in

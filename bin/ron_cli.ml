@@ -931,10 +931,30 @@ let run_serve trace metrics profile telemetry telemetry_interval expo jobs schem
     let qps = float_of_int queries /. Float.max dt 1e-9 in
     Printf.printf "queries=%d batch=%d elapsed=%.3fs qps=%.0f digest=%x\n" queries batch dt qps
       (Loop.digest res);
-    let hist = Ron_obs.Histogram.Bucketed.make "serve.latency_ns" in
-    Loop.measure_latency ~limit:(min queries 20_000) t work res hist;
-    let q p = Ron_obs.Histogram.Bucketed.quantile hist p in
-    Printf.printf "latency p50=%.0fns p99=%.0fns p999=%.0fns\n" (q 0.5) (q 0.99) (q 0.999);
+    (* A mix of kinds whose latencies differ many-fold has a median that
+       falls between them, so such a mix also reports each kind's. *)
+    let module Bucketed = Ron_obs.Histogram.Bucketed in
+    let limit = min queries 20_000 and kinds = [| "route"; "dist"; "locate" |] in
+    let served = Array.make (Array.length kinds) false in
+    for i = 0 to limit - 1 do
+      served.(Loop.kind_of work i) <- true
+    done;
+    let mixed = List.length (List.filter Fun.id (Array.to_list served)) > 1 in
+    let by_kind =
+      Array.mapi
+        (fun k name ->
+          if mixed && served.(k) then Some (Bucketed.make ("serve.latency_ns." ^ name)) else None)
+        kinds
+    in
+    let hist = Bucketed.make "serve.latency_ns" in
+    Loop.measure_latency ~limit ~by_kind t work res hist;
+    let line label h =
+      let q p = Bucketed.quantile h p in
+      Printf.printf "latency%s p50=%.0fns p99=%.0fns p999=%.0fns\n" label (q 0.5) (q 0.99)
+        (q 0.999)
+    in
+    line "" hist;
+    Array.iteri (fun k h -> Option.iter (line (" kind=" ^ kinds.(k))) h) by_kind;
     (match flight_rec with
     | Some fr ->
       let ex = Ron_obs.Flight.exemplar_count fr in

@@ -229,16 +229,20 @@ let digest res =
 (* -------------------------------------------------- latency measurement *)
 
 (* Sequential per-query latency pass (monotonic clock per query, ns) into
-   a bounded-memory bucketed histogram. Separate from the throughput run:
-   two clock reads per query would tax qps. *)
-let measure_latency ?(limit = max_int) t work res hist =
+   a bounded-memory bucketed histogram, and into its kind's histogram of
+   [by_kind] where there is one. Separate from the throughput run: two
+   clock reads per query would tax qps. *)
+let measure_latency ?(limit = max_int) ?(by_kind = [||]) t work res hist =
   let q = min limit work.wq in
   let sc = Server.scratch_for t in
   for i = 0 to q - 1 do
     let t0 = Clock.now_ns () in
     run_query t sc work res i;
-    let t1 = Clock.now_ns () in
-    Ron_obs.Histogram.Bucketed.observe hist (float_of_int (t1 - t0))
+    let ns = float_of_int (Clock.now_ns () - t0) in
+    Ron_obs.Histogram.Bucketed.observe hist ns;
+    let k = kind_of work i in
+    if k < Array.length by_kind then
+      Option.iter (fun h -> Ron_obs.Histogram.Bucketed.observe h ns) by_kind.(k)
   done
 
 (* ------------------------------------------------------------- GC audit *)

@@ -88,13 +88,15 @@ val digest : results -> int
 
 val measure_latency :
   ?limit:int ->
+  ?by_kind:Ron_obs.Histogram.Bucketed.t option array ->
   Server.t ->
   workload ->
   results ->
   Ron_obs.Histogram.Bucketed.t ->
   unit
 (** Sequential pass observing per-query wall-clock latency (ns) for the
-    first [limit] queries. *)
+    first [limit] queries; a query of effective kind [k] is also observed
+    into [by_kind.(k)] when that slot holds a histogram. *)
 
 val minor_words_per_query : Server.t -> workload -> results -> float
 (** Steady-state minor-heap allocation per query, in words: one warm

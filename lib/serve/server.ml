@@ -6,12 +6,11 @@
    sections back — zero-copy — and checks them against the declaration
    first, so that the unchecked reads of its query path stay in bounds.
    Queries run the schemes' own code on the mapped columns: the estimators
-   ([Dls.scan], [Landmark.bounds]) and the Basic, Labelled and Two_mode
-   hops ([Basic.target_level]/[Basic.hop_entry], [Labelled.hop],
+   ([Dls.scan], [Landmark.bounds]), Meridian's walk ([Meridian.locate])
+   and the Basic, Labelled and Two_mode hops
+   ([Basic.target_level]/[Basic.hop_entry], [Labelled.hop],
    [Two_mode.hop]), driven by one copy of [Scheme.simulate]'s Brent loop,
-   so frozen results are byte-identical to the live scheme's. Meridian's
-   locate is the one query replayed here ([mer_go] follows
-   [Meridian.closest]).
+   so frozen results are byte-identical to the live scheme's.
 
    The hot path allocates nothing in steady state. The discipline, for the
    non-flambda middle end: every loop is a top-level tail-recursive
@@ -30,6 +29,7 @@ module Labelled = Ron_routing.Labelled
 module Two_mode = Ron_routing.Two_mode
 module Dls = Ron_labeling.Dls
 module Landmark = Ron_labeling.Landmark
+module Meridian = Ron_smallworld.Meridian
 
 type ints = Image.ints
 type floats = Image.floats
@@ -52,14 +52,15 @@ let code_cycled = 3
 
    fbuf slots: 0 meridian d; 1 meridian best_d; 2 route length; 3 lo;
    4 hi; 5 the route hop's link cost. The DLS decoder keeps its own state
-   and results in [dls]. *)
+   and results in [dls], Meridian's walk its results in [mer]. *)
 type scratch = {
   mutable m : int array; (* decoded zooming sequence (Basic) *)
   dls : Dls.scratch;
   memo : Labelled.memo; (* Labelled per-route estimates *)
   regs : Two_mode.regs; (* Two_mode's hop output *)
+  mer : Meridian.regs; (* Meridian's walk output; its trail is [hop_log] *)
   fbuf : float array;
-  mutable sel_w : int; (* Meridian's best member; the route hop's next state *)
+  mutable sel_w : int; (* the route hop's next state *)
   mutable r_outcome : int;
   mutable r_hops : int;
   mutable r_next : int; (* found member (locate); the route hop's next node *)
@@ -77,38 +78,31 @@ type scratch = {
 
 let scratch_key : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
+      let hop_log = Array.make 64 0 in
       {
         m = [||];
         dls = Dls.new_scratch ();
         memo = Labelled.memo ();
         regs = { Two_mode.next = 0; mode = 0 };
+        mer = Meridian.regs ~trail:hop_log ();
         fbuf = Array.make 6 0.0;
         sel_w = -1;
         r_outcome = 0;
         r_hops = 0;
         r_next = 0;
         r_aux = 0;
-        hop_log = Array.make 64 0;
+        hop_log;
         hop_len = 0;
         log_hops = false;
       })
 
 (* ---------------------------------------------------------- frozen views *)
 
-type fmer = {
-  mn : int;
-  mscales : int;
-  mmembers : ints;
-  mr_off : ints; (* n * scales + 1 *)
-  mr_node : ints;
-  mdmat : floats; (* n * n *)
-}
-
 type view =
   | Basic of Basic.cols
   | Labelled of Labelled.cols
   | Two_mode of Two_mode.cols
-  | Meridian of fmer
+  | Meridian of Meridian.cols
   | Landmark of Landmark.cols
 
 type t = { img : Image.t; view : view }
@@ -124,11 +118,11 @@ let size t =
   | Basic b -> b.Basic.st.Structure.n
   | Labelled l -> l.Labelled.n
   | Two_mode m -> m.Two_mode.n
-  | Meridian m -> m.mn
+  | Meridian m -> m.Meridian.n
   | Landmark g -> g.Landmark.n
 
 (* Source population for workloads: Meridian walks must start at members. *)
-let sources t = match t.view with Meridian m -> Some m.mmembers | _ -> None
+let sources t = match t.view with Meridian m -> Some m.Meridian.members | _ -> None
 
 (* Warm the per-domain scratch to this server's bounds (call once per
    domain before the audited loop so steady-state queries never grow it). *)
@@ -523,31 +517,39 @@ let two_mode : Two_mode.cols decl =
     wrap = (fun c -> Two_mode c);
   }
 
-(* Once checked, [mer_locate] reads in bounds: members and ring entries are
-   nodes, each node's per-scale ring offsets rise to the ring column's end,
-   and the distance matrix is n x n. *)
-let meridian : fmer decl =
+(* Once checked, [Meridian.locate] reads in bounds: members and ring
+   slots are nodes, every (node, scale) has a fill of at most ring_size
+   and ring_size slots, and the distance matrix is n x n. *)
+let meridian : Meridian.cols decl =
+  let ring_size = Meta "ring_size" in
   {
     scheme = "meridian";
     tag = 4;
     columns =
       [
-        meta "meta" [ "n"; "scales" ] (fun m -> [| m.mn; m.mscales |]);
-        ints "mmembers" (fun m -> m.mmembers) [ node_id ];
-        ints "mr_off" (fun m -> m.mr_off) [ Product (nodes, Meta "scales", 1); offsets "mr_node" ];
-        ints "mr_node" (fun m -> m.mr_node) [ node_id ];
-        floats "mdmat" (fun m -> m.mdmat) [ Product (nodes, nodes, 0); Finite ];
+        meta "meta" [ "n"; "scales"; "ring_size" ] (fun (c : Meridian.cols) ->
+            [| c.n; c.scales; c.ring_size |]);
+        ints "mmembers" (fun c -> c.Meridian.members) [ node_id ];
+        u16s "mr_fill" (fun c -> c.Meridian.fill)
+          [ Product (nodes, Meta "scales", 0); Range (zero, Plus (ring_size, 1)) ];
+        u16s "mr_node" (fun c -> c.Meridian.node)
+          [ Product (Dim "mr_fill", ring_size, 0); node_id ];
+        floats "mdmat" (fun c -> c.Meridian.dmat) [ Product (nodes, nodes, 0); Finite ];
       ];
     make =
       (fun e ->
-        let i = ints_in e in
-        { mn = int e "n"; mscales = int e "scales"; mmembers = i "mmembers"; mr_off = i "mr_off";
-          mr_node = i "mr_node"; mdmat = floats_in e "mdmat" });
+        let u = u16s_in e in
+        { Meridian.n = int e "n"; scales = int e "scales"; ring_size = int e "ring_size";
+          members = ints_in e "mmembers"; fill = u "mr_fill"; node = u "mr_node";
+          dmat = floats_in e "mdmat" });
     meta_ok =
-      (fun m ->
-        let* () = require "meta" (m.mn >= 1 && m.mscales >= 1) "n %d, scales %d" m.mn m.mscales in
-        require "mmembers" (A1.dim m.mmembers >= 1) "no member to start from");
-    wrap = (fun m -> Meridian m);
+      (fun c ->
+        let* () =
+          require "meta" (c.n >= 1 && c.scales >= 1 && c.ring_size >= 1)
+            "n %d, scales %d, ring_size %d" c.n c.scales c.ring_size
+        in
+        require "mmembers" (A1.dim c.members >= 1) "no member to start from");
+    wrap = (fun c -> Meridian c);
   }
 
 (* Once checked, [Landmark.bounds] reads in bounds: beacons are nodes, [col]
@@ -599,21 +601,8 @@ let freeze d c =
 let freeze_basic_t c = freeze basic c
 let freeze_labelled_t c = freeze labelled c
 let freeze_two_mode_t c = freeze two_mode c
+let freeze_meridian_t c = freeze meridian c
 let freeze_landmark_t c = freeze landmark c
-
-(* Meridian's rings are flattened into one CSR over (node, scale). *)
-let freeze_meridian_t (e : Ron_smallworld.Meridian.export) =
-  let n = e.x_n and scales = e.x_scales in
-  let segs = Array.make (n * scales) [||] in
-  Array.iteri (fun u rs -> Array.iteri (fun i r -> segs.((u * scales) + i) <- r) rs) e.x_rings;
-  let off = Array.make ((n * scales) + 1) 0 in
-  Array.iteri (fun r a -> off.(r + 1) <- off.(r) + Array.length a) segs;
-  let mr_node = Image.ints_create off.(n * scales) in
-  Array.iteri (fun r a -> Array.iteri (fun k v -> A1.unsafe_set mr_node (off.(r) + k) v) a) segs;
-  let ints = Image.ints_of_array in
-  freeze meridian
-    { mn = n; mscales = scales; mmembers = ints e.x_members; mr_off = ints off; mr_node;
-      mdmat = Image.floats_of_array e.x_dist }
 
 (* Each section takes the name of the column at its place among the
    sections of its kind (the counts are checked). *)
@@ -759,60 +748,6 @@ let dls_estimate d sc ~src ~dst =
     sc.fbuf.(4) <- e
   end
 
-(* -------------------------------------------------------- Meridian locate *)
-
-(* Poll one ring of [u], folding the lex-min (distance-to-target, id) into
-   (sel_w, fbuf.(1)) and counting each measurement in r_aux. *)
-let rec mer_poll fm sc ~target e e1 =
-  if e < e1 then begin
-    let v = ig fm.mr_node e in
-    sc.r_aux <- sc.r_aux + 1;
-    let dv = fg fm.mdmat ((v * fm.mn) + target) in
-    if dv < sc.fbuf.(1) || (dv = sc.fbuf.(1) && v < sc.sel_w) then begin
-      sc.sel_w <- v;
-      sc.fbuf.(1) <- dv
-    end;
-    mer_poll fm sc ~target (e + 1) e1
-  end
-
-let rec mer_rings fm sc ~target u i top =
-  if i <= top then begin
-    mer_poll fm sc ~target
-      (ig fm.mr_off ((u * fm.mscales) + i))
-      (ig fm.mr_off ((u * fm.mscales) + i + 1));
-    mer_rings fm sc ~target u (i + 1) top
-  end
-
-(* [Meridian.closest] without faults: poll rings at scales up to ~2d
-   (the scale cap is [Bits.flog2] inlined), advance on strict progress.
-   fbuf.(0) carries d across hops. *)
-let rec mer_go fm sc ~target u hops =
-  let d = sc.fbuf.(0) in
-  let limit =
-    if 2.0 *. d <= 1.0 then 0
-    else min (fm.mscales - 1) (int_of_float (Float.ceil (log (2.0 *. d) /. log 2.0)))
-  in
-  sc.sel_w <- u;
-  sc.fbuf.(1) <- d;
-  mer_rings fm sc ~target u 0 (min limit (fm.mscales - 1));
-  let best = sc.sel_w in
-  let bd = sc.fbuf.(1) in
-  if best <> u && (bd <= d /. 2.0 || bd < d) then begin
-    sc.fbuf.(0) <- bd;
-    log_hop sc best;
-    mer_go fm sc ~target best (hops + 1)
-  end
-  else begin
-    sc.r_outcome <- 0;
-    sc.r_hops <- hops;
-    sc.r_next <- u
-  end
-
-let mer_locate fm sc ~start ~target =
-  sc.r_aux <- 1 (* the initial self-measurement *);
-  sc.fbuf.(0) <- fg fm.mdmat ((start * fm.mn) + target);
-  mer_go fm sc ~target start 0
-
 (* ----------------------------------------------------------- dispatching *)
 
 (* Query kinds (workload side): 0 route, 1 dist, 2 locate. Each scheme
@@ -850,5 +785,12 @@ let query t sc ~kind ~src ~dst =
   | Two_mode m ->
     if kind = 1 then dls_estimate m.Two_mode.dls sc ~src ~dst
     else route t.view sc ~src ~dst ~header_bits:m.header_bits ~max_hops:m.max_hops 0
-  | Meridian m -> mer_locate m sc ~start:src ~target:dst
+  | Meridian c ->
+    let r = sc.mer in
+    r.tracing <- sc.log_hops;
+    Meridian.locate c Ron_fault.Fault.none ~query:0 r sc.fbuf ~start:src ~target:dst;
+    sc.r_next <- r.found;
+    sc.r_hops <- r.hops;
+    sc.r_aux <- r.measurements;
+    if sc.log_hops then sc.hop_len <- r.trail_len
   | Landmark g -> Landmark.bounds g sc.fbuf ~at:3 src dst

@@ -3,13 +3,12 @@
     A constructed scheme's columns are mapped to the sections of an
     {!Image.t} (Bigarray sections, int-indexed, string-free) and served
     from the same columns mapped back. Queries run the schemes' own code
-    on them: the estimators, and the Basic, Labelled and Two_mode hops
-    inside one copy of [Scheme.simulate]'s Brent cycle detection; only
-    Meridian's locate is replayed here — frozen results are
-    byte-identical to the live scheme's. The hot path is zero-allocation
-    in steady state: all per-query mutable state lives in a preallocated
-    per-domain {!scratch}, results land in its registers, and no hot
-    function passes or returns a float. *)
+    on them: the estimators, Meridian's walk, and the Basic, Labelled and
+    Two_mode hops inside one copy of [Scheme.simulate]'s Brent cycle
+    detection — frozen results are byte-identical to the live scheme's.
+    The hot path is zero-allocation in steady state: all per-query mutable
+    state lives in a preallocated per-domain {!scratch}, results land in
+    its registers, and no hot function passes or returns a float. *)
 
 type ints = Image.ints
 type floats = Image.floats
@@ -19,13 +18,14 @@ type floats = Image.floats
 (** Per-domain query state. Query results are read from the [r_*]
     registers and [fbuf] slots documented at {!query}; the remaining
     fields — [dls] (the DLS decoder's own scratch), [memo] (Labelled's
-    per-route estimates) and [regs] (Two_mode's hop output) included — are
-    internal working storage. *)
+    per-route estimates), [regs] (Two_mode's hop output) and [mer]
+    (Meridian's walk output) included — are internal working storage. *)
 type scratch = {
   mutable m : int array;
   dls : Ron_labeling.Dls.scratch;
   memo : Ron_routing.Labelled.memo;
   regs : Ron_routing.Two_mode.regs;
+  mer : Ron_smallworld.Meridian.regs;
   fbuf : float array;
   mutable sel_w : int;
   mutable r_outcome : int;
@@ -50,12 +50,11 @@ type t
 val freeze_basic_t : Ron_routing.Basic.cols -> t
 val freeze_labelled_t : Ron_routing.Labelled.cols -> t
 val freeze_two_mode_t : Ron_routing.Two_mode.cols -> t
-val freeze_meridian_t : Ron_smallworld.Meridian.export -> t
+val freeze_meridian_t : Ron_smallworld.Meridian.cols -> t
 val freeze_landmark_t : Ron_labeling.Landmark.cols -> t
 (** A server over the columns a scheme just built, adopted without a copy
-    (Meridian's rings are flattened first) and not checked: each builder
-    writes its columns consistent by construction. {!image} gives the
-    image to save. *)
+    and not checked: each builder writes its columns consistent by
+    construction. {!image} gives the image to save. *)
 
 val of_image : Image.t -> (t, string) result
 (** Wrap an image's sections — zero-copy — into a server. This is the

@@ -22,25 +22,68 @@
     a joining node fills its rings from its own measurements and inserts
     itself into other members' rings by reservoir sampling). *)
 
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type u16s = Ron_core.Zeta.u16s
+
+type cols = {
+  n : int;
+  scales : int;
+  ring_size : int;
+  members : ints;  (** ascending member ids *)
+  fill : u16s;  (** members of ring (u, i), at [u * scales + i] *)
+  node : u16s;  (** [ring_size] slots per ring, head first; empty slots hold 0 *)
+  dmat : floats;  (** the [n * n] distances the walk measures, row-major *)
+}
+(** The overlay in the meridian snapshot's layout: the live overlay
+    repairs these rows in place and the snapshot serves them. *)
+
 type t
 
 val build : Ron_metric.Indexed.t -> Ron_util.Rng.t -> ring_size:int -> members:int array -> t
 (** [build idx rng ~ring_size ~members]: an overlay over [members] (a
-    subset of the metric's nodes). The metric must be normalized. *)
+    subset of the metric's nodes). The metric must be normalized, and its
+    size and [ring_size] at most {!Ron_core.Zeta.max_members}. *)
 
 val members : t -> int array
 val is_member : t -> int -> bool
 
 val ring : t -> int -> int -> int array
-(** [ring t u i]: the scale-i ring of member [u]. *)
+(** [ring t u i]: the scale-i ring of member [u], head first. *)
 
 val out_degree : t -> int * float
+
+(** {2 The walk} *)
+
+type regs = {
+  mutable found : int;  (** the member the walk settled on *)
+  mutable hops : int;
+  mutable measurements : int;  (** target-distance probes issued *)
+  mutable best : int;
+  mutable attempts : int;
+  mutable clean : bool;
+  trail : int array;
+  mutable trail_len : int;
+  mutable tracing : bool;
+}
+(** A walk's results: [found], [hops], [measurements]; the rest is working
+    storage. While [tracing], each advance appends its node to [trail],
+    and [trail_len] counts on past the buffer. *)
+
+val regs : ?trail:int array -> unit -> regs
+
+val locate :
+  cols -> Ron_fault.Fault.t -> query:int -> regs -> float array -> start:int -> target:int -> unit
+(** [locate c fault ~query r fl ~start ~target]: the walk behind
+    {!closest}, {!within} and the served locate, from [start] toward
+    [target] (both below [c.n]), with two floats of working storage in
+    [fl]. Unchecked reads; no allocation while the probes and trace sinks
+    are off. [Fault.none] runs fault-free. *)
 
 type result = {
   found : int;  (** the member the search settled on *)
   hops : int;
   measurements : int;  (** target-distance probes issued *)
-  path : int list;
 }
 
 val closest : ?fault:Ron_fault.Fault.t * int -> t -> start:int -> target:int -> result
@@ -55,13 +98,13 @@ val closest : ?fault:Ron_fault.Fault.t * int -> t -> start:int -> target:int -> 
     invisible, and the walk advances to the best visible one instead: the
     rings are their own fallback, so the search degrades (possibly settling
     on a worse member) rather than failing. Raises [Invalid_argument] if
-    [start] itself is crashed. *)
+    [start] is not a member or is crashed, or [target] is not a node. *)
 
 val exact_closest : t -> int -> int
 (** Ground truth for tests: the member genuinely closest to a target. *)
 
 type range_result = {
-  matches : int array;  (** members found within the radius, sorted *)
+  matches : int array;  (** members found within the radius, ascending *)
   range_hops : int;  (** members whose rings were consulted *)
   range_measurements : int;
 }
@@ -86,9 +129,8 @@ val leave : t -> int -> unit
     [Invalid_argument] if it is not a member or is the last member. *)
 
 val copy : t -> t
-(** Deep copy of the overlay (membership and rings); the immutable metric
-    substrate is shared. Churn runs repair the copy, leaving the pristine
-    instance intact. *)
+(** Copy of the membership and rings, sharing the distances. Churn runs
+    repair the copy, leaving the pristine instance intact. *)
 
 val join_counted : t -> Ron_util.Rng.t -> int -> int
 (** {!join} that also returns the number of ring entries written (the
@@ -102,18 +144,8 @@ val leave_counted : t -> int -> int * int
     refilled). Incremental — per-event work is bounded by the departed
     node's ring presence; no ring is rebuilt from scratch. *)
 
-(** {2 Export}
+(** {2 Export} *)
 
-    Flat state extraction for the off-heap snapshot layer ([ron_serve]).
-    Ring arrays preserve each ring's live list order, which the closest-
-    member walk depends on for tie-breaking parity. *)
-
-type export = {
-  x_n : int;
-  x_scales : int;
-  x_members : int array;  (** ascending member ids *)
-  x_rings : int array array array;  (** per node, per scale, in ring order *)
-  x_dist : float array;  (** the [n * n] metric, row-major *)
-}
-
-val export : t -> export
+val export : t -> cols
+(** The overlay's columns, handed to the snapshot layer ([ron_serve])
+    without a copy; export a {!copy} to serve while the overlay churns. *)

@@ -186,6 +186,166 @@ let test_leave_validation () =
   Alcotest.check_raises "not a member" (Invalid_argument "Meridian.leave: not a member")
     (fun () -> Meridian.leave t 5)
 
+(* -------------------------------------------------------------- oracle *)
+
+(* The rows, the walk and the repairs against the list-based Meridian the
+   library first wrote ([Meridian_oracle]): same rings in the same order
+   after the build and after every join and leave, and the same answers
+   and charged counts from [closest] (fault-free and under faults) and
+   [within]. *)
+
+module Oracle = Meridian_oracle
+module Fault = Ron_fault.Fault
+module Counter = Ron_obs.Counter
+module Probe = Ron_obs.Probe
+module Ledger = Ron_obs.Ledger
+
+(* A random cloud or the clustered-latency metric, 16 to 70 points. *)
+let oracle_metric ~clustered ~size ~seed =
+  let rng = Rng.create seed in
+  Indexed.create
+    (if clustered then
+       Generators.clustered_latency rng ~clusters:(2 + (size mod 4)) ~per_cluster:(4 + (size / 6))
+         ~spread:30.0 ~access:6.0
+     else Generators.random_cloud rng ~n:size ~dim:2)
+
+let walk_counters =
+  [
+    Probe.meridian_probes; Probe.dist_evals; Probe.ring_probes; Probe.ring_members_scanned;
+    Probe.meridian_hops; Probe.fault_drops; Probe.fault_crashed_hits; Probe.fault_dead_links;
+  ]
+
+(* [f ()] with the probes on, charged to a fresh ledger entry: its result,
+   then the counters' deltas and the entry's counts. *)
+let charged f =
+  let before = List.map Counter.value walk_counters in
+  let was_on = !Probe.on in
+  Probe.on := true;
+  let r, (e : Ledger.entry) =
+    Fun.protect
+      ~finally:(fun () -> Probe.on := was_on)
+      (fun () -> Ledger.with_query ~kind:"meridian.oracle" ~id:0 f)
+  in
+  let deltas = List.map2 (fun c b -> Counter.value c - b) walk_counters before in
+  (r, deltas @ [ e.dist_evals; e.ball_queries; e.ring_lookups; e.ring_members; e.hops ])
+
+(* The first ring, or membership, that differs. *)
+let rows_differ idx t o =
+  let n = Indexed.size idx and scales = Indexed.log2_aspect_ratio idx + 1 in
+  let rec go u i =
+    if u >= n then None
+    else if i >= scales then go (u + 1) 0
+    else if Meridian.is_member t u <> o.Oracle.member.(u) then
+      Some (Printf.sprintf "membership of %d" u)
+    else if Meridian.ring t u i <> Oracle.ring o u i then Some (Printf.sprintf "ring (%d, %d)" u i)
+    else go u (i + 1)
+  in
+  go 0 0
+
+(* Seeded closest (fault-free, then under crash, drop and dead-link rates
+   up to 0.1) and within queries: the first that differs. *)
+let queries_differ rs idx t o =
+  let n = Indexed.size idx and members = Meridian.members t in
+  let pick () = members.(Random.State.int rs (Array.length members)) in
+  let rate () = Random.State.float rs 0.1 in
+  let rec go q =
+    if q >= 24 then None
+    else begin
+      let start = pick () and target = Random.State.int rs n in
+      let fault =
+        if q < 8 then None
+        else
+          Some
+            ( Fault.make ~seed:(Random.State.bits rs) ~crash_fraction:(rate ()) ~drop_rate:(rate ())
+                ~dead_link_fraction:(rate ()) ~n (),
+              q )
+      in
+      let radius = Indexed.dist idx (pick ()) target *. Random.State.float rs 1.5 in
+      let same_closest =
+        match fault with
+        | Some (f, _) when Fault.crashed f start -> true
+        | _ ->
+          let a, ca = charged (fun () -> Meridian.closest ?fault t ~start ~target) in
+          let b, cb = charged (fun () -> Oracle.closest ?fault o ~start ~target) in
+          (a.Meridian.found, a.hops, a.measurements, ca)
+          = (b.Oracle.found, b.hops, b.measurements, cb)
+      in
+      let a, ca = charged (fun () -> Meridian.within t ~start ~target ~radius) in
+      let b, cb = charged (fun () -> Oracle.within o ~start ~target ~radius) in
+      if not same_closest then Some (Printf.sprintf "closest %d -> %d (query %d)" start target q)
+      else if
+        (a.Meridian.matches, a.range_hops, a.range_measurements, ca)
+        <> (b.Oracle.matches, b.range_hops, b.range_measurements, cb)
+      then Some (Printf.sprintf "within %g of %d from %d" radius target start)
+      else go (q + 1)
+    end
+  in
+  go 0
+
+(* Seeded joins, leaves and counted leaves on both, the joins drawing from
+   one RNG stream each: the first step whose counts or rows differ. *)
+let repairs_differ rs ~seed idx t o =
+  let n = Indexed.size idx in
+  let rt = Rng.create seed and ro = Rng.create seed in
+  let rec go step =
+    if step >= 16 then None
+    else begin
+      let u = Random.State.int rs n in
+      let what, same =
+        if not (Meridian.is_member t u) then
+          if step mod 2 = 0 then begin
+            Meridian.join t rt u;
+            Oracle.join o ro u;
+            ("join", true)
+          end
+          else ("join_counted", Meridian.join_counted t rt u = Oracle.join_counted o ro u)
+        else if Array.length (Meridian.members t) <= 2 then ("none", true)
+        else if step mod 2 = 0 then begin
+          Meridian.leave t u;
+          Oracle.leave o u;
+          ("leave", true)
+        end
+        else ("leave_counted", Meridian.leave_counted t u = Oracle.leave_counted o u)
+      in
+      match (same, rows_differ idx t o) with
+      | false, _ -> Some (Printf.sprintf "step %d: %s %d counts" step what u)
+      | true, Some d -> Some (Printf.sprintf "step %d: %s %d, then %s" step what u d)
+      | true, None -> go (step + 1)
+    end
+  in
+  go 0
+
+let prop_matches_oracle =
+  let print (clustered, ring_size, size, seed) =
+    Printf.sprintf "%s, ring size %d, size %d, seed %d"
+      (if clustered then "clustered" else "cloud")
+      ring_size size seed
+  in
+  QCheck.Test.make ~name:"rows, walks and repairs equal the list oracle" ~count:40
+    (QCheck.make ~print
+       QCheck.Gen.(quad bool (int_range 2 16) (int_range 16 70) (int_range 1 1_000_000)))
+    (fun (clustered, ring_size, size, seed) ->
+      let idx = oracle_metric ~clustered ~size ~seed in
+      let n = Indexed.size idx in
+      let perm = Array.init n Fun.id in
+      Rng.shuffle (Rng.create seed) perm;
+      let members = Array.sub perm 0 (max 2 (3 * n / 4)) in
+      let t = Meridian.build idx (Rng.create (seed + 1)) ~ring_size ~members in
+      let o = Oracle.build idx (Rng.create (seed + 1)) ~ring_size ~members in
+      let pristine = Meridian.copy t in
+      let rs = Random.State.make [| seed |] in
+      let fail what = function
+        | None -> true
+        | Some d -> QCheck.Test.fail_reportf "%s: %s differs" what d
+      in
+      fail "build" (rows_differ idx t o)
+      && fail "queries after build" (queries_differ rs idx t o)
+      && fail "repairs" (repairs_differ rs ~seed idx t o)
+      && fail "queries after repairs" (queries_differ rs idx t o)
+      && fail "the copy taken before the repairs"
+           (rows_differ idx pristine
+              (Oracle.build idx (Rng.create (seed + 1)) ~ring_size ~members)))
+
 (* ------------------------------------------------------------ Labelled_m *)
 
 let test_labelled_m_all_pairs () =
@@ -248,6 +408,7 @@ let () =
           Alcotest.test_case "duplicate join" `Quick test_join_duplicate_rejected;
           Alcotest.test_case "leave validation" `Quick test_leave_validation;
         ] );
+      ("oracle", [ QCheck_alcotest.to_alcotest prop_matches_oracle ]);
       ( "labelled-m",
         [
           Alcotest.test_case "all pairs cloud" `Slow test_labelled_m_all_pairs;

@@ -391,25 +391,58 @@ let two_mode_mutations =
 let meridian_image = lazy (Server.image (Fixture.build ~scheme:"meridian" ~n:100 ~seed:5))
 let landmark_image = lazy (Server.image (Fixture.build ~scheme:"landmark" ~n:100 ~seed:5))
 
+(* The meridian image as the parent layout wrote it: a two-entry meta,
+   the rings as int offsets over (node, scale) and int ring entries, no
+   uint16 section. *)
+let meridian_parent_layout img =
+  let n = value img "n" and scales = value img "scales" and size = value img "ring_size" in
+  let fill = usec img "mr_fill" and slots = usec img "mr_node" in
+  let off = Array.make ((n * scales) + 1) 0 in
+  for r = 0 to (n * scales) - 1 do
+    off.(r + 1) <- off.(r) + A1.get fill r
+  done;
+  let entries =
+    Array.init off.(n * scales) (fun e ->
+        let r = ref 0 in
+        while off.(!r + 1) <= e do
+          incr r
+        done;
+        A1.get slots ((!r * size) + e - off.(!r)))
+  in
+  let ints = Image.ints_of_array in
+  { img with
+    Image.isecs = [| ints [| n; scales |]; isec img "mmembers"; ints off; ints entries |];
+    usecs = [||] }
+
 let meridian_mutations =
   let img = meridian_image in
   [
     ("intact image loads", intact "meridian" img);
-    ( "every ring entry 2^40, saved with valid checksums",
+    ( "every mr_node entry 65,535, saved with valid checksums",
       fun () ->
         expect_load_rejected "meridian" "mr_node"
-          (mutate_isec (Lazy.force img) "mr_node" (fun a -> A1.fill a big)) );
+          (mutate_usec (Lazy.force img) "mr_node" (fun a -> A1.fill a 0xffff)) );
+    ( "parent layout rejected",
+      fun () ->
+        match Server.of_image (meridian_parent_layout (Lazy.force img)) with
+        | Ok _ -> Alcotest.fail "parent meridian layout accepted"
+        | Error e ->
+          let counts = "expected 2 int / 1 float / 2 uint16 sections, got 4 / 1 / 0" in
+          check_bool e (contains e ("meridian image: " ^ counts)) );
   ]
   @ rejects "meridian" img
       [
         ("no scales", "meta", set_meta "scales" 0);
+        ("rings of no slots", "meta", set_meta "ring_size" 0);
         ("member not a node", "mmembers", fun img -> set_i "mmembers" 0 (value img "n") img);
         ( "no members", "mmembers",
           fun img -> edited img "mmembers" { edit = (fun s -> A1.sub s 0 0) } );
-        ("ring offsets not per (node, scale)", "mr_off", shortened "mr_off");
-        ("ring offsets past the ring column", "mr_off", fun img ->
-            set_i "mr_off" (last img "mr_off") big img);
-        ("ring entry not a node", "mr_node", set_i "mr_node" 0 (-1));
+        ("fill not per (node, scale)", "mr_fill", shortened "mr_fill");
+        ("fill above ring_size", "mr_fill", fun img ->
+            set_u "mr_fill" 0 (value img "ring_size" + 1) img);
+        ("slots not ring_size per fill", "mr_node", shortened "mr_node");
+        ("ring entry not a node", "mr_node", set_u "mr_node" 0 (-1));
+        ("slot holding n", "mr_node", fun img -> set_u "mr_node" 0 (value img "n") img);
         ("distances not n x n", "mdmat", shortened "mdmat");
         ("negative distance", "mdmat", set_f "mdmat" 1 (-1.0));
       ]
@@ -674,6 +707,17 @@ let by_size rng img cols =
   in
   go (Random.State.int rng (List.fold_left (fun a c -> a + dim_of img c) 0 cols)) cols
 
+(* Mutants aimed at Meridian's ring rows, each breaking a rule: a fill
+   above ring_size, a slot holding n, and mr_fill one entry short. *)
+let meridian_aimed rng img =
+  let at name = Random.State.int rng (A1.dim (usec img name)) in
+  [
+    ("fill above ring_size", set_u "mr_fill" (at "mr_fill") (value img "ring_size" + 1) img,
+     [ "mr_fill" ]);
+    ("slot holding n", set_u "mr_node" (at "mr_node") (value img "n") img, [ "mr_node" ]);
+    ("mr_fill one entry short", shortened "mr_fill" img, [ "mr_fill"; "mr_node" ]);
+  ]
+
 (* A mutant: its description, the image, the sections an [Error] may
    name, and whether it breaks a rule, so must be refused. *)
 let mutant fixture kind seed =
@@ -685,9 +729,12 @@ let mutant fixture kind seed =
   | 0 ->
     let what, m, names = pick (bound_mutants rng img) in
     ("bound: " ^ what, m, names, true)
-  | 1 ->
-    let what, m, names = pick (past_mutants img) in
-    ("offsets: " ^ what, m, names, true)
+  | 1 -> (
+    match past_mutants img with
+    | [] -> ("intact", img, [], false)
+    | mutants ->
+      let what, m, names = pick mutants in
+      ("offsets: " ^ what, m, names, true))
   | 2 ->
     let c = pick nonempty in
     ("shorter: " ^ c.name, shortened c.name img, related img c.name, false)
@@ -701,6 +748,9 @@ let mutant fixture kind seed =
   | 4 ->
     let c = pick nonempty in
     ("flips: " ^ c.name, flipped rng img c, related img c.name, false)
+  | 5 when scheme_of img = "meridian" ->
+    let what, m, names = pick (meridian_aimed rng img) in
+    ("aimed: " ^ what, m, names, true)
   | 6 -> (
     match segmented img with
     | [] -> ("intact", img, [], false)
@@ -755,13 +805,76 @@ let hop_reads img (c : Structure.cols) u m =
              (A1.get hops p) p u row))
     m
 
-(* The checked copies of the two row walks on a served image: [Some read]
+(* The meridian image's columns, by name. *)
+let meridian_cols img =
+  {
+    Ron_smallworld.Meridian.n = value img "n";
+    scales = value img "scales";
+    ring_size = value img "ring_size";
+    members = isec img "mmembers";
+    fill = usec img "mr_fill";
+    node = usec img "mr_node";
+    dmat = fsec img "mdmat";
+  }
+
+(* [Landmark.bounds] over a landmark image's columns, by the same reads,
+   checked: raises [Invalid_argument] naming the read where the served
+   sandwich's unchecked reads lose their footing. Returns (lo, hi). *)
+let landmark_checked img u v =
+  let at : type a b. string -> (a, b, Bigarray.c_layout) A1.t -> int -> a =
+   fun name a i ->
+    if i < 0 || i >= A1.dim a then
+      invalid_arg (Printf.sprintf "%s entry %d, past its %d" name i (A1.dim a));
+    A1.get a i
+  in
+  let n = value img "n" and k = value img "k" in
+  let row i w = at "rows" (fsec img "rows") ((i * n) + w) in
+  let nodes = isec img "ball_node" and off = isec img "ball_off" in
+  (* [Landmark.ball_idx]'s search of u's ball for v. *)
+  let rec ball s e =
+    if s >= e then -1
+    else
+      let mid = (s + e) / 2 in
+      let x = at "ball_node" nodes mid in
+      if x < v then ball (mid + 1) e else if x = v then mid else ball s mid
+  in
+  if u = v then (0.0, 0.0)
+  else
+    match ball (at "ball_off" off u) (at "ball_off" off (u + 1)) with
+    | b when b >= 0 ->
+      let d = at "ball_dist" (fsec img "ball_dist") b in
+      (d, d)
+    | _ -> (
+      let col = isec img "col" in
+      match (at "col" col v, lazy (at "col" col u)) with
+      | cv, _ when cv >= 0 -> (row cv u, row cv u)
+      | _, (lazy cu) when cu >= 0 -> (row cu v, row cu v)
+      | _ ->
+        let lo = ref 0.0 and hi = ref infinity in
+        for i = 0 to k - 1 do
+          let da = row i u and db = row i v in
+          if Float.abs (da -. db) > !lo then lo := Float.abs (da -. db);
+          if da +. db < !hi then hi := da +. db
+        done;
+        (!lo, !hi))
+
+(* The checked copies of the views' walks on a served image: [Some read]
    names the first read the served walk would make outside the rows it
-   may address. The Thm 2.1 walk runs for every (u, t) pair, since a
-   deep row is on the walks of only a few; the costlier Thm 3.4 walk runs
-   for a seeded sample of pairs. *)
+   may address, or the first answer of the served locate or sandwich that
+   differs from its checked copy's. The Thm 2.1 walk runs for every (u, t)
+   pair, since a deep row is on the walks of only a few; the others run
+   for a seeded sample of pairs (a meridian start picks a member). *)
 let walk_error ~seed t =
   let img = Server.image t and n = Server.size t and rng = Random.State.make [| seed |] in
+  let sample bound =
+    List.init 1000 (fun _ -> (Random.State.int rng bound, Random.State.int rng n))
+  in
+  let served ~kind u v =
+    let sc = Server.scratch_for t in
+    Server.query t sc ~kind ~src:u ~dst:v;
+    sc
+  in
+  let differs what u v = invalid_arg (Printf.sprintf "served %s %d -> %d differs" what u v) in
   let walk, pairs =
     match scheme_of img with
     | "basic" ->
@@ -770,9 +883,23 @@ let walk_error ~seed t =
         List.init (n * n) (fun p -> (p / n, p mod n)) )
     | "labelled" | "two_mode" ->
       let c = dls_cols img in
-      ( (fun (u, v) -> ignore (Dls_oracle.scan_rows c u v)),
-        List.init 1000 (fun _ -> (Random.State.int rng n, Random.State.int rng n)) )
-    | _ -> (ignore, [])
+      ((fun (u, v) -> ignore (Dls_oracle.scan_rows c u v)), sample n)
+    | "meridian" ->
+      let c = meridian_cols img and members = isec img "mmembers" in
+      ( (fun (i, v) ->
+          let start = A1.get members i in
+          let checked = Meridian_oracle.locate_checked c ~start ~target:v in
+          let sc = served ~kind:2 start v in
+          if checked <> (sc.Server.r_next, sc.Server.r_hops, sc.Server.r_aux) then
+            differs "locate" start v),
+        sample (A1.dim members) )
+    | _ ->
+      ( (fun (u, v) ->
+          let lo, hi = landmark_checked img u v in
+          let sc = served ~kind:1 u v in
+          if not (Float.equal lo sc.Server.fbuf.(3) && Float.equal hi sc.Server.fbuf.(4)) then
+            differs "bounds" u v),
+        sample n )
   in
   match List.iter walk pairs with () -> None | exception Invalid_argument read -> Some read
 
