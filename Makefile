@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-json bench-diff scale-smoke trace-smoke fault-smoke churn-smoke mer-smoke profile-smoke telemetry-smoke serve-smoke slo-smoke clean
+.PHONY: all build test check bench bench-json bench-diff scale-smoke trace-smoke fault-smoke churn-smoke mer-smoke tri-smoke profile-smoke telemetry-smoke serve-smoke slo-smoke clean
 
 # Relative slowdown tolerated by bench-diff before a timing key fails
 # (0.5 = 50% slower); override per-run: make bench-diff RON_BENCH_DIFF_THRESHOLD=1.0
@@ -92,6 +92,15 @@ mer-smoke: build
 	RON_JOBS=1 dune exec bench/main.exe -- mer fault > /tmp/ron_mer_smoke_j1.txt
 	RON_JOBS=4 dune exec bench/main.exe -- mer fault > /tmp/ron_mer_smoke_j4.txt
 	cmp /tmp/ron_mer_smoke_j1.txt /tmp/ron_mer_smoke_j4.txt
+
+# Triangulation smoke: Theorem 3.2's experiment (the beacon rows, their
+# merge-join estimate and the common-beacon baseline), Theorem 3.4's labels
+# built on the rows, and Figure 1, at RON_JOBS=1 and 4 — the outputs must
+# be byte-identical. Outputs land in /tmp for CI to archive.
+tri-smoke: build
+	RON_JOBS=1 dune exec bench/main.exe -- e32 e34 fig1 > /tmp/ron_tri_smoke_j1.txt
+	RON_JOBS=4 dune exec bench/main.exe -- e32 e34 fig1 > /tmp/ron_tri_smoke_j4.txt
+	cmp /tmp/ron_tri_smoke_j1.txt /tmp/ron_tri_smoke_j4.txt
 
 # Telemetry smoke: the n = 10^5 scale run with the runtime sampler on,
 # then validate the snapshot series (seq/ts monotone, typed sections) and

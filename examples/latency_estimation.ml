@@ -19,7 +19,7 @@ module Indexed = Ron_metric.Indexed
 module Generators = Ron_metric.Generators
 module Stats = Ron_util.Stats
 module Triangulation = Ron_labeling.Triangulation
-module Beacon = Ron_labeling.Beacon
+module Landmark = Ron_labeling.Landmark
 
 let () =
   let rng = Rng.create 7 in
@@ -57,10 +57,10 @@ let () =
   (* The baseline: same label budget spent on shared random beacons. *)
   List.iter
     (fun k ->
-      let b = Beacon.build idx (Rng.split rng) ~k in
+      let b = Landmark.of_metric idx (Rng.split rng) ~k in
       Printf.printf
         "common-beacon baseline, k=%3d: %.1f%% of pairs get NO (1+%.2f) guarantee\n" k
-        (100.0 *. Beacon.bad_fraction b ~delta:(2.0 *. delta))
+        (100.0 *. Landmark.bad_fraction b ~delta:(2.0 *. delta))
         (2.0 *. delta))
     [ 4; 16; 64 ];
   Printf.printf

@@ -4,7 +4,7 @@ module Indexed = Ron_metric.Indexed
 module Generators = Ron_metric.Generators
 module Metric = Ron_metric.Metric
 module Triangulation = Ron_labeling.Triangulation
-module Beacon = Ron_labeling.Beacon
+module Landmark = Ron_labeling.Landmark
 
 (* All-pairs quality of a triangulation. The per-source scans are
    independent (Triangulation.estimate is pure), so sources run in
@@ -72,11 +72,11 @@ let run () =
   let idx = Indexed.create (Metric.normalize (Generators.uniform_line 200)) in
   List.iter
     (fun k ->
-      let b = Beacon.build idx (Rng.split rng) ~k in
+      let b = Landmark.of_metric idx (Rng.split rng) ~k in
       C.row
         [
           C.cell ~w:14 "line200"; C.cell_int ~w:10 k;
-          C.cell ~w:22 (Printf.sprintf "%.2f%%" (100.0 *. Beacon.bad_fraction b ~delta:(2.0 *. delta)));
+          C.cell ~w:22 (Printf.sprintf "%.2f%%" (100.0 *. Landmark.bad_fraction b ~delta:(2.0 *. delta)));
         ])
     [ 2; 8; 32; 128 ];
   C.note "Theorem 3.2's rows above have 0 bad pairs by construction; the shared-";

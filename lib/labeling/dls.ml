@@ -69,7 +69,7 @@ let host_beacons t u =
   Array.init (ig t.cols.d_off (u + 1) - s) (fun k -> ig t.cols.hosts (s + k))
 
 (* Deduplicate a list of node ids into a sorted array. Node ids are < n, so
-   a per-domain mark array beats a fresh Hashtbl per call: the build calls
+   a per-domain mark array beats a fresh hash table per call: the build calls
    this O(n) times per pass, and the scratch makes each call allocate only
    its result. Marks are cleared by re-walking the output, so cost tracks
    the list length, not n. *)
@@ -223,9 +223,9 @@ let build ?(z_divisor = 64.0) tri =
   in
   refuse_large "virtual" virtuals;
   let max_virtual = Array.fold_left (fun acc a -> max acc (Array.length a)) 1 virtuals in
-  (* --- Host neighbor sets per scale and host enumerations phi_u: the
-     canonical scale-0 prefix, then u's other scale-set nodes in node
-     order. *)
+  (* --- Host neighbor sets per scale (the zeta join reads them) and host
+     enumerations phi_u: the canonical scale-0 prefix, then the rest of
+     u's beacon row, which holds u's scale-set nodes in node order. *)
   let scale_set u i =
     sorted_distinct n
       (List.concat
@@ -246,11 +246,8 @@ let build ?(z_divisor = 64.0) tri =
   Array.iteri (fun k v -> prefix_pos.(v) <- k) prefix;
   let phi =
     Pool.init n (fun u ->
-        let rest =
-          sorted_distinct n (List.concat_map Array.to_list (Array.to_list scale_sets.(u)))
-        in
-        let fresh = List.filter (fun v -> prefix_pos.(v) < 0) (Array.to_list rest) in
-        Array.append prefix (Array.of_list fresh))
+        let row = Array.to_seq (Triangulation.beacons tri u) in
+        Array.append prefix (Array.of_seq (Seq.filter (fun v -> prefix_pos.(v) < 0) row)))
   in
   refuse_large "host" phi;
   let max_host = Array.fold_left (fun acc e -> max acc (Array.length e)) 1 phi in

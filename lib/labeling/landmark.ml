@@ -7,6 +7,7 @@ module Profile = Ron_obs.Profile
 module Graph = Ron_graph.Graph
 module Dijkstra = Ron_graph.Dijkstra
 module Sp_metric = Ron_graph.Sp_metric
+module Indexed = Ron_metric.Indexed
 
 (* Near-linear distance labeling for the million-node regime: k seeded
    beacons with full SSSP rows (k single-source runs through the on-demand
@@ -54,37 +55,24 @@ let sort_ball nodes dists =
     dists.(!j + 1) <- dv
   done
 
-let build ?jobs sp rng ~k ~local_radius =
-  Profile.phase "construct.landmark" @@ fun () ->
-  let g = Sp_metric.graph sp in
-  let n = Graph.size g in
-  if k < 1 || k > n then invalid_arg "Landmark.build: k out of range";
-  if not (local_radius >= 0.0) then invalid_arg "Landmark.build: negative radius";
+(* [k] of the [n] nodes by seeded shuffle, sorted: the beacon draw of
+   both builders. *)
+let draw what rng ~n ~k =
+  if k < 1 || k > n then invalid_arg (what ^ ": k out of range");
   let perm = Array.init n Fun.id in
   Rng.shuffle rng perm;
   let beacons = Array.sub perm 0 k in
   Ron_util.Fsort.sort_ints beacons;
+  beacons
+
+(* The columns over [beacons], their rows ([rows.(i).(v)]: beacon [i] to
+   [v]) and one ball per node, sorted by node id: what both builders
+   share once each has its rows and balls. *)
+let assemble ~beacons ~rows ~balls ~local_radius =
+  let n = Array.length balls and k = Array.length beacons in
   let col = ints_create n in
   A1.fill col (-1);
   Array.iteri (fun i b -> col.{b} <- i) beacons;
-  let rows =
-    Profile.phase "beacon_rows" @@ fun () ->
-    Pool.init ?jobs k (fun i -> Sp_metric.distances_from sp beacons.(i))
-  in
-  let balls =
-    Profile.phase "local_balls" @@ fun () ->
-    Pool.init ?jobs n (fun u ->
-        let b = Dijkstra.run_bounded g u ~radius:local_radius in
-        let nodes = b.Dijkstra.nodes and dists = b.Dijkstra.dists in
-        sort_ball nodes dists;
-        if !Probe.on then Probe.ring_node ();
-        (* In-chunk ticks are no-ops (sampling is chunk-free); this fires
-           exactly once per build, via Pool.init's seed call for u = 0,
-           giving a snapshot at the start of the long ball phase. *)
-        if !Ron_obs.Telemetry.active then Ron_obs.Telemetry.tick ();
-        (nodes, dists))
-  in
-  Profile.phase "labels" @@ fun () ->
   let ball_off = ints_create (n + 1) in
   ball_off.{0} <- 0;
   for u = 0 to n - 1 do
@@ -127,6 +115,39 @@ let build ?jobs sp rng ~k ~local_radius =
     id_bits = Bits.index_bits n;
   }
 
+let build ?jobs sp rng ~k ~local_radius =
+  Profile.phase "construct.landmark" @@ fun () ->
+  let g = Sp_metric.graph sp in
+  let n = Graph.size g in
+  let beacons = draw "Landmark.build" rng ~n ~k in
+  if not (local_radius >= 0.0) then invalid_arg "Landmark.build: negative radius";
+  let rows =
+    Profile.phase "beacon_rows" @@ fun () ->
+    Pool.init ?jobs k (fun i -> Sp_metric.distances_from sp beacons.(i))
+  in
+  let balls =
+    Profile.phase "local_balls" @@ fun () ->
+    Pool.init ?jobs n (fun u ->
+        let b = Dijkstra.run_bounded g u ~radius:local_radius in
+        let nodes = b.Dijkstra.nodes and dists = b.Dijkstra.dists in
+        sort_ball nodes dists;
+        if !Probe.on then Probe.ring_node ();
+        (* In-chunk ticks are no-ops (sampling is chunk-free); this fires
+           exactly once per build, via Pool.init's seed call for u = 0,
+           giving a snapshot at the start of the long ball phase. *)
+        if !Ron_obs.Telemetry.active then Ron_obs.Telemetry.tick ();
+        (nodes, dists))
+  in
+  Profile.phase "labels" @@ fun () -> assemble ~beacons ~rows ~balls ~local_radius
+
+(* The [33, 50] baseline: row entry (b, v) is d(v, b), the argument order
+   of a per-pair fold over the metric, and each ball is its node alone. *)
+let of_metric idx rng ~k =
+  let n = Indexed.size idx in
+  let beacons = draw "Landmark.of_metric" rng ~n ~k in
+  let rows = Array.map (fun b -> Array.init n (fun v -> Indexed.dist idx v b)) beacons in
+  assemble ~beacons ~rows ~balls:(Array.init n (fun u -> ([| u |], [| 0.0 |]))) ~local_radius:0.0
+
 let order t = t.c.k
 let beacons t = Array.init t.c.k (fun i -> ig t.c.beacons i)
 let size t = t.c.n
@@ -158,12 +179,19 @@ let rec ball_idx (nodes : ints) s e v =
     else ball_idx nodes s mid v
   end
 
+(* One common beacon, at [da = a.{i}] from one endpoint and [db = b.{j}]
+   from the other, folded into lo = max |da - db| ([out.(at)]) and
+   hi = min da + db ([out.(at + 1)]). It takes positions, not floats, so a
+   call that is not inlined boxes nothing. *)
+let[@inline] sandwich_step (out : float array) at (a : floats) i (b : floats) j =
+  let da = fg a i and db = fg b j in
+  let diff = Float.abs (da -. db) in
+  if diff > out.(at) then out.(at) <- diff;
+  if da +. db < out.(at + 1) then out.(at + 1) <- da +. db
+
 let rec sandwich c (out : float array) at u v i =
   if i < c.k then begin
-    let da = fg c.rows ((i * c.n) + u) and db = fg c.rows ((i * c.n) + v) in
-    let diff = Float.abs (da -. db) in
-    if diff > out.(at) then out.(at) <- diff;
-    if da +. db < out.(at + 1) then out.(at + 1) <- da +. db;
+    sandwich_step out at c.rows ((i * c.n) + u) c.rows ((i * c.n) + v);
     sandwich c out at u v (i + 1)
   end
 
@@ -215,6 +243,23 @@ let estimate t u v =
   let out = Array.make 2 0.0 in
   bounds t.c out ~at:0 u v;
   (out.(0), out.(1))
+
+(* Each row [u] counts its own pairs (u, v > u) into an integer: parallel
+   over rows, with a result independent of the job count. *)
+let bad_fraction t ~delta =
+  let c = t.c in
+  let per_row =
+    Pool.init c.n (fun u ->
+        let out = Array.make 2 0.0 and bad = ref 0 in
+        for v = u + 1 to c.n - 1 do
+          bounds c out ~at:0 u v;
+          if out.(0) <= 0.0 || out.(1) > (1.0 +. delta) *. out.(0) then incr bad
+        done;
+        !bad)
+  in
+  let total = c.n * (c.n - 1) / 2 in
+  if total = 0 then 0.0
+  else float_of_int (Array.fold_left ( + ) 0 per_row) /. float_of_int total
 
 let label_bits t =
   Array.init t.c.n (fun u ->

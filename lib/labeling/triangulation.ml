@@ -5,6 +5,7 @@ module Bits = Ron_util.Bits
 module Qfloat = Ron_util.Qfloat
 module Pool = Ron_util.Pool
 module Probe = Ron_obs.Probe
+module A1 = Bigarray.Array1
 
 type t = {
   idx : Indexed.t;
@@ -14,8 +15,12 @@ type t = {
   packings : Packing.t array;
   xn : int array array array; (* xn.(u).(i) *)
   yn : int array array array;
-  beacon_dist : (int, float) Hashtbl.t array; (* per node: beacon -> distance *)
+  b_off : Landmark.ints; (* n + 1 row starts *)
+  b_node : Landmark.ints; (* each row's beacon ids, ascending *)
+  b_dist : Landmark.floats; (* Indexed.dist u b, at b's position in row u *)
 }
+
+let[@inline always] ig (a : Landmark.ints) i = A1.unsafe_get a i
 
 let idx t = t.idx
 let delta t = t.delta
@@ -24,6 +29,15 @@ let hierarchy t = t.hierarchy
 let packing t i = t.packings.(i)
 let x_neighbors t u i = t.xn.(u).(i)
 let y_neighbors t u i = t.yn.(u).(i)
+
+(* [f b] for each beacon [b] of [u] (the union of its X- and Y-sets over
+   all scales), in ascending order. *)
+let iter_row ~n xn yn u f =
+  let mark = Bytes.make n '\000' in
+  Array.iter (Array.iter (fun b -> Bytes.unsafe_set mark b '\001')) (Array.append xn.(u) yn.(u));
+  for b = 0 to n - 1 do
+    if Bytes.unsafe_get mark b = '\001' then f b
+  done
 
 (* Net level of the Y-ring at scale i, given the ball radius r_ui. *)
 let y_net_level r_ui delta ~net_divisor =
@@ -46,8 +60,8 @@ let build ?(radius_factor = 12.0) ?(net_divisor = 4.0) idx_ ~delta =
   (* X-type: designated nodes h_B of packing balls B with
      d(u, h_B) + radius <= r_(u, i-1) (Appendix-B form of "B inside the
      previous ball"); at i = 0 the previous radius is unbounded. *)
-  (* The three per-node passes are pure reads of the immutable index,
-     packings, and hierarchy (plus, for the last, the finished xn/yn):
+  (* The per-node passes are pure reads of the immutable index, packings,
+     and hierarchy (plus, for the row passes, the finished xn/yn):
      parallel fan-out over nodes, barriers between passes. *)
   let xn =
     Pool.init n (fun u ->
@@ -83,76 +97,63 @@ let build ?(radius_factor = 12.0) ?(net_divisor = 4.0) idx_ ~delta =
                   Net.Hierarchy.mem hierarchy level v)
             end))
   in
-  let beacon_dist =
+  (* The rows: a count pass, then a fill pass into disjoint ranges. *)
+  let counts =
     Pool.init n (fun u ->
-        let tbl = Hashtbl.create 64 in
-        let addall arr =
-          Array.iter (fun b -> if not (Hashtbl.mem tbl b) then
-                         Hashtbl.replace tbl b (Indexed.dist idx_ u b)) arr
-        in
-        Array.iter addall xn.(u);
-        Array.iter addall yn.(u);
-        if !Probe.on then Probe.label_node ();
-        tbl)
+        let c = ref 0 in
+        iter_row ~n xn yn u (fun _ -> incr c);
+        !c)
   in
-  { idx = idx_; delta; levels; hierarchy; packings; xn; yn; beacon_dist }
+  let b_off = A1.create Bigarray.int Bigarray.c_layout (n + 1) in
+  b_off.{0} <- 0;
+  Array.iteri (fun u c -> b_off.{u + 1} <- b_off.{u} + c) counts;
+  let b_node = A1.create Bigarray.int Bigarray.c_layout b_off.{n} in
+  let b_dist = A1.create Bigarray.float64 Bigarray.c_layout b_off.{n} in
+  Pool.parallel_for n (fun u ->
+      let p = ref b_off.{u} in
+      iter_row ~n xn yn u (fun b ->
+          b_node.{!p} <- b;
+          b_dist.{!p} <- Indexed.dist idx_ u b;
+          incr p);
+      if !Probe.on then Probe.label_node ());
+  { idx = idx_; delta; levels; hierarchy; packings; xn; yn; b_off; b_node; b_dist }
+
+let row_len t u = ig t.b_off (u + 1) - ig t.b_off u
 
 let beacons t u =
-  let out = Hashtbl.fold (fun b _ acc -> b :: acc) t.beacon_dist.(u) [] in
-  let a = Array.of_list out in
-  Ron_util.Fsort.sort_ints a;
-  a
+  let s = ig t.b_off u in
+  Array.init (row_len t u) (fun k -> ig t.b_node (s + k))
 
-let order t =
-  let best = ref 0 in
-  Array.iter (fun tbl -> best := max !best (Hashtbl.length tbl)) t.beacon_dist;
-  !best
+let order t = Array.fold_left max 0 (Array.init (Indexed.size t.idx) (row_len t))
 
-let fold_common t u v f init =
-  (* Iterate over the smaller table for speed. *)
-  let a, b =
-    if Hashtbl.length t.beacon_dist.(u) <= Hashtbl.length t.beacon_dist.(v) then
-      (t.beacon_dist.(u), t.beacon_dist.(v))
-    else (t.beacon_dist.(v), t.beacon_dist.(u))
-  in
-  Hashtbl.fold
-    (fun beacon da acc ->
-      if !Ron_obs.Probe.on then Ron_obs.Probe.table_touch ();
-      match Hashtbl.find_opt b beacon with
-      | Some db -> f acc beacon da db
-      | None -> acc)
-    a init
+(* Merge-join of the rows [i, ie) and [j, je): each common beacon folds
+   into [out] through the landmark sandwich step. Returns how many
+   beacons the rows share. *)
+let rec join t out i ie j je common =
+  if i >= ie || j >= je then common
+  else begin
+    let a = ig t.b_node i and b = ig t.b_node j in
+    if a < b then join t out (i + 1) ie j je common
+    else if a > b then join t out i ie (j + 1) je common
+    else begin
+      Landmark.sandwich_step out 0 t.b_dist i t.b_dist j;
+      join t out (i + 1) ie (j + 1) je (common + 1)
+    end
+  end
 
 let estimate t u v =
   if u = v then (0.0, 0.0)
   else begin
-    let (lo, hi, wit) =
-      fold_common t u v
-        (fun (lo, hi, wit) beacon da db ->
-          let s = da +. db and d = Float.abs (da -. db) in
-          let hi, wit = if s < hi then (s, beacon) else (hi, wit) in
-          ((Float.max lo d), hi, wit))
-        (0.0, infinity, -1)
+    if !Probe.on then
+      for _ = 1 to min (row_len t u) (row_len t v) do
+        Probe.table_touch ()
+      done;
+    let out = [| 0.0; infinity |] in
+    let common =
+      join t out (ig t.b_off u) (ig t.b_off (u + 1)) (ig t.b_off v) (ig t.b_off (v + 1)) 0
     in
-    if wit < 0 then failwith "Triangulation.estimate: no common beacon (Theorem 3.2 violated)";
-    (lo, hi)
-  end
-
-let estimate_plus t u v = snd (estimate t u v)
-let estimate_minus t u v = fst (estimate t u v)
-
-let witness t u v =
-  if u = v then u
-  else begin
-    let (_, wit) =
-      fold_common t u v
-        (fun (hi, wit) beacon da db ->
-          let s = da +. db in
-          if s < hi then (s, beacon) else (hi, wit))
-        (infinity, -1)
-    in
-    if wit < 0 then failwith "Triangulation.witness: no common beacon";
-    wit
+    if common = 0 then failwith "Triangulation.estimate: no common beacon (Theorem 3.2 violated)";
+    (out.(0), out.(1))
   end
 
 let label_bits t =
@@ -160,4 +161,4 @@ let label_bits t =
   let id_bits = Bits.index_bits n in
   let codec = Qfloat.codec_for ~delta:t.delta ~aspect_ratio:(Float.max 2.0 (Indexed.aspect_ratio t.idx)) in
   let per_entry = id_bits + Qfloat.bits codec in
-  Array.init n (fun u -> Hashtbl.length t.beacon_dist.(u) * per_entry)
+  Array.init n (fun u -> row_len t u * per_entry)

@@ -8,7 +8,7 @@
     over common beacons [b]. A (0, delta)-triangulation guarantees
     [D+/D- <= 1 + O(delta)] for {e every} pair — unlike the common-beacon
     constructions of [33, 50], which leave an eps-fraction of pairs with no
-    guarantee (see {!Beacon}).
+    guarantee (see {!Landmark.of_metric}).
 
     Construction (proof of Theorem 3.2): the beacons of [u] are
     - X-type: for each cardinality scale [i], the designated nodes [h_B] of
@@ -54,21 +54,20 @@ val y_neighbors : t -> int -> int -> int array
 (** [y_neighbors t u i]: the Y-type beacons of [u] at scale [i]. *)
 
 val beacons : t -> int -> int array
-(** All distinct beacons of [u] (its label's support), sorted. *)
+(** All distinct beacons of [u] (its label's support), sorted: a copy of
+    [u]'s row. The build stores each node's beacons once, as a row of
+    (beacon id, exact distance) pairs sorted by id. *)
 
 val order : t -> int
-(** Max number of beacons over all nodes: the triangulation's order. *)
+(** Max number of beacons over all nodes (the longest row): the
+    triangulation's order. *)
 
 val estimate : t -> int -> int -> float * float
 (** [estimate t u v = (D-, D+)] over the common beacons of [u] and [v],
-    using only the two labels. Raises [Failure] if the nodes share no
-    beacon — Theorem 3.2 proves this never happens for [u <> v]. *)
-
-val estimate_plus : t -> int -> int -> float
-val estimate_minus : t -> int -> int -> float
-
-val witness : t -> int -> int -> int
-(** A common beacon achieving [D+]. *)
+    using only the two labels: one merge-join of their rows, each common
+    beacon folded by {!Landmark.sandwich_step}. Raises [Failure] if the
+    nodes share no beacon — Theorem 3.2 proves this never happens for
+    [u <> v], and every row holds the canonical scale-0 Y-set. *)
 
 val label_bits : t -> int array
 (** Per-node label size in bits when each beacon entry is stored as a

@@ -162,6 +162,8 @@ let route_done ~hops ~header_bits_max ~outcome =
   Histogram.observe_int route_header_bits_hist header_bits_max;
   Ledger.note_header_bits header_bits_max
 
+let locate_done ~measurements = Histogram.observe_int meridian_probes_hist measurements
+
 let table_touch () =
   Counter.incr table_touches;
   Ledger.bump_table ()

@@ -114,6 +114,10 @@ val route_done :
 (** Called once per simulated route: outcome counter, per-query histograms,
     and the ledger's header high-water mark. *)
 
+val locate_done : measurements:int -> unit
+(** Called once per live Meridian walk ([Meridian.closest]), as
+    {!route_done} is per live route: observes [meridian_probes_hist]. *)
+
 val table_touch : unit -> unit
 val meridian_probe : unit -> unit
 val meridian_hop : unit -> unit

@@ -34,9 +34,11 @@ let[@inline always] fg (a : floats) i = A1.unsafe_get a i
 let u16s len : u16s = A1.init Bigarray.int16_unsigned Bigarray.c_layout len (fun _ -> 0)
 
 (* Annulus index: d in (2^(i-1), 2^i] maps to i; d <= 1 maps to 0. The
-   log is [Bits.flog2] written out, so the walk passes no float to a call. *)
+   log is [Bits.flog2] written out, ln 2 taken once, so the walk passes no
+   boxed float to a call. *)
+let ln2 = log 2.0
 let[@inline always] scale_of scales d =
-  if d <= 1.0 then 0 else min (scales - 1) (int_of_float (Float.ceil (log d /. log 2.0)))
+  if d <= 1.0 then 0 else Int.min (scales - 1) (int_of_float (Float.ceil (log d /. ln2)))
 
 let member_ids member =
   let ids = List.filter (Array.get member) (List.init (Array.length member) Fun.id) in
@@ -287,6 +289,7 @@ let closest ?fault t ~start ~target =
   if Fault.crashed f start then invalid_arg "Meridian.closest: start node is crashed";
   let r = regs () in
   locate t.c f ~query r (Array.make 2 0.0) ~start ~target;
+  if !Probe.on then Probe.locate_done ~measurements:r.measurements;
   { found = r.found; hops = r.hops; measurements = r.measurements }
 
 (* Members in ascending order, so the first of equally close ones wins. *)

@@ -38,7 +38,7 @@ let test_tri_vs_dls_consistency () =
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
       let d = Indexed.dist idx u v in
-      let tri_hi = Triangulation.estimate_plus tri u v in
+      let (_, tri_hi) = Triangulation.estimate tri u v in
       let dls_hi = Dls.estimate (Dls.label dls u) (Dls.label dls v) in
       check_bool "tri upper bounds d" (tri_hi >= d -. 1e-9);
       check_bool "dls upper bounds d" (dls_hi >= d -. 1e-9);
@@ -67,11 +67,12 @@ let test_routing_length_vs_dls_estimate () =
 
 let test_witness_is_shared_beacon () =
   let (idx, tri, _) = Lazy.force fixture in
+  let oracle = Triangulation_oracle.build tri in
   let n = Indexed.size idx in
   for u = 0 to n - 1 do
     let v = (u + 13) mod n in
     if u <> v then begin
-      let w = Triangulation.witness tri u v in
+      let w = Triangulation_oracle.witness oracle u v in
       let mem arr x = Array.exists (( = ) x) arr in
       check_bool "witness in u's beacons" (mem (Triangulation.beacons tri u) w);
       check_bool "witness in v's beacons" (mem (Triangulation.beacons tri v) w);

@@ -1,5 +1,6 @@
 (* Tests for ron_labeling: Theorem 3.2 triangulation, Theorem 3.4 distance
-   labeling, and the baselines (common beacons, trivial DLS). *)
+   labeling, and the baselines (common beacons as a landmark build, trivial
+   DLS). *)
 
 module Rng = Ron_util.Rng
 module Metric = Ron_metric.Metric
@@ -7,7 +8,8 @@ module Indexed = Ron_metric.Indexed
 module Generators = Ron_metric.Generators
 module Net = Ron_metric.Net
 module Triangulation = Ron_labeling.Triangulation
-module Beacon = Ron_labeling.Beacon
+module Landmark = Ron_labeling.Landmark
+module Oracle = Triangulation_oracle
 module Trivial_dls = Ron_labeling.Trivial_dls
 module Dls = Ron_labeling.Dls
 
@@ -61,7 +63,7 @@ let test_tri_self_estimate () =
 let test_tri_witness () =
   let tri = Lazy.force tri_grid in
   let idx = Lazy.force grid in
-  let w = Triangulation.witness tri 0 48 in
+  let w = Oracle.witness (Oracle.build tri) 0 48 in
   let s = Indexed.dist idx 0 w +. Indexed.dist idx 48 w in
   let (_, hi) = Triangulation.estimate tri 0 48 in
   check_bool "witness achieves D+" (Float.abs (s -. hi) < 1e-9)
@@ -120,16 +122,16 @@ let test_tri_tight_constants_shrink_order () =
   check_bool "tight order smaller"
     (Triangulation.order tight < Triangulation.order full)
 
-(* --------------------------------------------------------------- Beacon *)
+(* ------------------------------------------------------ Common beacons *)
 
 let test_beacon_bounds_valid () =
   let idx = Lazy.force cloud in
-  let b = Beacon.build idx (Rng.create 7) ~k:12 in
+  let b = Landmark.of_metric idx (Rng.create 7) ~k:12 in
   let n = Indexed.size idx in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
       let d = Indexed.dist idx u v in
-      let (lo, hi) = Beacon.estimate b u v in
+      let (lo, hi) = Landmark.estimate b u v in
       check_bool "D- <= d" (lo <= d +. 1e-9);
       check_bool "d <= D+" (d <= hi +. 1e-9)
     done
@@ -140,25 +142,25 @@ let test_beacon_has_bad_pairs () =
      get no (1+delta) guarantee. On a uniform line with k=4 beacons, close
      pairs far from all beacons are hopeless. *)
   let idx = Lazy.force line in
-  let b = Beacon.build idx (Rng.create 11) ~k:4 in
-  check_bool "eps > 0" (Beacon.bad_fraction b ~delta:0.25 > 0.0)
+  let b = Landmark.of_metric idx (Rng.create 11) ~k:4 in
+  check_bool "eps > 0" (Landmark.bad_fraction b ~delta:0.25 > 0.0)
 
 let test_beacon_more_beacons_help () =
   let idx = Lazy.force line in
-  let few = Beacon.build idx (Rng.create 3) ~k:3 in
-  let many = Beacon.build idx (Rng.create 3) ~k:60 in
+  let few = Landmark.of_metric idx (Rng.create 3) ~k:3 in
+  let many = Landmark.of_metric idx (Rng.create 3) ~k:60 in
   check_bool "more beacons, fewer bad pairs"
-    (Beacon.bad_fraction many ~delta:0.25 <= Beacon.bad_fraction few ~delta:0.25)
+    (Landmark.bad_fraction many ~delta:0.25 <= Landmark.bad_fraction few ~delta:0.25)
 
 let test_beacon_order () =
   let idx = Lazy.force grid in
-  let b = Beacon.build idx (Rng.create 1) ~k:9 in
-  check_int "order = k" 9 (Beacon.order b);
-  check_int "beacon count" 9 (Array.length (Beacon.beacons b))
+  let b = Landmark.of_metric idx (Rng.create 1) ~k:9 in
+  check_int "order = k" 9 (Landmark.order b);
+  check_int "beacon count" 9 (Array.length (Landmark.beacons b))
 
 let test_beacon_k_validation () =
-  Alcotest.check_raises "k too big" (Invalid_argument "Beacon.build: k out of range") (fun () ->
-      ignore (Beacon.build (Lazy.force grid) (Rng.create 1) ~k:1000))
+  Alcotest.check_raises "k too big" (Invalid_argument "Landmark.of_metric: k out of range")
+    (fun () -> ignore (Landmark.of_metric (Lazy.force grid) (Rng.create 1) ~k:1000))
 
 (* ---------------------------------------------------------- Trivial DLS *)
 
@@ -305,6 +307,101 @@ let test_host_enumeration_prefix () =
     check_bool "every scale-set node once" (List.sort compare (Array.to_list h) = all)
   done
 
+(* ------------------------------------- Triangulation vs the Hashtbl oracle *)
+
+module Graph_gen = Ron_graph.Graph_gen
+module Sp_metric = Ron_graph.Sp_metric
+
+let families = [| "cloud"; "clustered latency"; "geometric graph" |]
+let deltas = [| 0.125; 0.25; 0.45 |]
+
+(* The paper's constants first, then the E-3.2 ablation's. *)
+let constants = [| (12.0, 4.0); (4.0, 2.0); (2.0, 1.0); (1.0, 0.5); (0.5, 0.25); (0.25, 0.1) |]
+
+(* A normalized metric of at most 60 points: a cloud in 2 or 3 dimensions,
+   a clustered-latency metric, or the shortest-path metric of a random
+   geometric graph. *)
+let metric_of (family, size, seed) =
+  let rng = Rng.create seed and n = 8 + size in
+  match family with
+  | 0 -> Generators.random_cloud rng ~n ~dim:(2 + (seed mod 2))
+  | 1 ->
+    let clusters = 1 + (seed mod 5) in
+    Generators.clustered_latency rng ~clusters ~per_cluster:(n / clusters) ~spread:30.0
+      ~access:6.0
+  | _ ->
+    let g = Graph_gen.random_geometric rng ~n ~radius:0.3 in
+    Metric.normalize (Sp_metric.metric (Sp_metric.create g))
+
+let gen_family = QCheck.Gen.(triple (int_bound 2) (int_bound 52) (int_range 1 100_000))
+let print_family (f, size, seed) = Printf.sprintf "%s size %d seed %d" families.(f) (8 + size) seed
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_tri_rows_match_oracle =
+  QCheck.Test.make ~name:"rows = Hashtbl oracle, bit for bit; (1 +- 2 delta) at the defaults"
+    ~count:40
+    (QCheck.make
+       ~print:(fun (fam, (d, c)) ->
+         Printf.sprintf "%s, delta %g, constants (%g, %g)" (print_family fam) deltas.(d)
+           (fst constants.(c)) (snd constants.(c)))
+       QCheck.Gen.(pair gen_family (pair (int_bound 2) (oneof [ return 0; int_range 1 5 ]))))
+    (fun (fam, (d, c)) ->
+      let idx = Indexed.create (metric_of fam) in
+      let delta = deltas.(d) and radius_factor, net_divisor = constants.(c) in
+      let tri = Triangulation.build ~radius_factor ~net_divisor idx ~delta in
+      let oracle = Oracle.build tri in
+      let n = Indexed.size idx in
+      let nodes = List.init n Fun.id in
+      let outcome est u v = try Some (est u v) with Failure _ -> None in
+      let pair_ok u v =
+        match (outcome (Triangulation.estimate tri) u v, outcome (Oracle.estimate oracle) u v) with
+        | Some (lo, hi), Some (lo', hi') ->
+          let d = Indexed.dist idx u v in
+          same_bits lo lo' && same_bits hi hi'
+          && (c > 0 || u = v
+             || (hi <= ((1.0 +. (2.0 *. delta)) *. d) +. 1e-9
+                && lo >= ((1.0 -. (2.0 *. delta)) *. d) -. 1e-9))
+        | None, None -> c > 0
+        | _ -> false
+      in
+      Triangulation.order tri = Oracle.order oracle
+      && Triangulation.label_bits tri = Oracle.label_bits oracle
+      && List.for_all (fun u -> Triangulation.beacons tri u = Oracle.beacons oracle u) nodes
+      && List.for_all (fun u -> List.for_all (pair_ok u) nodes) nodes)
+
+(* Landmark.of_metric against the common-beacon oracle drawn with the same
+   seed: the same beacons and bad fraction, the same bounds at every pair
+   without a beacon endpoint, exact bounds at the others, and columns that
+   the landmark view accepts. *)
+let prop_baseline_matches_oracle =
+  QCheck.Test.make ~name:"of_metric = common-beacon oracle; its columns load" ~count:30
+    (QCheck.make
+       ~print:(fun (fam, kseed) -> Printf.sprintf "%s, k seed %d" (print_family fam) kseed)
+       QCheck.Gen.(pair gen_family (int_range 1 100_000)))
+    (fun (fam, kseed) ->
+      let idx = Indexed.create (metric_of fam) in
+      let n = Indexed.size idx in
+      let k = 1 + (kseed mod n) in
+      let lm = Landmark.of_metric idx (Rng.create kseed) ~k in
+      let b = Oracle.Beacon.build idx (Rng.create kseed) ~k in
+      let is_beacon v = Array.mem v b.Oracle.Beacon.beacons in
+      let pair_ok u v =
+        let lo, hi = Landmark.estimate lm u v in
+        if u = v || not (is_beacon u || is_beacon v) then
+          let lo', hi' = Oracle.Beacon.estimate b u v in
+          same_bits lo lo' && same_bits hi hi'
+        else same_bits lo hi && Float.abs (lo -. Indexed.dist idx u v) <= 1e-9
+      in
+      let nodes = List.init n Fun.id in
+      let frozen = Ron_serve.Server.freeze_landmark_t (Landmark.export lm) in
+      Landmark.beacons lm = b.Oracle.Beacon.beacons
+      && List.for_all
+           (fun delta ->
+             same_bits (Landmark.bad_fraction lm ~delta) (Oracle.Beacon.bad_fraction b ~delta))
+           [ 0.25; 0.5 ]
+      && List.for_all (fun u -> List.for_all (pair_ok u) nodes) nodes
+      && Result.is_ok (Ron_serve.Server.of_image (Ron_serve.Server.image frozen)))
+
 (* ---------------------------------------------------- DLS vs the oracle *)
 
 module Pool = Ron_util.Pool
@@ -418,6 +515,9 @@ let () =
           Alcotest.test_case "log log Delta scaling" `Slow test_dls_aspect_ratio_scaling;
         ] );
       ("enumeration", [ Alcotest.test_case "with prefix" `Quick test_host_enumeration_prefix ]);
+      ( "tri-oracle",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_tri_rows_match_oracle; prop_baseline_matches_oracle ] );
       ( "dls-oracle",
         List.map QCheck_alcotest.to_alcotest
           [

@@ -315,6 +315,28 @@ let repairs_differ rs ~seed idx t o =
   in
   go 0
 
+(* With the probes on, each [closest] adds one sample to
+   meridian.probes_per_query: the walk's measurement count. *)
+let test_closest_probes_per_query () =
+  let (_, t) = Lazy.force overlay_fixture in
+  let h = Probe.meridian_probes_hist in
+  let sum () = Array.fold_left ( +. ) 0.0 (Ron_obs.Histogram.values h) in
+  let count0 = Ron_obs.Histogram.count h and sum0 = sum () in
+  let rng = Rng.create 8 in
+  let measured =
+    fst
+      (charged (fun () ->
+           List.fold_left
+             (fun acc target ->
+               acc + (Meridian.closest t ~start:(Rng.int rng 160) ~target).Meridian.measurements)
+             0
+             (List.init 40 (fun i -> 160 + i))))
+  in
+  check_int "one sample per closest" 40 (Ron_obs.Histogram.count h - count0);
+  check_int "samples sum to the measurements" measured (int_of_float (sum () -. sum0));
+  ignore (Meridian.closest t ~start:0 ~target:170);
+  check_int "no sample with the probes off" 40 (Ron_obs.Histogram.count h - count0)
+
 let prop_matches_oracle =
   let print (clustered, ring_size, size, seed) =
     Printf.sprintf "%s, ring size %d, size %d, seed %d"
@@ -394,6 +416,7 @@ let () =
           Alcotest.test_case "member target" `Quick test_closest_on_member_target;
           Alcotest.test_case "start validation" `Quick test_closest_rejects_non_member_start;
           Alcotest.test_case "hop bound" `Quick test_closest_hops_logarithmic;
+          Alcotest.test_case "probes per query" `Quick test_closest_probes_per_query;
         ] );
       ( "multi-range",
         [

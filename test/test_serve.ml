@@ -479,8 +479,8 @@ let landmark_mutations =
    declared rules. Each is saved, so its checksums are valid, and loaded:
    a mutant that breaks a rule must be refused with an [Error] naming the
    scheme and the section; one the loader accepts must keep the checked
-   copies of the Thm 2.1 and Thm 3.4 row walks in bounds on a sample of
-   pairs, and serve a short workload to its end, a scheme's [Failure]
+   copies of the views' walks in bounds and equal to the served answers
+   ([walk_error]), and serve a short workload to its end, a scheme's [Failure]
    included. A missing rule shows as a walk out of bounds, which the
    served walk's unchecked reads would not report. *)
 let fixtures =
@@ -862,8 +862,9 @@ let landmark_checked img u v =
    names the first read the served walk would make outside the rows it
    may address, or the first answer of the served locate or sandwich that
    differs from its checked copy's. The Thm 2.1 walk runs for every (u, t)
-   pair, since a deep row is on the walks of only a few; the others run
-   for a seeded sample of pairs (a meridian start picks a member). *)
+   pair and Meridian's for every (member, target) pair, since a deep row,
+   or the last slot of the last ring, is on the walks of only a few; the
+   others run for a seeded sample of pairs. *)
 let walk_error ~seed t =
   let img = Server.image t and n = Server.size t and rng = Random.State.make [| seed |] in
   let sample bound =
@@ -892,7 +893,7 @@ let walk_error ~seed t =
           let sc = served ~kind:2 start v in
           if checked <> (sc.Server.r_next, sc.Server.r_hops, sc.Server.r_aux) then
             differs "locate" start v),
-        sample (A1.dim members) )
+        List.init (A1.dim members * n) (fun p -> (p / n, p mod n)) )
     | _ ->
       ( (fun (u, v) ->
           let lo, hi = landmark_checked img u v in
