@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-json bench-diff scale-smoke trace-smoke fault-smoke churn-smoke mer-smoke tri-smoke profile-smoke telemetry-smoke serve-smoke slo-smoke clean
+.PHONY: all build test check bench bench-json bench-diff scale-smoke trace-smoke fault-smoke churn-smoke mer-smoke tri-smoke route-smoke profile-smoke telemetry-smoke serve-smoke slo-smoke clean
 
 # Relative slowdown tolerated by bench-diff before a timing key fails
 # (0.5 = 50% slower); override per-run: make bench-diff RON_BENCH_DIFF_THRESHOLD=1.0
@@ -101,6 +101,17 @@ tri-smoke: build
 	RON_JOBS=1 dune exec bench/main.exe -- e32 e34 fig1 > /tmp/ron_tri_smoke_j1.txt
 	RON_JOBS=4 dune exec bench/main.exe -- e32 e34 fig1 > /tmp/ron_tri_smoke_j4.txt
 	cmp /tmp/ron_tri_smoke_j1.txt /tmp/ron_tri_smoke_j4.txt
+
+# Route smoke: Tables 1-3, Theorem 2.1's stretch sweep and Theorem 4.1's
+# headers, which route all six live schemes (Basic, Labelled, Full_table,
+# On_metric, Labelled_m, Two_mode) through the one route loop, at
+# RON_JOBS=1 and 4 — the outputs must be byte-identical. Fault and churn
+# routes run under mer-smoke and churn-smoke. Outputs land in /tmp for CI
+# to archive.
+route-smoke: build
+	RON_JOBS=1 dune exec bench/main.exe -- t1 t2 t3 e21 e41 > /tmp/ron_route_smoke_j1.txt
+	RON_JOBS=4 dune exec bench/main.exe -- t1 t2 t3 e21 e41 > /tmp/ron_route_smoke_j4.txt
+	cmp /tmp/ron_route_smoke_j1.txt /tmp/ron_route_smoke_j4.txt
 
 # Telemetry smoke: the n = 10^5 scale run with the runtime sampler on,
 # then validate the snapshot series (seq/ts monotone, typed sections) and

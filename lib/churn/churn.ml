@@ -175,31 +175,34 @@ let mark_join st v =
    the query-time staleness story. A forward into a dead node is a stale
    hit; the walk then detours to the first live ranked alternate, or drops
    when the table offers none. The live set is frozen for the duration of a
-   routing batch (events apply between batches), so the wrapped step is
-   still a pure function of (node, header) and cycle detection stays on. *)
+   routing batch (events apply between batches), so the wrapped hop is
+   still a pure function of (node, state) and cycle detection stays on. *)
 let wrapper st : Scheme.wrapper =
   if st.live_count = st.n then Scheme.identity_wrapper
   else
     {
       Scheme.wrap =
-        (fun step ~alternates u h ->
-          match step u h with
-          | (Scheme.Deliver | Scheme.Drop) as a -> a
-          | Scheme.Forward (v, _) as a ->
-              if st.live.(v) then a
-              else begin
-                if !Probe.on then Probe.churn_stale_hit ();
-                let rec try_alts = function
-                  | [] -> Scheme.Drop
-                  | (w, hw) :: rest ->
-                      if w <> v && st.live.(w) then begin
-                        if !Probe.on then Probe.churn_detour ();
-                        Scheme.Forward (w, hw)
-                      end
-                      else try_alts rest
-                in
-                try_alts (alternates u h)
-              end);
+        (fun r hop ~alternates ->
+          let live = st.live in
+          (* After the [let], a closure of two arguments: no partial
+             application is built per hop. *)
+          fun u s ->
+            let code = hop u s in
+            let v = r.Scheme.next in
+            if code = Scheme.deliver || code = Scheme.drop || live.(v) then code
+            else begin
+              if !Probe.on then Probe.churn_stale_hit ();
+              let rec try_alts = function
+                | [] -> Scheme.drop
+                | (w, sw, cost) :: rest ->
+                  if w <> v && live.(w) then begin
+                    if !Probe.on then Probe.churn_detour ();
+                    Scheme.forward_to r w sw cost
+                  end
+                  else try_alts rest
+              in
+              try_alts (alternates u s)
+            end);
       detect_cycles = true;
     }
 

@@ -102,8 +102,8 @@ val wrapper : state -> Ron_routing.Scheme.wrapper
     block) and detours to the first live ranked alternate
     ([churn.detours]), dropping the packet when the table offers none.
     The live set must be frozen while routing (apply events between
-    batches): the wrapped step then stays a pure function of
-    (node, header) and cycle detection stays on. When every node is live
+    batches): the wrapped hop then stays a pure function of
+    (node, state) and cycle detection stays on. When every node is live
     this is {!Ron_routing.Scheme.identity_wrapper} itself — routes are
     byte-identical to the unwrapped scheme. Compose with the fault
     wrapper via {!Ron_routing.Scheme.compose}. *)

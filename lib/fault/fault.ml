@@ -100,78 +100,73 @@ let describe t =
     Printf.sprintf "seed %d | crashed %d/%d | drop %.3f | dead links %.3f" t.seed t.crash_count
       t.n t.drop_rate t.dead_link_fraction
 
+(* A forward from [u] to [v] is blocked by a crash or a dead link. *)
+let blocked t u v =
+  if crashed t v then begin
+    if !Probe.on then Probe.fault_crashed_hit ();
+    true
+  end
+  else if link_dead t u v then begin
+    if !Probe.on then Probe.fault_dead_link ();
+    true
+  end
+  else false
+
 let wrapper t ~query : Scheme.wrapper =
   if is_null t then Scheme.identity_wrapper
   else
     {
-      (* Drop draws are keyed by the hop count, so the wrapped step is no
-         longer a pure function of (node, header): a revisited state may
+      (* Drop draws are keyed by the hop count, so the wrapped hop is no
+         longer a pure function of (node, state): a revisited pair may
          legitimately take a different branch later. Brent detection off. *)
       Scheme.detect_cycles = false;
       wrap =
-        (fun step ~alternates ->
-          (* One counter per wrapped route; [Scheme.simulate] invokes the
-             step sequentially, so the hop index is deterministic. *)
-          let hop = ref 0 in
-          fun u h ->
-            let k = !hop in
-            incr hop;
+        (fun r hop ~alternates ->
+          (* One counter per wrapped route; the loop invokes the hop
+             sequentially, so the hop index is deterministic. *)
+          let k_next = ref 0 in
+          fun u s ->
+            let k = !k_next in
+            incr k_next;
             if drops t ~query ~hop:k then begin
               if !Probe.on then Probe.fault_drop ();
               if Trace.active () then
-                Trace.event "fault.drop"
-                  ~args:[ ("node", Ron_obs.Json.Int u); ("hop", Ron_obs.Json.Int k) ];
-              Scheme.Drop
+                Trace.event "fault.drop" ~args:Ron_obs.Json.[ ("node", Int u); ("hop", Int k) ];
+              Scheme.drop
             end
             else
-              match step u h with
-              | Scheme.Deliver -> Scheme.Deliver
-              | Scheme.Drop -> Scheme.Drop
-              | Scheme.Forward (next, h') ->
-                let blocked v =
-                  if crashed t v then begin
-                    if !Probe.on then Probe.fault_crashed_hit ();
-                    true
-                  end
-                  else if link_dead t u v then begin
-                    if !Probe.on then Probe.fault_dead_link ();
-                    true
-                  end
-                  else false
-                in
-                if not (blocked next) then Scheme.Forward (next, h')
-                else begin
-                  (* The primary hop is dead: walk the scheme's ranked
-                     alternates and detour through the first live one. The
-                     search is the fault layer's own query-time cost, so it
-                     is a profiler phase of its own (count = blocked hops). *)
-                  Ron_obs.Profile.phase "fault.detour_search" @@ fun () ->
-                  let rec try_alts = function
-                    | [] ->
-                      if Trace.active () then
-                        Trace.event "fault.exhausted"
-                          ~args:[ ("node", Ron_obs.Json.Int u); ("hop", Ron_obs.Json.Int k) ];
-                      Scheme.Drop
-                    | (v, h'') :: rest ->
-                      if v = next then try_alts rest
+              let code = hop u s in
+              let next = r.Scheme.next in
+              if code = Scheme.deliver || code = Scheme.drop || not (blocked t u next) then code
+              else begin
+                (* The primary hop is dead: walk the scheme's ranked
+                   alternates and detour through the first live one. The
+                   search is the fault layer's own query-time cost, so it
+                   is a profiler phase of its own (count = blocked hops). *)
+                Ron_obs.Profile.phase "fault.detour_search" @@ fun () ->
+                let rec try_alts = function
+                  | [] ->
+                    if Trace.active () then
+                      Trace.event "fault.exhausted"
+                        ~args:Ron_obs.Json.[ ("node", Int u); ("hop", Int k) ];
+                    Scheme.drop
+                  | (v, s', cost) :: rest ->
+                    if v = next then try_alts rest
+                    else begin
+                      if !Probe.on then Probe.fault_retry ();
+                      if blocked t u v then try_alts rest
                       else begin
-                        if !Probe.on then Probe.fault_retry ();
-                        if blocked v then try_alts rest
-                        else begin
-                          if !Probe.on then Probe.fault_detour ();
-                          if Trace.active () then
-                            Trace.event "fault.detour"
-                              ~args:
-                                [
-                                  ("node", Ron_obs.Json.Int u);
-                                  ("dead", Ron_obs.Json.Int next);
-                                  ("via", Ron_obs.Json.Int v);
-                                  ("hop", Ron_obs.Json.Int k);
-                                ];
-                          Scheme.Forward (v, h'')
-                        end
+                        if !Probe.on then Probe.fault_detour ();
+                        if Trace.active () then
+                          Trace.event "fault.detour"
+                            ~args:
+                              Ron_obs.Json.
+                                [ ("node", Int u); ("dead", Int next);
+                                  ("via", Int v); ("hop", Int k) ];
+                        Scheme.forward_to r v s' cost
                       end
-                  in
-                  try_alts (alternates u h)
-                end);
+                    end
+                in
+                try_alts (alternates u s)
+              end);
     }

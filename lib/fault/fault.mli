@@ -1,11 +1,11 @@
-(** Deterministic fault injection and graceful degradation for the packet
-    simulator.
+(** Deterministic fault injection and graceful degradation for the route
+    loop.
 
     A fault model bundles three seeded failure processes:
 
     - a {e crashed-node set}: a fixed fraction of nodes selected once per
       model from the seed — a crashed node never accepts a packet;
-    - {e per-hop Bernoulli message drop}: each step of each query flips a
+    - {e per-hop Bernoulli message drop}: each hop of each query flips a
       coin keyed by (seed, query, hop) — a lost packet is simply gone;
     - {e dead links}: each (undirected) node pair flips a coin keyed by
       (seed, endpoints) — a dead link blocks forwarding in both directions
@@ -16,10 +16,10 @@
     bit-identical across [RON_JOBS] settings, evaluation orders, and reruns.
 
     {!wrapper} turns a model into a {!Ron_routing.Scheme.wrapper}: the
-    wrapped step draws the drop coin, checks the primary next hop against
+    wrapped hop draws the drop coin, checks the primary next hop against
     the crashed set and dead links, and on failure detours through the
     scheme's ranked alternate hops — the retry/fallback policy — returning
-    {!Ron_routing.Scheme.Drop} only when every alternate is dead too. The
+    {!Ron_routing.Scheme.drop} only when every alternate is dead too. The
     scheme itself never learns faults exist. *)
 
 type t
@@ -70,14 +70,14 @@ val describe : t -> string
 (** One-line human summary ("seed 7 | crashed 12/400 | drop 0.010 | ..."). *)
 
 val wrapper : t -> query:int -> Ron_routing.Scheme.wrapper
-(** The fault-injecting step transformer for one query, to pass to a
+(** The fault-injecting hop transformer for one query, to pass to a
     scheme's [route_wrapped]. [query] keys the drop draws; use a stable
     query index, not anything order-dependent.
 
     When a fault fires or a fallback is taken the wrapper bumps the
     [fault.*] probe counters (under {!Ron_obs.Probe.on}) and emits
     [fault.drop] / [fault.detour] / [fault.exhausted] trace events (under
-    an active sink). The wrapper disables the simulator's cycle detection —
-    drop draws are keyed by hop count, so the wrapped step is not a pure
-    function of (node, header) — except in the {!is_null} case, which
+    an active sink). The wrapper disables the route loop's cycle detection —
+    drop draws are keyed by hop count, so the wrapped hop is not a pure
+    function of (node, state) — except in the {!is_null} case, which
     returns the identity wrapper unchanged. *)

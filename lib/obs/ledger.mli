@@ -2,7 +2,7 @@
 
     [with_query] installs a mutable cost entry in domain-local storage; the
     instrumented substrate ({!Probe} call sites in the metric index, rings,
-    zooming, routing simulator, labelings, and Meridian) bumps whichever
+    zooming, route loop, labelings, and Meridian) bumps whichever
     entry is current on its domain. This turns "routing decisions use only
     the local table" into an audited quantity: the entry records exactly
     the ring lookups, zoom iterations, hops, header rewrites, and

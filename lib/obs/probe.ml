@@ -148,8 +148,6 @@ let header_rewrite () =
   Counter.incr route_header_rewrites;
   Ledger.bump_header_rewrite ()
 
-let header_bits bits = Ledger.note_header_bits bits
-
 let route_done ~hops ~header_bits_max ~outcome =
   Counter.incr
     (match outcome with
@@ -207,7 +205,7 @@ let () =
         Gauge.set_int pool_batch_items items
       end)
 
-(* Fault events bump counters only; the simulator's hop/route counters keep
+(* Fault events bump counters only; the route loop's hop/route counters keep
    charging the ledger, so per-query costs already include detour hops. *)
 let fault_drop () = Counter.incr fault_drops
 let fault_crashed_hit () = Counter.incr fault_crashed_hits

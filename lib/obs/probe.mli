@@ -104,14 +104,13 @@ val zoom_encode_step : unit -> unit
 val translation_lookup : unit -> unit
 val hop : unit -> unit
 val header_rewrite : unit -> unit
-val header_bits : int -> unit
 
 val route_done :
   hops:int ->
   header_bits_max:int ->
   outcome:[ `Delivered | `Truncated | `Self_forward | `Cycled | `Dropped ] ->
   unit
-(** Called once per simulated route: outcome counter, per-query histograms,
+(** Called once per route: outcome counter, per-query histograms,
     and the ledger's header high-water mark. *)
 
 val locate_done : measurements:int -> unit
@@ -152,7 +151,7 @@ val ring_node : unit -> unit
 (** One node's rings populated. *)
 
 (** Fault-event helpers (call only under [if !on]; counters only, no ledger
-    charge — detour hops are already charged by the simulator's hop probe). *)
+    charge — detour hops are already charged by the route loop's hop probe). *)
 
 val fault_drop : unit -> unit
 val fault_crashed_hit : unit -> unit

@@ -15,12 +15,10 @@ type cols = {
 
 type t = { sp : Sp_metric.t; structure : Structure.t; cols : cols }
 
-(* A packet header: the target, the level of the intermediate target being
-   chased (-1: none yet), and the label. A fresh packet's label is the
-   target's row of the scheme's columns, left implicit ([wire] empty); a
-   label read off the wire is carried as [| first; rest... |]. Plain ints,
-   so the simulator's cycle check compares headers cheaply. *)
-type header = { target : int; level : int; wire : int array }
+(* A packet's target and its label: read off the wire as
+   [| first; rest... |], or left implicit ([wire] empty) as the target's
+   row of the scheme's columns. The chased level is the loop's state. *)
+type header = { target : int; wire : int array }
 
 let scales t = t.cols.st.Structure.scales
 
@@ -74,8 +72,6 @@ let build sp ~delta =
 
 let export t = t.cols
 
-let initial_header _ dst = { target = dst; level = -1; wire = [||] }
-
 (* ---------------------------------------------------------------- The hop *)
 
 (* Unchecked reads of the built or validated columns, with the column
@@ -104,29 +100,34 @@ let hop_entry c u m j =
   entry c u p
 
 (* [l]/[row] locate the packet's label; [m] is the route's decode buffer. *)
-let step c l row m u (h : header) : header Scheme.action =
-  if u = h.target then Deliver
+let hop c l row m (r : Scheme.regs) u level =
+  if u = r.target then Scheme.deliver
   else begin
-    let j = target_level c l row m u h.level in
+    let j = target_level c l row m u level in
     let e = hop_entry c u m j in
-    Forward (c.table.First_hop.t_next.{e}, { h with level = j })
+    r.next <- ig c.table.First_hop.t_next e;
+    r.state <- j;
+    r.link.(0) <- A1.unsafe_get c.table.First_hop.t_cost e;
+    Scheme.forward
   end
 
 (* Ranked fallback forwards: first hops toward the intermediate targets at
    every other level, coarsest first — the same links the routing table
    already pays for, just aimed at a different member of the zooming
-   sequence. Used only by the fault layer when the primary hop is dead. *)
-let alternates c l row m u (h : header) =
-  if u = h.target then []
+   sequence. Used only by the fault and churn layers when the primary hop
+   is dead. *)
+let alternates c l row m ~dst u _ =
+  if u = dst then []
   else begin
     let jut = Structure.decode c.st u l row m in
     let acc = ref [] in
     for j = 0 to jut do
       let p = position c u j m.(j) in
       if ig c.st.Structure.ring_node p <> u then begin
-        let next = c.table.First_hop.t_next.{entry c u p} in
-        if next <> u && not (List.exists (fun (v, _) -> v = next) !acc) then
-          acc := (next, { h with level = j }) :: !acc
+        let e = entry c u p in
+        let next = ig c.table.First_hop.t_next e in
+        if next <> u && not (List.exists (fun (v, _, _) -> v = next) !acc) then
+          acc := (next, j, c.table.First_hop.t_cost.{e}) :: !acc
       end
     done;
     !acc (* built 0..jut with prepends, so coarsest (jut) comes first *)
@@ -147,20 +148,19 @@ let labels t h =
       },
       0 )
 
-let simulate (w : Scheme.wrapper) t ~src h =
+let route_label w t ~src h =
   let c = t.cols in
   let l, row = labels t h in
   (* Per route: experiments route in parallel. *)
   let m = Array.make c.st.Structure.scales 0 in
-  Scheme.simulate ~detect_cycles:w.Scheme.detect_cycles
-    ~dist:(fun a b -> Sp_metric.dist t.sp a b)
-    ~step:(w.Scheme.wrap (step c l row m) ~alternates:(alternates c l row m))
-    ~header_bits:(fun _ -> c.header_bits)
-    ~src ~header:h ~max_hops:c.max_hops ()
+  let r = Scheme.live () in
+  Scheme.route ~wrapper:w ~alternates:(alternates c l row m ~dst:h.target) r
+    ~header_bits:c.header_bits ~max_hops:c.max_hops ~src ~dst:h.target (-1) (fun u level ->
+      hop c l row m r u level)
 
-let route_wrapped w t ~src ~dst = simulate w t ~src (initial_header t dst)
+let route_wrapped w t ~src ~dst = route_label w t ~src { target = dst; wire = [||] }
 let route t ~src ~dst = route_wrapped Scheme.identity_wrapper t ~src ~dst
-let route_header t ~src h = simulate Scheme.identity_wrapper t ~src h
+let route_header t ~src h = route_label Scheme.identity_wrapper t ~src h
 
 (* -------------------------------------------------------------- Accounting *)
 
@@ -209,4 +209,4 @@ let deserialize_label t bytes =
   for j = 1 to c.Structure.scales - 1 do
     wire.(j) <- Bitio.Reader.bits r ~width
   done;
-  { target; level = -1; wire }
+  { target; wire }

@@ -23,19 +23,17 @@ val build : Ron_graph.Sp_metric.t -> delta:float -> t
     first-hop row, of more than 65,535 members. *)
 
 type header
-
-val initial_header : t -> int -> header
-(** [initial_header t dst]: header for a fresh packet to [dst] — the routing
-    label of [dst] plus an unset intermediate-target level. *)
+(** A packet's fixed part: the target and its routing label. The chased
+    level, the one field a hop rewrites, is the route loop's state. *)
 
 val route : t -> src:int -> dst:int -> Scheme.result
 (** Simulate the packet through the underlying graph. *)
 
 val route_wrapped : Scheme.wrapper -> t -> src:int -> dst:int -> Scheme.result
-(** Like {!route}, but with the step function passed through the wrapper
-    (e.g. the fault injector). The ranked alternates offered to the wrapper
-    are the first hops toward the intermediate targets at every other
-    zooming level, coarsest first — links the routing table already holds.
+(** Like {!route}, but with the hop passed through the wrapper (e.g. the
+    fault injector). The ranked alternates offered to the wrapper are the
+    first hops toward the intermediate targets at every other zooming
+    level, coarsest first — links the routing table already holds.
     [route] is [route_wrapped Scheme.identity_wrapper]. *)
 
 val serialize_label : t -> int -> Bytes.t * int
@@ -45,7 +43,7 @@ val serialize_label : t -> int -> Bytes.t * int
 
 val deserialize_label : t -> Bytes.t -> header
 (** Rebuild a fresh-packet header from a serialized label. Routing from it
-    is identical to routing from [initial_header]. Raises
+    is identical to {!route} to the same target. Raises
     [Invalid_argument] naming the field when the target is not a node id
     or the first index is outside ring 0, and on input that walks off the
     end of the bitstring. *)
@@ -88,9 +86,8 @@ val substrate : t -> Ron_metric.Indexed.t
     The scheme's routing state, in the Basic snapshot's layout: the flat
     structure ({!Structure.cols}), the first-hop table, each ring
     position's entry in that table, and two constants. The snapshot layer
-    maps these columns to and from image sections; the frozen server
-    routes through {!target_level} and {!hop_entry}, the same per-hop
-    pieces the live step uses. *)
+    maps these columns to and from image sections; live and frozen routes
+    both take {!hop}. *)
 
 type cols = {
   st : Structure.cols;
@@ -119,6 +116,13 @@ val hop_entry : cols -> int -> int array -> int -> int
 (** [hop_entry c u m j]: [u]'s first-hop entry toward the level-[j]
     intermediate target named by [m.(j)], read from [ring_hop]. Raises
     [Failure] if that target is [u]. *)
+
+val hop : cols -> Structure.cols -> int -> int array -> Scheme.regs -> int -> int -> int
+(** [hop c l row m r u level]: Theorem 2.1's hop at [u] toward [r]'s
+    target, whose label is row [row] of [l], for a packet chasing [level]
+    — {!target_level}, then the first hop of {!hop_entry} with its link
+    cost; the new state is the chased level. Returns a {!Scheme} hop code.
+    Allocation-free. *)
 
 val export : t -> cols
 (** The scheme's columns, handed over without a copy. *)

@@ -7,17 +7,15 @@ type t = { sp : Sp_metric.t }
 let build sp = { sp }
 
 let route t ~src ~dst =
-  let g = Sp_metric.graph t.sp in
-  let n = Graph.size g in
-  let step u target =
-    if u = target then Scheme.Deliver
-    else Scheme.Forward (Sp_metric.next_toward t.sp u target, target)
-  in
-  Scheme.simulate
-    ~dist:(fun a b -> Sp_metric.dist t.sp a b)
-    ~step
-    ~header_bits:(fun _ -> Bits.index_bits n)
-    ~src ~header:dst ~max_hops:(max 64 (2 * n)) ()
+  let n = Graph.size (Sp_metric.graph t.sp) in
+  let r = Scheme.live () in
+  Scheme.route r ~header_bits:(Bits.index_bits n) ~max_hops:(max 64 (2 * n)) ~src ~dst 0
+    (fun u _ ->
+      if u = dst then Scheme.deliver
+      else begin
+        let next = Sp_metric.next_toward t.sp u dst in
+        Scheme.forward_to r next 0 (Sp_metric.dist t.sp u next)
+      end)
 
 let table_bits t =
   let g = Sp_metric.graph t.sp in

@@ -117,37 +117,34 @@ let rec select_from d sc m (ids : ints) ~dst i e best =
 
 let select d sc m ids ~dst s e = select_from d sc m ids ~dst s e (-1)
 
-let hop c sc m ~dst u inter =
-  let tb = c.table in
-  let w =
-    if inter = u then
-      select c.dls sc m tb.First_hop.t_w ~dst (A1.unsafe_get tb.t_off u)
-        (A1.unsafe_get tb.t_off (u + 1))
-    else inter
-  in
-  if w < 0 then failwith "Labelled: no neighbors";
-  let e = First_hop.find tb u w in
-  if e < 0 then failwith "Labelled: intermediate target is not a neighbor";
-  e
+let hop c sc m (r : Scheme.regs) u inter =
+  let dst = r.target in
+  if u = dst then Scheme.deliver
+  else begin
+    let tb = c.table in
+    let w =
+      if inter = u then
+        select c.dls sc m tb.First_hop.t_w ~dst (A1.unsafe_get tb.t_off u)
+          (A1.unsafe_get tb.t_off (u + 1))
+      else inter
+    in
+    if w < 0 then failwith "Labelled: no neighbors";
+    let e = First_hop.find tb u w in
+    if e < 0 then failwith "Labelled: intermediate target is not a neighbor";
+    r.next <- A1.unsafe_get tb.t_next e;
+    r.state <- w;
+    r.link.(0) <- A1.unsafe_get tb.t_cost e;
+    Scheme.forward
+  end
 
 (* ---------------------------------------------------------- Live routes *)
-
-type header = { target : int; intermediate : int }
-
-let step c sc m u (h : header) : header Scheme.action =
-  if u = h.target then Deliver
-  else begin
-    let e = hop c sc m ~dst:h.target u h.intermediate in
-    let h = if h.intermediate = u then { h with intermediate = c.table.First_hop.t_w.{e} } else h in
-    Forward (c.table.First_hop.t_next.{e}, h)
-  end
 
 (* Ranked fallback forwards: the node's neighbors ordered by their labeled
    distance estimate to the target (the same score the primary selection
    uses), each re-aimed as the new intermediate target. Capped — the fault
    layer only ever needs the first few live ones. *)
-let alternates c sc m u (h : header) =
-  if u = h.target then []
+let alternates c sc m ~dst u _ =
+  if u = dst then []
   else begin
     let tb = c.table in
     let s = tb.First_hop.t_off.{u} in
@@ -155,7 +152,7 @@ let alternates c sc m u (h : header) =
       List.sort compare
         (List.init (tb.t_off.{u + 1} - s) (fun k ->
              let v = tb.t_w.{s + k} in
-             score c.dls sc m ~dst:h.target v;
+             score c.dls sc m ~dst v;
              (m.est.(v), v, s + k)))
     in
     let rec take k seen = function
@@ -164,7 +161,7 @@ let alternates c sc m u (h : header) =
       | (_, v, e) :: rest ->
         let next = tb.t_next.{e} in
         if next = u || List.mem next seen then take k seen rest
-        else (next, { h with intermediate = v }) :: take (k - 1) (next :: seen) rest
+        else (next, v, tb.t_cost.{e}) :: take (k - 1) (next :: seen) rest
     in
     take 4 [] ranked
   end
@@ -177,13 +174,9 @@ let route_wrapped (w : Scheme.wrapper) t ~src ~dst =
      pays |nbrs| label decodes per revisited node instead of one read. *)
   let m = memo () and sc = Dls.scratch () in
   reserve m c.n;
-  Scheme.simulate ~detect_cycles:w.Scheme.detect_cycles
-    ~dist:(fun a b -> Sp_metric.dist t.sp a b)
-    ~step:(w.Scheme.wrap (step c sc m) ~alternates:(alternates c sc m))
-    ~header_bits:(fun _ -> c.header_bits.{dst})
-    ~src
-    ~header:{ target = dst; intermediate = src }
-    ~max_hops:c.max_hops ()
+  let r = Scheme.live () in
+  Scheme.route ~wrapper:w ~alternates:(alternates c sc m ~dst) r ~header_bits:c.header_bits.{dst}
+    ~max_hops:c.max_hops ~src ~dst src (fun u inter -> hop c sc m r u inter)
 
 let route t ~src ~dst = route_wrapped Scheme.identity_wrapper t ~src ~dst
 let estimate t u v = Dls.estimate (Dls.label t.dls u) (Dls.label t.dls v)

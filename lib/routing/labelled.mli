@@ -35,8 +35,8 @@ val estimate : t -> int -> int -> float
     metric's units, not the graph's. *)
 
 val route_wrapped : Scheme.wrapper -> t -> src:int -> dst:int -> Scheme.result
-(** Like {!route}, but with the step function passed through the wrapper
-    (e.g. the fault injector). The ranked alternates are the node's
+(** Like {!route}, but with the hop passed through the wrapper (e.g. the
+    fault injector). The ranked alternates are the node's
     neighbors ordered by labeled distance estimate to the target — the
     primary selection's own score — each becoming the new intermediate
     target. [route] is [route_wrapped Scheme.identity_wrapper]. *)
@@ -67,8 +67,8 @@ val targets :
 (** {2 Columns}
 
     The scheme's routing state, in the Labelled snapshot's layout. The
-    snapshot layer maps these columns to and from image sections; the
-    frozen server routes through {!hop}, the hop the live step takes. *)
+    snapshot layer maps these columns to and from image sections; live and
+    frozen routes both take {!hop}. *)
 
 type ints = First_hop.ints
 
@@ -106,9 +106,10 @@ val select :
     scratch are reserved; raises [Failure] if a scan identifies no common
     beacon. *)
 
-val hop : cols -> Ron_labeling.Dls.scratch -> memo -> dst:int -> int -> int -> int
-(** [hop c sc m ~dst u inter]: the first-hop entry of [u] (not [dst]) for
-    the intermediate target — [inter], or a fresh {!select} over [u]'s
-    first-hop targets when [u] has reached it. The entry's [t_w] is the
-    new intermediate target. Raises [Failure] when [u] has no neighbor or
+val hop : cols -> Ron_labeling.Dls.scratch -> memo -> Scheme.regs -> int -> int -> int
+(** [hop c sc m r u inter]: Theorem 4.1's hop at [u] toward [r]'s target
+    for a packet whose intermediate target is [inter] — toward [inter], or
+    toward a fresh {!select} over [u]'s first-hop targets when [u] has
+    reached it; the new state is that intermediate target. Returns a
+    {!Scheme} hop code. Raises [Failure] when [u] has no neighbor or
     [inter] is not one. *)

@@ -2,6 +2,7 @@ module Indexed = Ron_metric.Indexed
 module Bits = Ron_util.Bits
 module Triangulation = Ron_labeling.Triangulation
 module Dls = Ron_labeling.Dls
+module Metric = Ron_metric.Metric
 
 type t = {
   idx : Indexed.t;
@@ -21,30 +22,28 @@ let build idx ~delta =
   let nbr_off, nbr = Labelled.targets idx tri ~delta in
   { idx; dls; nbr_off; nbr; dls_bits = Dls.label_bits dls }
 
-(* Every step re-scores the node's neighbors: a fresh memo generation per
-   step, so each hop pays its own label decodes. *)
-let step t sc m u target : int Scheme.action =
-  if u = target then Deliver
+(* Every hop re-scores the node's neighbors: a fresh memo generation per
+   hop, so each hop pays its own label decodes. The state is unused. *)
+let hop t sc m (r : Scheme.regs) u =
+  let target = r.target in
+  if u = target then Scheme.deliver
   else begin
     Labelled.fresh m;
     let best =
       Labelled.select (Dls.export t.dls) sc m t.nbr ~dst:target t.nbr_off.{u} t.nbr_off.{u + 1}
     in
-    if best < 0 then failwith "Labelled_m.step: no neighbors";
-    Forward (best, target)
+    if best < 0 then failwith "Labelled_m.hop: no neighbors";
+    Scheme.forward_to r best 0 (Metric.dist (Indexed.metric t.idx) u best)
   end
 
 let route t ~src ~dst =
   let n = Indexed.size t.idx in
-  let hb = t.dls_bits.(dst) + Bits.index_bits n in
-  let m = Labelled.memo () in
+  let m = Labelled.memo () and sc = Dls.scratch () and r = Scheme.live () in
   Labelled.reserve m n;
-  Scheme.simulate
-    ~dist:(fun a b -> Indexed.dist t.idx a b)
-    ~step:(step t (Dls.scratch ()) m)
-    ~header_bits:(fun _ -> hb)
-    ~src ~header:dst
-    ~max_hops:(max 64 (4 * n)) ()
+  Scheme.route r
+    ~header_bits:(t.dls_bits.(dst) + Bits.index_bits n)
+    ~max_hops:(max 64 (4 * n)) ~src ~dst 0 (fun u _ -> hop t sc m r u)
+  |> Scheme.charge_dist
 
 (* |F(u)|: the run plus [u] itself. *)
 let degrees t = Array.init (Indexed.size t.idx) (fun u -> t.nbr_off.{u + 1} - t.nbr_off.{u} + 1)

@@ -1,4 +1,5 @@
 module Indexed = Ron_metric.Indexed
+module Metric = Ron_metric.Metric
 module Bits = Ron_util.Bits
 module Rings = Ron_core.Rings
 
@@ -9,27 +10,25 @@ let build idx ~delta = { st = Structure.build idx ~delta }
 let scales t = t.st.Structure.cols.Structure.scales
 let max_ring_size t = Rings.max_ring_size t.st.Structure.rings
 
-(* Each step jumps straight to the best intermediate target: the overlay
-   link to f_(t, j_ut). The header is the target; [m] is the route's
-   decode buffer. *)
-let step t m u target : int Scheme.action =
-  if u = target then Deliver
+(* Each hop jumps straight to the best intermediate target: the overlay
+   link to f_(t, j_ut). The state is unused; [m] is the route's decode
+   buffer. *)
+let hop t m (r : Scheme.regs) u =
+  let target = r.target in
+  if u = target then Scheme.deliver
   else begin
     let c = t.st.Structure.cols in
     let jut = Structure.decode c u c target m in
     let w = Structure.member c u jut m.(jut) in
-    if w = u then failwith "On_metric.step: intermediate target equals current node"
-    else Forward (w, target)
+    if w = u then failwith "On_metric.hop: intermediate target equals current node"
+    else Scheme.forward_to r w 0 (Metric.dist (Indexed.metric t.st.Structure.idx) u w)
   end
 
 let route t ~src ~dst =
-  let hb = Structure.label_bits t.st in
-  Scheme.simulate
-    ~dist:(fun a b -> Indexed.dist t.st.Structure.idx a b)
-    ~step:(step t (Array.make (scales t) 0))
-    ~header_bits:(fun _ -> hb)
-    ~src ~header:dst
-    ~max_hops:(max 64 (4 * scales t)) ()
+  let m = Array.make (scales t) 0 and r = Scheme.live () in
+  Scheme.route r ~header_bits:(Structure.label_bits t.st)
+    ~max_hops:(max 64 (4 * scales t)) ~src ~dst 0 (fun u _ -> hop t m r u)
+  |> Scheme.charge_dist
 
 let out_degree t = Rings.max_out_degree t.st.Structure.rings
 

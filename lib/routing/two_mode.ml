@@ -143,11 +143,11 @@ let build ?(m1_threshold = 1.0 /. 3.0) idx ~delta =
 
 (* ---------------------------------------------------------------- The hop *)
 
-type regs = { mutable next : int; mutable mode : int }
-
-let[@inline] forward r next mode code =
+(* A forward from [u] to [next] in [mode], at the distance column's cost. *)
+let[@inline] forward c (r : Scheme.regs) u next mode code =
   r.next <- next;
-  r.mode <- mode;
+  r.state <- mode;
+  r.link.(0) <- fg c.dist ((u * c.n) + next);
   code
 
 (* Largest k in [lo, hi) with dir_bnd.{s + k} <= target, or lo - 1. *)
@@ -185,16 +185,16 @@ let owns c i u target =
 let rec resolve c r ~dst ~code u i =
   if i < 1 || i >= c.li then failwith "Two_mode: ran out of directory scales";
   let hub = ig c.hub_ptr ((u * c.li) + i) in
-  if hub <> u then forward r hub (2 * i) code else at_hub c r ~dst ~code u i
+  if hub <> u then forward c r u hub (2 * i) code else at_hub c r ~dst ~code u i
 
 and at_hub c r ~dst ~code u i =
   let g = ig c.hub_g ((i * c.n) + u) in
   if g < 0 then failwith "Two_mode: hub pointer does not name a hub";
   let owner = owner c g dst in
-  if owner <> u then forward r owner ((2 * i) + 1) code else as_owner c r ~dst ~code u i
+  if owner <> u then forward c r u owner ((2 * i) + 1) code else as_owner c r ~dst ~code u i
 
 and as_owner c r ~dst ~code u i =
-  if owns c i u dst then forward r dst 0 code
+  if owns c i u dst then forward c r u dst 0 code
   else if i <= 1 then failwith "Two_mode: scale-1 directory must cover all targets"
   else resolve c r ~dst ~code u (i - 1)
 
@@ -208,8 +208,9 @@ let rec switch_scale c (acc : float array) u i best =
     switch_scale c acc u (i + 1) i
   else best
 
-let hop (c : cols) sc r ~dst u mode =
-  if u = dst then 0
+let hop (c : cols) sc (r : Scheme.regs) u mode =
+  let dst = r.target in
+  if u = dst then Scheme.deliver
   else if mode = 0 then begin
     (* The decoder's estimate and its best identified beacon by proximity
        to the target, excluding u. *)
@@ -219,25 +220,14 @@ let hop (c : cols) sc r ~dst u mode =
     if not (d_est -. d_est = 0.0) then
       failwith "Two_mode: no common beacon identified (Theorem 3.4 violated)";
     let best = Dls.best_beacon sc in
-    if best >= 0 && acc.(1) <= d_est *. c.m1_threshold then forward r best 0 1
+    if best >= 0 && acc.(1) <= d_est *. c.m1_threshold then forward c r u best 0 Scheme.forward
     else (* Lemma B.5 territory: switch to mode M2. *)
-      resolve c r ~dst ~code:2 u (switch_scale c acc u 1 1)
+      resolve c r ~dst ~code:Scheme.rewrite u (switch_scale c acc u 1 1)
   end
-  else if mode land 1 = 0 then at_hub c r ~dst ~code:1 u (mode / 2)
-  else as_owner c r ~dst ~code:1 u (mode / 2)
+  else if mode land 1 = 0 then at_hub c r ~dst ~code:Scheme.forward u (mode / 2)
+  else as_owner c r ~dst ~code:Scheme.forward u (mode / 2)
 
 (* ---------------------------------------------------------- Live routes *)
-
-type header = { target : int; mode : int }
-
-(* Only an M1 beacon jump leaves the header as it was: every M2 hop
-   changes the mode, and a switch rewrites it even when it ends in M1. *)
-let step t sc r u (h : header) : header Scheme.action =
-  match hop t.cols sc r ~dst:h.target u h.mode with
-  | 0 -> Deliver
-  | code ->
-    if code = 2 then Atomic.incr t.switches;
-    Forward (r.next, if code = 1 && r.mode = h.mode then h else { h with mode = r.mode })
 
 (* Ranked fallback forwards for the fault layer. Every alternate uses a
    link the node's M1/M2 tables already hold:
@@ -250,38 +240,39 @@ let step t sc r u (h : header) : header Scheme.action =
      invariant), so there is no in-directory alternate;
    - as an owner, the coarser hub pointers below the scale the primary
      resolution would use. *)
-let alternates t sc u (h : header) =
-  if u = h.target then []
+let alternates t sc ~dst u mode =
+  if u = dst then []
   else begin
     let c = t.cols in
+    let link v state = (v, state, fg c.dist ((u * c.n) + v)) in
     let hub_chain below =
       let acc = ref [] in
       for i = 1 to min below (c.li - 1) do
         let hub = ig c.hub_ptr ((u * c.li) + i) in
-        if hub <> u then acc := (hub, { h with mode = 2 * i }) :: !acc
+        if hub <> u then acc := link hub (2 * i) :: !acc
       done;
       !acc (* built 1..below with prepends, so coarser scales come first *)
     in
     let dedupe l =
       List.rev
         (List.fold_left
-           (fun acc (next, h') ->
-             if next = u || List.mem_assoc next acc then acc else (next, h') :: acc)
+           (fun acc ((next, _, _) as a) ->
+             if next = u || List.exists (fun (v, _, _) -> v = next) acc then acc else a :: acc)
            [] l)
     in
-    let i = h.mode / 2 in
-    if h.mode = 0 then begin
-      Dls.scan_labels (Dls.label t.dls u) (Dls.label t.dls h.target) sc ~exclude:u ~collect:true;
+    let i = mode / 2 in
+    if mode = 0 then begin
+      Dls.scan_labels (Dls.label t.dls u) (Dls.label t.dls dst) sc ~exclude:u ~collect:true;
       let ranked = List.sort compare (Dls.candidates sc) in
       let best4 = List.filteri (fun k _ -> k < 4) ranked in
-      dedupe (List.map (fun (_, w) -> (w, h)) best4 @ hub_chain (c.li - 1))
+      dedupe (List.map (fun (_, w) -> link w 0) best4 @ hub_chain (c.li - 1))
     end
-    else if h.mode land 1 = 1 then dedupe (hub_chain (i - 1))
+    else if mode land 1 = 1 then dedupe (hub_chain (i - 1))
     else
       match ig c.hub_g ((i * c.n) + u) with
       | -1 -> dedupe (hub_chain (i - 1))
       | g ->
-        let owner = owner c g h.target in
+        let owner = owner c g dst in
         let s = ig c.dir_off g in
         let members =
           if i < 2 then []
@@ -289,7 +280,7 @@ let alternates t sc u (h : header) =
             List.filter_map
               (fun k ->
                 let v = ig c.dir_mem (s + k) in
-                if v = owner then None else Some (v, { h with mode = (2 * i) + 1 }))
+                if v = owner then None else Some (link v ((2 * i) + 1)))
               (List.init (ig c.dir_off (g + 1) - s) Fun.id)
         in
         dedupe (members @ hub_chain (i - 1))
@@ -297,14 +288,13 @@ let alternates t sc u (h : header) =
 
 let route_wrapped (w : Scheme.wrapper) t ~src ~dst =
   let c = t.cols in
-  let sc = Dls.scratch () and r = { next = 0; mode = 0 } in
-  Scheme.simulate ~detect_cycles:w.Scheme.detect_cycles
-    ~dist:(fun a b -> Indexed.dist t.idx a b)
-    ~step:(w.Scheme.wrap (step t sc r) ~alternates:(alternates t sc))
-    ~header_bits:(fun _ -> c.header_bits)
-    ~src
-    ~header:{ target = dst; mode = 0 }
-    ~max_hops:c.max_hops ()
+  let sc = Dls.scratch () and r = Scheme.live () in
+  Scheme.route ~wrapper:w ~alternates:(alternates t sc ~dst) r ~header_bits:c.header_bits
+    ~max_hops:c.max_hops ~src ~dst 0 (fun u mode ->
+      let code = hop c sc r u mode in
+      if code = Scheme.rewrite then Atomic.incr t.switches;
+      code)
+  |> Scheme.charge_dist
 
 let route t ~src ~dst = route_wrapped Scheme.identity_wrapper t ~src ~dst
 let estimate t u v = Dls.estimate (Dls.label t.dls u) (Dls.label t.dls v)

@@ -41,8 +41,8 @@ val estimate : t -> int -> int -> float
     query the frozen server answers for this scheme. *)
 
 val route_wrapped : Scheme.wrapper -> t -> src:int -> dst:int -> Scheme.result
-(** Like {!route}, but with the step function passed through the wrapper
-    (e.g. the fault injector). Alternates per mode: other identified
+(** Like {!route}, but with the hop passed through the wrapper (e.g. the
+    fault injector). Alternates per mode: other identified
     beacons in M1; the scale-i directory's other members (provisional
     owners, scales >= 2 only) and coarser hub pointers at a hub; coarser
     hub pointers as an owner. All are links the M1/M2 tables already pay
@@ -73,8 +73,7 @@ val out_degree : t -> int
     ball whose members collectively own the enclosing ball [B']: member
     [dir_mem.{k}] owns the target ids from [dir_bnd.{k}] up to the next
     boundary. The snapshot layer maps these columns to and from image
-    sections; the frozen server routes through {!hop}, the hop the live
-    step takes. *)
+    sections; live and frozen routes both take {!hop}. *)
 
 type ints = Ron_labeling.Dls.ints
 type floats = Ron_labeling.Dls.floats
@@ -113,16 +112,13 @@ val overlay_row : cols -> int -> int array
     A packet's mode is an int: [0] for M1, [2i] for "at the scale-[i]
     hub", [2i + 1] for "at the scale-[i] owner" ([i >= 1]). *)
 
-type regs = { mutable next : int; mutable mode : int }
-(** Where {!hop} writes a forward: the next node and the packet's mode
-    there. *)
-
-val hop : cols -> Ron_labeling.Dls.scratch -> regs -> dst:int -> int -> int -> int
-(** [hop c sc r ~dst u mode]: one step of the scheme at [u] — the M1
-    beacon jump, the switch to M2 at Lemma B.5's scale, or the next M2
-    resolution step. Returns 0 when [u] is [dst]; otherwise writes the
-    forward into [r] and returns 2 if [u] switched from M1 to M2, else 1.
-    Reads only [u]'s columns and [dst]'s label; allocation-free once the
-    scratch is reserved. Raises [Failure] when Theorem 3.4's decoder
-    identifies no common beacon or the directories do not resolve
-    [dst]. *)
+val hop : cols -> Ron_labeling.Dls.scratch -> Scheme.regs -> int -> int -> int
+(** [hop c sc r u mode]: one step of the scheme at [u] toward [r]'s
+    target — the M1 beacon jump, the switch to M2 at Lemma B.5's scale,
+    or the next M2 resolution step; the new state is the mode at the next
+    node, the link cost is read from [c.dist]. Returns {!Scheme.deliver}
+    at the target, {!Scheme.rewrite} when [u] switched from M1 to M2,
+    else {!Scheme.forward}. Reads only [u]'s columns and the target's
+    label; allocation-free once the scratch is reserved. Raises [Failure]
+    when Theorem 3.4's decoder identifies no common beacon or the
+    directories do not resolve the target. *)

@@ -7,10 +7,9 @@
    first, so that the unchecked reads of its query path stay in bounds.
    Queries run the schemes' own code on the mapped columns: the estimators
    ([Dls.scan], [Landmark.bounds]), Meridian's walk ([Meridian.locate])
-   and the Basic, Labelled and Two_mode hops
-   ([Basic.target_level]/[Basic.hop_entry], [Labelled.hop],
-   [Two_mode.hop]), driven by one copy of [Scheme.simulate]'s Brent loop,
-   so frozen results are byte-identical to the live scheme's.
+   and the Basic, Labelled and Two_mode hops ([Basic.hop],
+   [Labelled.hop], [Two_mode.hop]) driven by the route loop
+   ([Scheme.walk]), the same code live routes run.
 
    The hot path allocates nothing in steady state. The discipline, for the
    non-flambda middle end: every loop is a top-level tail-recursive
@@ -27,6 +26,7 @@ module Structure = Ron_routing.Structure
 module First_hop = Ron_routing.First_hop
 module Labelled = Ron_routing.Labelled
 module Two_mode = Ron_routing.Two_mode
+module Scheme = Ron_routing.Scheme
 module Dls = Ron_labeling.Dls
 module Landmark = Ron_labeling.Landmark
 module Meridian = Ron_smallworld.Meridian
@@ -38,12 +38,6 @@ type u16s = Image.u16s
 let[@inline always] ig (a : ints) i = A1.unsafe_get a i
 let[@inline always] fg (a : floats) i = A1.unsafe_get a i
 
-(* Outcome codes, in declaration order of [Scheme.outcome]. *)
-let code_delivered = 0
-let code_truncated = 1
-let code_self_forward = 2
-let code_cycled = 3
-
 (* ------------------------------------------------------- per-domain scratch *)
 
 (* All per-query mutable state. Float accumulators live in [fbuf];
@@ -51,19 +45,19 @@ let code_cycled = 3
    steady-state queries never allocate.
 
    fbuf slots: 0 meridian d; 1 meridian best_d; 2 route length; 3 lo;
-   4 hi; 5 the route hop's link cost. The DLS decoder keeps its own state
-   and results in [dls], Meridian's walk its results in [mer]. *)
+   4 hi. The DLS decoder keeps its own state and results in [dls], the
+   route loop its registers in [walk], Meridian's walk its results in
+   [mer]. *)
 type scratch = {
   mutable m : int array; (* decoded zooming sequence (Basic) *)
   dls : Dls.scratch;
   memo : Labelled.memo; (* Labelled per-route estimates *)
-  regs : Two_mode.regs; (* Two_mode's hop output *)
+  walk : Scheme.regs; (* the route loop's registers; its trail is [hop_log] *)
   mer : Meridian.regs; (* Meridian's walk output; its trail is [hop_log] *)
   fbuf : float array;
-  mutable sel_w : int; (* the route hop's next state *)
   mutable r_outcome : int;
   mutable r_hops : int;
-  mutable r_next : int; (* found member (locate); the route hop's next node *)
+  mutable r_next : int; (* found member (locate) *)
   mutable r_aux : int; (* header bits (route) / measurements (locate) *)
   (* Per-hop trace capture for the flight recorder: visited nodes land in
      [hop_log] while [log_hops] is set (the observed loop arms it for the
@@ -83,10 +77,9 @@ let scratch_key : scratch Domain.DLS.key =
         m = [||];
         dls = Dls.new_scratch ();
         memo = Labelled.memo ();
-        regs = { Two_mode.next = 0; mode = 0 };
+        walk = Scheme.regs ~trail:hop_log ();
         mer = Meridian.regs ~trail:hop_log ();
-        fbuf = Array.make 6 0.0;
-        sel_w = -1;
+        fbuf = Array.make 5 0.0;
         r_outcome = 0;
         r_hops = 0;
         r_next = 0;
@@ -105,7 +98,18 @@ type view =
   | Meridian of Meridian.cols
   | Landmark of Landmark.cols
 
-type t = { img : Image.t; view : view }
+(* [hop]: the view's route hop over a domain's scratch, bound once per
+   server so that a served route calls it without building a closure. *)
+type t = { img : Image.t; view : view; hop : scratch -> int -> int -> int }
+
+let route_hop = function
+  | Basic b ->
+    fun sc u level -> Basic.hop b b.Basic.st sc.walk.Scheme.target sc.m sc.walk u level
+  | Labelled l -> fun sc u inter -> Labelled.hop l sc.dls sc.memo sc.walk u inter
+  | Two_mode m -> fun sc u mode -> Two_mode.hop m sc.dls sc.walk u mode
+  | Meridian _ | Landmark _ -> fun _ _ _ -> invalid_arg "Server: this scheme serves no route"
+
+let server img view = { img; view; hop = route_hop view }
 
 let image t = t.img
 let byte_size t = Image.byte_size t.img
@@ -596,7 +600,7 @@ let freeze d c =
   let isecs = pick (function I a -> Some a | F _ | U _ -> None) in
   let fsecs = pick (function F a -> Some a | I _ | U _ -> None) in
   let usecs = pick (function U a -> Some a | I _ | F _ -> None) in
-  { img = { Image.scheme = d.tag; isecs; fsecs; usecs }; view = d.wrap c }
+  server { Image.scheme = d.tag; isecs; fsecs; usecs } (d.wrap c)
 
 let freeze_basic_t c = freeze basic c
 let freeze_labelled_t c = freeze labelled c
@@ -640,7 +644,7 @@ let view_of d (img : Image.t) =
     | None -> (
       let c = d.make e in
       match Result.bind (d.meta_ok c) (fun () -> validate e columns) with
-      | Ok () -> Ok { img; view = d.wrap c }
+      | Ok () -> Ok (server img (d.wrap c))
       | Error (s, m) -> fail "%s: %s" s m)
 
 let by_tag tag = find_decl (fun _ t -> t = tag)
@@ -667,71 +671,20 @@ let eval (img : Image.t) x =
 
 (* ---------------------------------------------------------------- routes *)
 
-(* Append a visited node to the hop trace; counting continues past the
-   buffer so the recorder can tell a truncated trace from a full one. *)
-let[@inline] log_hop sc node =
-  if sc.log_hops then begin
-    if sc.hop_len < Array.length sc.hop_log then sc.hop_log.(sc.hop_len) <- node;
-    sc.hop_len <- sc.hop_len + 1
-  end
-
-let[@inline] finish sc code hops =
-  sc.r_outcome <- code;
-  sc.r_hops <- hops
-
-let[@inline] table_hop (tb : First_hop.t) sc e state =
-  sc.r_next <- ig tb.First_hop.t_next e;
-  sc.sel_w <- state;
-  sc.fbuf.(5) <- fg tb.t_cost e
-
-(* One hop of the view's scheme at [node], which is not [dst]: the next
-   node into r_next, the packet's next state into sel_w and the link's
-   cost into fbuf.(5). The state is the one int a header varies in — the
-   chased level for Basic (-1: none yet), the intermediate target for
-   Labelled, the mode for Two_mode. *)
-let hop view sc ~dst node state =
-  match view with
-  | Basic b ->
-    let j = Basic.target_level b b.Basic.st dst sc.m node state in
-    table_hop b.Basic.table sc (Basic.hop_entry b node sc.m j) j
-  | Labelled l ->
-    let e = Labelled.hop l sc.dls sc.memo ~dst node state in
-    table_hop l.Labelled.table sc e (ig l.table.First_hop.t_w e)
-  | Two_mode m ->
-    ignore (Two_mode.hop m sc.dls sc.regs ~dst node state : int);
-    sc.r_next <- sc.regs.Two_mode.next;
-    sc.sel_w <- sc.regs.mode;
-    sc.fbuf.(5) <- fg m.Two_mode.dist ((node * m.n) + sc.r_next)
-  | Meridian _ | Landmark _ -> invalid_arg "Server: this scheme serves no route"
-
-(* [Scheme.simulate]'s Brent loop over (node, state): per hop, cycle check
-   first, then checkpoint refresh at power-of-two hop counts, then the
-   step. *)
-let rec route_go view sc ~dst ~max_hops node state saved_node saved_state power hops =
-  if hops > 0 && node = saved_node && state = saved_state then finish sc code_cycled hops
-  else begin
-    let refresh = hops = power in
-    let saved_node = if refresh then node else saved_node in
-    let saved_state = if refresh then state else saved_state in
-    let power = if refresh then 2 * power else power in
-    if node = dst then finish sc code_delivered hops
-    else begin
-      hop view sc ~dst node state;
-      let next = sc.r_next in
-      if next = node then finish sc code_self_forward hops
-      else if hops >= max_hops then finish sc code_truncated hops
-      else begin
-        sc.fbuf.(2) <- sc.fbuf.(2) +. sc.fbuf.(5);
-        log_hop sc next;
-        route_go view sc ~dst ~max_hops next sc.sel_w saved_node saved_state power (hops + 1)
-      end
-    end
-  end
-
-(* A route from [src] in the scheme's initial state; r_aux = header bits. *)
-let route view sc ~src ~dst ~header_bits ~max_hops state =
+(* A route from [src] in the scheme's initial [state]: the view's hop in
+   the route loop, then its registers into the scratch's (r_aux = header
+   bits). Outcome codes are [Scheme.outcome]'s declaration order. *)
+let walk_route t sc ~src ~dst ~header_bits ~max_hops state =
+  let r = sc.walk in
+  r.tracing <- sc.log_hops;
+  Scheme.walk t.hop sc r ~detect_cycles:true ~header_bits ~max_hops ~src ~dst state;
+  sc.r_outcome <-
+    (match r.outcome with Delivered -> 0 | Truncated -> 1 | Self_forward -> 2 | Cycled -> 3
+     | Dropped -> 4);
+  sc.r_hops <- r.hops;
   sc.r_aux <- header_bits;
-  route_go view sc ~dst ~max_hops src state src state 1 0
+  sc.fbuf.(2) <- r.link.(1);
+  if sc.log_hops then sc.hop_len <- r.trail_len
 
 (* ------------------------------------------------- labeled dist estimates *)
 
@@ -774,17 +727,16 @@ let query t sc ~kind ~src ~dst =
   sc.fbuf.(3) <- 0.0;
   sc.fbuf.(4) <- 0.0;
   match t.view with
-  | Basic b ->
-    route t.view sc ~src ~dst ~header_bits:b.Basic.header_bits ~max_hops:b.max_hops (-1)
+  | Basic b -> walk_route t sc ~src ~dst ~header_bits:b.Basic.header_bits ~max_hops:b.max_hops (-1)
   | Labelled l ->
     if kind = 1 then dls_estimate l.Labelled.dls sc ~src ~dst
     else begin
       Labelled.fresh sc.memo;
-      route t.view sc ~src ~dst ~header_bits:(ig l.header_bits dst) ~max_hops:l.max_hops src
+      walk_route t sc ~src ~dst ~header_bits:(ig l.header_bits dst) ~max_hops:l.max_hops src
     end
   | Two_mode m ->
     if kind = 1 then dls_estimate m.Two_mode.dls sc ~src ~dst
-    else route t.view sc ~src ~dst ~header_bits:m.header_bits ~max_hops:m.max_hops 0
+    else walk_route t sc ~src ~dst ~header_bits:m.header_bits ~max_hops:m.max_hops 0
   | Meridian c ->
     let r = sc.mer in
     r.tracing <- sc.log_hops;

@@ -4,8 +4,8 @@
     {!Image.t} (Bigarray sections, int-indexed, string-free) and served
     from the same columns mapped back. Queries run the schemes' own code
     on them: the estimators, Meridian's walk, and the Basic, Labelled and
-    Two_mode hops inside one copy of [Scheme.simulate]'s Brent cycle
-    detection — frozen results are byte-identical to the live scheme's.
+    Two_mode hops in the route loop live routes run ([Scheme.walk]) —
+    frozen results are byte-identical to the live scheme's.
     The hot path is zero-allocation in steady state: all per-query mutable
     state lives in a preallocated per-domain {!scratch}, results land in
     its registers, and no hot function passes or returns a float. *)
@@ -18,16 +18,15 @@ type floats = Image.floats
 (** Per-domain query state. Query results are read from the [r_*]
     registers and [fbuf] slots documented at {!query}; the remaining
     fields — [dls] (the DLS decoder's own scratch), [memo] (Labelled's
-    per-route estimates), [regs] (Two_mode's hop output) and [mer]
+    per-route estimates), [walk] (the route loop's registers) and [mer]
     (Meridian's walk output) included — are internal working storage. *)
 type scratch = {
   mutable m : int array;
   dls : Ron_labeling.Dls.scratch;
   memo : Ron_routing.Labelled.memo;
-  regs : Ron_routing.Two_mode.regs;
+  walk : Ron_routing.Scheme.regs;
   mer : Ron_smallworld.Meridian.regs;
   fbuf : float array;
-  mutable sel_w : int;
   mutable r_outcome : int;
   mutable r_hops : int;
   mutable r_next : int;
@@ -151,7 +150,8 @@ val query : t -> scratch -> kind:int -> src:int -> dst:int -> unit
 
     - route (0): [r_outcome] (0 delivered, 1 truncated, 2 self-forward,
       3 cycled), [r_hops], [r_aux] = header bits, [fbuf.(2)] = path
-      length;
+      length; with observability on, the route counters and trace events
+      of [Scheme.walk];
     - dist (1): [fbuf.(3)] = lower bound, [fbuf.(4)] = upper bound (equal
       for the label-based point estimates);
     - locate (2): [r_next] = found member, [r_hops], [r_aux] =

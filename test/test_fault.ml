@@ -99,7 +99,7 @@ let test_drop_schedule_varies () =
 
 (* -------------------------------------------------------------- wrapper *)
 
-(* Drive the wrap closure directly with a toy step: the primary next hop is
+(* Drive the wrapped hop directly with a toy hop: the primary next hop is
    always a crashed node, so the packet survives iff the alternates list
    offers a live one. *)
 let test_wrapper_detours_to_live_alternate () =
@@ -112,18 +112,19 @@ let test_wrapper_detours_to_live_alternate () =
   in
   let w = Fault.wrapper f ~query:0 in
   check_bool "cycle detection off under faults" (not w.Scheme.detect_cycles);
-  let step _ () = Scheme.Forward (crashed_v, ()) in
-  let wrapped = w.Scheme.wrap step ~alternates:(fun _ () -> [ (crashed_v, ()); (live_v, ()) ]) in
-  (match wrapped 8 () with
-  | Scheme.Forward (v, ()) -> check_int "detoured to the live alternate" live_v v
-  | _ -> Alcotest.fail "expected a detour Forward");
-  let wrapped_dead = w.Scheme.wrap step ~alternates:(fun _ () -> [ (crashed_v, ()) ]) in
-  (match wrapped_dead 8 () with
-  | Scheme.Drop -> ()
-  | _ -> Alcotest.fail "expected Drop when every alternate is dead")
+  let r = Scheme.regs () in
+  let hop _ s = Scheme.forward_to r crashed_v s 1.0 in
+  let wrapped =
+    w.Scheme.wrap r hop ~alternates:(fun _ s -> [ (crashed_v, s, 1.0); (live_v, s, 2.0) ])
+  in
+  check_int "forwarded" Scheme.forward (wrapped 8 0);
+  check_int "detoured to the live alternate" live_v r.Scheme.next;
+  Alcotest.(check (float 0.0)) "at the alternate's link cost" 2.0 r.Scheme.link.(0);
+  let wrapped_dead = w.Scheme.wrap r hop ~alternates:(fun _ s -> [ (crashed_v, s, 1.0) ]) in
+  check_int "dropped when every alternate is dead" Scheme.drop (wrapped_dead 8 0)
 
 let test_wrapper_drop_schedule_matches_simulate () =
-  (* A pure line walk under a drop-only model: the simulator's outcome is
+  (* A pure line walk under a drop-only model: the loop's outcome is
      predictable from the drop schedule alone. *)
   let f = Fault.make ~seed:2 ~drop_rate:0.4 ~n:16 () in
   let hops_to_deliver = 6 in
@@ -133,22 +134,19 @@ let test_wrapper_drop_schedule_matches_simulate () =
       for hop = hops_to_deliver - 1 downto 0 do
         if Fault.drops f ~query ~hop then first_drop := Some hop
       done;
-      let w = Fault.wrapper f ~query in
-      let step u () = if u = hops_to_deliver then Scheme.Deliver else Scheme.Forward (u + 1, ()) in
-      let r =
-        Scheme.simulate ~detect_cycles:w.Scheme.detect_cycles
-          ~dist:(fun _ _ -> 1.0)
-          ~step:(w.Scheme.wrap step ~alternates:(fun _ () -> []))
-          ~header_bits:(fun () -> 0)
-          ~src:0 ~header:() ~max_hops:100 ()
+      let r = Scheme.live () in
+      let res =
+        Scheme.route ~wrapper:(Fault.wrapper f ~query) r ~header_bits:0 ~max_hops:100 ~src:0
+          ~dst:hops_to_deliver 0 (fun u s ->
+            if u = r.Scheme.target then Scheme.deliver else Scheme.forward_to r (u + 1) s 1.0)
       in
       match !first_drop with
       | None ->
-        check_bool "delivered when no coin fires" (r.Scheme.outcome = Scheme.Delivered);
-        check_int "full walk" hops_to_deliver r.Scheme.hops
+        check_bool "delivered when no coin fires" (res.Scheme.outcome = Scheme.Delivered);
+        check_int "full walk" hops_to_deliver res.Scheme.hops
       | Some k ->
-        check_bool "dropped when a coin fires" (r.Scheme.outcome = Scheme.Dropped);
-        check_int "dropped at the scheduled hop" k r.Scheme.hops)
+        check_bool "dropped when a coin fires" (res.Scheme.outcome = Scheme.Dropped);
+        check_int "dropped at the scheduled hop" k res.Scheme.hops)
     [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
 (* -------------------------------------------- rate 0 => byte-identical *)

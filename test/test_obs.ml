@@ -393,17 +393,19 @@ let test_profile_mirrors_trace_span () =
 
 (* ------------------------------------------- simulator <-> obs agreement *)
 
+(* A hand-rolled route along the line 0 -> 4, unit cost per hop. *)
+let line_route () =
+  let r = Scheme.live () in
+  Scheme.route r ~header_bits:3 ~max_hops:10 ~src:0 ~dst:4 0 (fun u s ->
+      if u = r.Scheme.target then Scheme.deliver
+      else Scheme.forward_to r (u + 1) s 1.0)
+
 let test_simulate_hops_match_trace_and_ledger () =
   fresh ();
   let sink, lines = Trace.memory_sink () in
   Trace.configure ~clock:Trace.logical_clock sink;
   Ron_obs.enable ();
-  let dist a b = Float.abs (float_of_int (a - b)) in
-  let step u target = if u = target then Scheme.Deliver else Scheme.Forward (u + 1, target) in
-  let (r, e) =
-    Ledger.with_query ~kind:"route" ~id:0 (fun () ->
-        Scheme.simulate ~dist ~step ~header_bits:(fun _ -> 3) ~src:0 ~header:4 ~max_hops:10 ())
-  in
+  let (r, e) = Ledger.with_query ~kind:"route" ~id:0 line_route in
   Ron_obs.disable ();
   Trace.stop ();
   check_bool "delivered" (r.Scheme.outcome = Scheme.Delivered);
@@ -444,10 +446,8 @@ let test_simulate_hops_match_trace_and_ledger () =
 
 let test_probe_off_records_nothing () =
   fresh ();
-  (* Probes off: the instrumented simulator leaves no footprint. *)
-  let dist a b = Float.abs (float_of_int (a - b)) in
-  let step u target = if u = target then Scheme.Deliver else Scheme.Forward (u + 1, target) in
-  ignore (Scheme.simulate ~dist ~step ~header_bits:(fun _ -> 3) ~src:0 ~header:4 ~max_hops:10 ());
+  (* Probes off: the instrumented route loop leaves no footprint. *)
+  ignore (line_route ());
   let counters =
     match Ron_obs.snapshot () with
     | Json.Obj fields -> (

@@ -24,14 +24,45 @@ let basic_grid = lazy (Basic.build (Lazy.force grid) ~delta:0.25)
 let basic_geo = lazy (Basic.build (Lazy.force geo) ~delta:0.25)
 let basic_expg = lazy (Basic.build (Lazy.force expg) ~delta:0.25)
 
-(* ------------------------------------------------------------ simulator *)
+(* ------------------------------------------------------------ route loop *)
+
+module Probe = Ron_obs.Probe
+module Counter = Ron_obs.Counter
+
+(* A synthetic scheme over (node, state): [step u s] is [None] to deliver,
+   else [Some (next, state')]; a link costs [cost u v] (default 1). *)
+let synthetic ?(wrapper = Scheme.identity_wrapper) ?(cost = fun _ _ -> 1.0) ?(header_bits = 1)
+    ~max_hops ~src state step =
+  let r = Scheme.live () in
+  Scheme.route ~wrapper r ~header_bits ~max_hops ~src ~dst:(-1) state (fun u s ->
+      match step u s with
+      | None -> Scheme.deliver
+      | Some (next, s') -> Scheme.forward_to r next s' (cost u next))
+
+(* A line walk: [line.(i)] forwards to [line.(i+1)] and offers
+   [line.(i+2)] as its one alternate, every link at cost 1. *)
+let synthetic_alts ~wrapper ~max_hops ~dst line =
+  let at u =
+    let rec find i = if line.(i) = u then i else find (i + 1) in
+    find 0
+  in
+  let r = Scheme.live () in
+  let n = Array.length line in
+  Scheme.route ~wrapper
+    ~alternates:(fun u s ->
+      let i = at u in
+      if i + 2 < n then [ (line.(i + 2), s, 1.0) ] else [])
+    r ~header_bits:1 ~max_hops ~src:line.(0) ~dst 0
+    (fun u s ->
+      if u = r.Scheme.target then Scheme.deliver
+      else Scheme.forward_to r line.(at u + 1) s 1.0)
 
 let test_simulator_basics () =
   (* A 3-node line walked by a hand-rolled scheme. *)
-  let dist a b = Float.abs (float_of_int (a - b)) in
-  let step u target = if u = target then Scheme.Deliver else Scheme.Forward (u + 1, target) in
+  let cost a b = Float.abs (float_of_int (a - b)) in
   let r =
-    Scheme.simulate ~dist ~step ~header_bits:(fun _ -> 5) ~src:0 ~header:2 ~max_hops:10 ()
+    synthetic ~cost ~header_bits:5 ~max_hops:10 ~src:0 2 (fun u target ->
+        if u = target then None else Some (u + 1, target))
   in
   check_bool "delivered" r.Scheme.delivered;
   check_int "hops" 2 r.Scheme.hops;
@@ -42,23 +73,18 @@ let test_simulator_basics () =
 let test_simulator_max_hops () =
   (* An ever-advancing walk (no state ever repeats) so the only way out is
      the hop budget — cycle detection must not fire. *)
-  let r =
-    Scheme.simulate ~dist:(fun _ _ -> 1.0)
-      ~step:(fun u h -> Scheme.Forward (u + 1, h))
-      ~header_bits:(fun _ -> 1) ~src:0 ~header:99 ~max_hops:5 ()
-  in
+  let r = synthetic ~max_hops:5 ~src:0 99 (fun u s -> Some (u + 1, s)) in
   check_bool "not delivered" (not r.Scheme.delivered);
   check_bool "truncated outcome" (r.Scheme.outcome = Scheme.Truncated);
   check_int "capped" 5 r.Scheme.hops
 
 let test_simulator_two_cycle_detected () =
-  (* A 2-cycle 0 -> 1 -> 0 with a constant header: before the fix this spun
-     to the hop budget and misreported Truncated. Brent's detection must
-     flag it as Cycled within O(cycle length) hops, far below the budget. *)
+  (* A 2-cycle 0 -> 1 -> 0 with a constant state: without detection this
+     spins to the hop budget and misreports Truncated. Brent's detection
+     must flag it as Cycled within O(cycle length) hops, far below the
+     budget. *)
   let r =
-    Scheme.simulate ~dist:(fun _ _ -> 1.0)
-      ~step:(fun u h -> Scheme.Forward ((if u = 0 then 1 else 0), h))
-      ~header_bits:(fun _ -> 1) ~src:0 ~header:99 ~max_hops:10_000 ()
+    synthetic ~max_hops:10_000 ~src:0 99 (fun u s -> Some ((if u = 0 then 1 else 0), s))
   in
   check_bool "not delivered" (not r.Scheme.delivered);
   check_bool "cycled outcome" (r.Scheme.outcome = Scheme.Cycled);
@@ -67,52 +93,181 @@ let test_simulator_two_cycle_detected () =
 let test_simulator_longer_cycle_detected () =
   (* A tail of 3 hops into a 5-cycle; detection cost must stay proportional
      to tail + cycle length, not the budget. *)
-  let step u h =
-    if u < 3 then Scheme.Forward (u + 1, h)
-    else Scheme.Forward ((if u = 7 then 3 else u + 1), h)
-  in
-  let r =
-    Scheme.simulate ~dist:(fun _ _ -> 1.0) ~step ~header_bits:(fun _ -> 1) ~src:0 ~header:()
-      ~max_hops:10_000 ()
-  in
+  let step u s = if u < 3 then Some (u + 1, s) else Some ((if u = 7 then 3 else u + 1), s) in
+  let r = synthetic ~max_hops:10_000 ~src:0 0 step in
   check_bool "cycled outcome" (r.Scheme.outcome = Scheme.Cycled);
   check_bool "detected promptly" (r.Scheme.hops <= 40)
 
 let test_simulator_header_rewrite_not_cycled () =
-  (* Revisiting a node with a *different* header is not a cycle: the header
+  (* Revisiting a node in a *different* state is not a cycle: the state
      counts down to delivery. *)
-  let step u h =
-    if h = 0 then Scheme.Deliver
-    else Scheme.Forward ((if u = 0 then 1 else 0), h - 1)
-  in
   let r =
-    Scheme.simulate ~dist:(fun _ _ -> 1.0) ~step ~header_bits:(fun _ -> 4) ~src:0 ~header:9
-      ~max_hops:100 ()
+    synthetic ~header_bits:4 ~max_hops:100 ~src:0 9 (fun u s ->
+        if s = 0 then None else Some ((if u = 0 then 1 else 0), s - 1))
   in
   check_bool "delivered" r.Scheme.delivered;
   check_int "hops" 9 r.Scheme.hops
 
+let no_detection = { Scheme.identity_wrapper with detect_cycles = false }
+
 let test_simulator_no_detect_opt_out () =
-  (* ~detect_cycles:false restores the old spin-to-budget behaviour (needed
-     when the step function is not state-determined, e.g. under faults). *)
+  (* A wrapper without cycle detection restores the spin-to-budget
+     behaviour (needed when the hop is not state-determined, e.g. under
+     faults). *)
   let r =
-    Scheme.simulate ~detect_cycles:false ~dist:(fun _ _ -> 1.0)
-      ~step:(fun u h -> Scheme.Forward ((if u = 0 then 1 else 0), h))
-      ~header_bits:(fun _ -> 1) ~src:0 ~header:99 ~max_hops:17 ()
+    synthetic ~wrapper:no_detection ~max_hops:17 ~src:0 99 (fun u s ->
+        Some ((if u = 0 then 1 else 0), s))
   in
   check_bool "truncated outcome" (r.Scheme.outcome = Scheme.Truncated);
   check_int "ran to budget" 17 r.Scheme.hops
 
 let test_simulator_self_forward_outcome () =
-  let r =
-    Scheme.simulate ~dist:(fun _ _ -> 1.0)
-      ~step:(fun u h -> Scheme.Forward (u, h))
-      ~header_bits:(fun _ -> 1) ~src:0 ~header:() ~max_hops:5 ()
-  in
+  let r = synthetic ~max_hops:5 ~src:0 0 (fun u s -> Some (u, s)) in
   check_bool "not delivered" (not r.Scheme.delivered);
   check_bool "self-forward outcome" (r.Scheme.outcome = Scheme.Self_forward);
   check_int "no hops taken" 0 r.Scheme.hops;
   Alcotest.(check (list int)) "path is just the source" [ 0 ] r.Scheme.path
+
+(* The loop against the header-polymorphic simulator it replaced
+   ([Simulate_oracle]), on random step tables over (node, state): each
+   entry delivers or forwards (to any node, itself included, in any state,
+   reporting a rewrite or not), so walks deliver, self-forward, cycle and
+   hit the budget; lasso tables add cycles of every length up to 28 (of
+   nodes, or of nodes and an alternating state), entered at the source or
+   after a tail. Both run with and without cycle detection and under a
+   drop-and-detour fault model ([Fault.wrapper] against the injector as it
+   wrapped header steps), and must agree on the result — outcome, hops,
+   length, path, header bits — and on every route and fault counter. *)
+type table = {
+  n : int;
+  k : int;
+  act : (int * int * bool) option array array;  (** per (node, state): [None] delivers *)
+  alts : (int * int) list array array;  (** per (node, state): ranked alternates *)
+  salt : int;
+  src : int;
+  state : int;
+  max_hops : int;
+}
+
+let table_cost t u v = float_of_int (1 + (((u * 7) + (v * 13) + t.salt) mod 8)) /. 4.0
+
+let gen_random =
+  let open QCheck.Gen in
+  let* n = int_range 1 8 in
+  let* k = int_range 1 3 in
+  let entry =
+    frequency
+      [
+        (1, return None);
+        (7, map3 (fun v s f -> Some (v, s, f)) (int_bound (n - 1)) (int_bound (k - 1))
+              (frequency [ (4, return false); (1, return true) ]));
+      ]
+  in
+  let alt = pair (int_bound (n - 1)) (int_bound (k - 1)) in
+  let* act = array_size (return n) (array_size (return k) entry) in
+  let* alts = array_size (return n) (array_size (return k) (list_size (int_bound 2) alt)) in
+  let* salt = int_bound 7 and* src = int_bound (n - 1) and* state = int_bound (k - 1) in
+  let+ max_hops = int_bound 40 in
+  { n; k; act; alts; salt; src; state; max_hops }
+
+(* Nodes 0 .. tail-1 lead into a cycle over nodes tail .. tail+c-1; with
+   [flip] the state toggles at the cycle's end, doubling its length. *)
+let gen_lasso =
+  let open QCheck.Gen in
+  let* tail = int_bound 6 and* c = int_range 2 14 and* flip = bool in
+  let n = tail + c and k = if flip then 2 else 1 in
+  let act =
+    Array.init n (fun u ->
+        Array.init k (fun s ->
+            if u = n - 1 then Some (tail, (if flip then 1 - s else s), false)
+            else Some (u + 1, s, false)))
+  in
+  let alts = Array.init n (fun u -> Array.make k [ ((u + 2) mod n, 0) ]) in
+  let* salt = int_bound 7 in
+  let+ max_hops = int_range 20 80 in
+  { n; k; act; alts; salt; src = 0; state = 0; max_hops }
+
+let arb_table =
+  QCheck.make
+    ~print:(fun t ->
+      Printf.sprintf "n=%d k=%d src=%d state=%d budget=%d salt=%d act=[%s]" t.n t.k t.src t.state
+        t.max_hops t.salt
+        (String.concat "; "
+           (List.concat_map
+              (fun row ->
+                List.map
+                  (function
+                    | None -> "D"
+                    | Some (v, s, f) -> Printf.sprintf "%d/%d%s" v s (if f then "!" else ""))
+                  (Array.to_list row))
+              (Array.to_list t.act))))
+    QCheck.Gen.(frequency [ (3, gen_random); (1, gen_lasso) ])
+
+let route_counters =
+  Probe.
+    [
+      route_hops; route_header_rewrites; route_delivered; route_truncated; route_self_forward;
+      route_cycled; route_dropped; fault_drops; fault_crashed_hits; fault_dead_links;
+      fault_retries; fault_detours;
+    ]
+
+(* [f ()] with the probes on, and the deltas of [counters]. *)
+let counted ?(counters = route_counters) f =
+  let before = List.map Counter.value counters in
+  let was_on = !Probe.on in
+  Probe.on := true;
+  let r = Fun.protect ~finally:(fun () -> Probe.on := was_on) f in
+  (r, List.map2 (fun c v -> Counter.value c - v) counters before)
+
+type header = { s : int }
+
+let loop_matches_oracle ~mode t =
+  let fault =
+    Ron_fault.Fault.make ~seed:t.salt ~crash_fraction:0.2 ~drop_rate:0.15
+      ~dead_link_fraction:0.15 ~n:t.n ()
+  in
+  let hb = 3 + t.k in
+  let loop () =
+    let r = Scheme.live () in
+    let wrapper =
+      match mode with
+      | `Detect -> Scheme.identity_wrapper
+      | `No_detect -> no_detection
+      | `Fault -> Ron_fault.Fault.wrapper fault ~query:t.salt
+    in
+    Scheme.route ~wrapper
+      ~alternates:(fun u s -> List.map (fun (v, s') -> (v, s', table_cost t u v)) t.alts.(u).(s))
+      r ~header_bits:hb ~max_hops:t.max_hops ~src:t.src ~dst:(-1) t.state (fun u s ->
+        match t.act.(u).(s) with
+        | None -> Scheme.deliver
+        | Some (v, s', fresh) ->
+          ignore (Scheme.forward_to r v s' (table_cost t u v) : int);
+          if fresh then Scheme.rewrite else Scheme.forward)
+  in
+  let oracle () =
+    let module O = Simulate_oracle in
+    let step u h =
+      match t.act.(u).(h.s) with
+      | None -> O.Deliver
+      | Some (v, s', fresh) -> O.Forward (v, if fresh || s' <> h.s then { s = s' } else h)
+    in
+    let alternates u h =
+      List.map (fun (v, s') -> (v, if s' <> h.s then { s = s' } else h)) t.alts.(u).(h.s)
+    in
+    let step, detect_cycles =
+      match mode with
+      | `Detect -> (step, true)
+      | `No_detect -> (step, false)
+      | `Fault -> (O.fault_wrap fault ~query:t.salt step ~alternates, false)
+    in
+    O.simulate ~detect_cycles ~dist:(table_cost t) ~step ~header_bits:(fun _ -> hb) ~src:t.src
+      ~header:{ s = t.state } ~max_hops:t.max_hops ()
+  in
+  counted loop = counted oracle
+
+let prop_loop_oracle name mode =
+  QCheck.Test.make ~name:("route loop = header simulator, " ^ name) ~count:400 arb_table
+    (loop_matches_oracle ~mode)
 
 let test_stretch_requires_delivery () =
   let r =
@@ -149,6 +304,95 @@ let test_stretch_zero_distance () =
   Alcotest.(check (float 1e-9)) "normal case unchanged" 1.5
     (Scheme.stretch (delivered 3.0 2) 2.0)
 
+(* -------------------------------------------------------------- compose *)
+
+module Fault = Ron_fault.Fault
+module Churn = Ron_churn.Churn
+
+(* A wrapper that passes the hop through, with the given detection. *)
+let passing detect_cycles = { Scheme.wrap = (fun _ hop ~alternates:_ -> hop); detect_cycles }
+
+let test_compose_identity () =
+  let fault = Fault.wrapper (Fault.make ~seed:1 ~drop_rate:0.1 ~n:8 ()) ~query:0 in
+  let st = Churn.fresh_state 8 in
+  Churn.mark_leave st 3;
+  let churn = Churn.wrapper st in
+  List.iter
+    (fun w ->
+      check_bool "identity outside" (Scheme.compose Scheme.identity_wrapper w == w);
+      check_bool "identity inside" (Scheme.compose w Scheme.identity_wrapper == w))
+    [ fault; churn; passing true; passing false ]
+
+let test_compose_detect_cycles () =
+  List.iter
+    (fun (outer, inner) ->
+      check_bool
+        (Printf.sprintf "%b && %b" outer inner)
+        ((Scheme.compose (passing outer) (passing inner)).Scheme.detect_cycles = (outer && inner)))
+    [ (true, true); (true, false); (false, true); (false, false) ]
+
+(* Along the line 0 -> 5, node 2 is down: the churn layer detours 1's
+   forward to the alternate 3, and a recording outer layer sees 3. *)
+let test_compose_outer_sees_inner_detour () =
+  let st = Churn.fresh_state 6 in
+  Churn.mark_leave st 2;
+  let seen = ref [] in
+  let recording =
+    {
+      Scheme.wrap =
+        (fun r hop ~alternates:_ ->
+          let record u = seen := (u, r.Scheme.next) :: !seen in
+          fun u s ->
+            let code = hop u s in
+            if code <> Scheme.deliver then record u;
+            code);
+      detect_cycles = true;
+    }
+  in
+  let res =
+    synthetic_alts ~wrapper:(Scheme.compose recording (Churn.wrapper st)) ~max_hops:10 ~dst:5
+      [| 0; 1; 2; 3; 4; 5 |]
+  in
+  Alcotest.(check (list (pair int int))) "outer saw the detour" [ (0, 1); (1, 3); (3, 4); (4, 5) ]
+    (List.rev !seen);
+  Alcotest.(check (list int)) "path" [ 0; 1; 3; 4; 5 ] res.Scheme.path
+
+(* A churn-then-fault route along a line of seven nodes: the third is down
+   under churn, the fifth crashed under the fault model (no drops, no dead
+   links). From the second node churn detours past the departed node (one
+   stale hit, one detour); from the fourth the fault layer detours past
+   the crashed one (one crashed hit, one retry, one detour); the packet
+   arrives in four hops. *)
+let test_compose_churn_then_fault () =
+  let f = Fault.make ~seed:5 ~crash_fraction:0.1 ~n:10 () in
+  let crashed = (Fault.crashed_nodes f).(0) in
+  let others = List.filter (fun v -> v <> crashed) (List.init 10 Fun.id) in
+  let line =
+    match others with
+    | p0 :: p1 :: gone :: p3 :: p5 :: p6 :: _ -> [| p0; p1; gone; p3; crashed; p5; p6 |]
+    | _ -> assert false
+  in
+  let st = Churn.fresh_state 10 in
+  Churn.mark_leave st line.(2);
+  let res, counts =
+    counted
+      ~counters:
+        Probe.
+          [ churn_stale_hits; churn_detours; fault_crashed_hits; fault_retries; fault_detours;
+            fault_drops; fault_dead_links ]
+      (fun () ->
+        synthetic_alts
+          ~wrapper:(Scheme.compose (Fault.wrapper f ~query:0) (Churn.wrapper st))
+          ~max_hops:20 ~dst:line.(6) line)
+  in
+  check_bool "delivered" (res.Scheme.outcome = Scheme.Delivered);
+  check_int "hops" 4 res.Scheme.hops;
+  Alcotest.(check (list int)) "path" [ line.(0); line.(1); line.(3); line.(5); line.(6) ]
+    res.Scheme.path;
+  Alcotest.(check (list int)) "churn stale hits, detours; fault crashed hits, retries, detours, \
+                               drops, dead-link hits"
+    [ 1; 1; 1; 1; 1; 0; 0 ] counts
+
 (* ----------------------------------------------------- Basic (Thm 2.1) *)
 
 let all_pairs_basic name sp scheme delta =
@@ -182,6 +426,41 @@ let test_basic_path_follows_graph_edges () =
     | _ -> ()
   in
   pairs r.Scheme.path
+
+(* A Basic header is rewritten when the chased level changes, and only
+   then: on every route of the 7x7 grid the [route.header_rewrites] count
+   equals the level changes a replay of the hop's pieces sees (the first
+   hop sets the level), and falls short of the hops. *)
+let test_basic_rewrites_are_level_changes () =
+  let module St = Ron_routing.Structure in
+  let b = Lazy.force basic_grid in
+  let c = Basic.export b in
+  let n = c.Basic.st.St.n in
+  let m = Array.make c.st.St.scales 0 in
+  let changes = ref 0 and hops = ref 0 in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      let rec replay u level =
+        if u <> dst then begin
+          let j = Basic.target_level c c.st dst m u level in
+          if j <> level then incr changes;
+          incr hops;
+          replay c.table.Ron_routing.First_hop.t_next.{Basic.hop_entry c u m j} j
+        end
+      in
+      replay src (-1)
+    done
+  done;
+  let _, counts =
+    counted ~counters:[ Probe.route_header_rewrites; Probe.route_hops ] (fun () ->
+        for src = 0 to n - 1 do
+          for dst = 0 to n - 1 do
+            ignore (Basic.route b ~src ~dst)
+          done
+        done)
+  in
+  Alcotest.(check (list int)) "rewrites = level changes, hops" [ !changes; !hops ] counts;
+  check_bool "fewer rewrites than hops" (!changes < !hops)
 
 let test_basic_zooming_proximity () =
   (* f_tj lies within Delta/2^j of t. *)
@@ -429,8 +708,6 @@ let test_basic_build_reads_no_ring_probes () =
 
 module Structure = Ron_routing.Structure
 module Pool = Ron_util.Pool
-module Probe = Ron_obs.Probe
-module Counter = Ron_obs.Counter
 
 let structure_at ~jobs idx ~delta =
   Pool.set_default_jobs (Some jobs);
@@ -701,6 +978,14 @@ let () =
           Alcotest.test_case "stretch requires delivery" `Quick test_stretch_requires_delivery;
           Alcotest.test_case "stretch at zero distance" `Quick test_stretch_zero_distance;
         ] );
+      ( "compose",
+        [
+          Alcotest.test_case "identity on either side" `Quick test_compose_identity;
+          Alcotest.test_case "detect_cycles is the conjunction" `Quick test_compose_detect_cycles;
+          Alcotest.test_case "outer sees the inner detour" `Quick
+            test_compose_outer_sees_inner_detour;
+          Alcotest.test_case "churn then fault" `Quick test_compose_churn_then_fault;
+        ] );
       ("translation", [ Alcotest.test_case "bit accounting" `Quick test_translation_bits ]);
       ( "basic-thm21",
         [
@@ -708,6 +993,8 @@ let () =
           Alcotest.test_case "all pairs on geometric" `Slow test_basic_geo;
           Alcotest.test_case "all pairs on exponential-weight graph" `Quick test_basic_expg;
           Alcotest.test_case "path follows graph edges" `Quick test_basic_path_follows_graph_edges;
+          Alcotest.test_case "header rewrites are level changes" `Quick
+            test_basic_rewrites_are_level_changes;
           Alcotest.test_case "zooming proximity" `Quick test_basic_zooming_proximity;
           Alcotest.test_case "ring sizes bounded" `Quick test_basic_ring_sizes_bounded;
           Alcotest.test_case "bit accounting" `Quick test_basic_bits_positive;
@@ -745,6 +1032,9 @@ let () =
         ] );
       ( "properties",
         [
+          qt (prop_loop_oracle "cycle detection on" `Detect);
+          qt (prop_loop_oracle "cycle detection off" `No_detect);
+          qt (prop_loop_oracle "drop-and-detour wrapper" `Fault);
           qt prop_basic_random_geometric;
           qt prop_on_metric_random_clouds;
           qt prop_zetas_graphs;

@@ -1,8 +1,9 @@
 (* Theorem 4.2's two-mode scheme as first written, kept as a test oracle:
    directories are records looked up through Hashtbls, and the step reads
-   a header that carries the target's label. It shares no routing code
-   with Two_mode's columns or hop, so the columns and the hop can be
-   checked against it. Everything here runs on one domain. *)
+   the target's label and a mode variant. It shares no routing code with
+   Two_mode's columns or hop, so the columns and the hop can be checked
+   against it; only the route loop ([Scheme.route]) is common. Everything
+   here runs on one domain. *)
 
 module Indexed = Ron_metric.Indexed
 module Packing = Ron_metric.Packing
@@ -121,7 +122,12 @@ let flatten t =
 (* --------------------------------------------------------------- routing *)
 
 type mode = M1 | M2_hub of int | M2_owner of int
-type header = { lt : Dls.label; target : int; mode : mode }
+type action = Deliver | Forward of int * mode
+
+(* The mode travels as the route loop's state: 0 for M1, 2i at a scale-i
+   hub, 2i + 1 at a scale-i owner. *)
+let mode_of s = if s = 0 then M1 else if s land 1 = 0 then M2_hub (s / 2) else M2_owner (s / 2)
+let state_of = function M1 -> 0 | M2_hub i -> 2 * i | M2_owner i -> (2 * i) + 1
 
 let switch_scale t u d_est =
   let rec go i best =
@@ -141,33 +147,33 @@ let owner_of dir target =
   in
   dir.members.(max 0 (search 0 (Array.length dir.boundaries)))
 
-let step t u (h : header) : header Scheme.action =
-  if u = h.target then Deliver
+let step t lt target u mode =
+  if u = target then Deliver
   else begin
-    let rec resolve_scale i : header Scheme.action =
+    let rec resolve_scale i =
       if i < 1 then failwith "oracle: ran out of directory scales";
       let hub = t.hub_ptr.(u).(i) in
-      if hub <> u then Forward (hub, { h with mode = M2_hub i }) else at_hub i
+      if hub <> u then Forward (hub, M2_hub i) else at_hub i
     and at_hub i =
       match Hashtbl.find_opt t.hub_dir.(i) u with
       | None -> failwith "oracle: hub pointer does not name a hub"
       | Some di ->
-        let owner = owner_of t.dirs.(i).(di) h.target in
-        if owner <> u then Forward (owner, { h with mode = M2_owner i }) else as_owner i
+        let owner = owner_of t.dirs.(i).(di) target in
+        if owner <> u then Forward (owner, M2_owner i) else as_owner i
     and as_owner i =
-      if Hashtbl.mem t.owned_lookup.(i).(u) h.target then Forward (h.target, { h with mode = M1 })
+      if Hashtbl.mem t.owned_lookup.(i).(u) target then Forward (target, M1)
       else if i <= 1 then failwith "oracle: scale-1 directory must cover all targets"
       else resolve_scale (i - 1)
     in
-    match h.mode with
+    match mode with
     | M1 ->
       let sc = Dls.scratch () in
-      Dls.scan_labels (Dls.label t.dls u) h.lt sc ~exclude:u ~collect:false;
+      Dls.scan_labels (Dls.label t.dls u) lt sc ~exclude:u ~collect:false;
       let acc = Dls.results sc in
       let d_est = acc.(0) in
       if not (Float.is_finite d_est) then failwith "oracle: no common beacon identified";
       let best = Dls.best_beacon sc in
-      if best >= 0 && acc.(1) <= d_est *. t.m1_threshold then Forward (best, h)
+      if best >= 0 && acc.(1) <= d_est *. t.m1_threshold then Forward (best, M1)
       else begin
         t.switches <- t.switches + 1;
         resolve_scale (switch_scale t u d_est)
@@ -182,12 +188,14 @@ let header_bits t =
   + 2
   + Bits.index_bits (t.li + 1)
 
+(* A switch rewrites the mode field even when it ends in M1. *)
 let route t ~src ~dst =
-  let hb = header_bits t in
-  Scheme.simulate
-    ~dist:(fun a b -> Indexed.dist t.idx a b)
-    ~step:(step t)
-    ~header_bits:(fun _ -> hb)
-    ~src
-    ~header:{ lt = Dls.label t.dls dst; target = dst; mode = M1 }
-    ~max_hops:(max 64 (8 * t.li)) ()
+  let lt = Dls.label t.dls dst and r = Scheme.live () in
+  Scheme.route r ~header_bits:(header_bits t) ~max_hops:(max 64 (8 * t.li)) ~src ~dst 0
+    (fun u s ->
+      let switches = t.switches in
+      match step t lt dst u (mode_of s) with
+      | Deliver -> Scheme.deliver
+      | Forward (v, mode) ->
+        ignore (Scheme.forward_to r v (state_of mode) (Indexed.dist t.idx u v) : int);
+        if t.switches > switches then Scheme.rewrite else Scheme.forward)
