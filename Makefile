@@ -105,12 +105,15 @@ tri-smoke: build
 # Route smoke: Tables 1-3, Theorem 2.1's stretch sweep and Theorem 4.1's
 # headers, which route all six live schemes (Basic, Labelled, Full_table,
 # On_metric, Labelled_m, Two_mode) through the one route loop, at
-# RON_JOBS=1 and 4 — the outputs must be byte-identical. Fault and churn
-# routes run under mer-smoke and churn-smoke. Outputs land in /tmp for CI
-# to archive.
+# RON_JOBS=1 and 4 — the outputs must be byte-identical, and the RON_JOBS=1
+# output must equal the committed test/route_smoke.golden, so a change that
+# moves a table or sweep line fails here unless it updates that file too.
+# Fault and churn routes run under mer-smoke and churn-smoke. Outputs land
+# in /tmp for CI to archive.
 route-smoke: build
 	RON_JOBS=1 dune exec bench/main.exe -- t1 t2 t3 e21 e41 > /tmp/ron_route_smoke_j1.txt
 	RON_JOBS=4 dune exec bench/main.exe -- t1 t2 t3 e21 e41 > /tmp/ron_route_smoke_j4.txt
+	cmp test/route_smoke.golden /tmp/ron_route_smoke_j1.txt
 	cmp /tmp/ron_route_smoke_j1.txt /tmp/ron_route_smoke_j4.txt
 
 # Telemetry smoke: the n = 10^5 scale run with the runtime sampler on,

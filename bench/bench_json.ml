@@ -376,7 +376,7 @@ let serve_scheme_entry ~scheme ~n ~queries =
         ("roundtrip_identical", Bool (d_loaded = d1));
         ("jobs_invariant", Bool (d1 = d4));
         ("minor_words_per_query", Float words);
-        ("alloc_within_budget", Bool (words <= 8.0));
+        ("alloc_within_budget", Bool (words < 0.5));
       ]) )
 
 let serve_section () =

@@ -35,3 +35,30 @@ let rec find (zy : u16s) (zz : u16s) y lo hi =
     let v = ug zy mid in
     if v < y then find zy zz y (mid + 1) hi else if v > y then find zy zz y lo mid else ug zz mid
   end
+
+(* A set indexed by 16-bit positions has at most 65,535 members, so its
+   positions stop at 65,534 and 0xffff is free to mark an empty slot. *)
+let absent = 0xffff
+
+let[@inline] slot (zz : u16s) y lo hi =
+  if y >= 0 && y < hi - lo then
+    let z = ug zz (lo + y) in
+    if z = absent then -1 else z
+  else -1
+
+(* Negative iff slot [i] holds neither a position below [size] nor the
+   mark: the mark wraps to 0 and a position [z] to [z + 1]. *)
+let[@inline] excess (zz : u16s) size i = size - ((ug zz i + 1) land absent)
+
+let rec first_outside zz size i e =
+  if i >= e then -1 else if excess zz size i >= 0 then first_outside zz size (i + 1) e else i
+
+(* Four slots per compare: the sign bit of the or of their excesses. *)
+let rec outside_slots zz size i e =
+  if i + 4 > e then first_outside zz size i e
+  else if
+    excess zz size i lor excess zz size (i + 1) lor excess zz size (i + 2)
+    lor excess zz size (i + 3)
+    >= 0
+  then outside_slots zz size (i + 4) e
+  else first_outside zz size i e

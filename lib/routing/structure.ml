@@ -18,7 +18,6 @@ type cols = {
   ring_off : ints;
   ring_node : ints;
   z_run : ints;
-  z_y : u16s;
   z_z : u16s;
   label_first : ints;
   label_rest : ints;
@@ -29,6 +28,7 @@ type t = {
   rings : Rings.t;
   cols : cols;
   zoomings : int array array;
+  present : int array;
   ring_index_bits : int;
 }
 
@@ -62,39 +62,37 @@ let mark_ring mark ring =
 
 let ints_create n : ints = A1.create Bigarray.int Bigarray.c_layout n
 
-(* The Figure 2 join of zeta_uj: mark u's ring [j+1]; then for each member
-   [f = ring_j(u).(x)] in order, and each [w = ring_(j+1)(f).(y)] in order
-   that is marked at [z], emit [(y, z)] into row [x]. Rows come out in x
-   order and sorted by y, with no hashing and no sort. Without [fill] this
-   only counts; with it, it writes from cursor [c], and row [x] starts at
-   [run.{base + x}]. Returns the advanced cursor. *)
-let join rings mark ~fill (sink : Zeta.sink) ~base u j c =
+(* The Figure 2 join of zeta_uj into slot rows: mark u's ring [j+1];
+   then row [x], for [f = ring_j(u).(x)], holds one slot per position [y]
+   of f's ring [j+1]: the mark of [w = ring_(j+1)(f).(y)], its position in
+   u's ring [j+1], or absent. Row [x] starts at [run.{base + x}]. No
+   hashing, no sort. Returns the number of present slots. *)
+let join rings mark (zz : u16s) (run : ints) ~base u j =
   let next_u = members rings u (j + 1) in
   mark_ring mark next_u;
   let ring = members rings u j in
-  let c = ref c in
+  let present = ref 0 in
   for x = 0 to Array.length ring - 1 do
-    if fill then sink.run.{base + x} <- !c;
+    let c = run.{base + x} in
     let next = members rings ring.(x) (j + 1) in
     for y = 0 to Array.length next - 1 do
       let z = mark.(next.(y)) in
       if z >= 0 then begin
-        if fill then begin
-          sink.zy.{!c} <- y;
-          sink.zz.{!c} <- z
-        end;
-        incr c
+        zz.{c + y} <- z;
+        incr present
       end
+      else zz.{c + y} <- Zeta.absent
     done
   done;
   unmark_ring mark next_u;
-  !c
+  !present
 
-(* The rings flat, then two passes over the join: the first counts each
-   node's entries, the second writes every node's rows from its offset.
-   Nodes own disjoint ranges, so both passes fan out per node. The
-   columns are Bigarrays, so the snapshot layer adopts them without a
-   copy. *)
+(* The rings flat, each row's start from the ring sizes (row x of ring
+   (u, j) spans the size of its member's ring j+1; a node's last ring has
+   no zeta, so its rows are empty), then one pass over the join writes
+   every slot. Nodes own disjoint ranges, so that pass fans out per node.
+   The columns are Bigarrays, so the snapshot layer adopts them without a
+   copy. Also returns each node's count of present slots. *)
 let build_flat rings ~scales n =
   let sm1 = scales - 1 in
   let ring_off = ints_create ((n * scales) + 1) in
@@ -110,33 +108,31 @@ let build_flat rings ~scales n =
     ring_off.{r + 1} <- ring_off.{r} + size
   done;
   let positions = ring_off.{n * scales} in
-  let ring_node = ints_create positions in
-  let counts = Array.make n 0 in
+  let ring_node = ints_create positions and z_run = ints_create (positions + 1) in
+  let slots = ref 0 in
+  for r = 0 to (n * scales) - 1 do
+    let j = r mod scales and base = ring_off.{r} in
+    Array.iteri
+      (fun x f ->
+        ring_node.{base + x} <- f;
+        z_run.{base + x} <- !slots;
+        if j < sm1 then
+          slots := !slots + ring_off.{(f * scales) + j + 2} - ring_off.{(f * scales) + j + 1})
+      (members rings (r / scales) j)
+  done;
+  z_run.{positions} <- !slots;
+  let z_z = A1.create Bigarray.int16_unsigned Bigarray.c_layout !slots in
+  let present = Array.make n 0 in
   Pool.parallel_for n (fun u ->
       let mark = marks n in
       (* Rings 1 .. scales-1 are checked as the joins mark them. *)
       mark_ring mark (members rings u 0);
       unmark_ring mark (members rings u 0);
       for j = 0 to sm1 - 1 do
-        counts.(u) <- join rings mark ~fill:false Zeta.counting ~base:0 u j counts.(u)
-      done);
-  let node_off = Array.make (n + 1) 0 in
-  Array.iteri (fun u k -> node_off.(u + 1) <- node_off.(u) + k) counts;
-  let total = node_off.(n) in
-  let sink = Zeta.sink ~rows:positions ~entries:total in
-  Pool.parallel_for n (fun u ->
-      let mark = marks n in
-      let c = ref node_off.(u) in
-      for j = 0 to scales - 1 do
         let base = ring_off.{(u * scales) + j} in
-        Array.iteri (fun x w -> ring_node.{base + x} <- w) (members rings u j);
-        if j < sm1 then c := join rings mark ~fill:true sink ~base u j !c
-        else
-          (* The last ring has no zeta: its rows are empty, at u's end. *)
-          A1.fill (A1.sub sink.run base (ring_off.{(u * scales) + j + 1} - base)) !c
-      done;
-      assert (!c = node_off.(u + 1)));
-  (ring_off, ring_node, sink)
+        present.(u) <- present.(u) + join rings mark z_z z_run ~base u j
+      done);
+  (ring_off, ring_node, z_run, z_z, present)
 
 let build idx ~delta =
   if not (delta > 0.0 && delta <= 0.25) then
@@ -175,7 +171,9 @@ let build idx ~delta =
     Profile.phase "zoomings" @@ fun () ->
     Pool.init n (fun t_ -> Array.init scales (fun j -> fst (Indexed.nearest_of idx t_ nets.(j))))
   in
-  let ring_off, ring_node, sink = Profile.phase "zetas" @@ fun () -> build_flat rings ~scales n in
+  let ring_off, ring_node, z_run, z_z, present =
+    Profile.phase "zetas" @@ fun () -> build_flat rings ~scales n
+  in
   let sm1 = scales - 1 in
   let label_first = ints_create n and label_rest = ints_create (n * sm1) in
   Profile.phase "labels" (fun () ->
@@ -205,13 +203,13 @@ let build idx ~delta =
         scales;
         ring_off;
         ring_node;
-        z_run = sink.run;
-        z_y = sink.zy;
-        z_z = sink.zz;
+        z_run;
+        z_z;
         label_first;
         label_rest;
       };
     zoomings;
+    present;
     ring_index_bits;
   }
 
@@ -222,7 +220,9 @@ let build idx ~delta =
 let[@inline] ig (a : ints) i = A1.unsafe_get a i
 
 (* Claim 2.2's walk: m_(j+1) = zeta_uj(m_j, rest_j), from level [j] up to
-   level [top] or the first null, whichever comes first. *)
+   level [top] or the first null, whichever comes first. rest_j is slot y
+   of row m_j; a y outside the row is a null, as is an absent slot, so a
+   label's y needs no check of its own. *)
 let rec walk (c : cols) u (l : cols) row (m : int array) top j =
   if j >= top then j
   else begin
@@ -232,7 +232,7 @@ let rec walk (c : cols) u (l : cols) row (m : int array) top j =
     end;
     let p = ig c.ring_off ((u * c.scales) + j) + m.(j) in
     let y = ig l.label_rest ((row * (c.scales - 1)) + j) in
-    let z = Zeta.find c.z_y c.z_z y (ig c.z_run p) (ig c.z_run (p + 1)) in
+    let z = Zeta.slot c.z_z y (ig c.z_run p) (ig c.z_run (p + 1)) in
     if z < 0 then j
     else begin
       m.(j + 1) <- z;
@@ -256,12 +256,7 @@ let first_bound (c : cols) =
   done;
   !b
 
-(* A node's rows are contiguous, so its entries span from the start of
-   its first row to the start of the next node's. *)
-let zeta_bits_sparse t u =
-  let c = t.cols in
-  (c.z_run.{c.ring_off.{(u + 1) * c.scales}} - c.z_run.{c.ring_off.{u * c.scales}})
-  * 3 * t.ring_index_bits
+let zeta_bits_sparse t u = t.present.(u) * 3 * t.ring_index_bits
 
 let zeta_bits_dense t =
   let k = max 2 (Rings.max_ring_size t.rings) in

@@ -11,8 +11,11 @@
     Rings, translation functions and labels are stored flat ({!cols}),
     already in the layout the Basic snapshot serves: off-heap columns the
     snapshot layer adopts as they are. The zeta maps are {!Ron_core.Zeta}
-    rows, one per ring position, of ring positions in 16 bits each:
-    {!build} refuses a ring of more than 65,535 members. *)
+    slot rows: one row per position [x] of ring [(u, j)], with one 16-bit
+    slot per position [y] of ring [(f, j + 1)], [f] the member at [x],
+    holding [zeta_uj(x, y)] or {!Ron_core.Zeta.absent}. Claim 2.2's decoder
+    reads one [y] per step, so a step is one read; pair rows would need a
+    search. {!build} refuses a ring of more than 65,535 members. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -27,10 +30,12 @@ type cols = {
   z_run : ints;
       (** [ring_off.{n * scales} + 1]: zeta_uj as rows, one per position
           [x] of ring [(u, j)]: row [p = ring_off.{u * scales + j} + x]
-          spans [[z_run.{p}, z_run.{p + 1})] of [z_y]/[z_z]. The rows of
-          a node's last ring are empty. *)
-  z_y : u16s;  (** a position in ring [(f, j + 1)], sorted within a row *)
-  z_z : u16s;  (** [zeta_uj(x, y)], a position in ring [(u, j + 1)] *)
+          spans [[z_run.{p}, z_run.{p + 1})] of [z_z], one slot per
+          position of ring [(f, j + 1)], [f] the member at [x]. The rows
+          of a node's last ring are empty. *)
+  z_z : u16s;
+      (** slot [y] of row [p]: [zeta_uj(x, y)], a position in ring
+          [(u, j + 1)], or {!Ron_core.Zeta.absent} *)
   label_first : ints;  (** [n]: the index of [f_t0] in ring 0 *)
   label_rest : ints;
       (** [n * (scales - 1)]: [f_(t,j+1)]'s index in ring [j + 1] of
@@ -44,6 +49,7 @@ type t = {
   rings : Ron_core.Rings.t;
   cols : cols;
   zoomings : int array array;
+  present : int array;  (** [n]: each node's count of present slots *)
   ring_index_bits : int;
 }
 
@@ -57,8 +63,10 @@ val decode : cols -> int -> cols -> int -> int array -> int
     same [scales]). Writes the local indices [m_0 .. m_jut] to
     [m.(0) .. m.(jut)] and returns [j_ut]; [m] needs [scales] slots.
     Allocation-free. Each step charges one zoom decode step and one
-    translation lookup to the probes. The reads are unchecked: a label's
-    first index must be below every node's ring-0 size ({!first_bound}). *)
+    translation lookup to the probes. A [y] of the label outside its row
+    (negative, or past the ring it indexes) is a null step, as an absent
+    slot is. The other reads are unchecked: a label's first index must be
+    below every node's ring-0 size ({!first_bound}). *)
 
 val decode_to : cols -> int -> cols -> int -> int array -> int -> int
 (** [decode_to c u l row m top]: {!decode} stopped at level [top]: writes
@@ -78,7 +86,7 @@ val first_bound : cols -> int
 
 val zeta_bits_sparse : t -> int -> int
 (** Total sparse translation-table bits of node [u]: three ring indices
-    per [(x, y, z)] entry. *)
+    per present slot, the [(x, y, z)] triple the paper charges. *)
 
 val zeta_bits_dense : t -> int
 (** Dense per-node accounting: [(scales-1) * K^2 * ceil(log2 K)]. *)

@@ -249,8 +249,9 @@ let measure_latency ?(limit = max_int) ?(by_kind = [||]) t work res hist =
 
 (* Steady-state minor-heap allocation per query, in words: one warm pass
    grows every scratch buffer, then an audited sequential pass is measured
-   with [Gc.quick_stat] deltas. The quick_stat records themselves cost a
-   few dozen words total, amortized to ~0 over the workload. *)
+   with [Gc.minor_words] deltas. [Gc.quick_stat] would not do: its count
+   leaves out the words allocated since the last minor collection, so a
+   pass that fits in the minor heap would read 0 whatever it allocates. *)
 let minor_words_per_query t work res =
   if work.wq = 0 then 0.0
   else begin
@@ -258,10 +259,9 @@ let minor_words_per_query t work res =
     for i = 0 to work.wq - 1 do
       run_query t sc work res i
     done;
-    let s0 = Gc.quick_stat () in
+    let w0 = Gc.minor_words () in
     for i = 0 to work.wq - 1 do
       run_query t sc work res i
     done;
-    let s1 = Gc.quick_stat () in
-    (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int work.wq
+    (Gc.minor_words () -. w0) /. float_of_int work.wq
   end

@@ -100,5 +100,6 @@ val measure_latency :
 
 val minor_words_per_query : Server.t -> workload -> results -> float
 (** Steady-state minor-heap allocation per query, in words: one warm
-    sequential pass, then a measured pass under [Gc.quick_stat] deltas.
-    ~0 when the hot path is allocation-free. *)
+    sequential pass, then a measured pass under [Gc.minor_words] deltas,
+    which count the words still in the minor heap too. ~0 when the hot
+    path is allocation-free. *)

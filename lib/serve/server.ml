@@ -17,8 +17,8 @@
    closure per call), no hot function takes or returns a float (both are
    boxed across non-inlined calls — float flow goes through the scratch
    [fbuf] float array, whose reads and writes are unboxed), and results
-   land in caller-owned scratch registers. Verified by the [Gc.quick_stat]
-   minor-words audit in the bench. *)
+   land in caller-owned scratch registers. Verified by the [Gc.minor_words]
+   audit ([Loop.minor_words_per_query]) in the bench and the tests. *)
 
 module A1 = Bigarray.Array1
 module Basic = Ron_routing.Basic
@@ -173,6 +173,7 @@ type rule =
       rows : string;
       sizes : string;
       shift : int;
+      slots : bool;
     }
 
 type column = { name : string; kind : kind; entries : string list; rules : rule list }
@@ -265,13 +266,18 @@ let start groups every (rows : ints) g =
   | Some (a : ints) -> ig rows (ig a g * every)
   | None -> ig rows (g * every)
 
-let rec segment s groups every rows (sizes : ints) shift g count =
+let rec segment s ~slots groups every rows (sizes : ints) shift g count =
   if g >= count then None
   else
     let size = ig sizes (g + shift + 1) - ig sizes (g + shift) in
-    match outside s 0 size (start groups every rows g) (start groups every rows (g + 1)) with
-    | -1 -> segment s groups every rows sizes shift (g + 1) count
-    | i -> Some (i, g + shift, size)
+    let i = start groups every rows g and e = start groups every rows (g + 1) in
+    let bad =
+      match s with
+      | U a when slots -> Ron_core.Zeta.outside_slots a size i e
+      | _ -> outside s 0 size i e
+    in
+    if bad < 0 then segment s ~slots groups every rows sizes shift (g + 1) count
+    else Some (bad, g + shift, size)
 
 let check e (c : column) rule =
   let s = sec e c.name in
@@ -308,7 +314,7 @@ let check e (c : column) rule =
       fail "rows of %d per %s entry run past %s" every
         (Option.value g.groups ~default:"group") g.rows
     else
-      match segment s groups every rows sizes g.shift 0 count with
+      match segment s ~slots:g.slots groups every rows sizes g.shift 0 count with
       | None -> Ok ()
       | Some (i, k, size) ->
         let v = entry_at s i in
@@ -350,10 +356,12 @@ let table_of e =
   { First_hop.t_off = i "t_off"; t_w = i "t_w"; t_next = i "t_next"; t_cost = floats_in e "t_cost" }
 
 (* Once a Basic view is checked, [Structure.decode], [Structure.member]
-   and the table reads are in bounds. Each z of zeta_uj, in the rows of
-   ring r = (u, j), is a position in ring r + 1 (a node's last ring has no
-   rows), each label's first index is in every ring 0, and each of node
-   u's ring positions names an entry of u's first-hop row. *)
+   and the table reads are in bounds. The rows of zeta_uj lie in z_z and
+   each slot in the rows of ring r = (u, j) is a position in ring r + 1
+   or absent (a node's last ring has no rows); the decoder checks a
+   label's y against its row. Each label's first index is in every
+   ring 0, and each of node u's ring positions names an entry of u's
+   first-hop row. *)
 let basic : Basic.cols decl =
   let st (c : Basic.cols) = c.st and scales = Meta "scales" in
   {
@@ -369,23 +377,22 @@ let basic : Basic.cols decl =
         ints "ring_off" (fun c -> (st c).ring_off)
           [ Product (nodes, scales, 1); offsets "ring_node" ];
         ints "ring_node" (fun c -> (st c).ring_node) [ node_id ];
-        ints "z_run" (fun c -> (st c).z_run) [ Length (Plus (Dim "ring_node", 1)); offsets "z_y" ];
+        ints "z_run" (fun c -> (st c).z_run) [ Length (Plus (Dim "ring_node", 1)); offsets "z_z" ];
       ]
       @ table_pack (fun (c : Basic.cols) -> c.table)
       @ [
-          u16s "z_y" (fun c -> (st c).z_y) [];
           u16s "z_z" (fun c -> (st c).z_z)
             [
-              Length (Dim "z_y");
               Segments
                 { groups = Some "ring_off"; every = Const 1; rows = "z_run"; sizes = "ring_off";
-                  shift = 1 };
+                  shift = 1; slots = true };
             ];
           u16s "ring_hop" (fun (c : Basic.cols) -> c.ring_hop)
             [
               Length (Dim "ring_node");
               Segments
-                { groups = None; every = scales; rows = "ring_off"; sizes = "t_off"; shift = 0 };
+                { groups = None; every = scales; rows = "ring_off"; sizes = "t_off"; shift = 0;
+                  slots = false };
             ];
         ];
     make =
@@ -394,7 +401,7 @@ let basic : Basic.cols decl =
         let st =
           { Structure.n = int e "n"; scales = int e "scales"; label_first = i "label_first";
             label_rest = i "label_rest"; ring_off = i "ring_off"; ring_node = i "ring_node";
-            z_run = i "z_run"; z_y = u "z_y"; z_z = u "z_z" }
+            z_run = i "z_run"; z_z = u "z_z" }
         in
         let max_hops = int e "max_hops" and header_bits = int e "header_bits" in
         { Basic.st; table = table_of e; ring_hop = u "ring_hop"; max_hops; header_bits });
@@ -430,7 +437,8 @@ let dls_pack (dls : 'c -> Dls.cols) =
       [
         Length (Dim "z_y");
         Segments
-          { groups = Some "d_off"; every = levels; rows = "z_run"; sizes = "d_off"; shift = 0 };
+          { groups = Some "d_off"; every = levels; rows = "z_run"; sizes = "d_off"; shift = 0;
+            slots = false };
       ];
   ]
 

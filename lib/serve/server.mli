@@ -111,7 +111,8 @@ type expr =
     from row [groups.{g} * every] to row [groups.{g + 1} * every] of the
     row starts [rows] (rows [g * every] to [(g + 1) * every] without
     [groups]), lie below the size of segment [g + shift] of the offsets
-    [sizes], one group per segment past [shift]. *)
+    [sizes], one group per segment past [shift]; with [slots], entries
+    are {!Ron_core.Zeta} slots, and the absent mark passes too. *)
 type rule =
   | Length of expr
   | Product of expr * expr * int
@@ -124,6 +125,7 @@ type rule =
       rows : string;
       sizes : string;
       shift : int;
+      slots : bool;
     }
 
 (** [entries]: a meta section's named scalars, else [[]]. *)

@@ -305,6 +305,62 @@ let prop_zeta_find =
                (search 0 len q))
         queries)
 
+(* A random row of [len] slots over a next ring of [size] members, each a
+   position or absent, and the same row as sorted (y, z) pairs. *)
+let slot_row rng ~len ~size =
+  let slots =
+    Array.init len (fun _ ->
+        if Random.State.int rng 3 = 0 then Zeta.absent else Random.State.int rng size)
+  in
+  let pairs = List.mapi (fun y z -> (y, z)) (Array.to_list slots) in
+  let pairs = List.filter (fun (_, z) -> z <> Zeta.absent) pairs in
+  (slots, Array.of_list (List.map fst pairs), Array.of_list (List.map snd pairs))
+
+(* [Zeta.slot] gives what [Zeta.find] gives on the same row as pairs, for
+   every y from below the row to past it, 2^16 and beyond included; the
+   row sits between pads holding [size], which no slot of the row holds,
+   so a read outside it shows. *)
+let prop_zeta_slot =
+  QCheck.Test.make ~name:"Zeta.slot = Zeta.find on the row as pairs" ~count:60
+    QCheck.(triple (int_range 0 40) (int_range 1 0xfffe) (int_range 0 1_000_000))
+    (fun (len, size, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let slots, ys, zs = slot_row rng ~len ~size in
+      let pad = Array.make (1 + Random.State.int rng 3) size in
+      let row = u16s (Array.concat [ pad; slots; pad ]) in
+      let lo = Array.length pad in
+      List.for_all
+        (fun y ->
+          let want =
+            if y < 0 || y > 0xffff then -1 else Zeta.find (u16s ys) (u16s zs) y 0 (Array.length ys)
+          in
+          let got = Zeta.slot row y lo (lo + len) in
+          got = want || QCheck.Test.fail_reportf "row of %d, y %d: %d, expected %d" len y got want)
+        ([ min_int; -1; 0; len - 1; len; len + 1; 0xffff; 0x10000; max_int ]
+        @ List.init len Fun.id))
+
+(* [Zeta.outside_slots] against a plain scan, on rows of every length
+   around its four-slot step, with one slot possibly set past the ring. *)
+let prop_zeta_outside_slots =
+  QCheck.Test.make ~name:"Zeta.outside_slots = a plain scan" ~count:200
+    QCheck.(triple (int_range 0 13) (int_range 1 0xfffe) (int_range 0 1_000_000))
+    (fun (len, size, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let slots, _, _ = slot_row rng ~len ~size in
+      if len > 0 && Random.State.bool rng then
+        slots.(Random.State.int rng len) <- size + Random.State.int rng (0xffff - size);
+      let want =
+        let rec scan i =
+          if i >= len then -1
+          else if slots.(i) = Zeta.absent || slots.(i) < size then scan (i + 1)
+          else i
+        in
+        scan 0
+      in
+      let got = Zeta.outside_slots (u16s (Array.append [| size |] slots)) size 1 (len + 1) in
+      got = (if want < 0 then -1 else want + 1)
+      || QCheck.Test.fail_reportf "row of %d over %d: %d, expected %d" len size got want)
+
 let () =
   Alcotest.run "ron_core"
     [
@@ -328,5 +384,7 @@ let () =
           Alcotest.test_case "bit cost" `Quick test_zooming_bits;
           Alcotest.test_case "grid integration" `Quick test_zooming_on_grid_via_rings;
         ] );
-      ("zeta", [ QCheck_alcotest.to_alcotest prop_zeta_find ]);
+      ( "zeta",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_zeta_find; prop_zeta_slot; prop_zeta_outside_slots ] );
     ]

@@ -81,14 +81,13 @@ let basic_cols (img : Image.t) =
     ring_off = isec img "ring_off";
     ring_node = isec img "ring_node";
     z_run = isec img "z_run";
-    z_y = usec img "z_y";
     z_z = usec img "z_z";
   }
 
 (* The Basic image freezes the rows of every zeta as Structure built them
-   (z_run and the uint16 z_y/z_z sections over the ring offsets, ring_off);
-   read back per segment, they must equal the hash-join oracle's sorted
-   triples. The ring sections must list the rings' members, and every
+   (z_run and the uint16 z_z slots over the ring offsets, ring_off); their
+   present slots, read back per segment, must equal the hash-join oracle's
+   sorted triples. The ring sections must list the rings' members, and every
    label must decode at every node as the oracle's walk decodes it. *)
 let test_basic_image_matches_oracle () =
   let s =
@@ -100,7 +99,7 @@ let test_basic_image_matches_oracle () =
   let rings = Basic.rings_collection s in
   let oracle = Zeta_oracle.build rings ~scales:(Basic.scales s) in
   let c = basic_cols img in
-  check_bool "ring_off, z_run, z_y and z_z"
+  check_bool "ring_off, z_run and z_z"
     (Zeta_oracle.of_rows c = Zeta_oracle.segments oracle);
   let scales = c.Structure.scales in
   let m = Array.make scales 0 in
@@ -211,6 +210,33 @@ let expect_load_rejected scheme section img =
       (Printf.sprintf "error names %s and %s: %s" scheme section e)
       (contains e scheme && contains e section)
 
+(* A Basic image's zeta rows in the pair layout that preceded the slots:
+   each row's present slots as (y, z) pairs in y order, under pair row
+   starts in place of z_run. *)
+let pair_rows img =
+  let run = isec img "z_run" and zz = usec img "z_z" in
+  let rows = A1.dim run - 1 in
+  let pairs =
+    List.init rows (fun p ->
+        let start = A1.get run p in
+        List.init (A1.get run (p + 1) - start) (fun y -> (y, A1.get zz (start + y)))
+        |> List.filter (fun (_, z) -> z <> Ron_core.Zeta.absent))
+  in
+  let starts = Array.make (rows + 1) 0 in
+  List.iteri (fun p l -> starts.(p + 1) <- starts.(p) + List.length l) pairs;
+  let all = Array.of_list (List.concat pairs) in
+  let column f =
+    let a = Image.u16s_create (Array.length all) in
+    Array.iteri (fun i e -> A1.set a i (f e)) all;
+    a
+  in
+  (Image.ints_of_array starts, column fst, column snd)
+
+(* The first present slot of a z_z column. *)
+let first_present (zz : Image.u16s) =
+  let rec go i = if A1.get zz i <> Ron_core.Zeta.absent then i else go (i + 1) in
+  go 0
+
 let basic_mutations =
   let basic () = Lazy.force basic_image in
   let ring_size (off : Image.ints) r = A1.get off (r + 1) - A1.get off r in
@@ -269,16 +295,19 @@ let basic_mutations =
           [ nan; infinity; -1.0 ] );
     ( "parent layout rejected",
       fun () ->
-        (* Two earlier layouts, both with int z_y/z_z sections: 11 int
-           sections, and before them a 3-entry meta, a per-destination
-           header bits section, and z_off/z_x columns before z_y/z_z. *)
+        (* The earlier layouts: two with int z_y/z_z pair sections — 11
+           int sections, and before them a 3-entry meta, a per-destination
+           header bits section, and z_off/z_x columns before z_y/z_z — and
+           the uint16 z_y/z_z pairs that followed, with and without
+           ring_hop. Their pairs are rebuilt from the slots. *)
         let img = basic () in
         let i = isec img and u = usec img in
         let n = value img "n" in
+        let pair_run, z_y, z_z = pair_rows img in
         let widened (a : Image.u16s) = Image.ints_of_array (Array.init (A1.dim a) (A1.get a)) in
         let int_zetas =
-          [| i "meta"; i "label_first"; i "label_rest"; i "ring_off"; i "ring_node"; i "z_run";
-             widened (u "z_y"); widened (u "z_z"); i "t_off"; i "t_w"; i "t_next" |]
+          [| i "meta"; i "label_first"; i "label_rest"; i "ring_off"; i "ring_node"; pair_run;
+             widened z_y; widened z_z; i "t_off"; i "t_w"; i "t_next" |]
         in
         let older =
           [|
@@ -286,12 +315,19 @@ let basic_mutations =
             Image.ints_of_array (Array.make n (value img "header_bits"));
             i "label_first"; i "label_rest"; i "ring_off"; i "ring_node";
             Image.ints_create 0; Image.ints_create 0;
-            widened (u "z_y"); widened (u "z_z"); i "t_off"; i "t_w"; i "t_next";
+            widened z_y; widened z_z; i "t_off"; i "t_w"; i "t_next";
           |]
         in
         List.iter
           (fun isecs -> expect_rejected "basic" { img with Image.isecs; usecs = [||] })
-          [ int_zetas; older ] );
+          [ int_zetas; older ];
+        let pair_isecs =
+          [| i "meta"; i "label_first"; i "label_rest"; i "ring_off"; i "ring_node"; pair_run;
+             i "t_off"; i "t_w"; i "t_next" |]
+        in
+        List.iter
+          (fun usecs -> expect_rejected "basic" { img with Image.isecs = pair_isecs; usecs })
+          [ [| z_y; z_z; u "ring_hop" |]; [| z_y; z_z |] ] );
   ]
 
 (* ------------------------------------ labelled and two_mode validation *)
@@ -645,11 +681,41 @@ let segmented img =
         c.rules)
     (List.filter (fun c -> dim_of img c > 1) (schema img))
 
+(* The slot runs [(start, stop)] in z_z of two rings (u1, j) and (u2, j)
+   whose next rings differ in size: the first slots of (u2, j)'s run hold
+   a position past (u1, j + 1), so the two runs swapped break the slot
+   rule. On the grid fixture, where every ring (u, j) is the net G_j, no
+   two such rings exist. *)
+let slot_runs_to_swap img =
+  let scales = value img "scales" and n = value img "n" in
+  let off = isec img "ring_off" and run = isec img "z_run" and zz = usec img "z_z" in
+  let size r = A1.get off (r + 1) - A1.get off r in
+  let slots r = (A1.get run (A1.get off r), A1.get run (A1.get off (r + 1))) in
+  let breaks a b =
+    let (sa, ea), (sb, eb) = (slots a, slots b) in
+    let rec past k =
+      k < min (ea - sa) (eb - sb)
+      && (let z = A1.get zz (sb + k) in
+          (z <> Ron_core.Zeta.absent && z >= size (a + 1)) || past (k + 1))
+    in
+    past 0
+  in
+  let rings = List.init (n * scales) Fun.id |> List.filter (fun r -> r mod scales < scales - 1) in
+  let pick a =
+    List.find_opt
+      (fun b -> b / scales <> a / scales && b mod scales = a mod scales && breaks a b)
+      rings
+  in
+  match List.find_map (fun a -> Option.map (fun b -> (a, b)) (pick a)) rings with
+  | Some (a, b) -> (slots a, slots b)
+  | None -> Alcotest.fail "no two rings of one scale whose next rings differ in size"
+
 (* The first-hop position column against its rule, where rows differ by
    node: an entry past its row, the column shifted, and the rows of the
    nodes with the shortest and the longest first-hop rows swapped each
-   break it; so does z_y swapped with z_z, whose y entries index the
-   rings of other nodes. On the grid fixture that swap is served. *)
+   break it. So do z_z's slot runs of two rings whose next rings differ in
+   size swapped, and a slot equal to the size of the smallest next ring
+   with rows. On the grid fixture such runs are served swapped. *)
 let basic_geometric_mutations =
   let basic () = Lazy.force basic_image and geo () = Lazy.force basic_geometric_image in
   let node_runs img = List.concat_map (segment_runs img) (column img "ring_hop").rules in
@@ -661,8 +727,17 @@ let basic_geometric_mutations =
     ((s1, e1), (s2, e2))
   in
   [
-    ( "z_y and z_z swapped, rings that differ by node",
-      fun () -> expect_rejected "z_z" (swapped (geo ()) "z_y" "z_z") );
+    ( "z_z rows of rings that differ by node swapped",
+      fun () ->
+        let img = geo () in
+        let a, b = slot_runs_to_swap img in
+        expect_rejected "z_z" (rows_swapped img "z_z" a b) );
+    ( "slot equal to the smallest next ring's size",
+      fun () ->
+        let img = geo () in
+        let runs = List.concat_map (segment_runs img) (column img "z_z").rules in
+        let start, _, size = List.hd (List.sort (fun (_, _, a) (_, _, b) -> compare a b) runs) in
+        expect_rejected "z_z" (mutate_usec img "z_z" (fun a -> A1.set a start size)) );
     ( "ring_hop entry past its first-hop row",
       fun () ->
         let img = basic () in
@@ -909,6 +984,139 @@ let serves t =
   match Loop.run ~jobs:1 t work (Loop.results_create 40) with
   | () -> true
   | exception Failure _ -> true
+
+let basic_slot_cases =
+  let basic () = Lazy.force basic_image in
+  [
+    ( "absent slot loads and serves",
+      fun () ->
+        (* A present slot made absent is a null step of the walks through
+           it: the image loads, every walk stays in its rows, and a
+           workload is served to its end. *)
+        let img = basic () in
+        let i = first_present (usec img "z_z") in
+        let absent = mutate_usec img "z_z" (fun a -> A1.set a i Ron_core.Zeta.absent) in
+        match Server.of_image absent with
+        | Error e -> Alcotest.failf "absent slot refused: %s" e
+        | Ok t ->
+          (match walk_error ~seed:1 t with
+          | None -> ()
+          | Some read -> Alcotest.failf "absent slot: the walk reads %s" read);
+          check_bool "served to the end" (serves t) );
+  ]
+
+(* ------------------------------------------- Basic labels past their rows *)
+
+(* A label's y at level j indexes slot row m_j, so a y that is negative or
+   past the row must decode as a null step — what the pair rows' search
+   gave, -1 — at every node, and no read may leave the row. A wire label
+   holds any y below 2^width, a snapshot's label_rest any int; each is
+   checked against the checked walk, [Zeta_oracle.decode_rows]. *)
+let basic_live =
+  lazy
+    (match Fixture.build_live ~scheme:"basic" ~n:64 ~seed:5 with
+    | Fixture.L_basic s -> s
+    | _ -> assert false)
+
+(* [Structure.decode] of label row [row] of [l] at every node of [c],
+   against the checked walk. *)
+let decodes_as_checked (c : Structure.cols) (l : Structure.cols) row =
+  let m = Array.make c.Structure.scales 0 in
+  let label = Zeta_oracle.label_of l row in
+  for u = 0 to c.Structure.n - 1 do
+    let want =
+      try Zeta_oracle.decode_rows c u label
+      with Invalid_argument read -> Alcotest.failf "node %d reads %s" u read
+    in
+    check_bool (Printf.sprintf "node %d decodes as the checked walk" u)
+      (Array.sub m 0 (Structure.decode c u l row m + 1) = want)
+  done
+
+(* The deepest level j of [t]'s label whose row, f_tj's ring j + 1, is
+   shorter than [bound]. *)
+let short_level s (c : Structure.cols) t bound =
+  let f = Basic.zooming s t and off = c.Structure.ring_off and scales = c.Structure.scales in
+  let len j = A1.get off ((f.(j) * scales) + j + 2) - A1.get off ((f.(j) * scales) + j + 1) in
+  let rec go j =
+    if j < 0 then Alcotest.fail "no row short enough" else if len j < bound then j else go (j - 1)
+  in
+  go (scales - 2)
+
+(* An image's label_rest entry (t, j) set to [y], loaded. *)
+let with_rest img (c : Structure.cols) t j y =
+  let sm1 = c.Structure.scales - 1 in
+  match Server.of_image (mutate_isec img "label_rest" (fun a -> A1.set a ((t * sm1) + j) y)) with
+  | Ok srv -> srv
+  | Error e -> Alcotest.failf "label_rest %d refused: %s" y e
+
+let basic_label_cases =
+  [
+    ( "wire label y past its row is a null step",
+      fun () ->
+        (* Target t's label written with y = 2^width - 1 at a level whose
+           row is shorter: every node decodes it as the checked walk, and
+           each live route from it equals the served route from an image
+           holding the same y (both may end in the scheme's Failure). *)
+        let s = Lazy.force basic_live in
+        let c = (Basic.export s).Basic.st in
+        let n = c.Structure.n and scales = c.Structure.scales and sm1 = c.Structure.scales - 1 in
+        let t = n - 1 in
+        let _, bits = Basic.serialize_label s t in
+        let id_bits = Ron_util.Bits.index_bits n in
+        let width = (bits - id_bits) / scales in
+        let past = (1 lsl width) - 1 in
+        let j = short_level s c t past in
+        let rest =
+          Array.init sm1 (fun k -> if k = j then past else A1.get c.label_rest ((t * sm1) + k))
+        in
+        let first = A1.get c.label_first t in
+        let w = Ron_util.Bitio.Writer.create () in
+        Ron_util.Bitio.Writer.bits w t ~width:id_bits;
+        Array.iter (fun y -> Ron_util.Bitio.Writer.bits w y ~width) (Array.append [| first |] rest);
+        let header = Basic.deserialize_label s (Ron_util.Bitio.Writer.to_bytes w) in
+        let ints a = Image.ints_of_array a in
+        decodes_as_checked c { c with label_first = ints [| first |]; label_rest = ints rest } 0;
+        let srv = with_rest (Server.image (Server.freeze_basic_t (Basic.export s))) c t j past in
+        let sc = Server.scratch_for srv in
+        for src = 0 to n - 1 do
+          let live =
+            match Basic.route_header s ~src header with
+            | r -> Ok (outcome_code r.Scheme.outcome, r.Scheme.hops, r.Scheme.length)
+            | exception Failure e -> Error e
+          in
+          let served =
+            match Server.query srv sc ~kind:0 ~src ~dst:t with
+            | () -> Ok (sc.Server.r_outcome, sc.Server.r_hops, sc.Server.fbuf.(2))
+            | exception Failure e -> Error e
+          in
+          check_bool (Printf.sprintf "route %d -> %d: wire = served" src t) (live = served)
+        done );
+    ( "snapshot label_rest y negative or past its row is a null step",
+      fun () ->
+        (* On the geometric fixture, where rows differ by node: y = -1 and
+           y = the row's length at one level of one label, each loaded and
+           decoded at every node as the checked walk, then served. *)
+        let img = Lazy.force basic_geometric_image in
+        let c = basic_cols img in
+        let t = c.Structure.n / 2 in
+        let sm1 = c.Structure.scales - 1 in
+        let level = sm1 / 2 in
+        (* The label's row at [level], as t itself decodes it. *)
+        let m = Array.make (sm1 + 1) 0 in
+        if Structure.decode_to c t c t m level < level then Alcotest.fail "t's own label stops";
+        let p = A1.get c.Structure.ring_off ((t * (sm1 + 1)) + level) + m.(level) in
+        let row_length = A1.get c.Structure.z_run (p + 1) - A1.get c.Structure.z_run p in
+        List.iter
+          (fun (j, y) ->
+            let srv = with_rest img c t j y in
+            let c' = basic_cols (Server.image srv) in
+            decodes_as_checked c' c' t;
+            (match walk_error ~seed:1 srv with
+            | None -> ()
+            | Some read -> Alcotest.failf "label_rest %d at level %d: the walk reads %s" y j read);
+            check_bool "served to the end" (serves srv))
+          [ (level, -1); (level, row_length) ] );
+  ]
 
 let prop_schema_fuzz =
   let print (f, k, seed) =
@@ -1358,14 +1566,14 @@ let prop_image_roundtrip =
       | Ok back -> size = Image.byte_size img && layout && same_sections img back)
 
 (* A saved basic snapshot and the offset of its first uint16 payload
-   (z_y): header, section table, then the int and float payloads. *)
+   (z_z): header, section table, then the int and float payloads. *)
 let basic_snapshot () =
   let img = Lazy.force basic_image in
   let file = Filename.temp_file "ron_serve_test" ".snap" in
   Image.save img file;
   let words secs = Array.fold_left (fun acc s -> acc + A1.dim s) 0 secs in
   let count = Array.length img.Image.isecs + Array.length img.fsecs + Array.length img.usecs in
-  (file, 56 + (16 * count) + (8 * (words img.isecs + words img.fsecs)), A1.dim (usec img "z_y"))
+  (file, 56 + (16 * count) + (8 * (words img.isecs + words img.fsecs)), A1.dim (usec img "z_z"))
 
 let load_error file =
   let r = Server.load file in
@@ -1383,14 +1591,14 @@ let patch_byte file off f =
   Unix.close fd
 
 let test_u16_flip_rejected () =
-  let file, z_y, n = basic_snapshot () in
-  patch_byte file (z_y + n) (fun c -> c lxor 0x01);
+  let file, z_z, n = basic_snapshot () in
+  patch_byte file (z_z + n) (fun c -> c lxor 0x01);
   let e = load_error file in
   check_bool ("names the uint16 checksum: " ^ e) (contains e "uint16 section 0 checksum")
 
 let test_u16_truncated_rejected () =
-  let file, z_y, n = basic_snapshot () in
-  Unix.truncate file (z_y + n + 1);
+  let file, z_z, n = basic_snapshot () in
+  Unix.truncate file (z_z + n + 1);
   let e = load_error file in
   check_bool ("names the truncation: " ^ e) (contains e "truncated")
 
@@ -1444,7 +1652,24 @@ let test_zero_alloc scheme () =
   let words = Loop.minor_words_per_query t work res in
   check_bool
     (Printf.sprintf "%s steady-state allocation ~ 0 (got %.3f words/query)" scheme words)
-    (words <= 8.0)
+    (words < 0.5)
+
+(* The same audit of an observed pass with the flight recorder on (no SLO
+   monitor, logical clock, one domain): the recorder, its trace sampling
+   ([Rng.mix]) and the per-hop capture allocate nothing per query. *)
+let test_observed_zero_alloc scheme () =
+  let (scheme, n, queries) = case scheme in
+  let t = Fixture.build ~scheme ~n ~seed:5 in
+  let work = workload_for t ~queries in
+  let res = Loop.results_create queries in
+  let flight = Ron_obs.Flight.create ~window:32 ~per_window:4 ~retain:4 ~trace_every:4 () in
+  Loop.run_observed ~jobs:1 ~flight t work res;
+  let w0 = Gc.minor_words () in
+  Loop.run_observed ~jobs:1 ~flight t work res;
+  let words = (Gc.minor_words () -. w0) /. float_of_int queries in
+  check_bool
+    (Printf.sprintf "%s observed allocation ~ 0 (got %.3f words/query)" scheme words)
+    (words < 0.5)
 
 (* ------------------------------------- observed serving: jobs invariance *)
 
@@ -1506,7 +1731,9 @@ let () =
       ("basic validation",
        List.map
          (fun (name, f) -> Alcotest.test_case name `Quick f)
-         (basic_mutations @ basic_geometric_mutations));
+         (basic_mutations @ basic_geometric_mutations @ basic_slot_cases));
+      ("basic labels",
+       List.map (fun (name, f) -> Alcotest.test_case name `Quick f) basic_label_cases);
       ("labelled validation",
        List.map (fun (name, f) -> Alcotest.test_case name `Quick f) labelled_mutations);
       ("two_mode validation",
@@ -1532,7 +1759,9 @@ let () =
       ("meta sections",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_empty_meta_rejected s)));
       ("zero allocation",
-       per_scheme (fun s -> Alcotest.test_case s `Quick (test_zero_alloc s)));
+       per_scheme (fun s -> Alcotest.test_case s `Quick (test_zero_alloc s))
+       @ per_scheme (fun s ->
+             Alcotest.test_case ("observed " ^ s) `Quick (test_observed_zero_alloc s)));
       ("observed serving",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_observed_invariant s)));
     ]

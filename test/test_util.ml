@@ -123,6 +123,27 @@ let test_rng_invalid_args () =
   Alcotest.check_raises "empty pick" (Invalid_argument "Rng.pick: empty array") (fun () ->
       ignore (Rng.pick rng [||]))
 
+(* [Rng.mix] against SplitMix64's finalizer over [a + gamma * b], top bit
+   cleared: values computed outside OCaml. *)
+let test_rng_mix_values () =
+  List.iter
+    (fun (a, b, want) -> check_int (Printf.sprintf "mix %d %d" a b) want (Rng.mix a b))
+    [ (0, 0, 0); (1, 2, 4533873174211652711); (42, -7, 2778372008050299607);
+      (-1, 123456789, 1913290225796706421) ]
+
+(* [Rng.mix] keeps its int64s unboxed: 10^5 calls allocate no minor
+   word, read with [Gc.minor_words], which counts the minor heap's
+   current words too. *)
+let test_rng_mix_allocates_nothing () =
+  let calls = 100_000 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    acc := !acc lxor Rng.mix i !acc
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+  check_bool (Printf.sprintf "%.3f minor words per Rng.mix (hash %d)" words !acc) (words < 0.01)
+
 (* ----------------------------------------------------------------- Bits *)
 
 let test_bits_values () =
@@ -420,6 +441,8 @@ let () =
           Alcotest.test_case "weighted index frequencies" `Quick test_weighted_index;
           Alcotest.test_case "weighted index zero weight" `Quick test_weighted_index_zero_weight;
           Alcotest.test_case "invalid arguments" `Quick test_rng_invalid_args;
+          Alcotest.test_case "mix values" `Quick test_rng_mix_values;
+          Alcotest.test_case "mix allocates nothing" `Quick test_rng_mix_allocates_nothing;
         ] );
       ( "bits",
         [

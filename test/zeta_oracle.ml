@@ -84,17 +84,18 @@ let label_of (c : Structure.cols) t =
     rest = Array.init sm1 (fun j -> c.Structure.label_rest.{(t * sm1) + j});
   }
 
-(* The walk over the flat rows, with checked reads and a linear scan:
-   zeta_uj(x, y) is the z of y in row x of ring (u, j), or -1. Raises
+(* The walk over the flat rows, with checked reads: zeta_uj(x, y) is
+   slot y of row x of ring (u, j), or -1 for a y outside the row (negative,
+   or past the row's end) and for an absent slot. Raises
    [Invalid_argument] naming the read where [Structure.decode]'s unchecked
    reads lose their footing: a position outside ring (u, j), which puts
-   its row outside the ring's rows, or a z in that row outside ring
-   (u, j + 1). *)
+   its row outside the ring's rows, a slot outside z_z, or a z outside
+   ring (u, j + 1). *)
 let decode_rows (c : Structure.cols) u (label : Zooming.encoded) =
   let ring j = (u * c.scales) + j in
   let size j = c.ring_off.{ring j + 1} - c.ring_off.{ring j} in
   let check what j x =
-    if x >= size j then
+    if x < 0 || x >= size j then
       invalid_arg (Printf.sprintf "%s %d outside ring (%d, %d) of %d members" what x u j (size j))
   in
   check "first index" 0 label.first;
@@ -102,16 +103,23 @@ let decode_rows (c : Structure.cols) u (label : Zooming.encoded) =
     ~translate:(fun j ~x ~y ->
       check "position" j x;
       let p = c.ring_off.{ring j} + x in
-      let z = ref (-1) in
-      for e = c.z_run.{p} to c.z_run.{p + 1} - 1 do
-        check "z" (j + 1) c.z_z.{e};
-        if c.z_y.{e} = y then z := c.z_z.{e}
-      done;
-      !z)
+      let lo = c.z_run.{p} and hi = c.z_run.{p + 1} in
+      if y < 0 || y >= hi - lo then -1
+      else if lo + y < 0 || lo + y >= Bigarray.Array1.dim c.z_z then
+        invalid_arg
+          (Printf.sprintf "slot %d of row [%d, %d), outside z_z of %d" y lo hi
+             (Bigarray.Array1.dim c.z_z))
+      else
+        let z = c.z_z.{lo + y} in
+        if z = Ron_core.Zeta.absent then -1
+        else begin
+          check "z" (j + 1) z;
+          z
+        end)
     label
 
-(* The rows of [c] as per-segment (x, y, z) triples, segment (u, j) at
-   [u * (scales - 1) + j], in row order. *)
+(* The rows of [c] as per-segment (x, y, z) triples, one per present
+   slot, segment (u, j) at [u * (scales - 1) + j], in row order. *)
 let of_rows (c : Structure.cols) =
   let scales = c.Structure.scales in
   Array.init
@@ -121,9 +129,8 @@ let of_rows (c : Structure.cols) =
       let lo = c.Structure.ring_off.{r} in
       Array.concat
         (List.init (c.Structure.ring_off.{r + 1} - lo) (fun x ->
-             let p = lo + x in
-             Array.init
-               (c.Structure.z_run.{p + 1} - c.Structure.z_run.{p})
-               (fun k ->
-                 let e = c.Structure.z_run.{p} + k in
-                 (x, c.Structure.z_y.{e}, c.Structure.z_z.{e})))))
+             let start = c.Structure.z_run.{lo + x} in
+             List.init (c.Structure.z_run.{lo + x + 1} - start) (fun y ->
+                 (x, y, c.Structure.z_z.{start + y}))
+             |> List.filter (fun (_, _, z) -> z <> Ron_core.Zeta.absent)
+             |> Array.of_list)))
