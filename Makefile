@@ -147,13 +147,17 @@ telemetry-smoke: build
 # their per-query cost is far higher. Basic runs twice more, on the 20x20
 # grid, where the rings of the finer scales differ by node, so a hop
 # decodes to fewer levels than j_ut and its ring positions index first-hop
-# rows of different lengths. Last, a truncated copy of each of the
-# five snapshots, and a copy of the basic one whose version word reads 1,
-# must each be refused with the loader's message and exit 1.
+# rows of different lengths. Each warm run's digest and its snapshot's
+# cksum must equal the committed test/serve_smoke.golden (written at the
+# default sizes), so a change that moves a served answer or a snapshot
+# byte fails here unless it updates that file too. Last, a truncated copy
+# of each of the five snapshots, and a copy of the basic one whose version
+# word reads 1, must each be refused with the loader's message and exit 1.
 SERVE_SMOKE_N ?= 100
 SERVE_SMOKE_QUERIES ?= 20000
 serve-smoke: build
 	@set -e; \
+	: > /tmp/ron_serve_smoke_golden.txt; \
 	for spec in "basic $(SERVE_SMOKE_N) $(SERVE_SMOKE_QUERIES) ron_serve_smoke" \
 	            "basic 400 $(SERVE_SMOKE_QUERIES) ron_serve_smoke_basic400" \
 	            "labelled 49 2000 ron_serve_smoke_labelled" \
@@ -175,7 +179,12 @@ serve-smoke: build
 	  if [ -z "$$warm" ] || [ "$$warm" != "$$cold" ]; then \
 	    echo "serve-smoke: $$1 warm/cold digests differ ($$warm vs $$cold)"; exit 1; \
 	  else echo "serve-smoke: $$1 warm/cold digests match ($$warm)"; fi; \
+	  echo "$$1 n=$$2 queries=$$3 $$warm $$(cksum < /tmp/$$4.snap | \
+	    awk '{print "snapshot_cksum=" $$1 " bytes=" $$2}')" >> /tmp/ron_serve_smoke_golden.txt; \
 	done; \
+	if ! diff test/serve_smoke.golden /tmp/ron_serve_smoke_golden.txt; then \
+	  echo "serve-smoke: digests or snapshot checksums differ from test/serve_smoke.golden"; exit 1; \
+	else echo "serve-smoke: digests and snapshot checksums match test/serve_smoke.golden"; fi; \
 	for kind in route dist; do \
 	  if ! grep -q "^latency kind=$$kind p50=" /tmp/ron_serve_smoke_labelled_warm.txt; then \
 	    echo "serve-smoke: labelled's mixed workload reports no $$kind latency line"; exit 1; \

@@ -3,6 +3,7 @@ module Probe = Ron_obs.Probe
 module Scheme = Ron_routing.Scheme
 module Indexed = Ron_metric.Indexed
 module Rings = Ron_core.Rings
+module Marks = Ron_util.Marks
 
 (* Dynamic membership over a frozen scheme: a seeded, jobs-invariant
    schedule of joins and leaves, a routing wrapper that detours around
@@ -399,20 +400,22 @@ module Ring_repair = struct
 
   (* Nearest live candidate inside ring [i] of [u]'s ball, excluding the
      node being replaced and current members; [-1] when the ball holds no
-     live substitute (the slot becomes a tombstone). *)
+     live substitute (the slot becomes a tombstone). The ring's members
+     are flagged in a per-domain mark first, so each candidate costs one
+     read, not a scan of the ring. *)
   let substitute t u i ~avoid =
     let r = (Rings.rings_of t.work u).(i) in
+    let mark = Marks.get t.st.n in
+    Array.iter (fun w -> if w >= 0 then mark.(w) <- 0) r.Rings.members;
     let best = ref (-1) in
     (try
        Indexed.ball_iter t.idx u r.Rings.radius (fun w _d ->
-           if
-             w <> u && w <> avoid && t.st.live.(w)
-             && not (ring_contains r.Rings.members w)
-           then begin
+           if w <> u && w <> avoid && t.st.live.(w) && mark.(w) < 0 then begin
              best := w;
              raise Exit
            end)
      with Exit -> ());
+    Array.iter (fun w -> if w >= 0 then mark.(w) <- -1) r.Rings.members;
     !best
 
   let leave_repair ~probe t v =

@@ -38,12 +38,19 @@ let rings_of t u = t.rings.(u)
 let scales t u = Array.length t.rings.(u)
 let size t = Array.length t.rings
 
+(* Every member of every ring, sorted, then deduplicated in place. *)
 let compute_neighbors t u =
-  let tbl = Hashtbl.create 64 in
-  Array.iter (fun r -> Array.iter (fun v -> Hashtbl.replace tbl v ()) r.members) t.rings.(u);
-  let out = Array.of_list (Hashtbl.fold (fun v () acc -> v :: acc) tbl []) in
-  Fsort.sort_ints out;
-  out
+  let all = Array.concat (Array.to_list (Array.map (fun r -> r.members) t.rings.(u))) in
+  Fsort.sort_ints all;
+  let k = ref 0 in
+  Array.iter
+    (fun v ->
+      if !k = 0 || all.(!k - 1) <> v then begin
+        all.(!k) <- v;
+        incr k
+      end)
+    all;
+  Array.sub all 0 !k
 
 let cached_neighbors t u =
   match t.neighbors_cache.(u) with
@@ -69,16 +76,6 @@ let max_ring_size t =
   Array.fold_left
     (fun acc rs -> Array.fold_left (fun a r -> max a (Array.length r.members)) acc rs)
     0 t.rings
-
-let of_membership idx ~scales ~radius_of ~member_of =
-  let n = Indexed.size idx in
-  of_rings
-    (Pool.init n (fun u ->
-         Array.init scales (fun i ->
-             let radius = radius_of i in
-             let members = Indexed.ball_filter idx u radius (member_of i) in
-             Fsort.sort_ints members;
-             { scale = i; radius; members })))
 
 let net_rings idx hier ~scales ~radius_of ~level_of =
   let n = Indexed.size idx in

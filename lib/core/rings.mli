@@ -31,6 +31,9 @@ type t
 (** A collection: one array of rings per node. *)
 
 val of_rings : ring array array -> t
+(** A collection from rings built elsewhere: Theorem 2.1's
+    ([Ron_routing.Structure]) come from one scan of each node's sorted
+    row per scale. *)
 
 val ring : t -> int -> int -> ring
 (** [ring t u i]: the i-th ring of node [u]. *)
@@ -43,9 +46,9 @@ val size : t -> int
 (** Number of nodes. *)
 
 val neighbors : t -> int -> int array
-(** Distinct neighbors of [u] across all rings, sorted ascending. The dedup
-    is computed once per node and cached; the returned array is a fresh
-    copy. *)
+(** Distinct neighbors of [u] across all rings, sorted ascending: every
+    member sorted, then deduplicated in place. Computed once per node and
+    cached; the returned array is a fresh copy. *)
 
 val out_degree : t -> int -> int
 (** [Array.length (neighbors t u)], served from the per-node cache. *)
@@ -55,20 +58,6 @@ val max_out_degree : t -> int
     node's dedup is cached, so repeated accounting queries are O(n). *)
 
 val max_ring_size : t -> int
-
-val of_membership :
-  Ron_metric.Indexed.t ->
-  scales:int ->
-  radius_of:(int -> float) ->
-  member_of:(int -> int -> bool) ->
-  t
-(** Generic deterministic rings: ring [i] of [u] is [B_u(radius_of i)]
-    filtered by [member_of i], with members listed in ascending node id (so
-    rings that coincide as sets get identical enumeration orders across
-    nodes — the canonical-sharing requirement of host enumerations).
-    Nodes are built in parallel ({!Ron_util.Pool}): [radius_of] and
-    [member_of] must be pure, and the result is identical at any job
-    count. *)
 
 val net_rings :
   Ron_metric.Indexed.t ->

@@ -92,6 +92,7 @@ let log2_aspect_ratio t =
 let log2_size t = max 1 (Ron_util.Bits.ilog2_ceil (max 2 (size t)))
 
 let nth_neighbor t u k = (t.sorted_v.(u).(k), t.sorted_d.(u).(k))
+let row t u = t.sorted_v.(u)
 
 (* Number of nodes at distance <= r from u: binary search for the last index
    with distance <= r. *)

@@ -39,6 +39,12 @@ val nth_neighbor : t -> int -> int -> int * float
 (** [nth_neighbor t u k] is the [k]-th closest node to [u] (k = 0 is [u]
     itself) together with its distance. *)
 
+val row : t -> int -> int array
+(** [row t u]: every node in {!nth_neighbor}'s order, non-decreasing
+    distance from [u] with equal distances in ascending id. [B_u(r)] is
+    its prefix of length [ball_count t u r], and a set's first member in
+    it is the set's {!nearest_of}. Borrowed, not copied: read-only. *)
+
 val ball : t -> int -> float -> int array
 (** [ball t u r]: nodes of the closed ball [B_u(r)], in non-decreasing order
     of distance from [u] (so [u] first), equal distances in ascending node

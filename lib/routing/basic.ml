@@ -34,25 +34,52 @@ let substrate t = t.structure.Structure.idx
 
 let hop_budget n = max 64 (8 * n)
 
-(* Each ring position's member as an offset in its node's first-hop row,
-   in 16 bits: a table row is one entry per distinct ring member, so the
-   offset is the member's rank among them. A position holding the node
-   itself has no entry and is never read; it holds 0. *)
-let ring_hops (st : Structure.cols) (table : First_hop.t) =
+(* Each node's first-hop row — its distinct ring members but itself,
+   ascending — and each ring position's member as an offset in that row,
+   in 16 bits, from one pass over the node's flat ring columns. A
+   per-domain mark flags the members, a scan of the ids in order ranks
+   them, and every position reads its member's rank from the mark. A
+   position holding the node itself reads 0 and is never read. The row
+   size is checked once the marks are clean again. *)
+let neighbor_rows (st : Structure.cols) =
   let hops = A1.create Bigarray.int16_unsigned Bigarray.c_layout (A1.dim st.ring_node) in
-  Ron_util.Pool.parallel_for st.n (fun u ->
-      let row = table.t_off.{u} in
-      if table.t_off.{u + 1} - row > Ron_core.Zeta.max_members then
-        invalid_arg
-          (Printf.sprintf
-             "Basic.build: node %d's first-hop row has %d entries, more than the %d a 16-bit \
-              offset indexes"
-             u (table.t_off.{u + 1} - row) Ron_core.Zeta.max_members);
-      for p = st.ring_off.{u * st.scales} to st.ring_off.{(u + 1) * st.scales} - 1 do
-        let w = st.ring_node.{p} in
-        hops.{p} <- (if w = u then 0 else First_hop.find table u w - row)
-      done);
-  hops
+  let rows =
+    Ron_util.Pool.init st.n (fun u ->
+        let mark = Ron_util.Marks.get st.n in
+        let lo = st.ring_off.{u * st.scales} and hi = st.ring_off.{(u + 1) * st.scales} in
+        mark.(u) <- 0;
+        let d = ref 0 in
+        for p = lo to hi - 1 do
+          let w = st.ring_node.{p} in
+          if mark.(w) < 0 then begin
+            mark.(w) <- 0;
+            incr d
+          end
+        done;
+        let row = Array.make !d 0 in
+        let k = ref 0 and v = ref 0 in
+        while !k < !d do
+          if !v <> u && mark.(!v) = 0 then begin
+            row.(!k) <- !v;
+            mark.(!v) <- !k;
+            incr k
+          end;
+          incr v
+        done;
+        for p = lo to hi - 1 do
+          hops.{p} <- mark.(st.ring_node.{p})
+        done;
+        Array.iter (fun w -> mark.(w) <- -1) row;
+        mark.(u) <- -1;
+        if !d > Ron_core.Zeta.max_members then
+          invalid_arg
+            (Printf.sprintf
+               "Basic.build: node %d's first-hop row has %d entries, more than the %d a 16-bit \
+                offset indexes"
+               u !d Ron_core.Zeta.max_members);
+        row)
+  in
+  (rows, hops)
 
 let build sp ~delta =
   Ron_obs.Profile.phase "construct.basic" @@ fun () ->
@@ -62,8 +89,8 @@ let build sp ~delta =
   let st = structure.Structure.cols in
   let table, ring_hop =
     Ron_obs.Profile.phase "tables" @@ fun () ->
-    let table = First_hop.build sp n (Rings.neighbors structure.Structure.rings) in
-    (table, ring_hops st table)
+    let rows, ring_hop = neighbor_rows st in
+    (First_hop.build sp rows, ring_hop)
   in
   let cols =
     { st; table; ring_hop; max_hops = hop_budget n; header_bits = Structure.header_bits structure }

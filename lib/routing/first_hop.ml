@@ -7,32 +7,27 @@ type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
 
 type t = { t_off : ints; t_w : ints; t_next : ints; t_cost : floats }
 
-(* A count pass sizes each node's range, a fill pass writes it; nodes own
-   disjoint ranges, so both fan out per node. *)
-let build sp n targets =
+(* Offsets from the row lengths, then one fill pass; nodes own disjoint
+   ranges, so it fans out per node. *)
+let build sp (rows : int array array) =
   let g = Sp_metric.graph sp in
-  let counts = Array.make n 0 in
-  Ron_util.Pool.parallel_for n (fun u ->
-      Array.iter (fun v -> if v <> u then counts.(u) <- counts.(u) + 1) (targets u));
+  let n = Array.length rows in
   let t_off = A1.create Bigarray.int Bigarray.c_layout (n + 1) in
   t_off.{0} <- 0;
-  Array.iteri (fun u k -> t_off.{u + 1} <- t_off.{u} + k) counts;
+  Array.iteri (fun u row -> t_off.{u + 1} <- t_off.{u} + Array.length row) rows;
   let total = t_off.{n} in
   let t_w = A1.create Bigarray.int Bigarray.c_layout total in
   let t_next = A1.create Bigarray.int Bigarray.c_layout total in
   let t_cost = A1.create Bigarray.float64 Bigarray.c_layout total in
   Ron_util.Pool.parallel_for n (fun u ->
-      let e = ref t_off.{u} in
-      Array.iter
-        (fun v ->
-          if v <> u then begin
-            let next = Graph.hop g u (Sp_metric.first_hop_index sp u v) in
-            t_w.{!e} <- v;
-            t_next.{!e} <- next;
-            t_cost.{!e} <- Sp_metric.dist sp u next;
-            incr e
-          end)
-        (targets u);
+      let e = t_off.{u} in
+      Array.iteri
+        (fun k v ->
+          let next = Graph.hop g u (Sp_metric.first_hop_index sp u v) in
+          t_w.{e + k} <- v;
+          t_next.{e + k} <- next;
+          t_cost.{e + k} <- Sp_metric.dist sp u next)
+        rows.(u);
       if !Ron_obs.Probe.on then Ron_obs.Probe.table_node ());
   { t_off; t_w; t_next; t_cost }
 

@@ -13,11 +13,11 @@ type t = { t_off : ints; t_w : ints; t_next : ints; t_cost : floats }
 (** Arrays may be shared with a live scheme or mapped from a snapshot —
     treat them as read-only. *)
 
-val build : Ron_graph.Sp_metric.t -> int -> (int -> int array) -> t
-(** [build sp n targets]: node [u]'s entries for [targets u] (sorted,
-    distinct) without [u] itself. Parallel over nodes ({!Ron_util.Pool}),
-    identical at any job count; [targets] must be safe to call from any
-    domain. Charges one table node per node to the probes. *)
+val build : Ron_graph.Sp_metric.t -> int array array -> t
+(** [build sp rows]: node [u]'s entries for the targets [rows.(u)]
+    (sorted, distinct, none of them [u]). Parallel over nodes
+    ({!Ron_util.Pool}), identical at any job count. Charges one table node
+    per node to the probes. *)
 
 val find : t -> int -> int -> int
 (** [find t u w]: the entry of [u] for target [w], or [-1]. Allocation-free

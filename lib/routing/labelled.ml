@@ -63,7 +63,8 @@ let build sp ~delta =
   let off, ids = Ron_obs.Profile.phase "neighbors" @@ fun () -> targets idx tri ~delta in
   let table =
     Ron_obs.Profile.phase "tables" @@ fun () ->
-    First_hop.build sp n (fun u -> Array.init (off.{u + 1} - off.{u}) (fun k -> ids.{off.{u} + k}))
+    First_hop.build sp
+      (Array.init n (fun u -> Array.init (off.{u + 1} - off.{u}) (fun k -> ids.{off.{u} + k})))
   in
   let dls_bits = Dls.label_bits dls in
   let header_bits =

@@ -5,6 +5,8 @@ module Rings = Ron_core.Rings
 module Zooming = Ron_core.Zooming
 module Zeta = Ron_core.Zeta
 module Pool = Ron_util.Pool
+module Marks = Ron_util.Marks
+module Fsort = Ron_util.Fsort
 module Probe = Ron_obs.Probe
 module Profile = Ron_obs.Profile
 module A1 = Bigarray.Array1
@@ -36,55 +38,102 @@ type t = {
    measure query-time ring reads, and nothing here is one. *)
 let members rings u j = (Rings.rings_of rings u).(j).Rings.members
 
-(* Per-domain dense marks for the zeta join: [mark.(w)] is [w]'s position
-   in the ring being joined against, else -1. Each join unmarks what it
-   marked, so the array is all -1 between joins. *)
-let mark_key : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
-
-let marks n =
-  let m = Domain.DLS.get mark_key in
-  if Array.length !m < n then m := Array.make n (-1);
-  !m
-
-let unmark_ring mark ring = Array.iter (fun w -> mark.(w) <- -1) ring
-
-(* Marking doubles as the host enumeration's well-definedness check: a
-   node listed twice would have two indices. *)
-let mark_ring mark ring =
-  Array.iteri
-    (fun i w ->
-      if mark.(w) >= 0 then begin
-        unmark_ring mark ring;
-        invalid_arg "Structure.build: duplicate ring member"
-      end;
-      mark.(w) <- i)
-    ring
-
 let ints_create n : ints = A1.create Bigarray.int Bigarray.c_layout n
 
-(* The Figure 2 join of zeta_uj into slot rows: mark u's ring [j+1];
-   then row [x], for [f = ring_j(u).(x)], holds one slot per position [y]
-   of f's ring [j+1]: the mark of [w = ring_(j+1)(f).(y)], its position in
-   u's ring [j+1], or absent. Row [x] starts at [run.{base + x}]. No
-   hashing, no sort. Returns the number of present slots. *)
-let join rings mark (zz : u16s) (run : ints) ~base u j =
-  let next_u = members rings u (j + 1) in
-  mark_ring mark next_u;
-  let ring = members rings u j in
-  let present = ref 0 in
-  for x = 0 to Array.length ring - 1 do
-    let c = run.{base + x} in
-    let next = members rings ring.(x) (j + 1) in
-    for y = 0 to Array.length next - 1 do
-      let z = mark.(next.(y)) in
-      if z >= 0 then begin
-        zz.{c + y} <- z;
-        incr present
-      end
-      else zz.{c + y} <- Zeta.absent
-    done
+(* Ring (u, j) = B_u(radius) ∩ G_j in id order. The ball is a prefix of
+   u's sorted row: one scan of it flags the net's members in [mark], then
+   a scan of the net in id order collects them, unflagging each, and stops
+   at the last. No closure per entry, no sort. *)
+let ring_members idx mark (member : bool array) (ids : int array) u radius =
+  let row = Indexed.row idx u in
+  let count = ref 0 in
+  for i = 0 to Indexed.ball_count idx u radius - 1 do
+    let v = Array.unsafe_get row i in
+    if Array.unsafe_get member v then begin
+      Array.unsafe_set mark v 0;
+      incr count
+    end
   done;
-  unmark_ring mark next_u;
+  let out = Array.make !count 0 in
+  let k = ref 0 and i = ref 0 in
+  while !k < !count do
+    let v = Array.unsafe_get ids !i in
+    if Array.unsafe_get mark v = 0 then begin
+      Array.unsafe_set out !k v;
+      Array.unsafe_set mark v (-1);
+      incr k
+    end;
+    incr i
+  done;
+  out
+
+(* f_tj is the G_j member nearest to t, ties by smallest id: the first
+   G_j member in t's sorted row, which ties the same way. The nets are
+   nested, so G_j's first member comes no earlier than G_(j+1)'s: one scan
+   per node, finest scale first. *)
+let zooming idx (net_member : bool array array) t_ =
+  let row = Indexed.row idx t_ in
+  let scales = Array.length net_member in
+  let f = Array.make scales 0 in
+  let i = ref 0 in
+  for j = scales - 1 downto 0 do
+    let member = net_member.(j) in
+    while not (Array.unsafe_get member row.(!i)) do
+      incr i
+    done;
+    f.(j) <- row.(!i)
+  done;
+  f
+
+let unmark_ring mark (ring_node : ints) lo hi =
+  for p = lo to hi - 1 do
+    mark.(ring_node.{p}) <- -1
+  done
+
+(* Marks the ring at positions [lo, hi) with each member's position in
+   it. Marking doubles as the host enumeration's well-definedness check:
+   a node listed twice would have two positions. *)
+let mark_ring mark (ring_node : ints) lo hi =
+  for p = lo to hi - 1 do
+    let w = ring_node.{p} in
+    if mark.(w) >= 0 then begin
+      unmark_ring mark ring_node lo hi;
+      invalid_arg "Structure.build: duplicate ring member"
+    end;
+    mark.(w) <- p - lo
+  done
+
+(* One slot row: slot [y] holds the mark of the node at ring position
+   [lo + y]. Written without a branch: the mark is -1 off the ring and
+   [-1 land absent] is the absent mark; bit 16 is set in -1 and in no
+   position, which counts the present slots. A function of its own, so
+   the loop keeps its state in registers. Returns the present count. *)
+let fill_row (mark : int array) (ring_node : ints) (zz : u16s) lo c len =
+  let absent = Zeta.absent in
+  let present = ref 0 in
+  for y = 0 to len - 1 do
+    let z = Array.unsafe_get mark (A1.unsafe_get ring_node (lo + y)) in
+    A1.unsafe_set zz (c + y) (z land absent);
+    present := !present + 1 - ((z lsr 16) land 1)
+  done;
+  !present
+
+(* The Figure 2 join of zeta_uj into slot rows: mark u's ring [j+1]; then
+   row [x], for [f = ring_j(u).(x)], holds one slot per position [y] of
+   f's ring [j+1]: the mark of [w = ring_(j+1)(f).(y)], its position in
+   u's ring [j+1], or absent. Every ring is read from the flat columns.
+   No hashing, no sort. Returns the number of present slots. *)
+let join ~(ring_off : ints) ~(ring_node : ints) ~(z_run : ints) ~scales mark (zz : u16s) u j =
+  let r = (u * scales) + j in
+  let next_lo = ring_off.{r + 1} and next_hi = ring_off.{r + 2} in
+  mark_ring mark ring_node next_lo next_hi;
+  let present = ref 0 in
+  for p = ring_off.{r} to ring_off.{r + 1} - 1 do
+    let f = (ring_node.{p} * scales) + j + 1 in
+    let lo = ring_off.{f} in
+    present := !present + fill_row mark ring_node zz lo z_run.{p} (ring_off.{f + 1} - lo)
+  done;
+  unmark_ring mark ring_node next_lo next_hi;
   !present
 
 (* The rings flat, each row's start from the ring sizes (row x of ring
@@ -124,13 +173,13 @@ let build_flat rings ~scales n =
   let z_z = A1.create Bigarray.int16_unsigned Bigarray.c_layout !slots in
   let present = Array.make n 0 in
   Pool.parallel_for n (fun u ->
-      let mark = marks n in
+      let mark = Marks.get n in
       (* Rings 1 .. scales-1 are checked as the joins mark them. *)
-      mark_ring mark (members rings u 0);
-      unmark_ring mark (members rings u 0);
+      let r = u * scales in
+      mark_ring mark ring_node ring_off.{r} ring_off.{r + 1};
+      unmark_ring mark ring_node ring_off.{r} ring_off.{r + 1};
       for j = 0 to sm1 - 1 do
-        let base = ring_off.{(u * scales) + j} in
-        present.(u) <- present.(u) + join rings mark z_z z_run ~base u j
+        present.(u) <- present.(u) + join ~ring_off ~ring_node ~z_run ~scales mark z_z u j
       done);
   (ring_off, ring_node, z_run, z_z, present)
 
@@ -142,7 +191,8 @@ let build idx ~delta =
   let diam = Float.max (Indexed.diameter idx) 1e-9 in
   let big_l = Indexed.log2_aspect_ratio idx in
   let scales = big_l + 1 in
-  (* Nested nets: G_j is a (Delta/2^j)-net; G_L is the whole node set. *)
+  (* Nested nets: G_j is a (Delta/2^j)-net; G_L is the whole node set.
+     Each is then kept in id order, the order its rings list it in. *)
   let nets, net_member =
     Profile.phase "nets" @@ fun () ->
     let nets = Array.make scales [||] in
@@ -150,6 +200,7 @@ let build idx ~delta =
     for j = 1 to scales - 1 do
       nets.(j) <- Net.r_net idx ~seeds:nets.(j - 1) ~r:(diam /. Bits.pow2 j) ()
     done;
+    Array.iter Fsort.sort_ints nets;
     ( nets,
       Array.map
         (fun pts ->
@@ -159,18 +210,24 @@ let build idx ~delta =
         nets )
   in
   let radius_of j = 4.0 *. diam /. (delta *. Bits.pow2 j) in
+  (* The per-node passes below read only immutable shared state (the
+     index, the nets, and the previous passes' finished arrays), so each
+     runs as a parallel per-node fan-out; the passes themselves stay
+     ordered because each [Pool] call is a barrier. *)
   let rings =
     Profile.phase "rings" @@ fun () ->
-    Rings.of_membership idx ~scales ~radius_of ~member_of:(fun j v -> net_member.(j).(v))
+    Rings.of_rings
+      (Pool.init n (fun u ->
+           let mark = Marks.get n in
+           Array.init scales (fun j ->
+               let radius = radius_of j in
+               {
+                 Rings.scale = j;
+                 radius;
+                 members = ring_members idx mark net_member.(j) nets.(j) u radius;
+               })))
   in
-  (* The per-node passes below read only immutable shared state (rings,
-     nets, and the previous passes' finished arrays), so each runs as a
-     parallel per-node fan-out; the passes themselves stay ordered because
-     each [Pool] call is a barrier. *)
-  let zoomings =
-    Profile.phase "zoomings" @@ fun () ->
-    Pool.init n (fun t_ -> Array.init scales (fun j -> fst (Indexed.nearest_of idx t_ nets.(j))))
-  in
+  let zoomings = Profile.phase "zoomings" @@ fun () -> Pool.init n (zooming idx net_member) in
   let ring_off, ring_node, z_run, z_z, present =
     Profile.phase "zetas" @@ fun () -> build_flat rings ~scales n
   in

@@ -15,7 +15,17 @@
     slot per position [y] of ring [(f, j + 1)], [f] the member at [x],
     holding [zeta_uj(x, y)] or {!Ron_core.Zeta.absent}. Claim 2.2's decoder
     reads one [y] per step, so a step is one read; pair rows would need a
-    search. {!build} refuses a ring of more than 65,535 members. *)
+    search. {!build} refuses a ring of more than 65,535 members.
+
+    The build runs on flat scratch, one pass per node for each part: ring
+    [(u, j)] is one scan of [u]'s sorted {!Ron_metric.Indexed.row} up to
+    the ball's end, flagging [G_j]'s members in a per-domain mark over the
+    node ids ({!Ron_util.Marks}), then a scan of [G_j] in id order that
+    collects them; [f_tj] is the first [G_j] member in [t]'s sorted row,
+    which ties by id as {!Ron_metric.Indexed.nearest_of} does; and the
+    join reads every ring from the flat columns, writing each slot
+    without a branch. No Hashtbl and no distance evaluation; the one
+    sort puts each net in id order, once. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -47,15 +57,20 @@ type cols = {
 type t = {
   idx : Ron_metric.Indexed.t;
   rings : Ron_core.Rings.t;
+      (** the rings as records, members in ascending id: the churn
+          layer's repair and the accounting read them *)
   cols : cols;
-  zoomings : int array array;
+  zoomings : int array array;  (** [zoomings.(t).(j)]: [f_tj] *)
   present : int array;  (** [n]: each node's count of present slots *)
   ring_index_bits : int;
 }
 
 val build : Ron_metric.Indexed.t -> delta:float -> t
-(** [delta] in (0, 1/4]. Raises [Invalid_argument] naming the node, the
-    scale and the size of a ring of more than 65,535 members. *)
+(** [delta] in (0, 1/4]. Each per-node pass runs in parallel
+    ({!Ron_util.Pool}); the result is identical at any job count. Raises
+    [Invalid_argument] naming the node, the scale and the size of a ring
+    of more than 65,535 members, and on a ring that lists a member twice
+    or a zooming sequence its rings cannot encode. *)
 
 val decode : cols -> int -> cols -> int -> int array -> int
 (** [decode c u l row m]: Claim 2.2 at node [u] of [c] for the label in

@@ -143,7 +143,7 @@ let[@inline] logical_cost (sc : Server.scratch) kind =
    column feeding the SLO monitor. Runs on the worker domain; every write
    outside the scratch goes to slot [i] of an off-heap column or into the
    worker's own flight shard, so workers never contend. *)
-let observed_query t sc work res ~scheme ~wall ~flight ~lat_col i =
+let observed_query t sc work res ~scheme ~wall ~flight ~(lat_col : floats option) i =
   let want_tr = match flight with Some f -> Flight.want_trace f i | None -> false in
   sc.Server.log_hops <- want_tr;
   let t0 = if wall then Clock.now_ns () else 0 in

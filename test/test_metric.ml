@@ -555,6 +555,40 @@ let prop_indexed_parallel_equals_sequential =
       done;
       !ok)
 
+(* [nearest_of]'s tie rule is the row order: the candidate nearest to u,
+   ties by smallest id, is the first candidate in u's sorted row, and
+   [row] is that order. The Thm 2.1 zoomings take f_tj as the first G_j
+   member of t's row on this premise. Tie-heavy metrics: grids, the
+   integer line and an integer cycle. *)
+let prop_nearest_of_first_in_row =
+  QCheck.Test.make ~name:"nearest_of = first candidate in the sorted row on tie-heavy metrics"
+    ~count:40
+    QCheck.(triple (int_range 0 2) (int_range 3 12) (pair small_nat (int_range 1 8)))
+    (fun (kind, k, (seed, size)) ->
+      let m =
+        match kind with
+        | 0 -> Generators.grid2d k (k + (seed mod 3))
+        | 1 -> Generators.uniform_line (3 * k)
+        | _ ->
+          let c = 3 * k in
+          Metric.create ~name:"cycle" c (fun u v ->
+              let d = abs (u - v) in
+              float_of_int (min d (c - d)))
+      in
+      let idx = Indexed.create m in
+      let n = Indexed.size idx in
+      let rng = Rng.create seed in
+      List.for_all
+        (fun _ ->
+          let u = Rng.int rng n in
+          let cands = Array.init size (fun _ -> Rng.int rng n) in
+          let row = Indexed.row idx u in
+          let first = ref (-1) in
+          Array.iter (fun v -> if !first < 0 && Array.mem v cands then first := v) row;
+          fst (Indexed.nearest_of idx u cands) = !first
+          && row = Array.init n (fun k -> fst (Indexed.nth_neighbor idx u k)))
+        (List.init 20 Fun.id))
+
 let prop_packing_guarantee =
   QCheck.Test.make ~name:"packing 6r_u(eps) guarantee on random clouds" ~count:10
     QCheck.(pair (int_range 10 60) (int_range 0 3))
@@ -638,6 +672,7 @@ let () =
           qt prop_cloud_metric_valid;
           qt prop_latency_metric_valid;
           qt prop_net_invariants;
+          qt prop_nearest_of_first_in_row;
           qt prop_hierarchy_nested;
           qt prop_packing_guarantee;
           qt prop_indexed_rows_sorted;

@@ -709,11 +709,11 @@ let test_basic_build_reads_no_ring_probes () =
 module Structure = Ron_routing.Structure
 module Pool = Ron_util.Pool
 
-let structure_at ~jobs idx ~delta =
+let at_jobs jobs f =
   Pool.set_default_jobs (Some jobs);
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_jobs None)
-    (fun () -> Structure.build idx ~delta)
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs None) f
+
+let structure_at ~jobs idx ~delta = at_jobs jobs (fun () -> Structure.build idx ~delta)
 
 (* The flat rows against the hash-join reference: equal segment by
    segment, all columns equal at 1 and 2 domains, and [Structure.decode]
@@ -791,6 +791,101 @@ let prop_zetas_clouds =
       let idx = Indexed.create (Generators.random_cloud (Rng.create (n + (7 * dim))) ~n ~dim) in
       zetas_match_oracle idx ~delta:deltas.(d) ~seed:n)
 
+module Rings = Ron_core.Rings
+module First_hop = Ron_routing.First_hop
+
+(* The build against the record-based reference ([Structure_oracle]),
+   field by field, at 1 and 2 domains: the rings, the zoomings, the flat
+   columns (ring_off, ring_node, z_run, z_z, the labels) and each node's
+   count of present slots; on a graph also Basic's columns, its
+   first-hop table and ring_hop. Each returns the fields that differ. *)
+let structure_diff (st : Structure.t) (o : Structure_oracle.t) =
+  let n = Indexed.size st.Structure.idx in
+  let c = st.Structure.cols and oc = o.Structure_oracle.cols in
+  List.filter_map
+    (fun (name, same) -> if same then None else Some name)
+    [
+      ( "rings",
+        List.for_all
+          (fun u -> Rings.rings_of st.Structure.rings u = Rings.rings_of o.rings u)
+          (List.init n Fun.id) );
+      ("zoomings", st.Structure.zoomings = o.zoomings);
+      ("ring_off", c.Structure.ring_off = oc.Structure.ring_off);
+      ("ring_node", c.ring_node = oc.ring_node);
+      ("z_run", c.z_run = oc.z_run);
+      ("z_z", c.z_z = oc.z_z);
+      ("present", st.Structure.present = o.present);
+      ("label_first", c.label_first = oc.label_first);
+      ("label_rest", c.label_rest = oc.label_rest);
+      ("scales", c.scales = oc.scales && c.n = oc.n);
+    ]
+
+let basic_diff sp (o : Structure_oracle.t) b =
+  let c = Basic.export b and table, ring_hop = Structure_oracle.tables sp o in
+  let n = o.Structure_oracle.cols.Structure.n in
+  List.filter_map
+    (fun (name, same) -> if same then None else Some ("basic " ^ name))
+    [
+      ("cols", c.Basic.st = o.cols);
+      ( "rings",
+        List.for_all
+          (fun u -> Rings.rings_of (Basic.rings_collection b) u = Rings.rings_of o.rings u)
+          (List.init n Fun.id) );
+      ("zoomings", Array.init n (Basic.zooming b) = o.zoomings);
+      ("t_off", c.table.First_hop.t_off = table.First_hop.t_off);
+      ("t_w", c.table.t_w = table.t_w);
+      ("t_next", c.table.t_next = table.t_next);
+      ("t_cost", c.table.t_cost = table.t_cost);
+      ("ring_hop", c.ring_hop = ring_hop);
+    ]
+
+let matches_structure_oracle ?sp idx ~delta =
+  let o = Structure_oracle.build idx ~delta in
+  let diffs =
+    List.concat_map
+      (fun jobs ->
+        at_jobs jobs (fun () ->
+            let tag = Printf.sprintf "jobs=%d %s" jobs in
+            List.map tag
+              (structure_diff (Structure.build idx ~delta) o
+              @
+              match sp with
+              | Some sp -> basic_diff sp o (Basic.build sp ~delta)
+              | None -> [])))
+      [ 1; 2 ]
+  in
+  diffs = [] || QCheck.Test.fail_reportf "fields differ: %s" (String.concat ", " diffs)
+
+let prop_structure_graphs =
+  QCheck.Test.make
+    ~name:"Thm 2.1 build = record-based oracle on grids, geometric graphs, exponential lines"
+    ~count:12
+    QCheck.(triple (int_range 0 2) (int_range 3 9) (pair (int_range 10 50) (int_range 0 1)))
+    (fun (kind, side, (n, d)) ->
+      (* Shrinking may step outside the generator's ranges. *)
+      let side = max 3 side and n = max 10 n and d = d land 1 in
+      let g =
+        match kind with
+        | 0 -> Graph_gen.grid side (side + (n mod 3))
+        | 1 -> Graph_gen.random_geometric (Rng.create (n * 17)) ~n ~radius:0.3
+        | _ -> Graph_gen.exponential_line_graph (side + 6)
+      in
+      let sp = Sp_metric.create g in
+      matches_structure_oracle ~sp (Indexed.create (Sp_metric.metric sp)) ~delta:deltas.(d))
+
+let prop_structure_metrics =
+  QCheck.Test.make
+    ~name:"Thm 2.1 build = record-based oracle on clouds (On_metric) and exponential lines"
+    ~count:10
+    QCheck.(triple bool (int_range 10 50) (pair (int_range 1 3) (int_range 0 1)))
+    (fun (cloud, n, (dim, d)) ->
+      let n = max 10 n and dim = max 1 dim and d = d land 1 in
+      let m =
+        if cloud then Generators.random_cloud (Rng.create (n + (11 * dim))) ~n ~dim
+        else Generators.exponential_line (6 + (n mod 12))
+      in
+      matches_structure_oracle (Indexed.create m) ~delta:deltas.(d))
+
 let prop_basic_random_geometric =
   QCheck.Test.make ~name:"Thm 2.1 delivers with bounded stretch on random geometric graphs"
     ~count:8
@@ -838,7 +933,6 @@ let prop_on_metric_random_clouds =
    argmin by (Labelled.estimate, id). *)
 module Net = Ron_metric.Net
 module Triangulation = Ron_labeling.Triangulation
-module First_hop = Ron_routing.First_hop
 
 let labelled_matches_definition sp ~delta ~seed =
   let t = Labelled.build sp ~delta in
@@ -1039,6 +1133,8 @@ let () =
           qt prop_on_metric_random_clouds;
           qt prop_zetas_graphs;
           qt prop_zetas_clouds;
+          qt prop_structure_graphs;
+          qt prop_structure_metrics;
           qt prop_labelled_definition;
           qt prop_two_mode_clouds;
           qt prop_two_mode_forced_m2;

@@ -1671,6 +1671,30 @@ let test_observed_zero_alloc scheme () =
     (Printf.sprintf "%s observed allocation ~ 0 (got %.3f words/query)" scheme words)
     (words < 0.5)
 
+(* An observed pass with the SLO monitor only (logical clock, one domain,
+   no window closing before the end): the latency column is a float
+   Bigarray stored unboxed, so the 2 words of the float [Slo.observe]
+   receives are all a query allocates. A column typed only at run time
+   compiles to the generic C setter on a boxed float: 2 words more. *)
+let test_slo_observed_words () =
+  let queries = 20000 in
+  let t = Fixture.build ~scheme:"basic" ~n:100 ~seed:5 in
+  let work = workload_for t ~queries in
+  let res = Loop.results_create queries in
+  let slo () =
+    match Ron_obs.Slo.parse "p95<=65536,delivery>=0.5" with
+    | Ok o -> Ron_obs.Slo.create ~window:(2 * queries) ~name:"slo.test.words" o
+    | Error e -> Alcotest.fail e
+  in
+  Loop.run_observed ~jobs:1 ~slo:(slo ()) t work res;
+  let s = slo () in
+  let w0 = Gc.minor_words () in
+  Loop.run_observed ~jobs:1 ~slo:s t work res;
+  let words = (Gc.minor_words () -. w0) /. float_of_int queries in
+  check_bool
+    (Printf.sprintf "slo-only observed basic below 2.5 words/query (got %.3f)" words)
+    (words < 2.5)
+
 (* ------------------------------------- observed serving: jobs invariance *)
 
 module Flight = Ron_obs.Flight
@@ -1761,7 +1785,8 @@ let () =
       ("zero allocation",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_zero_alloc s))
        @ per_scheme (fun s ->
-             Alcotest.test_case ("observed " ^ s) `Quick (test_observed_zero_alloc s)));
+             Alcotest.test_case ("observed " ^ s) `Quick (test_observed_zero_alloc s))
+       @ [ Alcotest.test_case "slo-only observed basic" `Quick test_slo_observed_words ]);
       ("observed serving",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_observed_invariant s)));
     ]
