@@ -108,13 +108,26 @@ tri-smoke: build
 # RON_JOBS=1 and 4 — the outputs must be byte-identical, and the RON_JOBS=1
 # output must equal the committed test/route_smoke.golden, so a change that
 # moves a table or sweep line fails here unless it updates that file too.
-# Fault and churn routes run under mer-smoke and churn-smoke. Outputs land
-# in /tmp for CI to archive.
+# Then the observed counters (decode steps, translation lookups, hops) of
+# Theorem 2.1's routes on a grid and of the metric scheme's on a cloud:
+# each --metrics-out file must be equal at RON_JOBS=1 and 4 and equal to
+# its committed test/route_metrics_*.golden. Fault and churn routes run
+# under mer-smoke and churn-smoke. Outputs land in /tmp for CI to archive.
 route-smoke: build
 	RON_JOBS=1 dune exec bench/main.exe -- t1 t2 t3 e21 e41 > /tmp/ron_route_smoke_j1.txt
 	RON_JOBS=4 dune exec bench/main.exe -- t1 t2 t3 e21 e41 > /tmp/ron_route_smoke_j4.txt
 	cmp test/route_smoke.golden /tmp/ron_route_smoke_j1.txt
 	cmp /tmp/ron_route_smoke_j1.txt /tmp/ron_route_smoke_j4.txt
+	@set -e; for spec in "grid 64 thm21" "cloud 128 metric"; do \
+	  set -- $$spec; \
+	  for j in 1 4; do \
+	    RON_JOBS=$$j dune exec bin/ron_cli.exe -- route -m $$1 -n $$2 -p 200 --scheme $$3 \
+	      --metrics-out /tmp/ron_route_metrics_$$1_j$$j.json > /dev/null; \
+	  done; \
+	  cmp /tmp/ron_route_metrics_$$1_j1.json /tmp/ron_route_metrics_$$1_j4.json; \
+	  cmp test/route_metrics_$$1$$2_$$3.golden /tmp/ron_route_metrics_$$1_j1.json; \
+	  echo "route-smoke: $$3 on $$1 $$2: --metrics-out equal at RON_JOBS=1 and 4 and to its golden"; \
+	done
 
 # Telemetry smoke: the n = 10^5 scale run with the runtime sampler on,
 # then validate the snapshot series (seq/ts monotone, typed sections) and

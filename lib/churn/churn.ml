@@ -396,7 +396,13 @@ module Ring_repair = struct
     mutable cur_refs : (int * int * int) list array;
   }
 
-  let ring_contains members w = Array.exists (fun x -> x = w) members
+  (* The annotations make each compare an int compare, not a call to the
+     polymorphic one. *)
+  let ring_contains (members : int array) (w : int) = Array.exists (fun x -> x = w) members
+
+  (* [refs] without the entry [(u, i, slot)]. *)
+  let without (u : int) (i : int) (slot : int) refs =
+    List.filter (fun (u', i', slot') -> u' <> u || i' <> i || slot' <> slot) refs
 
   (* Nearest live candidate inside ring [i] of [u]'s ball, excluding the
      node being replaced and current members; [-1] when the ball holds no
@@ -452,9 +458,7 @@ module Ring_repair = struct
             in
             if cur.Rings.members.(slot) <> desired then begin
               let old = cur.Rings.members.(slot) in
-              if old >= 0 && old <> v then
-                t.cur_refs.(old) <-
-                  List.filter (fun e -> e <> (v, i, slot)) t.cur_refs.(old);
+              if old >= 0 && old <> v then t.cur_refs.(old) <- without v i slot t.cur_refs.(old);
               Rings.replace_member t.work v i ~at:slot ~with_:desired;
               if desired >= 0 && desired <> v then begin
                 t.cur_refs.(desired) <- (v, i, slot) :: t.cur_refs.(desired);
@@ -473,9 +477,7 @@ module Ring_repair = struct
           if r.Rings.members.(slot) <> v && not (ring_contains r.Rings.members v)
           then begin
             let old = r.Rings.members.(slot) in
-            if old >= 0 then
-              t.cur_refs.(old) <-
-                List.filter (fun e -> e <> (u, i, slot)) t.cur_refs.(old);
+            if old >= 0 then t.cur_refs.(old) <- without u i slot t.cur_refs.(old);
             Rings.replace_member t.work u i ~at:slot ~with_:v;
             t.cur_refs.(v) <- (u, i, slot) :: t.cur_refs.(v);
             incr updates

@@ -191,19 +191,15 @@ let route_header t ~src h = route_label Scheme.identity_wrapper t ~src h
 
 (* -------------------------------------------------------------- Accounting *)
 
-(* Translation bits [zeta u], first-hop pointers ([ceil(log2 Dout)] bits
+(* Sparse translation bits, first-hop pointers ([ceil(log2 Dout)] bits
    each) and the node's global id. *)
-let table_bits_with t zeta =
+let table_bits t =
   let n = t.cols.st.Structure.n in
   let fh_bits = Bits.index_bits (max 2 (Graph.max_out_degree (Sp_metric.graph t.sp))) in
   Array.init n (fun u ->
-      zeta u + (First_hop.entries t.cols.table u * fh_bits) + Bits.index_bits n)
-
-let table_bits t = table_bits_with t (Structure.zeta_bits_sparse t.structure)
-
-let table_bits_dense t =
-  let dense = Structure.zeta_bits_dense t.structure in
-  table_bits_with t (fun _ -> dense)
+      Structure.zeta_bits_sparse t.structure u
+      + (First_hop.entries t.cols.table u * fh_bits)
+      + Bits.index_bits n)
 
 let label_bits t = Array.make t.cols.st.Structure.n (Structure.label_bits t.structure)
 

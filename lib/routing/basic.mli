@@ -60,10 +60,6 @@ val table_bits : t -> int array
 (** Per-node routing-table size: sparse translation triples, first-hop
     pointers ([ceil(log2 Dout)] bits each), and the node's global id. *)
 
-val table_bits_dense : t -> int array
-(** Same, with the translation functions charged as dense [K^2 log K]
-    matrices (the paper's accounting). *)
-
 val label_bits : t -> int array
 (** Routing-label sizes: the encoded zooming sequence plus the global id. *)
 

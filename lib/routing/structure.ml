@@ -17,6 +17,7 @@ type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) A1.t
 type cols = {
   n : int;
   scales : int;
+  shared : int;
   ring_off : ints;
   ring_node : ints;
   z_run : ints;
@@ -136,13 +137,36 @@ let join ~(ring_off : ints) ~(ring_node : ints) ~(z_run : ints) ~scales mark (zz
   unmark_ring mark ring_node next_lo next_hi;
   !present
 
+(* The leading levels j whose rings j and j + 1 are the whole nets G_j
+   and G_(j+1) at every node. A ring is a subset of its net in id order, so
+   one of the net's size is the net: every node's ring is node 0's, and so
+   is each row of zeta_uj. Ring 0's radius is at least 16 Delta, so ring 0
+   always spans its net. *)
+let whole_net_levels rings (nets : int array array) n =
+  let whole j =
+    let size = Array.length nets.(j) and u = ref 0 in
+    while !u < n && Array.length (members rings !u j) = size do
+      incr u
+    done;
+    !u = n
+  in
+  let w = ref 0 in
+  while !w < Array.length nets && whole !w do
+    incr w
+  done;
+  max 0 (!w - 1)
+
 (* The rings flat, each row's start from the ring sizes (row x of ring
    (u, j) spans the size of its member's ring j+1; a node's last ring has
    no zeta, so its rows are empty), then one pass over the join writes
-   every slot. Nodes own disjoint ranges, so that pass fans out per node.
-   The columns are Bigarrays, so the snapshot layer adopts them without a
-   copy. Also returns each node's count of present slots. *)
-let build_flat rings ~scales n =
+   every slot. Below level [shared] only node 0 holds rows: every other
+   node's are empty, and its walk reads node 0's. Nodes own disjoint
+   ranges, so that pass fans out per node; each node still marks every
+   one of its rings, which checks it for a duplicate member. The columns
+   are Bigarrays, so the snapshot layer adopts them without a copy. Also
+   returns each node's count of present slots, node 0's at the shared
+   levels included. *)
+let build_flat rings ~scales ~shared n =
   let sm1 = scales - 1 in
   let ring_off = ints_create ((n * scales) + 1) in
   ring_off.{0} <- 0;
@@ -160,28 +184,36 @@ let build_flat rings ~scales n =
   let ring_node = ints_create positions and z_run = ints_create (positions + 1) in
   let slots = ref 0 in
   for r = 0 to (n * scales) - 1 do
-    let j = r mod scales and base = ring_off.{r} in
+    let u = r / scales and j = r mod scales and base = ring_off.{r} in
+    let rows = j < sm1 && (u = 0 || j >= shared) in
     Array.iteri
       (fun x f ->
         ring_node.{base + x} <- f;
         z_run.{base + x} <- !slots;
-        if j < sm1 then
+        if rows then
           slots := !slots + ring_off.{(f * scales) + j + 2} - ring_off.{(f * scales) + j + 1})
-      (members rings (r / scales) j)
+      (members rings u j)
   done;
   z_run.{positions} <- !slots;
   let z_z = A1.create Bigarray.int16_unsigned Bigarray.c_layout !slots in
-  let present = Array.make n 0 in
+  let present = Array.make n 0 and whole = ref 0 in
   Pool.parallel_for n (fun u ->
       let mark = Marks.get n in
-      (* Rings 1 .. scales-1 are checked as the joins mark them. *)
+      (* Rings 1 .. scales-1 are checked as the joins mark them, or here. *)
       let r = u * scales in
       mark_ring mark ring_node ring_off.{r} ring_off.{r + 1};
       unmark_ring mark ring_node ring_off.{r} ring_off.{r + 1};
       for j = 0 to sm1 - 1 do
-        present.(u) <- present.(u) + join ~ring_off ~ring_node ~z_run ~scales mark z_z u j
+        if j >= shared then
+          present.(u) <- present.(u) + join ~ring_off ~ring_node ~z_run ~scales mark z_z u j
+        else if u = 0 then whole := !whole + join ~ring_off ~ring_node ~z_run ~scales mark z_z u j
+        else begin
+          mark_ring mark ring_node ring_off.{r + j + 1} ring_off.{r + j + 2};
+          unmark_ring mark ring_node ring_off.{r + j + 1} ring_off.{r + j + 2}
+        end
       done);
-  (ring_off, ring_node, z_run, z_z, present)
+  (* [whole] was written by node 0's pass, before the pool's barrier. *)
+  (ring_off, ring_node, z_run, z_z, Array.map (fun p -> p + !whole) present)
 
 let build idx ~delta =
   if not (delta > 0.0 && delta <= 0.25) then
@@ -228,8 +260,9 @@ let build idx ~delta =
                })))
   in
   let zoomings = Profile.phase "zoomings" @@ fun () -> Pool.init n (zooming idx net_member) in
+  let shared = whole_net_levels rings nets n in
   let ring_off, ring_node, z_run, z_z, present =
-    Profile.phase "zetas" @@ fun () -> build_flat rings ~scales n
+    Profile.phase "zetas" @@ fun () -> build_flat rings ~scales ~shared n
   in
   let sm1 = scales - 1 in
   let label_first = ints_create n and label_rest = ints_create (n * sm1) in
@@ -258,6 +291,7 @@ let build idx ~delta =
       {
         n;
         scales;
+        shared;
         ring_off;
         ring_node;
         z_run;
@@ -279,7 +313,8 @@ let[@inline] ig (a : ints) i = A1.unsafe_get a i
 (* Claim 2.2's walk: m_(j+1) = zeta_uj(m_j, rest_j), from level [j] up to
    level [top] or the first null, whichever comes first. rest_j is slot y
    of row m_j; a y outside the row is a null, as is an absent slot, so a
-   label's y needs no check of its own. *)
+   label's y needs no check of its own. Below level [shared] the row is
+   node 0's, the one copy every node reads. *)
 let rec walk (c : cols) u (l : cols) row (m : int array) top j =
   if j >= top then j
   else begin
@@ -287,7 +322,7 @@ let rec walk (c : cols) u (l : cols) row (m : int array) top j =
       Probe.zoom_decode_step ();
       Probe.translation_lookup ()
     end;
-    let p = ig c.ring_off ((u * c.scales) + j) + m.(j) in
+    let p = ig c.ring_off (((if j < c.shared then 0 else u) * c.scales) + j) + m.(j) in
     let y = ig l.label_rest ((row * (c.scales - 1)) + j) in
     let z = Zeta.slot c.z_z y (ig c.z_run p) (ig c.z_run (p + 1)) in
     if z < 0 then j
@@ -314,10 +349,6 @@ let first_bound (c : cols) =
   !b
 
 let zeta_bits_sparse t u = t.present.(u) * 3 * t.ring_index_bits
-
-let zeta_bits_dense t =
-  let k = max 2 (Rings.max_ring_size t.rings) in
-  (t.cols.scales - 1) * k * k * t.ring_index_bits
 
 let label_bits t = (t.cols.scales * t.ring_index_bits) + Bits.index_bits t.cols.n
 

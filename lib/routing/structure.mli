@@ -17,6 +17,15 @@
     reads one [y] per step, so a step is one read; pair rows would need a
     search. {!build} refuses a ring of more than 65,535 members.
 
+    A ring [(u, j)] with [2^j <= 4/delta] covers the whole metric, so it is
+    all of [G_j] at every node, listed in the same id order. Where rings
+    [j] and [j + 1] are whole nets at every node, [zeta_uj] is one table:
+    those leading levels, [j < shared], are stored once, as node 0's rows,
+    and every other node's rows there are empty. Since [delta <= 1/4],
+    [shared >= min(scales - 1, 4)]. The walk at node [u] reads node 0's
+    rows below [shared] and its own from there on; the sparse accounting
+    ({!zeta_bits_sparse}) still charges every node its own copy.
+
     The build runs on flat scratch, one pass per node for each part: ring
     [(u, j)] is one scan of [u]'s sorted {!Ron_metric.Indexed.row} up to
     the ball's end, flagging [G_j]'s members in a per-domain mark over the
@@ -33,6 +42,10 @@ type u16s = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array
 type cols = {
   n : int;
   scales : int;
+  shared : int;
+      (** in [[0, scales - 1]]: the leading levels [j < shared] whose rings
+          [j] and [j + 1] are, at every node, node 0's. Their rows are node
+          0's alone; {!build} derives it from the rings it built. *)
   ring_off : ints;
       (** [n * scales + 1]: CSR offsets over the rings, ring [(u, j)] at
           [u * scales + j] *)
@@ -42,7 +55,9 @@ type cols = {
           [x] of ring [(u, j)]: row [p = ring_off.{u * scales + j} + x]
           spans [[z_run.{p}, z_run.{p + 1})] of [z_z], one slot per
           position of ring [(f, j + 1)], [f] the member at [x]. The rows
-          of a node's last ring are empty. *)
+          of a node's last ring are empty, and so are the rows of every
+          node but 0 below [shared]: the walk at [u] reads level [j] from
+          row [ring_off.{(if j < shared then 0 else u) * scales + j} + m_j]. *)
   z_z : u16s;
       (** slot [y] of row [p]: [zeta_uj(x, y)], a position in ring
           [(u, j + 1)], or {!Ron_core.Zeta.absent} *)
@@ -61,7 +76,9 @@ type t = {
           layer's repair and the accounting read them *)
   cols : cols;
   zoomings : int array array;  (** [zoomings.(t).(j)]: [f_tj] *)
-  present : int array;  (** [n]: each node's count of present slots *)
+  present : int array;
+      (** [n]: each node's count of present slots, node 0's at the shared
+          levels included *)
   ring_index_bits : int;
 }
 
@@ -78,10 +95,12 @@ val decode : cols -> int -> cols -> int -> int array -> int
     same [scales]). Writes the local indices [m_0 .. m_jut] to
     [m.(0) .. m.(jut)] and returns [j_ut]; [m] needs [scales] slots.
     Allocation-free. Each step charges one zoom decode step and one
-    translation lookup to the probes. A [y] of the label outside its row
-    (negative, or past the ring it indexes) is a null step, as an absent
-    slot is. The other reads are unchecked: a label's first index must be
-    below every node's ring-0 size ({!first_bound}). *)
+    translation lookup to the probes. Below [c.shared] the steps read node
+    0's rows. A [y] of the label outside its row (negative, or past the
+    ring it indexes) is a null step, as an absent slot is. The other
+    reads are unchecked: a label's first index must be below every node's
+    ring-0 size ({!first_bound}), and every node's rings [0 .. shared]
+    must have node 0's sizes. *)
 
 val decode_to : cols -> int -> cols -> int -> int array -> int -> int
 (** [decode_to c u l row m top]: {!decode} stopped at level [top]: writes
@@ -102,9 +121,6 @@ val first_bound : cols -> int
 val zeta_bits_sparse : t -> int -> int
 (** Total sparse translation-table bits of node [u]: three ring indices
     per present slot, the [(x, y, z)] triple the paper charges. *)
-
-val zeta_bits_dense : t -> int
-(** Dense per-node accounting: [(scales-1) * K^2 * ceil(log2 K)]. *)
 
 val label_bits : t -> int
 (** Encoded zooming sequence plus the global id: every label has [scales]

@@ -175,6 +175,7 @@ type rule =
       shift : int;
       slots : bool;
     }
+  | Leading_sizes of { every : expr; upto : expr }
 
 type column = { name : string; kind : kind; entries : string list; rules : rule list }
 type sec = I of ints | F of floats | U of u16s
@@ -240,6 +241,17 @@ let rec not_finite (a : floats) i e =
   if i >= e then -1
   else if (let v = fg a i in v -. v = 0.0 && v >= 0.0) then not_finite a (i + 1) e
   else i
+
+(* The first segment [g * every + k], [k <= upto], of a group [g] from
+   [g] on whose size differs from segment [k]'s, group 0's. *)
+let rec unlike (off : ints) every upto groups g k =
+  if g >= groups then -1
+  else if k > upto then unlike off every upto groups (g + 1) 0
+  else
+    let r = (g * every) + k in
+    if ig off (r + 1) - ig off r = ig off (k + 1) - ig off k then
+      unlike off every upto groups g (k + 1)
+    else r
 
 (* Offsets that fall, or rise by less than [step]. *)
 let rec short_rise (off : ints) step i e =
@@ -319,11 +331,25 @@ let check e (c : column) rule =
       | Some (i, k, size) ->
         let v = entry_at s i in
         fail "entry %d is %d, outside segment %d of %s (%d entries)" i v k g.sizes size)
-  | (Offsets _ | Range _ | Finite | Segments _), _ -> invalid_arg ("Server: bad rule for " ^ c.name)
+  | Leading_sizes g, I off -> (
+    let every = value e g.every in
+    let size r = ig off (r + 1) - ig off r in
+    if every < 1 then fail "groups of %d segments" every
+    else
+      match unlike off every (min (value e g.upto) (every - 1)) ((n - 1) / every) 1 0 with
+      | -1 -> Ok ()
+      | r ->
+        fail "segment %d of group %d has %d entries, group 0's has %d; segments 0 to %s agree"
+          (r mod every) (r / every) (size r) (size (r mod every)) (show e g.upto))
+  | (Offsets _ | Range _ | Finite | Segments _ | Leading_sizes _), _ ->
+    invalid_arg ("Server: bad rule for " ^ c.name)
 
 (* Lengths first, then offsets, then entries: each phase reads only what
    the earlier ones checked. *)
-let phase = function Length _ | Product _ -> 0 | Offsets _ -> 1 | Range _ | Finite | Segments _ -> 2
+let phase = function
+  | Length _ | Product _ -> 0
+  | Offsets _ -> 1
+  | Range _ | Finite | Segments _ | Leading_sizes _ -> 2
 
 let validate e columns =
   let rules = List.concat_map (fun c -> List.map (fun r -> (c, r)) c.rules) columns in
@@ -361,7 +387,9 @@ let table_of e =
    or absent (a node's last ring has no rows); the decoder checks a
    label's y against its row. Each label's first index is in every
    ring 0, and each of node u's ring positions names an entry of u's
-   first-hop row. *)
+   first-hop row. Below level [shared] the decoder reads node 0's rows:
+   every node's rings 0 to [shared] have node 0's sizes, so a position in
+   node 0's ring j is one in u's, where the hop reads it. *)
 let basic : Basic.cols decl =
   let st (c : Basic.cols) = c.st and scales = Meta "scales" in
   {
@@ -369,13 +397,17 @@ let basic : Basic.cols decl =
     tag = 1;
     columns =
       [
-        meta "meta" [ "n"; "scales"; "max_hops"; "header_bits" ] (fun c ->
-            [| (st c).n; (st c).scales; c.max_hops; c.header_bits |]);
+        meta "meta" [ "n"; "scales"; "max_hops"; "header_bits"; "shared" ] (fun c ->
+            [| (st c).n; (st c).scales; c.max_hops; c.header_bits; (st c).shared |]);
         ints "label_first" (fun c -> (st c).label_first)
           [ Length nodes; Range (zero, Min_size ("ring_off", scales)) ];
         ints "label_rest" (fun c -> (st c).label_rest) [ Product (nodes, Plus (scales, -1), 0) ];
         ints "ring_off" (fun c -> (st c).ring_off)
-          [ Product (nodes, scales, 1); offsets "ring_node" ];
+          [
+            Product (nodes, scales, 1);
+            offsets "ring_node";
+            Leading_sizes { every = scales; upto = Meta "shared" };
+          ];
         ints "ring_node" (fun c -> (st c).ring_node) [ node_id ];
         ints "z_run" (fun c -> (st c).z_run) [ Length (Plus (Dim "ring_node", 1)); offsets "z_z" ];
       ]
@@ -399,17 +431,19 @@ let basic : Basic.cols decl =
       (fun e ->
         let i = ints_in e and u = u16s_in e in
         let st =
-          { Structure.n = int e "n"; scales = int e "scales"; label_first = i "label_first";
-            label_rest = i "label_rest"; ring_off = i "ring_off"; ring_node = i "ring_node";
-            z_run = i "z_run"; z_z = u "z_z" }
+          { Structure.n = int e "n"; scales = int e "scales"; shared = int e "shared";
+            label_first = i "label_first"; label_rest = i "label_rest"; ring_off = i "ring_off";
+            ring_node = i "ring_node"; z_run = i "z_run"; z_z = u "z_z" }
         in
         let max_hops = int e "max_hops" and header_bits = int e "header_bits" in
         { Basic.st; table = table_of e; ring_hop = u "ring_hop"; max_hops; header_bits });
     meta_ok =
       (fun c ->
-        let n = (st c).n and s = (st c).scales and budget = Basic.hop_budget (st c).n in
-        require "meta" (n >= 1 && s >= 1 && c.max_hops >= 0 && c.max_hops <= budget)
-          "n %d, scales %d, max_hops %d (budget %d)" n s c.max_hops budget);
+        let n = (st c).n and s = (st c).scales and shared = (st c).shared in
+        let budget = Basic.hop_budget n in
+        require "meta"
+          (n >= 1 && s >= 1 && c.max_hops >= 0 && c.max_hops <= budget && shared >= 0 && shared < s)
+          "n %d, scales %d, max_hops %d (budget %d), shared %d" n s c.max_hops budget shared);
     wrap = (fun c -> Basic c);
   }
 

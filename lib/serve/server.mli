@@ -112,7 +112,9 @@ type expr =
     row starts [rows] (rows [g * every] to [(g + 1) * every] without
     [groups]), lie below the size of segment [g + shift] of the offsets
     [sizes], one group per segment past [shift]; with [slots], entries
-    are {!Ron_core.Zeta} slots, and the absent mark passes too. *)
+    are {!Ron_core.Zeta} slots, and the absent mark passes too;
+    [Leading_sizes]: the offsets' segments [g * every + k], [k <= upto],
+    have the sizes of segments [k] (group 0's) in every group [g]. *)
 type rule =
   | Length of expr
   | Product of expr * expr * int
@@ -127,6 +129,7 @@ type rule =
       shift : int;
       slots : bool;
     }
+  | Leading_sizes of { every : expr; upto : expr }
 
 (** [entries]: a meta section's named scalars, else [[]]. *)
 type column = { name : string; kind : kind; entries : string list; rules : rule list }

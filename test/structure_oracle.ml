@@ -6,8 +6,11 @@
    slot; first-hop rows are each node's ring members deduplicated through
    a Hashtbl, built by a count pass and a fill pass, and every ring
    position finds its row offset by a binary search. Sequential
-   throughout. Tests hold [Structure.build] and [Basic]'s columns to it,
-   field by field. *)
+   throughout. Every node keeps its own zeta rows at every level ([shared]
+   is 0), as the library stored them before it kept the whole-net levels
+   once. Tests hold [Structure.build] and [Basic]'s columns to it, field
+   by field, and each row the library's walk addresses to the node's own
+   row here. *)
 
 module Indexed = Ron_metric.Indexed
 module Net = Ron_metric.Net
@@ -19,6 +22,7 @@ module Structure = Ron_routing.Structure
 module First_hop = Ron_routing.First_hop
 module Graph = Ron_graph.Graph
 module Sp_metric = Ron_graph.Sp_metric
+module Basic = Ron_routing.Basic
 module A1 = Bigarray.Array1
 
 (* Ring [i] of [u] is [B_u(radius_of i)] filtered by [member_of i], in
@@ -164,9 +168,32 @@ let build idx ~delta =
   {
     rings;
     zoomings;
-    cols = { n; scales; ring_off; ring_node; z_run; z_z; label_first; label_rest };
+    cols = { n; scales; shared = 0; ring_off; ring_node; z_run; z_z; label_first; label_rest };
     present;
   }
+
+(* The leading levels j whose rings j and j + 1 list node 0's members, in
+   node 0's order, at every node: the levels whose zeta rows the library
+   stores once. *)
+let whole_net_levels rings ~scales =
+  let same j u = members rings u j = members rings 0 j in
+  let whole j = j < scales && List.for_all (same j) (List.init (Rings.size rings) Fun.id) in
+  let rec count j = if whole j then count (j + 1) else j in
+  max 0 (count 0 - 1)
+
+(* The paper's dense accounting: every translation function a K x K
+   matrix of [ceil(log2 K)]-bit entries. [table_bits_dense] adds a Basic
+   node's first-hop pointers and id, as [Basic.table_bits] charges them. *)
+let zeta_bits_dense rings ~scales =
+  let k = max 2 (Rings.max_ring_size rings) in
+  (scales - 1) * k * k * Bits.index_bits k
+
+let table_bits_dense sp b =
+  let c = Basic.export b in
+  let n = c.Basic.st.Structure.n in
+  let dense = zeta_bits_dense (Basic.rings_collection b) ~scales:c.st.scales in
+  let fh_bits = Bits.index_bits (max 2 (Graph.max_out_degree (Sp_metric.graph sp))) in
+  Array.init n (fun u -> dense + (First_hop.entries c.table u * fh_bits) + Bits.index_bits n)
 
 (* Distinct neighbors of [u] across all rings, sorted ascending. *)
 let neighbors rings u =

@@ -489,7 +489,8 @@ let test_basic_bits_positive () =
   Array.iter (fun b -> check_bool "label bits > 0" (b > 0)) (Basic.label_bits scheme);
   check_bool "header bits > 0" (Basic.header_bits scheme > 0);
   (* Dense accounting dominates sparse accounting. *)
-  let sparse = Basic.table_bits scheme and dense = Basic.table_bits_dense scheme in
+  let sparse = Basic.table_bits scheme in
+  let dense = Structure_oracle.table_bits_dense (Lazy.force grid) scheme in
   Array.iteri (fun i s -> check_bool "dense >= sparse" (dense.(i) >= s)) sparse
 
 let test_basic_delta_validation () =
@@ -767,7 +768,8 @@ let test_translation_bits () =
     done;
     check_int "sparse bits" (3 * st.Structure.ring_index_bits * !triples)
       (Structure.zeta_bits_sparse st u);
-    check_bool "sparse <= dense" (Structure.zeta_bits_sparse st u <= Structure.zeta_bits_dense st)
+    let dense = Structure_oracle.zeta_bits_dense st.Structure.rings ~scales in
+    check_bool "sparse <= dense" (Structure.zeta_bits_sparse st u <= dense)
   done
 
 let deltas = [| 0.25; 0.125 |]
@@ -777,6 +779,8 @@ let prop_zetas_graphs =
     ~count:10
     QCheck.(triple bool (int_range 3 8) (pair (int_range 10 50) (int_range 0 1)))
     (fun (is_grid, side, (n, d)) ->
+      (* Shrinking may step outside the generator's ranges. *)
+      let side = max 3 side and n = max 10 n and d = d land 1 in
       let g =
         if is_grid then Graph_gen.grid side (side + (n mod 3))
         else Graph_gen.random_geometric (Rng.create (n * 13)) ~n ~radius:0.3
@@ -788,6 +792,7 @@ let prop_zetas_clouds =
   QCheck.Test.make ~name:"flat zetas = hash-join oracle on random clouds" ~count:10
     QCheck.(triple (int_range 10 50) (int_range 1 3) (int_range 0 1))
     (fun (n, dim, d) ->
+      let n = max 10 n and dim = max 1 dim and d = d land 1 in
       let idx = Indexed.create (Generators.random_cloud (Rng.create (n + (7 * dim))) ~n ~dim) in
       zetas_match_oracle idx ~delta:deltas.(d) ~seed:n)
 
@@ -796,48 +801,77 @@ module First_hop = Ron_routing.First_hop
 
 (* The build against the record-based reference ([Structure_oracle]),
    field by field, at 1 and 2 domains: the rings, the zoomings, the flat
-   columns (ring_off, ring_node, z_run, z_z, the labels) and each node's
+   columns (ring_off, ring_node, the labels), [shared] against the
+   oracle's whole-net levels, the zeta row the walk addresses at each
+   node, level and position (node 0's below [shared]) against the node's
+   own row in the oracle, which keeps every node's rows, and each node's
    count of present slots; on a graph also Basic's columns, its
    first-hop table and ring_hop. Each returns the fields that differ. *)
+let rec same_slots (a : Structure.u16s) i (b : Structure.u16s) k len =
+  len = 0 || (a.{i} = b.{k} && same_slots a (i + 1) b (k + 1) (len - 1))
+
+let rows_agree (c : Structure.cols) (oc : Structure.cols) =
+  let scales = c.Structure.scales in
+  let row (c : Structure.cols) u j x =
+    let p = c.ring_off.{(Zeta_oracle.row_owner c u j * scales) + j} + x in
+    (c.z_run.{p}, c.z_run.{p + 1})
+  in
+  List.for_all
+    (fun r ->
+      let u = r / scales and j = r mod scales in
+      j = scales - 1
+      || List.for_all
+           (fun x ->
+             let lo, hi = row c u j x and olo, ohi = row oc u j x in
+             hi - lo = ohi - olo && same_slots c.z_z lo oc.z_z olo (hi - lo))
+           (List.init (oc.ring_off.{r + 1} - oc.ring_off.{r}) Fun.id))
+    (List.init (c.n * scales) Fun.id)
+
+let cols_diff (c : Structure.cols) (o : Structure_oracle.t) =
+  let oc = o.Structure_oracle.cols in
+  [
+    ("ring_off", c.Structure.ring_off = oc.Structure.ring_off);
+    ("ring_node", c.ring_node = oc.ring_node);
+    ("shared", c.shared = Structure_oracle.whole_net_levels o.rings ~scales:oc.scales);
+    ("zeta rows", c.scales = oc.scales && c.n = oc.n && rows_agree c oc);
+    ("label_first", c.label_first = oc.label_first);
+    ("label_rest", c.label_rest = oc.label_rest);
+    ("scales", c.scales = oc.scales && c.n = oc.n);
+  ]
+
+let differing = List.filter_map (fun (name, same) -> if same then None else Some name)
+
 let structure_diff (st : Structure.t) (o : Structure_oracle.t) =
   let n = Indexed.size st.Structure.idx in
-  let c = st.Structure.cols and oc = o.Structure_oracle.cols in
-  List.filter_map
-    (fun (name, same) -> if same then None else Some name)
-    [
-      ( "rings",
-        List.for_all
-          (fun u -> Rings.rings_of st.Structure.rings u = Rings.rings_of o.rings u)
-          (List.init n Fun.id) );
-      ("zoomings", st.Structure.zoomings = o.zoomings);
-      ("ring_off", c.Structure.ring_off = oc.Structure.ring_off);
-      ("ring_node", c.ring_node = oc.ring_node);
-      ("z_run", c.z_run = oc.z_run);
-      ("z_z", c.z_z = oc.z_z);
-      ("present", st.Structure.present = o.present);
-      ("label_first", c.label_first = oc.label_first);
-      ("label_rest", c.label_rest = oc.label_rest);
-      ("scales", c.scales = oc.scales && c.n = oc.n);
-    ]
+  differing
+    ([
+       ( "rings",
+         List.for_all
+           (fun u -> Rings.rings_of st.Structure.rings u = Rings.rings_of o.rings u)
+           (List.init n Fun.id) );
+       ("zoomings", st.Structure.zoomings = o.zoomings);
+       ("present", st.Structure.present = o.present);
+     ]
+    @ cols_diff st.Structure.cols o)
 
 let basic_diff sp (o : Structure_oracle.t) b =
   let c = Basic.export b and table, ring_hop = Structure_oracle.tables sp o in
   let n = o.Structure_oracle.cols.Structure.n in
-  List.filter_map
-    (fun (name, same) -> if same then None else Some ("basic " ^ name))
-    [
-      ("cols", c.Basic.st = o.cols);
-      ( "rings",
-        List.for_all
-          (fun u -> Rings.rings_of (Basic.rings_collection b) u = Rings.rings_of o.rings u)
-          (List.init n Fun.id) );
-      ("zoomings", Array.init n (Basic.zooming b) = o.zoomings);
-      ("t_off", c.table.First_hop.t_off = table.First_hop.t_off);
-      ("t_w", c.table.t_w = table.t_w);
-      ("t_next", c.table.t_next = table.t_next);
-      ("t_cost", c.table.t_cost = table.t_cost);
-      ("ring_hop", c.ring_hop = ring_hop);
-    ]
+  List.map (( ^ ) "basic ")
+    (differing
+       (cols_diff c.Basic.st o
+       @ [
+           ( "rings",
+             List.for_all
+               (fun u -> Rings.rings_of (Basic.rings_collection b) u = Rings.rings_of o.rings u)
+               (List.init n Fun.id) );
+           ("zoomings", Array.init n (Basic.zooming b) = o.zoomings);
+           ("t_off", c.table.First_hop.t_off = table.First_hop.t_off);
+           ("t_w", c.table.t_w = table.t_w);
+           ("t_next", c.table.t_next = table.t_next);
+           ("t_cost", c.table.t_cost = table.t_cost);
+           ("ring_hop", c.ring_hop = ring_hop);
+         ]))
 
 let matches_structure_oracle ?sp idx ~delta =
   let o = Structure_oracle.build idx ~delta in
@@ -886,11 +920,56 @@ let prop_structure_metrics =
       in
       matches_structure_oracle (Indexed.create m) ~delta:deltas.(d))
 
+(* The premise of storing the whole-net levels' zeta rows once: ring j
+   has radius 4 Delta / (delta 2^j), so for 2^j <= 4/delta it covers the
+   whole metric and lists, at every node, node 0's ring j member by
+   member; and [shared] counts at least the levels j whose rings j and
+   j + 1 are such rings, min(scales - 1, floor(log2(4/delta))). *)
+let whole_net_premise idx ~delta =
+  let st = Structure.build idx ~delta in
+  let scales = st.Structure.cols.Structure.scales in
+  let rec covering j = if Ron_util.Bits.pow2 (j + 1) <= 4.0 /. delta then covering (j + 1) else j in
+  let top = covering 0 in
+  let ring u j = (Rings.rings_of st.Structure.rings u).(j).Rings.members in
+  let split =
+    List.find_opt
+      (fun (u, j) -> ring u j <> ring 0 j)
+      (List.concat_map
+         (fun u -> List.init (min (top + 1) scales) (fun j -> (u, j)))
+         (List.init (Indexed.size idx) Fun.id))
+  in
+  match split with
+  | Some (u, j) -> QCheck.Test.fail_reportf "node %d's ring %d is not node 0's" u j
+  | None ->
+    let shared = st.Structure.cols.Structure.shared in
+    shared >= min (scales - 1) top
+    || QCheck.Test.fail_reportf "shared %d, below min(%d, %d)" shared (scales - 1) top
+
+let prop_whole_net_levels =
+  QCheck.Test.make
+    ~name:"Thm 2.1 rings of 2^j <= 4/delta are node 0's everywhere, and shared counts them"
+    ~count:15
+    QCheck.(triple (int_range 0 5) (int_range 10 40) (int_range 0 2))
+    (fun (kind, n, d) ->
+      let n = max 10 n and d = min 2 (max 0 d) in
+      let graph g = Sp_metric.metric (Sp_metric.create g) in
+      let m =
+        match kind with
+        | 0 -> graph (Graph_gen.grid (3 + (n mod 5)) (n / 4))
+        | 1 -> graph (Graph_gen.random_geometric (Rng.create (n * 19)) ~n ~radius:0.3)
+        | 2 -> graph (Graph_gen.exponential_line_graph (6 + (n mod 12)))
+        | 3 -> Generators.random_cloud (Rng.create (n + 5)) ~n ~dim:(1 + (n mod 3))
+        | 4 -> Generators.grid2d (2 + (n mod 4)) (n / 4)
+        | _ -> Generators.ring n
+      in
+      whole_net_premise (Indexed.create m) ~delta:[| 0.25; 0.125; 0.0625 |].(d))
+
 let prop_basic_random_geometric =
   QCheck.Test.make ~name:"Thm 2.1 delivers with bounded stretch on random geometric graphs"
     ~count:8
     QCheck.(int_range 20 60)
     (fun n ->
+      let n = max 20 n in
       let g = Graph_gen.random_geometric (Rng.create (n * 7)) ~n ~radius:0.25 in
       let sp = Sp_metric.create g in
       let scheme = Basic.build sp ~delta:0.25 in
@@ -910,6 +989,7 @@ let prop_on_metric_random_clouds =
   QCheck.Test.make ~name:"metric scheme delivers with bounded stretch on clouds" ~count:8
     QCheck.(pair (int_range 15 50) (int_range 1 3))
     (fun (n, dim) ->
+      let n = max 15 n and dim = max 1 dim in
       let idx = Indexed.create (Generators.random_cloud (Rng.create (n + dim)) ~n ~dim) in
       let scheme = On_metric.build idx ~delta:0.25 in
       let ok = ref true in
@@ -987,6 +1067,7 @@ let prop_labelled_definition =
   QCheck.Test.make ~name:"Thm 4.1 neighbor sets and selection = their definitions" ~count:6
     QCheck.(pair bool (int_range 16 40))
     (fun (is_grid, n) ->
+      let n = max 16 n in
       let g =
         if is_grid then Graph_gen.grid (3 + (n mod 4)) (n / 8)
         else Graph_gen.random_geometric (Rng.create (n * 11)) ~n ~radius:0.3
@@ -1042,6 +1123,7 @@ let prop_two_mode_clouds =
   QCheck.Test.make ~name:"Two_mode = Hashtbl oracle on random clouds" ~count:4
     QCheck.(pair (int_range 20 50) (int_range 1 1000))
     (fun (n, seed) ->
+      let n = max 20 n in
       let cloud = Generators.random_cloud (Rng.create seed) ~n ~dim:2 in
       two_mode_matches_oracle (Indexed.create cloud))
 
@@ -1049,6 +1131,7 @@ let prop_two_mode_forced_m2 =
   QCheck.Test.make ~name:"Two_mode = Hashtbl oracle forced into M2" ~count:4
     QCheck.(pair (int_range 4 10) (int_range 1 1000))
     (fun (clusters, seed) ->
+      let clusters = max 4 clusters in
       let idx =
         Indexed.create
           (Generators.exponential_clusters (Rng.create seed) ~clusters ~per_cluster:6 ~base:64.0)
@@ -1135,6 +1218,7 @@ let () =
           qt prop_zetas_clouds;
           qt prop_structure_graphs;
           qt prop_structure_metrics;
+          qt prop_whole_net_levels;
           qt prop_labelled_definition;
           qt prop_two_mode_clouds;
           qt prop_two_mode_forced_m2;

@@ -76,6 +76,7 @@ let basic_cols (img : Image.t) =
   {
     Structure.n = value img "n";
     scales = value img "scales";
+    shared = value img "shared";
     label_first = isec img "label_first";
     label_rest = isec img "label_rest";
     ring_off = isec img "ring_off";
@@ -237,6 +238,90 @@ let first_present (zz : Image.u16s) =
   let rec go i = if A1.get zz i <> Ron_core.Zeta.absent then i else go (i + 1) in
   go 0
 
+(* The Basic image as the parent layout wrote it: a meta of four entries,
+   without [shared], and every node's own zeta rows at every level, node
+   0's copied to each other node below [shared]. *)
+let parent_layout img =
+  let scales = value img "scales" and shared = value img "shared" in
+  let off = isec img "ring_off" and run = isec img "z_run" and zz = usec img "z_z" in
+  let positions = A1.dim run - 1 in
+  let source = Array.make positions 0 in
+  for r = 0 to A1.dim off - 2 do
+    let j = r mod scales and lo = A1.get off r in
+    for x = 0 to A1.get off (r + 1) - lo - 1 do
+      source.(lo + x) <- (if j < shared then A1.get off j else lo) + x
+    done
+  done;
+  let len p = A1.get run (p + 1) - A1.get run p in
+  let starts = Array.make (positions + 1) 0 in
+  Array.iteri (fun p q -> starts.(p + 1) <- starts.(p) + len q) source;
+  let slots = Image.u16s_create starts.(positions) in
+  Array.iteri
+    (fun p q ->
+      for y = 0 to len q - 1 do
+        A1.set slots (starts.(p) + y) (A1.get zz (A1.get run q + y))
+      done)
+    source;
+  let meta = [| value img "n"; scales; value img "max_hops"; value img "header_bits" |] in
+  let isecs = replace img.Image.isecs (index img "meta") (Image.ints_of_array meta) in
+  { img with
+    Image.isecs = replace isecs (index img "z_run") (Image.ints_of_array starts);
+    usecs = replace img.Image.usecs (index img "z_z") slots }
+
+(* Section [a] with [v] inserted at [i]. *)
+let inserted a i v =
+  let n = A1.dim a in
+  let b = A1.create (A1.kind a) Bigarray.c_layout (n + 1) in
+  A1.blit (A1.sub a 0 i) (A1.sub b 0 i);
+  A1.set b i v;
+  A1.blit (A1.sub a i (n - i)) (A1.sub b (i + 1) (n - i));
+  b
+
+(* Ring (u, j) one member longer, with the offsets kept consistent: node
+   0 at its end, an empty zeta row and a ring_hop entry of 0 at that
+   position. At a shared level, with u > 0, only the rule that the rings
+   up to [shared] have node 0's sizes can see it. *)
+let ring_grown img u j =
+  let r = (u * value img "scales") + j in
+  let off = copy_ints (isec img "ring_off") and run = isec img "z_run" in
+  let p = A1.get off (r + 1) in
+  for k = r + 1 to A1.dim off - 1 do
+    A1.set off k (A1.get off k + 1)
+  done;
+  let isecs = replace img.Image.isecs (index img "ring_off") off in
+  let isecs = replace isecs (index img "ring_node") (inserted (isec img "ring_node") p 0) in
+  { img with
+    Image.isecs = replace isecs (index img "z_run") (inserted run p (A1.get run p));
+    usecs = replace img.Image.usecs (index img "ring_hop") (inserted (usec img "ring_hop") p 0) }
+
+(* The shared-level cases on a fixture: [shared] past its bound, raised by
+   one, and one node's ring at a shared level grown. Raised by one, it is
+   past its bound where every level is whole-net, and else names a level
+   whose ring sizes differ by node. *)
+let shared_cases fixture =
+  let img () = Lazy.force fixture in
+  [
+    ( "shared past scales - 1 or negative",
+      fun () ->
+        let img = img () in
+        expect_rejected "meta" (set_meta "shared" (value img "scales") img);
+        expect_rejected "meta" (set_meta "shared" (-1) img) );
+    ( "shared raised by one",
+      fun () ->
+        let img = img () in
+        let shared = value img "shared" in
+        let section = if shared = value img "scales" - 1 then "meta" else "ring_off" in
+        expect_rejected section (set_meta "shared" (shared + 1) img) );
+    ( "a node's ring at a shared level grown by one",
+      fun () ->
+        let img = img () in
+        let shared = value img "shared" in
+        check_bool "a shared level" (shared >= 1);
+        List.iter
+          (fun (u, j) -> expect_rejected "ring_off" (ring_grown img u j))
+          [ (1, 0); (value img "n" - 1, shared - 1) ] );
+  ]
+
 let basic_mutations =
   let basic () = Lazy.force basic_image in
   let ring_size (off : Image.ints) r = A1.get off (r + 1) - A1.get off r in
@@ -327,8 +412,16 @@ let basic_mutations =
         in
         List.iter
           (fun usecs -> expect_rejected "basic" { img with Image.isecs = pair_isecs; usecs })
-          [ [| z_y; z_z; u "ring_hop" |]; [| z_y; z_z |] ] );
+          [ [| z_y; z_z; u "ring_hop" |]; [| z_y; z_z |] ];
+        (* The slot rows of every node at every level, under a meta
+           without [shared]. *)
+        expect_rejected "meta" (parent_layout img) );
+    ( "every level whole-net on the grid",
+      fun () ->
+        let img = basic () in
+        check_int "shared" (value img "scales" - 1) (value img "shared") );
   ]
+  @ shared_cases basic_image
 
 (* ------------------------------------ labelled and two_mode validation *)
 
@@ -541,6 +634,7 @@ let rule_mentions s = function
   | Server.Offsets (t, e) -> t = s || mentions s e
   | Server.Finite -> false
   | Server.Segments g -> g.groups = Some s || g.sizes = s || g.rows = s || mentions s g.every
+  | Server.Leading_sizes g -> mentions s g.every || mentions s g.upto
 
 (* The sections whose rules can fail when [name] changes: itself and the
    columns whose rules read it; every section, for a meta section. *)
@@ -584,7 +678,10 @@ let set_entry img (c : Server.column) i ?f v =
 
 (* Each declared bound's first values outside it, at a random entry:
    hi and lo - 1 for a range (a uint16 entry cannot hold -1), nan and
-   -1.0 for finite floats, a group's bound (and -1) for a segment rule. *)
+   -1.0 for finite floats, a group's bound (and -1) for a segment rule;
+   for a leading-sizes rule, one of those segments of a later group one
+   entry shorter, and the meta entry bounding them at [every], one past
+   the last segment of a group. *)
 let bound_mutants rng img =
   let pick l = List.nth l (Random.State.int rng (List.length l)) in
   List.concat_map
@@ -608,6 +705,25 @@ let bound_mutants rng img =
             | firsts ->
               let i, size = pick firsts in
               at size i :: low 0 i)
+          | Server.Leading_sizes g ->
+            let every = Server.eval img g.every and off = isec img c.name in
+            let upto = min (Server.eval img g.upto) (every - 1) and groups = (n - 1) / every in
+            let resized =
+              if groups < 2 || upto < 0 then []
+              else
+                let g = 1 + Random.State.int rng (groups - 1) in
+                let r = (g * every) + Random.State.int rng (upto + 1) in
+                [ ( Printf.sprintf "%s segment %d one entry shorter" c.name r,
+                    set_i c.name (r + 1) (A1.get off (r + 1) - 1) img,
+                    related img c.name ) ]
+            in
+            let past =
+              match g.upto with
+              | Server.Meta m ->
+                [ (m ^ " past its bound", set_meta m every img, [ fst (meta_entry img m) ]) ]
+              | _ -> []
+            in
+            resized @ past
           | _ -> [])
         c.rules)
     (schema img)
@@ -726,7 +842,12 @@ let basic_geometric_mutations =
     let s1, e1, _ = List.hd by_size and s2, e2, _ = List.hd (List.rev by_size) in
     ((s1, e1), (s2, e2))
   in
-  [
+  shared_cases basic_geometric_image
+  @ [
+    ( "a level below the last not whole-net on the geometric graph",
+      fun () ->
+        let img = geo () in
+        check_bool "shared" (value img "shared" < value img "scales" - 1) );
     ( "z_z rows of rings that differ by node swapped",
       fun () ->
         let img = geo () in
@@ -1104,7 +1225,8 @@ let basic_label_cases =
         (* The label's row at [level], as t itself decodes it. *)
         let m = Array.make (sm1 + 1) 0 in
         if Structure.decode_to c t c t m level < level then Alcotest.fail "t's own label stops";
-        let p = A1.get c.Structure.ring_off ((t * (sm1 + 1)) + level) + m.(level) in
+        let owner = Zeta_oracle.row_owner c t level in
+        let p = A1.get c.Structure.ring_off ((owner * (sm1 + 1)) + level) + m.(level) in
         let row_length = A1.get c.Structure.z_run (p + 1) - A1.get c.Structure.z_run p in
         List.iter
           (fun (j, y) ->

@@ -84,25 +84,34 @@ let label_of (c : Structure.cols) t =
     rest = Array.init sm1 (fun j -> c.Structure.label_rest.{(t * sm1) + j});
   }
 
+(* The node whose rows hold zeta_uj: node 0 below level [shared], where
+   every node's are node 0's. *)
+let row_owner (c : Structure.cols) u j = if j < c.Structure.shared then 0 else u
+
 (* The walk over the flat rows, with checked reads: zeta_uj(x, y) is
-   slot y of row x of ring (u, j), or -1 for a y outside the row (negative,
-   or past the row's end) and for an absent slot. Raises
+   slot y of row x of ring (row_owner u j, j), or -1 for a y outside the
+   row (negative, or past the row's end) and for an absent slot. Raises
    [Invalid_argument] naming the read where [Structure.decode]'s unchecked
-   reads lose their footing: a position outside ring (u, j), which puts
-   its row outside the ring's rows, a slot outside z_z, or a z outside
-   ring (u, j + 1). *)
+   reads lose their footing: a position outside ring (u, j), where the
+   hop reads it, or outside the ring whose rows the walk reads, which puts
+   its row outside them; a slot outside z_z; or a z outside ring
+   (u, j + 1) or the ring read at level j + 1. *)
 let decode_rows (c : Structure.cols) u (label : Zooming.encoded) =
-  let ring j = (u * c.scales) + j in
-  let size j = c.ring_off.{ring j + 1} - c.ring_off.{ring j} in
+  let ring v j = (v * c.scales) + j in
+  let size v j = c.ring_off.{ring v j + 1} - c.ring_off.{ring v j} in
   let check what j x =
-    if x < 0 || x >= size j then
-      invalid_arg (Printf.sprintf "%s %d outside ring (%d, %d) of %d members" what x u j (size j))
+    List.iter
+      (fun v ->
+        if x < 0 || x >= size v j then
+          invalid_arg
+            (Printf.sprintf "%s %d outside ring (%d, %d) of %d members" what x v j (size v j)))
+      [ u; row_owner c u j ]
   in
   check "first index" 0 label.first;
   decode_walk
     ~translate:(fun j ~x ~y ->
       check "position" j x;
-      let p = c.ring_off.{ring j} + x in
+      let p = c.ring_off.{ring (row_owner c u j) j} + x in
       let lo = c.z_run.{p} and hi = c.z_run.{p + 1} in
       if y < 0 || y >= hi - lo then -1
       else if lo + y < 0 || lo + y >= Bigarray.Array1.dim c.z_z then
@@ -119,13 +128,15 @@ let decode_rows (c : Structure.cols) u (label : Zooming.encoded) =
     label
 
 (* The rows of [c] as per-segment (x, y, z) triples, one per present
-   slot, segment (u, j) at [u * (scales - 1) + j], in row order. *)
+   slot, segment (u, j) at [u * (scales - 1) + j], in row order: the rows
+   of ring (row_owner u j, j), the ones the walk reads. *)
 let of_rows (c : Structure.cols) =
   let scales = c.Structure.scales in
   Array.init
     (c.Structure.n * (scales - 1))
     (fun s ->
-      let r = ((s / (scales - 1)) * scales) + (s mod (scales - 1)) in
+      let j = s mod (scales - 1) in
+      let r = (row_owner c (s / (scales - 1)) j * scales) + j in
       let lo = c.Structure.ring_off.{r} in
       Array.concat
         (List.init (c.Structure.ring_off.{r + 1} - lo) (fun x ->
