@@ -50,20 +50,31 @@ scale-smoke: build
 	dune exec bin/bench_diff.exe -- $(BENCH_BASELINE) /tmp/ron_scale_smoke.json \
 	  --warn-only --out /tmp/ron_scale_smoke_verdict.json
 
-# Observability smoke: trace a routing run, then validate every JSONL event.
+# `$(call refused,FILE)`: `ron_obs check` must refuse the deliberately
+# broken FILE with exit 1, so each smoke shows that its checker can fail.
+refused = status=0; dune exec bin/ron_obs.exe -- check $(1) || status=$$?; \
+	if [ $$status -ne 1 ]; then echo "ron_obs check gave exit $$status on $(1), expected 1"; exit 1; \
+	else echo "ron_obs check refused $(1) with exit 1"; fi
+
+# Observability smoke: trace a routing run, then validate every JSONL event;
+# the same trace with its last line cut short must be refused.
 trace-smoke: build
 	dune exec bin/ron_cli.exe -- route -m grid -n 64 -p 200 \
 	  --trace /tmp/ron_trace_smoke.jsonl --metrics-out /tmp/ron_metrics_smoke.json
-	dune exec bin/trace_check.exe /tmp/ron_trace_smoke.jsonl
+	dune exec bin/ron_obs.exe -- check /tmp/ron_trace_smoke.jsonl
+	head -c -20 /tmp/ron_trace_smoke.jsonl > /tmp/ron_trace_smoke_cut.jsonl
+	@$(call refused,/tmp/ron_trace_smoke_cut.jsonl)
 
 # Fault smoke: a small fault-injection sweep (crashed nodes + drops + dead
 # links with graceful-degradation fallbacks), then validate every JSONL
-# trace event the faulty run emitted.
+# trace event the faulty run emitted; a copy cut short must be refused.
 fault-smoke: build
 	dune exec bin/ron_cli.exe -- fault -m grid -n 64 -p 200 \
 	  --crash 0.08 --drop 0.02 --dead-links 0.02 \
 	  --trace /tmp/ron_fault_smoke.jsonl --metrics-out /tmp/ron_fault_metrics.json
-	dune exec bin/trace_check.exe /tmp/ron_fault_smoke.jsonl
+	dune exec bin/ron_obs.exe -- check /tmp/ron_fault_smoke.jsonl
+	head -c -20 /tmp/ron_fault_smoke.jsonl > /tmp/ron_fault_smoke_cut.jsonl
+	@$(call refused,/tmp/ron_fault_smoke_cut.jsonl)
 
 # Churn smoke: the dynamic-membership sweep at a reduced landmark size,
 # run at RON_JOBS=1 and 4 — the outputs must be byte-identical (the
@@ -131,7 +142,8 @@ route-smoke: build
 
 # Telemetry smoke: the n = 10^5 scale run with the runtime sampler on,
 # then validate the snapshot series (seq/ts monotone, typed sections) and
-# render the per-series report. The JSONL lands in /tmp for CI to archive.
+# render the per-series report; the series without its second sample (a
+# seq gap) must be refused. The JSONL lands in /tmp for CI to archive.
 TELEMETRY_SMOKE_N ?= 100000
 TELEMETRY_SMOKE_INTERVAL_MS ?= 200
 telemetry-smoke: build
@@ -140,10 +152,12 @@ telemetry-smoke: build
 	  --scale $(TELEMETRY_SMOKE_N) \
 	  --telemetry /tmp/ron_telemetry_smoke.jsonl \
 	  --telemetry-interval $(TELEMETRY_SMOKE_INTERVAL_MS)
-	dune exec bin/trace_check.exe -- --telemetry /tmp/ron_telemetry_smoke.jsonl
-	dune exec bin/telemetry_report.exe -- /tmp/ron_telemetry_smoke.jsonl
-	dune exec bin/telemetry_report.exe -- /tmp/ron_telemetry_smoke.jsonl --json \
+	dune exec bin/ron_obs.exe -- check /tmp/ron_telemetry_smoke.jsonl
+	dune exec bin/ron_obs.exe -- report /tmp/ron_telemetry_smoke.jsonl
+	dune exec bin/ron_obs.exe -- report /tmp/ron_telemetry_smoke.jsonl --json \
 	  > /tmp/ron_telemetry_smoke_report.json
+	sed '2d' /tmp/ron_telemetry_smoke.jsonl > /tmp/ron_telemetry_smoke_gap.jsonl
+	@$(call refused,/tmp/ron_telemetry_smoke_gap.jsonl)
 	grep -q '"rss_kb"' /tmp/ron_telemetry_smoke_report.json
 	grep -q '"gc.major_words"' /tmp/ron_telemetry_smoke_report.json
 	grep -q '"gauge:oracle.rows_cached"' /tmp/ron_telemetry_smoke_report.json
@@ -227,9 +241,10 @@ serve-smoke: build
 	else echo "serve-smoke: version-1 snapshot rejected with exit 1"; fi
 
 # SLO smoke: serve a batch with the burn-rate monitor, flight recorder,
-# and Prometheus exposition all on; validate the exposition file, render
-# the verdict through slo_report (human + JSON), and assert the verdict
-# carries windows and a burn rate.
+# and Prometheus exposition all on; validate the exposition file and the
+# verdict, render the verdict (human + JSON), and assert the verdict
+# carries windows and a burn rate. An exposition whose cumulative bucket
+# counts decrease, and the verdict under another schema, must be refused.
 SLO_SMOKE_N ?= 100
 SLO_SMOKE_QUERIES ?= 20000
 slo-smoke: build
@@ -240,22 +255,32 @@ slo-smoke: build
 	  | tee /tmp/ron_slo_smoke_serve.txt
 	grep -q '^flight recorded=' /tmp/ron_slo_smoke_serve.txt
 	grep -q '^slo ' /tmp/ron_slo_smoke_serve.txt
-	dune exec bin/trace_check.exe -- --expo /tmp/ron_slo_smoke.prom
-	dune exec bin/slo_report.exe -- /tmp/ron_slo_smoke.json
-	dune exec bin/slo_report.exe -- /tmp/ron_slo_smoke.json --json \
+	dune exec bin/ron_obs.exe -- check /tmp/ron_slo_smoke.prom
+	dune exec bin/ron_obs.exe -- check /tmp/ron_slo_smoke.json
+	dune exec bin/ron_obs.exe -- report /tmp/ron_slo_smoke.json
+	dune exec bin/ron_obs.exe -- report /tmp/ron_slo_smoke.json --json \
 	  > /tmp/ron_slo_smoke_report.json
 	grep -q '"max_burn_rate"' /tmp/ron_slo_smoke_report.json
 	grep -q '"windows"' /tmp/ron_slo_smoke_report.json
+	awk '/_bucket\{le="[0-9]/ && prev ~ /_bucket\{le="[0-9]/ && !done { sub(/ [^ ]*$$/, " 0"); done = 1 } \
+	  { print; prev = $$0 }' /tmp/ron_slo_smoke.prom > /tmp/ron_slo_smoke_decreasing.prom
+	@$(call refused,/tmp/ron_slo_smoke_decreasing.prom)
+	sed 's|"ron-slo/1"|"ron-slo/0"|' /tmp/ron_slo_smoke.json > /tmp/ron_slo_smoke_schema.json
+	@$(call refused,/tmp/ron_slo_smoke_schema.json)
 
-# Profiler smoke: a profiled + traced routing run, then aggregate the trace
-# into the per-span table / folded stacks and assert the phase profile is
-# non-empty (construct.* and query.* phases must have fired).
+# Profiler smoke: a profiled + traced routing run; validate the profile
+# and the trace, aggregate the trace into the per-span table / folded
+# stacks and assert the phase profile is non-empty (construct.* and
+# query.* phases must have fired). The trace cut short must be refused.
 profile-smoke: build
 	dune exec bin/ron_cli.exe -- route -m grid -n 64 -p 200 \
 	  --profile /tmp/ron_profile_smoke.json --trace /tmp/ron_profile_trace.jsonl
-	dune exec bin/trace_check.exe /tmp/ron_profile_trace.jsonl
-	dune exec bin/trace_report.exe -- /tmp/ron_profile_trace.jsonl \
+	dune exec bin/ron_obs.exe -- check /tmp/ron_profile_smoke.json
+	dune exec bin/ron_obs.exe -- check /tmp/ron_profile_trace.jsonl
+	dune exec bin/ron_obs.exe -- report /tmp/ron_profile_trace.jsonl \
 	  --folded /tmp/ron_profile_folded.txt
+	head -c -20 /tmp/ron_profile_trace.jsonl > /tmp/ron_profile_trace_cut.jsonl
+	@$(call refused,/tmp/ron_profile_trace_cut.jsonl)
 	grep -q '"construct.basic"' /tmp/ron_profile_smoke.json
 	grep -q 'construct.structure/zetas' /tmp/ron_profile_smoke.json
 	grep -q '"query.routes"' /tmp/ron_profile_smoke.json

@@ -340,10 +340,10 @@ let serve_scheme_entry ~scheme ~n ~queries =
   done;
   let qps = float_of_int (!passes * queries) /. Float.max !t_warm 1e-9 in
   let hist =
-    Ron_obs.Histogram.Bucketed.make (Printf.sprintf "serve.latency_ns.%s" scheme)
+    Ron_obs.Histogram.make (Printf.sprintf "serve.latency_ns.%s" scheme)
   in
   Loop.measure_latency ~limit:(min queries 5_000) t work res hist;
-  let q p = Ron_obs.Histogram.Bucketed.quantile hist p in
+  let q p = Ron_obs.Histogram.quantile hist p in
   let words = Loop.minor_words_per_query t work res in
   let bytes_per_node = float_of_int bytes /. float_of_int (max 1 nodes) in
   let accounted =

@@ -103,7 +103,7 @@ let expo_arg =
     & opt (some string) None
     & info [ "expo" ] ~docv:"FILE"
         ~doc:
-          "Write the observability registry (counters, gauges, bucketed histograms, build \
+          "Write the observability registry (counters, gauges, histograms, build \
            info) to $(docv) in Prometheus text format — atomically rewritten on every \
            telemetry tick (with $(b,--telemetry)) and once more at exit.")
 
@@ -222,7 +222,7 @@ let with_obs trace metrics profile telemetry telemetry_interval expo f =
           (Ron_obs.Trace.channel_sink (open_out file))
       | None -> ());
       (* Telemetry and exposition need the probes on: counters, gauges and
-         bucketed histograms are all recorded behind [Probe.on]. *)
+         histograms are all recorded behind [Probe.on]. *)
       if trace <> None || metrics <> None || telemetry <> None || expo <> None then
         Ron_obs.enable ();
       Fun.protect
@@ -615,7 +615,7 @@ let run_churn trace metrics profile telemetry telemetry_interval expo jobs famil
               ~hops:r.Scheme.hops ~lat:lat_ns ~trace:[||] ~trace_len:(-1)
           | None -> ());
           match slo_mon with
-          | Some s -> Ron_obs.Slo.observe s ~lat:(float_of_int lat_ns) ~ok:r.Scheme.delivered
+          | Some s -> Ron_obs.Slo.observe s ~lat:lat_ns ~ok:r.Scheme.delivered
           | None -> ())
         prs
   in
@@ -933,7 +933,7 @@ let run_serve trace metrics profile telemetry telemetry_interval expo jobs schem
       (Loop.digest res);
     (* A mix of kinds whose latencies differ many-fold has a median that
        falls between them, so such a mix also reports each kind's. *)
-    let module Bucketed = Ron_obs.Histogram.Bucketed in
+    let module Histogram = Ron_obs.Histogram in
     let limit = min queries 20_000 and kinds = [| "route"; "dist"; "locate" |] in
     let served = Array.make (Array.length kinds) false in
     for i = 0 to limit - 1 do
@@ -943,13 +943,13 @@ let run_serve trace metrics profile telemetry telemetry_interval expo jobs schem
     let by_kind =
       Array.mapi
         (fun k name ->
-          if mixed && served.(k) then Some (Bucketed.make ("serve.latency_ns." ^ name)) else None)
+          if mixed && served.(k) then Some (Histogram.make ("serve.latency_ns." ^ name)) else None)
         kinds
     in
-    let hist = Bucketed.make "serve.latency_ns" in
+    let hist = Histogram.make "serve.latency_ns" in
     Loop.measure_latency ~limit ~by_kind t work res hist;
     let line label h =
-      let q p = Bucketed.quantile h p in
+      let q p = Histogram.quantile h p in
       Printf.printf "latency%s p50=%.0fns p99=%.0fns p999=%.0fns\n" label (q 0.5) (q 0.99)
         (q 0.999)
     in

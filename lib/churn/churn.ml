@@ -227,7 +227,11 @@ module Overlay = struct
     mutable backlog : int;  (* invalidated labels not yet re-derived *)
   }
 
-  let row_contains row w = Array.exists (fun x -> x = w) row
+  let row_contains row (w : int) = Array.exists (fun x -> x = w) row
+
+  (* [refs] without the reference (u, pos), compared as ints. *)
+  let drop_ref (u : int) (pos : int) refs =
+    List.filter (fun (a, b) -> a <> u || b <> pos) refs
 
   (* Ranked fallback when the host scheme supplies none: the first live
      member of the referrer's own pristine row — a link its table already
@@ -302,7 +306,7 @@ module Overlay = struct
       if crow.(pos) <> desired then begin
         let old = crow.(pos) in
         if old >= 0 && old <> v then
-          t.cur_refs.(old) <- List.filter (fun e -> e <> (v, pos)) t.cur_refs.(old);
+          t.cur_refs.(old) <- drop_ref v pos t.cur_refs.(old);
         crow.(pos) <- desired;
         if desired >= 0 && desired <> v then begin
           t.cur_refs.(desired) <- (v, pos) :: t.cur_refs.(desired);
@@ -320,7 +324,7 @@ module Overlay = struct
         then begin
           let old = t.cur.(u).(pos) in
           if old >= 0 then
-            t.cur_refs.(old) <- List.filter (fun e -> e <> (u, pos)) t.cur_refs.(old);
+            t.cur_refs.(old) <- drop_ref u pos t.cur_refs.(old);
           t.cur.(u).(pos) <- v;
           t.cur_refs.(v) <- (u, pos) :: t.cur_refs.(v);
           incr updates

@@ -1,56 +1,28 @@
-(* Process-wide counters, sharded per domain. Each domain that bumps a
-   counter lazily creates (and registers) a private shard, so bumps are
-   plain unsynchronized int stores — no contention on the hot path. The
-   total is the sum of the shards: addition commutes, so the value is
-   independent of how Pool distributed the work, and snapshots are
-   bit-identical at any RON_JOBS. Shards of finished domains stay
-   registered, keeping their contribution. *)
+(* Process-wide counters, sharded per domain: a bump is a plain int store
+   into the calling domain's shard, and the total is the sum of the
+   shards. Addition commutes, so the value is independent of how Pool
+   distributed the work, and snapshots are bit-identical at any RON_JOBS. *)
 
-type t = {
-  name : string;
-  mu : Mutex.t;
-  shards : int ref list ref;
-  key : int ref Domain.DLS.key;
-}
+type t = { name : string; shards : int ref Shard.t }
+type Registry.metric += Counter of t
 
-let registry_mu = Mutex.create ()
-let registry : t list ref = ref []
-
-(* Idempotent per name: a second [make "x"] returns the first counter, so a
-   name appears once in snapshots no matter how often it is (re)declared. *)
 let make name =
-  Mutex.protect registry_mu (fun () ->
-      match List.find_opt (fun t -> String.equal t.name name) !registry with
-      | Some t -> t
-      | None ->
-        let mu = Mutex.create () in
-        let shards = ref [] in
-        let key =
-          Domain.DLS.new_key (fun () ->
-              let s = ref 0 in
-              Mutex.protect mu (fun () -> shards := s :: !shards);
-              s)
-        in
-        let t = { name; mu; shards; key } in
-        registry := t :: !registry;
-        t)
+  match
+    Registry.declare name (fun () -> Counter { name; shards = Shard.make (fun () -> ref 0) })
+  with
+  | Counter t -> t
+  | _ -> Registry.clash "Counter" name
 
 let name t = t.name
 
 let incr t =
-  let s = Domain.DLS.get t.key in
+  let s = Domain.DLS.get t.shards.Shard.key in
   s := !s + 1
 
 let add t by =
-  let s = Domain.DLS.get t.key in
+  let s = Domain.DLS.get t.shards.Shard.key in
   s := !s + by
 
-let value t = Mutex.protect t.mu (fun () -> List.fold_left (fun a s -> a + !s) 0 !(t.shards))
-
-let reset t = Mutex.protect t.mu (fun () -> List.iter (fun s -> s := 0) !(t.shards))
-
-let all () =
-  let l = Mutex.protect registry_mu (fun () -> !registry) in
-  List.sort (fun a b -> String.compare a.name b.name) l
-
-let reset_all () = List.iter reset (all ())
+let value t = List.fold_left (fun a s -> a + !s) 0 (Shard.all t.shards)
+let reset t = List.iter (fun s -> s := 0) (Shard.all t.shards)
+let all () = List.filter_map (function Counter t -> Some t | _ -> None) (Registry.all ())

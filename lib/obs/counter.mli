@@ -1,16 +1,19 @@
-(** Process-wide event counters, sharded per domain.
+(** Process-wide event counters, sharded per domain ({!Shard}).
 
     Bumps touch only the calling domain's shard (no locks, no contention);
     [value] merges the shards by integer addition, so totals are identical
-    at every [RON_JOBS] for a deterministic workload. Counters live in a
-    global registry from creation (intended pattern: create once at module
+    at every [RON_JOBS] for a deterministic workload. Counters live in the
+    one {!Registry} from creation (intended pattern: create once at module
     initialization, as [Probe] does) and are never unregistered. *)
 
 type t
 
+type Registry.metric += Counter of t
+
 val make : string -> t
-(** Create and register a counter. Names should be unique — snapshots key
-    counters by name. *)
+(** Declare a counter, or retrieve the one declared under the same name.
+    Raises [Invalid_argument] when the name is declared under another
+    kind. *)
 
 val name : t -> string
 
@@ -27,6 +30,4 @@ val reset : t -> unit
 (** Zero every shard. Do not race with concurrent bumps. *)
 
 val all : unit -> t list
-(** Every registered counter, sorted by name. *)
-
-val reset_all : unit -> unit
+(** Every declared counter, sorted by name. *)

@@ -1,6 +1,7 @@
 (* Prometheus text-format exposition of the full observability snapshot:
-   counters (as *_total), gauges, bucketed histograms (cumulative
-   le-buckets, +Inf, _sum, _count), and a build-info gauge — rendered to
+   one walk of the one registry, in name order — counters (as *_total),
+   written gauges, non-empty histograms (cumulative le-buckets, +Inf,
+   _sum, _count) — and a build-info gauge — rendered to
    a string and published by atomic rename, so a scraper never reads a
    torn file. The same numbers bench --json reports, in the format
    external collectors already speak.
@@ -8,10 +9,10 @@
    Unlike Ron_obs.snapshot, which is a deterministic surface, the
    exposition is an operational one: env gauges (pool.jobs,
    oracle.rows_cached) are included, and the histogram _sum is the
-   deterministic bucket-midpoint approximation (Bucketed.approx_sum).
+   deterministic bucket-midpoint approximation (Histogram.approx_sum).
 
-   The validator is deliberately line-oriented (the same shape
-   trace_check's other modes use): it checks name/label/value syntax,
+   The validator is deliberately line-oriented, like ron_obs check's
+   other formats: it checks name/label/value syntax,
    that every sample's metric was TYPE-declared first, and the histogram
    invariants (cumulative buckets non-decreasing, +Inf present, _count
    equal to the +Inf bucket, _sum present). *)
@@ -47,42 +48,37 @@ let render () =
   in
   header "ron_build_info" "gauge" "Build and schema information for the ron exposition.";
   Buffer.add_string buf
-    (Printf.sprintf "ron_build_info{ocaml_version=%S,schema=\"ron-obs/1\",word_size=\"%d\"} 1\n"
+    (Printf.sprintf "ron_build_info{ocaml_version=%S,schema=\"ron-obs/2\",word_size=\"%d\"} 1\n"
        Sys.ocaml_version Sys.word_size);
   List.iter
-    (fun c ->
-      let name = sanitize (Counter.name c) ^ "_total" in
-      header name "counter" (Printf.sprintf "ron counter %s." (Counter.name c));
-      add_float_sample buf name "" (float_of_int (Counter.value c)))
-    (Counter.all ());
-  List.iter
-    (fun g ->
-      if Gauge.written g then begin
+    (function
+      | Counter.Counter c ->
+        let name = sanitize (Counter.name c) ^ "_total" in
+        header name "counter" (Printf.sprintf "ron counter %s." (Counter.name c));
+        add_float_sample buf name "" (float_of_int (Counter.value c))
+      | Gauge.Gauge g when Gauge.written g ->
         let name = sanitize (Gauge.name g) in
         header name "gauge" (Printf.sprintf "ron gauge %s." (Gauge.name g));
         add_float_sample buf name "" (Gauge.value g)
-      end)
-    (Gauge.all ());
-  List.iter
-    (fun h ->
-      let name = sanitize (Histogram.Bucketed.name h) in
-      header name "histogram"
-        (Printf.sprintf "ron bucketed histogram %s (log buckets, relative error %g)."
-           (Histogram.Bucketed.name h)
-           (Histogram.Bucketed.relative_error h));
-      let total = Histogram.Bucketed.count h in
-      let cum = ref 0 in
-      Array.iter
-        (fun (upper, c) ->
-          cum := !cum + c;
-          add_float_sample buf (name ^ "_bucket")
-            (Printf.sprintf "{le=\"%.9g\"}" upper)
-            (float_of_int !cum))
-        (Histogram.Bucketed.buckets h);
-      add_float_sample buf (name ^ "_bucket") "{le=\"+Inf\"}" (float_of_int total);
-      add_float_sample buf (name ^ "_sum") "" (Histogram.Bucketed.approx_sum h);
-      add_float_sample buf (name ^ "_count") "" (float_of_int total))
-    (Histogram.Bucketed.all ());
+      | Histogram.Histogram h when Histogram.count h > 0 ->
+        let name = sanitize (Histogram.name h) in
+        header name "histogram"
+          (Printf.sprintf "ron histogram %s (log buckets, relative error %g)."
+             (Histogram.name h) Histogram.relative_error);
+        let total = Histogram.count h in
+        let cum = ref 0 in
+        Array.iter
+          (fun (upper, c) ->
+            cum := !cum + c;
+            add_float_sample buf (name ^ "_bucket")
+              (Printf.sprintf "{le=\"%.9g\"}" upper)
+              (float_of_int !cum))
+          (Histogram.buckets h);
+        add_float_sample buf (name ^ "_bucket") "{le=\"+Inf\"}" (float_of_int total);
+        add_float_sample buf (name ^ "_sum") "" (Histogram.approx_sum h);
+        add_float_sample buf (name ^ "_count") "" (float_of_int total)
+      | _ -> ())
+    (Registry.all ());
   Buffer.contents buf
 
 (* Publish atomically: write a sibling temp file, then rename over the
@@ -340,10 +336,3 @@ let validate_string s =
     (match Hashtbl.fold check hists (Ok ()) with
     | Error e -> Error e
     | Ok () -> if !samples = 0 then Error "no samples" else Ok !samples)
-
-let validate_file file =
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  validate_string s

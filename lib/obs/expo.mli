@@ -1,12 +1,13 @@
 (** Prometheus text-format exposition of the observability snapshot.
 
-    Renders every registered counter (as [*_total]), every written gauge
+    A [ron_build_info] gauge leads; then one name-ordered walk of the one
+    {!Registry} renders every counter (as [*_total]), every written gauge
     (env gauges included — this is an operational surface, not a
-    deterministic one), every bucketed histogram (cumulative le-buckets,
-    [+Inf], [_sum], [_count]; [_sum] is the deterministic bucket-midpoint
-    approximation), and a [ron_build_info] gauge. Metric names are the
-    registry names with non-Prometheus characters mapped to ['_'] and a
-    ["ron_"] prefix. *)
+    deterministic one) and every non-empty histogram (cumulative
+    le-buckets, [+Inf], [_sum], [_count]; [_sum] is the deterministic
+    bucket-midpoint approximation). Metric names are the registry names
+    with non-Prometheus characters mapped to ['_'] and a ["ron_"]
+    prefix. *)
 
 val sanitize : string -> string
 (** Registry name to Prometheus name (["ron_"] prefix, ['.'] → ['_']). *)
@@ -27,7 +28,3 @@ val validate_string : string -> (int, string) result
     [+Inf] present, [_count] = [+Inf] bucket, [_sum] present). Returns
     the number of sample lines, or the first error with its line
     number. *)
-
-val validate_file : string -> (int, string) result
-(** {!validate_string} over a file's contents. Raises [Sys_error] when
-    unreadable. *)

@@ -3,8 +3,8 @@
    (scheme, src/dst, outcome, hops, latency, and — for a deterministic
    Rng.mix-sampled subset of queries — the per-hop ledger trace).
 
-   Sharded per domain like Counter/Gauge: each recording domain owns a
-   private shard, so [record] is plain unsynchronized stores into
+   Sharded per domain (Shard), like the metrics: each recording domain
+   owns a private shard, so [record] is plain unsynchronized stores into
    preallocated entry records — no locks, no allocation on the hot path.
    A shard is a ring of [retain] window slots; a query with id [qid]
    belongs to window [qid / window] and lands in slot [w mod retain],
@@ -53,9 +53,7 @@ type t = {
   trace_every : int;
   trace_seed : int;
   trace_cap : int;
-  mu : Mutex.t;
-  shards : shard list ref;
-  key : shard Domain.DLS.key;
+  shards : shard Shard.t;
 }
 
 let create ?(window = 2048) ?(per_window = 8) ?(retain = 8) ?(trace_every = 32)
@@ -64,8 +62,6 @@ let create ?(window = 2048) ?(per_window = 8) ?(retain = 8) ?(trace_every = 32)
   if per_window < 1 then invalid_arg "Flight.create: per_window < 1";
   if retain < 2 then invalid_arg "Flight.create: retain < 2";
   if trace_cap < 1 then invalid_arg "Flight.create: trace_cap < 1";
-  let mu = Mutex.create () in
-  let shards = ref [] in
   let fresh_entry () =
     {
       e_qid = 0; e_scheme = 0; e_kind = 0; e_src = 0; e_dst = 0;
@@ -73,20 +69,16 @@ let create ?(window = 2048) ?(per_window = 8) ?(retain = 8) ?(trace_every = 32)
       e_trace = Array.make trace_cap 0; e_trace_len = -1;
     }
   in
-  let key =
-    Domain.DLS.new_key (fun () ->
-        let s =
-          {
-            slots =
-              Array.init retain (fun _ ->
-                  { window = -1; entries = Array.init per_window (fun _ -> fresh_entry ()); len = 0 });
-            recorded = 0;
-          }
-        in
-        Mutex.protect mu (fun () -> shards := s :: !shards);
-        s)
+  let shards =
+    Shard.make (fun () ->
+        {
+          slots =
+            Array.init retain (fun _ ->
+                { window = -1; entries = Array.init per_window (fun _ -> fresh_entry ()); len = 0 });
+          recorded = 0;
+        })
   in
-  { window; per_window; retain; trace_every; trace_seed; trace_cap; mu; shards; key }
+  { window; per_window; retain; trace_every; trace_seed; trace_cap; shards }
 
 let window t = t.window
 let per_window t = t.per_window
@@ -104,7 +96,7 @@ let want_trace t qid =
 let outranks lat qid (e : entry) = lat > e.e_lat || (lat = e.e_lat && qid < e.e_qid)
 
 let record t ~qid ~scheme ~kind ~src ~dst ~outcome ~hops ~lat ~trace ~trace_len =
-  let sh = Domain.DLS.get t.key in
+  let sh = Domain.DLS.get t.shards.Shard.key in
   sh.recorded <- sh.recorded + 1;
   let w = qid / t.window in
   let slot = sh.slots.(w mod t.retain) in
@@ -160,21 +152,18 @@ let record t ~qid ~scheme ~kind ~src ~dst ~outcome ~hops ~lat ~trace ~trace_len 
   end
   end
 
-let recorded t =
-  let shards = Mutex.protect t.mu (fun () -> !(t.shards)) in
-  List.fold_left (fun a s -> a + s.recorded) 0 shards
+let recorded t = List.fold_left (fun a s -> a + s.recorded) 0 (Shard.all t.shards)
 
 let reset t =
-  Mutex.protect t.mu (fun () ->
-      List.iter
-        (fun sh ->
-          sh.recorded <- 0;
-          Array.iter
-            (fun (slot : slot) ->
-              slot.window <- -1;
-              slot.len <- 0)
-            sh.slots)
-        !(t.shards))
+  List.iter
+    (fun sh ->
+      sh.recorded <- 0;
+      Array.iter
+        (fun (slot : slot) ->
+          slot.window <- -1;
+          slot.len <- 0)
+        sh.slots)
+    (Shard.all t.shards)
 
 (* Immutable dump form. *)
 type exemplar = {
@@ -195,7 +184,6 @@ type exemplar = {
    in some shard, so only the last [retain] windows are reported — which
    is also the recorder's stated retention. *)
 let dump t =
-  let shards = Mutex.protect t.mu (fun () -> !(t.shards)) in
   let by_window : (int, entry list ref) Hashtbl.t = Hashtbl.create 16 in
   let max_w = ref (-1) in
   List.iter
@@ -217,7 +205,7 @@ let dump t =
             done
           end)
         sh.slots)
-    shards;
+    (Shard.all t.shards);
   let cutoff = !max_w - t.retain + 1 in
   let windows =
     Hashtbl.fold (fun w _ l -> if w >= cutoff then w :: l else l) by_window []

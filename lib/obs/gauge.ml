@@ -15,75 +15,51 @@
    fields (GC, RSS) that are already nondeterministic. *)
 
 type shard = { mutable v : float; mutable written : bool }
+type t = { name : string; env : bool; shards : shard Shard.t }
+type Registry.metric += Gauge of t
 
-type t = {
-  name : string;
-  env : bool;
-  mu : Mutex.t;
-  shards : shard list ref;
-  key : shard Domain.DLS.key;
-}
-
-let registry_mu = Mutex.create ()
-let registry : t list ref = ref []
-
-(* Idempotent per name, like Counter.make; the [env] flag of the first
-   declaration wins. *)
+(* The [env] flag of the first declaration wins. *)
 let make ?(env = false) name =
-  Mutex.protect registry_mu (fun () ->
-      match List.find_opt (fun t -> String.equal t.name name) !registry with
-      | Some t -> t
-      | None ->
-        let mu = Mutex.create () in
-        let shards = ref [] in
-        let key =
-          Domain.DLS.new_key (fun () ->
-              let s = { v = 0.0; written = false } in
-              Mutex.protect mu (fun () -> shards := s :: !shards);
-              s)
-        in
-        let t = { name; env; mu; shards; key } in
-        registry := t :: !registry;
-        t)
+  let fresh () = Gauge { name; env; shards = Shard.make (fun () -> { v = 0.0; written = false }) } in
+  match Registry.declare name fresh with Gauge t -> t | _ -> Registry.clash "Gauge" name
 
 let name t = t.name
 let env t = t.env
 
 let set t x =
-  let s = Domain.DLS.get t.key in
+  let s = Domain.DLS.get t.shards.Shard.key in
   s.v <- x;
   s.written <- true
 
 let set_int t i = set t (float_of_int i)
 
 let add t by =
-  let s = Domain.DLS.get t.key in
+  let s = Domain.DLS.get t.shards.Shard.key in
   s.v <- s.v +. by;
   s.written <- true
 
-let written t =
-  Mutex.protect t.mu (fun () -> List.exists (fun s -> s.written) !(t.shards))
+let written t = List.exists (fun s -> s.written) (Shard.all t.shards)
 
 let value t =
-  Mutex.protect t.mu (fun () ->
-      List.fold_left (fun a s -> if s.written then a +. s.v else a) 0.0 !(t.shards))
+  List.fold_left (fun a s -> if s.written then a +. s.v else a) 0.0 (Shard.all t.shards)
 
 let max_value t =
-  Mutex.protect t.mu (fun () ->
-      List.fold_left
-        (fun a s -> if s.written then Float.max a s.v else a)
-        neg_infinity !(t.shards))
+  List.fold_left
+    (fun a s -> if s.written then Float.max a s.v else a)
+    neg_infinity (Shard.all t.shards)
 
 let reset t =
-  Mutex.protect t.mu (fun () ->
-      List.iter
-        (fun s ->
-          s.v <- 0.0;
-          s.written <- false)
-        !(t.shards))
+  List.iter
+    (fun s ->
+      s.v <- 0.0;
+      s.written <- false)
+    (Shard.all t.shards)
 
-let all () =
-  let l = Mutex.protect registry_mu (fun () -> !registry) in
-  List.sort (fun a b -> String.compare a.name b.name) l
+let all () = List.filter_map (function Gauge t -> Some t | _ -> None) (Registry.all ())
 
-let reset_all () = List.iter reset (all ())
+let to_json ~env =
+  Json.Obj
+    (List.filter_map
+       (fun g ->
+         if written g && (env || not g.env) then Some (g.name, Json.Float (value g)) else None)
+       (all ()))

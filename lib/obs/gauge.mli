@@ -6,11 +6,14 @@
 
 type t
 
+type Registry.metric += Gauge of t
+
 (** [make ?env name] declares (or retrieves — idempotent per name) a
     gauge. [env] marks gauges whose value reflects the execution
     environment (worker count, per-domain cache sizes): they are excluded
     from deterministic snapshots and only surface next to other
-    process-level telemetry fields. Default [false]. *)
+    process-level telemetry fields. Default [false]. Raises
+    [Invalid_argument] when the name is declared under another kind. *)
 val make : ?env:bool -> string -> t
 
 val name : t -> string
@@ -36,7 +39,9 @@ val max_value : t -> float
 
 val reset : t -> unit
 
-(** Every registered gauge, sorted by name. *)
+(** Every declared gauge, sorted by name. *)
 val all : unit -> t list
 
-val reset_all : unit -> unit
+(** [{name: value}] of every written gauge, sorted by name; env gauges
+    only when [env]. The snapshot's and telemetry's gauge section. *)
+val to_json : env:bool -> Json.t

@@ -1,94 +1,12 @@
-(* Value histograms, sharded per domain like Counter. Each shard is a
-   growable flat float buffer; [values] concatenates every shard and sorts
-   (monomorphic Fsort), so the result depends only on the multiset of
-   observations — not on which domain recorded which — and downstream
-   summaries (Ron_util.Stats over the sorted array) are bit-identical at
-   every RON_JOBS.
-
-   Observations are stored raw, not bucketed: the repo's histograms hold
-   thousands of per-query values, and exact percentiles beat approximate
-   buckets at that scale. Record values (hops, bits, lengths), not wall
-   times, anywhere a deterministic snapshot is required. *)
-
-type shard = { mutable data : float array; mutable len : int }
-
-type t = {
-  name : string;
-  mu : Mutex.t;
-  shards : shard list ref;
-  key : shard Domain.DLS.key;
-}
-
-let registry_mu = Mutex.create ()
-let registry : t list ref = ref []
-
-(* Idempotent per name, like Counter.make. *)
-let make name =
-  Mutex.protect registry_mu (fun () ->
-      match List.find_opt (fun t -> String.equal t.name name) !registry with
-      | Some t -> t
-      | None ->
-        let mu = Mutex.create () in
-        let shards = ref [] in
-        let key =
-          Domain.DLS.new_key (fun () ->
-              let s = { data = [||]; len = 0 } in
-              Mutex.protect mu (fun () -> shards := s :: !shards);
-              s)
-        in
-        let t = { name; mu; shards; key } in
-        registry := t :: !registry;
-        t)
-
-let name t = t.name
-
-let observe t x =
-  let s = Domain.DLS.get t.key in
-  if s.len = Array.length s.data then begin
-    let grown = Array.make (max 16 (2 * s.len)) 0.0 in
-    Array.blit s.data 0 grown 0 s.len;
-    s.data <- grown
-  end;
-  s.data.(s.len) <- x;
-  s.len <- s.len + 1
-
-let observe_int t i = observe t (float_of_int i)
-
-let count t = Mutex.protect t.mu (fun () -> List.fold_left (fun a s -> a + s.len) 0 !(t.shards))
-
-let values t =
-  let shards = Mutex.protect t.mu (fun () -> !(t.shards)) in
-  let total = List.fold_left (fun a s -> a + s.len) 0 shards in
-  let out = Array.make (max 1 total) 0.0 in
-  let off = ref 0 in
-  List.iter
-    (fun s ->
-      Array.blit s.data 0 out !off s.len;
-      off := !off + s.len)
-    shards;
-  let out = if total = Array.length out then out else Array.sub out 0 total in
-  Ron_util.Fsort.sort_floats out;
-  out
-
-let reset t = Mutex.protect t.mu (fun () -> List.iter (fun s -> s.len <- 0) !(t.shards))
-
-let all () =
-  let l = Mutex.protect registry_mu (fun () -> !registry) in
-  List.sort (fun a b -> String.compare a.name b.name) l
-
-let reset_all () = List.iter reset (all ())
-
-(* Bounded log-bucketed histograms (HDR/DDSketch-style) for serving-scale
-   workloads where holding raw samples is the memory bug the telemetry is
-   supposed to catch. A finite positive value v lands in bucket
-   floor(log v / log gamma) with gamma = (1+e)/(1-e) for relative error e;
-   zeros and negatives count in a dedicated zero bucket with
-   representative 0.0. Non-finite inputs (nan, +/-infinity — e.g. stretch
-   values computed against an unreachable node) are rejected: they bump a
-   separate [nonfinite] tally and never touch the buckets, the totals, or
-   min/max, so one bad sample cannot corrupt the summary. Memory is
-   O(occupied buckets) per domain — for e = 1%, about 1150 buckets per
-   decade-spanning workload, independent of observation count.
+(* Bounded log-bucketed histograms (HDR/DDSketch-style): memory is
+   O(occupied buckets), whatever the observation count. A finite positive
+   value v lands in bucket floor(log v / log gamma) with
+   gamma = (1+e)/(1-e) for the relative error e = 1%; zeros and negatives
+   count in a dedicated zero bucket with representative 0.0. Non-finite
+   inputs (nan, +/-infinity — e.g. stretch values computed against an
+   unreachable node) are rejected: they bump a separate [nonfinite] tally
+   and never touch the buckets, the totals, or min/max, so one bad sample
+   cannot corrupt the summary.
 
    Quantiles use the same rank rule as Ron_util.Stats.percentile
    (rank = ceil(q*n), element at rank-1) over the cumulative bucket
@@ -102,226 +20,210 @@ let reset_all () = List.iter reset (all ())
 
    Shard counts merge by per-bucket addition and min/max by order-free
    extrema, so summaries are bit-identical at every RON_JOBS. *)
-module Bucketed = struct
-  type shard = {
-    tbl : (int, int ref) Hashtbl.t;
-    mutable zero : int;
-    mutable nonfinite : int;
-    mutable total : int;
-    mutable mn : float;
-    mutable mx : float;
-  }
 
-  type t = {
-    name : string;
-    gamma : float;
-    log_gamma : float;
-    relative_error : float;
-    mu : Mutex.t;
-    shards : shard list ref;
-    key : shard Domain.DLS.key;
-  }
+(* All-float, so stored flat: updating an extremum does not box. *)
+type extrema = { mutable mn : float; mutable mx : float }
 
-  type summary = {
-    count : int;
-    min : float;
-    max : float;
-    p50 : float;
-    p95 : float;
-    p99 : float;
-  }
+type shard = {
+  tbl : (int, int ref) Hashtbl.t;
+  mutable zero : int;
+  mutable nonfinite : int;
+  mutable total : int;
+  ext : extrema;
+}
 
-  let registry_mu = Mutex.create ()
-  let registry : t list ref = ref []
+type t = { name : string; shards : shard Shard.t }
+type Registry.metric += Histogram of t
 
-  (* Idempotent per name, like Counter.make; the [relative_error] of the
-     first declaration wins. *)
-  let make ?(relative_error = 0.01) name =
-    if not (relative_error > 0.0 && relative_error < 1.0) then
-      invalid_arg "Histogram.Bucketed.make: relative_error outside (0, 1)";
-    Mutex.protect registry_mu (fun () ->
-        match List.find_opt (fun t -> String.equal t.name name) !registry with
-        | Some t -> t
-        | None ->
-          let gamma = (1.0 +. relative_error) /. (1.0 -. relative_error) in
-          let mu = Mutex.create () in
-          let shards = ref [] in
-          let key =
-            Domain.DLS.new_key (fun () ->
-                let s =
-                  { tbl = Hashtbl.create 64; zero = 0; nonfinite = 0;
-                    total = 0; mn = infinity; mx = neg_infinity }
-                in
-                Mutex.protect mu (fun () -> shards := s :: !shards);
-                s)
-          in
-          let t =
-            { name; gamma; log_gamma = log gamma; relative_error; mu; shards; key }
-          in
-          registry := t :: !registry;
-          t)
+type summary = {
+  count : int;
+  min : float;
+  max : float;
+  p50 : float;
+  p95 : float;
+  p99 : float;
+}
 
-  let name t = t.name
-  let relative_error t = t.relative_error
-  let gamma t = t.gamma
+let relative_error = 0.01
+let gamma = (1.0 +. relative_error) /. (1.0 -. relative_error)
+let log_gamma = log gamma
 
-  let observe t x =
-    let s = Domain.DLS.get t.key in
-    if not (Float.is_finite x) then
-      (* Rejected, tallied apart: nan/inf must not poison min/max or shift
-         quantile ranks. *)
-      s.nonfinite <- s.nonfinite + 1
-    else begin
-      if x > 0.0 then begin
-        let idx = int_of_float (Float.floor (log x /. t.log_gamma)) in
-        (* [find] over [find_opt]: the hit path (every observation after a
-           bucket's first) must not allocate an option. *)
-        (match Hashtbl.find s.tbl idx with
-        | r -> incr r
-        | exception Not_found -> Hashtbl.add s.tbl idx (ref 1));
-        if x < s.mn then s.mn <- x;
-        if x > s.mx then s.mx <- x
-      end
-      else begin
-        s.zero <- s.zero + 1;
-        if 0.0 < s.mn then s.mn <- 0.0;
-        if 0.0 > s.mx then s.mx <- 0.0
-      end;
-      s.total <- s.total + 1
-    end
+let fresh_shard () =
+  { tbl = Hashtbl.create 64; zero = 0; nonfinite = 0; total = 0;
+    ext = { mn = infinity; mx = neg_infinity } }
 
-  let observe_int t i = observe t (float_of_int i)
+let make name =
+  match
+    Registry.declare name (fun () -> Histogram { name; shards = Shard.make fresh_shard })
+  with
+  | Histogram t -> t
+  | _ -> Registry.clash "Histogram" name
 
-  let count t =
-    Mutex.protect t.mu (fun () ->
-        List.fold_left (fun a s -> a + s.total) 0 !(t.shards))
+let name t = t.name
 
-  let nonfinite_count t =
-    Mutex.protect t.mu (fun () ->
-        List.fold_left (fun a s -> a + s.nonfinite) 0 !(t.shards))
+(* One finite observation. Inlined into both observers, so the int path
+   keeps its float in a register and allocates nothing. *)
+let[@inline] record s x =
+  let e = s.ext in
+  if x > 0.0 then begin
+    let idx = int_of_float (Float.floor (log x /. log_gamma)) in
+    (* [find] over [find_opt]: the hit path (every observation after a
+       bucket's first) must not allocate an option. *)
+    (match Hashtbl.find s.tbl idx with
+    | r -> incr r
+    | exception Not_found -> Hashtbl.add s.tbl idx (ref 1));
+    if x < e.mn then e.mn <- x;
+    if x > e.mx then e.mx <- x
+  end
+  else begin
+    s.zero <- s.zero + 1;
+    if 0.0 < e.mn then e.mn <- 0.0;
+    if 0.0 > e.mx then e.mx <- 0.0
+  end;
+  s.total <- s.total + 1
 
-  (* Merge every shard: (zero count, sorted (bucket, count) array, total,
-     min, max). Addition and extrema commute, so the merge is independent
-     of shard registration order. *)
-  let merged t =
-    let shards = Mutex.protect t.mu (fun () -> !(t.shards)) in
-    let acc = Hashtbl.create 64 in
-    let zero = ref 0 and total = ref 0 in
-    let mn = ref infinity and mx = ref neg_infinity in
-    List.iter
-      (fun s ->
-        zero := !zero + s.zero;
-        total := !total + s.total;
-        if s.mn < !mn then mn := s.mn;
-        if s.mx > !mx then mx := s.mx;
-        Hashtbl.iter
-          (fun idx c ->
-            match Hashtbl.find_opt acc idx with
-            | Some r -> r := !r + !c
-            | None -> Hashtbl.add acc idx (ref !c))
-          s.tbl)
-      shards;
-    let buckets =
-      Hashtbl.fold (fun idx c l -> (idx, !c) :: l) acc []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> Array.of_list
+let observe t x =
+  let s = Domain.DLS.get t.shards.Shard.key in
+  if Float.is_finite x then record s x else s.nonfinite <- s.nonfinite + 1
+
+let observe_int t i = record (Domain.DLS.get t.shards.Shard.key) (float_of_int i)
+
+let count t = List.fold_left (fun a s -> a + s.total) 0 (Shard.all t.shards)
+let nonfinite_count t = List.fold_left (fun a s -> a + s.nonfinite) 0 (Shard.all t.shards)
+
+(* Merge every shard: (zero count, sorted (bucket, count) array, total,
+   min, max). Addition and extrema commute, so the merge is independent
+   of shard registration order. *)
+let merged t =
+  let acc = Hashtbl.create 64 in
+  let zero = ref 0 and total = ref 0 in
+  let mn = ref infinity and mx = ref neg_infinity in
+  List.iter
+    (fun s ->
+      zero := !zero + s.zero;
+      total := !total + s.total;
+      if s.ext.mn < !mn then mn := s.ext.mn;
+      if s.ext.mx > !mx then mx := s.ext.mx;
+      Hashtbl.iter
+        (fun idx c ->
+          match Hashtbl.find_opt acc idx with
+          | Some r -> r := !r + !c
+          | None -> Hashtbl.add acc idx (ref !c))
+        s.tbl)
+    (Shard.all t.shards);
+  let buckets =
+    Hashtbl.fold (fun idx c l -> (idx, !c) :: l) acc []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> Array.of_list
+  in
+  (!zero, buckets, !total, !mn, !mx)
+
+let bucket_count t =
+  let _, buckets, _, _, _ = merged t in
+  Array.length buckets
+
+(* Merged occupied buckets as (inclusive upper bound, count), ascending.
+   The zero bucket (zeros and negatives, representative 0.0) leads as
+   (0.0, count) when occupied; log bucket i spans (gamma^i, gamma^(i+1)]
+   and is reported by its upper edge. This is the cumulative-bucket view
+   the Prometheus exposition and the SLO fraction-above-limit
+   computation both consume; it depends only on the merged multiset, so
+   it is bit-identical at every RON_JOBS. *)
+let buckets t =
+  let zero, bs, _, _, _ = merged t in
+  let logs =
+    Array.map (fun (idx, c) -> (exp (float_of_int (idx + 1) *. log_gamma), c)) bs
+  in
+  if zero = 0 then logs else Array.append [| (0.0, zero) |] logs
+
+(* Deterministic approximate sum: per-bucket count times the bucket's
+   geometric midpoint (clamped to the observed [min, max]), folded in
+   bucket order. Within a factor of gamma of the exact sum, and — unlike
+   a per-shard float accumulator — independent of how Pool sharded the
+   observations. Zero-bucket entries contribute their representative
+   0.0. *)
+let approx_sum t =
+  let _, bs, total, mn, mx = merged t in
+  if total = 0 then 0.0
+  else
+    Array.fold_left
+      (fun a (idx, c) ->
+        let mid = exp ((float_of_int idx +. 0.5) *. log_gamma) in
+        let mid = Stdlib.max mn (Stdlib.min mx mid) in
+        a +. (float_of_int c *. mid))
+      0.0 bs
+
+let quantile_of_merged (zero, buckets, total, mn, mx) q =
+  if total = 0 then nan
+  else begin
+    let rank =
+      let r = int_of_float (ceil (q *. float_of_int total)) in
+      Stdlib.max 1 (Stdlib.min total r)
     in
-    (!zero, buckets, !total, !mn, !mx)
-
-  let bucket_count t =
-    let _, buckets, _, _, _ = merged t in
-    Array.length buckets
-
-  (* Merged occupied buckets as (inclusive upper bound, count), ascending.
-     The zero bucket (zeros and negatives, representative 0.0) leads as
-     (0.0, count) when occupied; log bucket i spans (gamma^i, gamma^(i+1)]
-     and is reported by its upper edge. This is the cumulative-bucket view
-     the Prometheus exposition and the SLO fraction-above-limit
-     computation both consume; it depends only on the merged multiset, so
-     it is bit-identical at every RON_JOBS. *)
-  let buckets t =
-    let zero, bs, _, _, _ = merged t in
-    let logs =
-      Array.map
-        (fun (idx, c) -> (exp (float_of_int (idx + 1) *. t.log_gamma), c))
-        bs
-    in
-    if zero = 0 then logs else Array.append [| (0.0, zero) |] logs
-
-  (* Deterministic approximate sum: per-bucket count times the bucket's
-     geometric midpoint (clamped to the observed [min, max]), folded in
-     bucket order. Within a factor of gamma of the exact sum, and — unlike
-     a per-shard float accumulator — independent of how Pool sharded the
-     observations. Zero-bucket entries contribute their representative
-     0.0. *)
-  let approx_sum t =
-    let _, bs, total, mn, mx = merged t in
-    if total = 0 then 0.0
-    else
-      Array.fold_left
-        (fun a (idx, c) ->
-          let mid = exp ((float_of_int idx +. 0.5) *. t.log_gamma) in
-          let mid = Stdlib.max mn (Stdlib.min mx mid) in
-          a +. (float_of_int c *. mid))
-        0.0 bs
-
-  let quantile_of_merged t (zero, buckets, total, mn, mx) q =
-    if total = 0 then nan
+    if rank <= zero then 0.0
+    else if rank = total then
+      (* q = 1.0 (or a rank landing on the last element): the maximum is
+         tracked exactly, so answer with it instead of the top bucket's
+         midpoint. *)
+      mx
     else begin
-      let rank =
-        let r = int_of_float (ceil (q *. float_of_int total)) in
-        Stdlib.max 1 (Stdlib.min total r)
-      in
-      if rank <= zero then 0.0
-      else if rank = total then
-        (* q = 1.0 (or a rank landing on the last element): the maximum is
-           tracked exactly, so answer with it instead of the top bucket's
-           midpoint. *)
-        mx
-      else begin
-        let seen = ref zero and est = ref mx in
-        (try
-           Array.iter
-             (fun (idx, c) ->
-               seen := !seen + c;
-               if !seen >= rank then begin
-                 est := exp ((float_of_int idx +. 0.5) *. t.log_gamma);
-                 raise Exit
-               end)
-             buckets
-         with Exit -> ());
-        Stdlib.max mn (Stdlib.min mx !est)
-      end
+      let seen = ref zero and est = ref mx in
+      (try
+         Array.iter
+           (fun (idx, c) ->
+             seen := !seen + c;
+             if !seen >= rank then begin
+               est := exp ((float_of_int idx +. 0.5) *. log_gamma);
+               raise Exit
+             end)
+           buckets
+       with Exit -> ());
+      Stdlib.max mn (Stdlib.min mx !est)
     end
+  end
 
-  let quantile t q = quantile_of_merged t (merged t) q
+let quantile t q = quantile_of_merged (merged t) q
 
-  let summary t =
-    let ((_, _, total, mn, mx) as m) = merged t in
-    {
-      count = total;
-      min = (if total = 0 then nan else mn);
-      max = (if total = 0 then nan else mx);
-      p50 = quantile_of_merged t m 0.50;
-      p95 = quantile_of_merged t m 0.95;
-      p99 = quantile_of_merged t m 0.99;
-    }
+let summary t =
+  let ((_, _, total, mn, mx) as m) = merged t in
+  {
+    count = total;
+    min = (if total = 0 then nan else mn);
+    max = (if total = 0 then nan else mx);
+    p50 = quantile_of_merged m 0.50;
+    p95 = quantile_of_merged m 0.95;
+    p99 = quantile_of_merged m 0.99;
+  }
 
-  let reset t =
-    Mutex.protect t.mu (fun () ->
-        List.iter
-          (fun s ->
-            Hashtbl.reset s.tbl;
-            s.zero <- 0;
-            s.nonfinite <- 0;
-            s.total <- 0;
-            s.mn <- infinity;
-            s.mx <- neg_infinity)
-          !(t.shards))
+let reset t =
+  List.iter
+    (fun s ->
+      Hashtbl.reset s.tbl;
+      s.zero <- 0;
+      s.nonfinite <- 0;
+      s.total <- 0;
+      s.ext.mn <- infinity;
+      s.ext.mx <- neg_infinity)
+    (Shard.all t.shards)
 
-  let all () =
-    let l = Mutex.protect registry_mu (fun () -> !registry) in
-    List.sort (fun a b -> String.compare a.name b.name) l
+let all () = List.filter_map (function Histogram t -> Some t | _ -> None) (Registry.all ())
 
-  let reset_all () = List.iter reset (all ())
-end
+let to_json () =
+  Json.Obj
+    (List.filter_map
+       (fun h ->
+         let s = summary h in
+         if s.count = 0 then None
+         else
+           Some
+             ( h.name,
+               Json.Obj
+                 [
+                   ("count", Json.Int s.count);
+                   ("min", Json.Float s.min);
+                   ("max", Json.Float s.max);
+                   ("p50", Json.Float s.p50);
+                   ("p95", Json.Float s.p95);
+                   ("p99", Json.Float s.p99);
+                 ] ))
+       (all ()))

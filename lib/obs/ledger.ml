@@ -40,17 +40,10 @@ let current_key : entry option ref Domain.DLS.key = Domain.DLS.new_key (fun () -
 
 let current () = !(Domain.DLS.get current_key)
 
-(* Completed entries, per-domain buffers registered like Counter shards. *)
+(* Completed entries, in per-domain buffers. *)
 type buf = { mutable entries : entry list }
 
-let bufs_mu = Mutex.create ()
-let bufs : buf list ref = ref []
-
-let buf_key : buf Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let b = { entries = [] } in
-      Mutex.protect bufs_mu (fun () -> bufs := b :: !bufs);
-      b)
+let bufs = Shard.make (fun () -> { entries = [] })
 
 let with_query ~kind ~id f =
   let cur = Domain.DLS.get current_key in
@@ -59,7 +52,7 @@ let with_query ~kind ~id f =
   cur := Some e;
   let record () =
     cur := prev;
-    let b = Domain.DLS.get buf_key in
+    let b = Shard.get bufs in
     b.entries <- e :: b.entries
   in
   match f () with
@@ -101,14 +94,11 @@ let bump_table () =
   match current () with Some e -> e.table_touches <- e.table_touches + 1 | None -> ()
 
 let entries () =
-  let bs = Mutex.protect bufs_mu (fun () -> !bufs) in
-  let l = List.concat_map (fun b -> b.entries) bs in
+  let l = List.concat_map (fun b -> b.entries) (Shard.all bufs) in
   List.sort
     (fun a b ->
       let c = String.compare a.kind b.kind in
       if c <> 0 then c else Int.compare a.id b.id)
     l
 
-let reset () =
-  let bs = Mutex.protect bufs_mu (fun () -> !bufs) in
-  List.iter (fun b -> b.entries <- []) bs
+let reset () = List.iter (fun b -> b.entries <- []) (Shard.all bufs)

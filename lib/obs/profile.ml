@@ -2,7 +2,7 @@
 
    [phase name f] nests: a phase started inside another phase records under
    the path "outer/inner". Each completed phase charges its per-domain shard
-   with one sample — wall time from the injected clock, plus the deltas of
+   with one sample — time from the injected source, plus the deltas of
    [Gc.quick_stat] (minor/promoted/major words, minor/major collections,
    compactions) across the call. Self time is total time minus the time
    spent in directly nested phases *on the same domain*; phases running on
@@ -12,9 +12,13 @@
    Like Counter, shards merge deterministically: [stats] sums per-path
    across shards and sorts by path, so the report's shape (paths, counts)
    is independent of how Pool distributed the work. The recorded times are
-   as deterministic as the injected clock — the default is the same logical
-   atomic tick Trace uses, so tests need no wall clock; the CLI and the
-   bench inject a real one.
+   as deterministic as the source — by default Clock's logical tick, so
+   tests need no wall clock; the CLI and the bench inject a real one.
+
+   A phase is also the one span source: with a Trace sink active it writes
+   the span's B record at entry and its E record at exit, stamped with the
+   same two readings the profile charges, and an E record that unwinds on
+   an exception carries it as a string "error" arg.
 
    Off by default: with [on = false] every [phase] call is one global load
    and a branch around a tail call, the same contract as [Probe.on] —
@@ -58,41 +62,25 @@ type shard = {
 }
 
 let on = ref false
+let shards = Shard.make (fun () -> { table = Hashtbl.create 32; stack = [] })
+let holder = Clock.holder ()
 
-let logical = Atomic.make 0
-let logical_clock () = Int64.of_int (Atomic.fetch_and_add logical 1)
-
-let clock = ref logical_clock
-
-let registry_mu = Mutex.create ()
-let registry : shard list ref = ref []
-
-let shard_key : shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let s = { table = Hashtbl.create 32; stack = [] } in
-      Mutex.protect registry_mu (fun () -> registry := s :: !registry);
-      s)
-
-let enable ?clock:c () =
-  (match c with Some c -> clock := c | None -> ());
+let enable ?clock () =
+  Clock.hold holder ?source:clock ();
   on := true
 
 let disable () =
   on := false;
-  (* Restore the deterministic default so a later [enable ()] (no ?clock)
-     does not silently inherit a previous run's wall clock — the same leak
-     Trace.stop had. *)
-  clock := logical_clock
+  Clock.release holder
 
 let enabled () = !on
 
 let reset () =
-  let shards = Mutex.protect registry_mu (fun () -> !registry) in
   List.iter
     (fun s ->
       Hashtbl.reset s.table;
       s.stack <- [])
-    shards
+    (Shard.all shards)
 
 let find_agg table path =
   match Hashtbl.find_opt table path with
@@ -117,17 +105,21 @@ let find_agg table path =
 let phase name f =
   if not !on then f ()
   else begin
-    let sh = Domain.DLS.get shard_key in
+    let sh = Shard.get shards in
     let path =
       match sh.stack with
       | [] -> name
       | parent :: _ -> parent.frame_path ^ "/" ^ name
     in
-    let fr = { frame_path = path; t0 = !clock (); g0 = Gc.quick_stat (); child_ns = 0L } in
+    let traced = Trace.active () in
+    let t0 = Clock.read () in
+    let fr = { frame_path = path; t0; g0 = Gc.quick_stat (); child_ns = 0L } in
     sh.stack <- fr :: sh.stack;
-    let finish () =
-      let t1 = !clock () in
+    if traced then Trace.emit ~ts:t0 ~ph:"B" name;
+    let finish args =
+      let t1 = Clock.read () in
       let g1 = Gc.quick_stat () in
+      if traced then Trace.emit ~ts:t1 ~ph:"E" ~args name;
       (match sh.stack with _ :: tl -> sh.stack <- tl | [] -> ());
       let total = Int64.sub t1 fr.t0 in
       (match sh.stack with
@@ -146,21 +138,16 @@ let phase name f =
         a.major_collections + (g1.Gc.major_collections - fr.g0.Gc.major_collections);
       a.compactions <- a.compactions + (g1.Gc.compactions - fr.g0.Gc.compactions)
     in
-    (* Mirror the phase into the trace stream when a sink is active:
-       [Trace.span] is a no-op otherwise, and it owns the B/E (and
-       error-on-unwind) shape, so trace_report sees the same phases the
-       profile table reports. *)
-    match Trace.span name f with
+    match f () with
     | r ->
-      finish ();
+      finish [];
       r
     | exception ex ->
-      finish ();
+      finish [ ("error", Json.String (Printexc.to_string ex)) ];
       raise ex
   end
 
 let stats () =
-  let shards = Mutex.protect registry_mu (fun () -> !registry) in
   let merged : (string, agg) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun s ->
@@ -177,7 +164,7 @@ let stats () =
           m.major_collections <- m.major_collections + a.major_collections;
           m.compactions <- m.compactions + a.compactions)
         s.table)
-    shards;
+    (Shard.all shards);
   let rows =
     Hashtbl.fold
       (fun path (a : agg) acc ->

@@ -1,7 +1,7 @@
 (** Hierarchical phase profiler with GC accounting.
 
-    [phase name f] runs [f], recording wall time (from an {e injected}
-    clock) and [Gc.quick_stat] deltas under the phase's {e path} — phase
+    [phase name f] runs [f], recording wall time (from the one injected
+    source, {!Clock.read}) and [Gc.quick_stat] deltas under the phase's {e path} — phase
     names joined with ["/"] down the nesting chain on the current domain.
     Aggregation is per-domain (like {!Counter} shards) with a deterministic
     merge: {!stats} sums per path and sorts by path, so the report's shape
@@ -9,7 +9,7 @@
 
     Off by default: when {!on} is [false], [phase] is one global load and a
     branch around calling [f] — the repo's deterministic outputs and
-    bit-identity tests are untouched. The default clock is a logical atomic
+    bit-identity tests are untouched. The default source is the logical
     tick (deterministic, allocation-free); the CLI's [--profile] and the
     bench inject a real nanosecond clock.
 
@@ -27,26 +27,25 @@ val on : bool ref
     also manage the injected clock. *)
 
 val enable : ?clock:(unit -> int64) -> unit -> unit
-(** Turn profiling on, optionally installing a clock ([unit -> int64]
-    nanoseconds, expected monotonic). Without [?clock] the current clock is
-    kept (the deterministic logical tick unless a previous [enable]
-    installed one and {!disable} has not run since). *)
+(** Turn profiling on, holding the clock source ({!Clock.hold}) and
+    installing [clock] ([unit -> int64] nanoseconds, expected monotonic)
+    when given. Without [?clock] the current source is kept. *)
 
 val disable : unit -> unit
-(** Turn profiling off and restore the default logical clock, so a later
-    [enable ()] does not inherit a stale wall clock. *)
+(** Turn profiling off and release the clock source: the logical tick
+    comes back once no trace or telemetry holds the source either, so a
+    sampler still running keeps its clock. *)
 
 val enabled : unit -> bool
-
-val logical_clock : unit -> int64
-(** The default deterministic clock: a process-wide atomic tick. *)
 
 val phase : string -> (unit -> 'a) -> 'a
 (** [phase name f] runs [f] under [name], nested inside the innermost
     enclosing phase on this domain. Exceptions still record the sample and
     re-raise. When {!on} is false, exactly [f ()]. When a {!Trace} sink is
-    also active, the phase is mirrored as a [Trace.span], so trace files
-    carry the same B/E span structure the profile table aggregates. *)
+    also active, the phase writes a B record at entry and an E record at
+    exit, stamped with the readings the profile charges; an E record that
+    unwinds on an exception carries it as a string ["error"] arg. So trace
+    files carry the same span structure the profile table aggregates. *)
 
 type stat = {
   path : string;  (** "outer/inner" phase path, the sort key *)

@@ -3,11 +3,12 @@
 
    Determinism contract (tested): the snapshot contains no wall-clock data
    and every aggregate is computed over deterministically ordered inputs —
-   counters are commutative int sums, histogram buffers are sorted before
-   summarizing, ledger entries sort by (kind, id) with caller-assigned ids.
+   counters are commutative int sums, histogram buckets merge by addition
+   and extrema, ledger entries sort by (kind, id) with caller-assigned ids.
    Hence a run at RON_JOBS=4 snapshots byte-identically to RON_JOBS=1. *)
 
 module Json = Json
+module Registry = Registry
 module Counter = Counter
 module Gauge = Gauge
 module Histogram = Histogram
@@ -29,10 +30,13 @@ let disable () = Probe.on := false
 let enabled () = !Probe.on
 
 let reset () =
-  Counter.reset_all ();
-  Gauge.reset_all ();
-  Histogram.reset_all ();
-  Histogram.Bucketed.reset_all ();
+  List.iter
+    (function
+      | Counter.Counter c -> Counter.reset c
+      | Gauge.Gauge g -> Gauge.reset g
+      | Histogram.Histogram h -> Histogram.reset h
+      | _ -> ())
+    (Registry.all ());
   Ledger.reset ()
 
 let summary_json (s : Ron_util.Stats.summary) =
@@ -51,46 +55,6 @@ let summary_json (s : Ron_util.Stats.summary) =
 let counters_json () =
   Json.Obj
     (List.map (fun c -> (Counter.name c, Json.Int (Counter.value c))) (Counter.all ()))
-
-(* Env gauges (worker counts, per-domain cache occupancy) depend on
-   RON_JOBS by nature; the deterministic snapshot carries only the rest. *)
-let gauges_json () =
-  Json.Obj
-    (List.filter_map
-       (fun g ->
-         if Gauge.written g && not (Gauge.env g) then
-           Some (Gauge.name g, Json.Float (Gauge.value g))
-         else None)
-       (Gauge.all ()))
-
-let bucketed_json () =
-  Json.Obj
-    (List.filter_map
-       (fun h ->
-         let s = Histogram.Bucketed.summary h in
-         if s.Histogram.Bucketed.count = 0 then None
-         else
-           Some
-             ( Histogram.Bucketed.name h,
-               Json.Obj
-                 [
-                   ("count", Json.Int s.Histogram.Bucketed.count);
-                   ("min", Json.Float s.Histogram.Bucketed.min);
-                   ("max", Json.Float s.Histogram.Bucketed.max);
-                   ("p50", Json.Float s.Histogram.Bucketed.p50);
-                   ("p95", Json.Float s.Histogram.Bucketed.p95);
-                   ("p99", Json.Float s.Histogram.Bucketed.p99);
-                 ] ))
-       (Histogram.Bucketed.all ()))
-
-let histograms_json () =
-  Json.Obj
-    (List.filter_map
-       (fun h ->
-         let xs = Histogram.values h in
-         if Array.length xs = 0 then None
-         else Some (Histogram.name h, summary_json (Ron_util.Stats.summarize xs)))
-       (Histogram.all ()))
 
 (* One summary per ledger field, over all entries of the same kind. The
    field arrays are built in (kind, id) order and sorted again before
@@ -135,11 +99,12 @@ let queries_json () =
 let snapshot () =
   Json.Obj
     [
-      ("schema", Json.String "ron-obs/1");
+      ("schema", Json.String "ron-obs/2");
       ("counters", counters_json ());
-      ("gauges", gauges_json ());
-      ("histograms", histograms_json ());
-      ("bucketed_histograms", bucketed_json ());
+      (* Env gauges (worker counts, per-domain cache occupancy) depend on
+         RON_JOBS by nature; the deterministic snapshot carries the rest. *)
+      ("gauges", Gauge.to_json ~env:false);
+      ("histograms", Histogram.to_json ());
       ("queries", queries_json ());
     ]
 

@@ -3,11 +3,12 @@
     events with an injected clock, and a per-query cost ledger.
 
     The snapshot is byte-identical across [RON_JOBS] settings: counters are
-    commutative sums, histogram values are sorted before summarizing, and
+    commutative sums, histogram buckets merge by addition and extrema, and
     ledger entries sort by caller-assigned [(kind, id)]. It contains no
     wall-clock data. *)
 
 module Json = Json
+module Registry = Registry
 module Counter = Counter
 module Gauge = Gauge
 module Histogram = Histogram
@@ -31,16 +32,16 @@ val disable : unit -> unit
 val enabled : unit -> bool
 
 val reset : unit -> unit
-(** Zero all counters, gauges, histograms (raw and bucketed), and ledger
-    entries. *)
+(** Zero every counter, gauge and histogram of the one {!Registry}, and
+    the ledger entries. *)
 
 val snapshot : unit -> Json.t
-(** Deterministic summary: [{"schema":"ron-obs/1","counters":{...},
-    "gauges":{...},"histograms":{...},"bucketed_histograms":{...},
-    "queries":{...}}]. Counters sort by name; gauges include only written,
-    non-env ones; each histogram reports a {!Ron_util.Stats.summary} (and
-    each bucketed histogram its {!Histogram.Bucketed.summary}); ledger
-    entries group by kind with per-field summaries. *)
+(** Deterministic summary: [{"schema":"ron-obs/2","counters":{...},
+    "gauges":{...},"histograms":{...},"queries":{...}}]. Each section
+    sorts by name. Gauges include only written, non-env ones; each
+    non-empty histogram reports its {!Histogram.summary} (count, min,
+    max, p50, p95, p99); ledger entries group by kind with exact
+    per-field {!Ron_util.Stats.summary}s. *)
 
 val write_snapshot : string -> unit
 (** Write [snapshot ()] as pretty JSON to a file. *)

@@ -1,7 +1,7 @@
 (* SLO burn-rate monitor for the serving path: rolling windows of a
    fixed observation count, each evaluated against latency-quantile
    objectives ("p99<=2us") and delivery-rate objectives
-   ("delivery>=0.999") over a Histogram.Bucketed window, with the error
+   ("delivery>=0.999") over a Histogram window, with the error
    budget burn rate computed per window:
 
      latency  p_q <= L : burn = fraction of observations above L
@@ -19,9 +19,10 @@
    arithmetic is int ratios and parsed constants — no accumulation-order
    float sums — so the verdict JSON is byte-stable.
 
-   The per-window latency histogram lives in the Bucketed registry (so
+   The per-window latency histogram lives in the one registry (so
    telemetry snapshots see "slo.window_latency" live) and resets at
-   every window close. *)
+   every window close. Latencies are ints (clock units), so feeding a
+   query allocates nothing outside a window close. *)
 
 type objective =
   | Latency of { q : float; label : string; limit : float }
@@ -117,7 +118,7 @@ type t = {
   objectives : objective array;
   spec : string;
   win : int;
-  hist : Histogram.Bucketed.t;
+  hist : Histogram.t;
   mutable w_index : int;
   mutable w_count : int;
   mutable w_ok : int;
@@ -131,10 +132,10 @@ type t = {
 let create ?(window = 2000) ?(name = "slo") objectives =
   if window < 1 then invalid_arg "Slo.create: window < 1";
   if objectives = [] then invalid_arg "Slo.create: no objectives";
-  let hist = Histogram.Bucketed.make (name ^ ".window_latency") in
+  let hist = Histogram.make (name ^ ".window_latency") in
   (* The registry is idempotent per name: a previous monitor with the
      same name may have left observations behind. *)
-  Histogram.Bucketed.reset hist;
+  Histogram.reset hist;
   {
     objectives = Array.of_list objectives;
     spec = describe objectives;
@@ -158,17 +159,17 @@ let objectives t = Array.to_list t.objectives
    same representative the quantile estimator answers with), so value-
    and burn-violations agree to within one bucket. *)
 let above_limit hist limit =
-  let half = sqrt (Histogram.Bucketed.gamma hist) in
+  let half = sqrt Histogram.gamma in
   Array.fold_left
     (fun a (upper, c) ->
       let mid = if upper = 0.0 then 0.0 else upper /. half in
       if mid > limit then a + c else a)
     0
-    (Histogram.Bucketed.buckets hist)
+    (Histogram.buckets hist)
 
 let eval t ~count ~okc = function
   | Latency { q; limit; _ } ->
-    let value = Histogram.Bucketed.quantile t.hist q in
+    let value = Histogram.quantile t.hist q in
     let above = above_limit t.hist limit in
     let budget = (1.0 -. q) *. float_of_int count in
     let burn =
@@ -200,13 +201,13 @@ let close t =
   t.total_obs <- t.total_obs + count;
   t.total_ok <- t.total_ok + okc;
   if !Probe.on then Probe.slo_window ~violations ~burn:wburn ~worst_burn:t.max_burn;
-  Histogram.Bucketed.reset t.hist;
+  Histogram.reset t.hist;
   t.w_index <- t.w_index + 1;
   t.w_count <- 0;
   t.w_ok <- 0
 
 let observe t ~lat ~ok =
-  Histogram.Bucketed.observe t.hist lat;
+  Histogram.observe_int t.hist lat;
   t.w_count <- t.w_count + 1;
   if ok then t.w_ok <- t.w_ok + 1;
   if t.w_count >= t.win then close t

@@ -2,7 +2,7 @@
 
     Observations (latency, delivered?) are grouped into rolling windows
     of a fixed count; each window is evaluated over a
-    {!Histogram.Bucketed} latency histogram against latency-quantile
+    {!Histogram} latency histogram against latency-quantile
     objectives ([p99<=2us]) and delivery-rate objectives
     ([delivery>=0.999]), with the error-budget burn rate per window:
     fraction of the budget the window actually consumed, where burn = 1
@@ -44,10 +44,10 @@ val window : t -> int
 val spec : t -> string
 val objectives : t -> objective list
 
-val observe : t -> lat:float -> ok:bool -> unit
+val observe : t -> lat:int -> ok:bool -> unit
 (** One served query: its latency in clock units and whether it counts
-    as delivered. Closes (and evaluates) the window when it fills.
-    Single-domain caller only. *)
+    as delivered. Closes (and evaluates) the window when it fills;
+    allocates nothing otherwise. Single-domain caller only. *)
 
 val finish : t -> unit
 (** Close the trailing partial window, if any observations are
@@ -83,5 +83,5 @@ val to_json : ?flight:Json.t -> t -> Json.t
 (** Machine-readable verdict, schema [ron-slo/1]: spec, objectives,
     every closed window with per-objective value/burn/violated, totals,
     and the overall [ok] bit. [?flight] (a {!Flight.to_json} dump)
-    attaches the slow-query exemplars so [slo_report] can attribute them
-    to violating windows. *)
+    attaches the slow-query exemplars so [ron_obs report] can attribute
+    them to violating windows. *)

@@ -1,5 +1,5 @@
-(* Unicode block-element sparklines for sparse telemetry series, shared
-   by telemetry_report and unit-tested directly. A series is (sample
+(* Unicode block-element sparklines for sparse telemetry series, used
+   by ron_obs report and unit-tested directly. A series is (sample
    index, value) points in ascending index order over [0, samples);
    sections only carry a name once it has something to report, so indices
    may be sparse and may start late.

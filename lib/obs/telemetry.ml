@@ -14,9 +14,10 @@
    shard writes — and (b) the injected clock has advanced past the
    sampling interval since the last emission.
 
-   The clock is injected like [Trace]'s: the default is a logical atomic
-   tick (reset to zero by [start] so repeated runs in one process emit
-   identical timestamps), and the CLI injects wall-clock nanoseconds.
+   Samples are stamped with Clock's one injected source, like trace
+   records: the logical tick by default (restarted at zero when [start]
+   is its first holder, so repeated runs in one process emit identical
+   timestamps), and the CLI injects wall-clock nanoseconds.
    Under the logical clock with [process_stats:false] the whole series is
    bit-identical at every RON_JOBS — deterministic counters and non-env
    gauges only; [process_stats:true] adds the inherently nondeterministic
@@ -24,13 +25,10 @@
    per-domain cache occupancy). *)
 
 let active = ref false
-
-let logical = Atomic.make 0
-let logical_clock () = Int64.of_int (Atomic.fetch_and_add logical 1)
+let holder = Clock.holder ()
 
 type state = {
   mutable sink : Trace.sink;
-  mutable clock : unit -> int64;
   mutable interval : int64;
   mutable last : int64;
   mutable seq : int;
@@ -43,7 +41,6 @@ type state = {
 let state =
   {
     sink = Trace.null_sink;
-    clock = logical_clock;
     interval = 1L;
     last = 0L;
     seq = 0;
@@ -66,35 +63,6 @@ let counters_delta_json () =
   in
   Json.Obj fields
 
-let gauges_json () =
-  Json.Obj
-    (List.filter_map
-       (fun g ->
-         if Gauge.written g && ((not (Gauge.env g)) || state.process_stats) then
-           Some (Gauge.name g, Json.Float (Gauge.value g))
-         else None)
-       (Gauge.all ()))
-
-let hists_json () =
-  Json.Obj
-    (List.filter_map
-       (fun h ->
-         let s = Histogram.Bucketed.summary h in
-         if s.Histogram.Bucketed.count = 0 then None
-         else
-           Some
-             ( Histogram.Bucketed.name h,
-               Json.Obj
-                 [
-                   ("count", Json.Int s.Histogram.Bucketed.count);
-                   ("min", Json.Float s.Histogram.Bucketed.min);
-                   ("max", Json.Float s.Histogram.Bucketed.max);
-                   ("p50", Json.Float s.Histogram.Bucketed.p50);
-                   ("p95", Json.Float s.Histogram.Bucketed.p95);
-                   ("p99", Json.Float s.Histogram.Bucketed.p99);
-                 ] ))
-       (Histogram.Bucketed.all ()))
-
 let gc_json () =
   let s = Gc.quick_stat () in
   Json.Obj
@@ -115,8 +83,8 @@ let emit ts =
       ("ts", Json.Int (Int64.to_int ts));
       ("seq", Json.Int state.seq);
       ("counters", counters_delta_json ());
-      ("gauges", gauges_json ());
-      ("hists", hists_json ());
+      ("gauges", Gauge.to_json ~env:state.process_stats);
+      ("hists", Histogram.to_json ());
     ]
   in
   let fields =
@@ -142,13 +110,7 @@ let start ?clock ?(interval = 1L) ?(process_stats = true) ?expo sink =
   if Int64.compare interval 1L < 0 then
     invalid_arg "Telemetry.start: interval must be >= 1";
   state.expo <- expo;
-  (match clock with
-  | Some c -> state.clock <- c
-  | None ->
-    (* Restart logical time so every default-clock run emits the same
-       timestamps — the cross-RON_JOBS bit-identity contract. *)
-    Atomic.set logical 0;
-    state.clock <- logical_clock);
+  Clock.hold holder ?source:clock ();
   state.sink <- sink;
   state.interval <- interval;
   state.seq <- 0;
@@ -164,7 +126,7 @@ let start ?clock ?(interval = 1L) ?(process_stats = true) ?expo sink =
   active := true;
   (* Baseline sample: seq 0 with all-zero deltas, so even short runs have
      a series. *)
-  emit (state.clock ())
+  emit (Clock.read ())
 
 (* Sampling is chunk-free: only the owner domain, and only while it is
    not executing a Pool chunk. The check runs BEFORE the clock read, so
@@ -177,11 +139,11 @@ let start ?clock ?(interval = 1L) ?(process_stats = true) ?expo sink =
 let may_sample () =
   (Domain.self () :> int) = state.owner && not (Ron_util.Pool.inside_chunk ())
 
-let sample () = if !active && may_sample () then emit (state.clock ())
+let sample () = if !active && may_sample () then emit (Clock.read ())
 
 let tick () =
   if !active && may_sample () then begin
-    let now = state.clock () in
+    let now = Clock.read () in
     if Int64.compare (Int64.sub now state.last) state.interval >= 0 then emit now
   end
 
@@ -190,10 +152,10 @@ let snapshots_emitted () = state.seq
 let stop () =
   if !active then begin
     (* Final sample before closing so the series always covers run end. *)
-    if (Domain.self () :> int) = state.owner then emit (state.clock ());
+    if (Domain.self () :> int) = state.owner then emit (Clock.read ());
     let s = state.sink in
     state.sink <- Trace.null_sink;
-    state.clock <- logical_clock;
+    Clock.release holder;
     state.owner <- -1;
     state.expo <- None;
     Hashtbl.reset state.prev;

@@ -1,13 +1,13 @@
 (* Structured trace events as JSONL through a pluggable sink.
 
-   The clock is injected state, not a Date-style global: callers configure
-   [clock : unit -> int64] (nanoseconds, expected monotonic). The default
-   is a logical atomic tick — deterministic and allocation-free — so tests
-   and reproducible runs need no wall clock; the CLI injects a real one.
+   Records are stamped with the one injected source of Clock: the logical
+   tick unless a caller installs a clock, so tests and reproducible runs
+   need no wall clock; the CLI injects a real one.
 
-   When no sink is configured every [event]/[span] call is one load and a
-   branch ([active] is false), so instrumented code pays ~nothing with
-   tracing off. *)
+   When no sink is configured every [event] call is one load and a branch
+   ([active] is false), so instrumented code pays ~nothing with tracing
+   off. Spans are Profile.phase's: it writes their B/E records through
+   [emit]. *)
 
 type sink = { write : string -> unit; close : unit -> unit }
 
@@ -35,36 +35,25 @@ let memory_sink () =
   in
   (sink, fun () -> Mutex.protect mu (fun () -> List.rev !lines))
 
-let logical = Atomic.make 0
-let logical_clock () = Int64.of_int (Atomic.fetch_and_add logical 1)
+type state = { mutable sink : sink; mutable is_active : bool }
 
-type state = {
-  mutable sink : sink;
-  mutable clock : unit -> int64;
-  mutable is_active : bool;
-}
-
-let state = { sink = null_sink; clock = logical_clock; is_active = false }
-
+let state = { sink = null_sink; is_active = false }
+let holder = Clock.holder ()
 let active () = state.is_active
 
 let configure ?clock sink =
-  (match clock with Some c -> state.clock <- c | None -> ());
+  Clock.hold holder ?source:clock ();
   state.sink <- sink;
   state.is_active <- true
 
 let stop () =
   let s = state.sink in
   state.sink <- null_sink;
-  (* Restore the default clock too: a later [configure sink] (no ?clock)
-     must get the deterministic logical tick, not silently inherit the
-     previous run's wall clock. *)
-  state.clock <- logical_clock;
   state.is_active <- false;
+  Clock.release holder;
   s.close ()
 
-let emit ph name args =
-  let ts = state.clock () in
+let emit ~ts ~ph ?(args = []) name =
   let base =
     [
       ("ts", Json.Int (Int64.to_int ts));
@@ -76,17 +65,4 @@ let emit ph name args =
   let fields = match args with [] -> base | args -> base @ [ ("args", Json.Obj args) ] in
   state.sink.write (Json.to_line (Json.Obj fields))
 
-let event ?(args = []) name = if state.is_active then emit "i" name args
-
-let span ?(args = []) name f =
-  if not state.is_active then f ()
-  else begin
-    emit "B" name args;
-    match f () with
-    | r ->
-      emit "E" name [];
-      r
-    | exception ex ->
-      emit "E" name [ ("error", Json.String (Printexc.to_string ex)) ];
-      raise ex
-  end
+let event ?args name = if state.is_active then emit ~ts:(Clock.read ()) ~ph:"i" ?args name

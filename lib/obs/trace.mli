@@ -1,12 +1,11 @@
-(** Trace events (spans and instants) written as JSONL through a pluggable
-    sink.
+(** Trace events written as JSONL through a pluggable sink.
 
     Each record is one line: [{"ts":<int>,"dom":<domain>,"ph":"B"|"E"|"i",
-    "name":<string>,"args":{...}?}]. The timestamp comes from an {e
-    injected} clock ([unit -> int64] nanoseconds); the default is a logical
-    atomic tick (deterministic, no wall-clock dependency) and the CLI
-    injects a real monotonic-ish clock. With no sink configured, [event]
-    and [span] cost one load and a branch. *)
+    "name":<string>,"args":{...}?}]. The timestamp is a reading of the
+    one injected source ({!Clock.read}): the logical tick by default, a
+    real clock when the CLI injects one. With no sink configured,
+    [event] costs one load and a branch. Instants come from {!event};
+    spans from {!Profile.phase}, which writes their B/E records. *)
 
 type sink = { write : string -> unit; close : unit -> unit }
 
@@ -20,22 +19,19 @@ val memory_sink : unit -> sink * (unit -> string list)
 (** In-memory sink for tests; the thunk returns the lines written so far in
     order. *)
 
-val logical_clock : unit -> int64
-(** The default deterministic clock: a process-wide atomic tick. *)
-
 val configure : ?clock:(unit -> int64) -> sink -> unit
-(** Install a sink (and optionally a clock) and activate tracing. *)
+(** Install a sink and activate tracing, holding the clock source
+    ({!Clock.hold}, installing [clock] when given). *)
 
 val stop : unit -> unit
-(** Deactivate tracing, close the previous sink, and restore the default
-    {!logical_clock} (so a later [configure] without [?clock] does not
-    inherit a stale injected clock). *)
+(** Deactivate tracing, close the previous sink and release the clock
+    source. *)
 
 val active : unit -> bool
 
 val event : ?args:(string * Json.t) list -> string -> unit
 (** Emit one instant event (no-op when inactive). *)
 
-val span : ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
-(** Wrap [f] in begin/end events; exceptions are recorded on the end event
-    and re-raised. *)
+val emit : ts:int64 -> ph:string -> ?args:(string * Json.t) list -> string -> unit
+(** Write one record stamped [ts] to the current sink, active or not.
+    {!Profile.phase} writes its B/E pairs through it. *)

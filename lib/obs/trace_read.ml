@@ -1,7 +1,6 @@
 (* Reader-side of the JSONL trace format: parse lines back into events and
-   validate the stream's structural invariants. Shared by bin/trace_check
-   (the CI validator) and bin/trace_report (the span aggregator), and unit
-   tested directly — the emitters in Trace and the checks here must agree
+   validate the stream's structural invariants. Used by bin/ron_obs (its
+   check and report subcommands), and unit tested directly — the emitters in Trace and the checks here must agree
    on the schema or the smoke targets break. *)
 
 type ph = B | E | I
@@ -55,7 +54,7 @@ let parse_line line =
         | None -> Error "missing \"name\"")))
 
 (* Structural validation over a whole stream:
-   - the ["error"] arg (what [Trace.span] emits when the wrapped function
+   - the ["error"] arg (what [Profile.phase] writes when the phase
      raises) may appear only on "E" events and must be a string;
    - per domain, "B"/"E" events balance like brackets: every "E" closes the
      innermost open "B" of the same name (spans are synchronous, so they
@@ -110,23 +109,11 @@ let parse_lines lines =
   in
   go 1 [] lines
 
-let read_file file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec slurp acc =
-        match input_line ic with
-        | line -> slurp (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      parse_lines (slurp []))
-
 (* -- telemetry snapshot records ----------------------------------------- *)
 
 (* One Telemetry JSONL sample, parsed shallowly: the fixed header fields
    are extracted and typed; the section payloads stay as Json.t so the
-   validator below and telemetry_report can each walk what they need. *)
+   validator below and ron_obs report can each walk what they need. *)
 type snapshot = {
   sts : int;
   seq : int;
@@ -249,15 +236,3 @@ let parse_snapshot_lines lines =
       end
   in
   go 1 [] lines
-
-let read_snapshot_file file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec slurp acc =
-        match input_line ic with
-        | line -> slurp (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      parse_snapshot_lines (slurp []))

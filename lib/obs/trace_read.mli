@@ -1,6 +1,6 @@
 (** Reader side of the JSONL trace format: parse {!Trace}'s output back
-    into events and validate the stream's structural invariants. Shared by
-    [bin/trace_check] and [bin/trace_report]. *)
+    into events and validate the stream's structural invariants. Used by
+    [bin/ron_obs]. *)
 
 type ph = B | E | I
 
@@ -21,19 +21,17 @@ val parse_line : string -> (event, string) result
 val parse_lines : string list -> (event list, string) result
 (** Parse every non-blank line, failing with a 1-based line number. *)
 
-val read_file : string -> (event list, string) result
-
 val validate : event list -> (int, string) result
-(** Check the whole stream: the ["error"] arg (emitted by {!Trace.span}
-    when the wrapped function raises) appears only on ["E"] events and is a
+(** Check the whole stream: the ["error"] arg (written by {!Profile.phase}
+    when the phase raises) appears only on ["E"] events and is a
     string, and per domain every ["E"] closes the innermost open ["B"] of
     the same name with nothing left open at the end. Returns the event
     count. *)
 
 (** {2 Telemetry snapshot records}
 
-    Reader side of {!Telemetry}'s JSONL samples, shared by
-    [bin/trace_check --telemetry] and [bin/telemetry_report]. *)
+    Reader side of {!Telemetry}'s JSONL samples, used by
+    [bin/ron_obs]. *)
 
 type snapshot = {
   sts : int;  (** the sample's clock reading ([ts] in the record) *)
@@ -51,7 +49,6 @@ val parse_snapshot_line : string -> (snapshot, string) result
     JSON fields for {!validate_snapshots} and report rendering. *)
 
 val parse_snapshot_lines : string list -> (snapshot list, string) result
-val read_snapshot_file : string -> (snapshot list, string) result
 
 val validate_snapshots : snapshot list -> (int, string) result
 (** Check a whole series: [seq] counts 0,1,2,… with no gaps, [ts] never

@@ -143,7 +143,7 @@ let[@inline] logical_cost (sc : Server.scratch) kind =
    column feeding the SLO monitor. Runs on the worker domain; every write
    outside the scratch goes to slot [i] of an off-heap column or into the
    worker's own flight shard, so workers never contend. *)
-let observed_query t sc work res ~scheme ~wall ~flight ~(lat_col : floats option) i =
+let observed_query t sc work res ~scheme ~wall ~flight ~(lat_col : ints option) i =
   let want_tr = match flight with Some f -> Flight.want_trace f i | None -> false in
   sc.Server.log_hops <- want_tr;
   let t0 = if wall then Clock.now_ns () else 0 in
@@ -160,7 +160,7 @@ let observed_query t sc work res ~scheme ~wall ~flight ~(lat_col : floats option
       ~outcome ~hops:sc.Server.r_hops ~lat ~trace:sc.Server.hop_log ~trace_len
   | None -> ());
   (match lat_col with
-  | Some col -> A1.unsafe_set col i (float_of_int lat)
+  | Some col -> A1.unsafe_set col i lat
   | None -> ());
   (* Leave the shared scratch clean for any later plain [run]. *)
   sc.Server.log_hops <- false
@@ -180,7 +180,7 @@ let run_observed ?(batch = default_batch) ?jobs ?(wall = false) ?flight ?slo t w
     | None -> batch
   in
   let scheme = Server.scheme_tag t in
-  let lat_col = match slo with Some _ -> Some (Image.floats_create work.wq) | None -> None in
+  let lat_col = match slo with Some _ -> Some (Image.ints_create work.wq) | None -> None in
   let q = work.wq in
   let b = ref 0 in
   while !b < q do
@@ -202,7 +202,7 @@ let run_observed ?(batch = default_batch) ?jobs ?(wall = false) ?flight ?slo t w
           else if kind = 2 then ig res.ra i >= 0
           else true
         in
-        Slo.observe s ~lat:(A1.unsafe_get col i) ~ok
+        Slo.observe s ~lat:(ig col i) ~ok
       done
     | _ -> ());
     if !Telemetry.active then Telemetry.tick ();
@@ -229,7 +229,7 @@ let digest res =
 (* -------------------------------------------------- latency measurement *)
 
 (* Sequential per-query latency pass (monotonic clock per query, ns) into
-   a bounded-memory bucketed histogram, and into its kind's histogram of
+   a bounded-memory histogram, and into its kind's histogram of
    [by_kind] where there is one. Separate from the throughput run: two
    clock reads per query would tax qps. *)
 let measure_latency ?(limit = max_int) ?(by_kind = [||]) t work res hist =
@@ -238,11 +238,11 @@ let measure_latency ?(limit = max_int) ?(by_kind = [||]) t work res hist =
   for i = 0 to q - 1 do
     let t0 = Clock.now_ns () in
     run_query t sc work res i;
-    let ns = float_of_int (Clock.now_ns () - t0) in
-    Ron_obs.Histogram.Bucketed.observe hist ns;
+    let ns = Clock.now_ns () - t0 in
+    Ron_obs.Histogram.observe_int hist ns;
     let k = kind_of work i in
     if k < Array.length by_kind then
-      Option.iter (fun h -> Ron_obs.Histogram.Bucketed.observe h ns) by_kind.(k)
+      Option.iter (fun h -> Ron_obs.Histogram.observe_int h ns) by_kind.(k)
   done
 
 (* ------------------------------------------------------------- GC audit *)

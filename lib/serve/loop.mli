@@ -88,11 +88,11 @@ val digest : results -> int
 
 val measure_latency :
   ?limit:int ->
-  ?by_kind:Ron_obs.Histogram.Bucketed.t option array ->
+  ?by_kind:Ron_obs.Histogram.t option array ->
   Server.t ->
   workload ->
   results ->
-  Ron_obs.Histogram.Bucketed.t ->
+  Ron_obs.Histogram.t ->
   unit
 (** Sequential pass observing per-query wall-clock latency (ns) for the
     first [limit] queries; a query of effective kind [k] is also observed

@@ -16,8 +16,8 @@ let minimum xs = if Array.length xs = 0 then nan else Array.fold_left min infini
 let maximum xs = if Array.length xs = 0 then nan else Array.fold_left max neg_infinity xs
 
 (* Nearest-rank on an already-sorted sample: rank = ceil(p/100 * n),
-   element at rank-1. Shared by trace_report and slo_report so the two
-   tables agree on what "p999" means. *)
+   element at rank-1. Shared by ron_obs report's trace and SLO tables,
+   so the two agree on what "p999" means. *)
 let percentile_sorted sorted p =
   let n = Array.length sorted in
   if n = 0 then nan

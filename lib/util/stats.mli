@@ -20,7 +20,7 @@ val percentile_sorted : float array -> float -> float
 (** [percentile_sorted xs p] is {!percentile} for a sample that is already
     sorted ascending: no copy, no re-sort. [nan] on an empty array. The
     rank rule (rank = ceil(p/100*n), element at rank-1) is the one the
-    report tools and {!Ron_obs.Histogram.Bucketed} share. *)
+    report tool and {!Ron_obs.Histogram} share. *)
 
 val median : float array -> float
 

@@ -316,26 +316,26 @@ let repairs_differ rs ~seed idx t o =
   go 0
 
 (* With the probes on, each [closest] adds one sample to
-   meridian.probes_per_query: the walk's measurement count. *)
+   meridian.probes_per_query: the walk's measurement count. The histogram
+   keeps min and max exactly, so after a reset before each walk it holds
+   that one sample: count 1 and min = max = the measurements. *)
 let test_closest_probes_per_query () =
   let (_, t) = Lazy.force overlay_fixture in
+  let module H = Ron_obs.Histogram in
   let h = Probe.meridian_probes_hist in
-  let sum () = Array.fold_left ( +. ) 0.0 (Ron_obs.Histogram.values h) in
-  let count0 = Ron_obs.Histogram.count h and sum0 = sum () in
   let rng = Rng.create 8 in
-  let measured =
-    fst
-      (charged (fun () ->
-           List.fold_left
-             (fun acc target ->
-               acc + (Meridian.closest t ~start:(Rng.int rng 160) ~target).Meridian.measurements)
-             0
-             (List.init 40 (fun i -> 160 + i))))
-  in
-  check_int "one sample per closest" 40 (Ron_obs.Histogram.count h - count0);
-  check_int "samples sum to the measurements" measured (int_of_float (sum () -. sum0));
+  List.iter
+    (fun target ->
+      H.reset h;
+      let r, _ = charged (fun () -> Meridian.closest t ~start:(Rng.int rng 160) ~target) in
+      let s = H.summary h in
+      check_int "one sample per closest" 1 s.H.count;
+      check_bool "the sample is the measurement count"
+        (s.H.min = float_of_int r.Meridian.measurements && s.H.max = s.H.min))
+    (List.init 40 (fun i -> 160 + i));
+  H.reset h;
   ignore (Meridian.closest t ~start:0 ~target:170);
-  check_int "no sample with the probes off" 40 (Ron_obs.Histogram.count h - count0)
+  check_int "no sample with the probes off" 0 (H.count h)
 
 let prop_matches_oracle =
   let print (clustered, ring_size, size, seed) =

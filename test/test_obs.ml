@@ -6,7 +6,6 @@ module Json = Ron_obs.Json
 module Counter = Ron_obs.Counter
 module Gauge = Ron_obs.Gauge
 module Histogram = Ron_obs.Histogram
-module Bucketed = Ron_obs.Histogram.Bucketed
 module Telemetry = Ron_obs.Telemetry
 module Ledger = Ron_obs.Ledger
 module Trace = Ron_obs.Trace
@@ -83,7 +82,7 @@ let test_noop_sink_emits_nothing () =
   check_bool "inactive" (not (Trace.active ()));
   Trace.event "ignored";
   let sink, lines = Trace.memory_sink () in
-  Trace.configure ~clock:Trace.logical_clock sink;
+  Trace.configure sink;
   Trace.stop ();
   Trace.event "after-stop" ~args:[ ("x", Json.Int 1) ];
   check_int "nothing written" 0 (List.length (lines ()))
@@ -91,9 +90,11 @@ let test_noop_sink_emits_nothing () =
 let test_memory_sink_captures_events () =
   fresh ();
   let sink, lines = Trace.memory_sink () in
-  Trace.configure ~clock:Trace.logical_clock sink;
+  Trace.configure sink;
   Trace.event "one";
-  Trace.span "outer" (fun () -> Trace.event "two" ~args:[ ("k", Json.String "v") ]);
+  Profile.enable ();
+  Profile.phase "outer" (fun () -> Trace.event "two" ~args:[ ("k", Json.String "v") ]);
+  Profile.disable ();
   Trace.stop ();
   let parsed =
     List.map
@@ -141,8 +142,10 @@ let test_stop_resets_clock () =
 let test_span_unwind_emits_error () =
   fresh ();
   let sink, lines = Trace.memory_sink () in
-  Trace.configure ~clock:Trace.logical_clock sink;
-  (try Trace.span "boom" (fun () -> failwith "kaput") with Failure _ -> ());
+  Trace.configure sink;
+  Profile.enable ();
+  (try Profile.phase "boom" (fun () -> failwith "kaput") with Failure _ -> ());
+  Profile.disable ();
   Trace.stop ();
   let events =
     match Trace_read.parse_lines (lines ()) with
@@ -248,38 +251,54 @@ let test_histogram_growth_and_empty () =
   fresh ();
   let h = Histogram.make "test.hist.growth" in
   check_int "empty count" 0 (Histogram.count h);
-  check_bool "empty values is [||]" (Histogram.values h = [||]);
-  (* Push well past the 16-element shard seed so the buffer doubles. *)
+  check_bool "empty has no buckets" (Histogram.buckets h = [||]);
   for i = 1 to 100 do
     Histogram.observe_int h (i mod 10)
   done;
   check_int "100 observations" 100 (Histogram.count h);
-  let vs = Histogram.values h in
-  check_int "values length" 100 (Array.length vs);
+  let s = Histogram.summary h in
+  check_bool "exact min and max" (s.Histogram.min = 0.0 && s.Histogram.max = 9.0);
+  let bs = Histogram.buckets h in
+  check_int "bucket counts add up" 100 (Array.fold_left (fun a (_, c) -> a + c) 0 bs);
   let sorted = ref true in
-  for i = 1 to Array.length vs - 1 do
-    if vs.(i - 1) > vs.(i) then sorted := false
+  for i = 1 to Array.length bs - 1 do
+    if fst bs.(i - 1) >= fst bs.(i) then sorted := false
   done;
-  check_bool "values sorted ascending" !sorted;
+  check_bool "buckets ascending" !sorted;
   Histogram.reset h;
   check_int "reset drops everything" 0 (Histogram.count h);
-  check_bool "reset values is [||]" (Histogram.values h = [||])
+  check_bool "reset drops the buckets" (Histogram.buckets h = [||])
 
 let hist_snapshot ~jobs =
   let h = Histogram.make "test.hist.reobserve" in
   Histogram.reset h;
   Ron_util.Pool.parallel_for ~jobs 500 (fun i ->
       Histogram.observe h (float_of_int (i mod 13) /. 8.0));
-  Histogram.values h
+  (Histogram.summary h, Histogram.buckets h)
 
 let test_histogram_reset_reobserve_across_jobs () =
   fresh ();
-  (* reset + re-observe: the sorted snapshot depends only on the observed
+  (* reset + re-observe: the merged buckets depend only on the observed
      multiset, so jobs=1 and jobs=4 are bit-identical. *)
-  let v1 = hist_snapshot ~jobs:1 in
-  let v4 = hist_snapshot ~jobs:4 in
-  check_int "same size" (Array.length v1) (Array.length v4);
-  check_bool "sorted snapshots bit-identical at jobs 1 and 4" (v1 = v4)
+  let s1, b1 = hist_snapshot ~jobs:1 in
+  let s4, b4 = hist_snapshot ~jobs:4 in
+  check_int "same count" s1.Histogram.count s4.Histogram.count;
+  check_bool "summaries and buckets bit-identical at jobs 1 and 4" (s1 = s4 && b1 = b4)
+
+(* A name names one metric: a second kind under it raises, and the first
+   declaration stays. *)
+let test_registry_one_kind_per_name () =
+  fresh ();
+  let c = Counter.make "test.registry.clash" in
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  check_bool "a gauge under a counter's name raises"
+    (raises (fun () -> Gauge.make "test.registry.clash"));
+  check_bool "a histogram under a counter's name raises"
+    (raises (fun () -> Histogram.make "test.registry.clash"));
+  ignore (Histogram.make "test.registry.hist");
+  check_bool "a counter under a histogram's name raises"
+    (raises (fun () -> Counter.make "test.registry.hist"));
+  check_bool "the first declaration stays" (Counter.make "test.registry.clash" == c)
 
 (* -------------------------------------------------------------- profile *)
 
@@ -379,7 +398,7 @@ let test_profile_merge_across_domains () =
 let test_profile_mirrors_trace_span () =
   fresh ();
   let sink, lines = Trace.memory_sink () in
-  Trace.configure ~clock:Trace.logical_clock sink;
+  Trace.configure sink;
   Profile.enable ();
   Profile.phase "mirrored" (fun () -> ());
   Profile.disable ();
@@ -403,7 +422,7 @@ let line_route () =
 let test_simulate_hops_match_trace_and_ledger () =
   fresh ();
   let sink, lines = Trace.memory_sink () in
-  Trace.configure ~clock:Trace.logical_clock sink;
+  Trace.configure sink;
   Ron_obs.enable ();
   let (r, e) = Ledger.with_query ~kind:"route" ~id:0 line_route in
   Ron_obs.disable ();
@@ -513,63 +532,60 @@ let test_gauge_env_excluded_from_snapshot () =
 
 let test_bucketed_empty_zero_and_registry () =
   fresh ();
-  let h = Bucketed.make "test.bucketed.basic" in
+  let h = Histogram.make "test.bucketed.basic" in
   check_bool "same name yields the same histogram"
-    (Bucketed.make "test.bucketed.basic" == h);
-  (match Bucketed.make ~relative_error:2.0 "test.bucketed.bad" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted relative_error outside (0, 1)");
-  check_int "empty count" 0 (Bucketed.count h);
-  check_bool "empty quantile is nan" (Float.is_nan (Bucketed.quantile h 0.5));
-  let s = Bucketed.summary h in
+    (Histogram.make "test.bucketed.basic" == h);
+  check_int "empty count" 0 (Histogram.count h);
+  check_bool "empty quantile is nan" (Float.is_nan (Histogram.quantile h 0.5));
+  let s = Histogram.summary h in
   check_bool "empty summary is nan except count"
-    (s.Bucketed.count = 0 && Float.is_nan s.Bucketed.min && Float.is_nan s.Bucketed.p99);
+    (s.Histogram.count = 0 && Float.is_nan s.Histogram.min && Float.is_nan s.Histogram.p99);
   (* Non-positive observations land in the zero bucket: counted, bounded
      memory, quantile 0. Non-finite inputs are rejected into a separate
      tally and must not shift counts, ranks, or min/max. *)
-  Bucketed.observe h 0.0;
-  Bucketed.observe h (-3.5);
-  Bucketed.observe h nan;
-  Bucketed.observe h infinity;
-  Bucketed.observe h neg_infinity;
-  check_int "zero-bucket observations counted" 2 (Bucketed.count h);
-  check_int "non-finite observations tallied apart" 3 (Bucketed.nonfinite_count h);
-  check_int "zero bucket occupies no log bucket" 0 (Bucketed.bucket_count h);
-  check_bool "all-zero quantile" (Bucketed.quantile h 0.99 = 0.0);
-  let s = Bucketed.summary h in
+  Histogram.observe h 0.0;
+  Histogram.observe h (-3.5);
+  Histogram.observe h nan;
+  Histogram.observe h infinity;
+  Histogram.observe h neg_infinity;
+  check_int "zero-bucket observations counted" 2 (Histogram.count h);
+  check_int "non-finite observations tallied apart" 3 (Histogram.nonfinite_count h);
+  check_int "zero bucket occupies no log bucket" 0 (Histogram.bucket_count h);
+  check_bool "all-zero quantile" (Histogram.quantile h 0.99 = 0.0);
+  let s = Histogram.summary h in
   check_bool "non-finite inputs do not corrupt min/max"
-    (s.Bucketed.min = 0.0 && s.Bucketed.max = 0.0);
-  Bucketed.reset h;
-  check_int "reset drops everything" 0 (Bucketed.count h);
-  check_int "reset drops the non-finite tally" 0 (Bucketed.nonfinite_count h)
+    (s.Histogram.min = 0.0 && s.Histogram.max = 0.0);
+  Histogram.reset h;
+  check_int "reset drops everything" 0 (Histogram.count h);
+  check_int "reset drops the non-finite tally" 0 (Histogram.nonfinite_count h)
 
 let test_bucketed_bounded_memory () =
   fresh ();
   (* 100k observations over 6 decades: the footprint stays O(buckets),
      bounded by log-range / log-gamma, not by the observation count. *)
-  let h = Bucketed.make "test.bucketed.memory" in
+  let h = Histogram.make "test.bucketed.memory" in
   let rng = Ron_util.Rng.create 42 in
   for _ = 1 to 100_000 do
-    Bucketed.observe h (exp (Ron_util.Rng.float rng 13.8))
+    Histogram.observe h (exp (Ron_util.Rng.float rng 13.8))
   done;
-  check_int "100k observations" 100_000 (Bucketed.count h);
-  let bound = int_of_float (13.8 /. log (Bucketed.gamma h)) + 2 in
+  check_int "100k observations" 100_000 (Histogram.count h);
+  let bound = int_of_float (13.8 /. log (Histogram.gamma)) + 2 in
   check_bool
-    (Printf.sprintf "buckets %d <= log-range bound %d" (Bucketed.bucket_count h) bound)
-    (Bucketed.bucket_count h <= bound)
+    (Printf.sprintf "buckets %d <= log-range bound %d" (Histogram.bucket_count h) bound)
+    (Histogram.bucket_count h <= bound)
 
 let prop_bucketed_quantiles_within_one_bucket =
   QCheck.Test.make ~name:"bucketed p50/p95/p99 within one bucket of exact" ~count:60
     QCheck.(pair (int_range 1 400) (int_range 0 1_000_000))
     (fun (n, seed) ->
       fresh ();
-      let h = Bucketed.make "test.bucketed.prop" in
+      let h = Histogram.make "test.bucketed.prop" in
       let rng = Ron_util.Rng.create seed in
       (* Spread over ~7 decades so many distinct buckets are exercised. *)
       let xs = Array.init n (fun _ -> exp (Ron_util.Rng.float rng 16.0 -. 8.0)) in
-      Array.iter (Bucketed.observe h) xs;
-      let s = Bucketed.summary h in
-      let g = Bucketed.gamma h in
+      Array.iter (Histogram.observe h) xs;
+      let s = Histogram.summary h in
+      let g = Histogram.gamma in
       let within q est =
         let exact = Ron_util.Stats.percentile xs (q *. 100.0) in
         (* Same nearest-rank rule on both sides, so the estimate is the
@@ -577,12 +593,12 @@ let prop_bucketed_quantiles_within_one_bucket =
            off by at most one bucket width. *)
         est >= (exact /. g) *. (1.0 -. 1e-9) && est <= exact *. g *. (1.0 +. 1e-9)
       in
-      s.Bucketed.count = n
-      && s.Bucketed.min = Ron_util.Stats.minimum xs
-      && s.Bucketed.max = Ron_util.Stats.maximum xs
-      && within 0.50 s.Bucketed.p50
-      && within 0.95 s.Bucketed.p95
-      && within 0.99 s.Bucketed.p99)
+      s.Histogram.count = n
+      && s.Histogram.min = Ron_util.Stats.minimum xs
+      && s.Histogram.max = Ron_util.Stats.maximum xs
+      && within 0.50 s.Histogram.p50
+      && within 0.95 s.Histogram.p95
+      && within 0.99 s.Histogram.p99)
 
 let prop_bucketed_q1_is_exact_max =
   QCheck.Test.make ~name:"bucketed quantile at q=1.0 is the exact recorded max"
@@ -590,13 +606,13 @@ let prop_bucketed_q1_is_exact_max =
     QCheck.(pair (int_range 1 300) (int_range 0 1_000_000))
     (fun (n, seed) ->
       fresh ();
-      let h = Bucketed.make "test.bucketed.qmax" in
+      let h = Histogram.make "test.bucketed.qmax" in
       let rng = Ron_util.Rng.create seed in
       let xs = Array.init n (fun _ -> exp (Ron_util.Rng.float rng 16.0 -. 8.0)) in
-      Array.iter (Bucketed.observe h) xs;
+      Array.iter (Histogram.observe h) xs;
       (* Bit-for-bit, not within-a-bucket: q=1.0 must bypass the bucket
          midpoint estimate. *)
-      Bucketed.quantile h 1.0 = Ron_util.Stats.maximum xs)
+      Histogram.quantile h 1.0 = Ron_util.Stats.maximum xs)
 
 let prop_bucketed_nonfinite_does_not_corrupt =
   QCheck.Test.make
@@ -606,31 +622,31 @@ let prop_bucketed_nonfinite_does_not_corrupt =
       fresh ();
       let rng = Ron_util.Rng.create seed in
       let xs = Array.init n (fun _ -> exp (Ron_util.Rng.float rng 16.0 -. 8.0)) in
-      let clean = Bucketed.make "test.bucketed.clean" in
-      Array.iter (Bucketed.observe clean) xs;
-      let dirty = Bucketed.make "test.bucketed.dirty" in
+      let clean = Histogram.make "test.bucketed.clean" in
+      Array.iter (Histogram.observe clean) xs;
+      let dirty = Histogram.make "test.bucketed.dirty" in
       let junk = [| nan; infinity; neg_infinity |] in
       Array.iteri
         (fun i x ->
-          Bucketed.observe dirty junk.(i mod 3);
-          Bucketed.observe dirty x)
+          Histogram.observe dirty junk.(i mod 3);
+          Histogram.observe dirty x)
         xs;
       for i = 0 to bad - 1 do
-        Bucketed.observe dirty junk.(i mod 3)
+        Histogram.observe dirty junk.(i mod 3)
       done;
       (* The dirty histogram saw every finite value plus interleaved junk:
          identical summary, junk visible only in the separate tally. *)
-      Bucketed.summary dirty = Bucketed.summary clean
-      && Bucketed.count dirty = n
-      && Bucketed.nonfinite_count dirty = n + bad
-      && Bucketed.quantile dirty 1.0 = Bucketed.quantile clean 1.0)
+      Histogram.summary dirty = Histogram.summary clean
+      && Histogram.count dirty = n
+      && Histogram.nonfinite_count dirty = n + bad
+      && Histogram.quantile dirty 1.0 = Histogram.quantile clean 1.0)
 
 let bucketed_summary_of_run ~jobs =
-  let h = Bucketed.make "test.bucketed.jobs" in
-  Bucketed.reset h;
+  let h = Histogram.make "test.bucketed.jobs" in
+  Histogram.reset h;
   Ron_util.Pool.parallel_for ~jobs 500 (fun i ->
-      Bucketed.observe h (float_of_int ((i mod 37) + 1) *. 0.81));
-  (Bucketed.summary h, Bucketed.bucket_count h)
+      Histogram.observe h (float_of_int ((i mod 37) + 1) *. 0.81));
+  (Histogram.summary h, Histogram.bucket_count h)
 
 let test_bucketed_merge_across_jobs () =
   fresh ();
@@ -649,12 +665,12 @@ let telemetry_lines ~jobs ~process_stats =
   let sink, lines = Trace.memory_sink () in
   Telemetry.start ~process_stats sink;
   let c = Counter.make "test.tel.counter" in
-  let b = Bucketed.make "test.tel.hist" in
+  let b = Histogram.make "test.tel.hist" in
   let g = Gauge.make "test.tel.gauge" in
   for round = 1 to 5 do
     Ron_util.Pool.parallel_for ~jobs 200 (fun i ->
         Counter.add c ((i mod 5) + 1);
-        Bucketed.observe b (float_of_int ((i mod 17) + 1)));
+        Histogram.observe b (float_of_int ((i mod 17) + 1)));
     Gauge.set_int g round;
     Telemetry.tick ()
   done;
@@ -730,6 +746,32 @@ let test_telemetry_interval_throttles () =
   done;
   check_int "interval thins the tick stream" 4 (Telemetry.snapshots_emitted ());
   Telemetry.stop ()
+
+(* Trace, Profile and Telemetry share one source, and the last release
+   restores the logical tick: Profile disabled before Telemetry.stop (the
+   CLI's order) leaves the injected clock to the sampler, so the final
+   sample's ts does not go backwards. *)
+let test_shared_clock_outlives_early_release () =
+  fresh ();
+  let t = ref 1_000_000L in
+  let clock () =
+    t := Int64.add !t 1L;
+    !t
+  in
+  let sink, lines = Trace.memory_sink () in
+  Telemetry.start ~clock ~process_stats:false sink;
+  Profile.enable ~clock ();
+  Profile.phase "p" (fun () -> ());
+  Profile.disable ();
+  Telemetry.stop ();
+  match Trace_read.parse_snapshot_lines (lines ()) with
+  | Error e -> Alcotest.failf "bad sample: %s" e
+  | Ok snaps -> (
+    check_bool "every sample on the injected clock"
+      (List.for_all (fun (s : Trace_read.snapshot) -> s.Trace_read.sts > 1_000_000) snaps);
+    match Trace_read.validate_snapshots snaps with
+    | Ok n -> check_int "baseline + final sample" 2 n
+    | Error e -> Alcotest.failf "series rejected: %s" e)
 
 let test_telemetry_series_parses_and_validates () =
   fresh ();
@@ -913,10 +955,10 @@ let test_slo_window_arithmetic () =
   in
   let s = Slo.create ~window:10 ~name:"slo.test.arith" objs in
   for i = 0 to 9 do
-    Slo.observe s ~lat:(if i = 0 then 200.0 else 50.0) ~ok:(i > 1)
+    Slo.observe s ~lat:(if i = 0 then 200 else 50) ~ok:(i > 1)
   done;
   for i = 0 to 9 do
-    Slo.observe s ~lat:(if i < 5 then 200.0 else 50.0) ~ok:true
+    Slo.observe s ~lat:(if i < 5 then 200 else 50) ~ok:true
   done;
   Slo.finish s;
   check_int "two closed windows" 2 (Slo.windows_closed s);
@@ -946,10 +988,35 @@ let test_slo_partial_window_and_empty () =
   check_int "no windows before any observation" 0 (Slo.windows_closed s);
   Slo.finish s;
   check_int "finish on empty closes nothing" 0 (Slo.windows_closed s);
-  Slo.observe s ~lat:5.0 ~ok:true;
+  Slo.observe s ~lat:5 ~ok:true;
   Slo.finish s;
   check_int "finish closes the trailing partial window" 1 (Slo.windows_closed s);
   check_bool "partial window evaluated" (Slo.ok s)
+
+(* The SLO feed and the histogram's int path allocate nothing outside a
+   window close: 10^5 calls of each, read with [Gc.minor_words], which
+   counts the minor heap's current words too. The window outlasts the
+   calls, and every bucket exists before the count starts. *)
+let test_slo_feed_allocates_nothing () =
+  let calls = 100_000 in
+  let objs = match Slo.parse "p99<=2us,delivery>=0.99" with Ok o -> o | Error e -> Alcotest.fail e in
+  let s = Slo.create ~window:(2 * calls) ~name:"slo.test.alloc" objs in
+  let h = Histogram.make "test.hist.alloc" in
+  for i = 0 to 99 do
+    Histogram.observe_int h (1000 + i)
+  done;
+  let per_call f =
+    let w0 = Gc.minor_words () in
+    for i = 0 to calls - 1 do
+      f i
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int calls
+  in
+  let slo = per_call (fun i -> Slo.observe s ~lat:(1000 + (i mod 100)) ~ok:(i land 7 <> 0)) in
+  let hist = per_call (fun i -> Histogram.observe_int h (1000 + (i mod 100))) in
+  check_int "no window closed" 0 (Slo.windows_closed s);
+  check_bool (Printf.sprintf "%.2f minor words per Slo.observe" slo) (slo < 0.01);
+  check_bool (Printf.sprintf "%.2f minor words per Histogram.observe_int" hist) (hist < 0.01)
 
 (* ------------------------------------------------------------------ expo *)
 
@@ -960,8 +1027,8 @@ let test_expo_roundtrip_through_validator () =
   Counter.add c 7;
   let g = Gauge.make "expo.test_level" in
   Gauge.set g 2.5;
-  let h = Bucketed.make "expo.test_latency" in
-  List.iter (Bucketed.observe h) [ 0.0; 1.0; 10.0; 100.0; 1000.0 ];
+  let h = Histogram.make "expo.test_latency" in
+  List.iter (Histogram.observe h) [ 0.0; 1.0; 10.0; 100.0; 1000.0 ];
   let text = Expo.render () in
   (match Expo.validate_string text with
   | Ok n -> check_bool "several samples" (n > 5)
@@ -969,7 +1036,7 @@ let test_expo_roundtrip_through_validator () =
   (* The file writer is atomic (tmp + rename) and produces the same body. *)
   let file = Filename.temp_file "ron_expo_test" ".prom" in
   Expo.write file;
-  (match Expo.validate_file file with
+  (match Expo.validate_string (In_channel.with_open_bin file In_channel.input_all) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "written exposition rejected: %s" e);
   check_bool "no tmp litter" (not (Sys.file_exists (file ^ ".tmp")));
@@ -1005,6 +1072,79 @@ let test_expo_validator_rejects () =
   with
   | Ok n -> check_int "valid exposition sample count" 2 n
   | Error e -> Alcotest.failf "rejected a valid exposition: %s" e
+
+(* One name in every format: the snapshot's counters, gauges and
+   histograms are the exposition's families (sanitized, counters with
+   _total), apart from ron_build_info and the env gauges the snapshot
+   leaves out; and every name a telemetry sample carries is one of the
+   snapshot's. Routes, a Meridian locate and an SLO window feed it. *)
+let test_one_name_in_every_format () =
+  fresh ();
+  Ron_obs.enable ();
+  let sink, lines = Trace.memory_sink () in
+  Telemetry.start ~process_stats:false sink;
+  for _ = 1 to 3 do
+    ignore (line_route ())
+  done;
+  let module Meridian = Ron_smallworld.Meridian in
+  let idx =
+    Ron_metric.Indexed.create
+      (Ron_metric.Generators.random_cloud (Ron_util.Rng.create 4) ~n:40 ~dim:2)
+  in
+  let m =
+    Meridian.build idx (Ron_util.Rng.create 5) ~ring_size:4 ~members:(Array.init 30 Fun.id)
+  in
+  ignore (Meridian.closest m ~start:0 ~target:35);
+  let objs = match Slo.parse "p99<=2us" with Ok o -> o | Error e -> Alcotest.fail e in
+  let slo = Slo.create ~window:4 ~name:"slo.test.names" objs in
+  (* A window closes, and the next one holds a sample. *)
+  for i = 1 to 5 do
+    Slo.observe slo ~lat:(100 * i) ~ok:true
+  done;
+  Telemetry.tick ();
+  Telemetry.stop ();
+  let snapshot = Ron_obs.snapshot () in
+  Ron_obs.disable ();
+  let section name =
+    match Json.member name snapshot with
+    | Some (Json.Obj fields) -> List.map fst fields
+    | _ -> Alcotest.failf "snapshot has no %s section" name
+  in
+  let counters = section "counters" and gauges = section "gauges" in
+  let hists = section "histograms" in
+  let env =
+    List.filter_map
+      (fun g -> if Gauge.env g then Some (Expo.sanitize (Gauge.name g)) else None)
+      (Gauge.all ())
+  in
+  let families =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "#"; "TYPE"; f; _ ] when f <> "ron_build_info" && not (List.mem f env) -> Some f
+        | _ -> None)
+      (String.split_on_char '\n' (Expo.render ()))
+  in
+  let sorted = List.sort_uniq String.compare in
+  Alcotest.(check (list string))
+    "snapshot names = exposition families"
+    (sorted (List.map (fun c -> Expo.sanitize c ^ "_total") counters
+             @ List.map Expo.sanitize (gauges @ hists)))
+    (sorted families);
+  List.iter
+    (fun h -> check_bool (h ^ " is a snapshot histogram") (List.mem h hists))
+    [ "route.hops_per_query"; "route.header_bits_per_query"; "meridian.probes_per_query";
+      "slo.test.names.window_latency" ];
+  let names = counters @ gauges @ hists in
+  List.iter
+    (fun line ->
+      match Trace_read.parse_snapshot_line line with
+      | Ok s ->
+        List.iter
+          (fun (n, _) -> check_bool (n ^ " in a sample is a snapshot name") (List.mem n names))
+          (s.Trace_read.counters @ s.Trace_read.gauges @ s.Trace_read.hists)
+      | Error e -> Alcotest.failf "bad sample: %s" e)
+    (lines ())
 
 (* ------------------------------------------------------------- sparkline *)
 
@@ -1055,6 +1195,11 @@ let () =
           Alcotest.test_case "reset + re-observe identical across jobs" `Quick
             test_histogram_reset_reobserve_across_jobs;
         ] );
+      ( "registry",
+        [
+          Alcotest.test_case "one kind per name" `Quick test_registry_one_kind_per_name;
+          Alcotest.test_case "one name in every format" `Quick test_one_name_in_every_format;
+        ] );
       ( "gauge",
         [
           Alcotest.test_case "last write wins, add, reset" `Quick test_gauge_basics;
@@ -1084,6 +1229,8 @@ let () =
             test_telemetry_interval_throttles;
           Alcotest.test_case "emitted series parses and validates" `Quick
             test_telemetry_series_parses_and_validates;
+          Alcotest.test_case "shared clock outlives an early release" `Quick
+            test_shared_clock_outlives_early_release;
         ] );
       ( "snapshot-validator",
         [
@@ -1124,6 +1271,7 @@ let () =
           Alcotest.test_case "window arithmetic" `Quick test_slo_window_arithmetic;
           Alcotest.test_case "partial and empty windows" `Quick
             test_slo_partial_window_and_empty;
+          Alcotest.test_case "feed allocates nothing" `Quick test_slo_feed_allocates_nothing;
         ] );
       ( "expo",
         [
